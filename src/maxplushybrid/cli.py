@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -18,6 +19,8 @@ from . import equivalence, fixtures, hybrid, mpa, reproduce, smpl
 from .serialization import (
     ModelDocument,
     ModelFormatError,
+    build_smpl,
+    decode_vector,
     encode_weight,
     maha_body,
     fa_body,
@@ -101,10 +104,6 @@ def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
     return word
 
 
-def _format_weight(w: float) -> Any:
-    return encode_weight(w)
-
-
 def cmd_eval(args: argparse.Namespace) -> tuple[RunReport, int]:
     doc = _load_document(args.model)
     report = RunReport(command=_echo(args))
@@ -114,7 +113,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[RunReport, int]:
         value = mpa.eval_output(automaton, word)
         report.payload = {
             "word": list(word),
-            "output": _format_weight(value),
+            "output": encode_weight(value),
             "accepted": value != EPS,
         }
         return report, 0
@@ -148,16 +147,14 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
     if not isinstance(raw, list):
         raise UsageError("inputs file must hold a JSON list of steps")
     steps = []
-    for entry in raw:
-        steps.append(
-            smpl.StepInput(
-                u=tuple(float(v) for v in entry.get("u", [])),
-                v=tuple(float(v) for v in entry.get("v", [])),
-                w=entry.get("w"),
-                r=tuple(float(v) for v in entry.get("r", [])),
-                p=tuple(float(v) for v in entry.get("p", [])),
-            )
-        )
+    for k, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise UsageError(f"inputs[{k}] must be an object with u, v, w, r, p fields")
+        w = entry.get("w")
+        if w is not None and not isinstance(w, str):
+            raise UsageError(f"inputs[{k}].w must be a symbol string")
+        signals = {key: decode_vector(entry.get(key, []), f"inputs[{k}].{key}") for key in "uvrp"}
+        steps.append(smpl.StepInput(w=w, **signals))
     return tuple(steps)
 
 
@@ -186,8 +183,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
             {
                 "k": k + 1,
                 "symbol": word[k],
-                "state": [_format_weight(v) for v in mpa.eval_state(automaton, word[: k + 1])],
-                "output": _format_weight(mpa.eval_output(automaton, word[: k + 1])),
+                "state": [encode_weight(v) for v in mpa.eval_state(automaton, word[: k + 1])],
+                "output": encode_weight(mpa.eval_output(automaton, word[: k + 1])),
             }
             for k in range(len(word))
         ]
@@ -203,8 +200,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
             {
                 "k": rec.k,
                 "mode": rec.mode,
-                "x": [_format_weight(v) for v in rec.x],
-                "y": [_format_weight(v) for v in rec.y],
+                "x": [encode_weight(v) for v in rec.x],
+                "y": [encode_weight(v) for v in rec.y],
             }
             for rec in trace.records
         ]
@@ -219,8 +216,8 @@ def _smpl_trace_payload(trace: smpl.SmplTrace) -> dict:
             "k": rec.k,
             "mode": rec.mode,
             "successor_modes": list(rec.successor_modes),
-            "x": [_format_weight(v) for v in rec.x],
-            "y": [_format_weight(v) for v in rec.y],
+            "x": [encode_weight(v) for v in rec.x],
+            "y": [encode_weight(v) for v in rec.y],
         }
         for rec in trace.records
     ]
@@ -285,19 +282,22 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
     symbols = _symbols_of(doc1) or _symbols_of(doc2)
     if symbols is None:
         raise UsageError("neither model declares a discrete input alphabet")
-    continuous = 0
+    widths = {"u": 0, "r": 0, "p": 0}
     for doc in (doc1, doc2):
-        if doc.kind == "smpl":
-            d = doc.model.dims
-            continuous = max(continuous, d.n_u if doc.model.controller is None else 0, d.n_r, d.n_p)
-    if continuous == 0:
+        system = doc.model if doc.kind == "smpl" else None
+        if doc.kind == "maha":
+            system = build_smpl(doc.body["system"])
+        if system is not None:
+            d = system.dims
+            # a controller computes u itself, so only open loops take it as input
+            for key, width in (("u", 0 if system.closed_loop else d.n_u), ("r", d.n_r), ("p", d.n_p)):
+                widths[key] = max(widths[key], width)
+    if not any(widths.values()):
         regime = "exhaustive"
         seqs = [smpl.word_inputs(w) for w in equivalence.exhaustive_words(symbols, bound)]
     else:
-        import random as _random
-
         regime = "sampled"
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         seqs = []
         for _ in range(200):
             length = rng.randint(1, bound)
@@ -305,7 +305,10 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
                 tuple(
                     smpl.StepInput(
                         w=rng.choice(symbols),
-                        u=tuple(float(rng.randint(-3, 6)) for _ in range(continuous)),
+                        **{
+                            key: tuple(float(rng.randint(-3, 6)) for _ in range(width))
+                            for key, width in widths.items()
+                        },
                     )
                     for _ in range(length)
                 )
@@ -351,8 +354,10 @@ def cmd_check(args: argparse.Namespace) -> tuple[RunReport, int]:
         report.verdict = ok
         report.payload = {"bound": args.bound, "regime": regime}
         if counterexample is not None:
+            # r and p only when drawn, so witnesses of u-only models keep their form
             report.payload["witness"] = [
-                {"w": inp.w, "u": [_format_weight(v) for v in inp.u]}
+                {"w": inp.w, "u": [encode_weight(v) for v in inp.u]}
+                | {key: [encode_weight(v) for v in getattr(inp, key)] for key in "rp" if getattr(inp, key)}
                 for inp in counterexample
             ]
         return report, 0 if ok else 1

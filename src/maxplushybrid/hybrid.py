@@ -7,6 +7,10 @@ holds there.  Each admitted target mode then advances the continuous state
 with its own dynamics, after the edge's reset (identity throughout here).
 Resolving the mode against the pre-step state and flowing with the target
 mode is what makes translated switching systems match step for step.
+
+Open- and closed-loop switching systems translate by one construction; a
+state codec says where the system's x sits in the hybrid state: x itself
+for the open loop, the augmented state (mode, x, u, v) for the closed loop.
 """
 
 from __future__ import annotations
@@ -184,82 +188,102 @@ def run(
     return HybridTrace(tuple(records))
 
 
-def _switch_predicate(s: SmplSystem, source_mode: int, target_mode: int) -> PredicateFn:
-    """Does the switching rule send source_mode to target_mode here?
+@dataclass(frozen=True)
+class _StateCodec:
+    """Where a translated automaton keeps the switching system's state.
 
-    Controlled inputs are resolved through the controller when one is
-    bundled, so the predicate sees exactly what a simulation step would.
+    read_x and write move between the hybrid state and the system's x;
+    read_u gives the output map this step's controlled input, which the
+    closed loop must read back from the state its flow just wrote.
     """
 
-    def holds(x: tuple[Weight, ...], inp: StepInput) -> bool:
-        z = s.performance_signal(source_mode, x, (EPS,) * s.dims.n_u, (EPS,) * s.dims.n_v)
-        u, v = resolve_inputs(s, z, inp)
-        probe = SwitchProbe(
-            prev_mode=source_mode, x=x, u=u, v=v, w=inp.w, r=inp.r, p=inp.p
-        )
-        return target_mode in s.switching.successor_set(probe)
-
-    return holds
+    n: int
+    init: tuple[Weight, ...]
+    read_x: Callable[[tuple[Weight, ...]], tuple[Weight, ...]]
+    read_u: Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
+    write: Callable[..., tuple[Weight, ...]]  # (mode, x, u, v) -> hybrid state
+    meta: dict
 
 
-def from_smpl_open(s: SmplSystem) -> HybridAutomaton:
-    """Hybrid automaton with one mode per switching mode.
+def _translate(
+    s: SmplSystem, codec: _StateCodec, forms: dict[int, MatrixForm] | None = None
+) -> HybridAutomaton:
+    """One mode per switching mode, over the codec's state.
 
     The invariant of mode q collects the (state, input) pairs the rule maps
     back to q; the guard of edge (q, q') collects the pairs it maps to q'.
-    Resets are identity and every mode is initial at x0.
+    Controlled inputs are resolved through the controller when one is
+    bundled, so guards and flows see exactly what a simulation step would.
+    Resets are identity and every mode is initial at the codec's state.
     """
-    if s.closed_loop:
-        raise ValueError("open-loop translation needs a system without controller hooks")
     modes = tuple(range(1, s.n_modes + 1))
+    read_x, read_u, write = codec.read_x, codec.read_u, codec.write
+
+    def switch_predicate(source: int, target: int) -> PredicateFn:
+        def holds(z: tuple[Weight, ...], inp: StepInput) -> bool:
+            u, v = resolve_inputs(s, z, inp)
+            probe = SwitchProbe(
+                prev_mode=source, x=read_x(z), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
+            )
+            return target in s.switching.successor_set(probe)
+
+        return holds
 
     def flow_fn(mode: int) -> FlowFn:
-        def flow(x: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            return s.modes[mode].next_state(x, tuple(inp.u) + tuple(inp.r) + tuple(inp.p))
+        def flow(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
+            u, v = resolve_inputs(s, z, inp)
+            x_new = s.modes[mode].next_state(read_x(z), u + tuple(inp.r) + tuple(inp.p))
+            return write(mode, x_new, u, v)
 
         return flow
 
     def output_fn(mode: int) -> FlowFn:
-        def out(x: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            return s.modes[mode].output(x, tuple(inp.u) + tuple(inp.r) + tuple(inp.p))
+        def out(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
+            return s.modes[mode].output(
+                read_x(z), read_u(z, inp) + tuple(inp.r) + tuple(inp.p)
+            )
 
         return out
 
-    invariant = {
-        q: GuardPredicate(
-            holds=_switch_predicate(s, q, q),
-            enabled_symbols=s.switching.enabling_symbols(q),
+    def guard(source: int, target: int) -> GuardPredicate:
+        return GuardPredicate(
+            holds=switch_predicate(source, target),
+            enabled_symbols=s.switching.enabling_symbols(target),
         )
-        for q in modes
-    }
+
     edges = tuple((q, qq) for q in modes for qq in modes if q != qq)
-    guards = {
-        (q, qq): GuardPredicate(
-            holds=_switch_predicate(s, q, qq),
-            enabled_symbols=s.switching.enabling_symbols(qq),
-        )
-        for q, qq in edges
-    }
-    forms = None
-    if all(s.modes[q].form is not None for q in modes):
-        forms = {q: s.modes[q].form for q in modes}
     return HybridAutomaton(
         modes=modes,
-        n=s.dims.n,
+        n=codec.n,
         discrete_inputs=s.switching.symbols or (),
         n_y=s.dims.n_y,
-        init=tuple(HybridState(q, tuple(s.x0)) for q in modes),
+        init=tuple(HybridState(q, codec.init) for q in modes),
         flow={q: flow_fn(q) for q in modes},
         output={q: output_fn(q) for q in modes},
-        invariant=invariant,
+        invariant={q: guard(q, q) for q in modes},
         edges=edges,
-        guards=guards,
+        guards={edge: guard(*edge) for edge in edges},
         forms=forms,
-        meta={
-            "translated_from": "smpl_open",
-            "source_provenance": s.meta.get("translated_from"),
-        },
+        meta={**codec.meta, "source_provenance": s.meta.get("translated_from")},
     )
+
+
+def from_smpl_open(s: SmplSystem) -> HybridAutomaton:
+    """Translation whose hybrid state is the switching system's x itself."""
+    if s.closed_loop:
+        raise ValueError("open-loop translation needs a system without controller hooks")
+    codec = _StateCodec(
+        n=s.dims.n,
+        init=tuple(s.x0),
+        read_x=lambda z: z,
+        read_u=lambda z, inp: tuple(inp.u),
+        write=lambda mode, x, u, v: x,
+        meta={"translated_from": "smpl_open"},
+    )
+    forms = None
+    if all(s.modes[q].form is not None for q in s.modes):
+        forms = {q: s.modes[q].form for q in s.modes}
+    return _translate(s, codec, forms)
 
 
 class NonRepresentableController(ValueError):
@@ -281,77 +305,35 @@ def from_smpl_closed(s: SmplSystem) -> HybridAutomaton:
             f"controller {s.controller.name!r} is not a max-min-plus map"
         )
     n, n_u, n_v = s.dims.n, s.dims.n_u, s.dims.n_v
-    modes = tuple(range(1, s.n_modes + 1))
-    z0 = s.initial_performance_signal()
-
-    def x_part(z: tuple[Weight, ...]) -> tuple[Weight, ...]:
-        return z[1 : 1 + n]
-
-    def u_part(z: tuple[Weight, ...]) -> tuple[Weight, ...]:
-        return z[1 + n : 1 + n + n_u]
-
-    def flow_fn(mode: int) -> FlowFn:
-        def flow(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            u, v = resolve_inputs(s, z, inp)
-            x_new = s.modes[mode].next_state(x_part(z), u + tuple(inp.r) + tuple(inp.p))
-            return (float(mode),) + x_new + u + v
-
-        return flow
-
-    def output_fn(mode: int) -> FlowFn:
-        def out(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            return s.modes[mode].output(
-                x_part(z), u_part(z) + tuple(inp.r) + tuple(inp.p)
-            )
-
-        return out
-
-    def switch_predicate(source: int, target: int) -> PredicateFn:
-        def holds(z: tuple[Weight, ...], inp: StepInput) -> bool:
-            u, v = resolve_inputs(s, z, inp)
-            probe = SwitchProbe(
-                prev_mode=source, x=x_part(z), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
-            )
-            return target in s.switching.successor_set(probe)
-
-        return holds
-
-    invariant = {
-        q: GuardPredicate(
-            holds=switch_predicate(q, q),
-            enabled_symbols=s.switching.enabling_symbols(q),
-        )
-        for q in modes
-    }
-    edges = tuple((q, qq) for q in modes for qq in modes if q != qq)
-    guards = {
-        (q, qq): GuardPredicate(
-            holds=switch_predicate(q, qq),
-            enabled_symbols=s.switching.enabling_symbols(qq),
-        )
-        for q, qq in edges
-    }
-    return HybridAutomaton(
-        modes=modes,
+    codec = _StateCodec(
         n=1 + n + n_u + n_v,
-        discrete_inputs=s.switching.symbols or (),
-        n_y=s.dims.n_y,
-        init=tuple(HybridState(q, z0) for q in modes),
-        flow={q: flow_fn(q) for q in modes},
-        output={q: output_fn(q) for q in modes},
-        invariant=invariant,
-        edges=edges,
-        guards=guards,
-        forms=None,
+        init=s.initial_performance_signal(),
+        read_x=lambda z: z[1 : 1 + n],
+        read_u=lambda z, inp: z[1 + n : 1 + n + n_u],
+        write=lambda mode, x, u, v: (float(mode),) + x + u + v,
         meta={
             "translated_from": "smpl_closed",
             "state_layout": {"mode": 0, "x": (1, 1 + n), "u": (1 + n, 1 + n + n_u)},
-            "source_provenance": s.meta.get("translated_from"),
         },
     )
+    return _translate(s, codec)
 
 
 STEP_SYMBOL = "1"
+
+
+def _state_name(q: int, label: str) -> str:
+    return f"q{q}.{label}"
+
+
+def _initial_labels(h: HybridAutomaton, x_labels: list[str]) -> set[str]:
+    """Abstract states of the finite entries of each initial state."""
+    return {
+        _state_name(init_state.mode, x_labels[j])
+        for init_state in h.init
+        for j, value in enumerate(init_state.x)
+        if value != EPS
+    }
 
 
 def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
@@ -376,31 +358,23 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     n_inputs = n_u.pop()
     x_labels = [x_label(i) for i in range(h.n)]
     u_labels = [u_label(p) for p in range(n_inputs)]
-
-    def state_name(q: int, label: str) -> str:
-        return f"q{q}.{label}"
-
     states = tuple(
-        state_name(q, lab) for q in h.modes for lab in x_labels + u_labels
+        _state_name(q, lab) for q in h.modes for lab in x_labels + u_labels
     )
     triples: list[tuple[str, str, str]] = []
-    initial: set[str] = set()
+    initial = _initial_labels(h, x_labels)
     final: set[str] = set()
     for q in h.modes:
         gf = transition_graph_f(h.forms[q])
         gh = transition_graph_h(h.forms[q])
         for src, dst in gf.sorted_edges():
-            triples.append((state_name(q, src), STEP_SYMBOL, state_name(q, dst)))
+            triples.append((_state_name(q, src), STEP_SYMBOL, _state_name(q, dst)))
         for lab in x_labels + u_labels:
             if any(src == lab for src, _ in gh.edges):
-                final.add(state_name(q, lab))
+                final.add(_state_name(q, lab))
         for lab in u_labels:
             if any(src == lab for src, _ in gf.edges):
-                initial.add(state_name(q, lab))
-    for init_state in h.init:
-        for j, value in enumerate(init_state.x):
-            if value != EPS:
-                initial.add(state_name(init_state.mode, x_labels[j]))
+                initial.add(_state_name(q, lab))
     for edge in h.edges:
         guard = h.guards.get(edge)
         if guard is None:
@@ -409,7 +383,7 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
         symbols = h.discrete_inputs if symbols is None else sorted(symbols)
         for w in symbols:
             for lab in x_labels:
-                triples.append((state_name(edge[0], lab), w, state_name(edge[1], lab)))
+                triples.append((_state_name(edge[0], lab), w, _state_name(edge[1], lab)))
     return FiniteAutomaton(
         states=states,
         alphabet=tuple(h.discrete_inputs) + (STEP_SYMBOL,),
@@ -439,11 +413,7 @@ def mpa_chain_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     assert h.forms is not None
     symbols = h.discrete_inputs
     x_labels = [x_label(i) for i in range(h.n)]
-
-    def state_name(q: int, label: str) -> str:
-        return f"q{q}.{label}"
-
-    states = tuple(state_name(q, lab) for q in h.modes for lab in x_labels)
+    states = tuple(_state_name(q, lab) for q in h.modes for lab in x_labels)
     triples: list[tuple[str, str, str]] = []
     for target in h.modes:
         symbol = symbols[target - 1]
@@ -454,19 +424,15 @@ def mpa_chain_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
                     continue
                 for source in h.modes:
                     triples.append(
-                        (state_name(source, x_labels[i]), symbol, state_name(target, x_labels[j]))
+                        (_state_name(source, x_labels[i]), symbol, _state_name(target, x_labels[j]))
                     )
-    initial: set[str] = set()
-    for init_state in h.init:
-        for j, value in enumerate(init_state.x):
-            if value != EPS:
-                initial.add(state_name(init_state.mode, x_labels[j]))
+    initial = _initial_labels(h, x_labels)
     final: set[str] = set()
     for q in h.modes:
         c = h.forms[q].C[0]
         for j in range(c.cols):
             if c[0, j] != EPS:
-                final.add(state_name(q, x_labels[j]))
+                final.add(_state_name(q, x_labels[j]))
     return FiniteAutomaton(
         states=states,
         alphabet=tuple(symbols),

@@ -9,9 +9,9 @@ so acceptance is a byproduct of evaluation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
+from . import finite
 from .finite import FiniteAutomaton, Word, make_delta
 from .tropical import EPS, TropicalMatrix, Weight, is_finite, otimes
 
@@ -79,15 +79,10 @@ def accepts(a: MaxPlusAutomaton, word: Word) -> bool:
 
 def language_upto(a: MaxPlusAutomaton, max_len: int) -> set[Word]:
     """All accepted words of length <= max_len, the empty word included
-    when the initial and final weights already meet."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    out: set[Word] = set()
-    for k in range(max_len + 1):
-        for word in itertools.product(a.alphabet, repeat=k):
-            if accepts(a, word):
-                out.add(word)
-    return out
+    when the initial and final weights already meet.  A word's value is
+    finite exactly when some path avoids every EPS weight, so the
+    weight-free projection accepts the same words."""
+    return finite.language_upto(to_finite_abstraction(a), max_len)
 
 
 def to_finite_abstraction(a: MaxPlusAutomaton) -> FiniteAutomaton:

@@ -78,7 +78,10 @@ def decode_matrix(rows: Any, what: str) -> TropicalMatrix:
 def decode_vector(values: Any, what: str) -> tuple[Weight, ...]:
     if not isinstance(values, list):
         raise ModelFormatError(f"{what} must be a list")
-    return tuple(decode_weight(v) for v in values)
+    try:
+        return tuple(decode_weight(v) for v in values)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -92,16 +95,18 @@ class ModelDocument:
         return self.body.get("meta", {}).get("name", "")
 
 
-def _require(body: dict, key: str, kind: str) -> Any:
+def _require(body: dict, key: str, kind: str, shape: type | None = None) -> Any:
     if key not in body:
         raise ModelFormatError(f"{kind} document is missing {key!r}")
+    if shape is not None and not isinstance(body[key], shape):
+        raise ModelFormatError(f"{kind} {key!r} must be a JSON {'object' if shape is dict else 'list'}")
     return body[key]
 
 
 def build_mpa(body: dict) -> MaxPlusAutomaton:
-    states = tuple(str(s) for s in _require(body, "states", "mpa"))
-    alphabet = tuple(str(a) for a in _require(body, "alphabet", "mpa"))
-    mu_body = _require(body, "mu", "mpa")
+    states = tuple(str(s) for s in _require(body, "states", "mpa", list))
+    alphabet = tuple(str(a) for a in _require(body, "alphabet", "mpa", list))
+    mu_body = _require(body, "mu", "mpa", dict)
     mu = {
         symbol: decode_matrix(mu_body.get(symbol), f"mu[{symbol!r}]")
         for symbol in alphabet
@@ -135,9 +140,14 @@ def mpa_body(a: MaxPlusAutomaton, meta: dict | None = None) -> dict:
 
 
 def build_fa(body: dict) -> FiniteAutomaton:
-    states = tuple(str(s) for s in _require(body, "states", "fa"))
-    alphabet = tuple(str(a) for a in _require(body, "alphabet", "fa"))
-    delta_body = _require(body, "delta", "fa")
+    states = tuple(str(s) for s in _require(body, "states", "fa", list))
+    alphabet = tuple(str(a) for a in _require(body, "alphabet", "fa", list))
+    delta_body = _require(body, "delta", "fa", dict)
+    for src, by_symbol in delta_body.items():
+        if not isinstance(by_symbol, dict) or not all(
+            isinstance(targets, list) for targets in by_symbol.values()
+        ):
+            raise ModelFormatError(f"fa delta[{src!r}] must map symbols to lists of states")
     triples = [
         (str(src), str(symbol), str(dst))
         for src, by_symbol in delta_body.items()
@@ -149,8 +159,8 @@ def build_fa(body: dict) -> FiniteAutomaton:
             states=states,
             alphabet=alphabet,
             delta=make_delta(triples),
-            initial=frozenset(str(s) for s in _require(body, "initial", "fa")),
-            final=frozenset(str(s) for s in _require(body, "final", "fa")),
+            initial=frozenset(str(s) for s in _require(body, "initial", "fa", list)),
+            final=frozenset(str(s) for s in _require(body, "final", "fa", list)),
             meta=dict(body.get("meta", {})),
         )
     except ValueError as exc:
@@ -177,14 +187,14 @@ def fa_body(fa: FiniteAutomaton, meta: dict | None = None) -> dict:
 def _decode_mode(mode_body: dict, dims: smpl.SmplDims, index: int) -> smpl.MatrixMode:
     what = f"modes[{index}]"
     a_mats = [
-        decode_matrix(m, f"{what}.A") for m in _require(mode_body, "A", what)
+        decode_matrix(m, f"{what}.A") for m in _require(mode_body, "A", what, list)
     ]
     width = dims.input_width
     b_mats = [
         decode_matrix(m, f"{what}.B") for m in mode_body.get("B", [])
     ] or [TropicalMatrix.epsilon(dims.n, width) for _ in a_mats]
     c_mats = [
-        decode_matrix(m, f"{what}.C") for m in _require(mode_body, "C", what)
+        decode_matrix(m, f"{what}.C") for m in _require(mode_body, "C", what, list)
     ]
     d_mats = [
         decode_matrix(m, f"{what}.D") for m in mode_body.get("D", [])
@@ -198,14 +208,14 @@ def _decode_mode(mode_body: dict, dims: smpl.SmplDims, index: int) -> smpl.Matri
 def _decode_switching(
     body: dict, modes: dict[int, smpl.ModeDynamics], dims: smpl.SmplDims
 ) -> smpl.SwitchingRule:
-    spec = _require(body, "switching", "smpl")
+    spec = _require(body, "switching", "smpl", dict)
     rule_type = _require(spec, "type", "switching")
     kind_name = spec.get("kind", "constrained")
     try:
         kind = smpl.SwitchingKind(kind_name)
     except ValueError as exc:
         raise ModelFormatError(f"unknown switching kind {kind_name!r}") from exc
-    symbols = [str(s) for s in _require(spec, "symbols", "switching")]
+    symbols = [str(s) for s in _require(spec, "symbols", "switching", list)]
     if len(symbols) != len(modes):
         raise ModelFormatError("switching needs one symbol per mode")
     if rule_type == "symbol_liveness":
@@ -229,7 +239,7 @@ def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook |
 
 
 def build_smpl(body: dict) -> smpl.SmplSystem:
-    dims_body = _require(body, "dims", "smpl")
+    dims_body = _require(body, "dims", "smpl", dict)
     dims = smpl.SmplDims(
         n=int(_require(dims_body, "n", "dims")),
         n_u=int(dims_body.get("n_u", 0)),
@@ -238,7 +248,7 @@ def build_smpl(body: dict) -> smpl.SmplSystem:
         n_r=int(dims_body.get("n_r", 0)),
         n_p=int(dims_body.get("n_p", 0)),
     )
-    mode_bodies = _require(body, "modes", "smpl")
+    mode_bodies = _require(body, "modes", "smpl", list)
     modes = {
         i + 1: _decode_mode(mode_body, dims, i)
         for i, mode_body in enumerate(mode_bodies)
@@ -312,7 +322,7 @@ def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
 
 
 def build_maha(body: dict) -> hybrid.HybridAutomaton:
-    system_body = dict(_require(body, "system", "maha"))
+    system_body = dict(_require(body, "system", "maha", dict))
     system_body.setdefault("kind", "smpl")
     system = build_smpl(system_body)
     loop = body.get("loop", "open")
@@ -347,7 +357,7 @@ def parse_model(text: str) -> ModelDocument:
     if not isinstance(body, dict):
         raise ModelFormatError("model document must be a JSON object")
     kind = body.get("kind")
-    if kind not in _BUILDERS:
+    if kind not in KINDS:  # a tuple: an unhashable kind compares unequal instead of raising
         raise ModelFormatError(f"unknown model kind {kind!r}; expected one of {KINDS}")
     model = _BUILDERS[kind](body)
     return ModelDocument(kind=kind, body=_canonical_body(body), model=model)

@@ -62,14 +62,6 @@ class StepInput:
     r: tuple[Weight, ...] = ()
     p: tuple[Weight, ...] = ()
 
-    @property
-    def theta_x(self) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-        return (self.r, self.p)
-
-    @property
-    def theta_l(self) -> str | None:
-        return self.w
-
 
 @dataclass(frozen=True)
 class SwitchProbe:
@@ -344,7 +336,10 @@ def symbol_liveness_rule(
         out = []
         win = probe.u + probe.r + probe.p
         if len(win) != input_width:
-            win = win + (EPS,) * (input_width - len(win))
+            raise ValueError(
+                f"step input has u++r++p width {len(win)} "
+                f"({len(probe.u)}+{len(probe.r)}+{len(probe.p)}), expected {input_width}"
+            )
         for mode, symbol in enumerate(symbols, start=1):
             if probe.w != symbol:
                 continue

@@ -119,10 +119,6 @@ class TropicalMatrix:
     def row_vector(values: Sequence[float]) -> "TropicalMatrix":
         return TropicalMatrix(1, len(values), tuple(float(v) for v in values))
 
-    @staticmethod
-    def col_vector(values: Sequence[float]) -> "TropicalMatrix":
-        return TropicalMatrix(len(values), 1, tuple(float(v) for v in values))
-
     def __getitem__(self, ij: tuple[int, int]) -> Weight:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -210,22 +206,3 @@ class TropicalMatrix:
             out.append(acc)
         return tuple(out)
 
-
-def mat_otimes(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    return a.otimes(b)
-
-
-def mat_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    return a.oplus(b)
-
-
-def mat_power(a: TropicalMatrix, k: int) -> TropicalMatrix:
-    return a.power(k)
-
-
-def boolean_support(a: TropicalMatrix) -> TropicalMatrix:
-    return a.boolean_support()
-
-
-def is_all_epsilon(a: TropicalMatrix) -> bool:
-    return a.is_all_epsilon()

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from maxplushybrid import fixtures
+from maxplushybrid.hybrid import from_smpl_open, run
 from maxplushybrid.serialization import (
     ModelFormatError,
     decode_weight,
@@ -16,6 +17,7 @@ from maxplushybrid.serialization import (
     serialize_model,
     smpl_body,
 )
+from maxplushybrid.smpl import simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP
 
 
@@ -260,3 +262,88 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 1
         assert "production-step" in out and "FAIL" in out
+
+
+def fixture_variant(name, drop_controller=False, **dims):
+    body = json.loads(fixtures.fixture_text(name))
+    if drop_controller:
+        del body["controller"]
+    body["dims"].update(dims)
+    return body
+
+
+class TestInputWidths:
+    def test_short_exogenous_window_is_an_error_not_padding(self, tmp_path):
+        # B and D default to all-EPS columns of the declared u++r++p width
+        body = fixture_variant("production_line", n_r=1)
+        system = parse_model(serialize_body(body)).model
+        inputs = word_inputs(("l1",))  # r = ()
+        with pytest.raises(ValueError, match=r"width 0 \(0\+0\+0\), expected 1"):
+            simulate(system, inputs)
+        with pytest.raises(ValueError, match=r"width 0 \(0\+0\+0\), expected 1"):
+            run(from_smpl_open(system), inputs)
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(body))
+        result = run_cli("simulate", str(model), "--word", "l1")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "expected 1" in result.stderr
+
+    def test_behaviour_check_draws_r_at_its_own_width(self, tmp_path):
+        body = fixture_variant("feedback_demo", drop_controller=True, n_u=0, n_r=1)
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(body))
+        result = run_cli(
+            "check", str(model), str(model), "--relation", "behaviour", "--format", "json"
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["regime"] == "sampled"
+        body["modes"][0]["B"][0][0][0] = 5  # mode 1 now reads r with a larger weight
+        mutant = tmp_path / "mutant.json"
+        mutant.write_text(serialize_body(body))
+        result = run_cli(
+            "check", str(model), str(mutant), "--relation", "behaviour", "--format", "json"
+        )
+        assert result.returncode == 1, result.stderr
+        witness = json.loads(result.stdout)["witness"]
+        assert all(step["u"] == [] and len(step["r"]) == 1 for step in witness)
+
+    def test_behaviour_check_reads_widths_inside_maha_documents(self, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(fixture_variant("feedback_demo", drop_controller=True)))
+        maha = tmp_path / "h.json"
+        maha.write_text(run_cli("translate", str(model), "--to", "maha").stdout)
+        for pair in ((maha, maha), (model, maha), (maha, model)):
+            result = run_cli(
+                "check", *map(str, pair), "--relation", "behaviour", "--format", "json"
+            )
+            assert result.returncode == 0, result.stderr
+            assert json.loads(result.stdout)["regime"] == "sampled"
+
+
+@pytest.mark.parametrize(
+    "argv, text, where",
+    [
+        (("simulate", "production_line", "--inputs"), "[1, 2]", "inputs[0]"),
+        (("simulate", "production_line", "--inputs"), '[{"u": 5, "w": "l1"}]', "inputs[0].u"),
+        (
+            ("eval", "--word", "a"),
+            '{"kind": "fa", "states": ["p", "q"], "alphabet": ["a"],'
+            ' "delta": {"p": ["q"]}, "initial": ["p"], "final": ["q"]}',
+            "delta['p']",
+        ),
+        (("eval", "--word", "a"), '{"kind": "maha", "system": 5}', "'system'"),
+    ],
+    ids=["inputs-not-objects", "inputs-u-not-a-list", "fa-delta-not-nested", "maha-system-not-an-object"],
+)
+def test_malformed_outside_input_exits_two_without_traceback(tmp_path, argv, text, where):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if argv[0] == "eval":
+        argv = (argv[0], str(path)) + argv[1:]
+    else:
+        argv = argv + (str(path),)
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+    assert where in result.stderr

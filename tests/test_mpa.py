@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxplushybrid.finite import language_upto as fa_language
 from maxplushybrid.fixtures import random_mpa
 from maxplushybrid.mpa import (
     MaxPlusAutomaton,
@@ -118,12 +119,9 @@ class TestAbstraction:
 
     def test_same_language_as_the_weighted_automaton(self, gaubert):
         fa = to_finite_abstraction(gaubert)
-        for length in range(7):
-            for w in language_upto(gaubert, length):
-                assert fa.accepts(w)
-        from maxplushybrid.equivalence import language_upto as fa_language
-
-        assert fa_language(fa, 6) == language_upto(gaubert, 6)
+        expected = accepted_words_by_paths(gaubert, 6)
+        assert all(fa.accepts(w) for w in expected)
+        assert fa_language(fa, 6) == expected
 
 
 class TestValidation:
@@ -185,9 +183,9 @@ class TestProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_abstraction_preserves_the_bounded_language(self, seed):
-        from maxplushybrid.equivalence import language_upto as fa_language
-
         rng = random.Random(seed)
         a = random_mpa(rng)
         fa = to_finite_abstraction(a)
-        assert fa_language(fa, 5) == language_upto(a, 5)
+        expected = accepted_words_by_paths(a, 5)
+        assert fa_language(fa, 5) == expected
+        assert language_upto(a, 5) == expected

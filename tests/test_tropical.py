@@ -10,12 +10,7 @@ from maxplushybrid.tropical import (
     TOP,
     UNIT,
     TropicalMatrix,
-    boolean_support,
     has_finite_entry,
-    is_all_epsilon,
-    mat_oplus,
-    mat_otimes,
-    mat_power,
     oplus,
     oplus_dual,
     otimes,
@@ -109,20 +104,20 @@ class TestMatrixOps:
         assert alpha.otimes(MU_B).is_all_epsilon()
 
     def test_cube_of_the_a_matrix_is_all_epsilon(self):
-        assert mat_power(MU_A, 2) != mat_power(MU_A, 3)
-        assert is_all_epsilon(mat_power(MU_A, 3))
+        assert MU_A.power(2) != MU_A.power(3)
+        assert MU_A.power(3).is_all_epsilon()
 
     def test_power_one_is_identity_operation(self):
-        assert mat_power(MU_A, 1) == MU_A
+        assert MU_A.power(1) == MU_A
 
     def test_oplus_idempotent(self):
-        assert mat_oplus(MU_A, MU_A) == MU_A
+        assert MU_A.oplus(MU_A) == MU_A
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            mat_otimes(MU_A, TropicalMatrix.epsilon(2, 2))
+            MU_A.otimes(TropicalMatrix.epsilon(2, 2))
         with pytest.raises(ValueError):
-            mat_oplus(MU_A, TropicalMatrix.epsilon(2, 3))
+            MU_A.oplus(TropicalMatrix.epsilon(2, 3))
 
     def test_identity_matrix_is_neutral(self):
         eye = TropicalMatrix.identity(3)
@@ -170,14 +165,14 @@ class TestOrder:
 
 class TestSupport:
     def test_support_of_the_a_matrix(self):
-        assert boolean_support(MU_A).to_rows() == [
+        assert MU_A.boolean_support().to_rows() == [
             [EPS, UNIT, UNIT],
             [EPS, EPS, UNIT],
             [EPS, EPS, EPS],
         ]
 
     def test_support_of_epsilon_matrix(self):
-        assert boolean_support(TropicalMatrix.epsilon(2, 2)).is_all_epsilon()
+        assert TropicalMatrix.epsilon(2, 2).boolean_support().is_all_epsilon()
 
     def test_support_commutes_with_product_without_top(self):
         values = (EPS, 0.0, 1.0)
@@ -185,14 +180,14 @@ class TestSupport:
             a = TropicalMatrix(2, 2, a_entries)
             for b_entries in itertools.product(values, repeat=4):
                 b = TropicalMatrix(2, 2, b_entries)
-                lhs = boolean_support(a.otimes(b))
-                rhs = boolean_support(a).otimes(boolean_support(b))
+                lhs = a.otimes(b).boolean_support()
+                rhs = a.boolean_support().otimes(b.boolean_support())
                 assert lhs == rhs
 
     def test_finite_entry_checks(self):
         assert not has_finite_entry((EPS, TOP))
         assert has_finite_entry((EPS, 0.0))
-        assert is_all_epsilon(mat_power(MU_A, 3))
+        assert MU_A.power(3).is_all_epsilon()
 
     @settings(max_examples=150)
     @given(st.data())
@@ -206,7 +201,7 @@ class TestSupport:
         adjacency = [
             [j for j in range(n) if m[i, j] != EPS] for i in range(n)
         ]
-        support = boolean_support(mat_power(m, k))
+        support = m.power(k).boolean_support()
         for i in range(n):
             for j in range(n):
                 expected = path_of_length_exists(adjacency, i, j, k)
