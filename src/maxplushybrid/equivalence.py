@@ -1,9 +1,14 @@
 """Bounded language equality, simulation preorders and behavioural inclusion.
 
-Bounded language checks enumerate words outright; the fixtures are small
-enough that nothing cleverer pays off, and the shortest counterexample
-falls out of the length-ordered search for free.  Simulations are computed
-as greatest fixpoints by deleting pairs a transition cannot justify.
+Bounded language checks walk the words level by level (finite.py); the
+shortest counterexample falls out of the length-ordered search for free.
+Simulations are computed as greatest fixpoints by deleting pairs a
+transition cannot justify.
+
+Behavioural inclusion compares models of different classes through one
+stepper protocol (init, step, output, complete).  Input sequences share
+prefixes, so the bounded check steps each distinct prefix once and keeps
+the two systems' states per prefix for the length of one call.
 """
 
 from __future__ import annotations
@@ -11,13 +16,13 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .finite import FiniteAutomaton, Word, language_upto
-from .hybrid import HybridAutomaton, run
-from .mpa import MaxPlusAutomaton, accepts, eval_output
-from .smpl import SmplSystem, StepInput, simulate
-from .tropical import Weight
+from .hybrid import HybridAutomaton, next_states
+from .mpa import MaxPlusAutomaton, row_value, step_row
+from .smpl import NoSuccessorMode, SmplSystem, StepInput, step
+from .tropical import EPS, TropicalMatrix, Weight
 
 
 def language_equal_upto(
@@ -182,72 +187,156 @@ class BehaviourTrace:
 
 
 class BehaviourSystem:
-    """Adapter surface for behavioural comparison across model classes."""
+    """Stepper surface for behavioural comparison across model classes.
 
-    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-        """The system's trace for the inputs, or None when the input
-        sequence is not part of the system's behaviour."""
+    A state stands for the inputs consumed so far.  step returns None once
+    no extension of those inputs can be in the system's behaviour; complete
+    says whether the inputs themselves are.  The two differ for a max-plus
+    automaton, whose unaccepted words can have accepted extensions.
+    """
+
+    def init(self):
         raise NotImplementedError
+
+    def step(self, state, inp: StepInput):
+        raise NotImplementedError
+
+    def output(self, state) -> tuple[Weight, ...]:
+        raise NotImplementedError
+
+    def complete(self, state) -> bool:
+        return True
+
+
+def _fold_trace(system: BehaviourSystem, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
+    """The system's trace for the inputs, or None when the input sequence
+    is not part of the system's behaviour."""
+    state = system.init()
+    outputs = []
+    for inp in inputs:
+        state = system.step(state, inp)
+        if state is None:
+            return None
+        outputs.append(system.output(state))
+    if not system.complete(state):
+        return None
+    return BehaviourTrace(tuple(inputs), tuple(outputs))
+
+
+# Each class defines its own trace, as perfbench/tracing.py wraps it per class.
 
 
 @dataclass(frozen=True)
 class MpaBehaviour(BehaviourSystem):
+    """State: the row vector alpha^T mu(w1) ... mu(wk); all EPS is dead."""
+
     automaton: MaxPlusAutomaton
 
-    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-        word = tuple(inp.w for inp in inputs)
-        if any(w is None for w in word):
+    def init(self) -> TropicalMatrix:
+        return TropicalMatrix.row_vector(self.automaton.alpha)
+
+    def step(self, state: TropicalMatrix, inp: StepInput) -> TropicalMatrix | None:
+        if inp.w is None:
             raise ValueError("max-plus automata consume discrete symbols only")
-        if not accepts(self.automaton, word):
-            return None
-        outputs = tuple(
-            (eval_output(self.automaton, word[: k + 1]),) for k in range(len(word))
-        )
-        return BehaviourTrace(tuple(inputs), outputs)
+        row = step_row(self.automaton, state, inp.w)
+        return None if row.is_all_epsilon() else row
+
+    def output(self, state: TropicalMatrix) -> tuple[Weight, ...]:
+        return (row_value(self.automaton, state.entries),)
+
+    def complete(self, state: TropicalMatrix) -> bool:
+        return row_value(self.automaton, state.entries) != EPS
+
+    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
+        return _fold_trace(self, inputs)
 
 
 @dataclass(frozen=True)
 class SmplBehaviour(BehaviourSystem):
+    """State: (mode, x, u, v, y) after the last step; mode, u and v are
+    None before the first step, where smpl.step supplies the defaults."""
+
     system: SmplSystem
 
-    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-        result = simulate(self.system, inputs)
-        if not result.completed:
+    def init(self) -> tuple:
+        return (None, self.system.x0, None, None, ())
+
+    def step(self, state: tuple, inp: StepInput) -> tuple | None:
+        mode, x, u, v, _ = state
+        try:
+            rec = step(self.system, mode, x, inp, u_prev=u, v_prev=v)
+        except NoSuccessorMode:
             return None
-        return BehaviourTrace(tuple(inputs), result.outputs())
+        return (rec.mode, rec.x, rec.u, rec.v, rec.y)
+
+    def output(self, state: tuple) -> tuple[Weight, ...]:
+        return state[4]
+
+    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
+        return _fold_trace(self, inputs)
 
 
 @dataclass(frozen=True)
 class MahaBehaviour(BehaviourSystem):
+    """State: (current hybrid state or None before the first step, output)."""
+
     automaton: HybridAutomaton
 
-    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-        result = run(self.automaton, inputs)
-        if not result.completed:
+    def init(self) -> tuple:
+        return (None, ())
+
+    def step(self, state: tuple, inp: StepInput) -> tuple | None:
+        successors = next_states(self.automaton, state[0], inp)
+        if not successors:
             return None
-        return BehaviourTrace(tuple(inputs), result.outputs())
+        current = successors[0]
+        return (current, self.automaton.output[current.mode](current.x, inp))
+
+    def output(self, state: tuple) -> tuple[Weight, ...]:
+        return state[1]
+
+    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
+        return _fold_trace(self, inputs)
 
 
 def behavioural_inclusion_upto(
     sys1: BehaviourSystem,
     sys2: BehaviourSystem,
     input_sequences: Iterable[Sequence[StepInput]],
-    normalise: Callable[[BehaviourTrace], tuple] | None = None,
 ) -> tuple[bool, tuple[StepInput, ...] | None]:
     """Every trace of sys1 must be reproduced exactly by sys2.
 
     Sequences outside sys1's behaviour impose nothing.  The iteration order
     of input_sequences determines which counterexample is reported, so feed
     it length-ordered when the shortest one matters.
+
+    Each distinct input prefix is stepped once: a memo maps it to sys1's
+    state (None once dead, which makes every extension vacuous) and sys2's
+    state (None once dead or once an output disagreed).  A sequence only
+    steps past the longest prefix already in the memo.
     """
-    norm = normalise or (lambda t: t.outputs)
+    # Prefixes are keyed by small integer codes of their inputs, so that a
+    # lookup hashes ints rather than every StepInput of the prefix again.
+    codes: dict[StepInput, int] = {}
+    memo: dict[tuple[int, ...], tuple] = {(): (sys1.init(), sys2.init())}
     for seq in input_sequences:
-        t1 = sys1.trace(seq)
-        if t1 is None:
-            continue
-        t2 = sys2.trace(seq)
-        if t2 is None or norm(t1) != norm(t2):
-            return False, tuple(seq)
+        seq = tuple(seq)
+        key = tuple([codes.setdefault(inp, len(codes)) for inp in seq])
+        k = len(key)
+        while key[:k] not in memo:
+            k -= 1
+        s1, s2 = memo[key[:k]]
+        while s1 is not None and k < len(key):
+            inp = seq[k]
+            k += 1
+            s1 = sys1.step(s1, inp)
+            if s1 is not None and s2 is not None:
+                s2 = sys2.step(s2, inp)
+                if s2 is not None and sys2.output(s2) != sys1.output(s1):
+                    s2 = None
+            memo[key[:k]] = (s1, s2)
+        if s1 is not None and sys1.complete(s1) and (s2 is None or not sys2.complete(s2)):
+            return False, seq
     return True, None
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .expressions import MatrixForm, transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplSystem, StepInput, SwitchProbe, resolve_inputs
+from .smpl import SmplSystem, StepInput, SwitchProbe, input_window, resolve_inputs
 from .tropical import EPS, Weight
 
 FlowFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
@@ -128,6 +128,21 @@ def hybrid_step(
     return tuple(HybridState(q, out[q]) for q in sorted(out))
 
 
+def next_states(
+    h: HybridAutomaton, current: HybridState | None, inp: StepInput
+) -> tuple[HybridState, ...]:
+    """Successors of the current state, sorted by mode; with no current
+    state yet, the successors of every initial state merged by mode (the
+    first initial state to reach a mode wins)."""
+    if current is not None:
+        return hybrid_step(h, current, inp)
+    merged: dict[int, HybridState] = {}
+    for init_state in h.init:
+        for succ in hybrid_step(h, init_state, inp):
+            merged.setdefault(succ.mode, succ)
+    return tuple(merged[q] for q in sorted(merged))
+
+
 @dataclass(frozen=True)
 class HybridStepRecord:
     k: int
@@ -164,14 +179,7 @@ def run(
     records: list[HybridStepRecord] = []
     current = start
     for k, inp in enumerate(inputs, start=1):
-        if current is None:
-            merged: dict[int, HybridState] = {}
-            for init_state in h.init:
-                for succ in hybrid_step(h, init_state, inp):
-                    merged.setdefault(succ.mode, succ)
-            successors = tuple(merged[q] for q in sorted(merged))
-        else:
-            successors = hybrid_step(h, current, inp)
+        successors = next_states(h, current, inp)
         if not successors:
             return HybridTrace(tuple(records), halted_at=k)
         current = successors[0]
@@ -232,16 +240,14 @@ def _translate(
     def flow_fn(mode: int) -> FlowFn:
         def flow(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
             u, v = resolve_inputs(s, z, inp)
-            x_new = s.modes[mode].next_state(read_x(z), u + tuple(inp.r) + tuple(inp.p))
+            x_new = s.modes[mode].next_state(read_x(z), input_window(s.dims, u, inp))
             return write(mode, x_new, u, v)
 
         return flow
 
     def output_fn(mode: int) -> FlowFn:
         def out(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            return s.modes[mode].output(
-                read_x(z), read_u(z, inp) + tuple(inp.r) + tuple(inp.p)
-            )
+            return s.modes[mode].output(read_x(z), input_window(s.dims, read_u(z, inp), inp))
 
         return out
 

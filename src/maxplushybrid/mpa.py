@@ -10,6 +10,7 @@ so acceptance is a byproduct of evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import finite
 from .finite import FiniteAutomaton, Word, make_delta
@@ -49,28 +50,33 @@ class MaxPlusAutomaton:
     def n(self) -> int:
         return len(self.states)
 
-    def check_word(self, word: Word) -> None:
-        for symbol in word:
-            if symbol not in self.mu:
-                raise ValueError(f"unknown symbol {symbol!r}")
+
+def step_row(a: MaxPlusAutomaton, row: TropicalMatrix, symbol: str) -> TropicalMatrix:
+    """Advance a row vector by one symbol: row times mu(symbol)."""
+    if symbol not in a.mu:
+        raise ValueError(f"unknown symbol {symbol!r}")
+    return row.otimes(a.mu[symbol])
+
+
+def row_value(a: MaxPlusAutomaton, row: Sequence[Weight]) -> Weight:
+    """Value of a row vector: its best sum with a final weight."""
+    acc = EPS
+    for v, b in zip(row, a.beta):
+        acc = max(acc, otimes(v, b))
+    return acc
 
 
 def eval_state(a: MaxPlusAutomaton, word: Word) -> tuple[Weight, ...]:
     """Row vector after the word: alpha^T times the mu matrices in order."""
-    a.check_word(word)
     row = TropicalMatrix.row_vector(a.alpha)
     for symbol in word:
-        row = row.otimes(a.mu[symbol])
+        row = step_row(a, row, symbol)
     return row.entries
 
 
 def eval_output(a: MaxPlusAutomaton, word: Word) -> Weight:
     """Word value; EPS iff the automaton has no accepting path for the word."""
-    x = eval_state(a, word)
-    acc = EPS
-    for v, b in zip(x, a.beta):
-        acc = max(acc, otimes(v, b))
-    return acc
+    return row_value(a, eval_state(a, word))
 
 
 def accepts(a: MaxPlusAutomaton, word: Word) -> bool:

@@ -103,6 +103,17 @@ def _require(body: dict, key: str, kind: str, shape: type | None = None) -> Any:
     return body[key]
 
 
+def _optional(body: dict, key: str, kind: str, shape: type, default: Any) -> Any:
+    return _require(body, key, kind, shape) if key in body else default
+
+
+def _dim(dims_body: dict, key: str, default: int | None = None) -> int:
+    value = _require(dims_body, key, "dims") if default is None else dims_body.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ModelFormatError(f"dims {key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def build_mpa(body: dict) -> MaxPlusAutomaton:
     states = tuple(str(s) for s in _require(body, "states", "mpa", list))
     alphabet = tuple(str(a) for a in _require(body, "alphabet", "mpa", list))
@@ -112,6 +123,7 @@ def build_mpa(body: dict) -> MaxPlusAutomaton:
         for symbol in alphabet
         if symbol in mu_body
     }
+    meta = dict(_optional(body, "meta", "mpa", dict, {}))
     try:
         return MaxPlusAutomaton(
             states=states,
@@ -119,7 +131,7 @@ def build_mpa(body: dict) -> MaxPlusAutomaton:
             alpha=decode_vector(_require(body, "alpha", "mpa"), "alpha"),
             mu=mu,
             beta=decode_vector(_require(body, "beta", "mpa"), "beta"),
-            meta=dict(body.get("meta", {})),
+            meta=meta,
         )
     except ValueError as exc:
         raise ModelFormatError(f"mpa: {exc}") from exc
@@ -154,6 +166,7 @@ def build_fa(body: dict) -> FiniteAutomaton:
         for symbol, targets in by_symbol.items()
         for dst in targets
     ]
+    meta = dict(_optional(body, "meta", "fa", dict, {}))
     try:
         return FiniteAutomaton(
             states=states,
@@ -161,7 +174,7 @@ def build_fa(body: dict) -> FiniteAutomaton:
             delta=make_delta(triples),
             initial=frozenset(str(s) for s in _require(body, "initial", "fa", list)),
             final=frozenset(str(s) for s in _require(body, "final", "fa", list)),
-            meta=dict(body.get("meta", {})),
+            meta=meta,
         )
     except ValueError as exc:
         raise ModelFormatError(f"fa: {exc}") from exc
@@ -186,18 +199,20 @@ def fa_body(fa: FiniteAutomaton, meta: dict | None = None) -> dict:
 
 def _decode_mode(mode_body: dict, dims: smpl.SmplDims, index: int) -> smpl.MatrixMode:
     what = f"modes[{index}]"
+    if not isinstance(mode_body, dict):
+        raise ModelFormatError(f"{what} must be a JSON object")
     a_mats = [
         decode_matrix(m, f"{what}.A") for m in _require(mode_body, "A", what, list)
     ]
     width = dims.input_width
     b_mats = [
-        decode_matrix(m, f"{what}.B") for m in mode_body.get("B", [])
+        decode_matrix(m, f"{what}.B") for m in _optional(mode_body, "B", what, list, [])
     ] or [TropicalMatrix.epsilon(dims.n, width) for _ in a_mats]
     c_mats = [
         decode_matrix(m, f"{what}.C") for m in _require(mode_body, "C", what, list)
     ]
     d_mats = [
-        decode_matrix(m, f"{what}.D") for m in mode_body.get("D", [])
+        decode_matrix(m, f"{what}.D") for m in _optional(mode_body, "D", what, list, [])
     ] or [TropicalMatrix.epsilon(dims.n_y, width) for _ in c_mats]
     try:
         return smpl.MatrixMode(MatrixForm(tuple(a_mats), tuple(b_mats), tuple(c_mats), tuple(d_mats)))
@@ -229,6 +244,8 @@ def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook |
     spec = body.get("controller")
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ModelFormatError("'controller' must be a JSON object")
     ctrl_type = _require(spec, "type", "controller")
     if ctrl_type == "static_feedback":
         gain = decode_matrix(_require(spec, "gain", "controller"), "controller.gain")
@@ -241,12 +258,12 @@ def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook |
 def build_smpl(body: dict) -> smpl.SmplSystem:
     dims_body = _require(body, "dims", "smpl", dict)
     dims = smpl.SmplDims(
-        n=int(_require(dims_body, "n", "dims")),
-        n_u=int(dims_body.get("n_u", 0)),
-        n_v=int(dims_body.get("n_v", 0)),
-        n_y=int(dims_body.get("n_y", 1)),
-        n_r=int(dims_body.get("n_r", 0)),
-        n_p=int(dims_body.get("n_p", 0)),
+        n=_dim(dims_body, "n"),
+        n_u=_dim(dims_body, "n_u", 0),
+        n_v=_dim(dims_body, "n_v", 0),
+        n_y=_dim(dims_body, "n_y", 1),
+        n_r=_dim(dims_body, "n_r", 0),
+        n_p=_dim(dims_body, "n_p", 0),
     )
     mode_bodies = _require(body, "modes", "smpl", list)
     modes = {
@@ -261,7 +278,7 @@ def build_smpl(body: dict) -> smpl.SmplSystem:
             raise ModelFormatError(
                 f"modes[{i - 1}] input width {form.n_input} != u++r++p width {dims.input_width}"
             )
-    meta = dict(body.get("meta", {}))
+    meta = dict(_optional(body, "meta", "smpl", dict, {}))
     if "controller" in body:
         meta["controller_spec"] = body["controller"]
     try:
@@ -322,6 +339,7 @@ def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
 
 
 def build_maha(body: dict) -> hybrid.HybridAutomaton:
+    _optional(body, "meta", "maha", dict, {})
     system_body = dict(_require(body, "system", "maha", dict))
     system_body.setdefault("kind", "smpl")
     system = build_smpl(system_body)

@@ -266,6 +266,18 @@ def resolve_inputs(
     return tuple(inp.u), tuple(inp.v)
 
 
+def input_window(
+    dims: SmplDims, u: Sequence[Weight], inp: StepInput
+) -> tuple[Weight, ...]:
+    """The continuous input u ++ r ++ p fed to the mode maps, each part
+    checked against its declared width."""
+    got = (len(u), len(inp.r), len(inp.p))
+    want = (dims.n_u, dims.n_r, dims.n_p)
+    if got != want:
+        raise ValueError(f"step input has (u, r, p) widths {got}, expected {want}")
+    return tuple(u) + tuple(inp.r) + tuple(inp.p)
+
+
 def step(
     s: SmplSystem,
     prev_mode: int | None,
@@ -295,7 +307,7 @@ def step(
     if not successors:
         raise NoSuccessorMode(k)
     mode = successors[0]
-    win = u + tuple(inp.r) + tuple(inp.p)
+    win = input_window(s.dims, u, inp)
     x = s.modes[mode].next_state(tuple(x_prev), win)
     y = s.modes[mode].output(x, win)
     return SmplStepRecord(

@@ -63,6 +63,19 @@ def nfa_accepts_by_search(fa: FiniteAutomaton, word) -> bool:
     return any(explore(s, tuple(word)) for s in fa.initial)
 
 
+def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
+    """Replay every sequence from the start on both systems and compare
+    whole traces, as opposed to the shared-prefix walk."""
+    for seq in input_sequences:
+        t1 = sys1.trace(seq)
+        if t1 is None:
+            continue
+        t2 = sys2.trace(seq)
+        if t2 is None or t1.outputs != t2.outputs:
+            return False, tuple(seq)
+    return True, None
+
+
 def random_nfa(rng: random.Random, n_states: int = 3, symbols=("a", "b")) -> FiniteAutomaton:
     states = tuple(f"s{i}" for i in range(n_states))
     triples = [

@@ -1,7 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maxplushybrid import fixtures
 from maxplushybrid.equivalence import (
     BehaviourTrace,
     MahaBehaviour,
@@ -16,11 +20,19 @@ from maxplushybrid.equivalence import (
     language_upto,
 )
 from maxplushybrid.finite import FiniteAutomaton, make_delta
-from maxplushybrid.hybrid import from_smpl_open, mpa_chain_abstraction
+from maxplushybrid.hybrid import from_smpl_closed, from_smpl_open, mpa_chain_abstraction, run
 from maxplushybrid.mpa import to_finite_abstraction
-from maxplushybrid.smpl import MatrixMode, SmplSystem, from_mpa, word_inputs
+from maxplushybrid.smpl import (
+    MatrixMode,
+    SmplSystem,
+    StepInput,
+    from_mpa,
+    simulate,
+    static_feedback,
+    word_inputs,
+)
 from maxplushybrid.tropical import EPS, TropicalMatrix
-from oracles import random_nfa, widen_nfa
+from oracles import behavioural_inclusion_by_replay, random_nfa, widen_nfa, word_value_by_paths
 
 
 def fa_from(triples, initial, final, alphabet=("a", "b"), states=None):
@@ -314,3 +326,131 @@ class TestBehaviouralInclusion:
             BehaviourTrace(inputs=(1,), outputs=((0.0,), (1.0,)))
         with pytest.raises(ValueError):
             BehaviourTrace(inputs=(1,), outputs=(), halted_at=5)
+
+
+def planted_mutant(a, rng):
+    """One finite transition weight raised by one, or that transition dropped."""
+    finite = [(s, i, j) for s in a.alphabet for i in range(a.n) for j in range(a.n) if a.mu[s][i, j] != EPS]
+    if not finite:
+        return a
+    symbol, i, j = rng.choice(finite)
+    entries = list(a.mu[symbol].entries)
+    entries[i * a.n + j] = EPS if rng.random() < 0.5 else entries[i * a.n + j] + 1.0
+    return dataclasses.replace(a, mu={**a.mu, symbol: TropicalMatrix(a.n, a.n, tuple(entries))})
+
+
+def behaviour_pairs(a, b):
+    """(sys1 built from a, sys2 built from b): MPA->SMPL, SMPL->MPA,
+    SMPL->MAHA and MAHA->SMPL."""
+    sa, sb = from_mpa(a), from_mpa(b)
+    return [
+        (MpaBehaviour(a), SmplBehaviour(sb)),
+        (SmplBehaviour(sa), MpaBehaviour(b)),
+        (SmplBehaviour(sa), MahaBehaviour(from_smpl_open(sb))),
+        (MahaBehaviour(from_smpl_open(sa)), SmplBehaviour(sb)),
+    ]
+
+
+def scrambled(seqs, rng):
+    """Some sequences dropped (so some prefixes never come up on their own),
+    some repeated, and the order shuffled."""
+    kept = [seq for seq in seqs if rng.random() < 0.6]
+    kept += rng.sample(kept, len(kept) // 4)
+    rng.shuffle(kept)
+    return kept
+
+
+class TestSharedPrefixWalk:
+    """The walk steps each prefix once; replaying every sequence from the
+    start must give the same verdict and the same first witness."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 6))
+    def test_agrees_with_replay_on_planted_mutants(self, seed, n):
+        rng = random.Random(seed)
+        a = fixtures.random_mpa(rng, n_states=n)
+        mutant = planted_mutant(a, rng)
+        exhaustive = [word_inputs(w) for w in exhaustive_words(a.alphabet, 4)]
+        for order in (exhaustive, scrambled(exhaustive, rng)):
+            for first, second in ((a, mutant), (mutant, a)):
+                for sys1, sys2 in behaviour_pairs(first, second):
+                    assert behavioural_inclusion_upto(sys1, sys2, order) == (
+                        behavioural_inclusion_by_replay(sys1, sys2, order)
+                    )
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_agrees_with_replay_on_sampled_closed_loop_inputs(self, seed):
+        rng = random.Random(seed)
+        system = fixtures.feedback_demo_smpl()
+        gain = TropicalMatrix.from_rows([[float(rng.randint(-2, 2)), float(rng.randint(-2, 2))]])
+        mutant = dataclasses.replace(system, controller=static_feedback(gain, n=2))
+        sampled = [
+            tuple(
+                StepInput(w=rng.choice(("m1", "m2")), u=(float(rng.randint(-3, 6)),))
+                for _ in range(rng.randint(1, 6))
+            )
+            for _ in range(40)
+        ]
+        kinds = {"smpl": SmplBehaviour, "maha": lambda s: MahaBehaviour(from_smpl_closed(s))}
+        for order in (sampled, sorted(sampled, key=len)):
+            for first, second in ((system, mutant), (mutant, system)):
+                for kind1, kind2 in (("smpl", "maha"), ("maha", "smpl"), ("smpl", "smpl")):
+                    sys1, sys2 = kinds[kind1](first), kinds[kind2](second)
+                    assert behavioural_inclusion_upto(sys1, sys2, order) == (
+                        behavioural_inclusion_by_replay(sys1, sys2, order)
+                    )
+
+    def test_dead_and_incomplete_prefixes_differ(self, gaubert):
+        # "b" kills every path; "a" is not accepted but "ab" is
+        system = from_mpa(gaubert)
+        traces = {
+            text: (
+                MpaBehaviour(gaubert).trace(word_inputs(text)),
+                SmplBehaviour(system).trace(word_inputs(text)),
+                MahaBehaviour(from_smpl_open(system)).trace(word_inputs(text)),
+            )
+            for text in ("b", "a", "ab")
+        }
+        assert traces["b"] == (None, None, None)
+        assert traces["a"][0] is None
+        assert traces["a"][1].outputs == traces["a"][2].outputs == ((EPS,),)
+        assert {t.outputs for t in traces["ab"]} == {((EPS,), (12.0,))}
+        witness = (StepInput(w="a"), StepInput(w="b"))
+        assert behavioural_inclusion_upto(
+            MpaBehaviour(gaubert), SmplBehaviour(system), [word_inputs("a"), witness]
+        ) == (True, None)
+        assert behavioural_inclusion_upto(
+            SmplBehaviour(system), MpaBehaviour(gaubert), [witness, word_inputs("a")]
+        ) == (False, word_inputs("a"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5))
+    def test_traces_match_the_models_own_runs(self, seed, n):
+        a = fixtures.random_mpa(random.Random(seed), n_states=n)
+        system = from_mpa(a)
+        h = from_smpl_open(system)
+
+        def outputs(trace):
+            return None if trace is None else trace.outputs
+
+        for w in exhaustive_words(a.alphabet, 4):
+            inputs = word_inputs(w)
+            values = tuple((word_value_by_paths(a, w[:k]),) for k in range(1, len(w) + 1))
+            assert outputs(MpaBehaviour(a).trace(inputs)) == (None if values[-1] == (EPS,) else values)
+            simulated = simulate(system, inputs)
+            want = simulated.outputs() if simulated.completed else None
+            assert outputs(SmplBehaviour(system).trace(inputs)) == want
+            ran = run(h, inputs)
+            assert outputs(MahaBehaviour(h).trace(inputs)) == (ran.outputs() if ran.completed else None)
+
+    def test_max_plus_automata_reject_missing_and_unknown_symbols(self, gaubert, production):
+        automaton = MpaBehaviour(gaubert)
+        system = SmplBehaviour(from_mpa(gaubert))
+        for bad in ((StepInput(w="a"), StepInput()), word_inputs(("a", "c"))):
+            with pytest.raises(ValueError):
+                automaton.trace(bad)
+            with pytest.raises(ValueError):
+                behavioural_inclusion_upto(automaton, system, [bad])
+        with pytest.raises(ValueError, match="unknown symbol 'l1'"):
+            behavioural_inclusion_upto(SmplBehaviour(production), automaton, [word_inputs(("l1",))])

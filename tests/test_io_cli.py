@@ -17,7 +17,7 @@ from maxplushybrid.serialization import (
     serialize_model,
     smpl_body,
 )
-from maxplushybrid.smpl import simulate, word_inputs
+from maxplushybrid.smpl import StepInput, simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP
 
 
@@ -288,6 +288,25 @@ class TestInputWidths:
         assert result.returncode == 2
         assert result.stderr.startswith("error:") and "expected 1" in result.stderr
 
+    def test_extra_exogenous_inputs_are_an_error_not_ignored(self, tmp_path):
+        # externally driven switching reads no window, so only the step checks it
+        body = fixture_variant("production_line")
+        body["switching"]["type"] = "externally_driven"
+        system = parse_model(serialize_body(body)).model
+        inputs = (StepInput(w="l1", r=(5.0,), p=(1.0, 2.0)),)
+        message = r"widths \(0, 1, 2\), expected \(0, 0, 0\)"
+        with pytest.raises(ValueError, match=message):
+            simulate(system, inputs)
+        with pytest.raises(ValueError, match=message):
+            run(from_smpl_open(system), inputs)
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(body))
+        steps = tmp_path / "inputs.json"
+        steps.write_text(json.dumps([{"w": "l1", "r": [5], "p": [1, 2]}]))
+        result = run_cli("simulate", str(model), "--inputs", str(steps))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "expected (0, 0, 0)" in result.stderr
+
     def test_behaviour_check_draws_r_at_its_own_width(self, tmp_path):
         body = fixture_variant("feedback_demo", drop_controller=True, n_u=0, n_r=1)
         model = tmp_path / "m.json"
@@ -320,6 +339,23 @@ class TestInputWidths:
             assert json.loads(result.stdout)["regime"] == "sampled"
 
 
+def malformed(name, edit):
+    body = json.loads(fixtures.fixture_text(name))
+    edit(body)
+    return json.dumps(body)
+
+
+def set_path(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(body):
+        for step in path:
+            body = body[step]
+        body[key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "argv, text, where",
     [
@@ -332,8 +368,24 @@ class TestInputWidths:
             "delta['p']",
         ),
         (("eval", "--word", "a"), '{"kind": "maha", "system": 5}', "'system'"),
+        (("eval", "--word", "a"), malformed("gaubert_mpa", set_path("meta", [1])), "mpa 'meta'"),
+        (("simulate", "--word", "l1"), malformed("production_line", set_path("meta", 5)), "smpl 'meta'"),
+        (("simulate", "--word", "l1"), malformed("production_line", set_path("dims", "n", None)), "dims 'n'"),
+        (("simulate", "--word", "l1"), malformed("production_line", set_path("dims", "n_u", [1])), "dims 'n_u'"),
+        (("simulate", "--word", "l1"), malformed("production_line", set_path("modes", 0, 5)), "modes[0]"),
+        (("simulate", "--word", "m1"), malformed("feedback_demo", set_path("controller", 5)), "'controller'"),
+        (("simulate", "--word", "m1"), malformed("feedback_demo", set_path("modes", 0, "B", 5)), "modes[0] 'B'"),
+        (
+            ("simulate", "--word", "l1"),
+            json.dumps({"kind": "maha", "system": json.loads(fixtures.fixture_text("production_line")), "meta": 5}),
+            "maha 'meta'",
+        ),
     ],
-    ids=["inputs-not-objects", "inputs-u-not-a-list", "fa-delta-not-nested", "maha-system-not-an-object"],
+    ids=[
+        "inputs-not-objects", "inputs-u-not-a-list", "fa-delta-not-nested", "maha-system-not-an-object",
+        "mpa-meta-not-an-object", "smpl-meta-not-an-object", "dims-n-null", "dims-n_u-not-an-integer",
+        "mode-not-an-object", "controller-not-an-object", "mode-B-not-a-list", "maha-meta-not-an-object",
+    ],
 )
 def test_malformed_outside_input_exits_two_without_traceback(tmp_path, argv, text, where):
     path = tmp_path / "input.json"
