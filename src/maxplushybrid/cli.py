@@ -28,7 +28,7 @@ from .serialization import (
     serialize_body,
     smpl_body,
 )
-from .tropical import EPS
+from .tropical import EPS, TropicalMatrix
 
 
 class UsageError(ValueError):
@@ -178,16 +178,18 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
         inputs = inputs[: args.steps]
     if doc.kind == "mpa":
         automaton = doc.model
-        word = tuple(inp.w for inp in inputs)
-        records = [
-            {
-                "k": k + 1,
-                "symbol": word[k],
-                "state": [encode_weight(v) for v in mpa.eval_state(automaton, word[: k + 1])],
-                "output": encode_weight(mpa.eval_output(automaton, word[: k + 1])),
-            }
-            for k in range(len(word))
-        ]
+        row = TropicalMatrix.row_vector(automaton.alpha)
+        records = []
+        for k, inp in enumerate(inputs, start=1):
+            row = mpa.step_row(automaton, row, inp.w)
+            records.append(
+                {
+                    "k": k,
+                    "symbol": inp.w,
+                    "state": [encode_weight(v) for v in row.entries],
+                    "output": encode_weight(mpa.row_value(automaton, row.entries)),
+                }
+            )
         report.payload = {"trace": records}
         return report, 0
     if doc.kind == "smpl":

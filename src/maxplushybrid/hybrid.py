@@ -11,6 +11,9 @@ mode is what makes translated switching systems match step for step.
 Open- and closed-loop switching systems translate by one construction; a
 state codec says where the system's x sits in the hybrid state: x itself
 for the open loop, the augmented state (mode, x, u, v) for the closed loop.
+A translated automaton resolves switching once per step: the invariant and
+guards of one source state read one resolution, and the flows take the
+next states its candidates already carry.
 """
 
 from __future__ import annotations
@@ -223,24 +226,50 @@ def _translate(
     Controlled inputs are resolved through the controller when one is
     bundled, so guards and flows see exactly what a simulation step would.
     Resets are identity and every mode is initial at the codec's state.
+
+    The predicates of one source share a one-entry memo of the last
+    resolution, keyed by (source, z, inp) with z and inp held and compared
+    by identity, so a hybrid step resolves switching once.  A flow's result
+    depends on z and inp only, so a flow takes its mode's next state from
+    the memo whatever the source, when the rule computed it with the
+    system's own dynamics of that mode.
     """
     modes = tuple(range(1, s.n_modes + 1))
     read_x, read_u, write = codec.read_x, codec.read_u, codec.write
+    # source, z, inp, then the resolved (u, v) and the candidates by mode
+    memo: list = [None, None, None, None]
+
+    def resolve(source: int, z: tuple[Weight, ...], inp: StepInput) -> tuple:
+        if memo[1] is z and memo[2] is inp and memo[0] == source:
+            return memo[3]
+        u, v = resolve_inputs(s, z, inp)
+        probe = SwitchProbe(
+            prev_mode=source, x=read_x(z), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
+        )
+        by_mode = {cand.mode: cand for cand in s.switching.successor_set(probe)}
+        memo[:] = (source, z, inp, (u, v, by_mode))
+        return memo[3]
 
     def switch_predicate(source: int, target: int) -> PredicateFn:
         def holds(z: tuple[Weight, ...], inp: StepInput) -> bool:
-            u, v = resolve_inputs(s, z, inp)
-            probe = SwitchProbe(
-                prev_mode=source, x=read_x(z), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
-            )
-            return target in s.switching.successor_set(probe)
+            return target in resolve(source, z, inp)[2]
 
         return holds
 
     def flow_fn(mode: int) -> FlowFn:
+        dynamics = s.modes[mode]
+
         def flow(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            u, v = resolve_inputs(s, z, inp)
-            x_new = s.modes[mode].next_state(read_x(z), input_window(s.dims, u, inp))
+            x_new = None
+            if memo[1] is z and memo[2] is inp:
+                u, v, by_mode = memo[3]
+                if mode in by_mode:
+                    x_new = by_mode[mode].state_for(dynamics)
+            else:
+                u, v = resolve_inputs(s, z, inp)
+            win = input_window(s.dims, u, inp)
+            if x_new is None:
+                x_new = dynamics.next_state(read_x(z), win)
             return write(mode, x_new, u, v)
 
         return flow

@@ -77,12 +77,13 @@ def check_behavioural_translation() -> CheckResult:
     count = 0
     for word in equivalence.exhaustive_words(a.alphabet, 6):
         count += 1
-        accepted = mpa.accepts(a, word)
+        value = mpa.eval_output(a, word)
+        accepted = value != EPS
         trace = smpl.simulate(system, smpl.word_inputs(word))
         final_y = trace.records[-1].y[0] if trace.completed and trace.records else EPS
         if accepted and not trace.completed:
             failures.append(f"{''.join(word)}: accepted but the run halts")
-        if trace.completed and final_y != mpa.eval_output(a, word):
+        if trace.completed and final_y != value:
             failures.append(f"{''.join(word)}: final output {final_y} disagrees")
         if accepted != (trace.completed and final_y != EPS):
             failures.append(f"{''.join(word)}: acceptance vs accepting run mismatch")

@@ -6,6 +6,10 @@ resolved mode's dynamics then advance the state and produce the output.
 Rules may return several candidate modes; stepping picks the smallest
 index but the full candidate set is kept in the trace so equivalence
 checks can see the nondeterminism.  An empty candidate set halts the run.
+
+A rule that has to compute a mode's next state to decide on it (symbol
+liveness does) hands that state back with the candidate, so a step
+evaluates the chosen mode's dynamics once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .expressions import MatrixForm, MmpsExpression, eval_expr
 from .tropical import EPS, TropicalMatrix, Weight, has_finite_entry
@@ -76,15 +80,39 @@ class SwitchProbe:
     p: tuple[Weight, ...]
 
 
+class Candidate(NamedTuple):
+    """A successor mode with the next state the rule computed for it, and
+    the mode dynamics that computed it; both None when the rule decided
+    without stepping the mode."""
+
+    mode: int
+    x: tuple[Weight, ...] | None = None
+    dynamics: ModeDynamics | None = None
+
+    def state_for(self, dynamics: ModeDynamics) -> tuple[Weight, ...] | None:
+        """The carried next state if these very dynamics computed it; a
+        rule built over other mode objects gets its states recomputed."""
+        return self.x if self.dynamics is dynamics else None
+
+
 @dataclass(frozen=True)
 class SwitchingRule:
+    """successors yields the admissible modes of a probe, as bare mode
+    indices or as Candidates carrying their next states."""
+
     kind: SwitchingKind
-    successors: Callable[[SwitchProbe], Iterable[int]]
+    successors: Callable[[SwitchProbe], Iterable[int | Candidate]]
     symbols: tuple[str, ...] | None = None
     spec: dict | None = None
 
-    def successor_set(self, probe: SwitchProbe) -> tuple[int, ...]:
-        return tuple(sorted(set(self.successors(probe))))
+    def successor_set(self, probe: SwitchProbe) -> tuple[Candidate, ...]:
+        """The candidates sorted by mode, one per mode (the first yielded)."""
+        found: dict[int, Candidate] = {}
+        for cand in self.successors(probe):
+            if not isinstance(cand, Candidate):
+                cand = Candidate(cand)
+            found.setdefault(cand.mode, cand)
+        return tuple(found[mode] for mode in sorted(found))
 
     def enabling_symbols(self, mode: int) -> frozenset[str] | None:
         """Symbols that can select the mode, when declaratively known."""
@@ -300,7 +328,8 @@ def step(
     probe = SwitchProbe(
         prev_mode=prev_mode, x=tuple(x_prev), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
     )
-    successors = s.switching.successor_set(probe)
+    candidates = s.switching.successor_set(probe)
+    successors = tuple(cand.mode for cand in candidates)
     for mode in successors:
         if not 1 <= mode <= s.n_modes:
             raise ValueError(f"switching rule returned unknown mode {mode}")
@@ -308,8 +337,11 @@ def step(
         raise NoSuccessorMode(k)
     mode = successors[0]
     win = input_window(s.dims, u, inp)
-    x = s.modes[mode].next_state(tuple(x_prev), win)
-    y = s.modes[mode].output(x, win)
+    dynamics = s.modes[mode]
+    x = candidates[0].state_for(dynamics)
+    if x is None:
+        x = dynamics.next_state(probe.x, win)
+    y = dynamics.output(x, win)
     return SmplStepRecord(
         k=k, mode=mode, x=x, y=y, successor_modes=successors, u=u, v=v
     )
@@ -339,12 +371,13 @@ def symbol_liveness_rule(
     kind: SwitchingKind = SwitchingKind.CONSTRAINED,
 ) -> SwitchingRule:
     """Candidate modes are those whose symbol matches the discrete input and
-    whose one-step successor state keeps at least one finite entry."""
+    whose one-step successor state keeps at least one finite entry; each
+    candidate carries that state."""
     symbols = tuple(symbols)
     if len(symbols) != len(modes):
         raise ValueError("need exactly one symbol per mode")
 
-    def successors(probe: SwitchProbe) -> list[int]:
+    def successors(probe: SwitchProbe) -> list[Candidate]:
         out = []
         win = probe.u + probe.r + probe.p
         if len(win) != input_width:
@@ -355,8 +388,10 @@ def symbol_liveness_rule(
         for mode, symbol in enumerate(symbols, start=1):
             if probe.w != symbol:
                 continue
-            if has_finite_entry(modes[mode].next_state(probe.x, win)):
-                out.append(mode)
+            dynamics = modes[mode]
+            x = dynamics.next_state(probe.x, win)
+            if has_finite_entry(x):
+                out.append(Candidate(mode, x, dynamics))
         return out
 
     return SwitchingRule(
@@ -423,9 +458,13 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
 
     Each kind claims independence from some arguments; the rule is sampled
     at random base points and each claimed-independent argument is varied
-    in isolation.  A change in the successor set is a contradiction.
+    in isolation.  A change in the successor modes is a contradiction.
     """
     rule = s.switching
+
+    def successor_modes(probe: SwitchProbe) -> tuple[int, ...]:
+        return tuple(cand.mode for cand in rule.successor_set(probe))
+
     rng = random.Random(seed)
     dims = s.dims
     symbols = rule.symbols or ()
@@ -477,10 +516,10 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
     claimed = _CLAIMED_INDEPENDENT[rule.kind]
     for _ in range(probes):
         base = rand_probe()
-        baseline = rule.successor_set(base)
+        baseline = successor_modes(base)
         for name in sorted(claimed):
             for variant in variants(base, name):
-                if rule.successor_set(variant) != baseline:
+                if successor_modes(variant) != baseline:
                     raise SwitchingClassificationError(
                         f"rule declared {rule.kind.value} but is sensitive to {name!r}"
                     )

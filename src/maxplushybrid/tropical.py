@@ -6,11 +6,14 @@ The completed semiring resolves the otherwise undefined combination of the
 two infinities by letting max-plus operations take preference: EPS absorbs
 under ``otimes`` even against TOP, and dually TOP absorbs under
 ``otimes_dual``.  Both semirings must share these two helpers so that they
-agree on mixed values; do not replace them with raw ``+``.
+agree on mixed values; do not replace them with raw ``+``.  The one
+exception is ``TropicalMatrix.apply``, the hot loop, which adds by hand
+after ruling out EPS on both sides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -191,18 +194,34 @@ class TropicalMatrix:
     def has_top_entry(self) -> bool:
         return any(a == TOP for a in self.entries)
 
+    @functools.cached_property
+    def _row_support(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
+        """Per row, the (column, weight) pairs whose weight is not EPS."""
+        m = self.cols
+        return tuple(
+            tuple((j, a) for j, a in enumerate(self.entries[i * m : (i + 1) * m]) if a != EPS)
+            for i in range(self.rows)
+        )
+
     def apply(self, x: Sequence[Weight]) -> Vector:
-        """Product with a column vector, returned as a plain tuple."""
+        """Product with a column vector, returned as a plain tuple.
+
+        Only each row's finite support is visited: an EPS entry's term is
+        EPS, which never raises the maximum.  A remaining entry is finite
+        or TOP, so its term is a plain sum unless x[j] is EPS, which
+        absorbs even against TOP.
+        """
         if self.cols != len(x):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} by {len(x)}")
         out: list[Weight] = []
-        for i in range(self.rows):
+        for support in self._row_support:
             acc = EPS
-            row = self.entries[i * self.cols : (i + 1) * self.cols]
-            for a, b in zip(row, x):
-                term = otimes(a, b)
-                if term > acc:
-                    acc = term
+            for j, a in support:
+                b = x[j]
+                if b != EPS:
+                    term = a + b
+                    if term > acc:
+                        acc = term
             out.append(acc)
         return tuple(out)
 

@@ -307,6 +307,27 @@ class TestInputWidths:
         assert result.returncode == 2
         assert result.stderr.startswith("error:") and "expected (0, 0, 0)" in result.stderr
 
+    def test_misplaced_exogenous_inputs_are_an_error_when_the_rule_stepped_the_mode(
+        self, tmp_path
+    ):
+        # the u++r++p width is right, so symbol liveness computes the next
+        # state; the step that reuses it must still check each part
+        body = fixture_variant("production_line", n_r=1)
+        system = parse_model(serialize_body(body)).model
+        inputs = (StepInput(w="l1", p=(5.0,)),)
+        message = r"widths \(0, 0, 1\), expected \(0, 1, 0\)"
+        with pytest.raises(ValueError, match=message):
+            simulate(system, inputs)
+        with pytest.raises(ValueError, match=message):
+            run(from_smpl_open(system), inputs)
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(body))
+        steps = tmp_path / "inputs.json"
+        steps.write_text(json.dumps([{"w": "l1", "p": [5]}]))
+        result = run_cli("simulate", str(model), "--inputs", str(steps))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "expected (0, 1, 0)" in result.stderr
+
     def test_behaviour_check_draws_r_at_its_own_width(self, tmp_path):
         body = fixture_variant("feedback_demo", drop_controller=True, n_u=0, n_r=1)
         model = tmp_path / "m.json"

@@ -17,7 +17,7 @@ from maxplushybrid.tropical import (
     otimes_dual,
     vec_leq,
 )
-from oracles import path_of_length_exists
+from oracles import apply_dense, path_of_length_exists
 
 weights = st.one_of(
     st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float)
@@ -142,6 +142,30 @@ class TestMatrixOps:
     def test_product_associativity(self, ra, rb, rc):
         a, b, c = mat(ra), mat(rb), mat(rc)
         assert a.otimes(b).otimes(c) == a.otimes(b.otimes(c))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_apply_matches_the_dense_loop(self, data):
+        rows = data.draw(st.integers(min_value=0, max_value=6))
+        cols = data.draw(st.integers(min_value=0, max_value=6))
+        entries = data.draw(st.lists(weights, min_size=rows * cols, max_size=rows * cols))
+        m = TropicalMatrix(rows, cols, tuple(entries))
+        x = tuple(data.draw(st.lists(weights, min_size=cols, max_size=cols)))
+        assert m.apply(x) == apply_dense(m, x)
+        assert m.apply(list(x)) == apply_dense(m, x)  # again, over the kept support
+
+    def test_apply_keeps_the_shape_check(self):
+        for m in (MU_A, TropicalMatrix.epsilon(0, 2), TropicalMatrix.epsilon(2, 0)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                m.apply((0.0,) * (m.cols + 1))
+        assert TropicalMatrix.epsilon(2, 0).apply(()) == (EPS, EPS)
+        assert TropicalMatrix.epsilon(0, 2).apply((1.0, TOP)) == ()
+
+    def test_apply_lets_eps_absorb_top(self):
+        m = mat([[TOP, 0.0], [EPS, TOP]])
+        assert m.apply((EPS, 2.0)) == (2.0, TOP)
+        assert m.apply((EPS, EPS)) == (EPS, EPS)
+        assert m.apply((1.0, EPS)) == (TOP, EPS)
 
 
 class TestOrder:
