@@ -2,8 +2,10 @@
 
 Bounded language checks walk the words level by level (finite.py); the
 shortest counterexample falls out of the length-ordered search for free.
-Simulations are computed as greatest fixpoints by deleting pairs a
-transition cannot justify.
+The greatest simulation keeps one bitset of candidate matches per state
+and revisits a state only when a successor's bitset shrinks (Henzinger,
+Henzinger and Kopke); the greatest bisimulation refines a partition of
+the two automata's disjoint union until no block splits.
 
 Behavioural inclusion compares models of different classes through one
 stepper protocol (init, step, output, complete).  Input sequences share
@@ -16,7 +18,7 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .finite import FiniteAutomaton, Word, language_upto
 from .hybrid import HybridAutomaton, next_states
@@ -87,32 +89,103 @@ class SimulationWitness:
         return (s1, s2) in self.pairs
 
 
-def _refine_simulation(
-    fa1: FiniteAutomaton,
-    fa2: FiniteAutomaton,
-    pairs: set[tuple[str, str]],
-    symmetric: bool,
-) -> set[tuple[str, str]]:
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(pairs):
-            s1, s2 = pair
-            ok = all(
-                any((t1, t2) in pairs for t2 in fa2.successors(s2, a))
-                for a in fa1.alphabet
-                for t1 in fa1.successors(s1, a)
-            )
-            if ok and symmetric:
-                ok = all(
-                    any((t1, t2) in pairs for t1 in fa1.successors(s1, a))
-                    for a in fa2.alphabet
-                    for t2 in fa2.successors(s2, a)
-                )
-            if not ok:
-                pairs.discard(pair)
-                changed = True
-    return pairs
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _simulation_pairs(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tuple[str, str]]:
+    """Greatest simulation of fa1 by fa2, after Henzinger, Henzinger and
+    Kopke: each fa1 state keeps one bitset over fa2's states, and a state
+    is revisited only when a successor's bitset has shrunk."""
+    index2 = {s: j for j, s in enumerate(fa2.states)}
+    # pre2[a][j]: the fa2 states with an a-move into state j.
+    pre2 = {a: [0] * len(fa2.states) for a in fa2.alphabet}
+    for (s, a), targets in fa2.delta.items():
+        bit = 1 << index2[s]
+        row = pre2[a]
+        for t in targets:
+            row[index2[t]] |= bit
+    final2 = sum(1 << index2[s] for s in fa2.final)
+    anything = (1 << len(fa2.states)) - 1
+    rel = {s: final2 if s in fa1.final else anything for s in fa1.states}
+    moves: dict[str, list[tuple[str, str]]] = {s: [] for s in fa1.states}
+    into: dict[str, set[str]] = {s: set() for s in fa1.states}  # symbols
+    preds: dict[str, set[str]] = {s: set() for s in fa1.states}
+    for (s, a), targets in fa1.delta.items():
+        for t in targets:
+            moves[s].append((a, t))
+            into[t].add(a)
+            preds[t].add(s)
+    # matchers[a, t1]: the fa2 states with an a-move into rel[t1], which are
+    # all that can still match an fa1 move on a into t1.
+    matchers: dict[tuple[str, str], int] = {}
+
+    def refresh(t1: str) -> None:
+        held = list(_bits(rel[t1]))
+        for a in into[t1]:
+            row = pre2[a]
+            acc = 0
+            for j in held:
+                acc |= row[j]
+            matchers[a, t1] = acc
+
+    for t1 in fa1.states:
+        refresh(t1)
+    queue = list(fa1.states)
+    queued = set(queue)
+    while queue:
+        s1 = queue.pop()
+        queued.discard(s1)
+        row = rel[s1]
+        for move in moves[s1]:
+            row &= matchers[move]
+        if row != rel[s1]:
+            rel[s1] = row
+            refresh(s1)
+            for p in preds[s1] - queued:
+                queued.add(p)
+                queue.append(p)
+    return {(s1, fa2.states[j]) for s1 in fa1.states for j in _bits(rel[s1])}
+
+
+def _bisimulation_pairs(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tuple[str, str]]:
+    """Greatest bisimulation between fa1 and fa2, by signature refinement
+    of the coarsest bisimulation on their disjoint union.
+
+    Union nodes are indices, fa1's states first, so a state name used by
+    both automata stands for two nodes.  A block splits by its members'
+    (symbol, successor block) sets until no block splits; the pairs of
+    the relation are the fa1 and fa2 states that share a final block.
+    """
+    n1 = len(fa1.states)
+    nodes = n1 + len(fa2.states)
+    moves: list[list[tuple[str, int]]] = [[] for _ in range(nodes)]
+    for offset, fa in ((0, fa1), (n1, fa2)):
+        index = {s: offset + i for i, s in enumerate(fa.states)}
+        for (s, a), targets in fa.delta.items():
+            moves[index[s]].extend((a, index[t]) for t in targets)
+    block = [int(s in fa1.final) for s in fa1.states] + [int(s in fa2.final) for s in fa2.states]
+    count = len(set(block))
+    while True:
+        keys: dict[tuple, int] = {}
+        # Built whole from the previous round's blocks before rebinding.
+        block = [
+            keys.setdefault((block[v], frozenset([(a, block[t]) for a, t in moves[v]])), len(keys))
+            for v in range(nodes)
+        ]
+        if len(keys) == count:
+            break
+        count = len(keys)
+    sides: dict[int, tuple[list[str], list[str]]] = collections.defaultdict(lambda: ([], []))
+    for i, s in enumerate(fa1.states):
+        sides[block[i]][0].append(s)
+    for j, s in enumerate(fa2.states):
+        sides[block[n1 + j]][1].append(s)
+    return {(s1, s2) for left, right in sides.values() for s1 in left for s2 in right}
 
 
 def _initials_covered(
@@ -133,13 +206,7 @@ def greatest_simulation(
     """
     if set(fa1.alphabet) != set(fa2.alphabet):
         raise ValueError("alphabet mismatch")
-    pairs = {
-        (s1, s2)
-        for s1 in fa1.states
-        for s2 in fa2.states
-        if (s1 not in fa1.final) or (s2 in fa2.final)
-    }
-    pairs = _refine_simulation(fa1, fa2, pairs, symmetric=False)
+    pairs = _simulation_pairs(fa1, fa2)
     if not _initials_covered(fa1, fa2, pairs):
         return None
     return SimulationWitness(frozenset(pairs))
@@ -150,18 +217,12 @@ def bisimulation(
 ) -> SimulationWitness | None:
     """Greatest relation that is a simulation in both directions at once.
 
-    The joint fixpoint keeps the witness transition-closed under both
+    Computed as one relation, it stays transition-closed under both
     automata, which intersecting two one-way simulations would not.
     """
     if set(fa1.alphabet) != set(fa2.alphabet):
         raise ValueError("alphabet mismatch")
-    pairs = {
-        (s1, s2)
-        for s1 in fa1.states
-        for s2 in fa2.states
-        if (s1 in fa1.final) == (s2 in fa2.final)
-    }
-    pairs = _refine_simulation(fa1, fa2, pairs, symmetric=True)
+    pairs = _bisimulation_pairs(fa1, fa2)
     if not _initials_covered(fa1, fa2, pairs):
         return None
     if not all(

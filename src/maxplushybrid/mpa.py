@@ -55,7 +55,8 @@ def step_row(a: MaxPlusAutomaton, row: TropicalMatrix, symbol: str) -> TropicalM
     """Advance a row vector by one symbol: row times mu(symbol)."""
     if symbol not in a.mu:
         raise ValueError(f"unknown symbol {symbol!r}")
-    return row.otimes(a.mu[symbol])
+    m = a.mu[symbol]
+    return TropicalMatrix(1, m.cols, m.left_apply(row.entries))
 
 
 def row_value(a: MaxPlusAutomaton, row: Sequence[Weight]) -> Weight:

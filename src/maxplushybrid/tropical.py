@@ -6,9 +6,9 @@ The completed semiring resolves the otherwise undefined combination of the
 two infinities by letting max-plus operations take preference: EPS absorbs
 under ``otimes`` even against TOP, and dually TOP absorbs under
 ``otimes_dual``.  Both semirings must share these two helpers so that they
-agree on mixed values; do not replace them with raw ``+``.  The one
-exception is ``TropicalMatrix.apply``, the hot loop, which adds by hand
-after ruling out EPS on both sides.
+agree on mixed values; do not replace them with raw ``+``.  The exceptions
+are the matrix-vector products ``TropicalMatrix.apply`` and ``left_apply``,
+the hot loops, which add by hand after ruling out EPS on both sides.
 """
 
 from __future__ import annotations
@@ -225,3 +225,19 @@ class TropicalMatrix:
             out.append(acc)
         return tuple(out)
 
+    def left_apply(self, x: Sequence[Weight]) -> Vector:
+        """Product of a row vector with the matrix, returned as a plain tuple.
+
+        Only x's non-EPS entries and the matching rows' finite support are
+        visited, as in apply.
+        """
+        if self.rows != len(x):
+            raise ValueError(f"shape mismatch: {len(x)} by {self.rows}x{self.cols}")
+        out = [EPS] * self.cols
+        for b, support in zip(x, self._row_support):
+            if b != EPS:
+                for j, a in support:
+                    term = b + a
+                    if term > out[j]:
+                        out[j] = term
+        return tuple(out)

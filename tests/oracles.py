@@ -226,3 +226,61 @@ def widen_nfa(rng: random.Random, fa: FiniteAutomaton) -> FiniteAutomaton:
         initial=fa.initial,
         final=frozenset(final),
     )
+
+
+def refine_by_rescan(
+    fa1: FiniteAutomaton,
+    fa2: FiniteAutomaton,
+    pairs: set[tuple[str, str]],
+    symmetric: bool,
+) -> set[tuple[str, str]]:
+    changed = True
+    while changed:
+        changed = False
+        for pair in list(pairs):
+            s1, s2 = pair
+            ok = all(
+                any((t1, t2) in pairs for t2 in fa2.successors(s2, a))
+                for a in fa1.alphabet
+                for t1 in fa1.successors(s1, a)
+            )
+            if ok and symmetric:
+                ok = all(
+                    any((t1, t2) in pairs for t1 in fa1.successors(s1, a))
+                    for a in fa2.alphabet
+                    for t2 in fa2.successors(s2, a)
+                )
+            if not ok:
+                pairs.discard(pair)
+                changed = True
+    return pairs
+
+
+def relation_by_rescan(fa1: FiniteAutomaton, fa2: FiniteAutomaton, symmetric: bool):
+    """The greatest simulation (symmetric: bisimulation) of fa1 by fa2 as
+    a set of pairs, or None when it leaves an initial state unmatched:
+    every pair is rescanned each round until none is removed, as opposed
+    to the worklist and the partition refinement."""
+    pairs = refine_by_rescan(
+        fa1,
+        fa2,
+        {
+            (s1, s2)
+            for s1 in fa1.states
+            for s2 in fa2.states
+            if ((s1 in fa1.final) == (s2 in fa2.final) if symmetric else s1 not in fa1.final or s2 in fa2.final)
+        },
+        symmetric,
+    )
+    if not all(any((s1, s2) in pairs for s2 in fa2.initial) for s1 in fa1.initial):
+        return None
+    if symmetric and not all(any((s1, s2) in pairs for s1 in fa1.initial) for s2 in fa2.initial):
+        return None
+    return pairs
+
+
+def step_row_dense(row: TropicalMatrix, m: TropicalMatrix) -> TropicalMatrix:
+    """Row vector times matrix through the dense matrix product, every
+    entry through otimes, as opposed to the walk over the row's finite
+    entries."""
+    return row.otimes(m)

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxplushybrid
 from maxplushybrid import fixtures
 from maxplushybrid.equivalence import (
     BehaviourTrace,
@@ -20,7 +23,7 @@ from maxplushybrid.equivalence import (
     language_upto,
 )
 from maxplushybrid.finite import FiniteAutomaton, make_delta
-from maxplushybrid.hybrid import from_smpl_closed, from_smpl_open, mpa_chain_abstraction, run
+from maxplushybrid.hybrid import finite_abstraction, from_smpl_closed, from_smpl_open, mpa_chain_abstraction, run
 from maxplushybrid.mpa import to_finite_abstraction
 from maxplushybrid.smpl import (
     MatrixMode,
@@ -32,7 +35,15 @@ from maxplushybrid.smpl import (
     word_inputs,
 )
 from maxplushybrid.tropical import EPS, TropicalMatrix
-from oracles import behavioural_inclusion_by_replay, random_nfa, widen_nfa, word_value_by_paths
+from oracles import (
+    behavioural_inclusion_by_replay,
+    random_nfa,
+    relation_by_rescan,
+    widen_nfa,
+    word_value_by_paths,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def fa_from(triples, initial, final, alphabet=("a", "b"), states=None):
@@ -244,6 +255,102 @@ class TestBisimulation:
         assert bisimulation(merged, split) is None
         # one direction still simulates
         assert greatest_simulation(split, merged) is not None
+
+
+SYMBOLS = ("a", "b", "c")
+
+
+@st.composite
+def small_nfas(draw, symbols):
+    """1-7 states named s0, s1, ..., so two draws share state names; any
+    transitions (states without successors included), possibly empty
+    initial and final sets, and the alphabet in any order."""
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 7))))
+    state = st.sampled_from(states)
+    triples = draw(st.lists(st.tuples(state, st.sampled_from(symbols), state), max_size=3 * len(states)))
+    return FiniteAutomaton(
+        states=states,
+        alphabet=tuple(draw(st.permutations(symbols))),
+        delta=make_delta(triples),
+        initial=draw(st.frozensets(state)),
+        final=draw(st.frozensets(state)),
+    )
+
+
+@st.composite
+def nfa_pairs(draw):
+    symbols = SYMBOLS[: draw(st.integers(1, 3))]
+    fa1 = draw(small_nfas(symbols))
+    if draw(st.booleans()):
+        return fa1, draw(small_nfas(symbols))
+    # a widened copy, under a reordered alphabet, so a witness exists
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    fa2 = widen_nfa(rng, fa1)
+    return fa1, dataclasses.replace(fa2, alphabet=tuple(draw(st.permutations(symbols))))
+
+
+def pairs_of(witness):
+    return None if witness is None else set(witness.pairs)
+
+
+class TestRelationsAgainstRescan:
+    """The worklist simulation and the partition-refinement bisimulation
+    must return exactly the pairs of the rescan-until-stable fixpoint."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(nfa_pairs())
+    def test_same_pairs_as_the_rescan(self, pair):
+        fa1, fa2 = pair
+        for left, right in ((fa1, fa2), (fa2, fa1), (fa1, fa1)):
+            assert pairs_of(greatest_simulation(left, right)) == relation_by_rescan(left, right, symmetric=False)
+            assert pairs_of(bisimulation(left, right)) == relation_by_rescan(left, right, symmetric=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 3))
+    def test_same_pairs_on_widened_random_automata(self, seed, n, n_symbols):
+        rng = random.Random(seed)
+        fa1 = random_nfa(rng, n_states=n, symbols=SYMBOLS[:n_symbols])
+        fa2 = widen_nfa(rng, fa1)
+        fa3 = widen_nfa(rng, fa2)
+        for left, right in ((fa1, fa2), (fa2, fa1), (fa1, fa3), (fa2, fa3)):
+            assert pairs_of(greatest_simulation(left, right)) == relation_by_rescan(left, right, symmetric=False)
+            assert pairs_of(bisimulation(left, right)) == relation_by_rescan(left, right, symmetric=True)
+        assert greatest_simulation(fa1, fa2) is not None
+
+    def test_shared_state_names_stay_apart(self):
+        # Read as one automaton over the shared names, x would have both
+        # moves on each side and every (s, s) pair would hold.
+        fa1 = fa_from([("x", "a", "y")], initial=["x"], final=["y"], states=("x", "y"))
+        fa2 = fa_from([("x", "b", "y")], initial=["x"], final=["y"], states=("x", "y"))
+        for left, right in ((fa1, fa2), (fa2, fa1)):
+            assert bisimulation(left, right) is None
+            assert greatest_simulation(left, right) is None
+            assert relation_by_rescan(left, right, symmetric=True) is None
+        # the same two names in swapped roles: each state pairs with the other name
+        fa3 = fa_from([("x", "a", "y"), ("y", "a", "x")], initial=["x"], final=["x"], states=("x", "y"))
+        fa4 = fa_from([("x", "a", "y"), ("y", "a", "x")], initial=["y"], final=["y"], states=("x", "y"))
+        assert bisimulation(fa3, fa4).pairs == {("x", "y"), ("y", "x")}
+
+    def test_lines_with_other_processing_times_pair_only_equal_states(self, monkeypatch):
+        # The benchmark expects the identity as the greatest bisimulation
+        # between one-step abstractions of lines of four or more stations.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        generators = importlib.import_module("generators")
+        rng = random.Random(5)
+        for k in (4, 5, 8, 12):
+            fa1, fa2 = (
+                finite_abstraction(from_smpl_open(generators.line_smpl(maxplushybrid, generators.line_taus(rng, k))))
+                for _ in range(2)
+            )
+            assert bisimulation(fa1, fa2).pairs == {(s, s) for s in fa1.states}
+        # Three stations: the first two stations' labels are bisimilar
+        # within each mode.
+        fa1, fa2 = (
+            finite_abstraction(from_smpl_open(fixtures.production_line_smpl(tau)))
+            for tau in ((1.0, 2.0, 3.0), (4.0, 1.0, 7.0))
+        )
+        merged = {(f"q{q}.x{i}", f"q{q}.x{j}") for q in (1, 2) for i in (1, 2) for j in (1, 2)}
+        assert bisimulation(fa1, fa2).pairs == {(s, s) for s in fa1.states} | merged
 
 
 class TestSimulationImpliesInclusion:

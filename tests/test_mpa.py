@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,13 @@ from maxplushybrid.mpa import (
     eval_output,
     eval_state,
     language_upto,
+    step_row,
     to_finite_abstraction,
 )
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
-from oracles import accepted_words_by_paths, word_value_by_paths
+from oracles import accepted_words_by_paths, step_row_dense, word_value_by_paths
+
+weights = st.one_of(st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float))
 
 
 def word(text: str) -> tuple[str, ...]:
@@ -189,3 +193,29 @@ class TestProperties:
         expected = accepted_words_by_paths(a, 5)
         assert fa_language(fa, 5) == expected
         assert language_upto(a, 5) == expected
+
+
+class TestStepRow:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_the_dense_product(self, data):
+        # A bare namespace stands in for the automaton, so the matrix may
+        # hold TOP, which MaxPlusAutomaton refuses.
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        m = TropicalMatrix(n, n, tuple(data.draw(st.lists(weights, min_size=n * n, max_size=n * n))))
+        row = TropicalMatrix.row_vector(data.draw(st.lists(weights, min_size=n, max_size=n)))
+        a = types.SimpleNamespace(mu={"a": m})
+        assert step_row(a, row, "a") == step_row_dense(row, m)
+        assert step_row(a, row, "a") == step_row_dense(row, m)  # again, over the kept support
+
+    def test_eps_absorbs_top(self):
+        a = types.SimpleNamespace(mu={"a": TropicalMatrix.from_rows([[TOP, 0.0], [EPS, TOP]])})
+        assert step_row(a, TropicalMatrix.row_vector((EPS, 2.0)), "a").entries == (EPS, TOP)
+        assert step_row(a, TropicalMatrix.row_vector((1.0, EPS)), "a").entries == (TOP, 1.0)
+        assert step_row(a, TropicalMatrix.row_vector((EPS, EPS)), "a").is_all_epsilon()
+
+    def test_shape_and_symbol_checks(self, gaubert):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step_row(gaubert, TropicalMatrix.row_vector((0.0, 0.0)), "a")
+        with pytest.raises(ValueError, match="unknown symbol"):
+            step_row(gaubert, TropicalMatrix.row_vector(gaubert.alpha), "c")

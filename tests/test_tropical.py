@@ -17,7 +17,7 @@ from maxplushybrid.tropical import (
     otimes_dual,
     vec_leq,
 )
-from oracles import apply_dense, path_of_length_exists
+from oracles import apply_dense, path_of_length_exists, step_row_dense
 
 weights = st.one_of(
     st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float)
@@ -153,13 +153,19 @@ class TestMatrixOps:
         x = tuple(data.draw(st.lists(weights, min_size=cols, max_size=cols)))
         assert m.apply(x) == apply_dense(m, x)
         assert m.apply(list(x)) == apply_dense(m, x)  # again, over the kept support
+        y = tuple(data.draw(st.lists(weights, min_size=rows, max_size=rows)))
+        assert m.left_apply(y) == step_row_dense(TropicalMatrix.row_vector(y), m).entries
 
     def test_apply_keeps_the_shape_check(self):
         for m in (MU_A, TropicalMatrix.epsilon(0, 2), TropicalMatrix.epsilon(2, 0)):
             with pytest.raises(ValueError, match="shape mismatch"):
                 m.apply((0.0,) * (m.cols + 1))
+            with pytest.raises(ValueError, match="shape mismatch"):
+                m.left_apply((0.0,) * (m.rows + 1))
         assert TropicalMatrix.epsilon(2, 0).apply(()) == (EPS, EPS)
         assert TropicalMatrix.epsilon(0, 2).apply((1.0, TOP)) == ()
+        assert TropicalMatrix.epsilon(0, 2).left_apply(()) == (EPS, EPS)
+        assert TropicalMatrix.epsilon(2, 0).left_apply((1.0, TOP)) == ()
 
     def test_apply_lets_eps_absorb_top(self):
         m = mat([[TOP, 0.0], [EPS, TOP]])
