@@ -9,6 +9,7 @@ with the same arguments compare byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -349,6 +350,8 @@ def cmd_check(args: argparse.Namespace) -> tuple[RunReport, int]:
             report.payload = {"witness_pairs": sorted(map(list, witness_rel.pairs))}
         return report, 0 if witness_rel is not None else 1
     if relation == "behaviour":
+        if args.bound < 1:
+            raise UsageError("--bound must be at least 1 for behaviour checks")
         regime, seqs = _behaviour_inputs(doc1, doc2, args.bound, args.seed)
         ok, counterexample = equivalence.behavioural_inclusion_upto(
             _behaviour_adapter(doc1), _behaviour_adapter(doc2), seqs
@@ -386,6 +389,15 @@ def _echo(args: argparse.Namespace) -> list[str]:
     return list(getattr(args, "_argv", []))
 
 
+def count(text: str) -> int:
+    """argparse type of --bound and --steps: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mph",
@@ -398,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--bound", type=int, default=6)
+    common.add_argument("--bound", type=count, default=6)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate a word on an automaton")
@@ -410,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("model")
     p_sim.add_argument("--word")
     p_sim.add_argument("--inputs")
-    p_sim.add_argument("-K", "--steps", type=int, default=None)
+    p_sim.add_argument("-K", "--steps", type=count, default=None)
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_tr = sub.add_parser("translate", parents=[common], help="translate between model classes")

@@ -1,7 +1,8 @@
-"""Bounded language equality, simulation preorders and behavioural inclusion.
+"""Language equality, simulation preorders and behavioural inclusion.
 
-Bounded language checks walk the words level by level (finite.py); the
-shortest counterexample falls out of the length-ordered search for free.
+Both language checks walk pairs of state sets breadth-first, one level
+per word length, so the first pair that differs on finality carries the
+shortest counterexample; the bounded check stops at its length.
 The greatest simulation keeps one bitset of candidate matches per state
 and revisits a state only when a successor's bitset shrinks (Henzinger,
 Henzinger and Kopke); the greatest bisimulation refines a partition of
@@ -20,65 +21,62 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .finite import FiniteAutomaton, Word, language_upto
+from .finite import FiniteAutomaton, Word
 from .hybrid import HybridAutomaton, next_states
 from .mpa import MaxPlusAutomaton, row_value, step_row
 from .smpl import NoSuccessorMode, SmplSystem, StepInput, step
 from .tropical import EPS, TropicalMatrix, Weight
 
 
-def language_equal_upto(
-    fa1: FiniteAutomaton, fa2: FiniteAutomaton, max_len: int
-) -> tuple[bool, Word | None]:
-    """Set equality of the bounded languages; on failure the shortest word
-    accepted by exactly one side is returned."""
+EXACT_STATE_CAP = 12
+
+
+def _first_difference(fa1: FiniteAutomaton, fa2: FiniteAutomaton, max_len: int | None) -> Word | None:
+    """The least word by (length, word), of at most max_len symbols (None:
+    any number), that exactly one side accepts.  Breadth-first over pairs of
+    state sets, one level per length, symbols sorted: each pair keeps the
+    first word that reached it, which is its least word."""
     if set(fa1.alphabet) != set(fa2.alphabet):
         raise ValueError("alphabet mismatch")
-    l1 = language_upto(fa1, max_len)
-    l2 = language_upto(fa2, max_len)
-    if l1 == l2:
-        return True, None
-    diff = sorted(l1 ^ l2, key=lambda w: (len(w), w))
-    return False, diff[0]
+    symbols = sorted(fa1.alphabet)
+    words = {(fa1.initial, fa2.initial): ()}
+    level, depth = list(words), 0
+    while level:
+        for s1, s2 in level:
+            if bool(s1 & fa1.final) != bool(s2 & fa2.final):
+                return words[s1, s2]
+        if depth == max_len:
+            break
+        depth += 1
+        frontier = []
+        for s1, s2 in level:
+            for symbol in symbols:
+                pair = (fa1.step(s1, symbol), fa2.step(s2, symbol))
+                if pair not in words:
+                    words[pair] = words[s1, s2] + (symbol,)
+                    frontier.append(pair)
+        level = frontier
+    return None
 
 
-def language_equal_exact(
-    fa1: FiniteAutomaton, fa2: FiniteAutomaton, max_states: int = 12
-) -> tuple[bool, Word | None]:
-    """Unbounded language equality by joint subset exploration.
+def language_equal_upto(fa1: FiniteAutomaton, fa2: FiniteAutomaton, max_len: int) -> tuple[bool, Word | None]:
+    """Equality of the languages cut at max_len symbols; on failure the
+    shortest word accepted by exactly one side is returned."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    witness = _first_difference(fa1, fa2, max_len)
+    return witness is None, witness
 
-    Exponential in the state count, so both automata are capped at
-    max_states; use the bounded check beyond that.  Returns a shortest
-    word accepted by exactly one side when the languages differ.
-    """
-    if set(fa1.alphabet) != set(fa2.alphabet):
-        raise ValueError("alphabet mismatch")
+
+def language_equal_exact(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> tuple[bool, Word | None]:
+    """Unbounded language equality with the same shortest witness.  The walk
+    is exponential in the state count, so both automata are capped at
+    EXACT_STATE_CAP states; use the bounded check beyond that."""
     for fa in (fa1, fa2):
-        if len(fa.states) > max_states:
-            raise ValueError(
-                f"exact equality is limited to {max_states} states, "
-                f"got {len(fa.states)}"
-            )
-    start = (fa1.initial, fa2.initial)
-    queue = collections.deque([start])
-    trail: dict[tuple[frozenset[str], frozenset[str]], tuple | None] = {start: None}
-    while queue:
-        pair = queue.popleft()
-        s1, s2 = pair
-        if bool(s1 & fa1.final) != bool(s2 & fa2.final):
-            word: list[str] = []
-            node = pair
-            while trail[node] is not None:
-                parent, symbol = trail[node]
-                word.append(symbol)
-                node = parent
-            return False, tuple(reversed(word))
-        for symbol in sorted(fa1.alphabet):
-            nxt = (fa1.step(s1, symbol), fa2.step(s2, symbol))
-            if nxt not in trail:
-                trail[nxt] = (pair, symbol)
-                queue.append(nxt)
-    return True, None
+        if len(fa.states) > EXACT_STATE_CAP:
+            raise ValueError(f"exact equality is limited to {EXACT_STATE_CAP} states, got {len(fa.states)}")
+    witness = _first_difference(fa1, fa2, None)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)

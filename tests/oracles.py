@@ -12,7 +12,7 @@ import itertools
 import random
 
 from maxplushybrid import hybrid, smpl
-from maxplushybrid.finite import FiniteAutomaton, make_delta
+from maxplushybrid.finite import FiniteAutomaton, language_upto, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton
 from maxplushybrid.tropical import EPS, TropicalMatrix, Weight, otimes
 
@@ -51,6 +51,18 @@ def path_of_length_exists(adjacency: list[list[int]], src: int, dst: int, k: int
         if not frontier:
             return False
     return dst in frontier
+
+
+def language_equal_by_word_sets(fa1: FiniteAutomaton, fa2: FiniteAutomaton, max_len: int):
+    """Bounded language equality from every accepted word up to max_len on
+    both sides: (verdict, least word of the symmetric difference by
+    (length, word)), as opposed to the joint walk over pairs of state sets."""
+    if set(fa1.alphabet) != set(fa2.alphabet):
+        raise ValueError("alphabet mismatch")
+    diff = language_upto(fa1, max_len) ^ language_upto(fa2, max_len)
+    if not diff:
+        return True, None
+    return False, min(diff, key=lambda w: (len(w), w))
 
 
 def nfa_accepts_by_search(fa: FiniteAutomaton, word) -> bool:

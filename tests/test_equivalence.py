@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maxplushybrid
@@ -20,9 +20,8 @@ from maxplushybrid.equivalence import (
     greatest_simulation,
     language_equal_exact,
     language_equal_upto,
-    language_upto,
 )
-from maxplushybrid.finite import FiniteAutomaton, make_delta
+from maxplushybrid.finite import FiniteAutomaton, language_upto, make_delta
 from maxplushybrid.hybrid import finite_abstraction, from_smpl_closed, from_smpl_open, mpa_chain_abstraction, run
 from maxplushybrid.mpa import to_finite_abstraction
 from maxplushybrid.smpl import (
@@ -37,6 +36,7 @@ from maxplushybrid.smpl import (
 from maxplushybrid.tropical import EPS, TropicalMatrix
 from oracles import (
     behavioural_inclusion_by_replay,
+    language_equal_by_word_sets,
     random_nfa,
     relation_by_rescan,
     widen_nfa,
@@ -144,16 +144,31 @@ class TestExactLanguage:
         with pytest.raises(ValueError):
             language_equal_exact(big, big)
 
+    def test_bounded_check_decides_pairs_above_the_cap(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        generators = importlib.import_module("generators")
+        line = finite_abstraction(from_smpl_open(generators.line_smpl(maxplushybrid, (2.0,) * 24)))
+        mutant = generators.fa_mutant(maxplushybrid, line, "transition", ("q1.x24", "l2", "q2.x24"))
+        assert len(line.states) == 48
+        with pytest.raises(ValueError, match="limited to 12 states"):
+            language_equal_exact(line, mutant)
+        assert language_equal_upto(line, line, 6) == (True, None)
+        for left, right in ((line, mutant), (mutant, line)):
+            assert language_equal_upto(left, right, 6) == (False, ("l2",))
+            assert language_equal_by_word_sets(left, right, 6) == (False, ("l2",))
+
     def test_agrees_with_the_bounded_check_on_random_pairs(self):
+        # Exact true means bounded true at every bound; an exact witness
+        # that fits the bound is the bounded witness, a longer one is not seen.
         rng = random.Random(13)
         for _ in range(30):
             fa1, fa2 = random_nfa(rng), random_nfa(rng)
-            exact_equal, _ = language_equal_exact(fa1, fa2)
-            bounded_equal, _ = language_equal_upto(fa1, fa2, 8)
-            if exact_equal:
-                assert bounded_equal
-            if not bounded_equal:
-                assert not exact_equal
+            exact = language_equal_exact(fa1, fa2)
+            for bound in range(9):
+                if exact[0] or len(exact[1]) > bound:
+                    assert language_equal_upto(fa1, fa2, bound) == (True, None)
+                else:
+                    assert language_equal_upto(fa1, fa2, bound) == exact
 
 
 class TestSimulation:
@@ -291,6 +306,25 @@ def nfa_pairs(draw):
 
 def pairs_of(witness):
     return None if witness is None else set(witness.pairs)
+
+
+class TestLanguageAgainstWordSets:
+    """The bounded walk must return the verdict and witness of the
+    comparison of both sides' accepted word sets."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(nfa_pairs(), st.integers(0, 6))
+    @example(
+        (
+            fa_from([("s", "a", "s")], initial=["s"], final=["s"], states=("s",)),
+            fa_from([("s", "a", "s")], initial=["s"], final=[], states=("s",)),
+        ),
+        0,
+    )
+    def test_same_verdict_and_witness_as_the_word_sets(self, pair, max_len):
+        fa1, fa2 = pair
+        for left, right in ((fa1, fa2), (fa2, fa1), (fa1, fa1)):
+            assert language_equal_upto(left, right, max_len) == language_equal_by_word_sets(left, right, max_len)
 
 
 class TestRelationsAgainstRescan:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from maxplushybrid.equivalence import language_upto
+from maxplushybrid.finite import language_upto
 from maxplushybrid.hybrid import (
     AssumptionViolation,
     GuardPredicate,

@@ -360,6 +360,32 @@ class TestInputWidths:
             assert json.loads(result.stdout)["regime"] == "sampled"
 
 
+class TestCountFlags:
+    """--bound and -K/--steps take counts; a value that checks nothing
+    exits 2 with a message naming the flag, never a vacuous verdict."""
+
+    def test_negative_bound_is_rejected(self):
+        result = run_cli("check", "gaubert_mpa", "gaubert_mpa", "--relation", "behaviour", "--bound", "-3")
+        assert result.returncode == 2
+        assert "argument --bound: must not be negative, got -3" in result.stderr
+        assert result.stdout == ""
+
+    def test_negative_steps_are_rejected(self):
+        result = run_cli("simulate", "gaubert_mpa", "--word", "ab", "-K", "-2")
+        assert result.returncode == 2
+        assert "argument -K/--steps: must not be negative, got -2" in result.stderr
+        assert result.stdout == ""
+
+    def test_behaviour_check_needs_a_positive_bound_in_either_regime(self, tmp_path):
+        sampled = tmp_path / "m.json"
+        sampled.write_text(serialize_body(fixture_variant("feedback_demo", drop_controller=True)))
+        for model in ("gaubert_mpa", str(sampled)):
+            result = run_cli("check", model, model, "--relation", "behaviour", "--bound", "0")
+            assert result.returncode == 2
+            assert result.stderr == "error: --bound must be at least 1 for behaviour checks\n"
+            assert result.stdout == ""
+
+
 def malformed(name, edit):
     body = json.loads(fixtures.fixture_text(name))
     edit(body)
