@@ -35,6 +35,7 @@ from .expressions import (
 from .finite import FiniteAutomaton, Word
 from .mpa import (
     MaxPlusAutomaton,
+    MpaBehaviour,
     accepts,
     eval_output,
     eval_state,
@@ -46,21 +47,25 @@ from .smpl import (
     MatrixMode,
     ExpressionMode,
     NoSuccessorMode,
+    SmplBehaviour,
     SmplDims,
     SmplSystem,
-    SmplTrace,
     StepInput,
+    Stepper,
+    StepRecord,
     SwitchingKind,
     SwitchingRule,
     classify_switching,
     from_mpa,
     simulate,
+    Trace,
     static_feedback,
     step,
 )
 from .hybrid import (
     HybridAutomaton,
     HybridState,
+    MahaBehaviour,
     finite_abstraction,
     from_smpl_closed,
     from_smpl_open,
@@ -69,7 +74,6 @@ from .hybrid import (
     run,
 )
 from .equivalence import (
-    BehaviourTrace,
     SimulationWitness,
     behavioural_inclusion_upto,
     bisimulation,

@@ -29,7 +29,7 @@ from .serialization import (
     serialize_body,
     smpl_body,
 )
-from .tropical import EPS, TropicalMatrix
+from .tropical import EPS
 
 
 class UsageError(ValueError):
@@ -179,7 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
         inputs = inputs[: args.steps]
     if doc.kind == "mpa":
         automaton = doc.model
-        row = TropicalMatrix.row_vector(automaton.alpha)
+        row = automaton.alpha
         records = []
         for k, inp in enumerate(inputs, start=1):
             row = mpa.step_row(automaton, row, inp.w)
@@ -187,43 +187,30 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
                 {
                     "k": k,
                     "symbol": inp.w,
-                    "state": [encode_weight(v) for v in row.entries],
-                    "output": encode_weight(mpa.row_value(automaton, row.entries)),
+                    "state": [encode_weight(v) for v in row],
+                    "output": encode_weight(mpa.row_value(automaton, row)),
                 }
             )
         report.payload = {"trace": records}
         return report, 0
     if doc.kind == "smpl":
-        trace = smpl.simulate(doc.model, inputs)
-        report.payload = _smpl_trace_payload(trace)
+        report.payload = _trace_payload(smpl.simulate(doc.model, inputs), successors=True)
         return report, 0
     if doc.kind == "maha":
-        trace = hybrid.run(doc.model, inputs)
-        records = [
-            {
-                "k": rec.k,
-                "mode": rec.mode,
-                "x": [encode_weight(v) for v in rec.x],
-                "y": [encode_weight(v) for v in rec.y],
-            }
-            for rec in trace.records
-        ]
-        report.payload = {"trace": records, "halted_at": trace.halted_at}
+        report.payload = _trace_payload(hybrid.run(doc.model, inputs), successors=False)
         return report, 0
     raise UsageError(f"simulate expects an mpa, smpl or maha document, got {doc.kind!r}")
 
 
-def _smpl_trace_payload(trace: smpl.SmplTrace) -> dict:
-    records = [
-        {
-            "k": rec.k,
-            "mode": rec.mode,
-            "successor_modes": list(rec.successor_modes),
-            "x": [encode_weight(v) for v in rec.x],
-            "y": [encode_weight(v) for v in rec.y],
-        }
-        for rec in trace.records
-    ]
+def _trace_payload(trace: smpl.Trace, successors: bool) -> dict:
+    records = []
+    for rec in trace.records:
+        entry: dict[str, Any] = {"k": rec.k, "mode": rec.mode}
+        if successors:
+            entry["successor_modes"] = list(rec.successor_modes)
+        entry["x"] = [encode_weight(v) for v in rec.x]
+        entry["y"] = [encode_weight(v) for v in rec.y]
+        records.append(entry)
     return {"trace": records, "halted_at": trace.halted_at}
 
 
@@ -271,7 +258,7 @@ def cmd_abstract(args: argparse.Namespace) -> tuple[RunReport, int]:
     return RunReport(command=_echo(args), document_output=serialize_body(body)), 0
 
 
-def _behaviour_adapter(doc: ModelDocument) -> equivalence.BehaviourSystem:
+def _behaviour_adapter(doc: ModelDocument) -> smpl.Stepper:
     if doc.kind == "mpa":
         return equivalence.MpaBehaviour(doc.model)
     if doc.kind == "smpl":

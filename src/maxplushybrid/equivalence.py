@@ -8,10 +8,13 @@ and revisits a state only when a successor's bitset shrinks (Henzinger,
 Henzinger and Kopke); the greatest bisimulation refines a partition of
 the two automata's disjoint union until no block splits.
 
-Behavioural inclusion compares models of different classes through one
-stepper protocol (init, step, output, complete).  Input sequences share
-prefixes, so the bounded check steps each distinct prefix once and keeps
-the two systems' states per prefix for the length of one call.
+Behavioural inclusion compares models of different classes through the
+stepper protocol of smpl.Stepper (init, step, output, complete); each
+class's stepper lives beside its step code (smpl.SmplBehaviour,
+hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Input
+sequences share prefixes, so the bounded check steps each distinct prefix
+once and keeps the two systems' states per prefix for the length of one
+call.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .finite import FiniteAutomaton, Word
-from .hybrid import HybridAutomaton, next_states
-from .mpa import MaxPlusAutomaton, row_value, step_row
-from .smpl import NoSuccessorMode, SmplSystem, StepInput, step
-from .tropical import EPS, TropicalMatrix, Weight
+# The three steppers are re-exported: the benchmark names them through this module.
+from .hybrid import MahaBehaviour
+from .mpa import MpaBehaviour
+from .smpl import SmplBehaviour, StepInput, Stepper
 
 
 EXACT_STATE_CAP = 12
@@ -230,137 +233,9 @@ def bisimulation(
     return SimulationWitness(frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class BehaviourTrace:
-    """Input-output window of one run; halted_at marks an early stop."""
-
-    inputs: tuple
-    outputs: tuple[tuple[Weight, ...], ...]
-    halted_at: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.outputs) > len(self.inputs):
-            raise ValueError("more outputs than inputs")
-        if self.halted_at is not None and self.halted_at > len(self.inputs):
-            raise ValueError("halt index beyond the input window")
-
-
-class BehaviourSystem:
-    """Stepper surface for behavioural comparison across model classes.
-
-    A state stands for the inputs consumed so far.  step returns None once
-    no extension of those inputs can be in the system's behaviour; complete
-    says whether the inputs themselves are.  The two differ for a max-plus
-    automaton, whose unaccepted words can have accepted extensions.
-    """
-
-    def init(self):
-        raise NotImplementedError
-
-    def step(self, state, inp: StepInput):
-        raise NotImplementedError
-
-    def output(self, state) -> tuple[Weight, ...]:
-        raise NotImplementedError
-
-    def complete(self, state) -> bool:
-        return True
-
-
-def _fold_trace(system: BehaviourSystem, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-    """The system's trace for the inputs, or None when the input sequence
-    is not part of the system's behaviour."""
-    state = system.init()
-    outputs = []
-    for inp in inputs:
-        state = system.step(state, inp)
-        if state is None:
-            return None
-        outputs.append(system.output(state))
-    if not system.complete(state):
-        return None
-    return BehaviourTrace(tuple(inputs), tuple(outputs))
-
-
-# Each class defines its own trace, as perfbench/tracing.py wraps it per class.
-
-
-@dataclass(frozen=True)
-class MpaBehaviour(BehaviourSystem):
-    """State: the row vector alpha^T mu(w1) ... mu(wk); all EPS is dead."""
-
-    automaton: MaxPlusAutomaton
-
-    def init(self) -> TropicalMatrix:
-        return TropicalMatrix.row_vector(self.automaton.alpha)
-
-    def step(self, state: TropicalMatrix, inp: StepInput) -> TropicalMatrix | None:
-        if inp.w is None:
-            raise ValueError("max-plus automata consume discrete symbols only")
-        row = step_row(self.automaton, state, inp.w)
-        return None if row.is_all_epsilon() else row
-
-    def output(self, state: TropicalMatrix) -> tuple[Weight, ...]:
-        return (row_value(self.automaton, state.entries),)
-
-    def complete(self, state: TropicalMatrix) -> bool:
-        return row_value(self.automaton, state.entries) != EPS
-
-    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-        return _fold_trace(self, inputs)
-
-
-@dataclass(frozen=True)
-class SmplBehaviour(BehaviourSystem):
-    """State: (mode, x, u, v, y) after the last step; mode, u and v are
-    None before the first step, where smpl.step supplies the defaults."""
-
-    system: SmplSystem
-
-    def init(self) -> tuple:
-        return (None, self.system.x0, None, None, ())
-
-    def step(self, state: tuple, inp: StepInput) -> tuple | None:
-        mode, x, u, v, _ = state
-        try:
-            rec = step(self.system, mode, x, inp, u_prev=u, v_prev=v)
-        except NoSuccessorMode:
-            return None
-        return (rec.mode, rec.x, rec.u, rec.v, rec.y)
-
-    def output(self, state: tuple) -> tuple[Weight, ...]:
-        return state[4]
-
-    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-        return _fold_trace(self, inputs)
-
-
-@dataclass(frozen=True)
-class MahaBehaviour(BehaviourSystem):
-    """State: (current hybrid state or None before the first step, output)."""
-
-    automaton: HybridAutomaton
-
-    def init(self) -> tuple:
-        return (None, ())
-
-    def step(self, state: tuple, inp: StepInput) -> tuple | None:
-        successors = next_states(self.automaton, state[0], inp)
-        if not successors:
-            return None
-        current = successors[0]
-        return (current, self.automaton.output[current.mode](current.x, inp))
-
-    def output(self, state: tuple) -> tuple[Weight, ...]:
-        return state[1]
-
-    def trace(self, inputs: Sequence[StepInput]) -> BehaviourTrace | None:
-        return _fold_trace(self, inputs)
-
-
 def behavioural_inclusion_upto(
-    sys1: BehaviourSystem,
-    sys2: BehaviourSystem,
+    sys1: Stepper,
+    sys2: Stepper,
     input_sequences: Iterable[Sequence[StepInput]],
 ) -> tuple[bool, tuple[StepInput, ...] | None]:
     """Every trace of sys1 must be reproduced exactly by sys2.
@@ -399,6 +274,7 @@ def behavioural_inclusion_upto(
     return True, None
 
 
-def exhaustive_words(alphabet: Sequence[str], max_len: int, min_len: int = 1) -> Iterable[Word]:
-    for k in range(min_len, max_len + 1):
+def exhaustive_words(alphabet: Sequence[str], max_len: int) -> Iterable[Word]:
+    """Every non-empty word of at most max_len symbols, shortest first."""
+    for k in range(1, max_len + 1):
         yield from itertools.product(tuple(alphabet), repeat=k)

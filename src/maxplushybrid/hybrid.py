@@ -14,6 +14,9 @@ for the open loop, the augmented state (mode, x, u, v) for the closed loop.
 A translated automaton resolves switching once per step: the invariant and
 guards of one source state read one resolution, and the flows take the
 next states its candidates already carry.
+
+MahaBehaviour is the automaton's stepper (smpl.Stepper, next to hybrid_step
+here); a run is its fold, with the smallest successor mode taken each step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 
 from .expressions import MatrixForm, transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplSystem, StepInput, SwitchProbe, input_window, resolve_inputs
+from .smpl import SmplSystem, StepInput, Stepper, StepRecord, SwitchProbe, Trace, input_window, resolve_inputs
 from .tropical import EPS, Weight
 
 FlowFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
@@ -131,72 +134,42 @@ def hybrid_step(
     return tuple(HybridState(q, out[q]) for q in sorted(out))
 
 
-def next_states(
-    h: HybridAutomaton, current: HybridState | None, inp: StepInput
-) -> tuple[HybridState, ...]:
-    """Successors of the current state, sorted by mode; with no current
-    state yet, the successors of every initial state merged by mode (the
-    first initial state to reach a mode wins)."""
-    if current is not None:
-        return hybrid_step(h, current, inp)
-    merged: dict[int, HybridState] = {}
-    for init_state in h.init:
-        for succ in hybrid_step(h, init_state, inp):
-            merged.setdefault(succ.mode, succ)
-    return tuple(merged[q] for q in sorted(merged))
-
-
 @dataclass(frozen=True)
-class HybridStepRecord:
-    k: int
-    mode: int
-    x: tuple[Weight, ...]
-    y: tuple[Weight, ...]
-    successor_modes: tuple[int, ...]
+class MahaBehaviour(Stepper):
+    """Runs of a hybrid automaton: each step takes the smallest successor
+    mode.  Before the first step there is no current state (mode None), and
+    the first step merges the successors of every initial state by mode
+    (the first initial state to reach a mode wins), as a switching system's
+    first mode is resolved by its rule rather than given."""
 
+    automaton: HybridAutomaton
 
-@dataclass(frozen=True)
-class HybridTrace:
-    records: tuple[HybridStepRecord, ...]
-    halted_at: int | None = None
+    def init(self) -> StepRecord:
+        return StepRecord(0, None, (), (), ())
 
-    @property
-    def completed(self) -> bool:
-        return self.halted_at is None
-
-    def outputs(self) -> tuple[tuple[Weight, ...], ...]:
-        return tuple(rec.y for rec in self.records)
-
-
-def run(
-    h: HybridAutomaton,
-    inputs: Sequence[StepInput],
-    start: HybridState | None = None,
-) -> HybridTrace:
-    """Deterministic execution: smallest successor mode wins each step.
-
-    Without an explicit start the first step considers every initial hybrid
-    state, mirroring a switching system whose first mode is resolved by the
-    rule rather than given.
-    """
-    records: list[HybridStepRecord] = []
-    current = start
-    for k, inp in enumerate(inputs, start=1):
-        successors = next_states(h, current, inp)
+    def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
+        h = self.automaton
+        if state.mode is not None:
+            successors = hybrid_step(h, HybridState(state.mode, state.x), inp)
+        else:
+            merged: dict[int, HybridState] = {}
+            for init_state in h.init:
+                for succ in hybrid_step(h, init_state, inp):
+                    merged.setdefault(succ.mode, succ)
+            successors = tuple(merged[q] for q in sorted(merged))
         if not successors:
-            return HybridTrace(tuple(records), halted_at=k)
+            return None
         current = successors[0]
         y = h.output[current.mode](current.x, inp)
-        records.append(
-            HybridStepRecord(
-                k=k,
-                mode=current.mode,
-                x=current.x,
-                y=y,
-                successor_modes=tuple(s.mode for s in successors),
-            )
-        )
-    return HybridTrace(tuple(records))
+        return StepRecord(state.k + 1, current.mode, current.x, y, tuple(succ.mode for succ in successors))
+
+    # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
+    trace = Stepper.trace
+
+
+def run(h: HybridAutomaton, inputs: Sequence[StepInput]) -> Trace:
+    """Deterministic execution from the initial states: MahaBehaviour's fold."""
+    return MahaBehaviour(h).fold(inputs)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ initial and final weight vectors.  The value of a word is the largest
 accumulated weight over paths that enter at a finite initial weight and
 leave at a finite final weight; it is EPS exactly when no such path exists,
 so acceptance is a byproduct of evaluation.
+
+MpaBehaviour is the automaton's stepper (smpl.Stepper): its state is the
+row vector alpha^T mu(w1) ... mu(wk), advanced by step_row.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Sequence
 
 from . import finite
 from .finite import FiniteAutomaton, Word, make_delta
+from .smpl import StepInput, Stepper, StepRecord
 from .tropical import EPS, TropicalMatrix, Weight, is_finite, otimes
 
 
@@ -51,12 +55,11 @@ class MaxPlusAutomaton:
         return len(self.states)
 
 
-def step_row(a: MaxPlusAutomaton, row: TropicalMatrix, symbol: str) -> TropicalMatrix:
+def step_row(a: MaxPlusAutomaton, row: Sequence[Weight], symbol: str) -> tuple[Weight, ...]:
     """Advance a row vector by one symbol: row times mu(symbol)."""
     if symbol not in a.mu:
         raise ValueError(f"unknown symbol {symbol!r}")
-    m = a.mu[symbol]
-    return TropicalMatrix(1, m.cols, m.left_apply(row.entries))
+    return a.mu[symbol].left_apply(row)
 
 
 def row_value(a: MaxPlusAutomaton, row: Sequence[Weight]) -> Weight:
@@ -69,15 +72,46 @@ def row_value(a: MaxPlusAutomaton, row: Sequence[Weight]) -> Weight:
 
 def eval_state(a: MaxPlusAutomaton, word: Word) -> tuple[Weight, ...]:
     """Row vector after the word: alpha^T times the mu matrices in order."""
-    row = TropicalMatrix.row_vector(a.alpha)
+    row = tuple(a.alpha)
     for symbol in word:
         row = step_row(a, row, symbol)
-    return row.entries
+    return row
 
 
 def eval_output(a: MaxPlusAutomaton, word: Word) -> Weight:
     """Word value; EPS iff the automaton has no accepting path for the word."""
     return row_value(a, eval_state(a, word))
+
+
+@dataclass(frozen=True)
+class MpaBehaviour(Stepper):
+    """Runs of a max-plus automaton.  A record's x is the row vector after
+    the symbols read, y is its value, and its mode is the symbol's position
+    in the alphabet from 1, the mode smpl.from_mpa gives that symbol.  The
+    run halts where the row is all EPS; it is complete where the value is
+    finite, i.e. the word is accepted."""
+
+    automaton: MaxPlusAutomaton
+
+    def init(self) -> StepRecord:
+        a = self.automaton
+        return StepRecord(0, None, tuple(a.alpha), (row_value(a, a.alpha),), ())
+
+    def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
+        a = self.automaton
+        if inp.w is None:
+            raise ValueError("max-plus automata consume discrete symbols only")
+        row = step_row(a, state.x, inp.w)
+        if all(v == EPS for v in row):
+            return None
+        mode = a.alphabet.index(inp.w) + 1
+        return StepRecord(state.k + 1, mode, row, (row_value(a, row),), (mode,))
+
+    def complete(self, state: StepRecord) -> bool:
+        return state.y[0] != EPS
+
+    # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
+    trace = Stepper.trace
 
 
 def accepts(a: MaxPlusAutomaton, word: Word) -> bool:

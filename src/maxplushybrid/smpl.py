@@ -10,6 +10,12 @@ checks can see the nondeterminism.  An empty candidate set halts the run.
 A rule that has to compute a mode's next state to decide on it (symbol
 liveness does) hands that state back with the candidate, so a step
 evaluates the chosen mode's dynamics once.
+
+Every model class runs through the one stepper protocol defined here
+(Stepper: init, step, output, complete), with one StepRecord per step and
+one Trace per run; a run of any class is Stepper.fold over its inputs.
+SmplBehaviour is this module's stepper; hybrid.MahaBehaviour and
+mpa.MpaBehaviour are the other two.
 """
 
 from __future__ import annotations
@@ -219,10 +225,14 @@ def static_feedback(gain: TropicalMatrix, n: int, name: str = "static feedback")
     return ControllerHook(f_u=f_u, f_v=f_v, max_min_plus=True, name=name)
 
 
-@dataclass(frozen=True)
-class SmplStepRecord:
+class StepRecord(NamedTuple):
+    """One step of a run: the mode taken, the state and output after it,
+    every mode the step could have taken, and the controlled inputs it
+    resolved.  k counts steps from 1; a stepper's record before the first
+    step has k = 0 and mode None."""
+
     k: int
-    mode: int
+    mode: int | None
     x: tuple[Weight, ...]
     y: tuple[Weight, ...]
     successor_modes: tuple[int, ...]
@@ -231,10 +241,12 @@ class SmplStepRecord:
 
 
 @dataclass(frozen=True)
-class SmplTrace:
-    records: tuple[SmplStepRecord, ...]
+class Trace:
+    """The records of one run; halted_at is the step that found no
+    successor, None when every input was consumed."""
+
+    records: tuple[StepRecord, ...]
     halted_at: int | None = None
-    halt_reason: str | None = None
 
     @property
     def completed(self) -> bool:
@@ -242,6 +254,49 @@ class SmplTrace:
 
     def outputs(self) -> tuple[tuple[Weight, ...], ...]:
         return tuple(rec.y for rec in self.records)
+
+
+class Stepper:
+    """A model's runs, one step at a time, for every model class.
+
+    A state is the StepRecord of the last step and stands for the inputs
+    consumed so far.  step returns None once no extension of those inputs
+    can be in the model's behaviour (the run halts); complete says whether
+    the inputs themselves are.  The two differ for a max-plus automaton,
+    whose unaccepted words can have accepted extensions.
+    """
+
+    def init(self) -> StepRecord:
+        raise NotImplementedError
+
+    def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
+        raise NotImplementedError
+
+    def output(self, state: StepRecord) -> tuple[Weight, ...]:
+        return state.y
+
+    def complete(self, state: StepRecord) -> bool:
+        return True
+
+    def fold(self, inputs: Iterable[StepInput]) -> Trace:
+        """The run over the inputs from init, cut at the step that halts."""
+        state = self.init()
+        records = []
+        for k, inp in enumerate(inputs, start=1):
+            state = self.step(state, inp)
+            if state is None:
+                return Trace(tuple(records), halted_at=k)
+            records.append(state)
+        return Trace(tuple(records))
+
+    def trace(self, inputs: Iterable[StepInput]) -> Trace | None:
+        """The run over the inputs, or None when they are outside the
+        model's behaviour: the run halts or ends incomplete."""
+        run = self.fold(inputs)
+        if not run.completed:
+            return None
+        last = run.records[-1] if run.records else self.init()
+        return run if self.complete(last) else None
 
 
 @dataclass(frozen=True)
@@ -314,7 +369,7 @@ def step(
     k: int = 1,
     u_prev: Sequence[Weight] | None = None,
     v_prev: Sequence[Weight] | None = None,
-) -> SmplStepRecord:
+) -> StepRecord:
     """One event step: resolve inputs, resolve the mode, advance, output."""
     u_prev = (EPS,) * s.dims.n_u if u_prev is None else tuple(u_prev)
     v_prev = (EPS,) * s.dims.n_v if v_prev is None else tuple(v_prev)
@@ -342,26 +397,34 @@ def step(
     if x is None:
         x = dynamics.next_state(probe.x, win)
     y = dynamics.output(x, win)
-    return SmplStepRecord(
-        k=k, mode=mode, x=x, y=y, successor_modes=successors, u=u, v=v
-    )
+    return StepRecord(k, mode, x, y, successors, u, v)
 
 
-def simulate(s: SmplSystem, inputs: Sequence[StepInput]) -> SmplTrace:
-    """Fold step over the input sequence; stop early on an empty successor set."""
-    records: list[SmplStepRecord] = []
-    prev_mode: int | None = None
-    x = tuple(s.x0)
-    u_prev = (EPS,) * s.dims.n_u
-    v_prev = (EPS,) * s.dims.n_v
-    for k, inp in enumerate(inputs, start=1):
+@dataclass(frozen=True)
+class SmplBehaviour(Stepper):
+    """Runs of a switching system.  The record before the first step holds
+    x0 and all-EPS u and v, which the first performance signal reads."""
+
+    system: SmplSystem
+
+    def init(self) -> StepRecord:
+        s = self.system
+        return StepRecord(0, None, tuple(s.x0), (), (), (EPS,) * s.dims.n_u, (EPS,) * s.dims.n_v)
+
+    def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         try:
-            rec = step(s, prev_mode, x, inp, k=k, u_prev=u_prev, v_prev=v_prev)
-        except NoSuccessorMode as halt:
-            return SmplTrace(tuple(records), halted_at=halt.step, halt_reason=str(halt))
-        records.append(rec)
-        prev_mode, x, u_prev, v_prev = rec.mode, rec.x, rec.u, rec.v
-    return SmplTrace(tuple(records))
+            return step(self.system, state.mode, state.x, inp, state.k + 1, state.u, state.v)
+        except NoSuccessorMode:
+            return None
+
+    # Each stepper class holds its own trace: perfbench/tracing.py wraps
+    # cls.__dict__["trace"] per class.
+    trace = Stepper.trace
+
+
+def simulate(s: SmplSystem, inputs: Sequence[StepInput]) -> Trace:
+    """The run over the inputs; it stops early on an empty successor set."""
+    return SmplBehaviour(s).fold(inputs)
 
 
 def symbol_liveness_rule(

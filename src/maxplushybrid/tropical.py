@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Weight = float
 
@@ -61,10 +61,6 @@ def otimes_dual(a: Weight, b: Weight) -> Weight:
 
 
 Vector = tuple[Weight, ...]
-
-
-def vector(values: Iterable[float]) -> Vector:
-    return tuple(check_weight(v) for v in values)
 
 
 def vec_leq(x: Sequence[Weight], y: Sequence[Weight]) -> bool:
@@ -182,11 +178,6 @@ class TropicalMatrix:
         for _ in range(k - 1):
             acc = acc.otimes(self)
         return acc
-
-    def boolean_support(self) -> "TropicalMatrix":
-        """UNIT where the entry is not EPS, EPS elsewhere."""
-        ent = tuple(EPS if a == EPS else UNIT for a in self.entries)
-        return TropicalMatrix(self.rows, self.cols, ent)
 
     def is_all_epsilon(self) -> bool:
         return all(a == EPS for a in self.entries)

@@ -14,7 +14,7 @@ import random
 from maxplushybrid import hybrid, smpl
 from maxplushybrid.finite import FiniteAutomaton, language_upto, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton
-from maxplushybrid.tropical import EPS, TropicalMatrix, Weight, otimes
+from maxplushybrid.tropical import EPS, UNIT, TropicalMatrix, Weight, otimes
 
 
 def word_value_by_paths(a: MaxPlusAutomaton, word) -> Weight:
@@ -109,10 +109,10 @@ def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_pre
     win = smpl.input_window(s.dims, u, inp)
     x = s.modes[mode].next_state(tuple(x_prev), win)
     y = s.modes[mode].output(x, win)
-    return smpl.SmplStepRecord(k=k, mode=mode, x=x, y=y, successor_modes=successors, u=u, v=v)
+    return smpl.StepRecord(k=k, mode=mode, x=x, y=y, successor_modes=successors, u=u, v=v)
 
 
-def simulate(s: smpl.SmplSystem, inputs) -> smpl.SmplTrace:
+def simulate(s: smpl.SmplSystem, inputs) -> smpl.Trace:
     """smpl.simulate folded over smpl_step_twice."""
     records = []
     prev_mode, x = None, tuple(s.x0)
@@ -121,10 +121,10 @@ def simulate(s: smpl.SmplSystem, inputs) -> smpl.SmplTrace:
         try:
             rec = smpl_step_twice(s, prev_mode, x, inp, k, u_prev, v_prev)
         except smpl.NoSuccessorMode as halt:
-            return smpl.SmplTrace(tuple(records), halted_at=halt.step, halt_reason=str(halt))
+            return smpl.Trace(tuple(records), halted_at=halt.step)
         records.append(rec)
         prev_mode, x, u_prev, v_prev = rec.mode, rec.x, rec.u, rec.v
-    return smpl.SmplTrace(tuple(records))
+    return smpl.Trace(tuple(records))
 
 
 def _fresh(z, inp):
@@ -150,11 +150,11 @@ def hybrid_step_apart(h: hybrid.HybridAutomaton, state: hybrid.HybridState, inp)
     return tuple(hybrid.HybridState(q, out[q]) for q in sorted(out))
 
 
-def run(h: hybrid.HybridAutomaton, inputs, start=None) -> hybrid.HybridTrace:
+def run(h: hybrid.HybridAutomaton, inputs) -> smpl.Trace:
     """hybrid.run over hybrid_step_apart, merging the initial states'
     successors by mode on the first step."""
     records = []
-    current = start
+    current = None
     for k, inp in enumerate(inputs, start=1):
         if current is None:
             merged = {}
@@ -165,10 +165,10 @@ def run(h: hybrid.HybridAutomaton, inputs, start=None) -> hybrid.HybridTrace:
         else:
             successors = hybrid_step_apart(h, current, inp)
         if not successors:
-            return hybrid.HybridTrace(tuple(records), halted_at=k)
+            return smpl.Trace(tuple(records), halted_at=k)
         current = successors[0]
         records.append(
-            hybrid.HybridStepRecord(
+            smpl.StepRecord(
                 k=k,
                 mode=current.mode,
                 x=current.x,
@@ -176,7 +176,7 @@ def run(h: hybrid.HybridAutomaton, inputs, start=None) -> hybrid.HybridTrace:
                 successor_modes=tuple(succ.mode for succ in successors),
             )
         )
-    return hybrid.HybridTrace(tuple(records))
+    return smpl.Trace(tuple(records))
 
 
 def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
@@ -187,7 +187,7 @@ def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
         if t1 is None:
             continue
         t2 = sys2.trace(seq)
-        if t2 is None or t1.outputs != t2.outputs:
+        if t2 is None or t1.outputs() != t2.outputs():
             return False, tuple(seq)
     return True, None
 
@@ -296,3 +296,8 @@ def step_row_dense(row: TropicalMatrix, m: TropicalMatrix) -> TropicalMatrix:
     entry through otimes, as opposed to the walk over the row's finite
     entries."""
     return row.otimes(m)
+
+
+def boolean_support(m: TropicalMatrix) -> TropicalMatrix:
+    """UNIT where the entry is not EPS, EPS elsewhere."""
+    return TropicalMatrix(m.rows, m.cols, tuple(EPS if a == EPS else UNIT for a in m.entries))

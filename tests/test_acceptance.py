@@ -22,7 +22,7 @@ from maxplushybrid.tropical import (
     otimes,
     vec_leq,
 )
-from oracles import path_of_length_exists, random_nfa, widen_nfa, word_value_by_paths
+from oracles import boolean_support, path_of_length_exists, random_nfa, widen_nfa, word_value_by_paths
 
 
 def report(criterion: int, detail: str) -> None:
@@ -242,7 +242,7 @@ def test_criterion_7_property_suites():
             for k in range(1, max_power + 1):
                 if k > 1:
                     power = power.otimes(m)
-                support = power.boolean_support()
+                support = boolean_support(power)
                 for i in range(n):
                     for j in range(n):
                         assert (support[i, j] == UNIT) == path_of_length_exists(

@@ -1,3 +1,4 @@
+import itertools
 import random
 import types
 
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from maxplushybrid.finite import language_upto as fa_language
 from maxplushybrid.fixtures import random_mpa
+from maxplushybrid.hybrid import from_smpl_open, run
 from maxplushybrid.mpa import (
     MaxPlusAutomaton,
+    MpaBehaviour,
     accepts,
     eval_output,
     eval_state,
@@ -16,6 +19,7 @@ from maxplushybrid.mpa import (
     step_row,
     to_finite_abstraction,
 )
+from maxplushybrid.smpl import from_mpa, simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
 from oracles import accepted_words_by_paths, step_row_dense, word_value_by_paths
 
@@ -203,19 +207,48 @@ class TestStepRow:
         # hold TOP, which MaxPlusAutomaton refuses.
         n = data.draw(st.integers(min_value=0, max_value=6))
         m = TropicalMatrix(n, n, tuple(data.draw(st.lists(weights, min_size=n * n, max_size=n * n))))
-        row = TropicalMatrix.row_vector(data.draw(st.lists(weights, min_size=n, max_size=n)))
+        row = tuple(data.draw(st.lists(weights, min_size=n, max_size=n)))
         a = types.SimpleNamespace(mu={"a": m})
-        assert step_row(a, row, "a") == step_row_dense(row, m)
-        assert step_row(a, row, "a") == step_row_dense(row, m)  # again, over the kept support
+        dense = step_row_dense(TropicalMatrix.row_vector(row), m).entries
+        assert step_row(a, row, "a") == dense
+        assert step_row(a, row, "a") == dense  # again, over the kept support
 
     def test_eps_absorbs_top(self):
         a = types.SimpleNamespace(mu={"a": TropicalMatrix.from_rows([[TOP, 0.0], [EPS, TOP]])})
-        assert step_row(a, TropicalMatrix.row_vector((EPS, 2.0)), "a").entries == (EPS, TOP)
-        assert step_row(a, TropicalMatrix.row_vector((1.0, EPS)), "a").entries == (TOP, 1.0)
-        assert step_row(a, TropicalMatrix.row_vector((EPS, EPS)), "a").is_all_epsilon()
+        assert step_row(a, (EPS, 2.0), "a") == (EPS, TOP)
+        assert step_row(a, (1.0, EPS), "a") == (TOP, 1.0)
+        assert step_row(a, (EPS, EPS), "a") == (EPS, EPS)
 
     def test_shape_and_symbol_checks(self, gaubert):
         with pytest.raises(ValueError, match="shape mismatch"):
-            step_row(gaubert, TropicalMatrix.row_vector((0.0, 0.0)), "a")
+            step_row(gaubert, (0.0, 0.0), "a")
         with pytest.raises(ValueError, match="unknown symbol"):
-            step_row(gaubert, TropicalMatrix.row_vector(gaubert.alpha), "c")
+            step_row(gaubert, gaubert.alpha, "c")
+
+
+def assert_fold_follows_the_translations(a: MaxPlusAutomaton, max_len: int = 5) -> None:
+    """For every word up to max_len, the automaton's fold halts where the
+    translated switching system and hybrid automaton halt, gives their
+    records, and outputs each prefix's value over all paths."""
+    system = from_mpa(a)
+    h = from_smpl_open(system)
+    stepper = MpaBehaviour(a)
+    words = [w for k in range(max_len + 1) for w in itertools.product(a.alphabet, repeat=k)]
+    values = {w: word_value_by_paths(a, w) for w in words}
+    for w in words:
+        inputs = word_inputs(w)
+        folded, simulated, ran = stepper.fold(inputs), simulate(system, inputs), run(h, inputs)
+        assert folded.halted_at == simulated.halted_at == ran.halted_at, w
+        assert folded.records == simulated.records == ran.records, w
+        assert folded.outputs() == tuple((values[w[:j]],) for j in range(1, len(folded.records) + 1)), w
+
+
+class TestFoldAlongTheTranslations:
+    def test_gaubert(self, gaubert):
+        assert_fold_follows_the_translations(gaubert)
+        assert MpaBehaviour(gaubert).fold(word_inputs("abaaa")).halted_at == 5
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    def test_random_automata(self, seed, n):
+        assert_fold_follows_the_translations(random_mpa(random.Random(seed), n_states=n))
