@@ -147,13 +147,21 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
         raise UsageError(f"inputs file is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise UsageError("inputs file must hold a JSON list of steps")
+    symbols = _symbols_of(doc)
     steps = []
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise UsageError(f"inputs[{k}] must be an object with u, v, w, r, p fields")
         w = entry.get("w")
-        if w is not None and not isinstance(w, str):
+        if w is None:
+            if doc.kind == "mpa":
+                raise UsageError(f"inputs[{k}].w in {args.inputs!r} is missing; an mpa step reads a symbol")
+        elif not isinstance(w, str):
             raise UsageError(f"inputs[{k}].w must be a symbol string")
+        elif symbols is not None and w not in symbols:
+            raise UsageError(
+                f"inputs[{k}].w {w!r} in {args.inputs!r} is not in the alphabet {list(symbols)}"
+            )
         signals = {key: decode_vector(entry.get(key, []), f"inputs[{k}].{key}") for key in "uvrp"}
         steps.append(smpl.StepInput(w=w, **signals))
     return tuple(steps)

@@ -12,10 +12,19 @@ form is computed by distributing min over max and pruning projections that
 are coefficientwise above another (those can never attain the min), which
 leaves an antichain.  That antichain is what the one-step transition graphs
 are read off from, so its stability matters more than its size.
+
+A mode's matrix form, min over l of (A[l] ox x oplus B[l] ox u), is the
+stacked conjunctive form of its components.  Each of its two maps compiles
+once, on first use, to rows of branches; a branch is the non-EPS (index,
+weight) pairs of one projection over x ++ u.  Stacking pads a component by
+repeating its last projection, and the compiled row keeps each distinct
+branch once, so a padded component is evaluated once per step, not once
+per level.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -315,6 +324,9 @@ class MatrixForm:
         for d in self.D:
             if d.rows != rows_c:
                 raise ValueError("D row count must match C")
+        widths = sorted({m.cols for m in self.B + self.D})
+        if len(widths) > 1:
+            raise ValueError(f"B and D matrices must share one input width, got widths {widths}")
 
     @property
     def n_state(self) -> int:
@@ -328,30 +340,73 @@ class MatrixForm:
     def n_output(self) -> int:
         return self.C[0].rows
 
+    @functools.cached_property
+    def _state_map(self) -> _CompiledMap:
+        return _compile(self.A, self.B)
+
+    @functools.cached_property
+    def _output_map(self) -> _CompiledMap:
+        return _compile(self.C, self.D)
+
     def eval_state(self, x: Sequence[Weight], u: Sequence[Weight] = ()) -> tuple[Weight, ...]:
-        return _min_of_products(self.A, self.B, x, u)
+        return _eval_compiled(self._state_map, x, u)
 
     def eval_output(self, x: Sequence[Weight], u: Sequence[Weight] = ()) -> tuple[Weight, ...]:
-        return _min_of_products(self.C, self.D, x, u)
+        return _eval_compiled(self._output_map, x, u)
 
 
-def _min_of_products(
-    mats: Sequence[TropicalMatrix],
-    input_mats: Sequence[TropicalMatrix],
-    x: Sequence[Weight],
-    u: Sequence[Weight],
+# (rows, x width, u width); each row is a tuple of branches and each
+# branch a tuple of non-EPS (index, weight) pairs over x ++ u.
+_CompiledMap = tuple[tuple[tuple[tuple[tuple[int, Weight], ...], ...], ...], int, int]
+
+
+def _compile(
+    mats: Sequence[TropicalMatrix], input_mats: Sequence[TropicalMatrix]
+) -> _CompiledMap:
+    """Per row, the branches in order with later duplicates dropped: a
+    duplicate takes the same value, and the min keeps the first of equals."""
+    n_x, n_u = mats[0].cols, input_mats[0].cols
+    rows = []
+    for i in range(mats[0].rows):
+        branches: list[tuple[tuple[int, Weight], ...]] = []
+        for a, b in zip(mats, input_mats):
+            pairs = a.row_support[i] + tuple((n_x + j, w) for j, w in b.row_support[i])
+            if pairs not in branches:
+                branches.append(pairs)
+        rows.append(tuple(branches))
+    return tuple(rows), n_x, n_u
+
+
+def _eval_compiled(
+    compiled: _CompiledMap, x: Sequence[Weight], u: Sequence[Weight]
 ) -> tuple[Weight, ...]:
-    out: list[Weight] | None = None
-    for a, b in zip(mats, input_mats):
-        vec = list(a.apply(x))
-        if b.cols:
-            for i, v in enumerate(b.apply(u)):
-                vec[i] = oplus(vec[i], v)
-        if out is None:
-            out = vec
-        else:
-            out = [oplus_dual(p, q) for p, q in zip(out, vec)]
-    assert out is not None
+    """min over a row's branches of the max over the branch's pairs.
+
+    A pair's weight is finite or TOP, so its term is a plain sum unless
+    the variable is EPS, which absorbs even against TOP.  Ties keep the
+    first maximum and the first minimum.  u is not read at input width 0.
+    """
+    rows, n_x, n_u = compiled
+    if len(x) != n_x:
+        raise ValueError(f"shape mismatch: {len(rows)}x{n_x} by {len(x)}")
+    if n_u:
+        if len(u) != n_u:
+            raise ValueError(f"shape mismatch: {len(rows)}x{n_u} by {len(u)}")
+        x = (*x, *u)
+    out: list[Weight] = []
+    for branches in rows:
+        low = TOP
+        for pairs in branches:
+            acc = EPS
+            for j, a in pairs:
+                b = x[j]
+                if b != EPS:
+                    term = a + b
+                    if term > acc:
+                        acc = term
+            if acc < low:
+                low = acc
+        out.append(low)
     return tuple(out)
 
 

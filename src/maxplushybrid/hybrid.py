@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .expressions import MatrixForm, transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
@@ -60,8 +60,7 @@ def identity_reset(x: tuple[Weight, ...]) -> tuple[Weight, ...]:
     return x
 
 
-@dataclass(frozen=True)
-class HybridState:
+class HybridState(NamedTuple):
     mode: int
     x: tuple[Weight, ...]
 
@@ -216,9 +215,7 @@ def _translate(
         if memo[1] is z and memo[2] is inp and memo[0] == source:
             return memo[3]
         u, v = resolve_inputs(s, z, inp)
-        probe = SwitchProbe(
-            prev_mode=source, x=read_x(z), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
-        )
+        probe = SwitchProbe(source, read_x(z), u, v, inp.w, inp.r, inp.p)
         by_mode = {cand.mode: cand for cand in s.switching.successor_set(probe)}
         memo[:] = (source, z, inp, (u, v, by_mode))
         return memo[3]

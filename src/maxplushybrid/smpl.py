@@ -73,8 +73,7 @@ class StepInput:
     p: tuple[Weight, ...] = ()
 
 
-@dataclass(frozen=True)
-class SwitchProbe:
+class SwitchProbe(NamedTuple):
     """What a switching rule is allowed to look at."""
 
     prev_mode: int | None
@@ -340,10 +339,11 @@ class SmplSystem:
 
 
 def resolve_inputs(
-    s: SmplSystem, z: tuple[Weight, ...], inp: StepInput
+    s: SmplSystem, z: tuple[Weight, ...] | None, inp: StepInput
 ) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
     """Controlled inputs for this step: from the controller when present,
-    verbatim from the step input otherwise."""
+    verbatim from the step input otherwise.  Only a controller reads the
+    performance signal z, so z may be None without one."""
     if s.controller is not None:
         return tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
     return tuple(inp.u), tuple(inp.v)
@@ -370,19 +370,20 @@ def step(
     u_prev: Sequence[Weight] | None = None,
     v_prev: Sequence[Weight] | None = None,
 ) -> StepRecord:
-    """One event step: resolve inputs, resolve the mode, advance, output."""
-    u_prev = (EPS,) * s.dims.n_u if u_prev is None else tuple(u_prev)
-    v_prev = (EPS,) * s.dims.n_v if v_prev is None else tuple(v_prev)
-    z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
+    """One event step: resolve inputs, resolve the mode, advance, output.
+    The performance signal is built only for a controller to read."""
+    z = None
+    if s.controller is not None:
+        u_prev = (EPS,) * s.dims.n_u if u_prev is None else tuple(u_prev)
+        v_prev = (EPS,) * s.dims.n_v if v_prev is None else tuple(v_prev)
+        z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
     u, v = resolve_inputs(s, z, inp)
     if len(u) != s.dims.n_u or len(v) != s.dims.n_v:
         raise ValueError(
             f"resolved inputs have shape ({len(u)}, {len(v)}), "
             f"expected ({s.dims.n_u}, {s.dims.n_v})"
         )
-    probe = SwitchProbe(
-        prev_mode=prev_mode, x=tuple(x_prev), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
-    )
+    probe = SwitchProbe(prev_mode, tuple(x_prev), u, v, inp.w, inp.r, inp.p)
     candidates = s.switching.successor_set(probe)
     successors = tuple(cand.mode for cand in candidates)
     for mode in successors:
@@ -439,6 +440,9 @@ def symbol_liveness_rule(
     symbols = tuple(symbols)
     if len(symbols) != len(modes):
         raise ValueError("need exactly one symbol per mode")
+    modes_of: dict[str, list[int]] = {}
+    for mode, symbol in enumerate(symbols, start=1):
+        modes_of.setdefault(symbol, []).append(mode)
 
     def successors(probe: SwitchProbe) -> list[Candidate]:
         out = []
@@ -448,9 +452,7 @@ def symbol_liveness_rule(
                 f"step input has u++r++p width {len(win)} "
                 f"({len(probe.u)}+{len(probe.r)}+{len(probe.p)}), expected {input_width}"
             )
-        for mode, symbol in enumerate(symbols, start=1):
-            if probe.w != symbol:
-                continue
+        for mode in modes_of.get(probe.w, ()):
             dynamics = modes[mode]
             x = dynamics.next_state(probe.x, win)
             if has_finite_entry(x):

@@ -7,8 +7,10 @@ two infinities by letting max-plus operations take preference: EPS absorbs
 under ``otimes`` even against TOP, and dually TOP absorbs under
 ``otimes_dual``.  Both semirings must share these two helpers so that they
 agree on mixed values; do not replace them with raw ``+``.  The exceptions
-are the matrix-vector products ``TropicalMatrix.apply`` and ``left_apply``,
-the hot loops, which add by hand after ruling out EPS on both sides.
+are the hot loops, which add by hand after ruling out EPS on both sides:
+the matrix-vector products ``TropicalMatrix.apply`` and ``left_apply``, and
+the compiled mode rows of ``expressions.MatrixForm``, which are built from
+``TropicalMatrix.row_support``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ def vec_leq(x: Sequence[Weight], y: Sequence[Weight]) -> bool:
 
 
 def has_finite_entry(x: Sequence[Weight]) -> bool:
-    return any(is_finite(a) for a in x)
+    for a in x:
+        if a != EPS and a != TOP:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ class TropicalMatrix:
         return any(a == TOP for a in self.entries)
 
     @functools.cached_property
-    def _row_support(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
+    def row_support(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
         """Per row, the (column, weight) pairs whose weight is not EPS."""
         m = self.cols
         return tuple(
@@ -205,7 +210,7 @@ class TropicalMatrix:
         if self.cols != len(x):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} by {len(x)}")
         out: list[Weight] = []
-        for support in self._row_support:
+        for support in self.row_support:
             acc = EPS
             for j, a in support:
                 b = x[j]
@@ -225,7 +230,7 @@ class TropicalMatrix:
         if self.rows != len(x):
             raise ValueError(f"shape mismatch: {len(x)} by {self.rows}x{self.cols}")
         out = [EPS] * self.cols
-        for b, support in zip(x, self._row_support):
+        for b, support in zip(x, self.row_support):
             if b != EPS:
                 for j, a in support:
                     term = b + a

@@ -14,7 +14,7 @@ import random
 from maxplushybrid import hybrid, smpl
 from maxplushybrid.finite import FiniteAutomaton, language_upto, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton
-from maxplushybrid.tropical import EPS, UNIT, TropicalMatrix, Weight, otimes
+from maxplushybrid.tropical import EPS, UNIT, TropicalMatrix, Weight, oplus, oplus_dual, otimes
 
 
 def word_value_by_paths(a: MaxPlusAutomaton, word) -> Weight:
@@ -90,6 +90,24 @@ def apply_dense(m: TropicalMatrix, x) -> tuple[Weight, ...]:
             if term > acc:
                 acc = term
         out.append(acc)
+    return tuple(out)
+
+
+def min_of_products(mats, input_mats, x, u) -> tuple[Weight, ...]:
+    """min over l of (mats[l] ox x oplus input_mats[l] ox u), through one
+    matrix-vector product per matrix, every branch in full, as opposed to
+    the compiled rows of distinct branches over x ++ u."""
+    out = None
+    for a, b in zip(mats, input_mats):
+        vec = list(a.apply(x))
+        if b.cols:
+            for i, v in enumerate(b.apply(u)):
+                vec[i] = oplus(vec[i], v)
+        if out is None:
+            out = vec
+        else:
+            out = [oplus_dual(p, q) for p, q in zip(out, vec)]
+    assert out is not None
     return tuple(out)
 
 

@@ -5,6 +5,7 @@ or recomputed through an independent oracle inside the test; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import random
 import subprocess
@@ -282,3 +283,23 @@ def test_criterion_8_reproduce_is_byte_deterministic():
     assert first.stdout == second.stdout
     assert first.stdout.strip()
     report(8, "reproduce --seed 42 emits byte-identical reports on two runs")
+
+
+# sha256 of the `mph reproduce --seed 42` report as text and with
+# `--format json`.  The report must stay byte-identical across changes that
+# keep every verdict and number; a change that means to alter it updates
+# these pins.
+REPRODUCE_SEED_42_SHA256 = {
+    (): "48101707488b03a43bc38b9ae729acd8fe685090bc64a15eb316d5433153c8e0",
+    ("--format", "json"): "96e834d6842a8179912a68ff85c77104645447b3251cdbc10d56d9ee03f6db28",
+}
+
+
+def test_reproduce_seed_42_report_is_pinned():
+    for extra, digest in REPRODUCE_SEED_42_SHA256.items():
+        result = subprocess.run(
+            [sys.executable, "-m", "maxplushybrid", "reproduce", "--seed", "42", *extra],
+            capture_output=True,
+        )
+        assert result.returncode == 0
+        assert hashlib.sha256(result.stdout).hexdigest() == digest, extra

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from maxplushybrid.expressions import (
     ConjunctiveForm,
     Const,
     InputVar,
+    MatrixForm,
     Max,
     MaxPlusProjection,
     Min,
@@ -28,7 +30,7 @@ from maxplushybrid.fixtures import (
     production_line_output_expr,
     production_line_state_exprs,
 )
-from maxplushybrid.tropical import EPS, TOP, oplus, oplus_dual
+from maxplushybrid.tropical import EPS, TOP, TropicalMatrix, oplus, oplus_dual
 
 finite = st.integers(min_value=-8, max_value=8).map(float)
 extended = st.one_of(st.just(EPS), st.just(TOP), finite)
@@ -214,6 +216,107 @@ class TestMatrixForm:
     def test_empty_component_list_rejected(self):
         with pytest.raises(ValueError):
             to_matrix_form([], [to_conjunctive(Var(0), 1)], 0)
+
+
+# Small weights tie often, and -0.0 tells the first of two tied zero terms
+# from the second.
+entry = st.one_of(st.sampled_from([EPS, EPS, TOP, -0.0, -0.0, 0.0, 1.0]), finite)
+
+
+def matrices(data, count, rows, cols):
+    """count matrices, some of them repeats of earlier ones."""
+    out = []
+    for _ in range(count):
+        if out and data.draw(st.booleans()):
+            out.append(data.draw(st.sampled_from(out)))
+        else:
+            ent = tuple(data.draw(entry) for _ in range(rows * cols))
+            out.append(TropicalMatrix(rows, cols, ent))
+    return tuple(out)
+
+
+def signed(values):
+    """Values with the sign of zero kept, so ties must resolve alike."""
+    return [repr(v) for v in values]
+
+
+class TestCompiledMaps:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_maps_match_the_min_of_matrix_products(self, data):
+        n = data.draw(st.integers(0, 5))
+        n_y = data.draw(st.integers(0, 5))
+        width = data.draw(st.sampled_from([0, 1, 2, 3]))
+        n_branches = data.draw(st.integers(1, 3))
+        n_out_branches = data.draw(st.integers(1, 3))
+        mf = MatrixForm(
+            A=matrices(data, n_branches, n, n),
+            B=matrices(data, n_branches, n, width),
+            C=matrices(data, n_out_branches, n_y, n),
+            D=matrices(data, n_out_branches, n_y, width),
+        )
+        for _ in range(4):
+            x = tuple(data.draw(entry) for _ in range(n))
+            u = tuple(data.draw(entry) for _ in range(width))
+            assert signed(mf.eval_state(x, u)) == signed(oracles.min_of_products(mf.A, mf.B, x, u))
+            assert signed(mf.eval_output(x, u)) == signed(oracles.min_of_products(mf.C, mf.D, x, u))
+
+    def test_ties_keep_the_first_minimum_across_repeated_branches(self):
+        # At x = (-0.0, EPS) the branches take 0.0, -0.0 and 0.0 again: the
+        # first minimum is +0.0, and stays so once the repeat is dropped.
+        rows = ([0.0, EPS], [-0.0, 5.0], [0.0, EPS])
+        mf = MatrixForm(
+            A=tuple(TropicalMatrix.from_rows([r, r]) for r in rows),
+            B=(TropicalMatrix.epsilon(2, 0),) * 3,
+            C=tuple(TropicalMatrix.from_rows([r]) for r in rows),
+            D=(TropicalMatrix.epsilon(1, 0),) * 3,
+        )
+        x = (-0.0, EPS)
+        assert signed(oracles.min_of_products(mf.A, mf.B, x, ())) == ["0.0", "0.0"]
+        assert signed(mf.eval_state(x)) == ["0.0", "0.0"]
+        assert signed(mf.eval_output(x)) == ["0.0"]
+
+    def test_padded_rows_compile_to_one_branch(self):
+        exprs = production_line_state_exprs((1.0, 2.0, 3.0))[1]
+        mf = to_matrix_form([to_conjunctive(e, 3) for e in exprs], [to_conjunctive(Var(2), 3)], 3)
+        rows, n_x, n_u = mf._state_map
+        assert (n_x, n_u) == (3, 0)
+        assert [len(branches) for branches in rows] == [1, 1, 2]
+
+    def test_shape_errors(self):
+        mf = MatrixForm(
+            A=(TropicalMatrix.identity(2),),
+            B=(TropicalMatrix.epsilon(2, 1),),
+            C=(TropicalMatrix.from_rows([[0.0, EPS]]),),
+            D=(TropicalMatrix.epsilon(1, 1),),
+        )
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mf.eval_state((0.0,), (0.0,))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mf.eval_state((0.0, 0.0), ())
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mf.eval_output((0.0, 0.0), (0.0, 1.0))
+
+    def test_u_is_not_read_at_input_width_zero(self):
+        mf = MatrixForm(
+            A=(TropicalMatrix.from_rows([[1.0, EPS], [0.0, 2.0]]),),
+            B=(TropicalMatrix.epsilon(2, 0),),
+            C=(TropicalMatrix.from_rows([[EPS, 0.0]]),),
+            D=(TropicalMatrix.epsilon(1, 0),),
+        )
+        for u in ((), (5.0,), (EPS, TOP, 1.0)):
+            assert mf.eval_state((1.0, EPS), u) == (2.0, 1.0)
+            assert mf.eval_output((1.0, 3.0), u) == (3.0,)
+
+    @pytest.mark.parametrize("b_widths, d_widths", [((1, 2), (1,)), ((1,), (2,)), ((0,), (1,))])
+    def test_one_input_width_across_b_and_d(self, b_widths, d_widths):
+        with pytest.raises(ValueError, match="one input width"):
+            MatrixForm(
+                A=tuple(TropicalMatrix.identity(2) for _ in b_widths),
+                B=tuple(TropicalMatrix.epsilon(2, w) for w in b_widths),
+                C=tuple(TropicalMatrix.epsilon(1, 2) for _ in d_widths),
+                D=tuple(TropicalMatrix.epsilon(1, w) for w in d_widths),
+            )
 
 
 class TestTransitionGraphs:

@@ -52,6 +52,12 @@ class TestHybridStep:
         state = HybridState(1, from_mpa(gaubert).x0)
         assert hybrid_step(gaubert_maha, state, StepInput(w="b")) == ()
 
+    def test_hybrid_state_fields_and_keyword_construction(self):
+        state = HybridState(mode=2, x=(EPS, 1.0))
+        assert HybridState._fields == ("mode", "x")
+        assert (state.mode, state.x) == (2, (EPS, 1.0))
+        assert state == HybridState(2, (EPS, 1.0)) == (2, (EPS, 1.0))
+
     def test_identity_dynamics_with_a_true_invariant_loop_forever(self):
         h = HybridAutomaton(
             modes=(1,),

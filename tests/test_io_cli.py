@@ -240,6 +240,39 @@ class TestCliCommands:
         assert payload["trace"][0]["x"] == [1, 2, 4]
         assert payload["trace"][0]["y"] == [4]
 
+    @pytest.mark.parametrize("model", ["production_line", "production_line-as-maha"])
+    def test_inputs_symbol_outside_the_alphabet_exits_two(self, tmp_path, model):
+        if model.endswith("-as-maha"):
+            path = tmp_path / "h.json"
+            path.write_text(run_cli("translate", "production_line", "--to", "maha").stdout)
+            model = str(path)
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "l1"}, {"w": "zz"}]))
+        result = run_cli("simulate", model, "--inputs", str(inputs))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: inputs[1].w 'zz' in {str(inputs)!r} is not in the alphabet ['l1', 'l2']\n"
+        )
+        assert result.stdout == ""
+
+    def test_mpa_inputs_need_a_symbol_on_every_step(self, tmp_path):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "a"}, {"u": []}]))
+        result = run_cli("simulate", "gaubert_mpa", "--inputs", str(inputs))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: inputs[1].w in {str(inputs)!r} is missing; an mpa step reads a symbol\n"
+        )
+        assert result.stdout == ""
+
+    def test_mpa_inputs_file_runs_like_the_word(self, tmp_path):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "a"}, {"w": "b"}, {"w": "a"}]))
+        by_file = run_cli("simulate", "gaubert_mpa", "--inputs", str(inputs), "--format", "json")
+        by_word = run_cli("simulate", "gaubert_mpa", "--word", "aba", "--format", "json")
+        assert by_file.returncode == by_word.returncode == 0
+        assert json.loads(by_file.stdout)["trace"] == json.loads(by_word.stdout)["trace"]
+
     def test_reproduce_passes_and_is_deterministic(self):
         first = run_cli("reproduce", "--seed", "42", "--format", "json")
         second = run_cli("reproduce", "--seed", "42", "--format", "json")
@@ -423,6 +456,11 @@ def set_path(*path_and_value):
         (("simulate", "--word", "m1"), malformed("feedback_demo", set_path("controller", 5)), "'controller'"),
         (("simulate", "--word", "m1"), malformed("feedback_demo", set_path("modes", 0, "B", 5)), "modes[0] 'B'"),
         (
+            ("simulate", "--word", "m1"),
+            malformed("feedback_demo", set_path("modes", 0, "D", [[[0, 0]]])),
+            "modes[0]: B and D matrices must share one input width",
+        ),
+        (
             ("simulate", "--word", "l1"),
             json.dumps({"kind": "maha", "system": json.loads(fixtures.fixture_text("production_line")), "meta": 5}),
             "maha 'meta'",
@@ -431,7 +469,8 @@ def set_path(*path_and_value):
     ids=[
         "inputs-not-objects", "inputs-u-not-a-list", "fa-delta-not-nested", "maha-system-not-an-object",
         "mpa-meta-not-an-object", "smpl-meta-not-an-object", "dims-n-null", "dims-n_u-not-an-integer",
-        "mode-not-an-object", "controller-not-an-object", "mode-B-not-a-list", "maha-meta-not-an-object",
+        "mode-not-an-object", "controller-not-an-object", "mode-B-not-a-list", "mode-D-wider-than-B",
+        "maha-meta-not-an-object",
     ],
 )
 def test_malformed_outside_input_exits_two_without_traceback(tmp_path, argv, text, where):

@@ -67,6 +67,31 @@ class TestStep:
             x = rec.x
 
 
+class TestSwitchProbe:
+    def test_keyword_construction_and_field_names(self):
+        probe = SwitchProbe(prev_mode=None, x=(1.0,), u=(), v=(), w="a", r=(), p=(2.0,))
+        assert SwitchProbe._fields == ("prev_mode", "x", "u", "v", "w", "r", "p")
+        assert probe == SwitchProbe(None, (1.0,), (), (), "a", (), (2.0,))
+        assert (probe.prev_mode, probe.x, probe.w, probe.p) == (None, (1.0,), "a", (2.0,))
+
+    def test_symbol_liveness_steps_only_the_modes_of_the_symbol(self):
+        calls = []
+
+        class Counted(MatrixMode):
+            def next_state(self, x, win):
+                calls.append(self)
+                return super().next_state(x, win)
+
+        mode = Counted(identity_system().modes[1].matrix_form)
+        other = Counted(identity_system().modes[1].matrix_form)
+        rule = symbol_liveness_rule({1: mode, 2: other, 3: mode}, ("go", "stop", "go"), 0)
+        probe = SwitchProbe(None, (1.0, 2.0), (), (), "go", (), ())
+        assert [cand.mode for cand in rule.successor_set(probe)] == [1, 3]
+        assert len(calls) == 2 and all(c is mode for c in calls)
+        assert rule.successor_set(probe._replace(w="halt")) == ()
+        assert len(calls) == 2
+
+
 class TestSimulate:
     def test_word_aab_reaches_the_automaton_output(self, gaubert):
         system = from_mpa(gaubert)
