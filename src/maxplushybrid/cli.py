@@ -154,8 +154,9 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
             raise UsageError(f"inputs[{k}] must be an object with u, v, w, r, p fields")
         w = entry.get("w")
         if w is None:
-            if doc.kind == "mpa":
-                raise UsageError(f"inputs[{k}].w in {args.inputs!r} is missing; an mpa step reads a symbol")
+            if symbols is not None:
+                reads = "an mpa step reads a symbol" if doc.kind == "mpa" else f"a step reads one of {list(symbols)}"
+                raise UsageError(f"inputs[{k}].w in {args.inputs!r} is missing; {reads}")
         elif not isinstance(w, str):
             raise UsageError(f"inputs[{k}].w must be a symbol string")
         elif symbols is not None and w not in symbols:

@@ -12,15 +12,17 @@ Behavioural inclusion compares models of different classes through the
 stepper protocol of smpl.Stepper (init, step, output, complete); each
 class's stepper lives beside its step code (smpl.SmplBehaviour,
 hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Input
-sequences share prefixes, so the bounded check steps each distinct prefix
-once and keeps the two systems' states per prefix for the length of one
-call.
+sequences share prefixes, so the bounded check walks a trie of them, one
+level per input keyed by the input's field tuple, steps each distinct
+prefix once and keeps the two systems' states per prefix for the length
+of one call.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -244,31 +246,33 @@ def behavioural_inclusion_upto(
     of input_sequences determines which counterexample is reported, so feed
     it length-ordered when the shortest one matters.
 
-    Each distinct input prefix is stepped once: a memo maps it to sys1's
-    state (None once dead, which makes every extension vacuous) and sys2's
-    state (None once dead or once an output disagreed).  A sequence only
-    steps past the longest prefix already in the memo.
+    Each distinct input prefix is stepped once: the walk keeps a trie of
+    the prefixes seen, each node holding sys1's state (None once dead,
+    which makes every extension vacuous) and sys2's state (None once dead
+    or once an output disagreed), and a sequence only steps past the
+    longest prefix already in it.
     """
-    # Prefixes are keyed by small integer codes of their inputs, so that a
-    # lookup hashes ints rather than every StepInput of the prefix again.
-    codes: dict[StepInput, int] = {}
-    memo: dict[tuple[int, ...], tuple] = {(): (sys1.init(), sys2.init())}
+    # Children are keyed by the input's field tuple, equal exactly when the
+    # inputs are, whose hash and equality run in C rather than through the
+    # dataclass's generated methods.
+    fields = operator.attrgetter("u", "v", "w", "r", "p")
+    root = (sys1.init(), sys2.init(), {})
     for seq in input_sequences:
         seq = tuple(seq)
-        key = tuple([codes.setdefault(inp, len(codes)) for inp in seq])
-        k = len(key)
-        while key[:k] not in memo:
-            k -= 1
-        s1, s2 = memo[key[:k]]
-        while s1 is not None and k < len(key):
-            inp = seq[k]
-            k += 1
-            s1 = sys1.step(s1, inp)
-            if s1 is not None and s2 is not None:
-                s2 = sys2.step(s2, inp)
-                if s2 is not None and sys2.output(s2) != sys1.output(s1):
-                    s2 = None
-            memo[key[:k]] = (s1, s2)
+        s1, s2, children = root
+        for inp in seq:
+            if s1 is None:
+                break
+            key = fields(inp)
+            node = children.get(key)
+            if node is None:
+                s1 = sys1.step(s1, inp)
+                if s1 is not None and s2 is not None:
+                    s2 = sys2.step(s2, inp)
+                    if s2 is not None and sys2.output(s2) != sys1.output(s1):
+                        s2 = None
+                node = children[key] = (s1, s2, {})
+            s1, s2, children = node
         if s1 is not None and sys1.complete(s1) and (s2 is None or not sys2.complete(s2)):
             return False, seq
     return True, None

@@ -15,12 +15,17 @@ A translated automaton resolves switching once per step: the invariant and
 guards of one source state read one resolution, and the flows take the
 next states its candidates already carry.
 
-MahaBehaviour is the automaton's stepper (smpl.Stepper, next to hybrid_step
-here); a run is its fold, with the smallest successor mode taken each step.
+hybrid_step reads the current mode's guarded out-edges from a table the
+automaton builds once (HybridAutomaton.out_edges) instead of scanning all
+edges, and takes any state with a mode and an x.  MahaBehaviour is the
+automaton's stepper (smpl.Stepper, next to hybrid_step here); it steps
+from its last record as it is, and a run is its fold, with the smallest
+successor mode taken each step.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -32,6 +37,7 @@ from .tropical import EPS, Weight
 
 FlowFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
 PredicateFn = Callable[[tuple[Weight, ...], StepInput], bool]
+ResetFn = Callable[[tuple[Weight, ...]], tuple[Weight, ...]]
 
 
 class InadmissibleInput(ValueError):
@@ -77,9 +83,7 @@ class HybridAutomaton:
     invariant: dict[int, GuardPredicate]
     edges: tuple[tuple[int, int], ...]
     guards: dict[tuple[int, int], GuardPredicate]
-    resets: dict[tuple[int, int], Callable[[tuple[Weight, ...]], tuple[Weight, ...]]] = field(
-        default_factory=dict
-    )
+    resets: dict[tuple[int, int], ResetFn] = field(default_factory=dict)
     admissible: Callable[[int, tuple[Weight, ...], StepInput], bool] = lambda q, x, inp: True
     forms: dict[int, MatrixForm] | None = None
     meta: dict = field(default_factory=dict, compare=False)
@@ -104,33 +108,46 @@ class HybridAutomaton:
     def reset_for(self, edge: tuple[int, int]):
         return self.resets.get(edge, identity_reset)
 
+    @functools.cached_property
+    def out_edges(self) -> dict[int, tuple[tuple[int, GuardPredicate, ResetFn], ...]]:
+        """Per source mode, the (target, guard, reset) of its guarded edges
+        in declaration order; an edge without a guard never fires."""
+        table: dict[int, list] = {q: [] for q in self.modes}
+        for edge in self.edges:
+            guard = self.guards.get(edge)
+            if guard is not None:
+                table[edge[0]].append((edge[1], guard, self.reset_for(edge)))
+        return {q: tuple(out) for q, out in table.items()}
+
     def identity_resets_only(self) -> bool:
         return all(r is identity_reset for r in self.resets.values())
 
 
 def hybrid_step(
-    h: HybridAutomaton, state: HybridState, inp: StepInput
+    h: HybridAutomaton, state: HybridState | StepRecord, inp: StepInput
 ) -> tuple[HybridState, ...]:
-    """Successor hybrid states for one event step, sorted by mode.
+    """Successor hybrid states for one event step, sorted by mode.  The
+    state is anything with a mode and an x, such as a run's last record.
 
     Empty result means the execution is blocked: neither the invariant of
     the current mode nor any outgoing guard admits the pre-step state and
-    the step's inputs.
+    the step's inputs.  A target admitted twice keeps its first flow: the
+    invariant's, then the edges' in declaration order.
     """
-    if not h.admissible(state.mode, state.x, inp):
-        raise InadmissibleInput(f"input not admissible in mode {state.mode}")
+    mode, x = state.mode, state.x
+    if not h.admissible(mode, x, inp):
+        raise InadmissibleInput(f"input not admissible in mode {mode}")
+    flow = h.flow
     out: dict[int, tuple[Weight, ...]] = {}
-    if h.invariant[state.mode].holds(state.x, inp):
-        out[state.mode] = h.flow[state.mode](state.x, inp)
-    for edge in h.edges:
-        if edge[0] != state.mode:
-            continue
-        guard = h.guards.get(edge)
-        if guard is not None and guard.holds(state.x, inp):
-            x_reset = h.reset_for(edge)(state.x)
-            target = edge[1]
-            out.setdefault(target, h.flow[target](x_reset, inp))
-    return tuple(HybridState(q, out[q]) for q in sorted(out))
+    if h.invariant[mode].holds(x, inp):
+        out[mode] = flow[mode](x, inp)
+    for target, guard, reset in h.out_edges[mode]:
+        if guard.holds(x, inp) and target not in out:
+            out[target] = flow[target](reset(x), inp)
+    if len(out) == 1:
+        ((q, x_next),) = out.items()
+        return (HybridState(q, x_next),)
+    return tuple([HybridState(q, out[q]) for q in sorted(out)])
 
 
 @dataclass(frozen=True)
@@ -149,18 +166,18 @@ class MahaBehaviour(Stepper):
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         h = self.automaton
         if state.mode is not None:
-            successors = hybrid_step(h, HybridState(state.mode, state.x), inp)
+            successors = hybrid_step(h, state, inp)
         else:
             merged: dict[int, HybridState] = {}
             for init_state in h.init:
                 for succ in hybrid_step(h, init_state, inp):
                     merged.setdefault(succ.mode, succ)
-            successors = tuple(merged[q] for q in sorted(merged))
+            successors = tuple([merged[q] for q in sorted(merged)])
         if not successors:
             return None
-        current = successors[0]
-        y = h.output[current.mode](current.x, inp)
-        return StepRecord(state.k + 1, current.mode, current.x, y, tuple(succ.mode for succ in successors))
+        mode, x = successors[0]
+        y = h.output[mode](x, inp)
+        return StepRecord(state.k + 1, mode, x, y, tuple([succ.mode for succ in successors]))
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace
@@ -207,7 +224,7 @@ def _translate(
     system's own dynamics of that mode.
     """
     modes = tuple(range(1, s.n_modes + 1))
-    read_x, read_u, write = codec.read_x, codec.read_u, codec.write
+    read_x, read_u, write, dims = codec.read_x, codec.read_u, codec.write, s.dims
     # source, z, inp, then the resolved (u, v) and the candidates by mode
     memo: list = [None, None, None, None]
 
@@ -233,11 +250,12 @@ def _translate(
             x_new = None
             if memo[1] is z and memo[2] is inp:
                 u, v, by_mode = memo[3]
-                if mode in by_mode:
-                    x_new = by_mode[mode].state_for(dynamics)
+                cand = by_mode.get(mode)
+                if cand is not None:
+                    x_new = cand.state_for(dynamics)
             else:
                 u, v = resolve_inputs(s, z, inp)
-            win = input_window(s.dims, u, inp)
+            win = input_window(dims, u, inp)
             if x_new is None:
                 x_new = dynamics.next_state(read_x(z), win)
             return write(mode, x_new, u, v)
@@ -245,8 +263,10 @@ def _translate(
         return flow
 
     def output_fn(mode: int) -> FlowFn:
+        output = s.modes[mode].output
+
         def out(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            return s.modes[mode].output(read_x(z), input_window(s.dims, read_u(z, inp), inp))
+            return output(read_x(z), input_window(dims, read_u(z, inp), inp))
 
         return out
 

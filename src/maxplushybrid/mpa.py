@@ -18,7 +18,7 @@ from typing import Sequence
 from . import finite
 from .finite import FiniteAutomaton, Word, make_delta
 from .smpl import StepInput, Stepper, StepRecord
-from .tropical import EPS, TropicalMatrix, Weight, is_finite, otimes
+from .tropical import EPS, TropicalMatrix, Weight, is_finite
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,14 @@ def step_row(a: MaxPlusAutomaton, row: Sequence[Weight], symbol: str) -> tuple[W
 
 
 def row_value(a: MaxPlusAutomaton, row: Sequence[Weight]) -> Weight:
-    """Value of a row vector: its best sum with a final weight."""
+    """Value of a row vector: its best sum with a final weight (EPS
+    absorbs, as in otimes)."""
     acc = EPS
     for v, b in zip(row, a.beta):
-        acc = max(acc, otimes(v, b))
+        if v != EPS and b != EPS:
+            term = v + b
+            if term > acc:
+                acc = term
     return acc
 
 
@@ -102,7 +106,7 @@ class MpaBehaviour(Stepper):
         if inp.w is None:
             raise ValueError("max-plus automata consume discrete symbols only")
         row = step_row(a, state.x, inp.w)
-        if all(v == EPS for v in row):
+        if row.count(EPS) == len(row):
             return None
         mode = a.alphabet.index(inp.w) + 1
         return StepRecord(state.k + 1, mode, row, (row_value(a, row),), (mode,))

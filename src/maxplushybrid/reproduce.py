@@ -71,21 +71,31 @@ def check_power_collapse() -> CheckResult:
 
 
 def check_behavioural_translation() -> CheckResult:
+    """Word values of the automaton against the last outputs of its
+    switching translation.  Words come shortest first, so each word steps
+    both models once from its parent prefix's records (None once the row
+    dies or the run halts, which every extension inherits)."""
     a = fixtures.gaubert_mpa()
-    system = smpl.from_mpa(a)
+    automaton, system = mpa.MpaBehaviour(a), smpl.SmplBehaviour(smpl.from_mpa(a))
+    records = {(): (automaton.init(), system.init())}
     failures = []
     count = 0
     for word in equivalence.exhaustive_words(a.alphabet, 6):
         count += 1
-        value = mpa.eval_output(a, word)
+        row, run = records[word[:-1]]
+        inp = smpl.StepInput(w=word[-1])
+        row = None if row is None else automaton.step(row, inp)
+        run = None if run is None else system.step(run, inp)
+        records[word] = (row, run)
+        value = EPS if row is None else row.y[0]
         accepted = value != EPS
-        trace = smpl.simulate(system, smpl.word_inputs(word))
-        final_y = trace.records[-1].y[0] if trace.completed and trace.records else EPS
-        if accepted and not trace.completed:
+        completed = run is not None
+        final_y = run.y[0] if completed else EPS
+        if accepted and not completed:
             failures.append(f"{''.join(word)}: accepted but the run halts")
-        if trace.completed and final_y != value:
+        if completed and final_y != value:
             failures.append(f"{''.join(word)}: final output {final_y} disagrees")
-        if accepted != (trace.completed and final_y != EPS):
+        if accepted != (completed and final_y != EPS):
             failures.append(f"{''.join(word)}: acceptance vs accepting run mismatch")
     return CheckResult(
         "mpa-smpl-behaviour",

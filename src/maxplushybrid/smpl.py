@@ -9,7 +9,11 @@ checks can see the nondeterminism.  An empty candidate set halts the run.
 
 A rule that has to compute a mode's next state to decide on it (symbol
 liveness does) hands that state back with the candidate, so a step
-evaluates the chosen mode's dynamics once.
+evaluates the chosen mode's dynamics once.  Around that one evaluation a
+step does little else: without a controller it reads u and v straight
+from its input and builds no performance signal, a rule's output is
+deduplicated and sorted only when it holds more than one candidate, and
+the input window's part widths are checked without building tuples.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step, output, complete), with one StepRecord per step and
@@ -111,13 +115,15 @@ class SwitchingRule:
     spec: dict | None = None
 
     def successor_set(self, probe: SwitchProbe) -> tuple[Candidate, ...]:
-        """The candidates sorted by mode, one per mode (the first yielded)."""
+        """The candidates sorted by mode, one per mode (the first yielded).
+        A rule that yields at most one candidate needs neither."""
+        cands = [cand if isinstance(cand, Candidate) else Candidate(cand) for cand in self.successors(probe)]
+        if len(cands) <= 1:
+            return tuple(cands)
         found: dict[int, Candidate] = {}
-        for cand in self.successors(probe):
-            if not isinstance(cand, Candidate):
-                cand = Candidate(cand)
+        for cand in cands:
             found.setdefault(cand.mode, cand)
-        return tuple(found[mode] for mode in sorted(found))
+        return tuple([found[mode] for mode in sorted(found)])
 
     def enabling_symbols(self, mode: int) -> frozenset[str] | None:
         """Symbols that can select the mode, when declaratively known."""
@@ -354,11 +360,14 @@ def input_window(
 ) -> tuple[Weight, ...]:
     """The continuous input u ++ r ++ p fed to the mode maps, each part
     checked against its declared width."""
-    got = (len(u), len(inp.r), len(inp.p))
-    want = (dims.n_u, dims.n_r, dims.n_p)
-    if got != want:
+    r, p = inp.r, inp.p
+    if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
+        got = (len(u), len(r), len(p))
+        want = (dims.n_u, dims.n_r, dims.n_p)
         raise ValueError(f"step input has (u, r, p) widths {got}, expected {want}")
-    return tuple(u) + tuple(inp.r) + tuple(inp.p)
+    if not r and not p:
+        return tuple(u)
+    return tuple(u) + tuple(r) + tuple(p)
 
 
 def step(
@@ -371,28 +380,31 @@ def step(
     v_prev: Sequence[Weight] | None = None,
 ) -> StepRecord:
     """One event step: resolve inputs, resolve the mode, advance, output.
-    The performance signal is built only for a controller to read."""
-    z = None
+    The performance signal is built only for a controller to read; without
+    one, u and v are the step input's own."""
+    dims = s.dims
     if s.controller is not None:
-        u_prev = (EPS,) * s.dims.n_u if u_prev is None else tuple(u_prev)
-        v_prev = (EPS,) * s.dims.n_v if v_prev is None else tuple(v_prev)
+        u_prev = (EPS,) * dims.n_u if u_prev is None else tuple(u_prev)
+        v_prev = (EPS,) * dims.n_v if v_prev is None else tuple(v_prev)
         z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
-    u, v = resolve_inputs(s, z, inp)
-    if len(u) != s.dims.n_u or len(v) != s.dims.n_v:
+        u, v = resolve_inputs(s, z, inp)
+    else:
+        u, v = tuple(inp.u), tuple(inp.v)
+    if len(u) != dims.n_u or len(v) != dims.n_v:
         raise ValueError(
             f"resolved inputs have shape ({len(u)}, {len(v)}), "
-            f"expected ({s.dims.n_u}, {s.dims.n_v})"
+            f"expected ({dims.n_u}, {dims.n_v})"
         )
     probe = SwitchProbe(prev_mode, tuple(x_prev), u, v, inp.w, inp.r, inp.p)
     candidates = s.switching.successor_set(probe)
-    successors = tuple(cand.mode for cand in candidates)
+    if not candidates:
+        raise NoSuccessorMode(k)
+    successors = tuple([cand.mode for cand in candidates])
     for mode in successors:
         if not 1 <= mode <= s.n_modes:
             raise ValueError(f"switching rule returned unknown mode {mode}")
-    if not successors:
-        raise NoSuccessorMode(k)
     mode = successors[0]
-    win = input_window(s.dims, u, inp)
+    win = input_window(dims, u, inp)
     dynamics = s.modes[mode]
     x = candidates[0].state_for(dynamics)
     if x is None:

@@ -111,6 +111,18 @@ def min_of_products(mats, input_mats, x, u) -> tuple[Weight, ...]:
     return tuple(out)
 
 
+def successor_set_by_dict(rule: smpl.SwitchingRule, probe: smpl.SwitchProbe) -> tuple[smpl.Candidate, ...]:
+    """The rule's candidates, one per mode (the first yielded), sorted by
+    mode, through a dict and a sort whatever their number, as opposed to
+    the pass that skips both for at most one candidate."""
+    found: dict[int, smpl.Candidate] = {}
+    for cand in rule.successors(probe):
+        if not isinstance(cand, smpl.Candidate):
+            cand = smpl.Candidate(cand)
+        found.setdefault(cand.mode, cand)
+    return tuple(found[mode] for mode in sorted(found))
+
+
 def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_prev):
     """One SMPL step that takes only the modes from the switching rule and
     evaluates the chosen mode again, as opposed to reusing the state the

@@ -27,6 +27,8 @@ from maxplushybrid.smpl import (
     MatrixMode,
     SmplSystem,
     StepInput,
+    Stepper,
+    StepRecord,
     from_mpa,
     simulate,
     static_feedback,
@@ -588,3 +590,94 @@ class TestSharedPrefixWalk:
                 behavioural_inclusion_upto(automaton, system, [bad])
         with pytest.raises(ValueError, match="unknown symbol 'l1'"):
             behavioural_inclusion_upto(SmplBehaviour(production), automaton, [word_inputs(("l1",))])
+
+
+def input_fields(inp):
+    return (inp.u, inp.v, inp.w, inp.r, inp.p)
+
+
+class Recorder(Stepper):
+    """A stepper over any inputs that logs every step it takes.  It halts
+    on the inputs in halts; its output is the fields of the inputs read
+    so far, an input in renamed written differently; a run whose last
+    input is in incomplete is not complete."""
+
+    def __init__(self, halts=(), renamed=(), incomplete=()):
+        self.halts, self.renamed, self.incomplete = set(halts), set(renamed), set(incomplete)
+        self.stepped = []
+
+    def init(self):
+        return StepRecord(0, None, (), (), ())
+
+    def step(self, state, inp):
+        self.stepped.append(inp)
+        key = input_fields(inp)
+        if key in self.halts:
+            return None
+        seen = ("renamed", key) if key in self.renamed else key
+        return StepRecord(state.k + 1, 1, (key,), state.y + (seen,), (1,))
+
+    def complete(self, state):
+        return not state.x or state.x[0] not in self.incomplete
+
+
+# Inputs that a key built from u ++ r ++ p, or from w alone, would merge.
+_POOL = (
+    dict(w="a"),
+    dict(w="b"),
+    dict(w="a", u=(1.0,)),
+    dict(w="a", r=(1.0,)),
+    dict(w="a", p=(1.0,)),
+    dict(w="a", r=(2.0,)),
+    dict(w="a", p=(2.0,)),
+    dict(w="a", u=(1.0,), r=(1.0,)),
+)
+
+
+def fresh(indices):
+    """New StepInput objects, equal to the pool's, for each index."""
+    return tuple(StepInput(**_POOL[i]) for i in indices)
+
+
+class TestWalkInputKeys:
+    """The walk keys a prefix by its inputs' field tuples: equal inputs
+    share one prefix whatever the objects, unequal inputs never do."""
+
+    def test_equal_but_distinct_inputs_share_one_prefix(self):
+        sys1, sys2 = Recorder(), Recorder()
+        seqs = [fresh([3]), fresh([3, 1]), fresh([3, 1]), fresh([3, 1, 4])]
+        assert seqs[0][0] is not seqs[1][0]
+        assert behavioural_inclusion_upto(sys1, sys2, seqs) == (True, None)
+        assert [input_fields(inp) for inp in sys1.stepped] == [input_fields(inp) for inp in fresh([3, 1, 4])]
+        assert len(sys2.stepped) == 3
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(3, 5), (4, 6), (2, 3), (2, 4), (3, 4), (0, 3)],
+        ids=["only-r", "only-p", "u-vs-r", "u-vs-p", "r-vs-p", "empty-vs-r"],
+    )
+    def test_inputs_that_differ_in_one_field_are_separate_prefixes(self, first, second):
+        sys1 = Recorder()
+        sys2 = Recorder(halts=[input_fields(fresh([second])[0])])
+        seqs = [fresh([first]), fresh([second])]
+        assert behavioural_inclusion_upto(sys1, sys2, seqs) == (False, seqs[1])
+        assert len(sys1.stepped) == 2
+        assert behavioural_inclusion_by_replay(sys1, sys2, seqs) == (False, seqs[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, len(_POOL) - 1), max_size=4), max_size=12),
+        *[st.sets(st.integers(0, len(_POOL) - 1), max_size=3) for _ in range(5)],
+    )
+    def test_verdict_and_witness_equal_the_replay(self, seqs, halts1, halts2, renamed2, incomplete1, incomplete2):
+        def keys(indices):
+            return [input_fields(inp) for inp in fresh(sorted(indices))]
+
+        def pair():
+            return (
+                Recorder(halts=keys(halts1), incomplete=keys(incomplete1)),
+                Recorder(halts=keys(halts2), renamed=keys(renamed2), incomplete=keys(incomplete2)),
+            )
+
+        sequences = [fresh(seq) for seq in seqs]
+        assert behavioural_inclusion_upto(*pair(), sequences) == behavioural_inclusion_by_replay(*pair(), sequences)

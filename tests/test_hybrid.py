@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplushybrid.finite import language_upto
 from maxplushybrid.hybrid import (
@@ -30,6 +32,7 @@ from maxplushybrid.smpl import (
     word_inputs,
 )
 from maxplushybrid.tropical import EPS
+import oracles
 from oracles import nfa_accepts_by_search
 
 
@@ -100,6 +103,106 @@ class TestHybridStep:
         assert len(successors) == 1
         assert successors[0].mode == 2
         assert successors[0].x == system.modes[2].next_state((EPS, 1.0, 3.0), ())
+
+
+def hand_built_automaton() -> HybridAutomaton:
+    """Three modes with several guarded out-edges each, an edge without a
+    guard, non-identity resets, a self-loop whose target the invariant can
+    also admit, and inputs inadmissible in one mode."""
+
+    def flow(q):
+        return lambda x, inp: (x[0] + q, max(x) - q)
+
+    def guard(holds):
+        return GuardPredicate(holds=holds)
+
+    edges = ((1, 2), (1, 3), (1, 1), (2, 1), (2, 3), (3, 1), (3, 2))
+    return HybridAutomaton(
+        modes=(1, 2, 3),
+        n=2,
+        discrete_inputs=("a", "b", "c", "bad"),
+        n_y=1,
+        init=(HybridState(1, (0.0, 1.0)), HybridState(3, (2.0, -1.0))),
+        flow={q: flow(q) for q in (1, 2, 3)},
+        output={q: (lambda x, inp, q=q: (x[1] * q,)) for q in (1, 2, 3)},
+        invariant={
+            1: guard(lambda x, inp: x[0] <= 3),
+            2: guard(lambda x, inp: inp.w == "c"),
+            3: guard(lambda x, inp: True),
+        },
+        edges=edges,
+        guards={
+            (1, 2): guard(lambda x, inp: x[0] > x[1]),
+            (1, 3): guard(lambda x, inp: inp.w == "a"),
+            (1, 1): guard(lambda x, inp: inp.w in ("a", "b")),
+            (2, 1): guard(lambda x, inp: inp.w != "c"),
+            (2, 3): guard(lambda x, inp: x[1] >= 0),
+            (3, 1): guard(lambda x, inp: inp.w == "b"),
+        },
+        resets={(1, 3): lambda x: (x[1], x[0] + 1), (1, 1): lambda x: (x[0] - 5, x[1])},
+        admissible=lambda q, x, inp: not (q == 2 and inp.w == "bad"),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InadmissibleInput as exc:
+        return str(exc)
+
+
+class TestOutEdgeTable:
+    def test_table_lists_the_guarded_out_edges_in_declaration_order(self):
+        h = hand_built_automaton()
+        assert {q: [edge[0] for edge in out] for q, out in h.out_edges.items()} == {
+            1: [2, 3, 1],
+            2: [1, 3],
+            3: [1],
+        }
+        assert h.out_edges[1][1][2] is h.resets[1, 3]
+        assert h.out_edges[2][0][1] is h.guards[2, 1]
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 3),
+        st.tuples(st.integers(-6, 6).map(float), st.integers(-6, 6).map(float)),
+        st.sampled_from(("a", "b", "c", "bad")),
+    )
+    def test_same_successors_as_scanning_every_edge(self, mode, x, w):
+        h = hand_built_automaton()
+        inp = StepInput(w=w)
+        got = outcome(hybrid_step, h, HybridState(mode, x), inp)
+        assert got == outcome(oracles.hybrid_step_apart, h, HybridState(mode, x), inp)
+        if not isinstance(got, str):
+            assert [state.mode for state in got] == sorted({state.mode for state in got})
+
+    def test_invariant_flow_wins_over_a_self_loop_to_the_same_mode(self):
+        h = hand_built_automaton()
+        # invariant x0 <= 3 holds and the self-loop fires on "b": one flow, no reset
+        assert hybrid_step(h, HybridState(1, (0.0, 1.0)), StepInput(w="b")) == (
+            HybridState(1, (1.0, 0.0)),
+        )
+        # invariant fails: the self-loop's flow runs on its reset state
+        assert hybrid_step(h, HybridState(1, (4.0, 9.0)), StepInput(w="b")) == (
+            HybridState(1, (0.0, 8.0)),
+        )
+        # invariant and two edges admit: sorted by mode, the reset on (1, 3)
+        assert hybrid_step(h, HybridState(1, (2.0, 1.0)), StepInput(w="a")) == (
+            HybridState(1, (3.0, 1.0)),
+            HybridState(2, (4.0, 0.0)),
+            HybridState(3, (4.0, 0.0)),
+        )
+
+    def test_runs_match_the_scan_and_a_record_is_a_state(self):
+        h = hand_built_automaton()
+        rng = random.Random(5)
+        for _ in range(60):
+            inputs = tuple(StepInput(w=rng.choice(h.discrete_inputs)) for _ in range(rng.randint(0, 8)))
+            assert outcome(run, h, inputs) == outcome(oracles.run, h, inputs)
+        record = run(h, (StepInput(w="a"),)).records[0]
+        assert hybrid_step(h, record, StepInput(w="b")) == hybrid_step(
+            h, HybridState(record.mode, record.x), StepInput(w="b")
+        )
 
 
 class TestOpenTranslation:

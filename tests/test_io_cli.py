@@ -265,6 +265,21 @@ class TestCliCommands:
         )
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("model", ["production_line", "production_line-as-maha"])
+    def test_inputs_need_a_symbol_when_the_switching_reads_one(self, tmp_path, model):
+        if model.endswith("-as-maha"):
+            path = tmp_path / "h.json"
+            path.write_text(run_cli("translate", "production_line", "--to", "maha").stdout)
+            model = str(path)
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "l1"}, {"u": []}]))
+        result = run_cli("simulate", model, "--inputs", str(inputs))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: inputs[1].w in {str(inputs)!r} is missing; a step reads one of ['l1', 'l2']\n"
+        )
+        assert result.stdout == ""
+
     def test_mpa_inputs_file_runs_like_the_word(self, tmp_path):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps([{"w": "a"}, {"w": "b"}, {"w": "a"}]))

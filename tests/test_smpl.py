@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from maxplushybrid.mpa import MaxPlusAutomaton, accepts, eval_output
 from maxplushybrid.smpl import (
+    Candidate,
     MatrixMode,
     NoSuccessorMode,
     SmplDims,
@@ -24,6 +25,7 @@ from maxplushybrid.smpl import (
     word_inputs,
 )
 from maxplushybrid.tropical import EPS, TropicalMatrix, vec_leq
+from oracles import successor_set_by_dict
 
 
 def word(text: str) -> tuple[str, ...]:
@@ -90,6 +92,45 @@ class TestSwitchProbe:
         assert len(calls) == 2 and all(c is mode for c in calls)
         assert rule.successor_set(probe._replace(w="halt")) == ()
         assert len(calls) == 2
+
+
+# What a rule yields: a bare mode index, or a Candidate whose tag tells
+# apart the candidates of one mode.
+_yielded = st.one_of(
+    st.integers(1, 5),
+    st.builds(lambda mode, tag: Candidate(mode, (float(tag),)), st.integers(1, 5), st.integers(0, 9)),
+)
+
+
+class TestSuccessorSet:
+    @settings(max_examples=200)
+    @given(st.lists(_yielded, max_size=6), st.booleans())
+    def test_same_candidates_as_the_dict_and_sort(self, yielded, as_generator):
+        rule = SwitchingRule(
+            kind=SwitchingKind.STATE_DEPENDENT_AUTONOMOUS,
+            successors=lambda probe: (c for c in yielded) if as_generator else list(yielded),
+        )
+        probe = SwitchProbe(None, (), (), (), None, (), ())
+        got = rule.successor_set(probe)
+        assert got == successor_set_by_dict(rule, probe)
+        assert type(got) is tuple and all(type(cand) is Candidate for cand in got)
+        # each mode keeps its first yielded candidate
+        first = {}
+        for cand in yielded:
+            cand = cand if isinstance(cand, Candidate) else Candidate(cand)
+            first.setdefault(cand.mode, cand)
+        assert got == tuple(first[mode] for mode in sorted(first))
+
+    def test_duplicates_and_an_empty_result(self):
+        probe = SwitchProbe(None, (), (), (), None, (), ())
+        for yielded, want in (
+            ([], ()),
+            ([3], (Candidate(3),)),
+            ([Candidate(2, (1.0,)), 2, Candidate(2, (2.0,))], (Candidate(2, (1.0,)),)),
+            ([3, 1, Candidate(1, (5.0,)), 3], (Candidate(1), Candidate(3))),
+        ):
+            rule = SwitchingRule(kind=SwitchingKind.STATE_DEPENDENT_AUTONOMOUS, successors=lambda p, y=yielded: y)
+            assert rule.successor_set(probe) == want == successor_set_by_dict(rule, probe)
 
 
 class TestSimulate:
