@@ -182,6 +182,8 @@ def _symbols_of(doc: ModelDocument) -> tuple[str, ...] | None:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
     doc = _load_document(args.model)
+    if doc.kind not in ("mpa", "smpl", "maha"):
+        raise UsageError(f"simulate expects an mpa, smpl or maha document, got {doc.kind!r}")
     report = RunReport(command=_echo(args))
     inputs = _step_inputs_from_args(args, doc)
     if args.steps is not None:
@@ -205,10 +207,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
     if doc.kind == "smpl":
         report.payload = _trace_payload(smpl.simulate(doc.model, inputs), successors=True)
         return report, 0
-    if doc.kind == "maha":
-        report.payload = _trace_payload(hybrid.run(doc.model, inputs), successors=False)
-        return report, 0
-    raise UsageError(f"simulate expects an mpa, smpl or maha document, got {doc.kind!r}")
+    report.payload = _trace_payload(hybrid.run(doc.model, inputs), successors=False)
+    return report, 0
 
 
 def _trace_payload(trace: smpl.Trace, successors: bool) -> dict:

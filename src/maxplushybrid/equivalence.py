@@ -5,8 +5,13 @@ per word length, so the first pair that differs on finality carries the
 shortest counterexample; the bounded check stops at its length.
 The greatest simulation keeps one bitset of candidate matches per state
 and revisits a state only when a successor's bitset shrinks (Henzinger,
-Henzinger and Kopke); the greatest bisimulation refines a partition of
-the two automata's disjoint union until no block splits.
+Henzinger and Kopke); the preimage of a bitset under a symbol is computed
+once per call and shared by the states that hold an equal bitset.  The
+greatest bisimulation refines a partition of the two automata's disjoint
+union until no block splits: in rounds that re-sign every state while the
+block count grows fast, then by a split-driven worklist that re-signs
+only the predecessors of the states that changed block, the largest part
+of a split block keeping its id (Hopcroft; Paige and Tarjan).
 
 Behavioural inclusion compares models of different classes through the
 stepper protocol of smpl.Stepper (init, step, output, complete); each
@@ -126,14 +131,20 @@ def _simulation_pairs(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tuple[s
     # matchers[a, t1]: the fa2 states with an a-move into rel[t1], which are
     # all that can still match an fa1 move on a into t1.
     matchers: dict[tuple[str, str], int] = {}
+    # images[a, bitset]: that a-preimage, shared by every fa1 state that
+    # holds an equal bitset.
+    images: dict[tuple[str, int], int] = {}
 
     def refresh(t1: str) -> None:
-        held = list(_bits(rel[t1]))
+        held = rel[t1]
         for a in into[t1]:
-            row = pre2[a]
-            acc = 0
-            for j in held:
-                acc |= row[j]
+            acc = images.get((a, held))
+            if acc is None:
+                row = pre2[a]
+                acc = 0
+                for j in _bits(held):
+                    acc |= row[j]
+                images[a, held] = acc
             matchers[a, t1] = acc
 
     for t1 in fa1.states:
@@ -156,39 +167,120 @@ def _simulation_pairs(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tuple[s
 
 
 def _bisimulation_pairs(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tuple[str, str]]:
-    """Greatest bisimulation between fa1 and fa2, by signature refinement
-    of the coarsest bisimulation on their disjoint union.
+    """Greatest bisimulation between fa1 and fa2: the coarsest partition of
+    their disjoint union that refines finality and in which the members of
+    a block have equal signatures, their sets of (symbol, successor block).
+    The pairs of the relation are the fa1 and fa2 states that share a block.
 
     Union nodes are indices, fa1's states first, so a state name used by
-    both automata stands for two nodes.  A block splits by its members'
-    (symbol, successor block) sets until no block splits; the pairs of
-    the relation are the fa1 and fa2 states that share a final block.
+    both automata stands for two nodes.  Refinement starts in rounds that
+    re-sign every node, which is cheapest while the block count grows
+    geometrically or few nodes are left to split.  Once a round adds fewer
+    blocks than a quarter of the count it had and of the nodes outside
+    them (a k-station line adds two per round), a split-driven worklist
+    takes over.  When a block splits, its largest group keeps the block id
+    and the others move to new ids, so a node moves O(log n) times
+    (Hopcroft's rule, as in Paige and Tarjan).  A pass re-signs only the
+    predecessors of the nodes that moved: each of them has a successor in
+    a block the last pass created, and a member of its block outside the
+    pass has none, so those members stay one group, whose signature has
+    not changed.
     """
     n1 = len(fa1.states)
     nodes = n1 + len(fa2.states)
-    moves: list[list[tuple[str, int]]] = [[] for _ in range(nodes)]
+    labels: list[list[str]] = [[] for _ in range(nodes)]
+    targets: list[list[int]] = [[] for _ in range(nodes)]
     for offset, fa in ((0, fa1), (n1, fa2)):
-        index = {s: offset + i for i, s in enumerate(fa.states)}
-        for (s, a), targets in fa.delta.items():
-            moves[index[s]].extend((a, index[t]) for t in targets)
-    block = [int(s in fa1.final) for s in fa1.states] + [int(s in fa2.final) for s in fa2.states]
+        index = dict(zip(fa.states, range(offset, offset + len(fa.states)))).__getitem__
+        for (s, a), ts in fa.delta.items():
+            v = index(s)
+            labels[v] += [a] * len(ts)
+            targets[v] += map(index, ts)
+    # Finality is the first partition; False and True act as block ids 0 and 1.
+    block = [*map(fa1.final.__contains__, fa1.states), *map(fa2.final.__contains__, fa2.states)]
     count = len(set(block))
     while True:
-        keys: dict[tuple, int] = {}
-        # Built whole from the previous round's blocks before rebinding.
-        block = [
-            keys.setdefault((block[v], frozenset([(a, block[t]) for a, t in moves[v]])), len(keys))
+        get = block.__getitem__
+        keys: dict[tuple[int, frozenset], int] = {}
+        ids = [
+            keys.setdefault((block[v], frozenset(zip(labels[v], map(get, targets[v])))), len(keys))
             for v in range(nodes)
         ]
         if len(keys) == count:
+            return _pairs_sharing_a_block(fa1, fa2, block)
+        added = len(keys) - count
+        if 4 * added < min(count, nodes - len(keys)):
             break
         count = len(keys)
-    sides: dict[int, tuple[list[str], list[str]]] = collections.defaultdict(lambda: ([], []))
-    for i, s in enumerate(fa1.states):
-        sides[block[i]][0].append(s)
-    for j, s in enumerate(fa2.states):
-        sides[block[n1 + j]][1].append(s)
-    return {(s1, s2) for left, right in sides.values() for s1 in left for s2 in right}
+        block = ids
+
+    # The last round's largest group of each block keeps the block's id.
+    sizes = collections.Counter(ids)
+    keeper: dict[int, int] = {}
+    for k, (b, _) in enumerate(keys):
+        if b not in keeper or sizes[k] > sizes[keeper[b]]:
+            keeper[b] = k
+    fresh = max(block) + 1
+    remap = []
+    for k, (b, _) in enumerate(keys):
+        if keeper[b] != k:
+            b, fresh = fresh, fresh + 1
+        remap.append(b)
+    new = list(map(remap.__getitem__, ids))
+    moved = list(itertools.compress(range(nodes), map(operator.ne, block, new)))
+    block = new
+    members: dict[int, set[int]] = collections.defaultdict(set)
+    for v, b in enumerate(block):
+        members[b].add(v)
+    preds: list[list[int]] = [[] for _ in range(nodes)]
+    for v, ts in enumerate(targets):
+        for t in ts:
+            preds[t].append(v)
+
+    while moved:
+        work = set(itertools.chain.from_iterable(map(preds.__getitem__, moved)))
+        # Every signature of a pass is taken before any block id changes.
+        get = block.__getitem__
+        keyed: dict[tuple[int, frozenset], list[int]] = collections.defaultdict(list)
+        for v in work:
+            keyed[block[v], frozenset(zip(labels[v], map(get, targets[v])))].append(v)
+        resigned: dict[int, list[list[int]]] = collections.defaultdict(list)
+        for (b, _), group in keyed.items():
+            resigned[b].append(group)
+        moved = []
+        for b, groups in resigned.items():
+            mem = members[b]
+            rest = len(mem) - sum(map(len, groups))
+            if not rest and len(groups) == 1:
+                continue
+            largest = max(groups, key=len)
+            if len(largest) > rest:
+                members[b] = set(largest)
+                leaving: list[Iterable[int]] = [group for group in groups if group is not largest]
+                if rest:
+                    unchanged = mem - members[b]
+                    for group in leaving:
+                        unchanged.difference_update(group)
+                    leaving.append(unchanged)
+            else:
+                for group in groups:
+                    mem.difference_update(group)
+                leaving = groups
+            for group in leaving:
+                members[fresh] = set(group)
+                for v in group:
+                    block[v] = fresh
+                moved += group
+                fresh += 1
+    return _pairs_sharing_a_block(fa1, fa2, block)
+
+
+def _pairs_sharing_a_block(fa1: FiniteAutomaton, fa2: FiniteAutomaton, block: list[int]) -> set[tuple[str, str]]:
+    """The (fa1 state, fa2 state) pairs whose union nodes share a block."""
+    left: dict[int, list[str]] = collections.defaultdict(list)
+    for s, b in zip(fa1.states, block):
+        left[b].append(s)
+    return {(s1, s2) for s2, b in zip(fa2.states, block[len(fa1.states):]) for s1 in left.get(b, ())}
 
 
 def _initials_covered(

@@ -66,26 +66,3 @@ def make_delta(
         acc.setdefault((s, a), set()).add(t)
     return {k: frozenset(v) for k, v in acc.items()}
 
-
-def language_upto(fa: FiniteAutomaton, max_len: int) -> set[Word]:
-    """Accepted words of length <= max_len; the empty word counts when an
-    initial state is already final."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    out: set[Word] = set()
-    if fa.initial & fa.final:
-        out.add(())
-    frontier: dict[Word, frozenset[str]] = {(): fa.initial}
-    for _ in range(max_len):
-        new_frontier: dict[Word, frozenset[str]] = {}
-        for word, states in frontier.items():
-            for symbol in fa.alphabet:
-                nxt = fa.step(states, symbol)
-                if not nxt:
-                    continue
-                new_word = word + (symbol,)
-                new_frontier[new_word] = nxt
-                if nxt & fa.final:
-                    out.add(new_word)
-        frontier = new_frontier
-    return out

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import finite
 from .finite import FiniteAutomaton, Word, make_delta
 from .smpl import StepInput, Stepper, StepRecord
 from .tropical import EPS, TropicalMatrix, Weight, is_finite
@@ -126,8 +125,22 @@ def language_upto(a: MaxPlusAutomaton, max_len: int) -> set[Word]:
     """All accepted words of length <= max_len, the empty word included
     when the initial and final weights already meet.  A word's value is
     finite exactly when some path avoids every EPS weight, so the
-    weight-free projection accepts the same words."""
-    return finite.language_upto(to_finite_abstraction(a), max_len)
+    weight-free projection accepts the same words; the walk steps the
+    projection's state set of every word that keeps one alive."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    fa = to_finite_abstraction(a)
+    frontier: dict[Word, frozenset[str]] = {(): fa.initial}
+    out = {()} if fa.initial & fa.final else set()
+    for _ in range(max_len):
+        frontier = {
+            word + (symbol,): nxt
+            for word, states in frontier.items()
+            for symbol in fa.alphabet
+            if (nxt := fa.step(states, symbol))
+        }
+        out.update(word for word, states in frontier.items() if states & fa.final)
+    return out
 
 
 def to_finite_abstraction(a: MaxPlusAutomaton) -> FiniteAutomaton:

@@ -7,12 +7,13 @@ touching the matrix recursions or normal forms under test.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import random
 
 from maxplushybrid import hybrid, smpl
-from maxplushybrid.finite import FiniteAutomaton, language_upto, make_delta
+from maxplushybrid.finite import FiniteAutomaton, Word, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton
 from maxplushybrid.tropical import EPS, UNIT, TropicalMatrix, Weight, oplus, oplus_dual, otimes
 
@@ -51,6 +52,31 @@ def path_of_length_exists(adjacency: list[list[int]], src: int, dst: int, k: int
         if not frontier:
             return False
     return dst in frontier
+
+
+def language_upto(fa: FiniteAutomaton, max_len: int) -> set[Word]:
+    """Accepted words of length <= max_len, by stepping the state set of
+    every word that keeps one alive; the empty word counts when an initial
+    state is already final."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    out: set[Word] = set()
+    if fa.initial & fa.final:
+        out.add(())
+    frontier: dict[Word, frozenset[str]] = {(): fa.initial}
+    for _ in range(max_len):
+        new_frontier: dict[Word, frozenset[str]] = {}
+        for word, states in frontier.items():
+            for symbol in fa.alphabet:
+                nxt = fa.step(states, symbol)
+                if not nxt:
+                    continue
+                new_word = word + (symbol,)
+                new_frontier[new_word] = nxt
+                if nxt & fa.final:
+                    out.add(new_word)
+        frontier = new_frontier
+    return out
 
 
 def language_equal_by_word_sets(fa1: FiniteAutomaton, fa2: FiniteAutomaton, max_len: int):
@@ -222,14 +248,16 @@ def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
     return True, None
 
 
-def random_nfa(rng: random.Random, n_states: int = 3, symbols=("a", "b")) -> FiniteAutomaton:
+def random_nfa(rng: random.Random, n_states: int = 3, symbols=("a", "b"), density: float = 0.35) -> FiniteAutomaton:
+    """States s0, s1, ...; each (state, symbol, state) triple is a
+    transition with probability density."""
     states = tuple(f"s{i}" for i in range(n_states))
     triples = [
         (s, symbol, t)
         for s in states
         for symbol in symbols
         for t in states
-        if rng.random() < 0.35
+        if rng.random() < density
     ]
     initial = {s for s in states if rng.random() < 0.4} or {states[0]}
     final = {s for s in states if rng.random() < 0.4} or {states[-1]}
@@ -319,6 +347,95 @@ def relation_by_rescan(fa1: FiniteAutomaton, fa2: FiniteAutomaton, symmetric: bo
     if symmetric and not all(any((s1, s2) in pairs for s1 in fa1.initial) for s2 in fa2.initial):
         return None
     return pairs
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def simulation_without_image_memo(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tuple[str, str]]:
+    """Greatest simulation of fa1 by fa2 by the bitset worklist, each
+    preimage recomputed for every fa1 state that needs it, as opposed to
+    the preimages shared by (symbol, bitset)."""
+    index2 = {s: j for j, s in enumerate(fa2.states)}
+    pre2 = {a: [0] * len(fa2.states) for a in fa2.alphabet}
+    for (s, a), targets in fa2.delta.items():
+        bit = 1 << index2[s]
+        row = pre2[a]
+        for t in targets:
+            row[index2[t]] |= bit
+    final2 = sum(1 << index2[s] for s in fa2.final)
+    anything = (1 << len(fa2.states)) - 1
+    rel = {s: final2 if s in fa1.final else anything for s in fa1.states}
+    moves: dict[str, list[tuple[str, str]]] = {s: [] for s in fa1.states}
+    into: dict[str, set[str]] = {s: set() for s in fa1.states}
+    preds: dict[str, set[str]] = {s: set() for s in fa1.states}
+    for (s, a), targets in fa1.delta.items():
+        for t in targets:
+            moves[s].append((a, t))
+            into[t].add(a)
+            preds[t].add(s)
+    matchers: dict[tuple[str, str], int] = {}
+
+    def refresh(t1: str) -> None:
+        held = list(_bits(rel[t1]))
+        for a in into[t1]:
+            row = pre2[a]
+            acc = 0
+            for j in held:
+                acc |= row[j]
+            matchers[a, t1] = acc
+
+    for t1 in fa1.states:
+        refresh(t1)
+    queue = list(fa1.states)
+    queued = set(queue)
+    while queue:
+        s1 = queue.pop()
+        queued.discard(s1)
+        row = rel[s1]
+        for move in moves[s1]:
+            row &= matchers[move]
+        if row != rel[s1]:
+            rel[s1] = row
+            refresh(s1)
+            for p in preds[s1] - queued:
+                queued.add(p)
+                queue.append(p)
+    return {(s1, fa2.states[j]) for s1 in fa1.states for j in _bits(rel[s1])}
+
+
+def bisimulation_by_rounds(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tuple[str, str]]:
+    """Greatest bisimulation between fa1 and fa2 by signature refinement of
+    their disjoint union in rounds that re-sign every node until no block
+    splits, as opposed to the split-driven worklist."""
+    n1 = len(fa1.states)
+    nodes = n1 + len(fa2.states)
+    moves: list[list[tuple[str, int]]] = [[] for _ in range(nodes)]
+    for offset, fa in ((0, fa1), (n1, fa2)):
+        index = {s: offset + i for i, s in enumerate(fa.states)}
+        for (s, a), targets in fa.delta.items():
+            moves[index[s]].extend((a, index[t]) for t in targets)
+    block = [int(s in fa1.final) for s in fa1.states] + [int(s in fa2.final) for s in fa2.states]
+    count = len(set(block))
+    while True:
+        keys: dict[tuple, int] = {}
+        block = [
+            keys.setdefault((block[v], frozenset([(a, block[t]) for a, t in moves[v]])), len(keys))
+            for v in range(nodes)
+        ]
+        if len(keys) == count:
+            break
+        count = len(keys)
+    sides: dict[int, tuple[list[str], list[str]]] = collections.defaultdict(lambda: ([], []))
+    for i, s in enumerate(fa1.states):
+        sides[block[i]][0].append(s)
+    for j, s in enumerate(fa2.states):
+        sides[block[n1 + j]][1].append(s)
+    return {(s1, s2) for left, right in sides.values() for s1 in left for s2 in right}
 
 
 def step_row_dense(row: TropicalMatrix, m: TropicalMatrix) -> TropicalMatrix:

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 
-from maxplushybrid import equivalence, finite, fixtures, hybrid, mpa, smpl
+from maxplushybrid import equivalence, fixtures, hybrid, mpa, smpl
 from maxplushybrid.expressions import eval_expr, to_conjunctive, transition_graph_f
 from maxplushybrid.tropical import (
     EPS,
@@ -23,7 +23,7 @@ from maxplushybrid.tropical import (
     otimes,
     vec_leq,
 )
-from oracles import boolean_support, path_of_length_exists, random_nfa, widen_nfa, word_value_by_paths
+from oracles import boolean_support, language_upto, path_of_length_exists, random_nfa, widen_nfa, word_value_by_paths
 
 
 def report(criterion: int, detail: str) -> None:
@@ -262,7 +262,7 @@ def test_criterion_7_property_suites():
             continue
         found += 1
         for bound in range(1, 7):
-            assert finite.language_upto(fa1, bound) <= finite.language_upto(fa2, bound)
+            assert language_upto(fa1, bound) <= language_upto(fa2, bound)
     assert found == 20
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -13,6 +13,8 @@ from maxplushybrid.equivalence import (
     MahaBehaviour,
     MpaBehaviour,
     SmplBehaviour,
+    _bisimulation_pairs,
+    _simulation_pairs,
     behavioural_inclusion_upto,
     bisimulation,
     exhaustive_words,
@@ -20,7 +22,7 @@ from maxplushybrid.equivalence import (
     language_equal_exact,
     language_equal_upto,
 )
-from maxplushybrid.finite import FiniteAutomaton, language_upto, make_delta
+from maxplushybrid.finite import FiniteAutomaton, make_delta
 from maxplushybrid.hybrid import finite_abstraction, from_smpl_closed, from_smpl_open, mpa_chain_abstraction, run
 from maxplushybrid.mpa import to_finite_abstraction
 from maxplushybrid.smpl import (
@@ -37,9 +39,12 @@ from maxplushybrid.smpl import (
 from maxplushybrid.tropical import EPS, TropicalMatrix
 from oracles import (
     behavioural_inclusion_by_replay,
+    bisimulation_by_rounds,
     language_equal_by_word_sets,
+    language_upto,
     random_nfa,
     relation_by_rescan,
+    simulation_without_image_memo,
     widen_nfa,
     word_value_by_paths,
 )
@@ -386,6 +391,95 @@ class TestRelationsAgainstRescan:
         )
         merged = {(f"q{q}.x{i}", f"q{q}.x{j}") for q in (1, 2) for i in (1, 2) for j in (1, 2)}
         assert bisimulation(fa1, fa2).pairs == {(s, s) for s in fa1.states} | merged
+
+
+class TestRelationsAgainstTheirOracles:
+    """The simulation with shared preimages and the split-driven
+    bisimulation return exactly the pairs of the code they replaced, and
+    no witness wherever that code's pairs leave an initial state
+    unmatched."""
+
+    @staticmethod
+    def assert_same_as_the_oracles(fa1, fa2):
+        for left, right in ((fa1, fa2), (fa2, fa1)):
+            sim = simulation_without_image_memo(left, right)
+            bis = bisimulation_by_rounds(left, right)
+            assert _simulation_pairs(left, right) == sim
+            assert _bisimulation_pairs(left, right) == bis
+            matched = all(any((s1, s2) in sim for s2 in right.initial) for s1 in left.initial)
+            assert pairs_of(greatest_simulation(left, right)) == (sim if matched else None)
+            matched = all(any((s1, s2) in bis for s2 in right.initial) for s1 in left.initial) and all(
+                any((s1, s2) in bis for s1 in left.initial) for s2 in right.initial
+            )
+            assert pairs_of(bisimulation(left, right)) == (bis if matched else None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 24),
+        st.integers(1, 3),
+        st.sampled_from([0.35, 0.1, 0.04]),
+        st.booleans(),
+    )
+    def test_random_and_widened_nfas(self, seed, n, n_symbols, density, widen):
+        # Sparse draws refine slowly enough to reach the worklist.
+        rng = random.Random(seed)
+        symbols = SYMBOLS[:n_symbols]
+        fa1 = random_nfa(rng, n_states=n, symbols=symbols, density=density)
+        if widen:
+            fa2 = widen_nfa(rng, fa1)
+        else:
+            fa2 = random_nfa(rng, n_states=rng.randint(1, 24), symbols=symbols, density=density)
+        self.assert_same_as_the_oracles(fa1, fa2)
+
+    @pytest.mark.parametrize("k", [3, 4, 6, 12, 24, 48])
+    def test_production_lines_and_planted_faults(self, k, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        generators = importlib.import_module("generators")
+        rng = random.Random(k)
+        fa1, fa2 = (
+            finite_abstraction(from_smpl_open(generators.line_smpl(maxplushybrid, generators.line_taus(rng, k))))
+            for _ in range(2)
+        )
+        self.assert_same_as_the_oracles(fa1, fa2)
+        flipped = rng.choice(sorted(fa2.states))
+        dropped = rng.choice(sorted((s, a, t) for (s, a), targets in fa2.delta.items() for t in targets))
+        for kind, target in (("final", flipped), ("transition", dropped)):
+            self.assert_same_as_the_oracles(fa1, generators.fa_mutant(maxplushybrid, fa2, kind, target))
+
+    @pytest.mark.parametrize("m", [13, 21, 34])
+    def test_cycles_whose_blocks_split_over_many_passes(self, m):
+        # Final states m apart on a cycle of a-steps, b two steps ahead:
+        # each pass splits off a few more distances to a final state, in
+        # both automata, so the rounds hand over to the worklist.
+        def cycle(n, final):
+            states = tuple(f"c{i}" for i in range(n))
+            triples = [(states[i], "a", states[(i + 1) % n]) for i in range(n)]
+            triples += [(states[i], "b", states[(i + 2) % n]) for i in range(n)]
+            return fa_from(triples, initial=[states[0]], final=[states[i] for i in final], states=states)
+
+        base = cycle(m, [m - 1])
+        unrolled = cycle(2 * m, [m - 1, 2 * m - 1])
+        for other in (unrolled, cycle(3 * m, [m - 1, 2 * m - 1, 3 * m - 1]), cycle(m + 1, [m]), cycle(2 * m, [m - 1])):
+            self.assert_same_as_the_oracles(base, other)
+        same_place = {(f"c{i}", f"c{j}") for i in range(m) for j in range(2 * m) if i == j % m}
+        assert bisimulation(base, unrolled).pairs == same_place
+
+    def test_a_block_that_splits_three_ways_in_one_pass(self):
+        # a-chain states reach the final a20 by a-steps, b-chain states the
+        # final b20 by b-steps, and the other symbol leads back to a
+        # chain's start, so a5 and b5 leave the block of far states in the
+        # same pass, long after the rounds have handed over.  The c-block
+        # then splits three ways: x1 and x2 (into a5), x3 (into b5) and y,
+        # which is not re-signed because a0 stays.
+        triples = [("x1", "c", "a5"), ("x2", "c", "a5"), ("x3", "c", "b5"), ("y", "c", "a0")]
+        for i in range(20):
+            triples += [(f"a{i}", "a", f"a{i + 1}"), (f"a{i}", "b", "a0")]
+            triples += [(f"b{i}", "b", f"b{i + 1}"), (f"b{i}", "a", "b0")]
+        fa = fa_from(triples, initial=["x1"], final=["a20", "b20"], alphabet=("a", "b", "c"))
+        self.assert_same_as_the_oracles(fa, fa)
+        related = bisimulation(fa, fa).related
+        assert related("x1", "x2") and not related("x3", "y") and not related("x1", "x3") and not related("x1", "y")
 
 
 class TestSimulationImpliesInclusion:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplushybrid.finite import language_upto
 from maxplushybrid.hybrid import (
     AssumptionViolation,
     GuardPredicate,
@@ -33,7 +32,7 @@ from maxplushybrid.smpl import (
 )
 from maxplushybrid.tropical import EPS
 import oracles
-from oracles import nfa_accepts_by_search
+from oracles import language_upto, nfa_accepts_by_search
 
 
 def random_word_inputs(rng, symbols, length):

@@ -280,6 +280,17 @@ class TestCliCommands:
         )
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("steps", [[{"u": []}], [{"w": "a"}]])
+    def test_simulate_rejects_an_fa_document_before_reading_inputs(self, tmp_path, steps):
+        model = tmp_path / "at.json"
+        model.write_text(run_cli("abstract", "gaubert_mpa").stdout)
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps(steps))
+        result = run_cli("simulate", str(model), "--inputs", str(inputs))
+        assert result.returncode == 2
+        assert result.stderr == "error: simulate expects an mpa, smpl or maha document, got 'fa'\n"
+        assert result.stdout == ""
+
     def test_mpa_inputs_file_runs_like_the_word(self, tmp_path):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps([{"w": "a"}, {"w": "b"}, {"w": "a"}]))

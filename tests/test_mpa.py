@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplushybrid.finite import language_upto as fa_language
 from maxplushybrid.fixtures import random_mpa
 from maxplushybrid.hybrid import from_smpl_open, run
 from maxplushybrid.mpa import (
@@ -22,6 +21,7 @@ from maxplushybrid.mpa import (
 from maxplushybrid.smpl import from_mpa, simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
 from oracles import accepted_words_by_paths, step_row_dense, word_value_by_paths
+from oracles import language_upto as fa_language
 
 weights = st.one_of(st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float))
 
