@@ -45,7 +45,6 @@ from .mpa import (
 from .smpl import (
     ControllerHook,
     MatrixMode,
-    ExpressionMode,
     NoSuccessorMode,
     SmplBehaviour,
     SmplDims,

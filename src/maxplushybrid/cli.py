@@ -20,6 +20,7 @@ from . import equivalence, fixtures, hybrid, mpa, reproduce, smpl
 from .serialization import (
     ModelDocument,
     ModelFormatError,
+    build_maha,
     build_smpl,
     decode_vector,
     encode_weight,
@@ -237,32 +238,38 @@ def cmd_translate(args: argparse.Namespace) -> tuple[RunReport, int]:
         inner = smpl_body(system, meta={"translated_from": "mpa"})
         body = maha_body(inner, loop="open", meta={"name": f"{doc.name or 'mpa'}-as-maha"})
     elif doc.kind == "smpl" and target == "maha":
-        loop = "closed" if doc.model.closed_loop else "open"
-        body = maha_body(doc.body, loop=loop, meta={"name": f"{doc.name or 'smpl'}-as-maha"})
+        body = _maha_of_smpl(doc, meta={"name": f"{doc.name or 'smpl'}-as-maha"})
     else:
         raise UsageError(f"no translation from {doc.kind!r} to {target!r}")
     return RunReport(command=_echo(args), document_output=serialize_body(body)), 0
+
+
+def _maha_of_smpl(doc: ModelDocument, meta: dict | None = None) -> dict:
+    """The maha document of an smpl document: its open- or closed-loop
+    translation, as the system's controller decides."""
+    return maha_body(doc.body, loop="closed" if doc.model.closed_loop else "open", meta=meta)
 
 
 def cmd_abstract(args: argparse.Namespace) -> tuple[RunReport, int]:
     doc = _load_document(args.model)
     if doc.kind == "mpa":
         if args.style == "fused":
-            raise UsageError("the fused style applies to maha documents")
+            raise UsageError("the fused style applies to smpl and maha documents")
         fa = mpa.to_finite_abstraction(doc.model)
-    elif doc.kind == "maha":
+    elif doc.kind in ("smpl", "maha"):
+        automaton = build_maha(_maha_of_smpl(doc)) if doc.kind == "smpl" else doc.model
         if args.style == "fused":
             try:
-                fa = hybrid.mpa_chain_abstraction(doc.model)
+                fa = hybrid.mpa_chain_abstraction(automaton)
             except hybrid.WrongProvenance as exc:
                 raise UsageError(str(exc)) from exc
         else:
             try:
-                fa = hybrid.finite_abstraction(doc.model)
+                fa = hybrid.finite_abstraction(automaton)
             except hybrid.AssumptionViolation as exc:
                 raise UsageError(str(exc)) from exc
     else:
-        raise UsageError(f"abstract expects an mpa or maha document, got {doc.kind!r}")
+        raise UsageError(f"abstract expects an mpa, smpl or maha document, got {doc.kind!r}")
     body = fa_body(fa, meta={"name": f"{doc.name or doc.kind}-abstraction"})
     return RunReport(command=_echo(args), document_output=serialize_body(body)), 0
 

@@ -11,16 +11,21 @@ mode is what makes translated switching systems match step for step.
 Open- and closed-loop switching systems translate by one construction; a
 state codec says where the system's x sits in the hybrid state: x itself
 for the open loop, the augmented state (mode, x, u, v) for the closed loop.
-A translated automaton resolves switching once per step: the invariant and
-guards of one source state read one resolution, and the flows take the
-next states its candidates already carry.
+A translated automaton carries a successor function that takes a whole
+step as a switching-system step does: one input resolution and width
+check, one switching resolution, and each candidate's next state as the
+rule computed it or from one evaluation of its mode.  Its invariants,
+guards and flows describe the same step one predicate at a time; the
+abstraction reads their declarative part and each answers on its own when
+called.
 
-hybrid_step reads the current mode's guarded out-edges from a table the
-automaton builds once (HybridAutomaton.out_edges) instead of scanning all
-edges, and takes any state with a mode and an x.  MahaBehaviour is the
-automaton's stepper (smpl.Stepper, next to hybrid_step here); it steps
-from its last record as it is, and a run is its fold, with the smallest
-successor mode taken each step.
+hybrid_step hands a step to the successor function when the automaton has
+one.  Otherwise (automata built by hand) it scans the invariant and the
+current mode's guarded out-edges, from a table the automaton builds once
+(HybridAutomaton.out_edges).  It takes any state with a mode and an x.
+MahaBehaviour is the automaton's stepper (smpl.Stepper, next to
+hybrid_step here); it steps from its last record as it is, and a run is
+its fold, with the smallest successor mode taken each step.
 """
 
 from __future__ import annotations
@@ -86,6 +91,9 @@ class HybridAutomaton:
     resets: dict[tuple[int, int], ResetFn] = field(default_factory=dict)
     admissible: Callable[[int, tuple[Weight, ...], StepInput], bool] = lambda q, x, inp: True
     forms: dict[int, MatrixForm] | None = None
+    # (mode, x, inp) -> the successors sorted by mode, as the invariant,
+    # guards and flows give them; translations set it
+    successors: Callable[[int, tuple[Weight, ...], StepInput], tuple[HybridState, ...]] | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -132,11 +140,14 @@ def hybrid_step(
     Empty result means the execution is blocked: neither the invariant of
     the current mode nor any outgoing guard admits the pre-step state and
     the step's inputs.  A target admitted twice keeps its first flow: the
-    invariant's, then the edges' in declaration order.
+    invariant's, then the edges' in declaration order.  An automaton with
+    a successor function takes the step through it.
     """
     mode, x = state.mode, state.x
     if not h.admissible(mode, x, inp):
         raise InadmissibleInput(f"input not admissible in mode {mode}")
+    if h.successors is not None:
+        return h.successors(mode, x, inp)
     flow = h.flow
     out: dict[int, tuple[Weight, ...]] = {}
     if h.invariant[mode].holds(x, inp):
@@ -192,16 +203,17 @@ def run(h: HybridAutomaton, inputs: Sequence[StepInput]) -> Trace:
 class _StateCodec:
     """Where a translated automaton keeps the switching system's state.
 
-    read_x and write move between the hybrid state and the system's x;
-    read_u gives the output map this step's controlled input, which the
-    closed loop must read back from the state its flow just wrote.
+    read_x and write move between the hybrid state and the system's x.
+    u_at is where the hybrid state keeps this step's controlled input,
+    which the closed loop's output map must read back from the state its
+    step just wrote; None when u is the step input's own (open loop).
     """
 
     n: int
     init: tuple[Weight, ...]
     read_x: Callable[[tuple[Weight, ...]], tuple[Weight, ...]]
-    read_u: Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
     write: Callable[..., tuple[Weight, ...]]  # (mode, x, u, v) -> hybrid state
+    u_at: slice | None
     meta: dict
 
 
@@ -210,78 +222,69 @@ def _translate(
 ) -> HybridAutomaton:
     """One mode per switching mode, over the codec's state.
 
-    The invariant of mode q collects the (state, input) pairs the rule maps
-    back to q; the guard of edge (q, q') collects the pairs it maps to q'.
-    Controlled inputs are resolved through the controller when one is
-    bundled, so guards and flows see exactly what a simulation step would.
-    Resets are identity and every mode is initial at the codec's state.
+    The successor function steps as smpl.step does: it resolves the
+    controlled inputs (through the controller when one is bundled), checks
+    the input widths once, resolves switching once with the source mode as
+    the previous mode, and writes each candidate mode the system has
+    through the codec, with the next state the rule carried when the rule
+    computed it with the system's own dynamics of that mode, and from one
+    evaluation of that mode otherwise.
 
-    The predicates of one source share a one-entry memo of the last
-    resolution, keyed by (source, z, inp) with z and inp held and compared
-    by identity, so a hybrid step resolves switching once.  A flow's result
-    depends on z and inp only, so a flow takes its mode's next state from
-    the memo whatever the source, when the rule computed it with the
-    system's own dynamics of that mode.
+    The invariant of mode q collects the (state, input) pairs the rule maps
+    back to q; the guard of edge (q, q') collects the pairs it maps to q';
+    the flow of q advances with q's dynamics.  Each resolves what it needs
+    on its own call.  Resets are identity and every mode is initial at the
+    codec's state.
     """
     modes = tuple(range(1, s.n_modes + 1))
-    read_x, read_u, write, dims = codec.read_x, codec.read_u, codec.write, s.dims
-    # source, z, inp, then the resolved (u, v) and the candidates by mode
-    memo: list = [None, None, None, None]
+    read_x, write, dims, rule, dynamics_of = codec.read_x, codec.write, s.dims, s.switching, s.modes
 
     def resolve(source: int, z: tuple[Weight, ...], inp: StepInput) -> tuple:
-        if memo[1] is z and memo[2] is inp and memo[0] == source:
-            return memo[3]
         u, v = resolve_inputs(s, z, inp)
-        probe = SwitchProbe(source, read_x(z), u, v, inp.w, inp.r, inp.p)
-        by_mode = {cand.mode: cand for cand in s.switching.successor_set(probe)}
-        memo[:] = (source, z, inp, (u, v, by_mode))
-        return memo[3]
+        win = input_window(dims, u, inp)
+        x = read_x(z)
+        return u, v, win, x, rule.successor_set(SwitchProbe(source, x, u, v, inp.w, inp.r, inp.p))
 
-    def switch_predicate(source: int, target: int) -> PredicateFn:
+    def successors(source: int, z: tuple[Weight, ...], inp: StepInput) -> tuple[HybridState, ...]:
+        u, v, win, x, candidates = resolve(source, z, inp)
+        out = []
+        for cand in candidates:
+            dynamics = dynamics_of.get(cand.mode)
+            if dynamics is not None:
+                x_new = cand.state_for(dynamics)
+                if x_new is None:
+                    x_new = dynamics.next_state(x, win)
+                out.append(HybridState(cand.mode, write(cand.mode, x_new, u, v)))
+        return tuple(out)
+
+    def guard(source: int, target: int) -> GuardPredicate:
         def holds(z: tuple[Weight, ...], inp: StepInput) -> bool:
-            return target in resolve(source, z, inp)[2]
+            return any(cand.mode == target for cand in resolve(source, z, inp)[4])
 
-        return holds
+        return GuardPredicate(holds=holds, enabled_symbols=rule.enabling_symbols(target))
 
     def flow_fn(mode: int) -> FlowFn:
-        dynamics = s.modes[mode]
+        dynamics = dynamics_of[mode]
 
         def flow(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            x_new = None
-            if memo[1] is z and memo[2] is inp:
-                u, v, by_mode = memo[3]
-                cand = by_mode.get(mode)
-                if cand is not None:
-                    x_new = cand.state_for(dynamics)
-            else:
-                u, v = resolve_inputs(s, z, inp)
-            win = input_window(dims, u, inp)
-            if x_new is None:
-                x_new = dynamics.next_state(read_x(z), win)
-            return write(mode, x_new, u, v)
+            u, v = resolve_inputs(s, z, inp)
+            return write(mode, dynamics.next_state(read_x(z), input_window(dims, u, inp)), u, v)
 
         return flow
 
     def output_fn(mode: int) -> FlowFn:
-        output = s.modes[mode].output
-
-        def out(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            return output(read_x(z), input_window(dims, read_u(z, inp), inp))
-
-        return out
-
-    def guard(source: int, target: int) -> GuardPredicate:
-        return GuardPredicate(
-            holds=switch_predicate(source, target),
-            enabled_symbols=s.switching.enabling_symbols(target),
-        )
+        # the step checked the widths of the inputs it was given
+        output, u_at = dynamics_of[mode].output, codec.u_at
+        if u_at is None:
+            return lambda z, inp: output(read_x(z), inp.u + inp.r + inp.p)
+        return lambda z, inp: output(read_x(z), z[u_at] + inp.r + inp.p)
 
     edges = tuple((q, qq) for q in modes for qq in modes if q != qq)
     return HybridAutomaton(
         modes=modes,
         n=codec.n,
-        discrete_inputs=s.switching.symbols or (),
-        n_y=s.dims.n_y,
+        discrete_inputs=rule.symbols or (),
+        n_y=dims.n_y,
         init=tuple(HybridState(q, codec.init) for q in modes),
         flow={q: flow_fn(q) for q in modes},
         output={q: output_fn(q) for q in modes},
@@ -289,6 +292,7 @@ def _translate(
         edges=edges,
         guards={edge: guard(*edge) for edge in edges},
         forms=forms,
+        successors=successors,
         meta={**codec.meta, "source_provenance": s.meta.get("translated_from")},
     )
 
@@ -301,14 +305,11 @@ def from_smpl_open(s: SmplSystem) -> HybridAutomaton:
         n=s.dims.n,
         init=tuple(s.x0),
         read_x=lambda z: z,
-        read_u=lambda z, inp: tuple(inp.u),
         write=lambda mode, x, u, v: x,
+        u_at=None,
         meta={"translated_from": "smpl_open"},
     )
-    forms = None
-    if all(s.modes[q].form is not None for q in s.modes):
-        forms = {q: s.modes[q].form for q in s.modes}
-    return _translate(s, codec, forms)
+    return _translate(s, codec, {q: s.modes[q].form for q in s.modes})
 
 
 class NonRepresentableController(ValueError):
@@ -334,8 +335,8 @@ def from_smpl_closed(s: SmplSystem) -> HybridAutomaton:
         n=1 + n + n_u + n_v,
         init=s.initial_performance_signal(),
         read_x=lambda z: z[1 : 1 + n],
-        read_u=lambda z, inp: z[1 + n : 1 + n + n_u],
         write=lambda mode, x, u, v: (float(mode),) + x + u + v,
+        u_at=slice(1 + n, 1 + n + n_u),
         meta={
             "translated_from": "smpl_closed",
             "state_layout": {"mode": 0, "x": (1, 1 + n), "u": (1 + n, 1 + n + n_u)},

@@ -221,7 +221,7 @@ def _decode_mode(mode_body: dict, dims: smpl.SmplDims, index: int) -> smpl.Matri
 
 
 def _decode_switching(
-    body: dict, modes: dict[int, smpl.ModeDynamics], dims: smpl.SmplDims
+    body: dict, modes: dict[int, smpl.MatrixMode], dims: smpl.SmplDims
 ) -> smpl.SwitchingRule:
     spec = _require(body, "switching", "smpl", dict)
     rule_type = _require(spec, "type", "switching")
@@ -301,8 +301,6 @@ def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
     modes = []
     for i in range(1, s.n_modes + 1):
         form = s.modes[i].form
-        if form is None:
-            raise ModelFormatError("only matrix-form mode dynamics serialise")
         mode_body: dict[str, Any] = {
             "A": [encode_matrix(m) for m in form.A],
             "C": [encode_matrix(m) for m in form.C],

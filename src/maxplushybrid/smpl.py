@@ -7,13 +7,15 @@ Rules may return several candidate modes; stepping picks the smallest
 index but the full candidate set is kept in the trace so equivalence
 checks can see the nondeterminism.  An empty candidate set halts the run.
 
-A rule that has to compute a mode's next state to decide on it (symbol
-liveness does) hands that state back with the candidate, so a step
-evaluates the chosen mode's dynamics once.  Around that one evaluation a
-step does little else: without a controller it reads u and v straight
-from its input and builds no performance signal, a rule's output is
-deduplicated and sorted only when it holds more than one candidate, and
-the input window's part widths are checked without building tuples.
+A step resolves its controlled inputs (resolve_inputs: the controller's,
+shape-checked, or the step input's own), then checks the widths of u, r
+and p once (input_window) before the rule sees them, and calls the rule's
+successor_set once.  A rule that has to compute a mode's next state to
+decide on it (symbol liveness does) hands that state back with the
+candidate, so a step evaluates the chosen mode's dynamics once.  The
+state and inputs are passed on as the tuples they already are, and a
+rule's output is deduplicated and sorted only when it holds more than one
+candidate.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step, output, complete), with one StepRecord per step and
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .expressions import MatrixForm, MmpsExpression, eval_expr
+from .expressions import MatrixForm
 from .tropical import EPS, TropicalMatrix, Weight, has_finite_entry
 
 if TYPE_CHECKING:
@@ -96,9 +98,9 @@ class Candidate(NamedTuple):
 
     mode: int
     x: tuple[Weight, ...] | None = None
-    dynamics: ModeDynamics | None = None
+    dynamics: MatrixMode | None = None
 
-    def state_for(self, dynamics: ModeDynamics) -> tuple[Weight, ...] | None:
+    def state_for(self, dynamics: MatrixMode) -> tuple[Weight, ...] | None:
         """The carried next state if these very dynamics computed it; a
         rule built over other mode objects gets its states recomputed."""
         return self.x if self.dynamics is dynamics else None
@@ -116,12 +118,17 @@ class SwitchingRule:
 
     def successor_set(self, probe: SwitchProbe) -> tuple[Candidate, ...]:
         """The candidates sorted by mode, one per mode (the first yielded).
-        A rule that yields at most one candidate needs neither."""
-        cands = [cand if isinstance(cand, Candidate) else Candidate(cand) for cand in self.successors(probe)]
+        A rule that returns at most one candidate in a tuple gets it back
+        as it is."""
+        cands = tuple(self.successors(probe))
         if len(cands) <= 1:
-            return tuple(cands)
+            if not cands or isinstance(cands[0], Candidate):
+                return cands
+            return (Candidate(cands[0]),)
         found: dict[int, Candidate] = {}
         for cand in cands:
+            if not isinstance(cand, Candidate):
+                cand = Candidate(cand)
             found.setdefault(cand.mode, cand)
         return tuple([found[mode] for mode in sorted(found)])
 
@@ -134,22 +141,10 @@ class SwitchingRule:
         return None
 
 
-class ModeDynamics:
-    """Shared surface for matrix-form and expression-form mode maps."""
-
-    def next_state(self, x: Sequence[Weight], win: Sequence[Weight]) -> tuple[Weight, ...]:
-        raise NotImplementedError
-
-    def output(self, x: Sequence[Weight], win: Sequence[Weight]) -> tuple[Weight, ...]:
-        raise NotImplementedError
-
-    @property
-    def form(self) -> MatrixForm | None:
-        return None
-
-
 @dataclass(frozen=True)
-class MatrixMode(ModeDynamics):
+class MatrixMode:
+    """A mode's dynamics: its max-min-plus matrix form."""
+
     matrix_form: MatrixForm
 
     @staticmethod
@@ -178,18 +173,6 @@ class MatrixMode(ModeDynamics):
     @property
     def form(self) -> MatrixForm:
         return self.matrix_form
-
-
-@dataclass(frozen=True)
-class ExpressionMode(ModeDynamics):
-    state_exprs: tuple[MmpsExpression, ...]
-    output_exprs: tuple[MmpsExpression, ...]
-
-    def next_state(self, x, win):
-        return tuple(eval_expr(e, x, win) for e in self.state_exprs)
-
-    def output(self, x, win):
-        return tuple(eval_expr(e, x, win) for e in self.output_exprs)
 
 
 @dataclass(frozen=True)
@@ -307,7 +290,7 @@ class Stepper:
 @dataclass(frozen=True)
 class SmplSystem:
     n_modes: int
-    modes: dict[int, ModeDynamics]
+    modes: dict[int, MatrixMode]
     switching: SwitchingRule
     x0: tuple[Weight, ...]
     dims: SmplDims
@@ -347,33 +330,45 @@ class SmplSystem:
 def resolve_inputs(
     s: SmplSystem, z: tuple[Weight, ...] | None, inp: StepInput
 ) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """Controlled inputs for this step: from the controller when present,
-    verbatim from the step input otherwise.  Only a controller reads the
-    performance signal z, so z may be None without one."""
-    if s.controller is not None:
-        return tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
-    return tuple(inp.u), tuple(inp.v)
+    """Controlled inputs (u, v) for this step: from the controller when
+    present, with their shape checked, and the step input's own otherwise,
+    where only v is checked here (input_window checks u with r and p).
+    Only a controller reads the performance signal z, so z may be None
+    without one."""
+    dims = s.dims
+    if s.controller is None:
+        u, v = inp.u, inp.v
+        if len(v) == dims.n_v:
+            return u, v
+    else:
+        u, v = tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
+        if len(u) == dims.n_u and len(v) == dims.n_v:
+            return u, v
+    raise ValueError(
+        f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
+    )
 
 
 def input_window(
     dims: SmplDims, u: Sequence[Weight], inp: StepInput
 ) -> tuple[Weight, ...]:
-    """The continuous input u ++ r ++ p fed to the mode maps, each part
-    checked against its declared width."""
+    """The continuous input u ++ r ++ p fed to the mode maps: the one check
+    of a step's input widths, part by part and in sum."""
     r, p = inp.r, inp.p
     if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
         got = (len(u), len(r), len(p))
         want = (dims.n_u, dims.n_r, dims.n_p)
-        raise ValueError(f"step input has (u, r, p) widths {got}, expected {want}")
-    if not r and not p:
-        return tuple(u)
-    return tuple(u) + tuple(r) + tuple(p)
+        raise ValueError(
+            f"step input has (u, r, p) widths {got}, expected {want}; "
+            f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
+        )
+    return u + r + p
 
 
 def step(
     s: SmplSystem,
     prev_mode: int | None,
-    x_prev: Sequence[Weight],
+    x_prev: tuple[Weight, ...],
     inp: StepInput,
     k: int = 1,
     u_prev: Sequence[Weight] | None = None,
@@ -383,34 +378,28 @@ def step(
     The performance signal is built only for a controller to read; without
     one, u and v are the step input's own."""
     dims = s.dims
+    z = None
     if s.controller is not None:
-        u_prev = (EPS,) * dims.n_u if u_prev is None else tuple(u_prev)
-        v_prev = (EPS,) * dims.n_v if v_prev is None else tuple(v_prev)
+        u_prev = (EPS,) * dims.n_u if u_prev is None else u_prev
+        v_prev = (EPS,) * dims.n_v if v_prev is None else v_prev
         z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
-        u, v = resolve_inputs(s, z, inp)
-    else:
-        u, v = tuple(inp.u), tuple(inp.v)
-    if len(u) != dims.n_u or len(v) != dims.n_v:
-        raise ValueError(
-            f"resolved inputs have shape ({len(u)}, {len(v)}), "
-            f"expected ({dims.n_u}, {dims.n_v})"
-        )
-    probe = SwitchProbe(prev_mode, tuple(x_prev), u, v, inp.w, inp.r, inp.p)
-    candidates = s.switching.successor_set(probe)
+    u, v = resolve_inputs(s, z, inp)
+    win = input_window(dims, u, inp)
+    candidates = s.switching.successor_set(SwitchProbe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
     if not candidates:
         raise NoSuccessorMode(k)
-    successors = tuple([cand.mode for cand in candidates])
-    for mode in successors:
-        if not 1 <= mode <= s.n_modes:
-            raise ValueError(f"switching rule returned unknown mode {mode}")
-    mode = successors[0]
-    win = input_window(dims, u, inp)
-    dynamics = s.modes[mode]
-    x = candidates[0].state_for(dynamics)
+    # Candidates come sorted by mode and the modes are 1..n_modes, so the
+    # first and the last being known covers every one in between.
+    first, last = candidates[0], candidates[-1].mode
+    dynamics = s.modes.get(first.mode)
+    if dynamics is None or last not in s.modes:
+        raise ValueError(f"switching rule returned unknown mode {first.mode if dynamics is None else last}")
+    x = first.state_for(dynamics)
     if x is None:
-        x = dynamics.next_state(probe.x, win)
+        x = dynamics.next_state(x_prev, win)
     y = dynamics.output(x, win)
-    return StepRecord(k, mode, x, y, successors, u, v)
+    successors = (first.mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
+    return StepRecord(k, first.mode, x, y, successors, u, v)
 
 
 @dataclass(frozen=True)
@@ -441,34 +430,34 @@ def simulate(s: SmplSystem, inputs: Sequence[StepInput]) -> Trace:
 
 
 def symbol_liveness_rule(
-    modes: dict[int, ModeDynamics],
+    modes: dict[int, MatrixMode],
     symbols: Sequence[str],
     input_width: int,
     kind: SwitchingKind = SwitchingKind.CONSTRAINED,
 ) -> SwitchingRule:
     """Candidate modes are those whose symbol matches the discrete input and
     whose one-step successor state keeps at least one finite entry; each
-    candidate carries that state."""
+    candidate carries that state.  Every mode must read inputs of
+    input_width, the u ++ r ++ p width a step checks before the rule runs."""
     symbols = tuple(symbols)
     if len(symbols) != len(modes):
         raise ValueError("need exactly one symbol per mode")
-    modes_of: dict[str, list[int]] = {}
+    stepped: dict[str, tuple[tuple[int, MatrixMode], ...]] = {}
     for mode, symbol in enumerate(symbols, start=1):
-        modes_of.setdefault(symbol, []).append(mode)
-
-    def successors(probe: SwitchProbe) -> list[Candidate]:
-        out = []
-        win = probe.u + probe.r + probe.p
-        if len(win) != input_width:
+        dynamics = modes[mode]
+        if dynamics.form.n_input != input_width:
             raise ValueError(
-                f"step input has u++r++p width {len(win)} "
-                f"({len(probe.u)}+{len(probe.r)}+{len(probe.p)}), expected {input_width}"
+                f"mode {mode} reads inputs of width {dynamics.form.n_input}, expected {input_width}"
             )
-        for mode in modes_of.get(probe.w, ()):
-            dynamics = modes[mode]
+        stepped[symbol] = stepped.get(symbol, ()) + ((mode, dynamics),)
+
+    def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
+        out: tuple[Candidate, ...] = ()
+        win = probe.u + probe.r + probe.p
+        for mode, dynamics in stepped.get(probe.w, ()):
             x = dynamics.next_state(probe.x, win)
             if has_finite_entry(x):
-                out.append(Candidate(mode, x, dynamics))
+                out += (Candidate(mode, x, dynamics),)
         return out
 
     return SwitchingRule(
@@ -482,10 +471,10 @@ def symbol_liveness_rule(
 def externally_driven_rule(symbols: Sequence[str]) -> SwitchingRule:
     """The discrete exogenous symbol names the successor mode directly."""
     symbols = tuple(symbols)
-    table = {symbol: mode for mode, symbol in enumerate(symbols, start=1)}
+    table = {symbol: (Candidate(mode),) for mode, symbol in enumerate(symbols, start=1)}
 
-    def successors(probe: SwitchProbe) -> list[int]:
-        return [table[probe.w]] if probe.w in table else []
+    def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
+        return table.get(probe.w, ())
 
     return SwitchingRule(
         kind=SwitchingKind.EXTERNALLY_DRIVEN,
@@ -505,7 +494,7 @@ def from_mpa(a: "MaxPlusAutomaton") -> SmplSystem:
     exactly where every weighted path has died out.
     """
     n = a.n
-    modes: dict[int, ModeDynamics] = {}
+    modes: dict[int, MatrixMode] = {}
     for mode, symbol in enumerate(a.alphabet, start=1):
         form = MatrixForm(
             A=(a.mu[symbol].transpose(),),

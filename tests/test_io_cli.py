@@ -511,3 +511,40 @@ def test_malformed_outside_input_exits_two_without_traceback(tmp_path, argv, tex
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
     assert where in result.stderr
+
+
+class TestSmplDocumentsAcrossCommands:
+    def test_abstract_takes_an_smpl_document_through_its_translation(self, tmp_path):
+        direct = run_cli("abstract", "production_line", "--format", "json")
+        assert direct.returncode == 0, direct.stderr
+        maha = tmp_path / "h.json"
+        maha.write_text(run_cli("translate", "production_line", "--to", "maha").stdout)
+        via_maha = run_cli("abstract", str(maha), "--format", "json")
+        assert via_maha.returncode == 0, via_maha.stderr
+        got, want = parse_model(direct.stdout).model, parse_model(via_maha.stdout).model
+        assert (got.states, got.alphabet, got.delta, got.initial, got.final) == (
+            want.states,
+            want.alphabet,
+            want.delta,
+            want.initial,
+            want.final,
+        )
+
+    def test_closed_loop_smpl_document_cannot_be_abstracted(self):
+        result = run_cli("abstract", "feedback_demo")
+        assert result.returncode == 2
+        assert result.stderr == "error: finite abstraction needs max-min-plus matrix dynamics per mode\n"
+        assert result.stdout == ""
+
+    def test_behaviour_check_between_documents_of_other_widths(self, tmp_path):
+        # inputs are drawn at the wider document's r width, which the
+        # bundled line does not take
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(fixture_variant("production_line", n_r=1)))
+        result = run_cli("check", str(model), "production_line", "--relation", "behaviour")
+        assert result.returncode == 2
+        assert result.stderr.startswith(
+            "error: step input has (u, r, p) widths (0, 1, 0), expected (0, 0, 0); "
+            "u++r++p width 1 (0+1+0), expected 0"
+        )
+        assert "Traceback" not in result.stderr
