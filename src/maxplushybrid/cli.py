@@ -300,7 +300,9 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
                 widths[key] = max(widths[key], width)
     if not any(widths.values()):
         regime = "exhaustive"
-        seqs = [smpl.word_inputs(w) for w in equivalence.exhaustive_words(symbols, bound)]
+        by_symbol = {w: smpl.StepInput(w=w) for w in symbols}
+        words = equivalence.exhaustive_words(symbols, bound)
+        seqs = [tuple(map(by_symbol.__getitem__, word)) for word in words]
     else:
         regime = "sampled"
         rng = random.Random(seed)

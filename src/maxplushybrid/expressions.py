@@ -5,6 +5,11 @@ The full grammar is
     f := Var(i) | InputVar(i) | Const(c) | Max(f, f) | Min(f, f)
        | Plus(f, f) | Scale(b, f)
 
+A tree is evaluated by compiling it once, with ``compile_expr``, into one
+closure per node that takes (x, u) and applies the semiring operation of
+its node inline; ``eval_expr`` compiles and calls, so a caller that
+evaluates one tree at many points compiles it once.
+
 The max-min-plus fragment drops Scale and Const (except as one operand of a
 Plus) and admits a conjunctive normal form: a min of "max-plus projections",
 each projection being a max of variable-plus-constant terms.  The normal
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .tropical import (
     EPS,
@@ -113,27 +118,107 @@ def _scale(factor: float, v: Weight) -> Weight:
     return v if factor > 0 else (EPS if v == TOP else TOP)
 
 
+Compiled = Callable[..., Weight]
+
+
+def compile_expr(e: MmpsExpression) -> Compiled:
+    """One closure per node, called as f(x, u=()), with the semiring
+    operations of ``eval_expr`` written out inline: EPS absorbs under Plus
+    even against TOP, and max and min keep the first of two equal values.
+    A node is checked when the closure runs, not when it is built, so an
+    out-of-range variable (IndexError) or a non-node (TypeError) raises
+    as the recursive evaluation would, leftmost first."""
+    if isinstance(e, Var):
+        return _compile_var(e.index, "state variable x", False)
+    if isinstance(e, InputVar):
+        return _compile_var(e.index, "input variable u", True)
+    if isinstance(e, Const):
+        value = e.value
+        return lambda x, u=(): value
+    if isinstance(e, Plus):
+        if isinstance(e.right, Const):
+            return _compile_shift(compile_expr(e.left), e.right.value)
+        if isinstance(e.left, Const):
+            return _compile_shift(compile_expr(e.right), e.left.value)
+        left, right = compile_expr(e.left), compile_expr(e.right)
+
+        def plus(x, u=()):
+            a = left(x, u)
+            b = right(x, u)
+            if a == EPS or b == EPS:
+                return EPS
+            return a + b
+
+        return plus
+    if isinstance(e, Max):
+        left, right = compile_expr(e.left), compile_expr(e.right)
+
+        def maximum(x, u=()):
+            a = left(x, u)
+            b = right(x, u)
+            return a if a >= b else b
+
+        return maximum
+    if isinstance(e, Min):
+        left, right = compile_expr(e.left), compile_expr(e.right)
+
+        def minimum(x, u=()):
+            a = left(x, u)
+            b = right(x, u)
+            return a if a <= b else b
+
+        return minimum
+    if isinstance(e, Scale):
+        factor, child = e.factor, compile_expr(e.child)
+        return lambda x, u=(): _scale(factor, child(x, u))
+
+    def not_a_node(x, u=()):
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return not_a_node
+
+
+def _compile_var(index: int, label: str, reads_input: bool) -> Compiled:
+    message = f"{label}{index} out of range"
+    if index < 0:
+
+        def out_of_range(x, u=()):
+            raise IndexError(message)
+
+        return out_of_range
+    if reads_input:
+
+        def input_var(x, u=()):
+            try:
+                return u[index]
+            except IndexError:
+                raise IndexError(message) from None
+
+        return input_var
+
+    def var(x, u=()):
+        try:
+            return x[index]
+        except IndexError:
+            raise IndexError(message) from None
+
+    return var
+
+
+def _compile_shift(child: Compiled, c: Weight) -> Compiled:
+    """Plus with a constant operand; addition commutes, so the constant's
+    side does not matter."""
+
+    def shift(x, u=()):
+        a = child(x, u)
+        return EPS if a == EPS or c == EPS else a + c
+
+    return shift
+
+
 def eval_expr(e: MmpsExpression, x: Sequence[Weight], u: Sequence[Weight] = ()) -> Weight:
     """Evaluate over the completed semiring; EPS wins over TOP under Plus."""
-    if isinstance(e, Var):
-        if not 0 <= e.index < len(x):
-            raise IndexError(f"state variable x{e.index} out of range")
-        return x[e.index]
-    if isinstance(e, InputVar):
-        if not 0 <= e.index < len(u):
-            raise IndexError(f"input variable u{e.index} out of range")
-        return u[e.index]
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Max):
-        return oplus(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
-    if isinstance(e, Min):
-        return oplus_dual(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
-    if isinstance(e, Plus):
-        return otimes(eval_expr(e.left, x, u), eval_expr(e.right, x, u))
-    if isinstance(e, Scale):
-        return _scale(e.factor, eval_expr(e.child, x, u))
-    raise TypeError(f"not an expression node: {e!r}")
+    return compile_expr(e)(x, u)
 
 
 def is_max_min_plus(e: MmpsExpression) -> bool:

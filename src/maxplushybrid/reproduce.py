@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import equivalence, fixtures, hybrid, mpa, smpl
-from .expressions import eval_expr, transition_graph_f
+from .expressions import compile_expr, eval_expr, transition_graph_f
 from .tropical import EPS, TropicalMatrix, otimes
 
 
@@ -105,16 +105,23 @@ def check_behavioural_translation() -> CheckResult:
 
 
 def _random_inputs(rng: random.Random, system: smpl.SmplSystem, length: int):
+    """Per step, the u entries and then the symbol.  Without u, a step
+    picks one of the per-symbol inputs: ``choice`` draws an index, so it
+    draws the same as picking the symbol."""
     symbols = system.switching.symbols or (None,)
-    seqs = []
-    for _ in range(length):
-        seqs.append(
+    n_u = system.dims.n_u
+    if not n_u:
+        by_symbol = tuple([smpl.StepInput(w=w) for w in symbols])
+        return tuple([rng.choice(by_symbol) for _ in range(length)])
+    return tuple(
+        [
             smpl.StepInput(
-                u=tuple(float(rng.randint(-3, 6)) for _ in range(system.dims.n_u)),
+                u=tuple([float(rng.randint(-3, 6)) for _ in range(n_u)]),
                 w=rng.choice(symbols),
             )
-        )
-    return tuple(seqs)
+            for _ in range(length)
+        ]
+    )
 
 
 def _traces_match(
@@ -248,7 +255,10 @@ def check_production_step() -> CheckResult:
 def check_production_conjunctive(seed: int) -> CheckResult:
     tau = (1.0, 2.0, 3.0)
     system = fixtures.production_line_smpl(tau)
-    exprs = fixtures.production_line_state_exprs(tau)
+    compiled = {
+        mode: tuple(compile_expr(e) for e in exprs)
+        for mode, exprs in fixtures.production_line_state_exprs(tau).items()
+    }
     rng = random.Random(seed)
     failures = 0
     for _ in range(1000):
@@ -257,7 +267,7 @@ def check_production_conjunctive(seed: int) -> CheckResult:
             for _ in range(3)
         )
         for mode in (1, 2):
-            want = tuple(eval_expr(e, x) for e in exprs[mode])
+            want = tuple(f(x) for f in compiled[mode])
             got = system.modes[mode].next_state(x, ())
             if want != got:
                 failures += 1

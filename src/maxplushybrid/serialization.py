@@ -380,10 +380,18 @@ def parse_model(text: str) -> ModelDocument:
 
 
 def _canonical_value(value: Any) -> Any:
+    """Keys as sorted strings and integral floats as ints, in every dict
+    and list.  List items that are scalars, such as matrix entries, are
+    handled in place rather than by a call each."""
     if isinstance(value, dict):
         return {str(k): _canonical_value(value[k]) for k in sorted(value, key=str)}
     if isinstance(value, list):
-        return [_canonical_value(v) for v in value]
+        return [
+            (int(v) if v.is_integer() else v) if isinstance(v, float)
+            else _canonical_value(v) if isinstance(v, (dict, list))
+            else v
+            for v in value
+        ]
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value

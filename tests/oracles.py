@@ -13,6 +13,7 @@ import itertools
 import random
 
 from maxplushybrid import hybrid, smpl
+from maxplushybrid.expressions import Const, InputVar, Max, Min, Plus, Scale, Var, _scale
 from maxplushybrid.finite import FiniteAutomaton, Word, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton
 from maxplushybrid.tropical import EPS, UNIT, TropicalMatrix, Weight, oplus, oplus_dual, otimes
@@ -448,3 +449,54 @@ def step_row_dense(row: TropicalMatrix, m: TropicalMatrix) -> TropicalMatrix:
 def boolean_support(m: TropicalMatrix) -> TropicalMatrix:
     """UNIT where the entry is not EPS, EPS elsewhere."""
     return TropicalMatrix(m.rows, m.cols, tuple(EPS if a == EPS else UNIT for a in m.entries))
+
+
+def eval_expr_recursive(e, x, u=()) -> Weight:
+    """Walk the expression tree on every call, each operation through the
+    semiring helpers, as opposed to the closures of ``compile_expr``."""
+    if isinstance(e, Var):
+        if not 0 <= e.index < len(x):
+            raise IndexError(f"state variable x{e.index} out of range")
+        return x[e.index]
+    if isinstance(e, InputVar):
+        if not 0 <= e.index < len(u):
+            raise IndexError(f"input variable u{e.index} out of range")
+        return u[e.index]
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Max):
+        return oplus(eval_expr_recursive(e.left, x, u), eval_expr_recursive(e.right, x, u))
+    if isinstance(e, Min):
+        return oplus_dual(eval_expr_recursive(e.left, x, u), eval_expr_recursive(e.right, x, u))
+    if isinstance(e, Plus):
+        return otimes(eval_expr_recursive(e.left, x, u), eval_expr_recursive(e.right, x, u))
+    if isinstance(e, Scale):
+        return _scale(e.factor, eval_expr_recursive(e.child, x, u))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def canonical_value_by_recursion(value):
+    """Document canonicalisation with one call per value, list items
+    included, as opposed to handling scalar items in place."""
+    if isinstance(value, dict):
+        return {str(k): canonical_value_by_recursion(value[k]) for k in sorted(value, key=str)}
+    if isinstance(value, list):
+        return [canonical_value_by_recursion(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def random_inputs_per_step(rng: random.Random, system: smpl.SmplSystem, length: int):
+    """The reproduce suite's random step inputs, one fresh StepInput per
+    step, as opposed to one shared input per symbol when there is no u."""
+    symbols = system.switching.symbols or (None,)
+    seqs = []
+    for _ in range(length):
+        seqs.append(
+            smpl.StepInput(
+                u=tuple(float(rng.randint(-3, 6)) for _ in range(system.dims.n_u)),
+                w=rng.choice(symbols),
+            )
+        )
+    return tuple(seqs)

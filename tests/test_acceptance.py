@@ -12,7 +12,9 @@ import subprocess
 import sys
 import time
 
-from maxplushybrid import equivalence, fixtures, hybrid, mpa, smpl
+import pytest
+
+from maxplushybrid import equivalence, fixtures, hybrid, mpa, reproduce, smpl
 from maxplushybrid.expressions import eval_expr, to_conjunctive, transition_graph_f
 from maxplushybrid.tropical import (
     EPS,
@@ -23,7 +25,15 @@ from maxplushybrid.tropical import (
     otimes,
     vec_leq,
 )
-from oracles import boolean_support, language_upto, path_of_length_exists, random_nfa, widen_nfa, word_value_by_paths
+from oracles import (
+    boolean_support,
+    language_upto,
+    path_of_length_exists,
+    random_inputs_per_step,
+    random_nfa,
+    widen_nfa,
+    word_value_by_paths,
+)
 
 
 def report(criterion: int, detail: str) -> None:
@@ -294,12 +304,41 @@ REPRODUCE_SEED_42_SHA256 = {
     ("--format", "json"): "96e834d6842a8179912a68ff85c77104645447b3251cdbc10d56d9ee03f6db28",
 }
 
+# The same for `--seed 7`, whose draws differ from seed 42's.
+REPRODUCE_SEED_7_SHA256 = {
+    (): "ddd9c68aa678c3811bb7a3aafa4b4302aada9e87627136873fcb2be9c9c50c21",
+    ("--format", "json"): "7fe45fa7b5caab3286d6c684416c54dae3b3f0186a2e22e75e861bb8b1d0663a",
+}
 
-def test_reproduce_seed_42_report_is_pinned():
-    for extra, digest in REPRODUCE_SEED_42_SHA256.items():
+
+def assert_reproduce_pinned(seed, digests):
+    for extra, digest in digests.items():
         result = subprocess.run(
-            [sys.executable, "-m", "maxplushybrid", "reproduce", "--seed", "42", *extra],
+            [sys.executable, "-m", "maxplushybrid", "reproduce", "--seed", str(seed), *extra],
             capture_output=True,
         )
         assert result.returncode == 0
         assert hashlib.sha256(result.stdout).hexdigest() == digest, extra
+
+
+def test_reproduce_seed_42_report_is_pinned():
+    assert_reproduce_pinned(42, REPRODUCE_SEED_42_SHA256)
+
+
+def test_reproduce_seed_7_report_is_pinned():
+    assert_reproduce_pinned(7, REPRODUCE_SEED_7_SHA256)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1234])
+@pytest.mark.parametrize(
+    "system",
+    [smpl.from_mpa(fixtures.gaubert_mpa()), fixtures.production_line_smpl(), fixtures.feedback_demo_smpl()],
+    ids=["gaubert", "production_line", "feedback_demo"],
+)
+def test_reproduce_draws_the_same_step_inputs(seed, system):
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for length in (20, 1, 0, 20):
+        got = reproduce._random_inputs(got_rng, system, length)
+        want = random_inputs_per_step(want_rng, system, length)
+        assert [vars(inp) for inp in got] == [vars(inp) for inp in want]
+        assert got_rng.getstate() == want_rng.getstate()

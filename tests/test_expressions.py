@@ -17,6 +17,7 @@ from maxplushybrid.expressions import (
     Plus,
     Scale,
     Var,
+    compile_expr,
     dominates,
     eval_expr,
     is_max_min_plus,
@@ -58,6 +59,91 @@ class TestEval:
 
     def test_plus_uses_the_preference_rule(self):
         assert eval_expr(Plus(Var(0), Var(1)), (EPS, TOP)) == EPS
+
+
+# Weights that tell apart the tie-breaking and preference rules: both
+# infinities, both zeros and small finite values.
+weights = st.one_of(st.sampled_from((EPS, TOP, 0.0, -0.0)), finite)
+factors = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.5)), finite)
+
+
+def any_trees(n_state=3, n_input=3, index_range=None, non_nodes=False):
+    """Trees of all seven node kinds.  Indices fall in range for n_state
+    and n_input, or anywhere in index_range when that is given."""
+    leaves = [weights.map(Const)]
+    for width, node in ((n_state, Var), (n_input, InputVar)):
+        if index_range is not None:
+            leaves.append(st.integers(*index_range).map(node))
+        elif width:
+            leaves.append(st.integers(0, width - 1).map(node))
+    if non_nodes:
+        leaves.append(st.sampled_from((None, "x0", 1.0)))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda t: Max(*t)),
+            st.tuples(sub, sub).map(lambda t: Min(*t)),
+            st.tuples(sub, sub).map(lambda t: Plus(*t)),
+            st.tuples(factors, sub).map(lambda t: Scale(*t)),
+        ),
+        max_leaves=10,
+    )
+
+
+def outcome(f, *args):
+    """The value with its type and the sign of a zero, or the error raised."""
+    try:
+        v = f(*args)
+    except (IndexError, TypeError) as exc:
+        return type(exc), str(exc)
+    return type(v), repr(v)
+
+
+class TestCompiledExpressions:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_values_match_the_recursive_evaluation(self, data):
+        n_x, n_u = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        e = data.draw(any_trees(n_x, n_u))
+        f = compile_expr(e)
+        # one compiled function, several points
+        for _ in range(3):
+            x = tuple(data.draw(st.lists(weights, min_size=n_x, max_size=n_x)))
+            u = tuple(data.draw(st.lists(weights, min_size=n_u, max_size=n_u)))
+            want = outcome(oracles.eval_expr_recursive, e, x, u)
+            assert outcome(f, x, u) == want
+            assert outcome(eval_expr, e, x, u) == want
+            if not n_u:
+                assert outcome(f, x) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_trees(index_range=(-2, 4), non_nodes=True), st.data())
+    def test_errors_match_the_recursive_evaluation(self, e, data):
+        x = tuple(data.draw(st.lists(weights, max_size=3)))
+        u = tuple(data.draw(st.lists(weights, max_size=3)))
+        assert outcome(compile_expr(e), x, u) == outcome(oracles.eval_expr_recursive, e, x, u)
+
+    def test_examples(self):
+        assert compile_expr(Plus(Var(0), Var(1)))((TOP, EPS)) == EPS
+        assert compile_expr(Plus(Var(0), Var(1)))((EPS, TOP)) == EPS
+        assert compile_expr(Plus(Const(TOP), Var(0)))((EPS,)) == EPS
+        assert compile_expr(Plus(Var(0), Const(EPS)))((TOP,)) == EPS
+        assert repr(compile_expr(Max(Var(0), Var(1)))((-0.0, 0.0))) == "-0.0"
+        assert repr(compile_expr(Min(Var(0), Var(1)))((0.0, -0.0))) == "0.0"
+        assert compile_expr(Scale(0.0, Var(0)))((EPS,)) == 0.0
+        assert compile_expr(Scale(-2.0, Var(0)))((TOP,)) == EPS
+        assert compile_expr(Plus(InputVar(1), Const(2.0)))((), (0.0, 5.0)) == 7.0
+
+    def test_errors_raise_when_called_leftmost_first(self):
+        f = compile_expr(Max(Var(5), Min(Var(-1), "not a node")))
+        with pytest.raises(IndexError, match="x5"):
+            f((0.0,))
+        with pytest.raises(IndexError, match="x-1"):
+            f(tuple([0.0] * 6))
+        with pytest.raises(IndexError, match="u-1"):
+            compile_expr(InputVar(-1))((), (0.0,))
+        with pytest.raises(TypeError, match="not an expression node"):
+            compile_expr(Plus(Var(0), "not a node"))((0.0,))
 
 
 class TestFragment:

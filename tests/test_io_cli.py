@@ -3,8 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxplushybrid import fixtures
+import oracles
+from maxplushybrid import equivalence, fixtures
+from maxplushybrid.cli import _behaviour_inputs
 from maxplushybrid.hybrid import from_smpl_open, run
 from maxplushybrid.serialization import (
     ModelFormatError,
@@ -13,6 +17,7 @@ from maxplushybrid.serialization import (
     fa_body,
     maha_body,
     parse_model,
+    _canonical_value,
     serialize_body,
     serialize_model,
     smpl_body,
@@ -47,6 +52,58 @@ class TestWeightCodec:
             decode_weight("oops")
         with pytest.raises(ModelFormatError):
             decode_weight(True)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False),
+    st.sampled_from((-0.0, 0.0, 2.0, 1e300, -1e300, EPS, TOP, "-inf", "+inf")),
+    st.text(max_size=3),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda sub: st.one_of(
+        st.lists(sub, max_size=4),
+        st.lists(sub, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(-3, 3)), sub, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalValue:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_one_call_per_value(self, value):
+        # repr tells ints from floats, -0.0 from 0.0, tuples from lists
+        # and the key order
+        assert repr(_canonical_value(value)) == repr(oracles.canonical_value_by_recursion(value))
+
+    def test_kept_scalars(self):
+        body = {"m": [[-0.0, 1e300, "-inf", True, 2.5], (1.0, [2.0]), 3.0], 1: False}
+        got = _canonical_value(body)
+        assert repr(got) == repr(oracles.canonical_value_by_recursion(body))
+        assert repr(got["m"][0][:2]) == repr([0, int(1e300)])
+        assert got["m"][1] == (1.0, [2.0]) and got["m"][2] == 3 and got["1"] is False
+
+    def test_documents_are_byte_identical(self):
+        for name in fixtures.FIXTURE_NAMES:
+            body = json.loads(fixtures.fixture_text(name))
+            want = json.dumps(oracles.canonical_value_by_recursion(body), sort_keys=True, indent=2) + "\n"
+            assert serialize_body(body) == want
+
+
+class TestBehaviourInputs:
+    @pytest.mark.parametrize("name,bound", [("gaubert_mpa", 6), ("production_line", 4)])
+    def test_exhaustive_words_share_one_input_per_symbol(self, name, bound):
+        doc = parse_model(fixtures.fixture_text(name))
+        symbols = doc.body["alphabet"] if doc.kind == "mpa" else doc.body["switching"]["symbols"]
+        regime, seqs = _behaviour_inputs(doc, doc, bound, 0)
+        assert regime == "exhaustive"
+        assert seqs == [word_inputs(w) for w in equivalence.exhaustive_words(symbols, bound)]
+        assert len({id(inp) for seq in seqs for inp in seq}) == len(symbols)
 
 
 class TestParsing:

@@ -35,6 +35,19 @@ def random_start(rng, n):
     return tuple(x)
 
 
+def sticky_production_line():
+    """The bundled line under a rule that also offers the previous mode."""
+    line = fixtures.production_line_smpl()
+    liveness = line.switching
+
+    def sticky(probe):
+        if probe.prev_mode is not None:
+            yield probe.prev_mode  # bare mode: whoever steps it evaluates it
+        yield from liveness.successors(probe)
+
+    return dataclasses.replace(line, switching=dataclasses.replace(liveness, successors=sticky))
+
+
 def assert_same_traces(system, automaton, inputs):
     assert simulate(system, inputs) == oracles.simulate(system, inputs)
     assert run(automaton, inputs) == oracles.run(automaton, inputs)
@@ -102,20 +115,25 @@ class TestAgainstTheTwoEvaluationStep:
     def test_rule_that_reads_the_previous_mode(self):
         # the resolution of one source must not answer for another: the
         # first step probes every initial state at the same (z, inp)
-        line = fixtures.production_line_smpl()
-        liveness = line.switching
-
-        def sticky(probe):
-            if probe.prev_mode is not None:
-                yield probe.prev_mode  # bare mode: whoever steps it evaluates it
-            yield from liveness.successors(probe)
-
-        system = dataclasses.replace(
-            line, switching=dataclasses.replace(liveness, successors=sticky)
-        )
+        system = sticky_production_line()
         inputs = word_inputs(("l1", "l1", "l2", "l2", "l1", "l2"))
         assert_same_traces(system, from_smpl_open(system), inputs)
         assert any(len(rec.successor_modes) == 2 for rec in simulate(system, inputs).records)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="a translated automaton makes every mode initial, so its first step "
+    "resolves switching once per mode with that mode as the previous one; "
+    "smpl.step resolves it once with no previous mode",
+)
+def test_first_step_of_a_rule_that_reads_the_previous_mode_matches_across_models():
+    system = sticky_production_line()
+    inputs = word_inputs(("l1", "l1"))
+    smpl_modes = [rec.successor_modes for rec in simulate(system, inputs).records]
+    hybrid_modes = [rec.successor_modes for rec in run(from_smpl_open(system), inputs).records]
+    assert hybrid_modes == smpl_modes  # today [(1, 2), (1,)] against [(1,), (1,)]
 
 
 @pytest.fixture
