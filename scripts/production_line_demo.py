@@ -42,7 +42,7 @@ def main() -> None:
         print(f"  halted at step {trace.halted_at}: no admissible mode")
 
     print("\none-step dependency edges:")
-    graphs = {m: transition_graph_f(system.modes[m].form).edges for m in (1, 2)}
+    graphs = {m: transition_graph_f(system.modes[m].form) for m in (1, 2)}
     print(f"  shared : {sorted(graphs[1] & graphs[2])}")
     print(f"  mode 1 : {sorted(graphs[1] - graphs[2])}")
     print(f"  mode 2 : {sorted(graphs[2] - graphs[1])}")

@@ -23,7 +23,6 @@ from .expressions import (
     MmpsExpression,
     Plus,
     Scale,
-    TransitionGraph,
     Var,
     eval_expr,
     is_max_min_plus,

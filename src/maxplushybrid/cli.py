@@ -20,8 +20,6 @@ from . import equivalence, fixtures, hybrid, mpa, reproduce, smpl
 from .serialization import (
     ModelDocument,
     ModelFormatError,
-    build_maha,
-    build_smpl,
     decode_vector,
     encode_weight,
     maha_body,
@@ -238,16 +236,12 @@ def cmd_translate(args: argparse.Namespace) -> tuple[RunReport, int]:
         inner = smpl_body(system, meta={"translated_from": "mpa"})
         body = maha_body(inner, loop="open", meta={"name": f"{doc.name or 'mpa'}-as-maha"})
     elif doc.kind == "smpl" and target == "maha":
-        body = _maha_of_smpl(doc, meta={"name": f"{doc.name or 'smpl'}-as-maha"})
+        # the open- or closed-loop translation, as the system's controller decides
+        loop = "closed" if doc.model.closed_loop else "open"
+        body = maha_body(doc.body, loop=loop, meta={"name": f"{doc.name or 'smpl'}-as-maha"})
     else:
         raise UsageError(f"no translation from {doc.kind!r} to {target!r}")
     return RunReport(command=_echo(args), document_output=serialize_body(body)), 0
-
-
-def _maha_of_smpl(doc: ModelDocument, meta: dict | None = None) -> dict:
-    """The maha document of an smpl document: its open- or closed-loop
-    translation, as the system's controller decides."""
-    return maha_body(doc.body, loop="closed" if doc.model.closed_loop else "open", meta=meta)
 
 
 def cmd_abstract(args: argparse.Namespace) -> tuple[RunReport, int]:
@@ -257,7 +251,7 @@ def cmd_abstract(args: argparse.Namespace) -> tuple[RunReport, int]:
             raise UsageError("the fused style applies to smpl and maha documents")
         fa = mpa.to_finite_abstraction(doc.model)
     elif doc.kind in ("smpl", "maha"):
-        automaton = build_maha(_maha_of_smpl(doc)) if doc.kind == "smpl" else doc.model
+        automaton = hybrid.from_smpl(doc.model) if doc.kind == "smpl" else doc.model
         if args.style == "fused":
             try:
                 fa = hybrid.mpa_chain_abstraction(automaton)
@@ -292,7 +286,7 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
     for doc in (doc1, doc2):
         system = doc.model if doc.kind == "smpl" else None
         if doc.kind == "maha":
-            system = build_smpl(doc.body["system"])
+            system = doc.model.meta["system"]  # the switching system it translates
         if system is not None:
             d = system.dims
             # a controller computes u itself, so only open loops take it as input

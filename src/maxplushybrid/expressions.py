@@ -540,19 +540,6 @@ def to_matrix_form(
     return MatrixForm(A=a, B=b, C=c, D=d)
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
-    """One-step dependency edges, labelled x1..xn / u1..um / y1..yk."""
-
-    edges: frozenset[tuple[str, str]]
-
-    def __contains__(self, edge: tuple[str, str]) -> bool:
-        return edge in self.edges
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
-
-
 def x_label(i: int) -> str:
     return f"x{i + 1}"
 
@@ -579,15 +566,17 @@ def _finite_edges(
     return edges
 
 
-def transition_graph_f(mf: MatrixForm) -> TransitionGraph:
-    """Edge (x_i, x_j) iff some A[l] has a finite (j,i) entry; same for B."""
+def transition_graph_f(mf: MatrixForm) -> frozenset[tuple[str, str]]:
+    """One-step dependency edges, labelled x1..xn and u1..um: (x_i, x_j)
+    iff some A[l] has a finite (j,i) entry; same for B."""
     edges = _finite_edges(mf.A, x_label, x_label)
     edges |= _finite_edges(mf.B, u_label, x_label)
-    return TransitionGraph(frozenset(edges))
+    return frozenset(edges)
 
 
-def transition_graph_h(mf: MatrixForm) -> TransitionGraph:
-    """Edge (x_i, y_j) iff some C[m] has a finite (j,i) entry; same for D."""
+def transition_graph_h(mf: MatrixForm) -> frozenset[tuple[str, str]]:
+    """One-step output edges into y1..yk: (x_i, y_j) iff some C[m] has a
+    finite (j,i) entry; same for D."""
     edges = _finite_edges(mf.C, x_label, y_label)
     edges |= _finite_edges(mf.D, u_label, y_label)
-    return TransitionGraph(frozenset(edges))
+    return frozenset(edges)

@@ -12,17 +12,21 @@ Open- and closed-loop switching systems translate by one construction; a
 state codec says where the system's x sits in the hybrid state: x itself
 for the open loop, the augmented state (mode, x, u, v) for the closed loop.
 A translated automaton carries a successor function that takes a whole
-step as a switching-system step does: one input resolution and width
-check, one switching resolution, and each candidate's next state as the
-rule computed it or from one evaluation of its mode.  Its invariants,
-guards and flows describe the same step one predicate at a time; the
-abstraction reads their declarative part and each answers on its own when
-called.
+step through the system's own resolution (smpl.resolve_step: one input
+resolution and width check, one switching resolution, a rule's unknown
+modes rejected), then writes each candidate's next state as the rule
+computed it or from one evaluation of its mode.  Its guards call the same
+resolution and its flows the same input resolution, so they describe that
+step one predicate at a time; the abstraction reads their declarative
+part.  Every mode is initial at the codec's state, but a run's first step
+is one resolution from that state with no previous mode (hybrid_step from
+mode None), as the system's first step is.
 
 hybrid_step hands a step to the successor function when the automaton has
-one.  Otherwise (automata built by hand) it scans the invariant and the
-current mode's guarded out-edges, from a table the automaton builds once
-(HybridAutomaton.out_edges).  It takes any state with a mode and an x.
+one.  Otherwise it scans the invariant and the current mode's guarded
+out-edges; only automata built by hand, which have no successor function,
+take that path, and their runs' first step merges the successors of every
+initial state.  hybrid_step takes any state with a mode and an x.
 MahaBehaviour is the automaton's stepper (smpl.Stepper, next to
 hybrid_step here); it steps from its last record as it is, and a run is
 its fold, with the smallest successor mode taken each step.
@@ -30,14 +34,13 @@ its fold, with the smallest successor mode taken each step.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .expressions import MatrixForm, transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplSystem, StepInput, Stepper, StepRecord, SwitchProbe, Trace, input_window, resolve_inputs
+from .smpl import SmplSystem, StepInput, Stepper, StepRecord, Trace, resolve_inputs, resolve_step
 from .tropical import EPS, Weight
 
 FlowFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
@@ -92,8 +95,9 @@ class HybridAutomaton:
     admissible: Callable[[int, tuple[Weight, ...], StepInput], bool] = lambda q, x, inp: True
     forms: dict[int, MatrixForm] | None = None
     # (mode, x, inp) -> the successors sorted by mode, as the invariant,
-    # guards and flows give them; translations set it
-    successors: Callable[[int, tuple[Weight, ...], StepInput], tuple[HybridState, ...]] | None = None
+    # guards and flows give them, from mode None on a run's first step;
+    # translations set it
+    successors: Callable[[int | None, tuple[Weight, ...], StepInput], tuple[HybridState, ...]] | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,17 +120,6 @@ class HybridAutomaton:
     def reset_for(self, edge: tuple[int, int]):
         return self.resets.get(edge, identity_reset)
 
-    @functools.cached_property
-    def out_edges(self) -> dict[int, tuple[tuple[int, GuardPredicate, ResetFn], ...]]:
-        """Per source mode, the (target, guard, reset) of its guarded edges
-        in declaration order; an edge without a guard never fires."""
-        table: dict[int, list] = {q: [] for q in self.modes}
-        for edge in self.edges:
-            guard = self.guards.get(edge)
-            if guard is not None:
-                table[edge[0]].append((edge[1], guard, self.reset_for(edge)))
-        return {q: tuple(out) for q, out in table.items()}
-
     def identity_resets_only(self) -> bool:
         return all(r is identity_reset for r in self.resets.values())
 
@@ -141,7 +134,8 @@ def hybrid_step(
     the current mode nor any outgoing guard admits the pre-step state and
     the step's inputs.  A target admitted twice keeps its first flow: the
     invariant's, then the edges' in declaration order.  An automaton with
-    a successor function takes the step through it.
+    a successor function takes the step through it, from mode None on a
+    run's first step.
     """
     mode, x = state.mode, state.x
     if not h.admissible(mode, x, inp):
@@ -152,31 +146,32 @@ def hybrid_step(
     out: dict[int, tuple[Weight, ...]] = {}
     if h.invariant[mode].holds(x, inp):
         out[mode] = flow[mode](x, inp)
-    for target, guard, reset in h.out_edges[mode]:
-        if guard.holds(x, inp) and target not in out:
-            out[target] = flow[target](reset(x), inp)
-    if len(out) == 1:
-        ((q, x_next),) = out.items()
-        return (HybridState(q, x_next),)
+    for edge in h.edges:
+        guard = h.guards.get(edge)
+        if edge[0] == mode and guard is not None and guard.holds(x, inp) and edge[1] not in out:
+            out[edge[1]] = flow[edge[1]](h.reset_for(edge)(x), inp)
     return tuple([HybridState(q, out[q]) for q in sorted(out)])
 
 
 @dataclass(frozen=True)
 class MahaBehaviour(Stepper):
     """Runs of a hybrid automaton: each step takes the smallest successor
-    mode.  Before the first step there is no current state (mode None), and
-    the first step merges the successors of every initial state by mode
-    (the first initial state to reach a mode wins), as a switching system's
-    first mode is resolved by its rule rather than given."""
+    mode.  Before the first step there is no current mode (None), as a
+    switching system's first mode is resolved by its rule rather than
+    given.  A translation's record before the first step holds its initial
+    state, from which hybrid_step takes one step with no previous mode; a
+    hand-built automaton's first step merges the successors of every
+    initial state by mode (the first initial state to reach a mode wins)."""
 
     automaton: HybridAutomaton
 
     def init(self) -> StepRecord:
-        return StepRecord(0, None, (), (), ())
+        h = self.automaton
+        return StepRecord(0, None, h.init[0].x if h.successors is not None else (), (), ())
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         h = self.automaton
-        if state.mode is not None:
+        if state.mode is not None or h.successors is not None:
             successors = hybrid_step(h, state, inp)
         else:
             merged: dict[int, HybridState] = {}
@@ -222,59 +217,45 @@ def _translate(
 ) -> HybridAutomaton:
     """One mode per switching mode, over the codec's state.
 
-    The successor function steps as smpl.step does: it resolves the
-    controlled inputs (through the controller when one is bundled), checks
-    the input widths once, resolves switching once with the source mode as
-    the previous mode, and writes each candidate mode the system has
-    through the codec, with the next state the rule carried when the rule
-    computed it with the system's own dynamics of that mode, and from one
-    evaluation of that mode otherwise.
+    The successor function from source mode q (None before the first step)
+    resolves the step as smpl.step does, with q as the previous mode, and
+    writes each candidate mode through the codec with its next state.
 
-    The invariant of mode q collects the (state, input) pairs the rule maps
-    back to q; the guard of edge (q, q') collects the pairs it maps to q';
-    the flow of q advances with q's dynamics.  Each resolves what it needs
-    on its own call.  Resets are identity and every mode is initial at the
-    codec's state.
+    The invariant of mode q collects the (state, input) pairs the
+    resolution from q maps back to q; the guard of edge (q, q') collects
+    the pairs it maps to q'; the flow of q advances with q's dynamics on
+    the resolved inputs.  Each resolves what it needs on its own call.
+    Resets are identity and every mode is initial at the codec's state.
     """
     modes = tuple(range(1, s.n_modes + 1))
-    read_x, write, dims, rule, dynamics_of = codec.read_x, codec.write, s.dims, s.switching, s.modes
+    read_x, write, rule, dynamics_of = codec.read_x, codec.write, s.switching, s.modes
 
-    def resolve(source: int, z: tuple[Weight, ...], inp: StepInput) -> tuple:
-        u, v = resolve_inputs(s, z, inp)
-        win = input_window(dims, u, inp)
+    def successors(source: int | None, z: tuple[Weight, ...], inp: StepInput) -> tuple[HybridState, ...]:
         x = read_x(z)
-        return u, v, win, x, rule.successor_set(SwitchProbe(source, x, u, v, inp.w, inp.r, inp.p))
-
-    def successors(source: int, z: tuple[Weight, ...], inp: StepInput) -> tuple[HybridState, ...]:
-        u, v, win, x, candidates = resolve(source, z, inp)
-        out = []
-        for cand in candidates:
-            dynamics = dynamics_of.get(cand.mode)
-            if dynamics is not None:
-                x_new = cand.state_for(dynamics)
-                if x_new is None:
-                    x_new = dynamics.next_state(x, win)
-                out.append(HybridState(cand.mode, write(cand.mode, x_new, u, v)))
-        return tuple(out)
+        u, v, win, candidates = resolve_step(s, source, x, z, inp)
+        return tuple([
+            HybridState(cand.mode, write(cand.mode, cand.state_for(dynamics_of[cand.mode], x, win), u, v))
+            for cand in candidates
+        ])
 
     def guard(source: int, target: int) -> GuardPredicate:
         def holds(z: tuple[Weight, ...], inp: StepInput) -> bool:
-            return any(cand.mode == target for cand in resolve(source, z, inp)[4])
+            return any(cand.mode == target for cand in resolve_step(s, source, read_x(z), z, inp)[3])
 
         return GuardPredicate(holds=holds, enabled_symbols=rule.enabling_symbols(target))
 
     def flow_fn(mode: int) -> FlowFn:
-        dynamics = dynamics_of[mode]
+        form = dynamics_of[mode].form
 
         def flow(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            u, v = resolve_inputs(s, z, inp)
-            return write(mode, dynamics.next_state(read_x(z), input_window(dims, u, inp)), u, v)
+            u, v, win = resolve_inputs(s, z, inp)
+            return write(mode, form.eval_state(read_x(z), win), u, v)
 
         return flow
 
     def output_fn(mode: int) -> FlowFn:
         # the step checked the widths of the inputs it was given
-        output, u_at = dynamics_of[mode].output, codec.u_at
+        output, u_at = dynamics_of[mode].form.eval_output, codec.u_at
         if u_at is None:
             return lambda z, inp: output(read_x(z), inp.u + inp.r + inp.p)
         return lambda z, inp: output(read_x(z), z[u_at] + inp.r + inp.p)
@@ -284,7 +265,7 @@ def _translate(
         modes=modes,
         n=codec.n,
         discrete_inputs=rule.symbols or (),
-        n_y=dims.n_y,
+        n_y=s.dims.n_y,
         init=tuple(HybridState(q, codec.init) for q in modes),
         flow={q: flow_fn(q) for q in modes},
         output={q: output_fn(q) for q in modes},
@@ -293,7 +274,7 @@ def _translate(
         guards={edge: guard(*edge) for edge in edges},
         forms=forms,
         successors=successors,
-        meta={**codec.meta, "source_provenance": s.meta.get("translated_from")},
+        meta={**codec.meta, "source_provenance": s.meta.get("translated_from"), "system": s},
     )
 
 
@@ -345,6 +326,12 @@ def from_smpl_closed(s: SmplSystem) -> HybridAutomaton:
     return _translate(s, codec)
 
 
+def from_smpl(s: SmplSystem) -> HybridAutomaton:
+    """The closed-loop translation when the system has a controller, the
+    open-loop one otherwise."""
+    return from_smpl_closed(s) if s.closed_loop else from_smpl_open(s)
+
+
 STEP_SYMBOL = "1"
 
 
@@ -393,13 +380,13 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     for q in h.modes:
         gf = transition_graph_f(h.forms[q])
         gh = transition_graph_h(h.forms[q])
-        for src, dst in gf.sorted_edges():
+        for src, dst in sorted(gf):
             triples.append((_state_name(q, src), STEP_SYMBOL, _state_name(q, dst)))
         for lab in x_labels + u_labels:
-            if any(src == lab for src, _ in gh.edges):
+            if any(src == lab for src, _ in gh):
                 final.add(_state_name(q, lab))
         for lab in u_labels:
-            if any(src == lab for src, _ in gf.edges):
+            if any(src == lab for src, _ in gf):
                 initial.add(_state_name(q, lab))
     for edge in h.edges:
         guard = h.guards.get(edge)

@@ -268,7 +268,7 @@ def check_production_conjunctive(seed: int) -> CheckResult:
         )
         for mode in (1, 2):
             want = tuple(f(x) for f in compiled[mode])
-            got = system.modes[mode].next_state(x, ())
+            got = system.modes[mode].form.eval_state(x, ())
             if want != got:
                 failures += 1
     return CheckResult(
@@ -280,10 +280,7 @@ def check_production_conjunctive(seed: int) -> CheckResult:
 
 def check_production_partition() -> CheckResult:
     system = fixtures.production_line_smpl()
-    graphs = {
-        mode: transition_graph_f(system.modes[mode].form).edges
-        for mode in (1, 2)
-    }
+    graphs = {mode: transition_graph_f(system.modes[mode].form) for mode in (1, 2)}
     common = graphs[1] & graphs[2]
     only_1 = graphs[1] - graphs[2]
     only_2 = graphs[2] - graphs[1]

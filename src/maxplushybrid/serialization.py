@@ -4,7 +4,8 @@ Weights are JSON numbers with the string sentinels "-inf" and "+inf" for
 the two infinities, which raw JSON numbers cannot express.  Serialisation
 is canonical (sorted keys, two-space indent, integral floats written as
 integers, trailing newline) so that parse followed by serialise reproduces
-a canonical file byte for byte.
+a canonical file byte for byte.  A parsed document keeps its body as read;
+serialize_body is the one place that canonicalises.
 
 Hybrid automaton documents store the switching system they are translated
 from plus the loop discriminator; parsing rebuilds the translation.  Hand
@@ -376,7 +377,7 @@ def parse_model(text: str) -> ModelDocument:
     if kind not in KINDS:  # a tuple: an unhashable kind compares unequal instead of raising
         raise ModelFormatError(f"unknown model kind {kind!r}; expected one of {KINDS}")
     model = _BUILDERS[kind](body)
-    return ModelDocument(kind=kind, body=_canonical_body(body), model=model)
+    return ModelDocument(kind=kind, body=body, model=model)
 
 
 def _canonical_value(value: Any) -> Any:
@@ -397,13 +398,9 @@ def _canonical_value(value: Any) -> Any:
     return value
 
 
-def _canonical_body(body: dict) -> dict:
-    return _canonical_value(body)
-
-
 def serialize_model(doc: ModelDocument) -> str:
     return serialize_body(doc.body)
 
 
 def serialize_body(body: dict) -> str:
-    return json.dumps(_canonical_body(body), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_canonical_value(body), sort_keys=True, indent=2) + "\n"

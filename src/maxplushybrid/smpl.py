@@ -7,15 +7,20 @@ Rules may return several candidate modes; stepping picks the smallest
 index but the full candidate set is kept in the trace so equivalence
 checks can see the nondeterminism.  An empty candidate set halts the run.
 
-A step resolves its controlled inputs (resolve_inputs: the controller's,
-shape-checked, or the step input's own), then checks the widths of u, r
-and p once (input_window) before the rule sees them, and calls the rule's
-successor_set once.  A rule that has to compute a mode's next state to
-decide on it (symbol liveness does) hands that state back with the
-candidate, so a step evaluates the chosen mode's dynamics once.  The
-state and inputs are passed on as the tuples they already are, and a
-rule's output is deduplicated and sorted only when it holds more than one
-candidate.
+One function, resolve_step, resolves a step for the system and for its
+hybrid translation alike: it resolves the controlled inputs (the
+controller's, shape-checked, or the step input's own), checks the widths
+of u, r and p once before the rule sees them, calls the rule's
+successor_set once and checks that every candidate is a mode the system
+has.  step and the translation's successor function and guards call it;
+the translation's flows, which need no mode, call its input half,
+resolve_inputs.  A run's first step resolves with no previous mode, in
+the system and in its translation alike.  A rule that has to compute a
+mode's next state to decide on it (symbol liveness does) hands that state
+back with the candidate, so a step evaluates the chosen mode's dynamics
+once.  The state and inputs are passed on as the tuples they already are,
+and a rule's output is deduplicated and sorted only when it holds more
+than one candidate.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step, output, complete), with one StepRecord per step and
@@ -100,10 +105,13 @@ class Candidate(NamedTuple):
     x: tuple[Weight, ...] | None = None
     dynamics: MatrixMode | None = None
 
-    def state_for(self, dynamics: MatrixMode) -> tuple[Weight, ...] | None:
-        """The carried next state if these very dynamics computed it; a
-        rule built over other mode objects gets its states recomputed."""
-        return self.x if self.dynamics is dynamics else None
+    def state_for(
+        self, dynamics: MatrixMode, x: tuple[Weight, ...], win: tuple[Weight, ...]
+    ) -> tuple[Weight, ...]:
+        """The mode's next state from x: the carried one if these very
+        dynamics computed it, else one evaluation of them (a rule built
+        over other mode objects gets its states recomputed)."""
+        return self.x if self.dynamics is dynamics else dynamics.form.eval_state(x, win)
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,10 @@ class SwitchingRule:
 
 @dataclass(frozen=True)
 class MatrixMode:
-    """A mode's dynamics: its max-min-plus matrix form."""
+    """A mode's dynamics: its max-min-plus matrix form, which steps
+    evaluate directly (form.eval_state, form.eval_output)."""
 
-    matrix_form: MatrixForm
+    form: MatrixForm
 
     @staticmethod
     def from_parts(a, c, b=None, d=None) -> "MatrixMode":
@@ -163,16 +172,6 @@ class MatrixMode:
             else TropicalMatrix.epsilon(c_m.rows, b_m.cols)
         )
         return MatrixMode(MatrixForm((a_m,), (b_m,), (c_m,), (d_m,)))
-
-    def next_state(self, x, win):
-        return self.matrix_form.eval_state(x, win)
-
-    def output(self, x, win):
-        return self.matrix_form.eval_output(x, win)
-
-    @property
-    def form(self) -> MatrixForm:
-        return self.matrix_form
 
 
 @dataclass(frozen=True)
@@ -329,31 +328,24 @@ class SmplSystem:
 
 def resolve_inputs(
     s: SmplSystem, z: tuple[Weight, ...] | None, inp: StepInput
-) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """Controlled inputs (u, v) for this step: from the controller when
-    present, with their shape checked, and the step input's own otherwise,
-    where only v is checked here (input_window checks u with r and p).
-    Only a controller reads the performance signal z, so z may be None
-    without one."""
+) -> tuple[tuple[Weight, ...], tuple[Weight, ...], tuple[Weight, ...]]:
+    """A step's controlled inputs (u, v) and the continuous input
+    u ++ r ++ p fed to the mode maps.  u and v come from the controller
+    when there is one, with their shape checked, and are the step input's
+    own otherwise; then the widths of u, r and p are checked, part by part
+    and in sum.  Only a controller reads the performance signal z, so z
+    may be None without one."""
     dims = s.dims
     if s.controller is None:
         u, v = inp.u, inp.v
-        if len(v) == dims.n_v:
-            return u, v
+        shaped = len(v) == dims.n_v
     else:
         u, v = tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
-        if len(u) == dims.n_u and len(v) == dims.n_v:
-            return u, v
-    raise ValueError(
-        f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
-    )
-
-
-def input_window(
-    dims: SmplDims, u: Sequence[Weight], inp: StepInput
-) -> tuple[Weight, ...]:
-    """The continuous input u ++ r ++ p fed to the mode maps: the one check
-    of a step's input widths, part by part and in sum."""
+        shaped = len(u) == dims.n_u and len(v) == dims.n_v
+    if not shaped:
+        raise ValueError(
+            f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
+        )
     r, p = inp.r, inp.p
     if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
         got = (len(u), len(r), len(p))
@@ -362,7 +354,28 @@ def input_window(
             f"step input has (u, r, p) widths {got}, expected {want}; "
             f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
         )
-    return u + r + p
+    return u, v, u + r + p
+
+
+def resolve_step(
+    s: SmplSystem,
+    prev_mode: int | None,
+    x_prev: tuple[Weight, ...],
+    z: tuple[Weight, ...] | None,
+    inp: StepInput,
+) -> tuple[tuple[Weight, ...], tuple[Weight, ...], tuple[Weight, ...], tuple[Candidate, ...]]:
+    """One step's resolution from the previous mode (None before the first
+    step) and state: the step's (u, v, u ++ r ++ p) from resolve_inputs and
+    the rule's candidates, once, each a mode the system has."""
+    u, v, win = resolve_inputs(s, z, inp)
+    candidates = s.switching.successor_set(SwitchProbe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
+    if candidates:
+        # Candidates come sorted by mode and the modes are 1..n_modes, so
+        # the first and the last being known covers every one in between.
+        modes, first, last = s.modes, candidates[0].mode, candidates[-1].mode
+        if first not in modes or last not in modes:
+            raise ValueError(f"switching rule returned unknown mode {last if first in modes else first}")
+    return u, v, win, candidates
 
 
 def step(
@@ -374,30 +387,21 @@ def step(
     u_prev: Sequence[Weight] | None = None,
     v_prev: Sequence[Weight] | None = None,
 ) -> StepRecord:
-    """One event step: resolve inputs, resolve the mode, advance, output.
-    The performance signal is built only for a controller to read; without
-    one, u and v are the step input's own."""
-    dims = s.dims
+    """One event step: resolve it, advance with the first candidate's mode,
+    output.  The performance signal is built only for a controller to
+    read."""
     z = None
     if s.controller is not None:
-        u_prev = (EPS,) * dims.n_u if u_prev is None else u_prev
-        v_prev = (EPS,) * dims.n_v if v_prev is None else v_prev
+        u_prev = (EPS,) * s.dims.n_u if u_prev is None else u_prev
+        v_prev = (EPS,) * s.dims.n_v if v_prev is None else v_prev
         z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
-    u, v = resolve_inputs(s, z, inp)
-    win = input_window(dims, u, inp)
-    candidates = s.switching.successor_set(SwitchProbe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
+    u, v, win, candidates = resolve_step(s, prev_mode, x_prev, z, inp)
     if not candidates:
         raise NoSuccessorMode(k)
-    # Candidates come sorted by mode and the modes are 1..n_modes, so the
-    # first and the last being known covers every one in between.
-    first, last = candidates[0], candidates[-1].mode
-    dynamics = s.modes.get(first.mode)
-    if dynamics is None or last not in s.modes:
-        raise ValueError(f"switching rule returned unknown mode {first.mode if dynamics is None else last}")
-    x = first.state_for(dynamics)
-    if x is None:
-        x = dynamics.next_state(x_prev, win)
-    y = dynamics.output(x, win)
+    first = candidates[0]
+    dynamics = s.modes[first.mode]
+    x = first.state_for(dynamics, x_prev, win)
+    y = dynamics.form.eval_output(x, win)
     successors = (first.mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
     return StepRecord(k, first.mode, x, y, successors, u, v)
 
@@ -455,7 +459,7 @@ def symbol_liveness_rule(
         out: tuple[Candidate, ...] = ()
         win = probe.u + probe.r + probe.p
         for mode, dynamics in stepped.get(probe.w, ()):
-            x = dynamics.next_state(probe.x, win)
+            x = dynamics.form.eval_state(probe.x, win)
             if has_finite_entry(x):
                 out += (Candidate(mode, x, dynamics),)
         return out

@@ -155,7 +155,7 @@ def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_pre
     evaluates the chosen mode again, as opposed to reusing the state the
     rule computed."""
     z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
-    u, v = smpl.resolve_inputs(s, z, inp)
+    u, v, win = smpl.resolve_inputs(s, z, inp)
     probe = smpl.SwitchProbe(
         prev_mode=prev_mode, x=tuple(x_prev), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
     )
@@ -163,9 +163,9 @@ def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_pre
     if not successors:
         raise smpl.NoSuccessorMode(k)
     mode = successors[0]
-    win = smpl.input_window(s.dims, u, inp)
-    x = s.modes[mode].next_state(tuple(x_prev), win)
-    y = s.modes[mode].output(x, win)
+    form = s.modes[mode].form
+    x = form.eval_state(tuple(x_prev), win)
+    y = form.eval_output(x, win)
     return smpl.StepRecord(k=k, mode=mode, x=x, y=y, successor_modes=successors, u=u, v=v)
 
 
@@ -208,12 +208,16 @@ def hybrid_step_apart(h: hybrid.HybridAutomaton, state: hybrid.HybridState, inp)
 
 
 def run(h: hybrid.HybridAutomaton, inputs) -> smpl.Trace:
-    """hybrid.run over hybrid_step_apart, merging the initial states'
-    successors by mode on the first step."""
+    """hybrid.run over hybrid_step_apart.  The first step is the successor
+    function from the initial state with no previous mode when the
+    automaton has one, and merges the initial states' successors by mode
+    otherwise."""
     records = []
     current = None
     for k, inp in enumerate(inputs, start=1):
-        if current is None:
+        if current is None and h.successors is not None:
+            successors = h.successors(None, *_fresh(h.init[0].x, inp))
+        elif current is None:
             merged = {}
             for init_state in h.init:
                 for succ in hybrid_step_apart(h, init_state, inp):

@@ -184,8 +184,8 @@ def test_criterion_6_production_line(production):
         assert third_form.eval(x) == eval_expr(exprs[1][2], x)
 
     # dependency-edge partition between the two modes
-    g1 = transition_graph_f(production.modes[1].form).edges
-    g2 = transition_graph_f(production.modes[2].form).edges
+    g1 = transition_graph_f(production.modes[1].form)
+    g2 = transition_graph_f(production.modes[2].form)
     assert g1 - g2 == {("x3", "x1")}
     assert g2 - g1 == {("x3", "x2")}
     assert len(g1 & g2) == 7

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxplushybrid.expressions import MatrixForm
 from maxplushybrid.mpa import MaxPlusAutomaton, accepts, eval_output
 from maxplushybrid.smpl import (
     Candidate,
@@ -79,17 +80,18 @@ class TestSwitchProbe:
     def test_symbol_liveness_steps_only_the_modes_of_the_symbol(self):
         calls = []
 
-        class Counted(MatrixMode):
-            def next_state(self, x, win):
+        class Counted(MatrixForm):
+            def eval_state(self, x, u=()):
                 calls.append(self)
-                return super().next_state(x, win)
+                return super().eval_state(x, u)
 
-        mode = Counted(identity_system().modes[1].matrix_form)
-        other = Counted(identity_system().modes[1].matrix_form)
+        form = identity_system().modes[1].form
+        mode = MatrixMode(Counted(form.A, form.B, form.C, form.D))
+        other = MatrixMode(Counted(form.A, form.B, form.C, form.D))
         rule = symbol_liveness_rule({1: mode, 2: other, 3: mode}, ("go", "stop", "go"), 0)
         probe = SwitchProbe(None, (1.0, 2.0), (), (), "go", (), ())
         assert [cand.mode for cand in rule.successor_set(probe)] == [1, 3]
-        assert len(calls) == 2 and all(c is mode for c in calls)
+        assert len(calls) == 2 and all(c is mode.form for c in calls)
         assert rule.successor_set(probe._replace(w="halt")) == ()
         assert len(calls) == 2
 
@@ -165,7 +167,7 @@ class TestSimulate:
             expected_halt = None
             for k, symbol in enumerate(word(text), start=1):
                 mode = 1 if symbol == "a" else 2
-                x = system.modes[mode].next_state(x, ())
+                x = system.modes[mode].form.eval_state(x, ())
                 if all(v == EPS for v in x):
                     expected_halt = k
                     break
@@ -278,8 +280,8 @@ class TestProperties:
         x = tuple(base)
         x_larger = tuple(b + abs(d) for b, d in zip(base, bump))
         for mode in (1, 2):
-            lo = system.modes[mode].next_state(x, ())
-            hi = system.modes[mode].next_state(x_larger, ())
+            lo = system.modes[mode].form.eval_state(x, ())
+            hi = system.modes[mode].form.eval_state(x_larger, ())
             assert vec_leq(lo, hi)
 
     def test_finite_components_strictly_increase_along_production_runs(

@@ -113,27 +113,20 @@ class TestAgainstTheTwoEvaluationStep:
         ]
 
     def test_rule_that_reads_the_previous_mode(self):
-        # the resolution of one source must not answer for another: the
-        # first step probes every initial state at the same (z, inp)
+        # the resolution from one previous mode must not answer for another
         system = sticky_production_line()
         inputs = word_inputs(("l1", "l1", "l2", "l2", "l1", "l2"))
         assert_same_traces(system, from_smpl_open(system), inputs)
         assert any(len(rec.successor_modes) == 2 for rec in simulate(system, inputs).records)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="a translated automaton makes every mode initial, so its first step "
-    "resolves switching once per mode with that mode as the previous one; "
-    "smpl.step resolves it once with no previous mode",
-)
 def test_first_step_of_a_rule_that_reads_the_previous_mode_matches_across_models():
+    # both first steps resolve switching once, with no previous mode
     system = sticky_production_line()
     inputs = word_inputs(("l1", "l1"))
     smpl_modes = [rec.successor_modes for rec in simulate(system, inputs).records]
     hybrid_modes = [rec.successor_modes for rec in run(from_smpl_open(system), inputs).records]
-    assert hybrid_modes == smpl_modes  # today [(1, 2), (1,)] against [(1,), (1,)]
+    assert hybrid_modes == smpl_modes == [(1,), (1,)]
 
 
 @pytest.fixture
@@ -167,6 +160,17 @@ class TestEvaluationCounts:
         for system, _, word in systems_and_words(gaubert):
             counts.clear()
             trace = simulate(system, word_inputs(word))
+            assert trace.completed
+            assert counts["eval_state"] == len(word)
+            assert counts["successor_set"] == len(word)
+
+    def test_one_eval_state_and_one_resolution_per_run_step(self, counts, gaubert):
+        # the first step too: one resolution from the initial state, not
+        # one per initial mode
+        for system, translate, word in systems_and_words(gaubert):
+            automaton = translate(system)
+            counts.clear()
+            trace = run(automaton, word_inputs(word))
             assert trace.completed
             assert counts["eval_state"] == len(word)
             assert counts["successor_set"] == len(word)
