@@ -24,7 +24,9 @@ once, on first use, to rows of branches; a branch is the non-EPS (index,
 weight) pairs of one projection over x ++ u.  Stacking pads a component by
 repeating its last projection, and the compiled row keeps each distinct
 branch once, so a padded component is evaluated once per step, not once
-per level.
+per level.  A row left with one branch of finite weights is lean: the
+kernel (tropical.eval_rows) takes its plain max, with no EPS test and no
+min.  Any other row is guarded: a min of maxes that skip EPS variables.
 """
 
 from __future__ import annotations
@@ -36,8 +38,12 @@ from typing import Callable, Sequence, Union
 from .tropical import (
     EPS,
     TOP,
+    CompiledRows,
+    Pairs,
     TropicalMatrix,
     Weight,
+    compile_row,
+    eval_rows,
     is_finite,
     oplus,
     oplus_dual,
@@ -426,73 +432,34 @@ class MatrixForm:
         return self.C[0].rows
 
     @functools.cached_property
-    def _state_map(self) -> _CompiledMap:
+    def _state_map(self) -> CompiledRows:
         return _compile(self.A, self.B)
 
     @functools.cached_property
-    def _output_map(self) -> _CompiledMap:
+    def _output_map(self) -> CompiledRows:
         return _compile(self.C, self.D)
 
     def eval_state(self, x: Sequence[Weight], u: Sequence[Weight] = ()) -> tuple[Weight, ...]:
-        return _eval_compiled(self._state_map, x, u)
+        return eval_rows(self._state_map, x, u)
 
     def eval_output(self, x: Sequence[Weight], u: Sequence[Weight] = ()) -> tuple[Weight, ...]:
-        return _eval_compiled(self._output_map, x, u)
+        return eval_rows(self._output_map, x, u)
 
 
-# (rows, x width, u width); each row is a tuple of branches and each
-# branch a tuple of non-EPS (index, weight) pairs over x ++ u.
-_CompiledMap = tuple[tuple[tuple[tuple[tuple[int, Weight], ...], ...], ...], int, int]
-
-
-def _compile(
-    mats: Sequence[TropicalMatrix], input_mats: Sequence[TropicalMatrix]
-) -> _CompiledMap:
+def _compile(mats: Sequence[TropicalMatrix], input_mats: Sequence[TropicalMatrix]) -> CompiledRows:
     """Per row, the branches in order with later duplicates dropped: a
     duplicate takes the same value, and the min keeps the first of equals."""
     n_x, n_u = mats[0].cols, input_mats[0].cols
+    finite = not any(m.has_top_entry() for m in (*mats, *input_mats))
     rows = []
     for i in range(mats[0].rows):
-        branches: list[tuple[tuple[int, Weight], ...]] = []
+        branches: list[Pairs] = []
         for a, b in zip(mats, input_mats):
             pairs = a.row_support[i] + tuple((n_x + j, w) for j, w in b.row_support[i])
             if pairs not in branches:
                 branches.append(pairs)
-        rows.append(tuple(branches))
+        rows.append(compile_row(branches, finite))
     return tuple(rows), n_x, n_u
-
-
-def _eval_compiled(
-    compiled: _CompiledMap, x: Sequence[Weight], u: Sequence[Weight]
-) -> tuple[Weight, ...]:
-    """min over a row's branches of the max over the branch's pairs.
-
-    A pair's weight is finite or TOP, so its term is a plain sum unless
-    the variable is EPS, which absorbs even against TOP.  Ties keep the
-    first maximum and the first minimum.  u is not read at input width 0.
-    """
-    rows, n_x, n_u = compiled
-    if len(x) != n_x:
-        raise ValueError(f"shape mismatch: {len(rows)}x{n_x} by {len(x)}")
-    if n_u:
-        if len(u) != n_u:
-            raise ValueError(f"shape mismatch: {len(rows)}x{n_u} by {len(u)}")
-        x = (*x, *u)
-    out: list[Weight] = []
-    for branches in rows:
-        low = TOP
-        for pairs in branches:
-            acc = EPS
-            for j, a in pairs:
-                b = x[j]
-                if b != EPS:
-                    term = a + b
-                    if term > acc:
-                        acc = term
-            if acc < low:
-                low = acc
-        out.append(low)
-    return tuple(out)
 
 
 def to_matrix_form(

@@ -12,12 +12,13 @@ row vector alpha^T mu(w1) ... mu(wk), advanced by step_row.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .finite import FiniteAutomaton, Word, make_delta
 from .smpl import StepInput, Stepper, StepRecord
-from .tropical import EPS, TropicalMatrix, Weight, is_finite
+from .tropical import EPS, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,12 @@ class MaxPlusAutomaton:
     def n(self) -> int:
         return len(self.states)
 
+    @functools.cached_property
+    def _final_row(self) -> CompiledRows:
+        """beta as one eval_rows row: a row vector's value is its product
+        with beta, whose weights are finite or EPS."""
+        return TropicalMatrix.row_vector(self.beta).compiled
+
 
 def step_row(a: MaxPlusAutomaton, row: Sequence[Weight], symbol: str) -> tuple[Weight, ...]:
     """Advance a row vector by one symbol: row times mu(symbol)."""
@@ -64,13 +71,7 @@ def step_row(a: MaxPlusAutomaton, row: Sequence[Weight], symbol: str) -> tuple[W
 def row_value(a: MaxPlusAutomaton, row: Sequence[Weight]) -> Weight:
     """Value of a row vector: its best sum with a final weight (EPS
     absorbs, as in otimes)."""
-    acc = EPS
-    for v, b in zip(row, a.beta):
-        if v != EPS and b != EPS:
-            term = v + b
-            if term > acc:
-                acc = term
-    return acc
+    return eval_rows(a._final_row, row)[0]
 
 
 def eval_state(a: MaxPlusAutomaton, word: Word) -> tuple[Weight, ...]:

@@ -198,27 +198,58 @@ def fa_body(fa: FiniteAutomaton, meta: dict | None = None) -> dict:
     return body
 
 
-def _decode_mode(mode_body: dict, dims: smpl.SmplDims, index: int) -> smpl.MatrixMode:
+def _decode_mode(mode_body: Any, index: int) -> tuple[list[TropicalMatrix], ...]:
+    """A mode's given A, B, C and D lists; B and D may be empty."""
     what = f"modes[{index}]"
     if not isinstance(mode_body, dict):
         raise ModelFormatError(f"{what} must be a JSON object")
-    a_mats = [
-        decode_matrix(m, f"{what}.A") for m in _require(mode_body, "A", what, list)
-    ]
+
+    def mats(key: str, required: bool) -> list[TropicalMatrix]:
+        rows = _require(mode_body, key, what, list) if required else _optional(mode_body, key, what, list, [])
+        return [decode_matrix(m, f"{what}.{key}") for m in rows]
+
+    return mats("A", True), mats("B", False), mats("C", True), mats("D", False)
+
+
+def _build_modes(mode_bodies: list, dims: smpl.SmplDims) -> dict[int, smpl.MatrixMode]:
+    """Modes from their given matrices.  An omitted B or D becomes an EPS
+    block as wide as the mode's other input matrix, or else as u ++ r ++ p,
+    which some mode's B or D must then carry; its rows are those of the A
+    or C it goes with.  So no block is sized by dims alone."""
     width = dims.input_width
-    b_mats = [
-        decode_matrix(m, f"{what}.B") for m in _optional(mode_body, "B", what, list, [])
-    ] or [TropicalMatrix.epsilon(dims.n, width) for _ in a_mats]
-    c_mats = [
-        decode_matrix(m, f"{what}.C") for m in _require(mode_body, "C", what, list)
-    ]
-    d_mats = [
-        decode_matrix(m, f"{what}.D") for m in _optional(mode_body, "D", what, list, [])
-    ] or [TropicalMatrix.epsilon(dims.n_y, width) for _ in c_mats]
-    try:
-        return smpl.MatrixMode(MatrixForm(tuple(a_mats), tuple(b_mats), tuple(c_mats), tuple(d_mats)))
-    except ValueError as exc:
-        raise ModelFormatError(f"{what}: {exc}") from exc
+    given = [_decode_mode(mode_body, i) for i, mode_body in enumerate(mode_bodies)]
+    carried = not width or any(m.cols == width for _, b, _, d in given for m in b + d)
+    forms = []
+    for i, (a_mats, b_mats, c_mats, d_mats) in enumerate(given):
+        inputs = b_mats or d_mats
+        if not inputs and not carried:
+            raise ModelFormatError(
+                f"dims u++r++p width {width} (n_u {dims.n_u} + n_r {dims.n_r} + n_p {dims.n_p}) "
+                "is carried by no mode's B or D"
+            )
+        cols = inputs[0].cols if inputs else width
+        b_mats = b_mats or [TropicalMatrix.epsilon(a.rows, cols) for a in a_mats]
+        d_mats = d_mats or [TropicalMatrix.epsilon(c.rows, cols) for c in c_mats]
+        try:
+            forms.append(MatrixForm(tuple(a_mats), tuple(b_mats), tuple(c_mats), tuple(d_mats)))
+        except ValueError as exc:
+            raise ModelFormatError(f"modes[{i}]: {exc}") from exc
+    for i, form in enumerate(forms):
+        if form.n_state != dims.n or form.n_output != dims.n_y:
+            raise ModelFormatError(f"modes[{i}] shapes disagree with dims")
+        if form.n_input != width:
+            raise ModelFormatError(f"modes[{i}] input width {form.n_input} != u++r++p width {width}")
+    return {i + 1: smpl.MatrixMode(form) for i, form in enumerate(forms)}
+
+
+# The switching.kind values each switching.type accepts, its own kind (the
+# default) first.  symbol_liveness reads w and x, so it takes no kind that
+# claims independence from either; externally_driven builds a rule of its
+# own kind only.
+SWITCHING_KINDS = {
+    "symbol_liveness": ("constrained", "constrained_controlled"),
+    "externally_driven": ("externally_driven",),
+}
 
 
 def _decode_switching(
@@ -226,19 +257,25 @@ def _decode_switching(
 ) -> smpl.SwitchingRule:
     spec = _require(body, "switching", "smpl", dict)
     rule_type = _require(spec, "type", "switching")
-    kind_name = spec.get("kind", "constrained")
+    if not isinstance(rule_type, str) or rule_type not in SWITCHING_KINDS:
+        raise ModelFormatError(f"unknown switching type {rule_type!r}")
+    accepted = SWITCHING_KINDS[rule_type]
+    kind_name = spec.get("kind", accepted[0])
     try:
         kind = smpl.SwitchingKind(kind_name)
     except ValueError as exc:
         raise ModelFormatError(f"unknown switching kind {kind_name!r}") from exc
+    if kind.value not in accepted:
+        raise ModelFormatError(
+            f"switching.kind {kind.value!r} does not fit switching.type {rule_type!r}, "
+            f"which accepts {', '.join(map(repr, accepted))}"
+        )
     symbols = [str(s) for s in _require(spec, "symbols", "switching", list)]
     if len(symbols) != len(modes):
         raise ModelFormatError("switching needs one symbol per mode")
     if rule_type == "symbol_liveness":
         return smpl.symbol_liveness_rule(modes, symbols, dims.input_width, kind=kind)
-    if rule_type == "externally_driven":
-        return smpl.externally_driven_rule(symbols)
-    raise ModelFormatError(f"unknown switching type {rule_type!r}")
+    return smpl.externally_driven_rule(symbols)
 
 
 def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook | None:
@@ -266,19 +303,11 @@ def build_smpl(body: dict) -> smpl.SmplSystem:
         n_r=_dim(dims_body, "n_r", 0),
         n_p=_dim(dims_body, "n_p", 0),
     )
-    mode_bodies = _require(body, "modes", "smpl", list)
-    modes = {
-        i + 1: _decode_mode(mode_body, dims, i)
-        for i, mode_body in enumerate(mode_bodies)
-    }
-    for i, mode in modes.items():
-        form = mode.form
-        if form.n_state != dims.n or form.n_output != dims.n_y:
-            raise ModelFormatError(f"modes[{i - 1}] shapes disagree with dims")
-        if form.n_input != dims.input_width:
-            raise ModelFormatError(
-                f"modes[{i - 1}] input width {form.n_input} != u++r++p width {dims.input_width}"
-            )
+    if dims.n_v:
+        # No mode, switching rule or controller of a document reads or
+        # yields v, so every block of that width would be EPS padding.
+        raise ModelFormatError(f"dims 'n_v' must be 0, got {dims.n_v}: nothing in a document carries v")
+    modes = _build_modes(_require(body, "modes", "smpl", list), dims)
     meta = dict(_optional(body, "meta", "smpl", dict, {}))
     if "controller" in body:
         meta["controller_spec"] = body["controller"]

@@ -6,11 +6,12 @@ The completed semiring resolves the otherwise undefined combination of the
 two infinities by letting max-plus operations take preference: EPS absorbs
 under ``otimes`` even against TOP, and dually TOP absorbs under
 ``otimes_dual``.  Both semirings must share these two helpers so that they
-agree on mixed values; do not replace them with raw ``+``.  The exceptions
-are the hot loops, which add by hand after ruling out EPS on both sides:
-the matrix-vector products ``TropicalMatrix.apply`` and ``left_apply``, and
-the compiled mode rows of ``expressions.MatrixForm``, which are built from
-``TropicalMatrix.row_support``.
+agree on mixed values; do not replace them with raw ``+``.  The exception
+is the one row kernel, ``eval_rows``, which serves ``TropicalMatrix.apply``
+and ``left_apply``, the compiled mode maps of ``expressions.MatrixForm``
+and the value of a max-plus automaton's row vector.  There finite weights
+add without the check, since a finite weight plus EPS is already EPS; TOP
+weights keep it.
 """
 
 from __future__ import annotations
@@ -77,6 +78,66 @@ def has_finite_entry(x: Sequence[Weight]) -> bool:
         if a != EPS and a != TOP:
             return True
     return False
+
+
+# A branch is a tuple of (index, weight) pairs whose weight is not EPS.  A
+# compiled row is (True, pairs) for a single branch of finite weights and
+# (False, branches) otherwise; CompiledRows is (rows, x width, u width).
+Pairs = tuple[tuple[int, Weight], ...]
+Row = tuple[bool, tuple]
+CompiledRows = tuple[tuple[Row, ...], int, int]
+
+
+def compile_row(branches: Sequence[Pairs], finite: bool = False) -> Row:
+    """The row kind eval_rows runs: lean for one branch with no TOP weight
+    (finite says the caller already knows there is none), guarded
+    otherwise."""
+    if len(branches) == 1:
+        pairs = branches[0]
+        if finite or all(a != TOP for _, a in pairs):
+            return True, pairs
+    return False, tuple(branches)
+
+
+def eval_rows(compiled: CompiledRows, x: Sequence[Weight], u: Sequence[Weight] = ()) -> Vector:
+    """Per row, the max over its pairs (j, a) of a + x[j] with x ++ u read as
+    one vector; a guarded row takes the min of that max over its branches.
+
+    A lean row adds by hand: its weights are finite, so a + EPS is EPS and
+    never raises the maximum.  A guarded row may hold TOP weights, so it
+    skips EPS variables, which absorb even against TOP.  Ties keep the
+    first maximum and the first minimum.  u is not read at u width 0.
+    """
+    rows, n_x, n_u = compiled
+    if len(x) != n_x:
+        raise ValueError(f"shape mismatch: {len(rows)}x{n_x} by {len(x)}")
+    if n_u:
+        if len(u) != n_u:
+            raise ValueError(f"shape mismatch: {len(rows)}x{n_u} by {len(u)}")
+        x = (*x, *u)
+    out: list[Weight] = []
+    for lean, row in rows:
+        if lean:
+            acc = EPS
+            for j, a in row:
+                term = x[j] + a
+                if term > acc:
+                    acc = term
+            out.append(acc)
+            continue
+        low = TOP
+        for pairs in row:
+            acc = EPS
+            for j, a in pairs:
+                b = x[j]
+                if b != EPS:
+                    term = a + b
+                    if term > acc:
+                        acc = term
+            if acc < low:
+                low = acc
+        out.append(low)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -188,10 +249,10 @@ class TropicalMatrix:
         return all(a == EPS for a in self.entries)
 
     def has_top_entry(self) -> bool:
-        return any(a == TOP for a in self.entries)
+        return TOP in self.entries
 
     @functools.cached_property
-    def row_support(self) -> tuple[tuple[tuple[int, Weight], ...], ...]:
+    def row_support(self) -> tuple[Pairs, ...]:
         """Per row, the (column, weight) pairs whose weight is not EPS."""
         m = self.cols
         return tuple(
@@ -199,41 +260,35 @@ class TropicalMatrix:
             for i in range(self.rows)
         )
 
-    def apply(self, x: Sequence[Weight]) -> Vector:
-        """Product with a column vector, returned as a plain tuple.
+    @functools.cached_property
+    def compiled(self) -> CompiledRows:
+        """row_support as eval_rows rows, one branch each."""
+        finite = not self.has_top_entry()
+        return tuple(compile_row((pairs,), finite) for pairs in self.row_support), self.cols, 0
 
-        Only each row's finite support is visited: an EPS entry's term is
-        EPS, which never raises the maximum.  A remaining entry is finite
-        or TOP, so its term is a plain sum unless x[j] is EPS, which
-        absorbs even against TOP.
-        """
-        if self.cols != len(x):
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} by {len(x)}")
-        out: list[Weight] = []
-        for support in self.row_support:
-            acc = EPS
-            for j, a in support:
-                b = x[j]
-                if b != EPS:
-                    term = a + b
-                    if term > acc:
-                        acc = term
-            out.append(acc)
-        return tuple(out)
+    def apply(self, x: Sequence[Weight]) -> Vector:
+        """Product with a column vector, returned as a plain tuple; only
+        each row's non-EPS entries are visited (eval_rows)."""
+        return eval_rows(self.compiled, x)
 
     def left_apply(self, x: Sequence[Weight]) -> Vector:
-        """Product of a row vector with the matrix, returned as a plain tuple.
-
-        Only x's non-EPS entries and the matching rows' finite support are
-        visited, as in apply.
-        """
+        """Product of a row vector with the matrix, returned as a plain
+        tuple: apply's kernel over the columns' non-EPS entries."""
         if self.rows != len(x):
             raise ValueError(f"shape mismatch: {len(x)} by {self.rows}x{self.cols}")
-        out = [EPS] * self.cols
-        for b, support in zip(x, self.row_support):
-            if b != EPS:
-                for j, a in support:
-                    term = b + a
-                    if term > out[j]:
-                        out[j] = term
-        return tuple(out)
+        return eval_rows(self._columns, x)
+
+    @functools.cached_property
+    def _columns(self) -> CompiledRows:
+        """Per column, its (row, weight) pairs whose weight is not EPS, as
+        eval_rows rows: the transpose's compiled rows."""
+        m, entries = self.cols, self.entries
+        finite = not self.has_top_entry()
+        return (
+            tuple(
+                compile_row((tuple((i, a) for i, a in enumerate(entries[j::m]) if a != EPS),), finite)
+                for j in range(m)
+            ),
+            self.rows,
+            0,
+        )

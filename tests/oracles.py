@@ -16,7 +16,7 @@ from maxplushybrid import hybrid, smpl
 from maxplushybrid.expressions import Const, InputVar, Max, Min, Plus, Scale, Var, _scale
 from maxplushybrid.finite import FiniteAutomaton, Word, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton
-from maxplushybrid.tropical import EPS, UNIT, TropicalMatrix, Weight, oplus, oplus_dual, otimes
+from maxplushybrid.tropical import EPS, TOP, UNIT, TropicalMatrix, Weight, oplus, oplus_dual, otimes
 
 
 def word_value_by_paths(a: MaxPlusAutomaton, word) -> Weight:
@@ -120,15 +120,105 @@ def apply_dense(m: TropicalMatrix, x) -> tuple[Weight, ...]:
     return tuple(out)
 
 
+def apply_by_support(m: TropicalMatrix, x) -> tuple[Weight, ...]:
+    """Matrix-vector product over each row's non-EPS entries, every term
+    guarded against an EPS variable, as opposed to the lean rows of
+    ``tropical.eval_rows``."""
+    if m.cols != len(x):
+        raise ValueError(f"shape mismatch: {m.rows}x{m.cols} by {len(x)}")
+    out = []
+    for support in m.row_support:
+        acc = EPS
+        for j, a in support:
+            b = x[j]
+            if b != EPS:
+                term = a + b
+                if term > acc:
+                    acc = term
+        out.append(acc)
+    return tuple(out)
+
+
+def left_apply_by_rows(m: TropicalMatrix, x) -> tuple[Weight, ...]:
+    """Row vector times matrix, pushing each non-EPS entry of x along its
+    row's non-EPS entries, as opposed to the compiled columns of
+    ``TropicalMatrix.left_apply``."""
+    if m.rows != len(x):
+        raise ValueError(f"shape mismatch: {len(x)} by {m.rows}x{m.cols}")
+    out = [EPS] * m.cols
+    for b, support in zip(x, m.row_support):
+        if b != EPS:
+            for j, a in support:
+                term = b + a
+                if term > out[j]:
+                    out[j] = term
+    return tuple(out)
+
+
+def compile_branches(mats, input_mats):
+    """Per row, every distinct branch's non-EPS (index, weight) pairs over
+    x ++ u, with no row kinds: the input of ``eval_branches``."""
+    n_x, n_u = mats[0].cols, input_mats[0].cols
+    rows = []
+    for i in range(mats[0].rows):
+        branches = []
+        for a, b in zip(mats, input_mats):
+            pairs = a.row_support[i] + tuple((n_x + j, w) for j, w in b.row_support[i])
+            if pairs not in branches:
+                branches.append(pairs)
+        rows.append(tuple(branches))
+    return tuple(rows), n_x, n_u
+
+
+def eval_branches(compiled, x, u) -> tuple[Weight, ...]:
+    """min over a row's branches of the max over its pairs, every term
+    guarded against an EPS variable and every row through the min, as
+    opposed to the lean rows of ``tropical.eval_rows``."""
+    rows, n_x, n_u = compiled
+    if len(x) != n_x:
+        raise ValueError(f"shape mismatch: {len(rows)}x{n_x} by {len(x)}")
+    if n_u:
+        if len(u) != n_u:
+            raise ValueError(f"shape mismatch: {len(rows)}x{n_u} by {len(u)}")
+        x = (*x, *u)
+    out = []
+    for branches in rows:
+        low = TOP
+        for pairs in branches:
+            acc = EPS
+            for j, a in pairs:
+                b = x[j]
+                if b != EPS:
+                    term = a + b
+                    if term > acc:
+                        acc = term
+            if acc < low:
+                low = acc
+        out.append(low)
+    return tuple(out)
+
+
+def row_value_by_zip(a: MaxPlusAutomaton, row) -> Weight:
+    """A row vector's best sum with a final weight, both sides guarded
+    against EPS, as opposed to the compiled final row of ``mpa.row_value``."""
+    acc = EPS
+    for v, b in zip(row, a.beta):
+        if v != EPS and b != EPS:
+            term = v + b
+            if term > acc:
+                acc = term
+    return acc
+
+
 def min_of_products(mats, input_mats, x, u) -> tuple[Weight, ...]:
     """min over l of (mats[l] ox x oplus input_mats[l] ox u), through one
     matrix-vector product per matrix, every branch in full, as opposed to
     the compiled rows of distinct branches over x ++ u."""
     out = None
     for a, b in zip(mats, input_mats):
-        vec = list(a.apply(x))
+        vec = list(apply_by_support(a, x))
         if b.cols:
-            for i, v in enumerate(b.apply(u)):
+            for i, v in enumerate(apply_by_support(b, u)):
                 vec[i] = oplus(vec[i], v)
         if out is None:
             out = vec

@@ -159,9 +159,12 @@ class TestDirectStepAgainstTheScan:
 
 def bad_width_variant():
     """production_line with one exogenous r input declared; its B and D
-    default to all-EPS columns of that width."""
+    are all-EPS columns of that width."""
     body = json.loads(fixtures.fixture_text("production_line"))
     body["dims"]["n_r"] = 1
+    for mode in body["modes"]:
+        mode["B"] = [[["-inf"] for _ in a] for a in mode["A"]]
+        mode["D"] = [[["-inf"] for _ in c] for c in mode["C"]]
     return parse_model(json.dumps(body)).model
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -307,16 +308,18 @@ class TestMatrixForm:
 # Small weights tie often, and -0.0 tells the first of two tied zero terms
 # from the second.
 entry = st.one_of(st.sampled_from([EPS, EPS, TOP, -0.0, -0.0, 0.0, 1.0]), finite)
+# The same without TOP, so that single-branch rows compile lean.
+entry_below_top = st.one_of(st.sampled_from([EPS, EPS, -0.0, -0.0, 0.0, 1.0]), finite)
 
 
-def matrices(data, count, rows, cols):
+def matrices(data, count, rows, cols, weights=entry):
     """count matrices, some of them repeats of earlier ones."""
     out = []
     for _ in range(count):
         if out and data.draw(st.booleans()):
             out.append(data.draw(st.sampled_from(out)))
         else:
-            ent = tuple(data.draw(entry) for _ in range(rows * cols))
+            ent = tuple(data.draw(weights) for _ in range(rows * cols))
             out.append(TropicalMatrix(rows, cols, ent))
     return tuple(out)
 
@@ -347,6 +350,38 @@ class TestCompiledMaps:
             assert signed(mf.eval_state(x, u)) == signed(oracles.min_of_products(mf.A, mf.B, x, u))
             assert signed(mf.eval_output(x, u)) == signed(oracles.min_of_products(mf.C, mf.D, x, u))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_kinds_match_the_guarded_loop(self, data):
+        # Lean rows (one branch, finite weights) and guarded rows (a TOP
+        # weight or several branches) against the loop that guards every
+        # term and takes every row's min, the sign of zero included.
+        n = data.draw(st.integers(0, 4))
+        width = data.draw(st.sampled_from([0, 1, 2, 3]))
+        weights = data.draw(st.sampled_from([entry, entry_below_top]))
+        n_branches = data.draw(st.integers(1, 3))
+        mf = MatrixForm(
+            A=matrices(data, n_branches, n, n, weights),
+            B=matrices(data, n_branches, n, width, weights),
+            C=matrices(data, 1, 1, n, weights),
+            D=matrices(data, 1, 1, width, weights),
+        )
+        state_rows = oracles.compile_branches(mf.A, mf.B)
+        output_rows = oracles.compile_branches(mf.C, mf.D)
+        for _ in range(4):
+            x = tuple(data.draw(entry) for _ in range(n))
+            u = tuple(data.draw(entry) for _ in range(width))
+            assert signed(mf.eval_state(x, u)) == signed(oracles.eval_branches(state_rows, x, u))
+            assert signed(mf.eval_output(x, u)) == signed(oracles.eval_branches(output_rows, x, u))
+        misshaped = [((0.0,) * (n + 1), (0.0,) * width)]
+        if width:  # u is not read at width 0
+            misshaped.append(((0.0,) * n, (0.0,) * (width + 1)))
+        for x, u in misshaped:
+            with pytest.raises(ValueError) as want:
+                oracles.eval_branches(state_rows, x, u)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                mf.eval_state(x, u)
+
     def test_ties_keep_the_first_minimum_across_repeated_branches(self):
         # At x = (-0.0, EPS) the branches take 0.0, -0.0 and 0.0 again: the
         # first minimum is +0.0, and stays so once the repeat is dropped.
@@ -367,7 +402,10 @@ class TestCompiledMaps:
         mf = to_matrix_form([to_conjunctive(e, 3) for e in exprs], [to_conjunctive(Var(2), 3)], 3)
         rows, n_x, n_u = mf._state_map
         assert (n_x, n_u) == (3, 0)
-        assert [len(branches) for branches in rows] == [1, 1, 2]
+        # the padded rows are lean (one branch of finite weights); the
+        # third component is a true min of two branches
+        assert [lean for lean, _ in rows] == [True, True, False]
+        assert len(rows[2][1]) == 2
 
     def test_shape_errors(self):
         mf = MatrixForm(

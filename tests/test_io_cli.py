@@ -381,16 +381,28 @@ class TestCliCommands:
 
 
 def fixture_variant(name, drop_controller=False, **dims):
+    """The bundled document with its dims updated.  A document must carry
+    the u++r++p width it declares, so a mode that gives no B and D gets
+    them written out as all-EPS columns of that width."""
     body = json.loads(fixtures.fixture_text(name))
     if drop_controller:
         del body["controller"]
     body["dims"].update(dims)
+    return with_eps_inputs(body)
+
+
+def with_eps_inputs(body):
+    width = sum(body["dims"].get(key, 0) for key in ("n_u", "n_r", "n_p"))
+    for mode in body["modes"]:
+        if width and "B" not in mode and "D" not in mode:
+            mode["B"] = [[["-inf"] * width for _ in a] for a in mode["A"]]
+            mode["D"] = [[["-inf"] * width for _ in c] for c in mode["C"]]
     return body
 
 
 class TestInputWidths:
     def test_short_exogenous_window_is_an_error_not_padding(self, tmp_path):
-        # B and D default to all-EPS columns of the declared u++r++p width
+        # B and D are all-EPS columns of the declared u++r++p width
         body = fixture_variant("production_line", n_r=1)
         system = parse_model(serialize_body(body)).model
         inputs = word_inputs(("l1",))  # r = ()
@@ -408,6 +420,7 @@ class TestInputWidths:
         # externally driven switching reads no window, so only the step checks it
         body = fixture_variant("production_line")
         body["switching"]["type"] = "externally_driven"
+        del body["switching"]["kind"]  # the type's own kind
         system = parse_model(serialize_body(body)).model
         inputs = (StepInput(w="l1", r=(5.0,), p=(1.0, 2.0)),)
         message = r"widths \(0, 1, 2\), expected \(0, 0, 0\)"

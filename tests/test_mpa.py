@@ -15,12 +15,13 @@ from maxplushybrid.mpa import (
     eval_output,
     eval_state,
     language_upto,
+    row_value,
     step_row,
     to_finite_abstraction,
 )
 from maxplushybrid.smpl import from_mpa, simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
-from oracles import accepted_words_by_paths, step_row_dense, word_value_by_paths
+from oracles import accepted_words_by_paths, row_value_by_zip, step_row_dense, word_value_by_paths
 from oracles import language_upto as fa_language
 
 weights = st.one_of(st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float))
@@ -212,6 +213,17 @@ class TestStepRow:
         dense = step_row_dense(TropicalMatrix.row_vector(row), m).entries
         assert step_row(a, row, "a") == dense
         assert step_row(a, row, "a") == dense  # again, over the kept support
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_row_value_matches_the_guarded_loop_to_the_sign_of_zero(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        zeros_and_eps = st.one_of(st.sampled_from((EPS, 0.0, -0.0)), st.integers(-5, 5).map(float))
+        alpha = (0.0,) + tuple(data.draw(st.lists(zeros_and_eps, min_size=n - 1, max_size=n - 1)))
+        beta = tuple(data.draw(st.lists(zeros_and_eps, min_size=n, max_size=n)))
+        a = MaxPlusAutomaton(tuple(map(str, range(n))), ("a",), alpha, {"a": TropicalMatrix.identity(n)}, beta)
+        row = tuple(data.draw(st.lists(st.one_of(zeros_and_eps, st.just(TOP)), min_size=n, max_size=n)))
+        assert repr(row_value(a, row)) == repr(row_value_by_zip(a, row))
 
     def test_eps_absorbs_top(self):
         a = types.SimpleNamespace(mu={"a": TropicalMatrix.from_rows([[TOP, 0.0], [EPS, TOP]])})

@@ -17,7 +17,14 @@ from maxplushybrid.tropical import (
     otimes_dual,
     vec_leq,
 )
-from oracles import apply_dense, boolean_support, path_of_length_exists, step_row_dense
+from oracles import (
+    apply_by_support,
+    apply_dense,
+    boolean_support,
+    left_apply_by_rows,
+    path_of_length_exists,
+    step_row_dense,
+)
 
 weights = st.one_of(
     st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float)
@@ -25,6 +32,11 @@ weights = st.one_of(
 finite_or_eps = st.one_of(
     st.just(EPS), st.integers(min_value=-9, max_value=9).map(float)
 )
+
+
+# Both zeros and both infinities: the sign of a zero tells tied terms apart.
+signed_weights = st.one_of(st.sampled_from((EPS, TOP, 0.0, -0.0)), finite_or_eps)
+signed_weights_below_top = st.one_of(st.sampled_from((EPS, 0.0, -0.0)), finite_or_eps)
 
 
 def mat(rows):
@@ -155,6 +167,19 @@ class TestMatrixOps:
         assert m.apply(list(x)) == apply_dense(m, x)  # again, over the kept support
         y = tuple(data.draw(st.lists(weights, min_size=rows, max_size=rows)))
         assert m.left_apply(y) == step_row_dense(TropicalMatrix.row_vector(y), m).entries
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_apply_matches_the_guarded_loop_to_the_sign_of_zero(self, data):
+        # Without TOP every row is lean; with it, rows holding TOP are guarded.
+        rows = data.draw(st.integers(min_value=0, max_value=5))
+        cols = data.draw(st.integers(min_value=0, max_value=5))
+        pool = data.draw(st.sampled_from([signed_weights, signed_weights_below_top]))
+        m = TropicalMatrix(rows, cols, tuple(data.draw(st.lists(pool, min_size=rows * cols, max_size=rows * cols))))
+        x = tuple(data.draw(st.lists(signed_weights, min_size=cols, max_size=cols)))
+        assert [repr(v) for v in m.apply(x)] == [repr(v) for v in apply_by_support(m, x)]
+        y = tuple(data.draw(st.lists(signed_weights, min_size=rows, max_size=rows)))
+        assert [repr(v) for v in m.left_apply(y)] == [repr(v) for v in left_apply_by_rows(m, y)]
 
     def test_apply_keeps_the_shape_check(self):
         for m in (MU_A, TropicalMatrix.epsilon(0, 2), TropicalMatrix.epsilon(2, 0)):
