@@ -24,9 +24,9 @@ once, on first use, to rows of branches; a branch is the non-EPS (index,
 weight) pairs of one projection over x ++ u.  Stacking pads a component by
 repeating its last projection, and the compiled row keeps each distinct
 branch once, so a padded component is evaluated once per step, not once
-per level.  A row left with one branch of finite weights is lean: the
-kernel (tropical.eval_rows) takes its plain max, with no EPS test and no
-min.  Any other row is guarded: a min of maxes that skip EPS variables.
+per level.  A row left with one branch is a plain max for the kernel
+(tropical.eval_rows), with no min; a row of several branches is a min of
+maxes.
 """
 
 from __future__ import annotations
@@ -450,7 +450,6 @@ def _compile(mats: Sequence[TropicalMatrix], input_mats: Sequence[TropicalMatrix
     """Per row, the branches in order with later duplicates dropped: a
     duplicate takes the same value, and the min keeps the first of equals."""
     n_x, n_u = mats[0].cols, input_mats[0].cols
-    finite = not any(m.has_top_entry() for m in (*mats, *input_mats))
     rows = []
     for i in range(mats[0].rows):
         branches: list[Pairs] = []
@@ -458,7 +457,7 @@ def _compile(mats: Sequence[TropicalMatrix], input_mats: Sequence[TropicalMatrix
             pairs = a.row_support[i] + tuple((n_x + j, w) for j, w in b.row_support[i])
             if pairs not in branches:
                 branches.append(pairs)
-        rows.append(compile_row(branches, finite))
+        rows.append(compile_row(branches))
     return tuple(rows), n_x, n_u
 
 

@@ -328,6 +328,9 @@ def build_smpl(body: dict) -> smpl.SmplSystem:
 def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
     if s.switching.spec is None:
         raise ModelFormatError("switching rule has no declarative form to serialise")
+    if s.dims.n_v:
+        # build_smpl refuses such a document, so do not write one
+        raise ModelFormatError(f"dims 'n_v' must be 0 to serialise, got {s.dims.n_v}: nothing in a document carries v")
     modes = []
     for i in range(1, s.n_modes + 1):
         form = s.modes[i].form

@@ -9,9 +9,10 @@ under ``otimes`` even against TOP, and dually TOP absorbs under
 agree on mixed values; do not replace them with raw ``+``.  The exception
 is the one row kernel, ``eval_rows``, which serves ``TropicalMatrix.apply``
 and ``left_apply``, the compiled mode maps of ``expressions.MatrixForm``
-and the value of a max-plus automaton's row vector.  There finite weights
-add without the check, since a finite weight plus EPS is already EPS; TOP
-weights keep it.
+and the value of a max-plus automaton's row vector.  It adds by hand over
+non-EPS weights only, and keeps a sum only when it is strictly above the
+running maximum: a finite weight plus EPS is EPS, and TOP plus EPS is NaN,
+which no comparison takes, so EPS absorbs there without a check.
 """
 
 from __future__ import annotations
@@ -81,32 +82,30 @@ def has_finite_entry(x: Sequence[Weight]) -> bool:
 
 
 # A branch is a tuple of (index, weight) pairs whose weight is not EPS.  A
-# compiled row is (True, pairs) for a single branch of finite weights and
-# (False, branches) otherwise; CompiledRows is (rows, x width, u width).
+# compiled row is (True, pairs) for a single branch and (False, branches)
+# for several; CompiledRows is (rows, x width, u width).
 Pairs = tuple[tuple[int, Weight], ...]
 Row = tuple[bool, tuple]
 CompiledRows = tuple[tuple[Row, ...], int, int]
 
 
-def compile_row(branches: Sequence[Pairs], finite: bool = False) -> Row:
-    """The row kind eval_rows runs: lean for one branch with no TOP weight
-    (finite says the caller already knows there is none), guarded
-    otherwise."""
+def compile_row(branches: Sequence[Pairs]) -> Row:
+    """The row kind eval_rows runs: a plain max for one branch, a min of
+    maxes for several."""
     if len(branches) == 1:
-        pairs = branches[0]
-        if finite or all(a != TOP for _, a in pairs):
-            return True, pairs
+        return True, branches[0]
     return False, tuple(branches)
 
 
 def eval_rows(compiled: CompiledRows, x: Sequence[Weight], u: Sequence[Weight] = ()) -> Vector:
-    """Per row, the max over its pairs (j, a) of a + x[j] with x ++ u read as
-    one vector; a guarded row takes the min of that max over its branches.
+    """Per row, the max over its pairs (j, a) of x[j] + a with x ++ u read as
+    one vector; a row of several branches takes the min of those maxes.
 
-    A lean row adds by hand: its weights are finite, so a + EPS is EPS and
-    never raises the maximum.  A guarded row may hold TOP weights, so it
-    skips EPS variables, which absorb even against TOP.  Ties keep the
-    first maximum and the first minimum.  u is not read at u width 0.
+    No term is tested for EPS: a weight is finite or TOP, so a term is EPS
+    or NaN (TOP + EPS) when x[j] is EPS, and the strict > never keeps
+    either, which is EPS absorbing even against TOP.  So no running max is
+    NaN, nor any min.  Ties keep the first maximum and the first minimum.
+    u is not read at u width 0.
     """
     rows, n_x, n_u = compiled
     if len(x) != n_x:
@@ -116,8 +115,8 @@ def eval_rows(compiled: CompiledRows, x: Sequence[Weight], u: Sequence[Weight] =
             raise ValueError(f"shape mismatch: {len(rows)}x{n_u} by {len(u)}")
         x = (*x, *u)
     out: list[Weight] = []
-    for lean, row in rows:
-        if lean:
+    for single, row in rows:
+        if single:
             acc = EPS
             for j, a in row:
                 term = x[j] + a
@@ -129,11 +128,9 @@ def eval_rows(compiled: CompiledRows, x: Sequence[Weight], u: Sequence[Weight] =
         for pairs in row:
             acc = EPS
             for j, a in pairs:
-                b = x[j]
-                if b != EPS:
-                    term = a + b
-                    if term > acc:
-                        acc = term
+                term = x[j] + a
+                if term > acc:
+                    acc = term
             if acc < low:
                 low = acc
         out.append(low)
@@ -249,7 +246,7 @@ class TropicalMatrix:
         return all(a == EPS for a in self.entries)
 
     def has_top_entry(self) -> bool:
-        return TOP in self.entries
+        return any(a == TOP for a in self.entries)
 
     @functools.cached_property
     def row_support(self) -> tuple[Pairs, ...]:
@@ -263,8 +260,7 @@ class TropicalMatrix:
     @functools.cached_property
     def compiled(self) -> CompiledRows:
         """row_support as eval_rows rows, one branch each."""
-        finite = not self.has_top_entry()
-        return tuple(compile_row((pairs,), finite) for pairs in self.row_support), self.cols, 0
+        return tuple((True, pairs) for pairs in self.row_support), self.cols, 0
 
     def apply(self, x: Sequence[Weight]) -> Vector:
         """Product with a column vector, returned as a plain tuple; only
@@ -283,12 +279,8 @@ class TropicalMatrix:
         """Per column, its (row, weight) pairs whose weight is not EPS, as
         eval_rows rows: the transpose's compiled rows."""
         m, entries = self.cols, self.entries
-        finite = not self.has_top_entry()
         return (
-            tuple(
-                compile_row((tuple((i, a) for i, a in enumerate(entries[j::m]) if a != EPS),), finite)
-                for j in range(m)
-            ),
+            tuple((True, tuple((i, a) for i, a in enumerate(entries[j::m]) if a != EPS)) for j in range(m)),
             self.rows,
             0,
         )

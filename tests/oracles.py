@@ -122,7 +122,7 @@ def apply_dense(m: TropicalMatrix, x) -> tuple[Weight, ...]:
 
 def apply_by_support(m: TropicalMatrix, x) -> tuple[Weight, ...]:
     """Matrix-vector product over each row's non-EPS entries, every term
-    guarded against an EPS variable, as opposed to the lean rows of
+    guarded against an EPS variable, as opposed to the unguarded sums of
     ``tropical.eval_rows``."""
     if m.cols != len(x):
         raise ValueError(f"shape mismatch: {m.rows}x{m.cols} by {len(x)}")
@@ -173,7 +173,7 @@ def compile_branches(mats, input_mats):
 def eval_branches(compiled, x, u) -> tuple[Weight, ...]:
     """min over a row's branches of the max over its pairs, every term
     guarded against an EPS variable and every row through the min, as
-    opposed to the lean rows of ``tropical.eval_rows``."""
+    opposed to the unguarded sums of ``tropical.eval_rows``."""
     rows, n_x, n_u = compiled
     if len(x) != n_x:
         raise ValueError(f"shape mismatch: {len(rows)}x{n_x} by {len(x)}")

@@ -3,6 +3,7 @@ type accepts, dims widths that the document's matrices carry, and no
 traceback from any one hostile leaf in a bundled document."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxplushybrid import cli, fixtures
-from maxplushybrid.serialization import ModelFormatError, maha_body, parse_model, serialize_body
+from maxplushybrid.serialization import ModelFormatError, maha_body, parse_model, serialize_body, smpl_body
 from maxplushybrid.smpl import SwitchingKind, classify_switching
 
 
@@ -119,6 +120,16 @@ class TestDimsCarriedByMatrices:
         del body["modes"][1]["B"], body["modes"][1]["D"]
         form = parse_model(json.dumps(body)).model.modes[2].form
         assert form.n_input == 1 and form.B[0].is_all_epsilon() and form.D[0].is_all_epsilon()
+
+    def test_a_system_with_v_does_not_serialise(self):
+        # what smpl_body writes, parse_model must read: n_v = 0 round-trips,
+        # and a system built with v is refused before any document is written
+        system = parse_model(json.dumps(mpa_as_smpl())).model
+        text = serialize_body(smpl_body(system))
+        assert serialize_body(smpl_body(parse_model(text).model)) == text
+        with_v = dataclasses.replace(system, dims=dataclasses.replace(system.dims, n_v=1))
+        with pytest.raises(ModelFormatError, match="^dims 'n_v' must be 0 to serialise, got 1"):
+            smpl_body(with_v)
 
 
 # One leaf (or one list) of a bundled document, replaced by a hostile value.

@@ -308,8 +308,6 @@ class TestMatrixForm:
 # Small weights tie often, and -0.0 tells the first of two tied zero terms
 # from the second.
 entry = st.one_of(st.sampled_from([EPS, EPS, TOP, -0.0, -0.0, 0.0, 1.0]), finite)
-# The same without TOP, so that single-branch rows compile lean.
-entry_below_top = st.one_of(st.sampled_from([EPS, EPS, -0.0, -0.0, 0.0, 1.0]), finite)
 
 
 def matrices(data, count, rows, cols, weights=entry):
@@ -353,18 +351,18 @@ class TestCompiledMaps:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_row_kinds_match_the_guarded_loop(self, data):
-        # Lean rows (one branch, finite weights) and guarded rows (a TOP
-        # weight or several branches) against the loop that guards every
-        # term and takes every row's min, the sign of zero included.
+        # Single-branch rows (a plain max) and rows of several branches (a
+        # min of maxes), TOP weights added to EPS states unguarded, against
+        # the loop that guards every term and takes every row's min, the
+        # sign of zero included.
         n = data.draw(st.integers(0, 4))
         width = data.draw(st.sampled_from([0, 1, 2, 3]))
-        weights = data.draw(st.sampled_from([entry, entry_below_top]))
         n_branches = data.draw(st.integers(1, 3))
         mf = MatrixForm(
-            A=matrices(data, n_branches, n, n, weights),
-            B=matrices(data, n_branches, n, width, weights),
-            C=matrices(data, 1, 1, n, weights),
-            D=matrices(data, 1, 1, width, weights),
+            A=matrices(data, n_branches, n, n),
+            B=matrices(data, n_branches, n, width),
+            C=matrices(data, 1, 1, n),
+            D=matrices(data, 1, 1, width),
         )
         state_rows = oracles.compile_branches(mf.A, mf.B)
         output_rows = oracles.compile_branches(mf.C, mf.D)
@@ -402,9 +400,9 @@ class TestCompiledMaps:
         mf = to_matrix_form([to_conjunctive(e, 3) for e in exprs], [to_conjunctive(Var(2), 3)], 3)
         rows, n_x, n_u = mf._state_map
         assert (n_x, n_u) == (3, 0)
-        # the padded rows are lean (one branch of finite weights); the
-        # third component is a true min of two branches
-        assert [lean for lean, _ in rows] == [True, True, False]
+        # the padded rows are single branches (a plain max); the third
+        # component is a true min of two branches
+        assert [single for single, _ in rows] == [True, True, False]
         assert len(rows[2][1]) == 2
 
     def test_shape_errors(self):
