@@ -38,13 +38,11 @@ from .mpa import (
     accepts,
     eval_output,
     eval_state,
-    language_upto,
     to_finite_abstraction,
 )
 from .smpl import (
     ControllerHook,
     MatrixMode,
-    NoSuccessorMode,
     SmplBehaviour,
     SmplDims,
     SmplSystem,
@@ -79,6 +77,6 @@ from .equivalence import (
     language_equal_exact,
     language_equal_upto,
 )
-from .serialization import ModelDocument, parse_model, serialize_model
+from .serialization import ModelDocument, parse_model
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .serialization import (
     serialize_body,
     smpl_body,
 )
-from .tropical import EPS
+from .tropical import EPS, is_finite
 
 
 class UsageError(ValueError):
@@ -163,6 +163,9 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
                 f"inputs[{k}].w {w!r} in {args.inputs!r} is not in the alphabet {list(symbols)}"
             )
         signals = {key: decode_vector(entry.get(key, []), f"inputs[{k}].{key}") for key in "uvrp"}
+        for key in "urp":
+            if not all(map(is_finite, signals[key])):
+                raise UsageError(f'inputs[{k}].{key} must be finite: continuous inputs take no "-inf" or "+inf"')
         steps.append(smpl.StepInput(w=w, **signals))
     return tuple(steps)
 
@@ -420,7 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common], help="run a model on an input sequence")
     p_sim.add_argument("model")
     p_sim.add_argument("--word")
-    p_sim.add_argument("--inputs")
+    p_sim.add_argument(
+        "--inputs",
+        help="JSON list of steps {w, u, v, r, p}; u, r and p are finite numbers",
+    )
     p_sim.add_argument("-K", "--steps", type=count, default=None)
     p_sim.set_defaults(fn=cmd_simulate)
 

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
 
-EMPTY_WORD: Word = ()
-
 
 @dataclass(frozen=True)
 class FiniteAutomaton:

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .expressions import MatrixForm, transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplSystem, StepInput, Stepper, StepRecord, Trace, resolve_inputs, resolve_step
+from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace, resolve_inputs, resolve_step
 from .tropical import EPS, Weight
 
 FlowFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
@@ -314,7 +314,7 @@ def from_smpl_closed(s: SmplSystem) -> HybridAutomaton:
     n, n_u, n_v = s.dims.n, s.dims.n_u, s.dims.n_v
     codec = _StateCodec(
         n=1 + n + n_u + n_v,
-        init=s.initial_performance_signal(),
+        init=s.performance_signal(SmplBehaviour(s).init()),
         read_x=lambda z: z[1 : 1 + n],
         write=lambda mode, x, u, v: (float(mode),) + x + u + v,
         u_at=slice(1 + n, 1 + n + n_u),

@@ -242,7 +242,7 @@ def check_production_step() -> CheckResult:
     x0 = system.x0
     expected_x = tuple(eval_expr(e, x0) for e in exprs)
     expected_y = eval_expr(out_expr, expected_x)
-    rec = smpl.step(system, None, x0, smpl.StepInput(w="l1"))
+    rec = smpl.step(system, smpl.SmplBehaviour(system).init(), smpl.StepInput(w="l1"))
     ok = rec.mode == 1 and rec.x == expected_x and rec.y == (expected_y,)
     return CheckResult(
         "production-step",

@@ -1,7 +1,8 @@
 """JSON model documents for automata and switching systems.
 
-Weights are JSON numbers with the string sentinels "-inf" and "+inf" for
-the two infinities, which raw JSON numbers cannot express.  Serialisation
+Weights are finite JSON numbers with the string sentinels "-inf" and
+"+inf" for the two infinities, which raw JSON numbers cannot express;
+NaN, Infinity and numbers beyond a float's range are refused.  Serialisation
 is canonical (sorted keys, two-space indent, integral floats written as
 integers, trailing newline) so that parse followed by serialise reproduces
 a canonical file byte for byte.  A parsed document keeps its body as read;
@@ -15,6 +16,7 @@ built automata with opaque predicates have no document form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,7 +60,15 @@ def decode_weight(value: Any) -> Weight:
         raise ModelFormatError(f"unknown weight sentinel {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"weight must be a number or sentinel, got {value!r}")
-    return float(value)
+    try:
+        weight = float(value)
+    except OverflowError:  # an integer beyond a float's range
+        weight = TOP
+    if not math.isfinite(weight):
+        if weight != weight:
+            raise ModelFormatError("weight NaN is not a number")
+        raise ModelFormatError('weight number is out of range; the infinities are written "-inf" and "+inf"')
+    return weight
 
 
 def encode_matrix(m: TropicalMatrix) -> list[list[Any]]:
@@ -428,10 +438,6 @@ def _canonical_value(value: Any) -> Any:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
-
-
-def serialize_model(doc: ModelDocument) -> str:
-    return serialize_body(doc.body)
 
 
 def serialize_body(body: dict) -> str:

@@ -24,9 +24,13 @@ than one candidate.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step, output, complete), with one StepRecord per step and
-one Trace per run; a run of any class is Stepper.fold over its inputs.
-SmplBehaviour is this module's stepper; hybrid.MahaBehaviour and
-mpa.MpaBehaviour are the other two.
+one Trace per run; a run of any class is Stepper.fold over its inputs,
+and a run halts where step returns None.  SmplBehaviour is this module's
+stepper, whose step is the module function step(s, state, inp): it takes
+the last step's record (init's before the first step) and returns the
+next one, or None when the rule admits no mode.  A controller reads the
+performance signal z = (mode, x, u, v) of that record.
+hybrid.MahaBehaviour and mpa.MpaBehaviour are the other two steppers.
 """
 
 from __future__ import annotations
@@ -41,14 +45,6 @@ from .tropical import EPS, TropicalMatrix, Weight, has_finite_entry
 
 if TYPE_CHECKING:
     from .mpa import MaxPlusAutomaton
-
-
-class NoSuccessorMode(RuntimeError):
-    """The switching rule returned no successor mode (halted run)."""
-
-    def __init__(self, step: int):
-        super().__init__(f"no successor mode at step {step}")
-        self.step = step
 
 
 class SwitchingKind(enum.Enum):
@@ -308,22 +304,11 @@ class SmplSystem:
     def closed_loop(self) -> bool:
         return self.controller is not None
 
-    def mode_encoding(self, mode: int | None) -> Weight:
-        return float(mode) if mode is not None else EPS
-
-    def performance_signal(
-        self,
-        prev_mode: int | None,
-        x_prev: Sequence[Weight],
-        u_prev: Sequence[Weight],
-        v_prev: Sequence[Weight],
-    ) -> tuple[Weight, ...]:
-        return (self.mode_encoding(prev_mode),) + tuple(x_prev) + tuple(u_prev) + tuple(v_prev)
-
-    def initial_performance_signal(self) -> tuple[Weight, ...]:
-        return self.performance_signal(
-            None, self.x0, (EPS,) * self.dims.n_u, (EPS,) * self.dims.n_v
-        )
+    def performance_signal(self, state: StepRecord) -> tuple[Weight, ...]:
+        """z = (mode, x, u, v) of a step's record, the mode as a weight
+        (EPS before the first step)."""
+        mode = EPS if state.mode is None else float(state.mode)
+        return (mode,) + state.x + state.u + state.v
 
 
 def resolve_inputs(
@@ -378,32 +363,21 @@ def resolve_step(
     return u, v, win, candidates
 
 
-def step(
-    s: SmplSystem,
-    prev_mode: int | None,
-    x_prev: tuple[Weight, ...],
-    inp: StepInput,
-    k: int = 1,
-    u_prev: Sequence[Weight] | None = None,
-    v_prev: Sequence[Weight] | None = None,
-) -> StepRecord:
-    """One event step: resolve it, advance with the first candidate's mode,
-    output.  The performance signal is built only for a controller to
-    read."""
-    z = None
-    if s.controller is not None:
-        u_prev = (EPS,) * s.dims.n_u if u_prev is None else u_prev
-        v_prev = (EPS,) * s.dims.n_v if v_prev is None else v_prev
-        z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
-    u, v, win, candidates = resolve_step(s, prev_mode, x_prev, z, inp)
+def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
+    """One event step from the last step's record (SmplBehaviour(s).init()
+    before the first): resolve it, advance with the first candidate's mode,
+    output.  None when the rule admits no mode (the run halts).  The
+    performance signal is built only for a controller to read."""
+    z = None if s.controller is None else s.performance_signal(state)
+    u, v, win, candidates = resolve_step(s, state.mode, state.x, z, inp)
     if not candidates:
-        raise NoSuccessorMode(k)
+        return None
     first = candidates[0]
     dynamics = s.modes[first.mode]
-    x = first.state_for(dynamics, x_prev, win)
+    x = first.state_for(dynamics, state.x, win)
     y = dynamics.form.eval_output(x, win)
     successors = (first.mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
-    return StepRecord(k, first.mode, x, y, successors, u, v)
+    return StepRecord(state.k + 1, first.mode, x, y, successors, u, v)
 
 
 @dataclass(frozen=True)
@@ -418,10 +392,7 @@ class SmplBehaviour(Stepper):
         return StepRecord(0, None, tuple(s.x0), (), (), (EPS,) * s.dims.n_u, (EPS,) * s.dims.n_v)
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
-        try:
-            return step(self.system, state.mode, state.x, inp, state.k + 1, state.u, state.v)
-        except NoSuccessorMode:
-            return None
+        return step(self.system, state, inp)
 
     # Each stepper class holds its own trace: perfbench/tracing.py wraps
     # cls.__dict__["trace"] per class.
@@ -529,6 +500,9 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
     Each kind claims independence from some arguments; the rule is sampled
     at random base points and each claimed-independent argument is varied
     in isolation.  A change in the successor modes is a contradiction.
+    The continuous inputs u, r and p are drawn finite, as the CLI takes
+    them (it refuses "-inf" and "+inf" there); x and v are EPS one time in
+    four.
     """
     rule = s.switching
 
@@ -539,21 +513,22 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
     dims = s.dims
     symbols = rule.symbols or ()
 
-    def rand_vec(size: int) -> tuple[Weight, ...]:
+    def rand_vec(name: str, size: int) -> tuple[Weight, ...]:
+        finite = name in ("u", "r", "p")
         return tuple(
-            EPS if rng.random() < 0.25 else float(rng.randint(-5, 9))
+            EPS if not finite and rng.random() < 0.25 else float(rng.randint(-5, 9))
             for _ in range(size)
         )
 
     def rand_probe() -> SwitchProbe:
         return SwitchProbe(
             prev_mode=rng.choice([None] + list(range(1, s.n_modes + 1))),
-            x=rand_vec(dims.n),
-            u=rand_vec(dims.n_u),
-            v=rand_vec(dims.n_v),
+            x=rand_vec("x", dims.n),
+            u=rand_vec("u", dims.n_u),
+            v=rand_vec("v", dims.n_v),
             w=rng.choice(symbols) if symbols else None,
-            r=rand_vec(dims.n_r),
-            p=rand_vec(dims.n_p),
+            r=rand_vec("r", dims.n_r),
+            p=rand_vec("p", dims.n_p),
         )
 
     def variants(probe: SwitchProbe, name: str) -> list[SwitchProbe]:
@@ -572,7 +547,7 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
                 size = len(getattr(probe, name))
                 if size == 0:
                     return []
-                repl[name] = rand_vec(size)
+                repl[name] = rand_vec(name, size)
             out.append(
                 SwitchProbe(
                     **{

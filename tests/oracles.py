@@ -243,15 +243,17 @@ def successor_set_by_dict(rule: smpl.SwitchingRule, probe: smpl.SwitchProbe) -> 
 def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_prev):
     """One SMPL step that takes only the modes from the switching rule and
     evaluates the chosen mode again, as opposed to reusing the state the
-    rule computed."""
-    z = s.performance_signal(prev_mode, x_prev, u_prev, v_prev)
+    rule computed; None when the rule admits no mode.  It builds the
+    performance signal z = (mode, x, u, v) itself, the mode EPS before the
+    first step."""
+    z = (EPS if prev_mode is None else float(prev_mode),) + tuple(x_prev) + tuple(u_prev) + tuple(v_prev)
     u, v, win = smpl.resolve_inputs(s, z, inp)
     probe = smpl.SwitchProbe(
         prev_mode=prev_mode, x=tuple(x_prev), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
     )
     successors = tuple(cand.mode for cand in s.switching.successor_set(probe))
     if not successors:
-        raise smpl.NoSuccessorMode(k)
+        return None
     mode = successors[0]
     form = s.modes[mode].form
     x = form.eval_state(tuple(x_prev), win)
@@ -265,10 +267,9 @@ def simulate(s: smpl.SmplSystem, inputs) -> smpl.Trace:
     prev_mode, x = None, tuple(s.x0)
     u_prev, v_prev = (EPS,) * s.dims.n_u, (EPS,) * s.dims.n_v
     for k, inp in enumerate(inputs, start=1):
-        try:
-            rec = smpl_step_twice(s, prev_mode, x, inp, k, u_prev, v_prev)
-        except smpl.NoSuccessorMode as halt:
-            return smpl.Trace(tuple(records), halted_at=halt.step)
+        rec = smpl_step_twice(s, prev_mode, x, inp, k, u_prev, v_prev)
+        if rec is None:
+            return smpl.Trace(tuple(records), halted_at=k)
         records.append(rec)
         prev_mode, x, u_prev, v_prev = rec.mode, rec.x, rec.u, rec.v
     return smpl.Trace(tuple(records))

@@ -166,7 +166,7 @@ def test_criterion_6_production_line(production):
     expected_x = tuple(eval_expr(e, production.x0) for e in exprs[1])
     expected_y = eval_expr(out_expr, expected_x)
     assert expected_x == (1.0, 2.0, 4.0) and expected_y == 4.0
-    rec = smpl.step(production, None, production.x0, smpl.StepInput(w="l1"))
+    rec = smpl.step(production, smpl.SmplBehaviour(production).init(), smpl.StepInput(w="l1"))
     assert rec.x == expected_x and rec.y == (expected_y,)
 
     # the two-branch rewrite of the third component agrees everywhere

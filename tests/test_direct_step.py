@@ -26,10 +26,10 @@ from maxplushybrid.hybrid import HybridState, from_smpl_closed, from_smpl_open, 
 from maxplushybrid.serialization import parse_model
 from maxplushybrid.smpl import (
     MatrixMode,
-    NoSuccessorMode,
     SmplDims,
     SmplSystem,
     StepInput,
+    StepRecord,
     externally_driven_rule,
     simulate,
     static_feedback,
@@ -134,10 +134,9 @@ class TestDirectStepAgainstTheScan:
         assert successors == oracles.hybrid_step_apart(automaton, state, inp)
         # and the switching system's step from the same previous mode
         n, n_u = system.dims.n, system.dims.n_u
-        x, u_prev = (z[1 : 1 + n], z[1 + n : 1 + n + n_u]) if system.closed_loop else (z, None)
-        try:
-            rec = step(system, mode, x, inp, u_prev=u_prev)
-        except NoSuccessorMode:
+        x, u_prev = (z[1 : 1 + n], z[1 + n : 1 + n + n_u]) if system.closed_loop else (z, ())
+        rec = step(system, StepRecord(0, mode, x, (), (), u_prev), inp)
+        if rec is None:
             assert successors == ()
         else:
             assert tuple(succ.mode for succ in successors) == rec.successor_modes
@@ -208,7 +207,7 @@ class TestModesTheSystemLacks:
         state, inp = HybridState(1, system.x0), StepInput(w="l1")
         message = f"switching rule returned unknown mode {unknown}$"
         with pytest.raises(ValueError, match=message):
-            step(system, None, system.x0, inp)
+            step(system, SmplBehaviour(system).init(), inp)
         with pytest.raises(ValueError, match=message):
             hybrid_step(automaton, state, inp)
         with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """Document rules that parse_model enforces: the switching kind each rule
-type accepts, dims widths that the document's matrices carry, and no
-traceback from any one hostile leaf in a bundled document."""
+type accepts, dims widths that the document's matrices carry, finite
+weight numbers, and no traceback from any one hostile leaf in a bundled
+document or from any hostile --inputs file."""
 
 import contextlib
 import dataclasses
@@ -132,8 +133,65 @@ class TestDimsCarriedByMatrices:
             smpl_body(with_v)
 
 
+NAN, INF, OVERFLOW = float("nan"), float("inf"), 10**400  # json writes NaN, Infinity, 400 digits
+
+
+def open_loop_feedback():
+    """The bundled feedback_demo without its controller: u is an input."""
+    body = bundled("feedback_demo")
+    del body["controller"]
+    return body
+
+
+class TestWeightNumbers:
+    """A weight number must be finite: the infinities are "-inf" and "+inf",
+    and NaN, Infinity and numbers beyond a float's range exit 2 naming the
+    field."""
+
+    def run_on(self, tmp_path, body, *argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        return run_main(argv[0], str(path), *argv[1:])
+
+    @pytest.mark.parametrize("value, says", [(NAN, "weight NaN is not a number"), (INF, "out of range"), (OVERFLOW, "out of range")])
+    @pytest.mark.parametrize("where", ["x0", "alpha", "matrix", "inputs"])
+    def test_non_finite_numbers_exit_two_naming_the_field(self, tmp_path, value, says, where):
+        if where == "x0":
+            body, field, argv = bundled("production_line"), "x0", ("simulate", "--word", "l1")
+            body["x0"][1] = value
+        elif where == "alpha":
+            body, field, argv = bundled("gaubert_mpa"), "alpha", ("eval", "--word", "ab")
+            body["alpha"][1] = value
+        elif where == "matrix":
+            body, field, argv = bundled("production_line"), "modes[1].C", ("translate", "--to", "maha")
+            body["modes"][1]["C"][0][0][0] = value
+        else:
+            inputs = tmp_path / "inputs.json"
+            inputs.write_text(json.dumps([{"w": "m1", "u": [1]}, {"w": "m2", "u": [value]}]))
+            body, field, argv = open_loop_feedback(), "inputs[1].u", ("simulate", "--inputs", str(inputs))
+        code, out, err = self.run_on(tmp_path, body, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"{field}: " in err and says in err, err
+
+    @pytest.mark.parametrize("key", ["u", "r", "p"])
+    @pytest.mark.parametrize("infinity", ["-inf", "+inf"])
+    def test_inputs_refuse_infinite_continuous_inputs(self, tmp_path, key, infinity):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "m1", "u": [0]}, {"w": "m1", "u": [0], key: [infinity]}]))
+        code, out, err = self.run_on(tmp_path, open_loop_feedback(), "simulate", "--inputs", str(inputs))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: inputs[1].{key} must be finite"), err
+
+    def test_finite_inputs_still_run(self, tmp_path):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "m1", "u": [30]}, {"w": "m2", "u": [-2.5]}]))
+        code, out, err = self.run_on(tmp_path, open_loop_feedback(), "simulate", "--inputs", str(inputs), "--format", "json")
+        assert code == 0, err
+        assert [rec["k"] for rec in json.loads(out)["trace"]] == [1, 2]
+
+
 # One leaf (or one list) of a bundled document, replaced by a hostile value.
-HOSTILE = (None, True, False, -0.0, HUGE, "nan", "-inf", [], {}, [[0], [0, 1]], [0, [1]])
+HOSTILE = (None, True, False, -0.0, HUGE, "nan", "-inf", [], {}, [[0], [0, 1]], [0, [1]], OVERFLOW, NAN, INF)
 
 
 def _nodes(value, path=()):
@@ -188,3 +246,40 @@ def test_one_hostile_leaf_never_raises(document):
                 assert json.loads(out)["verdict"] is False, argv
             if code == 2:
                 assert out == "" and err.startswith("error: "), (argv, err)
+
+
+# --inputs files: lists of step objects over the five step keys and one
+# the CLI does not know, each value hostile, a symbol or a vector that may
+# have the wrong width.
+SIMULATED = {
+    "production_line": bundled("production_line"),
+    "feedback_demo": bundled("feedback_demo"),
+    "gaubert_mpa": bundled("gaubert_mpa"),
+    "feedback_demo-open": open_loop_feedback(),
+}
+SYMBOLS = ("l1", "l2", "m1", "m2", "a", "b")
+ENTRIES = (0, 2, -1.5, "-inf", "+inf", "nan", None, True, OVERFLOW, NAN, INF, [1])
+
+step_values = st.one_of(
+    st.sampled_from(HOSTILE),
+    st.sampled_from(SYMBOLS),
+    st.lists(st.sampled_from(ENTRIES), max_size=3),
+)
+step_objects = st.dictionaries(st.sampled_from(("w", "u", "v", "r", "p", "extra")), step_values, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(step_objects, max_size=4))
+def test_hostile_inputs_files_never_raise(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "inputs.json"
+        inputs.write_text(json.dumps(steps))
+        for name, body in SIMULATED.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(body))
+            code, out, err = run_main("simulate", str(path), "--inputs", str(inputs), "--format", "json")
+            assert code in (0, 2), (name, code)
+            if code == 0:
+                assert err == "" and "trace" in json.loads(out), name
+            else:
+                assert out == "" and err.startswith("error: "), (name, err)

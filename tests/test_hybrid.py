@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from maxplushybrid.hybrid import (
     HybridAutomaton,
     HybridState,
     InadmissibleInput,
+    MahaBehaviour,
     NonRepresentableController,
     WrongProvenance,
     finite_abstraction,
@@ -19,9 +21,12 @@ from maxplushybrid.hybrid import (
     mpa_chain_abstraction,
     run,
 )
+from maxplushybrid import fixtures
+from maxplushybrid.mpa import MpaBehaviour
 from maxplushybrid.smpl import (
     ControllerHook,
     MatrixMode,
+    SmplBehaviour,
     SmplDims,
     SmplSystem,
     StepInput,
@@ -414,3 +419,48 @@ class TestFusedAbstraction:
         )
         fa = mpa_chain_abstraction(from_smpl_open(from_mpa(a)))
         assert language_upto(fa, 4) == set()
+
+
+def halting_cases():
+    """name -> (stepper, inputs that run, an input that then halts), for
+    every stepper class."""
+    gaubert = fixtures.gaubert_mpa()
+    closed = fixtures.feedback_demo_smpl()
+    opened = dataclasses.replace(closed, controller=None)
+    stuck = dataclasses.replace(hand_built_automaton(), init=(HybridState(1, (5.0, 9.0)),))
+    m1, halt = StepInput(w="m1"), StepInput(w="zz")  # no rule admits a mode for "zz"
+    u_m1, u_halt = StepInput(w="m1", u=(2.0,)), StepInput(w="zz", u=(2.0,))
+    return {
+        "mpa": (MpaBehaviour(gaubert), (), StepInput(w="b")),
+        "smpl": (SmplBehaviour(from_mpa(gaubert)), word_inputs("aa"), StepInput(w="a")),
+        "smpl-open": (SmplBehaviour(opened), (u_m1, u_m1), u_halt),
+        "smpl-closed": (SmplBehaviour(closed), (m1, m1), halt),
+        "maha-open": (MahaBehaviour(from_smpl_open(from_mpa(gaubert))), word_inputs("aa"), StepInput(w="a")),
+        "maha-closed": (MahaBehaviour(from_smpl_closed(closed)), (m1,), halt),
+        # from (5, 9) in mode 1, "c" meets neither the invariant nor a guard
+        "hand-built": (MahaBehaviour(stuck), (), StepInput(w="c")),
+    }
+
+
+HALTING = halting_cases()
+
+
+class TestStepperContract:
+    """A run halts where step returns None: no stepper class raises on a
+    halt, and fold reports the step that halted."""
+
+    @pytest.mark.parametrize("name", sorted(HALTING))
+    def test_a_halting_input_makes_step_return_none(self, name):
+        stepper, prefix, halting = HALTING[name]
+        state = stepper.init()
+        records = []
+        for inp in prefix:
+            state = stepper.step(state, inp)
+            assert state is not None
+            records.append(state)
+        assert stepper.step(state, halting) is None
+        tail = prefix[-1:] or (halting,)
+        run = stepper.fold(prefix + (halting,) + tail)
+        assert run.halted_at == len(prefix) + 1
+        assert run.records == tuple(records)
+        assert stepper.trace(prefix + (halting,)) is None

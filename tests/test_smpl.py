@@ -10,7 +10,7 @@ from maxplushybrid.mpa import MaxPlusAutomaton, accepts, eval_output
 from maxplushybrid.smpl import (
     Candidate,
     MatrixMode,
-    NoSuccessorMode,
+    SmplBehaviour,
     SmplDims,
     SmplSystem,
     StepInput,
@@ -51,23 +51,22 @@ def identity_system() -> SmplSystem:
 class TestStep:
     def test_first_step_on_a(self, gaubert):
         system = from_mpa(gaubert)
-        rec = step(system, None, system.x0, StepInput(w="a"))
+        rec = step(system, SmplBehaviour(system).init(), StepInput(w="a"))
         assert rec.mode == 1
         assert rec.x == (EPS, 1.0, 3.0)
         assert rec.successor_modes == (1,)
 
     def test_first_step_on_b_has_no_successor(self, gaubert):
         system = from_mpa(gaubert)
-        with pytest.raises(NoSuccessorMode):
-            step(system, None, system.x0, StepInput(w="b"))
+        assert step(system, SmplBehaviour(system).init(), StepInput(w="b")) is None
 
     def test_identity_dynamics_fix_the_state(self):
         system = identity_system()
-        x = system.x0
+        state = SmplBehaviour(system).init()
         for k in range(1, 4):
-            rec = step(system, 1, x, StepInput(w="go"), k=k)
-            assert rec.x == x
-            x = rec.x
+            rec = step(system, state, StepInput(w="go"))
+            assert (rec.k, rec.x) == (k, system.x0)
+            state = rec
 
 
 class TestSwitchProbe:
@@ -233,6 +232,12 @@ class TestClassification:
             classify_switching(system)
             is SwitchingKind.STATE_DEPENDENT_AUTONOMOUS
         )
+
+    def test_feedback_demo_is_constrained_under_every_seed(self, feedback):
+        # continuous inputs are finite, so probes never draw an EPS u that
+        # symbol liveness would see through B (x) u
+        for seed in range(200):
+            assert classify_switching(feedback, seed=seed) is SwitchingKind.CONSTRAINED, seed
 
     def test_rule_reading_v_fails_a_kind_that_forbids_it(self):
         mode = MatrixMode.from_parts(a=[[0.0]], c=[[0.0]])
