@@ -10,7 +10,6 @@ from .tropical import (
     oplus,
     oplus_dual,
     otimes,
-    otimes_dual,
 )
 from .expressions import (
     ConjunctiveForm,

@@ -151,6 +151,9 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise UsageError(f"inputs[{k}] must be an object with u, v, w, r, p fields")
+        unknown = sorted(set(entry) - set("uvwrp"))
+        if unknown:
+            raise UsageError(f"inputs[{k}].{unknown[0]} in {args.inputs!r} is not a step field; a step takes w, u, v, r, p")
         w = entry.get("w")
         if w is None:
             if symbols is not None:
@@ -166,6 +169,10 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
         for key in "urp":
             if not all(map(is_finite, signals[key])):
                 raise UsageError(f'inputs[{k}].{key} must be finite: continuous inputs take no "-inf" or "+inf"')
+        if doc.kind == "mpa":
+            for key in "uvrp":
+                if signals[key]:
+                    raise UsageError(f"inputs[{k}].{key} must be empty: an mpa step reads its symbol w only")
         steps.append(smpl.StepInput(w=w, **signals))
     return tuple(steps)
 
@@ -191,20 +198,18 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
     if args.steps is not None:
         inputs = inputs[: args.steps]
     if doc.kind == "mpa":
-        automaton = doc.model
-        row = automaton.alpha
-        records = []
-        for k, inp in enumerate(inputs, start=1):
-            row = mpa.step_row(automaton, row, inp.w)
-            records.append(
-                {
-                    "k": k,
-                    "symbol": inp.w,
-                    "state": [encode_weight(v) for v in row],
-                    "output": encode_weight(mpa.row_value(automaton, row)),
-                }
-            )
-        report.payload = {"trace": records}
+        alphabet = doc.model.alphabet
+        trace = mpa.MpaBehaviour(doc.model).fold(inputs)
+        records = [
+            {
+                "k": rec.k,
+                "symbol": alphabet[rec.mode - 1],
+                "state": [encode_weight(v) for v in rec.x],
+                "output": encode_weight(rec.y[0]),
+            }
+            for rec in trace.records
+        ]
+        report.payload = {"trace": records, "halted_at": trace.halted_at}
         return report, 0
     if doc.kind == "smpl":
         report.payload = _trace_payload(smpl.simulate(doc.model, inputs), successors=True)

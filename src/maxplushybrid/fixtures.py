@@ -98,7 +98,7 @@ def production_line_smpl(
     """Two-mode switching system for the production line.
 
     Mode matrices come from the conjunctive rewrite of the update
-    expressions; a mode is admissible when its symbol is applied and the
+    expressions; a mode is a candidate when its symbol is applied and the
     candidate next state keeps at least one finite completion time.
     """
     exprs = production_line_state_exprs(tau)

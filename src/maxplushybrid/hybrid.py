@@ -1,32 +1,29 @@
 """Max-algebraic hybrid automata: executions, translations, abstractions.
 
-A hybrid state is a (mode, state-vector) pair.  One event step from (q, x)
-first settles where the mode goes: staying in q is allowed while the mode
-invariant holds at (x, inputs), and an edge (q, q') fires when its guard
-holds there.  Each admitted target mode then advances the continuous state
-with its own dynamics, after the edge's reset (identity throughout here).
-Resolving the mode against the pre-step state and flowing with the target
-mode is what makes translated switching systems match step for step.
+A hybrid state is a (mode, state-vector) pair.  The paper defines an
+automaton by per-mode invariants and flows, guarded edges with resets and
+a set of allowed inputs, and shows that a switching max-plus linear
+system translates into one.  The automata here are those translations:
+each carries a successor function, and hybrid_step is one call of it.
+The paper's general definition, stepped by a scan of the invariant and
+the guards, lives on in the tests as the reference a translation is held
+to.
 
 Open- and closed-loop switching systems translate by one construction; a
 state codec says where the system's x sits in the hybrid state: x itself
 for the open loop, the augmented state (mode, x, u, v) for the closed loop.
-A translated automaton carries a successor function that takes a whole
-step through the system's own resolution (smpl.resolve_step: one input
-resolution and width check, one switching resolution, a rule's unknown
-modes rejected), then writes each candidate's next state as the rule
-computed it or from one evaluation of its mode.  Its guards call the same
-resolution and its flows the same input resolution, so they describe that
-step one predicate at a time; the abstraction reads their declarative
-part.  Every mode is initial at the codec's state, but a run's first step
-is one resolution from that state with no previous mode (hybrid_step from
-mode None), as the system's first step is.
+The successor function from mode q takes a whole step through the
+system's own resolution (smpl.resolve_step: one input resolution and width
+check, one switching resolution, a rule's unknown modes rejected), with q
+as the previous mode, then writes each candidate's next state as the rule
+computed it or from one evaluation of its mode.  Resolving the mode
+against the pre-step state and flowing with the target mode is what makes
+a translation match the system step for step.  Each edge (q, q') between
+distinct modes carries the symbols that can select q', when the rule
+declares them; the abstraction reads those.  Every mode is initial at the
+codec's state, but a run's first step is one resolution from that state
+with no previous mode (mode None), as the system's first step is.
 
-hybrid_step hands a step to the successor function when the automaton has
-one.  Otherwise it scans the invariant and the current mode's guarded
-out-edges; only automata built by hand, which have no successor function,
-take that path, and their runs' first step merges the successors of every
-initial state.  hybrid_step takes any state with a mode and an x.
 MahaBehaviour is the automaton's stepper (smpl.Stepper, next to
 hybrid_step here); it steps from its last record as it is, and a run is
 its fold, with the smallest successor mode taken each step.
@@ -34,22 +31,15 @@ its fold, with the smallest successor mode taken each step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .expressions import MatrixForm, transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace, resolve_inputs, resolve_step
+from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace, resolve_step
 from .tropical import EPS, Weight
 
-FlowFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
-PredicateFn = Callable[[tuple[Weight, ...], StepInput], bool]
-ResetFn = Callable[[tuple[Weight, ...]], tuple[Weight, ...]]
-
-
-class InadmissibleInput(ValueError):
-    """The input is outside the admissible set of the current hybrid state."""
+OutputFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
 
 
 class AssumptionViolation(ValueError):
@@ -61,19 +51,6 @@ class WrongProvenance(ValueError):
     automaton translation chain."""
 
 
-@dataclass(frozen=True)
-class GuardPredicate:
-    """Executable condition plus, when known, the discrete symbols that can
-    satisfy it; the declarative part is what the abstraction reads."""
-
-    holds: PredicateFn
-    enabled_symbols: frozenset[str] | None = None
-
-
-def identity_reset(x: tuple[Weight, ...]) -> tuple[Weight, ...]:
-    return x
-
-
 class HybridState(NamedTuple):
     mode: int
     x: tuple[Weight, ...]
@@ -81,76 +58,45 @@ class HybridState(NamedTuple):
 
 @dataclass(frozen=True)
 class HybridAutomaton:
+    """A translated switching system.  edges maps each edge (q, q') to the
+    symbols that can select q' (None when the rule does not declare them);
+    successors takes (mode, x, inp) to the successor states sorted by mode,
+    from mode None on a run's first step."""
+
     modes: tuple[int, ...]
     n: int
     discrete_inputs: tuple[str, ...]
     n_y: int
     init: tuple[HybridState, ...]
-    flow: dict[int, FlowFn]
-    output: dict[int, FlowFn]
-    invariant: dict[int, GuardPredicate]
-    edges: tuple[tuple[int, int], ...]
-    guards: dict[tuple[int, int], GuardPredicate]
-    resets: dict[tuple[int, int], ResetFn] = field(default_factory=dict)
-    admissible: Callable[[int, tuple[Weight, ...], StepInput], bool] = lambda q, x, inp: True
+    output: dict[int, OutputFn]
+    edges: dict[tuple[int, int], frozenset[str] | None]
+    successors: Callable[[int | None, tuple[Weight, ...], StepInput], tuple[HybridState, ...]]
     forms: dict[int, MatrixForm] | None = None
-    # (mode, x, inp) -> the successors sorted by mode, as the invariant,
-    # guards and flows give them, from mode None on a run's first step;
-    # translations set it
-    successors: Callable[[int | None, tuple[Weight, ...], StepInput], tuple[HybridState, ...]] | None = None
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         mode_set = set(self.modes)
-        for q in itertools.chain(self.flow, self.output, self.invariant):
+        for q in self.output:
             if q not in mode_set:
                 raise ValueError(f"unknown mode {q}")
         for q, qq in self.edges:
             if q not in mode_set or qq not in mode_set:
                 raise ValueError(f"edge over unknown modes ({q},{qq})")
-        for edge in self.guards:
-            if edge not in set(self.edges):
-                raise ValueError(f"guard on undeclared edge {edge}")
         for state in self.init:
             if state.mode not in mode_set:
                 raise ValueError("initial mode not declared")
             if len(state.x) != self.n:
                 raise ValueError("initial state has wrong dimension")
 
-    def reset_for(self, edge: tuple[int, int]):
-        return self.resets.get(edge, identity_reset)
-
-    def identity_resets_only(self) -> bool:
-        return all(r is identity_reset for r in self.resets.values())
-
 
 def hybrid_step(
     h: HybridAutomaton, state: HybridState | StepRecord, inp: StepInput
 ) -> tuple[HybridState, ...]:
-    """Successor hybrid states for one event step, sorted by mode.  The
-    state is anything with a mode and an x, such as a run's last record.
-
-    Empty result means the execution is blocked: neither the invariant of
-    the current mode nor any outgoing guard admits the pre-step state and
-    the step's inputs.  A target admitted twice keeps its first flow: the
-    invariant's, then the edges' in declaration order.  An automaton with
-    a successor function takes the step through it, from mode None on a
-    run's first step.
-    """
-    mode, x = state.mode, state.x
-    if not h.admissible(mode, x, inp):
-        raise InadmissibleInput(f"input not admissible in mode {mode}")
-    if h.successors is not None:
-        return h.successors(mode, x, inp)
-    flow = h.flow
-    out: dict[int, tuple[Weight, ...]] = {}
-    if h.invariant[mode].holds(x, inp):
-        out[mode] = flow[mode](x, inp)
-    for edge in h.edges:
-        guard = h.guards.get(edge)
-        if edge[0] == mode and guard is not None and guard.holds(x, inp) and edge[1] not in out:
-            out[edge[1]] = flow[edge[1]](h.reset_for(edge)(x), inp)
-    return tuple([HybridState(q, out[q]) for q in sorted(out)])
+    """Successor hybrid states for one event step, sorted by mode, from
+    mode None on a run's first step.  The state is anything with a mode
+    and an x, such as a run's last record.  Empty result means the
+    execution is blocked: the switching rule admits no mode."""
+    return h.successors(state.mode, state.x, inp)
 
 
 @dataclass(frozen=True)
@@ -158,31 +104,20 @@ class MahaBehaviour(Stepper):
     """Runs of a hybrid automaton: each step takes the smallest successor
     mode.  Before the first step there is no current mode (None), as a
     switching system's first mode is resolved by its rule rather than
-    given.  A translation's record before the first step holds its initial
-    state, from which hybrid_step takes one step with no previous mode; a
-    hand-built automaton's first step merges the successors of every
-    initial state by mode (the first initial state to reach a mode wins)."""
+    given; the record before the first step holds the initial state, from
+    which hybrid_step takes one step with no previous mode."""
 
     automaton: HybridAutomaton
 
     def init(self) -> StepRecord:
-        h = self.automaton
-        return StepRecord(0, None, h.init[0].x if h.successors is not None else (), (), ())
+        return StepRecord(0, None, self.automaton.init[0].x, (), ())
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
-        h = self.automaton
-        if state.mode is not None or h.successors is not None:
-            successors = hybrid_step(h, state, inp)
-        else:
-            merged: dict[int, HybridState] = {}
-            for init_state in h.init:
-                for succ in hybrid_step(h, init_state, inp):
-                    merged.setdefault(succ.mode, succ)
-            successors = tuple([merged[q] for q in sorted(merged)])
+        successors = hybrid_step(self.automaton, state, inp)
         if not successors:
             return None
         mode, x = successors[0]
-        y = h.output[mode](x, inp)
+        y = self.automaton.output[mode](x, inp)
         return StepRecord(state.k + 1, mode, x, y, tuple([succ.mode for succ in successors]))
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
@@ -190,7 +125,7 @@ class MahaBehaviour(Stepper):
 
 
 def run(h: HybridAutomaton, inputs: Sequence[StepInput]) -> Trace:
-    """Deterministic execution from the initial states: MahaBehaviour's fold."""
+    """Deterministic execution from the initial state: MahaBehaviour's fold."""
     return MahaBehaviour(h).fold(inputs)
 
 
@@ -220,12 +155,8 @@ def _translate(
     The successor function from source mode q (None before the first step)
     resolves the step as smpl.step does, with q as the previous mode, and
     writes each candidate mode through the codec with its next state.
-
-    The invariant of mode q collects the (state, input) pairs the
-    resolution from q maps back to q; the guard of edge (q, q') collects
-    the pairs it maps to q'; the flow of q advances with q's dynamics on
-    the resolved inputs.  Each resolves what it needs on its own call.
-    Resets are identity and every mode is initial at the codec's state.
+    Every pair of distinct modes is an edge, tagged with the symbols that
+    can select its target, and every mode is initial at the codec's state.
     """
     modes = tuple(range(1, s.n_modes + 1))
     read_x, write, rule, dynamics_of = codec.read_x, codec.write, s.switching, s.modes
@@ -238,42 +169,23 @@ def _translate(
             for cand in candidates
         ])
 
-    def guard(source: int, target: int) -> GuardPredicate:
-        def holds(z: tuple[Weight, ...], inp: StepInput) -> bool:
-            return any(cand.mode == target for cand in resolve_step(s, source, read_x(z), z, inp)[3])
-
-        return GuardPredicate(holds=holds, enabled_symbols=rule.enabling_symbols(target))
-
-    def flow_fn(mode: int) -> FlowFn:
-        form = dynamics_of[mode].form
-
-        def flow(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-            u, v, win = resolve_inputs(s, z, inp)
-            return write(mode, form.eval_state(read_x(z), win), u, v)
-
-        return flow
-
-    def output_fn(mode: int) -> FlowFn:
+    def output_fn(mode: int) -> OutputFn:
         # the step checked the widths of the inputs it was given
         output, u_at = dynamics_of[mode].form.eval_output, codec.u_at
         if u_at is None:
             return lambda z, inp: output(read_x(z), inp.u + inp.r + inp.p)
         return lambda z, inp: output(read_x(z), z[u_at] + inp.r + inp.p)
 
-    edges = tuple((q, qq) for q in modes for qq in modes if q != qq)
     return HybridAutomaton(
         modes=modes,
         n=codec.n,
         discrete_inputs=rule.symbols or (),
         n_y=s.dims.n_y,
         init=tuple(HybridState(q, codec.init) for q in modes),
-        flow={q: flow_fn(q) for q in modes},
         output={q: output_fn(q) for q in modes},
-        invariant={q: guard(q, q) for q in modes},
-        edges=edges,
-        guards={edge: guard(*edge) for edge in edges},
-        forms=forms,
+        edges={(q, qq): rule.enabling_symbols(qq) for q in modes for qq in modes if q != qq},
         successors=successors,
+        forms=forms,
         meta={**codec.meta, "source_provenance": s.meta.get("translated_from"), "system": s},
     )
 
@@ -300,7 +212,7 @@ class NonRepresentableController(ValueError):
 def from_smpl_closed(s: SmplSystem) -> HybridAutomaton:
     """Closed-loop translation over the augmented state (mode, x, u, v).
 
-    The controller is folded into the flow: each step decodes the previous
+    The controller is folded into the step: each step decodes the previous
     (x, u, v) from the augmented state, asks the controller for this step's
     inputs, advances with the target mode and re-encodes.
     """
@@ -354,15 +266,13 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
 
     Within a mode, the label moves along the dependency edges of that
     mode's dynamics under the step symbol "1".  A declared mode edge moves
-    the mode while keeping the label, under each discrete symbol its guard
-    admits (all of them when the guard carries no declarative tag).
+    the mode while keeping the label, under each discrete symbol the edge
+    carries (all of them when the switching rule declares none).
     """
     if h.forms is None:
         raise AssumptionViolation(
             "finite abstraction needs max-min-plus matrix dynamics per mode"
         )
-    if not h.identity_resets_only():
-        raise AssumptionViolation("finite abstraction needs identity resets")
     if STEP_SYMBOL in h.discrete_inputs:
         raise ValueError("discrete input alphabet collides with the step symbol")
     n_u = {h.forms[q].n_input for q in h.modes}
@@ -388,15 +298,10 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
         for lab in u_labels:
             if any(src == lab for src, _ in gf):
                 initial.add(_state_name(q, lab))
-    for edge in h.edges:
-        guard = h.guards.get(edge)
-        if guard is None:
-            continue
-        symbols = guard.enabled_symbols
-        symbols = h.discrete_inputs if symbols is None else sorted(symbols)
-        for w in symbols:
+    for (source, target), symbols in h.edges.items():
+        for w in h.discrete_inputs if symbols is None else sorted(symbols):
             for lab in x_labels:
-                triples.append((_state_name(edge[0], lab), w, _state_name(edge[1], lab)))
+                triples.append((_state_name(source, lab), w, _state_name(target, lab)))
     return FiniteAutomaton(
         states=states,
         alphabet=tuple(h.discrete_inputs) + (STEP_SYMBOL,),

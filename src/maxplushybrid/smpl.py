@@ -12,10 +12,9 @@ hybrid translation alike: it resolves the controlled inputs (the
 controller's, shape-checked, or the step input's own), checks the widths
 of u, r and p once before the rule sees them, calls the rule's
 successor_set once and checks that every candidate is a mode the system
-has.  step and the translation's successor function and guards call it;
-the translation's flows, which need no mode, call its input half,
-resolve_inputs.  A run's first step resolves with no previous mode, in
-the system and in its translation alike.  A rule that has to compute a
+has.  step and the translation's successor function call it; its input
+half is resolve_inputs.  A run's first step resolves with no previous
+mode, in the system and in its translation alike.  A rule that has to compute a
 mode's next state to decide on it (symbol liveness does) hands that state
 back with the candidate, so a step evaluates the chosen mode's dynamics
 once.  The state and inputs are passed on as the tuples they already are,
@@ -112,7 +111,7 @@ class Candidate(NamedTuple):
 
 @dataclass(frozen=True)
 class SwitchingRule:
-    """successors yields the admissible modes of a probe, as bare mode
+    """successors yields the candidate modes of a probe, as bare mode
     indices or as Candidates carrying their next states."""
 
     kind: SwitchingKind
@@ -464,7 +463,7 @@ def from_mpa(a: "MaxPlusAutomaton") -> SmplSystem:
 
     One mode per symbol; the mode matrix is the transposed weight matrix of
     its symbol, the output row collects the final weights and the initial
-    state collects the initial weights.  A mode is admissible only while
+    state collects the initial weights.  A mode is a candidate only while
     its candidate successor state keeps a finite entry, so runs halt
     exactly where every weighted path has died out.
     """

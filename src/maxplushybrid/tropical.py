@@ -4,9 +4,8 @@ Weights are plain floats: finite reals plus the two reserved infinities,
 ``EPS = -inf`` (the max-plus zero) and ``TOP = +inf`` (the min-plus zero).
 The completed semiring resolves the otherwise undefined combination of the
 two infinities by letting max-plus operations take preference: EPS absorbs
-under ``otimes`` even against TOP, and dually TOP absorbs under
-``otimes_dual``.  Both semirings must share these two helpers so that they
-agree on mixed values; do not replace them with raw ``+``.  The exception
+under ``otimes`` even against TOP.  Sums that may mix the two infinities
+go through ``otimes``; do not replace it with raw ``+``.  The exception
 is the one row kernel, ``eval_rows``, which serves ``TropicalMatrix.apply``
 and ``left_apply``, the compiled mode maps of ``expressions.MatrixForm``
 and the value of a max-plus automaton's row vector.  It adds by hand over
@@ -57,21 +56,7 @@ def oplus_dual(a: Weight, b: Weight) -> Weight:
     return a if a <= b else b
 
 
-def otimes_dual(a: Weight, b: Weight) -> Weight:
-    """Min-plus multiplication: a + b, with TOP absorbing even against EPS."""
-    if a == TOP or b == TOP:
-        return TOP
-    return a + b
-
-
 Vector = tuple[Weight, ...]
-
-
-def vec_leq(x: Sequence[Weight], y: Sequence[Weight]) -> bool:
-    """Componentwise order; equivalent to x oplus y == y."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return all(a <= b for a, b in zip(x, y))
 
 
 def has_finite_entry(x: Sequence[Weight]) -> bool:
@@ -189,9 +174,6 @@ class TropicalMatrix:
 
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Weight]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "TropicalMatrix":
         ent = tuple(

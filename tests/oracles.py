@@ -104,6 +104,14 @@ def nfa_accepts_by_search(fa: FiniteAutomaton, word) -> bool:
     return any(explore(s, tuple(word)) for s in fa.initial)
 
 
+def vec_leq(x, y) -> bool:
+    """Componentwise order of two vectors of one length; equivalent to
+    x oplus y == y."""
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    return all(a <= b for a, b in zip(x, y))
+
+
 def apply_dense(m: TropicalMatrix, x) -> tuple[Weight, ...]:
     """Matrix-vector product over every dense entry, each through otimes,
     as opposed to the walk over each row's finite support."""
@@ -275,47 +283,67 @@ def simulate(s: smpl.SmplSystem, inputs) -> smpl.Trace:
     return smpl.Trace(tuple(records))
 
 
-def _fresh(z, inp):
-    """Equal copies that share no object with the originals, so no memo
-    keyed by identity can recognise them."""
-    return tuple(list(z)), dataclasses.replace(inp)
+class InadmissibleInput(ValueError):
+    """The input is outside the admissible set of the current hybrid state."""
 
 
-def hybrid_step_apart(h: hybrid.HybridAutomaton, state: hybrid.HybridState, inp):
-    """hybrid_step with every invariant, guard and flow called on fresh
-    copies of the state and input: each resolves switching and evaluates
-    the dynamics on its own, as opposed to sharing one resolution."""
-    if not h.admissible(state.mode, state.x, inp):
-        raise hybrid.InadmissibleInput(f"input not admissible in mode {state.mode}")
+@dataclasses.dataclass(frozen=True)
+class ScanAutomaton:
+    """The paper's max-algebraic hybrid automaton as its definition reads:
+    per mode an invariant, a flow and an output map, guarded edges with
+    resets (identity where none is given), and an admissible-input set.
+    A step stays in the mode while its invariant holds at (x, input) and
+    takes each out-edge whose guard holds there, then flows with the
+    target mode; scan_step and scan_run step it, as opposed to the
+    successor function of a translated hybrid.HybridAutomaton."""
+
+    modes: tuple
+    init: tuple
+    flow: dict
+    output: dict
+    invariant: dict
+    edges: tuple
+    guards: dict
+    resets: dict = dataclasses.field(default_factory=dict)
+    admissible: object = lambda q, x, inp: True
+    discrete_inputs: tuple = ()
+
+
+def scan_step(h: ScanAutomaton, state, inp) -> tuple:
+    """Successor states sorted by mode, from a scan of the invariant, then
+    of the out-edges in declaration order: a target admitted twice keeps
+    its first flow.  A mode without an invariant (None before a
+    translation's first step) is left on every step."""
+    mode, x = state.mode, state.x
+    if not h.admissible(mode, x, inp):
+        raise InadmissibleInput(f"input not admissible in mode {mode}")
     out = {}
-    if h.invariant[state.mode].holds(*_fresh(state.x, inp)):
-        out[state.mode] = h.flow[state.mode](*_fresh(state.x, inp))
+    invariant = h.invariant.get(mode)
+    if invariant is not None and invariant(x, inp):
+        out[mode] = h.flow[mode](x, inp)
     for edge in h.edges:
         guard = h.guards.get(edge)
-        if edge[0] == state.mode and guard is not None and guard.holds(*_fresh(state.x, inp)):
-            x_reset = h.reset_for(edge)(state.x)
-            out.setdefault(edge[1], h.flow[edge[1]](*_fresh(x_reset, inp)))
+        if edge[0] == mode and guard is not None and guard(x, inp) and edge[1] not in out:
+            reset = h.resets.get(edge, lambda x: x)
+            out[edge[1]] = h.flow[edge[1]](reset(x), inp)
     return tuple(hybrid.HybridState(q, out[q]) for q in sorted(out))
 
 
-def run(h: hybrid.HybridAutomaton, inputs) -> smpl.Trace:
-    """hybrid.run over hybrid_step_apart.  The first step is the successor
-    function from the initial state with no previous mode when the
-    automaton has one, and merges the initial states' successors by mode
-    otherwise."""
+def scan_run(h: ScanAutomaton, inputs) -> smpl.Trace:
+    """The run from the initial states: the first step merges every
+    initial state's successors by mode (the first initial state to reach a
+    mode wins), and each step takes the smallest successor mode."""
     records = []
     current = None
     for k, inp in enumerate(inputs, start=1):
-        if current is None and h.successors is not None:
-            successors = h.successors(None, *_fresh(h.init[0].x, inp))
-        elif current is None:
+        if current is None:
             merged = {}
             for init_state in h.init:
-                for succ in hybrid_step_apart(h, init_state, inp):
+                for succ in scan_step(h, init_state, inp):
                     merged.setdefault(succ.mode, succ)
             successors = tuple(merged[q] for q in sorted(merged))
         else:
-            successors = hybrid_step_apart(h, current, inp)
+            successors = scan_step(h, current, inp)
         if not successors:
             return smpl.Trace(tuple(records), halted_at=k)
         current = successors[0]
@@ -329,6 +357,73 @@ def run(h: hybrid.HybridAutomaton, inputs) -> smpl.Trace:
             )
         )
     return smpl.Trace(tuple(records))
+
+
+def scan_of_translation(s: smpl.SmplSystem) -> ScanAutomaton:
+    """The paper's translation of a switching system, built from the
+    definition and never from smpl.resolve_step or the library's successor
+    function.  The hybrid state is x for the open loop and the performance
+    signal z = (mode, x, u, v) for the closed loop.  The guard of (q, q'),
+    and the invariant of q for q' = q, holds when oracles.smpl_step_twice
+    from previous mode q admits q'; the flow of q' evaluates q' on the
+    inputs smpl.resolve_inputs gives.  The one initial state has mode None
+    at the system's initial state, with an edge to every mode, so a run's
+    first step resolves with no previous mode."""
+    dims = s.dims
+    n, n_u = dims.n, dims.n_u
+    modes = tuple(range(1, s.n_modes + 1))
+    if s.closed_loop:
+        z0 = (EPS,) + tuple(s.x0) + (EPS,) * (n_u + dims.n_v)
+
+        def read(z):  # (x, u, v) of the previous step
+            return z[1 : 1 + n], z[1 + n : 1 + n + n_u], z[1 + n + n_u :]
+
+        def write(mode, x, u, v):
+            return (float(mode),) + x + u + v
+
+        def output_input(z, inp):  # the u this step wrote into z
+            return read(z)[1] + inp.r + inp.p
+
+    else:
+        z0 = tuple(s.x0)
+
+        def read(z):
+            return z, (EPS,) * n_u, (EPS,) * dims.n_v
+
+        def write(mode, x, u, v):
+            return x
+
+        def output_input(z, inp):
+            return inp.u + inp.r + inp.p
+
+    def guard(source, target):
+        def holds(z, inp):
+            x, u_prev, v_prev = read(z)
+            rec = smpl_step_twice(s, source, x, inp, 1, u_prev, v_prev)
+            return rec is not None and target in rec.successor_modes
+
+        return holds
+
+    def flow(target):
+        def advance(z, inp):
+            u, v, win = smpl.resolve_inputs(s, z, inp)
+            return write(target, s.modes[target].form.eval_state(read(z)[0], win), u, v)
+
+        return advance
+
+    def output(mode):
+        return lambda z, inp: s.modes[mode].form.eval_output(read(z)[0], output_input(z, inp))
+
+    edges = tuple((q, qq) for q in (None,) + modes for qq in modes if q != qq)
+    return ScanAutomaton(
+        modes=modes,
+        init=(hybrid.HybridState(None, z0),),
+        flow={q: flow(q) for q in modes},
+        output={q: output(q) for q in modes},
+        invariant={q: guard(q, q) for q in modes},
+        edges=edges,
+        guards={edge: guard(*edge) for edge in edges},
+    )
 
 
 def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):

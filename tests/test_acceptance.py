@@ -23,7 +23,6 @@ from maxplushybrid.tropical import (
     UNIT,
     oplus,
     otimes,
-    vec_leq,
 )
 from oracles import (
     boolean_support,
@@ -31,6 +30,7 @@ from oracles import (
     path_of_length_exists,
     random_inputs_per_step,
     random_nfa,
+    vec_leq,
     widen_nfa,
     word_value_by_paths,
 )

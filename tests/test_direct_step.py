@@ -1,14 +1,15 @@
-"""A translated automaton's step against its invariant, guards and flows.
+"""A translated automaton's step against the paper's scan semantics.
 
 hybrid_step takes a translated automaton's step through the successor
-function the translation builds; oracles.hybrid_step_apart asks the
-invariant, every guard and every flow on its own.  The two must agree on
-generated systems of one to four modes, with single- and multi-branch
-rows and r and p inputs, under symbol liveness, externally driven
-switching, a rule that reads the previous mode, and a closed loop.  Both
-share the translation's resolution, so a step is also held to the
-switching system's own step from the same previous mode, and the
-switching-system stepper to oracles.simulate.
+function the translation builds; oracles.scan_of_translation builds the
+paper's automaton for the same system, whose invariant, guards and flows
+come from oracles.smpl_step_twice and smpl.resolve_inputs, and steps it
+by a scan.  The two must agree on generated systems of one to four modes,
+with single- and multi-branch rows and r and p inputs, under symbol
+liveness, externally driven switching, a rule that reads the previous
+mode, and a closed loop.  A step is also held to the switching system's
+own step from the same previous mode, and the switching-system stepper
+to oracles.simulate.
 """
 
 import dataclasses
@@ -131,7 +132,7 @@ class TestDirectStepAgainstTheScan:
         z = tuple(data.draw(st.lists(weights, min_size=automaton.n, max_size=automaton.n)))
         state = HybridState(mode, z)
         successors = hybrid_step(automaton, state, inp)
-        assert successors == oracles.hybrid_step_apart(automaton, state, inp)
+        assert successors == oracles.scan_step(oracles.scan_of_translation(system), state, inp)
         # and the switching system's step from the same previous mode
         n, n_u = system.dims.n, system.dims.n_u
         x, u_prev = (z[1 : 1 + n], z[1 + n : 1 + n + n_u]) if system.closed_loop else (z, ())
@@ -148,7 +149,7 @@ class TestDirectStepAgainstTheScan:
         kind, system, automaton = data.draw(systems())
         inputs = data.draw(step_inputs(system, data.draw(st.integers(0, 8))))
         hybrid_trace, smpl_trace = run(automaton, inputs), simulate(system, inputs)
-        assert hybrid_trace == oracles.run(automaton, inputs)
+        assert hybrid_trace == oracles.scan_run(oracles.scan_of_translation(system), inputs)
         assert smpl_trace == oracles.simulate(system, inputs)
         # both first steps resolve with no previous mode, so even a rule
         # that reads it sees the same steps: the automaton is the system
@@ -210,7 +211,5 @@ class TestModesTheSystemLacks:
             step(system, SmplBehaviour(system).init(), inp)
         with pytest.raises(ValueError, match=message):
             hybrid_step(automaton, state, inp)
-        with pytest.raises(ValueError, match=message):
-            oracles.hybrid_step_apart(automaton, state, inp)
         with pytest.raises(ValueError, match=message):
             run(automaton, (inp,))

@@ -285,7 +285,7 @@ class TestMatrixForm:
         out = [to_conjunctive(Var(1), 2)]
         mf = to_matrix_form(forms, out, 2)
         assert len(mf.A) == 1
-        assert mf.A[0].to_rows() == [[0.0, 2.0], [0.0, EPS]]
+        assert mf.A[0].entries == (0.0, 2.0, 0.0, EPS)
 
     @settings(max_examples=60)
     @given(st.data())

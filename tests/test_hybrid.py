@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from maxplushybrid.hybrid import (
     AssumptionViolation,
-    GuardPredicate,
-    HybridAutomaton,
     HybridState,
-    InadmissibleInput,
     MahaBehaviour,
     NonRepresentableController,
     WrongProvenance,
@@ -30,14 +27,15 @@ from maxplushybrid.smpl import (
     SmplDims,
     SmplSystem,
     StepInput,
+    StepRecord,
+    Trace,
     from_mpa,
     simulate,
     symbol_liveness_rule,
     word_inputs,
 )
 from maxplushybrid.tropical import EPS
-import oracles
-from oracles import language_upto, nfa_accepts_by_search
+from oracles import InadmissibleInput, ScanAutomaton, language_upto, nfa_accepts_by_search, scan_run, scan_step
 
 
 def random_word_inputs(rng, symbols, length):
@@ -65,41 +63,6 @@ class TestHybridStep:
         assert (state.mode, state.x) == (2, (EPS, 1.0))
         assert state == HybridState(2, (EPS, 1.0)) == (2, (EPS, 1.0))
 
-    def test_identity_dynamics_with_a_true_invariant_loop_forever(self):
-        h = HybridAutomaton(
-            modes=(1,),
-            n=1,
-            discrete_inputs=(),
-            n_y=1,
-            init=(HybridState(1, (5.0,)),),
-            flow={1: lambda x, inp: x},
-            output={1: lambda x, inp: x},
-            invariant={1: GuardPredicate(holds=lambda x, inp: True)},
-            edges=(),
-            guards={},
-        )
-        state = HybridState(1, (5.0,))
-        for _ in range(10):
-            (state,) = hybrid_step(h, state, StepInput())
-        assert state == HybridState(1, (5.0,))
-
-    def test_inadmissible_input_raises(self):
-        h = HybridAutomaton(
-            modes=(1,),
-            n=1,
-            discrete_inputs=("a",),
-            n_y=1,
-            init=(HybridState(1, (0.0,)),),
-            flow={1: lambda x, inp: x},
-            output={1: lambda x, inp: x},
-            invariant={1: GuardPredicate(holds=lambda x, inp: True)},
-            edges=(),
-            guards={},
-            admissible=lambda q, x, inp: inp.w == "a",
-        )
-        with pytest.raises(InadmissibleInput):
-            hybrid_step(h, HybridState(1, (0.0,)), StepInput(w="b"))
-
     def test_mode_switch_flows_with_the_target_dynamics(self, gaubert, gaubert_maha):
         system = from_mpa(gaubert)
         state = HybridState(1, (EPS, 1.0, 3.0))
@@ -109,7 +72,7 @@ class TestHybridStep:
         assert successors[0].x == system.modes[2].form.eval_state((EPS, 1.0, 3.0), ())
 
 
-def hand_built_automaton() -> HybridAutomaton:
+def hand_built_automaton() -> ScanAutomaton:
     """Three modes with several guarded out-edges each, an edge without a
     guard, non-identity resets, a self-loop whose target the invariant can
     also admit, and inputs inadmissible in one mode."""
@@ -117,34 +80,28 @@ def hand_built_automaton() -> HybridAutomaton:
     def flow(q):
         return lambda x, inp: (x[0] + q, max(x) - q)
 
-    def guard(holds):
-        return GuardPredicate(holds=holds)
-
-    edges = ((1, 2), (1, 3), (1, 1), (2, 1), (2, 3), (3, 1), (3, 2))
-    return HybridAutomaton(
+    return ScanAutomaton(
         modes=(1, 2, 3),
-        n=2,
-        discrete_inputs=("a", "b", "c", "bad"),
-        n_y=1,
         init=(HybridState(1, (0.0, 1.0)), HybridState(3, (2.0, -1.0))),
         flow={q: flow(q) for q in (1, 2, 3)},
         output={q: (lambda x, inp, q=q: (x[1] * q,)) for q in (1, 2, 3)},
         invariant={
-            1: guard(lambda x, inp: x[0] <= 3),
-            2: guard(lambda x, inp: inp.w == "c"),
-            3: guard(lambda x, inp: True),
+            1: lambda x, inp: x[0] <= 3,
+            2: lambda x, inp: inp.w == "c",
+            3: lambda x, inp: True,
         },
-        edges=edges,
+        edges=((1, 2), (1, 3), (1, 1), (2, 1), (2, 3), (3, 1), (3, 2)),
         guards={
-            (1, 2): guard(lambda x, inp: x[0] > x[1]),
-            (1, 3): guard(lambda x, inp: inp.w == "a"),
-            (1, 1): guard(lambda x, inp: inp.w in ("a", "b")),
-            (2, 1): guard(lambda x, inp: inp.w != "c"),
-            (2, 3): guard(lambda x, inp: x[1] >= 0),
-            (3, 1): guard(lambda x, inp: inp.w == "b"),
+            (1, 2): lambda x, inp: x[0] > x[1],
+            (1, 3): lambda x, inp: inp.w == "a",
+            (1, 1): lambda x, inp: inp.w in ("a", "b"),
+            (2, 1): lambda x, inp: inp.w != "c",
+            (2, 3): lambda x, inp: x[1] >= 0,
+            (3, 1): lambda x, inp: inp.w == "b",
         },
         resets={(1, 3): lambda x: (x[1], x[0] + 1), (1, 1): lambda x: (x[0] - 5, x[1])},
         admissible=lambda q, x, inp: not (q == 2 and inp.w == "bad"),
+        discrete_inputs=("a", "b", "c", "bad"),
     )
 
 
@@ -156,8 +113,8 @@ def outcome(fn, *args):
 
 
 class TestOutEdgeTable:
-    """The scan a hand-built automaton's step takes over the invariant and
-    its guarded out-edges."""
+    """The paper's step, which the tests' reference automaton takes: a scan
+    over the invariant and the guarded out-edges."""
 
     @settings(max_examples=150)
     @given(
@@ -168,23 +125,33 @@ class TestOutEdgeTable:
     def test_same_successors_as_scanning_every_edge(self, mode, x, w):
         h = hand_built_automaton()
         inp = StepInput(w=w)
-        got = outcome(hybrid_step, h, HybridState(mode, x), inp)
-        assert got == outcome(oracles.hybrid_step_apart, h, HybridState(mode, x), inp)
-        if not isinstance(got, str):
-            assert [state.mode for state in got] == sorted({state.mode for state in got})
+        got = outcome(scan_step, h, HybridState(mode, x), inp)
+        if not h.admissible(mode, x, inp):
+            assert got == f"input not admissible in mode {mode}"
+            return
+        # every way out as (target, state it flows from), the invariant first
+        ways = [(mode, x)] if h.invariant[mode](x, inp) else []
+        ways += [
+            (edge[1], h.resets.get(edge, lambda x: x)(x))
+            for edge in h.edges
+            if edge[0] == mode and edge in h.guards and h.guards[edge](x, inp)
+        ]
+        targets = sorted({target for target, _ in ways})
+        first = [next(z for target, z in ways if target == q) for q in targets]
+        assert got == tuple(HybridState(q, h.flow[q](z, inp)) for q, z in zip(targets, first))
 
     def test_invariant_flow_wins_over_a_self_loop_to_the_same_mode(self):
         h = hand_built_automaton()
         # invariant x0 <= 3 holds and the self-loop fires on "b": one flow, no reset
-        assert hybrid_step(h, HybridState(1, (0.0, 1.0)), StepInput(w="b")) == (
+        assert scan_step(h, HybridState(1, (0.0, 1.0)), StepInput(w="b")) == (
             HybridState(1, (1.0, 0.0)),
         )
         # invariant fails: the self-loop's flow runs on its reset state
-        assert hybrid_step(h, HybridState(1, (4.0, 9.0)), StepInput(w="b")) == (
+        assert scan_step(h, HybridState(1, (4.0, 9.0)), StepInput(w="b")) == (
             HybridState(1, (0.0, 8.0)),
         )
         # invariant and two edges admit: sorted by mode, the reset on (1, 3)
-        assert hybrid_step(h, HybridState(1, (2.0, 1.0)), StepInput(w="a")) == (
+        assert scan_step(h, HybridState(1, (2.0, 1.0)), StepInput(w="a")) == (
             HybridState(1, (3.0, 1.0)),
             HybridState(2, (4.0, 0.0)),
             HybridState(3, (4.0, 0.0)),
@@ -192,14 +159,60 @@ class TestOutEdgeTable:
 
     def test_runs_match_the_scan_and_a_record_is_a_state(self):
         h = hand_built_automaton()
+        a, b, c = StepInput(w="a"), StepInput(w="b"), StepInput(w="c")
+        # the first step merges the initial states' successors by mode, and
+        # the first initial state to reach mode 3 wins over the second
+        assert scan_step(h, h.init[1], a) == (HybridState(3, (5.0, -1.0)),)
+        assert scan_run(h, (a,)).records == (StepRecord(1, 1, (1.0, 0.0), (0.0,), (1, 3)),)
         rng = random.Random(5)
         for _ in range(60):
             inputs = tuple(StepInput(w=rng.choice(h.discrete_inputs)) for _ in range(rng.randint(0, 8)))
-            assert outcome(run, h, inputs) == outcome(oracles.run, h, inputs)
-        record = run(h, (StepInput(w="a"),)).records[0]
-        assert hybrid_step(h, record, StepInput(w="b")) == hybrid_step(
-            h, HybridState(record.mode, record.x), StepInput(w="b")
+            trace = outcome(scan_run, h, inputs)
+            if isinstance(trace, str):
+                continue
+            # every later step takes the smallest successor of the scan
+            for prev, rec in zip(trace.records, trace.records[1:]):
+                successors = scan_step(h, prev, inputs[prev.k])
+                assert (rec.mode, rec.x) == successors[0]
+                assert rec.successor_modes == tuple(succ.mode for succ in successors)
+                assert rec.y == h.output[rec.mode](rec.x, inputs[prev.k])
+            if trace.halted_at is not None and trace.records:
+                assert scan_step(h, trace.records[-1], inputs[trace.halted_at - 1]) == ()
+        record = scan_run(h, (a,)).records[0]
+        assert scan_step(h, record, b) == scan_step(h, HybridState(record.mode, record.x), b)
+        # from (5, 9) in mode 1, "c" meets neither the invariant nor a guard
+        stuck = dataclasses.replace(h, init=(HybridState(1, (5.0, 9.0)),))
+        assert scan_run(stuck, (c, a)) == Trace((), halted_at=1)
+
+    def test_identity_dynamics_with_a_true_invariant_loop_forever(self):
+        h = ScanAutomaton(
+            modes=(1,),
+            init=(HybridState(1, (5.0,)),),
+            flow={1: lambda x, inp: x},
+            output={1: lambda x, inp: x},
+            invariant={1: lambda x, inp: True},
+            edges=(),
+            guards={},
         )
+        state = HybridState(1, (5.0,))
+        for _ in range(10):
+            (state,) = scan_step(h, state, StepInput())
+        assert state == HybridState(1, (5.0,))
+
+    def test_inadmissible_input_raises(self):
+        h = ScanAutomaton(
+            modes=(1,),
+            init=(HybridState(1, (0.0,)),),
+            flow={1: lambda x, inp: x},
+            output={1: lambda x, inp: x},
+            invariant={1: lambda x, inp: True},
+            edges=(),
+            guards={},
+            admissible=lambda q, x, inp: inp.w == "a",
+            discrete_inputs=("a",),
+        )
+        with pytest.raises(InadmissibleInput):
+            scan_step(h, HybridState(1, (0.0,)), StepInput(w="b"))
 
 
 class TestOpenTranslation:
@@ -212,9 +225,10 @@ class TestOpenTranslation:
 
     def test_edges_connect_distinct_modes_with_symbol_tags(self, gaubert_maha):
         assert set(gaubert_maha.edges) == {(1, 2), (2, 1)}
-        assert gaubert_maha.guards[(1, 2)].enabled_symbols == {"b"}
-        assert gaubert_maha.guards[(2, 1)].enabled_symbols == {"a"}
-        assert gaubert_maha.invariant[1].enabled_symbols == {"a"}
+        assert gaubert_maha.edges[(1, 2)] == {"b"}
+        assert gaubert_maha.edges[(2, 1)] == {"a"}
+        # the invariant of mode 1 holds on the symbol that selects mode 1
+        assert gaubert_maha.meta["system"].switching.enabling_symbols(1) == {"a"}
 
     def test_single_mode_system_translates_without_edges(self):
         mode = MatrixMode.from_parts(a=[[0.0]], c=[[0.0]])
@@ -227,7 +241,7 @@ class TestOpenTranslation:
             dims=SmplDims(n=1),
         )
         h = from_smpl_open(system)
-        assert h.edges == ()
+        assert h.edges == {}
         trace = run(h, tuple(StepInput(w="go") for _ in range(3)))
         assert trace.completed and [r.x for r in trace.records] == [(0.0,)] * 3
 
@@ -338,19 +352,10 @@ class TestFiniteAbstraction:
         assert fa.successors("q1.x1", "l2") == frozenset({"q2.x1"})
         assert fa.successors("q1.x1", "l1") == frozenset()
 
-    def test_rejects_automata_without_matrix_structure(self):
-        h = HybridAutomaton(
-            modes=(1,),
-            n=1,
-            discrete_inputs=(),
-            n_y=1,
-            init=(HybridState(1, (0.0,)),),
-            flow={1: lambda x, inp: x},
-            output={1: lambda x, inp: x},
-            invariant={1: GuardPredicate(holds=lambda x, inp: True)},
-            edges=(),
-            guards={},
-        )
+    def test_rejects_automata_without_matrix_structure(self, feedback):
+        # the closed loop's augmented state has no matrix form per mode
+        h = from_smpl_closed(feedback)
+        assert h.forms is None
         with pytest.raises(AssumptionViolation):
             finite_abstraction(h)
 
@@ -427,7 +432,6 @@ def halting_cases():
     gaubert = fixtures.gaubert_mpa()
     closed = fixtures.feedback_demo_smpl()
     opened = dataclasses.replace(closed, controller=None)
-    stuck = dataclasses.replace(hand_built_automaton(), init=(HybridState(1, (5.0, 9.0)),))
     m1, halt = StepInput(w="m1"), StepInput(w="zz")  # no rule admits a mode for "zz"
     u_m1, u_halt = StepInput(w="m1", u=(2.0,)), StepInput(w="zz", u=(2.0,))
     return {
@@ -437,8 +441,6 @@ def halting_cases():
         "smpl-closed": (SmplBehaviour(closed), (m1, m1), halt),
         "maha-open": (MahaBehaviour(from_smpl_open(from_mpa(gaubert))), word_inputs("aa"), StepInput(w="a")),
         "maha-closed": (MahaBehaviour(from_smpl_closed(closed)), (m1,), halt),
-        # from (5, 9) in mode 1, "c" meets neither the invariant nor a guard
-        "hand-built": (MahaBehaviour(stuck), (), StepInput(w="c")),
     }
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from maxplushybrid import equivalence, fixtures
+from maxplushybrid import cli, equivalence, fixtures
 from maxplushybrid.cli import _behaviour_inputs
 from maxplushybrid.hybrid import from_smpl_open, run
+from maxplushybrid.mpa import MpaBehaviour
 from maxplushybrid.serialization import (
     ModelFormatError,
     decode_weight,
@@ -193,6 +196,33 @@ class TestCliCommands:
     def test_simulate_reports_halts(self):
         result = run_cli("simulate", "gaubert_mpa", "--word", "aab", "--format", "json")
         assert result.returncode == 0
+        assert json.loads(result.stdout)["halted_at"] is None
+        # "b" leaves no finite weight: the run halts there, before any record
+        result = run_cli("simulate", "gaubert_mpa", "--word", "b,b,a", "--format", "json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert (payload["trace"], payload["halted_at"]) == ([], 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from("ab"), max_size=7))
+    def test_mpa_simulate_is_the_stepper_fold(self, word):
+        gaubert = fixtures.gaubert_mpa()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["simulate", "gaubert_mpa", "--word", ",".join(word), "--format", "json"])
+        assert code == 0
+        trace = MpaBehaviour(gaubert).fold(word_inputs(word))
+        payload = json.loads(out.getvalue())
+        assert payload["halted_at"] == trace.halted_at
+        assert payload["trace"] == [
+            {
+                "k": rec.k,
+                "symbol": word[rec.k - 1],
+                "state": [encode_weight(v) for v in rec.x],
+                "output": encode_weight(rec.y[0]),
+            }
+            for rec in trace.records
+        ]
 
     def test_abstraction_language_check_pipeline(self, tmp_path):
         at = tmp_path / "at.json"
@@ -334,6 +364,27 @@ class TestCliCommands:
         assert result.stderr == (
             f"error: inputs[1].w in {str(inputs)!r} is missing; a step reads one of ['l1', 'l2']\n"
         )
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("model, w", [("production_line", "l1"), ("gaubert_mpa", "a")])
+    def test_inputs_key_outside_the_step_fields_exits_two(self, tmp_path, model, w):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": w}, {"w": w, "R": [5]}]))
+        result = run_cli("simulate", model, "--inputs", str(inputs))
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"error: inputs[1].R in {str(inputs)!r} is not a step field; a step takes w, u, v, r, p\n"
+        )
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("key, value", [("u", [5]), ("v", ["-inf"]), ("r", [1, 2]), ("p", [0])])
+    def test_mpa_inputs_take_no_continuous_signals(self, tmp_path, key, value):
+        # an empty vector passes: behaviour witnesses carry "u": [] on every step
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "a", key: []}, {"w": "a", key: value}]))
+        result = run_cli("simulate", "gaubert_mpa", "--inputs", str(inputs))
+        assert result.returncode == 2
+        assert result.stderr == f"error: inputs[1].{key} must be empty: an mpa step reads its symbol w only\n"
         assert result.stdout == ""
 
     @pytest.mark.parametrize("steps", [[{"u": []}], [{"w": "a"}]])

@@ -25,8 +25,8 @@ from maxplushybrid.smpl import (
     symbol_liveness_rule,
     word_inputs,
 )
-from maxplushybrid.tropical import EPS, TropicalMatrix, vec_leq
-from oracles import successor_set_by_dict
+from maxplushybrid.tropical import EPS, TropicalMatrix
+from oracles import successor_set_by_dict, vec_leq
 
 
 def word(text: str) -> tuple[str, ...]:

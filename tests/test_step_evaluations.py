@@ -3,7 +3,8 @@
 The switching rule hands back the next states it computed and a translated
 hybrid automaton resolves switching once per step; the traces must equal,
 record for record, the references in oracles that resolve and evaluate
-afresh at every call.
+afresh at every call: oracles.simulate for the system and the scan of
+oracles.scan_of_translation for its translation.
 """
 
 import collections
@@ -50,7 +51,7 @@ def sticky_production_line():
 
 def assert_same_traces(system, automaton, inputs):
     assert simulate(system, inputs) == oracles.simulate(system, inputs)
-    assert run(automaton, inputs) == oracles.run(automaton, inputs)
+    assert run(automaton, inputs) == oracles.scan_run(oracles.scan_of_translation(system), inputs)
 
 
 class TestAgainstTheTwoEvaluationStep:
