@@ -17,14 +17,12 @@ from .expressions import (
     InputVar,
     MatrixForm,
     Max,
-    MaxPlusProjection,
     Min,
     MmpsExpression,
     Plus,
     Scale,
     Var,
     eval_expr,
-    is_max_min_plus,
     to_conjunctive,
     to_matrix_form,
     transition_graph_f,

@@ -328,6 +328,8 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[RunReport, int]:
+    if args.exact and args.relation != "language":
+        raise UsageError("--exact applies to --relation language only")
     doc1 = _load_document(args.model1)
     doc2 = _load_document(args.model2)
     report = RunReport(command=_echo(args))
@@ -456,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument(
         "--exact",
         action="store_true",
-        help="unbounded language equality by subset exploration (small automata only)",
+        help="unbounded language equality by subset exploration (small automata only; "
+        "--relation language only)",
     )
     p_chk.set_defaults(fn=cmd_check)
 

@@ -10,23 +10,27 @@ closure per node that takes (x, u) and applies the semiring operation of
 its node inline; ``eval_expr`` compiles and calls, so a caller that
 evaluates one tree at many points compiles it once.
 
-The max-min-plus fragment drops Scale and Const (except as one operand of a
-Plus) and admits a conjunctive normal form: a min of "max-plus projections",
-each projection being a max of variable-plus-constant terms.  The normal
-form is computed by distributing min over max and pruning projections that
-are coefficientwise above another (those can never attain the min), which
-leaves an antichain.  That antichain is what the one-step transition graphs
-are read off from, so its stability matters more than its size.
+The max-min-plus fragment drops Scale and Const (except as one finite
+operand of a Plus) and admits a conjunctive normal form (Gunawardena,
+"Min-max functions", 1994): a min of max-plus projections, each a max of
+variable-plus-constant terms, held as one coefficient row over x ++ u.
+``to_conjunctive`` computes it in one walk of the tree, refusing the first
+node outside the fragment, by distributing min over max and pruning rows
+that are coefficientwise above another (those can never attain the min),
+which leaves a sorted antichain.  That antichain is what the one-step
+transition graphs are read off from, so its stability matters more than
+its size.
 
-A mode's matrix form, min over l of (A[l] ox x oplus B[l] ox u), is the
-stacked conjunctive form of its components.  Each of its two maps compiles
-once, on first use, to rows of branches; a branch is the non-EPS (index,
-weight) pairs of one projection over x ++ u.  Stacking pads a component by
-repeating its last projection, and the compiled row keeps each distinct
-branch once, so a padded component is evaluated once per step, not once
-per level.  A row left with one branch is a plain max for the kernel
-(tropical.eval_rows), with no min; a row of several branches is a min of
-maxes.
+A mode's matrix form, min over l of (A[l] ox x oplus B[l] ox u), stacks
+the conjunctive forms of its components: level l of A and B holds each
+component's l-th row, split at n_state, and a component with fewer rows
+repeats its last one.  Each of the form's two maps compiles once, on first
+use, to one list of branches per component; a branch is the non-EPS
+(index, weight) pairs of one level over x ++ u.  The list keeps each
+distinct branch once, so a padded component is evaluated once per step,
+not once per level.  A component left with one branch is a plain max for
+the kernel (tropical.eval_rows), with no min; one of several branches is
+a min of maxes.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .tropical import (
     eval_rows,
     is_finite,
     oplus,
-    oplus_dual,
     otimes,
 )
 
@@ -227,100 +230,15 @@ def eval_expr(e: MmpsExpression, x: Sequence[Weight], u: Sequence[Weight] = ()) 
     return compile_expr(e)(x, u)
 
 
-def is_max_min_plus(e: MmpsExpression) -> bool:
-    """Var/InputVar, Max, Min and Plus-with-one-Const only."""
-    if isinstance(e, (Var, InputVar)):
-        return True
-    if isinstance(e, (Max, Min)):
-        return is_max_min_plus(e.left) and is_max_min_plus(e.right)
-    if isinstance(e, Plus):
-        if isinstance(e.left, Const):
-            return is_finite(e.left.value) and is_max_min_plus(e.right)
-        if isinstance(e.right, Const):
-            return is_finite(e.right.value) and is_max_min_plus(e.left)
-        return False
-    return False
-
-
-def lift_constants(e: MmpsExpression, aux_input_index: int) -> MmpsExpression:
-    """Rewrite bare constants as offsets of an auxiliary input variable.
-
-    Pinning that input to 0 preserves the value; the rewritten tree is in
-    the max-min-plus fragment whenever the original only fell outside it
-    because of standalone constants.
-    """
-    if isinstance(e, (Var, InputVar)):
-        return e
-    if isinstance(e, Const):
-        return Plus(InputVar(aux_input_index), Const(e.value))
-    if isinstance(e, Plus):
-        if isinstance(e.left, Const) or isinstance(e.right, Const):
-            return e
-        return Plus(
-            lift_constants(e.left, aux_input_index),
-            lift_constants(e.right, aux_input_index),
-        )
-    if isinstance(e, Max):
-        return Max(lift_constants(e.left, aux_input_index), lift_constants(e.right, aux_input_index))
-    if isinstance(e, Min):
-        return Min(lift_constants(e.left, aux_input_index), lift_constants(e.right, aux_input_index))
-    raise NotMaxMinPlusError(f"cannot lift constants under {type(e).__name__}")
-
-
-@dataclass(frozen=True)
-class MaxPlusProjection:
-    """max over i of (state_coeffs[i] + x_i) and (input_coeffs[p] + u_p)."""
-
-    state_coeffs: tuple[Weight, ...]
-    input_coeffs: tuple[Weight, ...] = ()
-
-    def __post_init__(self) -> None:
-        if all(c == EPS for c in self.state_coeffs + self.input_coeffs):
-            raise ValueError("projection needs at least one non-epsilon coefficient")
-
-    @property
-    def coeffs(self) -> tuple[Weight, ...]:
-        return self.state_coeffs + self.input_coeffs
-
-    def eval(self, x: Sequence[Weight], u: Sequence[Weight] = ()) -> Weight:
-        acc = EPS
-        for c, v in zip(self.state_coeffs, x):
-            acc = oplus(acc, otimes(c, v))
-        for c, v in zip(self.input_coeffs, u):
-            acc = oplus(acc, otimes(c, v))
-        return acc
-
-
-def dominates(p: MaxPlusProjection, q: MaxPlusProjection) -> bool:
-    """True iff every coefficient of p is >= the matching one of q.
-
-    Then q <= p pointwise as functions, so p can never attain the min of a
-    conjunctive form that also contains q.
-    """
-    if len(p.coeffs) != len(q.coeffs):
-        raise ValueError("projections over different variable counts")
-    return all(a >= b for a, b in zip(p.coeffs, q.coeffs))
-
-
 @dataclass(frozen=True)
 class ConjunctiveForm:
-    """min over an antichain of max-plus projections."""
+    """min over rows of max over k of (row[k] + (x ++ u)[k]): each row is
+    one max-plus projection's coefficients over x ++ u, its first n_state
+    on x.  The rows are sorted, distinct and a minimal antichain: no row is
+    coefficientwise above another, so every row can attain the min."""
 
-    projections: tuple[MaxPlusProjection, ...]
-
-    def __post_init__(self) -> None:
-        if not self.projections:
-            raise ValueError("conjunctive form needs at least one projection")
-        for i, p in enumerate(self.projections):
-            for j, q in enumerate(self.projections):
-                if i != j and dominates(p, q):
-                    raise ValueError("projections do not form an antichain")
-
-    def eval(self, x: Sequence[Weight], u: Sequence[Weight] = ()) -> Weight:
-        acc = TOP
-        for p in self.projections:
-            acc = oplus_dual(acc, p.eval(x, u))
-        return acc
+    rows: tuple[tuple[Weight, ...], ...]
+    n_state: int
 
 
 def _minimal_antichain(rows: list[tuple[Weight, ...]]) -> list[tuple[Weight, ...]]:
@@ -339,29 +257,31 @@ def to_conjunctive(
 ) -> ConjunctiveForm:
     """Distribute min over max and prune to the minimal antichain.
 
-    Worst-case exponential in the number of min nodes; intended for small
-    hand-built dynamics, where the antichain stays tiny.
+    One walk of the tree, which admits only the max-min-plus fragment:
+    Var/InputVar, Max, Min, and Plus with one finite Const operand.  The
+    first node outside it raises NotMaxMinPlusError, an out-of-range
+    variable IndexError.  Worst-case exponential in the number of min
+    nodes; intended for small hand-built dynamics, where the antichain
+    stays tiny.
     """
-    if not is_max_min_plus(e):
-        raise NotMaxMinPlusError(f"not in the max-min-plus fragment: {e!r}")
     width = n_state + n_input
+
+    def unit(j: int) -> list[tuple[Weight, ...]]:
+        return [tuple(0.0 if k == j else EPS for k in range(width))]
 
     def rows_of(node: MmpsExpression) -> list[tuple[Weight, ...]]:
         if isinstance(node, Var):
             if not 0 <= node.index < n_state:
                 raise IndexError(f"state variable x{node.index} out of range")
-            return [tuple(0.0 if k == node.index else EPS for k in range(width))]
+            return unit(node.index)
         if isinstance(node, InputVar):
             if not 0 <= node.index < n_input:
                 raise IndexError(f"input variable u{node.index} out of range")
-            j = n_state + node.index
-            return [tuple(0.0 if k == j else EPS for k in range(width))]
+            return unit(n_state + node.index)
         if isinstance(node, Plus):
-            c = node.left.value if isinstance(node.left, Const) else node.right.value
-            sub = node.right if isinstance(node.left, Const) else node.left
-            return _minimal_antichain(
-                [tuple(otimes(a, c) for a in row) for row in rows_of(sub)]
-            )
+            c, sub = (node.left, node.right) if isinstance(node.left, Const) else (node.right, node.left)
+            if isinstance(c, Const) and is_finite(c.value):
+                return _minimal_antichain([tuple(otimes(a, c.value) for a in row) for row in rows_of(sub)])
         if isinstance(node, Min):
             return _minimal_antichain(rows_of(node.left) + rows_of(node.right))
         if isinstance(node, Max):
@@ -372,15 +292,9 @@ def to_conjunctive(
                 for rr in right
             ]
             return _minimal_antichain(merged)
-        raise NotMaxMinPlusError(f"unexpected node {type(node).__name__}")
+        raise NotMaxMinPlusError(f"not in the max-min-plus fragment: {node!r}")
 
-    rows = rows_of(e)
-    if not rows:
-        raise RuntimeError("pruning removed every projection")
-    projections = tuple(
-        MaxPlusProjection(row[:n_state], row[n_state:]) for row in sorted(rows)
-    )
-    return ConjunctiveForm(projections)
+    return ConjunctiveForm(tuple(rows_of(e)), n_state)
 
 
 @dataclass(frozen=True)
@@ -469,8 +383,8 @@ def to_matrix_form(
 ) -> MatrixForm:
     """Stack per-component conjunctive forms into shared-depth matrix lists.
 
-    Components rarely agree on projection count, so each list is padded by
-    repeating its last projection; the min over duplicates is a no-op, which
+    Components rarely agree on row count, so each list is padded by
+    repeating its last row; the min over duplicates is a no-op, which
     keeps the stacked form value-equivalent to the inputs.
     """
     if len(state_forms) != n_state:
@@ -481,25 +395,20 @@ def to_matrix_form(
     ) -> tuple[tuple[TropicalMatrix, ...], tuple[TropicalMatrix, ...]]:
         if not forms:
             raise ValueError("empty conjunctive form list")
-        depth = max(len(f.projections) for f in forms)
-        mats_x: list[TropicalMatrix] = []
-        mats_u: list[TropicalMatrix] = []
-        for level in range(depth):
-            rows_x: list[Sequence[Weight]] = []
-            rows_u: list[Sequence[Weight]] = []
-            for f in forms:
-                p = f.projections[min(level, len(f.projections) - 1)]
-                if len(p.state_coeffs) != n_state or len(p.input_coeffs) != n_input:
-                    raise ValueError("projection width disagrees with declared dims")
-                rows_x.append(p.state_coeffs)
-                rows_u.append(p.input_coeffs)
-            mats_x.append(
-                TropicalMatrix(len(forms), n_state, tuple(w for r in rows_x for w in r))
-            )
-            mats_u.append(
-                TropicalMatrix(len(forms), n_input, tuple(w for r in rows_u for w in r))
-            )
-        return tuple(mats_x), tuple(mats_u)
+        for f in forms:
+            if f.n_state != n_state or len(f.rows[0]) != n_state + n_input:
+                raise ValueError("projection width disagrees with declared dims")
+        depth = max(len(f.rows) for f in forms)
+        levels = [[f.rows[min(level, len(f.rows) - 1)] for f in forms] for level in range(depth)]
+        mats_x = tuple(
+            TropicalMatrix(len(forms), n_state, tuple(w for row in rows for w in row[:n_state]))
+            for rows in levels
+        )
+        mats_u = tuple(
+            TropicalMatrix(len(forms), n_input, tuple(w for row in rows for w in row[n_state:]))
+            for rows in levels
+        )
+        return mats_x, mats_u
 
     a, b = stack(state_forms)
     c, d = stack(output_forms)

@@ -47,8 +47,8 @@ class AssumptionViolation(ValueError):
 
 
 class WrongProvenance(ValueError):
-    """The fused abstraction only applies to automata built from a max-plus
-    automaton translation chain."""
+    """The fused abstraction only applies to automata with the structure of
+    a max-plus automaton's translation."""
 
 
 class HybridState(NamedTuple):
@@ -186,7 +186,7 @@ def _translate(
         edges={(q, qq): rule.enabling_symbols(qq) for q in modes for qq in modes if q != qq},
         successors=successors,
         forms=forms,
-        meta={**codec.meta, "source_provenance": s.meta.get("translated_from"), "system": s},
+        meta={**codec.meta, "system": s},
     )
 
 
@@ -271,7 +271,9 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     """
     if h.forms is None:
         raise AssumptionViolation(
-            "finite abstraction needs max-min-plus matrix dynamics per mode"
+            "finite abstraction reads each mode's matrix form over the "
+            "system's x, but a closed loop's state is the augmented "
+            "(mode, x, u, v)"
         )
     if STEP_SYMBOL in h.discrete_inputs:
         raise ValueError("discrete input alphabet collides with the step symbol")
@@ -312,21 +314,41 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     )
 
 
+def _unlike_an_mpa_translation(h: HybridAutomaton) -> str | None:
+    """Where h departs from the structure of a max-plus automaton's
+    translation, which the fused abstraction reads (each mode's A[0] and
+    C[0], one symbol per mode), or None when it does not."""
+    if h.forms is None:
+        return "this is a closed loop, whose state is the augmented (mode, x, u, v)"
+    for q in h.modes:
+        f = h.forms[q]
+        if (len(f.A), len(f.C), f.n_input) != (1, 1, 0):
+            return f"mode {q} has L = {len(f.A)}, M = {len(f.C)} and input width {f.n_input}, not 1, 1 and 0"
+    if h.n_y != 1:
+        return f"it has {h.n_y} outputs, not 1"
+    spec = h.meta["system"].switching.spec or {}
+    if spec.get("type") != "symbol_liveness" or len(set(h.discrete_inputs)) != len(h.modes):
+        return "its switching is not symbol_liveness with one distinct symbol per mode"
+    return None
+
+
 def mpa_chain_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
-    """Fused abstraction for automata translated from a max-plus automaton.
+    """Fused abstraction for automata structured as a max-plus automaton's
+    translation (smpl.from_mpa): an open loop whose modes each have one A
+    and one C matrix and no inputs, one output, and symbol_liveness
+    switching with one distinct symbol per mode.  Any other automaton is
+    refused with WrongProvenance, whatever its document's meta says.
 
     Mode switches and one-step state transitions happen together here: on
     the symbol of mode q', the label moves along q' dynamics from any
     current mode.  The result is comparable, symbol for symbol, with the
     weight-free projection of the original automaton.
     """
-    if (
-        h.meta.get("translated_from") != "smpl_open"
-        or h.meta.get("source_provenance") != "mpa"
-    ):
+    fault = _unlike_an_mpa_translation(h)
+    if fault is not None:
         raise WrongProvenance(
-            "fused abstraction applies to hybrid automata obtained from a "
-            "max-plus automaton via the switching-system translation"
+            "fused abstraction applies to the translation of a max-plus "
+            f"automaton, but {fault}"
         )
     assert h.forms is not None
     symbols = h.discrete_inputs

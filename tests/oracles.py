@@ -665,6 +665,32 @@ def eval_expr_recursive(e, x, u=()) -> Weight:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def conjunctive_value(form, x, u=()) -> Weight:
+    """min over the form's rows of the max of coefficient-plus-variable
+    terms, the first n_state coefficients on x and the rest on u, each
+    term through the semiring helpers, as opposed to the compiled
+    branches a stacked matrix form evaluates."""
+    n = form.n_state
+    acc = TOP
+    for row in form.rows:
+        value = EPS
+        for c, v in zip(row[:n], x):
+            value = oplus(value, otimes(c, v))
+        for c, v in zip(row[n:], u):
+            value = oplus(value, otimes(c, v))
+        acc = oplus_dual(acc, value)
+    return acc
+
+
+def dominates(p, q) -> bool:
+    """True iff every coefficient of row p is >= the matching one of row q.
+    Then q <= p pointwise as functions, so p can never attain the min of a
+    conjunctive form that also holds q."""
+    if len(p) != len(q):
+        raise ValueError(f"rows over different variable counts: {len(p)} vs {len(q)}")
+    return all(a >= b for a, b in zip(p, q))
+
+
 def canonical_value_by_recursion(value):
     """Document canonicalisation with one call per value, list items
     included, as opposed to handling scalar items in place."""

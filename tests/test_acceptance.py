@@ -26,6 +26,7 @@ from maxplushybrid.tropical import (
 )
 from oracles import (
     boolean_support,
+    conjunctive_value,
     language_upto,
     path_of_length_exists,
     random_inputs_per_step,
@@ -171,17 +172,14 @@ def test_criterion_6_production_line(production):
 
     # the two-branch rewrite of the third component agrees everywhere
     third_form = to_conjunctive(exprs[1][2], 3)
-    assert {p.state_coeffs for p in third_form.projections} == {
-        (4.0, 2.0, 6.0),
-        (1.0, 5.0, 6.0),
-    }
+    assert third_form.rows == ((1.0, 5.0, 6.0), (4.0, 2.0, 6.0))
     rng = random.Random(42)
     for _ in range(1000):
         x = tuple(
             EPS if rng.random() < 0.2 else float(rng.randint(-9, 15))
             for _ in range(3)
         )
-        assert third_form.eval(x) == eval_expr(exprs[1][2], x)
+        assert conjunctive_value(third_form, x) == eval_expr(exprs[1][2], x)
 
     # dependency-edge partition between the two modes
     g1 = transition_graph_f(production.modes[1].form)
@@ -235,7 +233,7 @@ def test_criterion_7_property_suites():
             for _ in range(3)
         )
         for (mode, i), form in forms.items():
-            assert form.eval(x) == eval_expr(exprs[mode][i], x)
+            assert conjunctive_value(form, x) == eval_expr(exprs[mode][i], x)
 
     # support of powers vs path existence: every boolean matrix up to 4x4
     for n in range(1, 5):

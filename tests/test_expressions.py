@@ -12,17 +12,13 @@ from maxplushybrid.expressions import (
     InputVar,
     MatrixForm,
     Max,
-    MaxPlusProjection,
     Min,
     NotMaxMinPlusError,
     Plus,
     Scale,
     Var,
     compile_expr,
-    dominates,
     eval_expr,
-    is_max_min_plus,
-    lift_constants,
     to_conjunctive,
     to_matrix_form,
     transition_graph_f,
@@ -149,48 +145,66 @@ class TestCompiledExpressions:
 
 class TestFragment:
     def test_members(self):
-        assert is_max_min_plus(Max(Var(0), Plus(Var(1), Const(3))))
-        assert is_max_min_plus(Min(Var(0), InputVar(0)))
+        assert to_conjunctive(Max(Var(0), Plus(Var(1), Const(3))), 2).rows == ((0.0, 3.0),)
+        assert to_conjunctive(Min(Var(0), InputVar(0)), 1, 1).rows == ((EPS, 0.0), (0.0, EPS))
+        assert to_conjunctive(Plus(Const(-2.0), Var(0)), 1).rows == ((-2.0,),)
 
-    def test_non_members(self):
-        assert not is_max_min_plus(Scale(2.0, Var(0)))
-        assert not is_max_min_plus(Plus(Var(0), Var(1)))
-        assert not is_max_min_plus(Const(1.0))
-        assert not is_max_min_plus(Max(Var(0), Const(1.0)))
+    @pytest.mark.parametrize(
+        "e",
+        [
+            Scale(2.0, Var(0)),
+            Plus(Var(0), Var(1)),
+            Const(1.0),
+            Max(Var(0), Const(1.0)),
+            Plus(Var(0), Const(EPS)),
+            Plus(Const(TOP), Var(0)),
+            Plus(Const(1.0), Const(2.0)),
+        ],
+        ids=repr,
+    )
+    def test_non_members(self, e):
+        with pytest.raises(NotMaxMinPlusError):
+            to_conjunctive(e, 2)
 
-    def test_lift_constants_preserves_value_with_pinned_input(self):
-        e = Max(Var(0), Const(5.0))
-        lifted = lift_constants(e, 0)
-        assert is_max_min_plus(lifted)
-        for x in (-3.0, 0.0, 7.0):
-            assert eval_expr(lifted, (x,), (0.0,)) == eval_expr(e, (x,))
+    def test_the_first_node_outside_the_fragment_is_named(self):
+        with pytest.raises(NotMaxMinPlusError, match=r"Scale\(factor=2\.0"):
+            to_conjunctive(Min(Var(0), Max(Var(1), Scale(2.0, Var(0)))), 2)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_a_tree_is_refused_or_rewritten_exactly(self, data):
+        e = data.draw(any_trees(2, 1))
+        try:
+            cf = to_conjunctive(e, 2, 1)
+        except NotMaxMinPlusError:
+            return
+        for _ in range(5):
+            x = tuple(data.draw(finite) for _ in range(2))
+            u = (data.draw(finite),)
+            assert oracles.conjunctive_value(cf, x, u) == eval_expr(e, x, u)
+
+    def test_out_of_range_variables(self):
+        with pytest.raises(IndexError, match="x2"):
+            to_conjunctive(Max(Var(0), Var(2)), 2)
+        with pytest.raises(IndexError, match="u0"):
+            to_conjunctive(InputVar(0), 2)
+        with pytest.raises(IndexError, match="x-1"):
+            to_conjunctive(Var(-1), 2)
 
 
 class TestDominance:
-    def test_examples(self):
-        p = MaxPlusProjection((1.0, 0.0))
-        q = MaxPlusProjection((0.0, 0.0))
-        r = MaxPlusProjection((1.0, EPS))
-        s = MaxPlusProjection((EPS, 1.0))
-        assert dominates(p, q)
-        assert not dominates(r, s) and not dominates(s, r)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dominates(MaxPlusProjection((0.0,)), MaxPlusProjection((0.0, 0.0)))
-
     @given(
         st.lists(st.one_of(st.just(EPS), finite), min_size=3, max_size=3),
         st.lists(st.one_of(st.just(EPS), finite), min_size=3, max_size=3),
         st.lists(finite, min_size=3, max_size=3),
     )
     def test_dominance_implies_pointwise_order(self, cp, cq, x):
-        try:
-            p, q = MaxPlusProjection(tuple(cp)), MaxPlusProjection(tuple(cq))
-        except ValueError:
-            return
-        if dominates(p, q):
-            assert q.eval(tuple(x)) <= p.eval(tuple(x))
+        p, q = tuple(cp), tuple(cq)
+        if oracles.dominates(p, q):
+            value_p, value_q = (
+                oracles.conjunctive_value(ConjunctiveForm((row,), 3), tuple(x)) for row in (p, q)
+            )
+            assert value_q <= value_p
 
 
 def mmp_trees(n_state: int, n_input: int = 0):
@@ -215,30 +229,23 @@ def mmp_trees(n_state: int, n_input: int = 0):
 class TestConjunctive:
     def test_single_projection(self):
         cf = to_conjunctive(Max(Plus(Var(0), Const(1.0)), Var(1)), 2)
-        assert cf.projections == (MaxPlusProjection((1.0, 0.0)),)
+        assert cf == ConjunctiveForm(((1.0, 0.0),), 2)
 
     def test_third_station_update_splits_into_the_two_route_projections(self):
         e = production_line_state_exprs((1.0, 2.0, 3.0))[1][2]
         cf = to_conjunctive(e, 3)
-        rows = {p.state_coeffs for p in cf.projections}
-        assert rows == {(4.0, 2.0, 6.0), (1.0, 5.0, 6.0)}
+        assert set(cf.rows) == {(4.0, 2.0, 6.0), (1.0, 5.0, 6.0)}
 
     def test_min_with_dominated_branch_collapses(self):
         e = Min(Max(Var(0), Var(1)), Var(0))
         cf = to_conjunctive(e, 2)
-        assert cf.projections == (MaxPlusProjection((0.0, EPS)),)
+        assert cf.rows == ((0.0, EPS),)
         for x in ((0.0, 5.0), (5.0, 0.0), (EPS, 2.0)):
-            assert cf.eval(x) == eval_expr(e, x)
+            assert oracles.conjunctive_value(cf, x) == eval_expr(e, x)
 
     def test_rejects_non_fragment_input(self):
         with pytest.raises(NotMaxMinPlusError):
             to_conjunctive(Scale(2.0, Var(0)), 1)
-
-    def test_antichain_invariant_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            ConjunctiveForm(
-                (MaxPlusProjection((0.0, 0.0)), MaxPlusProjection((0.0, EPS)))
-            )
 
     @settings(max_examples=200)
     @given(st.data())
@@ -248,17 +255,18 @@ class TestConjunctive:
         for _ in range(10):
             x = tuple(data.draw(finite) for _ in range(3))
             u = (data.draw(finite),)
-            assert cf.eval(x, u) == eval_expr(e, x, u)
+            assert oracles.conjunctive_value(cf, x, u) == eval_expr(e, x, u)
 
     @settings(max_examples=100)
     @given(st.data())
     def test_result_is_an_antichain(self, data):
         e = data.draw(mmp_trees(2))
         cf = to_conjunctive(e, 2)
-        for i, p in enumerate(cf.projections):
-            for j, q in enumerate(cf.projections):
+        assert cf.rows == tuple(sorted(cf.rows))
+        for i, p in enumerate(cf.rows):
+            for j, q in enumerate(cf.rows):
                 if i != j:
-                    assert not dominates(p, q)
+                    assert not oracles.dominates(p, q)
 
     @given(extended, extended, extended)
     def test_min_max_distribution_identity(self, a, b, c):
@@ -303,6 +311,14 @@ class TestMatrixForm:
     def test_empty_component_list_rejected(self):
         with pytest.raises(ValueError):
             to_matrix_form([], [to_conjunctive(Var(0), 1)], 0)
+
+    def test_forms_built_for_other_widths_rejected(self):
+        # the same row width, split elsewhere
+        forms = [to_conjunctive(Var(0), 1, 1)] * 2
+        with pytest.raises(ValueError, match="disagrees with declared dims"):
+            to_matrix_form(forms, forms[:1], 2)
+        with pytest.raises(ValueError, match="disagrees with declared dims"):
+            to_matrix_form(forms[:1], forms[:1], 1)
 
 
 # Small weights tie often, and -0.0 tells the first of two tied zero terms

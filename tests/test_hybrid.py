@@ -29,12 +29,13 @@ from maxplushybrid.smpl import (
     StepInput,
     StepRecord,
     Trace,
+    externally_driven_rule,
     from_mpa,
     simulate,
     symbol_liveness_rule,
     word_inputs,
 )
-from maxplushybrid.tropical import EPS
+from maxplushybrid.tropical import EPS, TropicalMatrix
 from oracles import InadmissibleInput, ScanAutomaton, language_upto, nfa_accepts_by_search, scan_run, scan_step
 
 
@@ -410,6 +411,55 @@ class TestFusedAbstraction:
     def test_wrong_provenance_is_rejected(self, production):
         with pytest.raises(WrongProvenance):
             mpa_chain_abstraction(from_smpl_open(production))
+
+    @pytest.mark.parametrize(
+        "variant,fault",
+        [
+            ("closed loop", "closed loop, whose state is the augmented"),
+            ("two branches", "mode 1 has L = 2, M = 1 and input width 0"),
+            ("an input", "mode 1 has L = 1, M = 1 and input width 1"),
+            ("two outputs", "it has 2 outputs, not 1"),
+            ("externally driven", "not symbol_liveness with one distinct symbol per mode"),
+            ("a shared symbol", "not symbol_liveness with one distinct symbol per mode"),
+        ],
+    )
+    def test_the_structure_it_reads_is_checked_whatever_the_meta(
+        self, gaubert, production, feedback, variant, fault
+    ):
+        chain = from_mpa(gaubert)
+        forged = {"translated_from": "mpa"}
+        two_outputs = {
+            q: MatrixMode(
+                dataclasses.replace(
+                    m.form,
+                    C=(TropicalMatrix.from_rows([m.form.C[0].row(0)] * 2),),
+                    D=(TropicalMatrix.epsilon(2, 0),),
+                )
+            )
+            for q, m in chain.modes.items()
+        }
+        automaton = {
+            "closed loop": lambda: from_smpl_closed(dataclasses.replace(feedback, meta=forged)),
+            "two branches": lambda: from_smpl_open(dataclasses.replace(production, meta=forged)),
+            "an input": lambda: from_smpl_open(dataclasses.replace(feedback, controller=None, meta=forged)),
+            "two outputs": lambda: from_smpl_open(
+                dataclasses.replace(
+                    chain, modes=two_outputs, dims=dataclasses.replace(chain.dims, n_y=2)
+                )
+            ),
+            "externally driven": lambda: from_smpl_open(
+                dataclasses.replace(chain, switching=externally_driven_rule(("a", "b")))
+            ),
+            "a shared symbol": lambda: from_smpl_open(
+                dataclasses.replace(chain, switching=symbol_liveness_rule(chain.modes, ("a", "a"), 0))
+            ),
+        }[variant]()
+        with pytest.raises(WrongProvenance, match=fault):
+            mpa_chain_abstraction(automaton)
+
+    def test_a_system_shaped_like_a_translation_needs_no_meta(self, gaubert, gaubert_maha):
+        bare = from_smpl_open(dataclasses.replace(from_mpa(gaubert), meta={}))
+        assert mpa_chain_abstraction(bare) == mpa_chain_abstraction(gaubert_maha)
 
     def test_empty_language_degenerate(self):
         from maxplushybrid.mpa import MaxPlusAutomaton

@@ -120,11 +120,19 @@ class TestParsing:
         assert doc.kind == "mpa"
         assert doc.model == gaubert
 
-    def test_production_document_builds_the_system(self, production):
-        doc = parse_model(fixtures.fixture_text("production_line"))
-        assert doc.model.x0 == production.x0
-        assert doc.model.modes[1].form == production.modes[1].form
-        assert doc.model.switching.spec == production.switching.spec
+    @pytest.mark.parametrize("name", ["production_line", "feedback_demo"])
+    def test_smpl_document_builds_the_system(self, name, production, feedback):
+        system = {"production_line": production, "feedback_demo": feedback}[name]
+        doc = parse_model(fixtures.fixture_text(name))
+        assert doc.model.n_modes == system.n_modes
+        for q in system.modes:
+            assert doc.model.modes[q].form == system.modes[q].form
+        assert doc.model.x0 == system.x0
+        assert doc.model.dims == system.dims
+        assert doc.model.switching.kind == system.switching.kind
+        assert doc.model.switching.spec == system.switching.spec
+        assert doc.model.meta.get("controller_spec") == system.meta.get("controller_spec")
+        assert doc.model.closed_loop == system.closed_loop
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ModelFormatError) as err:
@@ -155,7 +163,7 @@ class TestParsing:
         body = maha_body(inner, loop="open")
         doc = parse_model(serialize_body(body))
         assert doc.kind == "maha"
-        assert doc.model.meta["source_provenance"] == "mpa"
+        assert doc.model.meta["system"].meta["translated_from"] == "mpa"
 
     def test_fa_round_trip(self, gaubert):
         from maxplushybrid.mpa import to_finite_abstraction
@@ -653,7 +661,43 @@ class TestSmplDocumentsAcrossCommands:
     def test_closed_loop_smpl_document_cannot_be_abstracted(self):
         result = run_cli("abstract", "feedback_demo")
         assert result.returncode == 2
-        assert result.stderr == "error: finite abstraction needs max-min-plus matrix dynamics per mode\n"
+        assert result.stderr == (
+            "error: finite abstraction reads each mode's matrix form over the "
+            "system's x, but a closed loop's state is the augmented (mode, x, u, v)\n"
+        )
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "name,drop_controller,fault",
+        [
+            ("production_line", False, "mode 1 has L = 2, M = 1 and input width 0"),
+            ("feedback_demo", True, "mode 1 has L = 1, M = 1 and input width 1"),
+        ],
+    )
+    def test_fused_abstraction_does_not_trust_meta(self, tmp_path, name, drop_controller, fault):
+        body = fixture_variant(name, drop_controller=drop_controller)
+        body["meta"]["translated_from"] = "mpa"
+        model = tmp_path / "forged.json"
+        model.write_text(serialize_body(body))
+        maha = tmp_path / "forged-maha.json"
+        maha.write_text(run_cli("translate", str(model), "--to", "maha").stdout)
+        for path in (model, maha):
+            result = run_cli("abstract", str(path), "--style", "fused")
+            assert result.returncode == 2
+            assert result.stderr.startswith(
+                "error: fused abstraction applies to the translation of a max-plus automaton, but "
+            )
+            assert fault in result.stderr
+            assert result.stdout == ""
+
+    @pytest.mark.parametrize("relation", ["simulation", "bisimulation", "behaviour"])
+    def test_exact_applies_to_language_checks_only(self, tmp_path, relation):
+        at = tmp_path / "at.json"
+        at.write_text(run_cli("abstract", "gaubert_mpa").stdout)
+        models = (str(at), str(at)) if relation != "behaviour" else ("gaubert_mpa", "gaubert_mpa")
+        result = run_cli("check", *models, "--relation", relation, "--exact")
+        assert result.returncode == 2
+        assert result.stderr == "error: --exact applies to --relation language only\n"
         assert result.stdout == ""
 
     def test_behaviour_check_between_documents_of_other_widths(self, tmp_path):
