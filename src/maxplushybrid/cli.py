@@ -259,7 +259,7 @@ def cmd_abstract(args: argparse.Namespace) -> tuple[RunReport, int]:
             raise UsageError("the fused style applies to smpl and maha documents")
         fa = mpa.to_finite_abstraction(doc.model)
     elif doc.kind in ("smpl", "maha"):
-        automaton = hybrid.from_smpl(doc.model) if doc.kind == "smpl" else doc.model
+        automaton = hybrid.HybridAutomaton(doc.model) if doc.kind == "smpl" else doc.model
         if args.style == "fused":
             try:
                 fa = hybrid.mpa_chain_abstraction(automaton)
@@ -287,15 +287,16 @@ def _behaviour_adapter(doc: ModelDocument) -> smpl.Stepper:
 
 
 def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed: int):
-    symbols = _symbols_of(doc1) or _symbols_of(doc2)
+    symbols1, symbols2 = _symbols_of(doc1), _symbols_of(doc2)
+    if symbols1 is not None and symbols2 is not None and set(symbols1) != set(symbols2):
+        raise UsageError(f"alphabet mismatch: {list(symbols1)} against {list(symbols2)}")
+    symbols = symbols1 or symbols2
     if symbols is None:
         raise UsageError("neither model declares a discrete input alphabet")
     widths = {"u": 0, "r": 0, "p": 0}
     for doc in (doc1, doc2):
-        system = doc.model if doc.kind == "smpl" else None
-        if doc.kind == "maha":
-            system = doc.model.meta["system"]  # the switching system it translates
-        if system is not None:
+        if doc.kind in ("smpl", "maha"):
+            system = doc.model if doc.kind == "smpl" else doc.model.system
             d = system.dims
             # a controller computes u itself, so only open loops take it as input
             for key, width in (("u", 0 if system.closed_loop else d.n_u), ("r", d.n_r), ("p", d.n_p)):

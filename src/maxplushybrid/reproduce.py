@@ -131,14 +131,10 @@ def _traces_match(
     ht = hybrid.run(automaton, inputs)
     if st.halted_at != ht.halted_at:
         return f"halt points differ: {st.halted_at} vs {ht.halted_at}"
-    layout = automaton.meta.get("state_layout")
     for rec_s, rec_h in zip(st.records, ht.records):
         if rec_s.mode != rec_h.mode:
             return f"step {rec_s.k}: mode {rec_s.mode} vs {rec_h.mode}"
-        x_h = rec_h.x
-        if layout is not None:
-            lo, hi = layout["x"]
-            x_h = rec_h.x[lo:hi]
+        x_h = automaton.x_of(rec_h.x)
         if rec_s.x != x_h:
             return f"step {rec_s.k}: state {rec_s.x} vs {x_h}"
         if rec_s.y != rec_h.y:

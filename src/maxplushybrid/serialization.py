@@ -125,9 +125,21 @@ def _dim(dims_body: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _names(names: list, what: str) -> tuple[str, ...]:
+    """State and symbol names, which are strings: none is coerced."""
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ModelFormatError(f"{what}[{i}] must be a string, got {name!r}")
+    return tuple(names)
+
+
+def _name_list(body: dict, key: str, kind: str) -> tuple[str, ...]:
+    return _names(_require(body, key, kind, list), f"{kind} {key}")
+
+
 def build_mpa(body: dict) -> MaxPlusAutomaton:
-    states = tuple(str(s) for s in _require(body, "states", "mpa", list))
-    alphabet = tuple(str(a) for a in _require(body, "alphabet", "mpa", list))
+    states = _name_list(body, "states", "mpa")
+    alphabet = _name_list(body, "alphabet", "mpa")
     mu_body = _require(body, "mu", "mpa", dict)
     mu = {
         symbol: decode_matrix(mu_body.get(symbol), f"mu[{symbol!r}]")
@@ -163,8 +175,8 @@ def mpa_body(a: MaxPlusAutomaton, meta: dict | None = None) -> dict:
 
 
 def build_fa(body: dict) -> FiniteAutomaton:
-    states = tuple(str(s) for s in _require(body, "states", "fa", list))
-    alphabet = tuple(str(a) for a in _require(body, "alphabet", "fa", list))
+    states = _name_list(body, "states", "fa")
+    alphabet = _name_list(body, "alphabet", "fa")
     delta_body = _require(body, "delta", "fa", dict)
     for src, by_symbol in delta_body.items():
         if not isinstance(by_symbol, dict) or not all(
@@ -172,10 +184,10 @@ def build_fa(body: dict) -> FiniteAutomaton:
         ):
             raise ModelFormatError(f"fa delta[{src!r}] must map symbols to lists of states")
     triples = [
-        (str(src), str(symbol), str(dst))
+        (src, symbol, dst)  # JSON object keys are strings already
         for src, by_symbol in delta_body.items()
         for symbol, targets in by_symbol.items()
-        for dst in targets
+        for dst in _names(targets, f"fa delta[{src!r}][{symbol!r}]")
     ]
     meta = dict(_optional(body, "meta", "fa", dict, {}))
     try:
@@ -183,8 +195,8 @@ def build_fa(body: dict) -> FiniteAutomaton:
             states=states,
             alphabet=alphabet,
             delta=make_delta(triples),
-            initial=frozenset(str(s) for s in _require(body, "initial", "fa", list)),
-            final=frozenset(str(s) for s in _require(body, "final", "fa", list)),
+            initial=frozenset(_name_list(body, "initial", "fa")),
+            final=frozenset(_name_list(body, "final", "fa")),
             meta=meta,
         )
     except ValueError as exc:
@@ -280,7 +292,7 @@ def _decode_switching(
             f"switching.kind {kind.value!r} does not fit switching.type {rule_type!r}, "
             f"which accepts {', '.join(map(repr, accepted))}"
         )
-    symbols = [str(s) for s in _require(spec, "symbols", "switching", list)]
+    symbols = _name_list(spec, "symbols", "switching")
     if len(symbols) != len(modes):
         raise ModelFormatError("switching needs one symbol per mode")
     if rule_type == "symbol_liveness":

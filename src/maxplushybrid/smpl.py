@@ -443,9 +443,13 @@ def symbol_liveness_rule(
 
 
 def externally_driven_rule(symbols: Sequence[str]) -> SwitchingRule:
-    """The discrete exogenous symbol names the successor mode directly."""
+    """The discrete exogenous symbol names the successor mode directly, so
+    each mode's symbol must be its own."""
     symbols = tuple(symbols)
     table = {symbol: (Candidate(mode),) for mode, symbol in enumerate(symbols, start=1)}
+    if len(table) != len(symbols):
+        repeated = next(symbol for symbol in symbols if symbols.count(symbol) > 1)
+        raise ValueError(f"externally driven switching names two modes by the symbol {repeated!r}")
 
     def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
         return table.get(probe.w, ())

@@ -85,10 +85,12 @@ def systems(draw):
             matrices(draw, 1, width, out_branches),
         )
         modes[q] = MatrixMode(form)
-    symbols = tuple(draw(st.sampled_from(SYMBOLS)) for _ in modes)
     if kind == "external":
+        # externally driven switching names each mode by a symbol of its own
+        symbols = tuple(draw(st.permutations(SYMBOLS + ("d",)))[:n_modes])
         rule = externally_driven_rule(symbols)
     else:
+        symbols = tuple(draw(st.sampled_from(SYMBOLS)) for _ in modes)
         rule = symbol_liveness_rule(modes, symbols, width)
         if kind == "sticky":
             rule = sticky(rule)

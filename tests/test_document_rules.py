@@ -190,6 +190,95 @@ class TestWeightNumbers:
         assert [rec["k"] for rec in json.loads(out)["trace"]] == [1, 2]
 
 
+
+class TestNames:
+    """State and symbol names are JSON strings; any other value exits 2,
+    naming its field, and is never coerced into a string."""
+
+    def run_on(self, tmp_path, body, *argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        return run_main(argv[0], str(path), *argv[1:])
+
+    def test_non_string_switching_symbols_exit_two(self, tmp_path):
+        body = bundled("production_line")
+        body["switching"]["symbols"] = [1, [2]]
+        for argv in (("simulate", "--word", "1"), ("translate", "--to", "maha")):
+            code, out, err = self.run_on(tmp_path, body, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and "switching symbols[0]" in err, err
+
+    @pytest.mark.parametrize(
+        "kind,path,field",
+        [
+            ("mpa", ("states", 1), "mpa states[1]"),
+            ("mpa", ("alphabet", 0), "mpa alphabet[0]"),
+            ("fa", ("states", 0), "fa states[0]"),
+            ("fa", ("alphabet", 1), "fa alphabet[1]"),
+            ("fa", ("initial", 0), "fa initial[0]"),
+            ("fa", ("final", 0), "fa final[0]"),
+        ],
+    )
+    def test_non_string_automaton_names_exit_two(self, tmp_path, kind, path, field):
+        body = bundled("gaubert_mpa")
+        if kind == "fa":
+            code, out, _ = run_main("abstract", "gaubert_mpa")
+            assert code == 0
+            body = json.loads(out)
+        body[path[0]][path[1]] = 7
+        code, out, err = self.run_on(tmp_path, body, "abstract")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"{field} must be a string, got 7" in err, err
+
+    def test_non_string_delta_target_exits_two(self, tmp_path):
+        code, out, _ = run_main("abstract", "gaubert_mpa")
+        body = json.loads(out)
+        src = sorted(body["delta"])[0]
+        symbol = sorted(body["delta"][src])[0]
+        body["delta"][src][symbol] = [None]
+        code, out, err = self.run_on(tmp_path, body, "abstract")
+        assert (code, out) == (2, "")
+        assert f"fa delta[{src!r}][{symbol!r}][0] must be a string, got None" in err, err
+
+
+class TestExternallyDrivenSymbols:
+    def test_a_repeated_symbol_exits_two_naming_it(self, tmp_path):
+        body = bundled("production_line")
+        body["switching"] = {"type": "externally_driven", "symbols": ["l1", "l1"]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        for argv in (("simulate", str(path), "--word", "l1,l1"), ("translate", str(path), "--to", "maha")):
+            code, out, err = run_main(*argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and "'l1'" in err, err
+
+    def test_distinct_symbols_still_run(self, tmp_path):
+        body = bundled("production_line")
+        body["switching"] = {"type": "externally_driven", "symbols": ["l2", "l1"]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run_main("simulate", str(path), "--word", "l1,l2", "--format", "json")
+        assert code == 0, err
+        assert [rec["mode"] for rec in json.loads(out)["trace"]] == [2, 1]
+
+
+class TestBehaviourAlphabets:
+    @pytest.mark.parametrize("models", [("production_line", "gaubert_mpa"), ("gaubert_mpa", "production_line")])
+    def test_different_symbol_sets_exit_two_in_either_order(self, models):
+        code, out, err = run_main("check", *models, "--relation", "behaviour")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alphabet mismatch"), err
+
+    def test_the_same_symbols_in_another_order_are_compared(self, tmp_path):
+        body = bundled("production_line")
+        body["switching"]["symbols"] = ["l2", "l1"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run_main("check", "production_line", str(path), "--relation", "behaviour", "--format", "json")
+        assert code in (0, 1), err
+        assert json.loads(out)["regime"] == "exhaustive"
+
+
 # One leaf (or one list) of a bundled document, replaced by a hostile value.
 HOSTILE = (None, True, False, -0.0, HUGE, "nan", "-inf", [], {}, [[0], [0, 1]], [0, [1]], OVERFLOW, NAN, INF)
 

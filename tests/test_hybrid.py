@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from maxplushybrid.hybrid import (
     AssumptionViolation,
+    HybridAutomaton,
     HybridState,
     MahaBehaviour,
     NonRepresentableController,
@@ -229,7 +230,7 @@ class TestOpenTranslation:
         assert gaubert_maha.edges[(1, 2)] == {"b"}
         assert gaubert_maha.edges[(2, 1)] == {"a"}
         # the invariant of mode 1 holds on the symbol that selects mode 1
-        assert gaubert_maha.meta["system"].switching.enabling_symbols(1) == {"a"}
+        assert gaubert_maha.system.switching.enabling_symbols(1) == {"a"}
 
     def test_single_mode_system_translates_without_edges(self):
         mode = MatrixMode.from_parts(a=[[0.0]], c=[[0.0]])
@@ -338,6 +339,9 @@ class TestClosedTranslation:
         )
         with pytest.raises(NonRepresentableController):
             from_smpl_closed(system)
+        # the automaton checks its system however it is built
+        with pytest.raises(NonRepresentableController):
+            HybridAutomaton(system)
 
 
 class TestFiniteAbstraction:
@@ -356,7 +360,7 @@ class TestFiniteAbstraction:
     def test_rejects_automata_without_matrix_structure(self, feedback):
         # the closed loop's augmented state has no matrix form per mode
         h = from_smpl_closed(feedback)
-        assert h.forms is None
+        assert h.system.closed_loop
         with pytest.raises(AssumptionViolation):
             finite_abstraction(h)
 
@@ -516,3 +520,70 @@ class TestStepperContract:
         assert run.halted_at == len(prefix) + 1
         assert run.records == tuple(records)
         assert stepper.trace(prefix + (halting,)) is None
+
+
+def externally_driven_line():
+    production = fixtures.production_line_smpl()
+    return dataclasses.replace(production, switching=externally_driven_rule(("l1", "l2")))
+
+
+# name -> (automaton, two step symbols, modes, n, discrete_inputs, initial
+# state, edges, state_layout, the first two successors and their outputs)
+TRANSLATIONS = {
+    "gaubert": (
+        lambda: from_smpl_open(from_mpa(fixtures.gaubert_mpa())),
+        ("a", "b"),
+        (1, 2), 3, ("a", "b"), (0.0, EPS, EPS),
+        {(1, 2): {"b"}, (2, 1): {"a"}},
+        None,
+        ((1, (EPS, 1.0, 3.0)), (2, (10.0, 8.0, 4.0))),
+        ((EPS,), (12.0,)),
+    ),
+    "production": (
+        lambda: from_smpl_open(fixtures.production_line_smpl()),
+        ("l1", "l2"),
+        (1, 2), 3, ("l1", "l2"), (0.0, 0.0, EPS),
+        {(1, 2): {"l2"}, (2, 1): {"l1"}},
+        None,
+        ((1, (1.0, 2.0, 4.0)), (2, (2.0, 7.0, 10.0))),
+        ((4.0,), (10.0,)),
+    ),
+    "feedback": (
+        lambda: from_smpl_closed(fixtures.feedback_demo_smpl()),
+        ("m1", "m2"),
+        (1, 2), 4, ("m1", "m2"), (EPS, 0.0, 0.0, EPS),
+        {(1, 2): {"m2"}, (2, 1): {"m1"}},
+        {"mode": 0, "x": (1, 3), "u": (3, 4)},
+        ((1, (1.0, 1.0, 2.0, 0.0)), (2, (2.0, 3.0, 3.0, 1.0))),
+        ((2.0,), (3.0,)),
+    ),
+    "externally driven": (
+        lambda: from_smpl_open(externally_driven_line()),
+        ("l2", "l1"),
+        (1, 2), 3, ("l1", "l2"), (0.0, 0.0, EPS),
+        {(1, 2): {"l2"}, (2, 1): {"l1"}},
+        None,
+        ((2, (1.0, 2.0, 4.0)), (1, (7.0, 4.0, 10.0))),
+        ((4.0,), (10.0,)),
+    ),
+}
+
+
+class TestTranslationAttributes:
+    """What a translation exposes, pinned for each kind of system."""
+
+    @pytest.mark.parametrize("name", sorted(TRANSLATIONS))
+    def test_attributes_and_first_two_steps(self, name):
+        build, word, modes, n, symbols, start, edges, layout, steps, outputs = TRANSLATIONS[name]
+        h = build()
+        assert (h.modes, h.n, h.discrete_inputs) == (modes, n, symbols)
+        assert h.init == tuple(HybridState(q, start) for q in modes)
+        assert h.edges == edges
+        assert h.meta.get("state_layout") == layout
+        mode, z = None, start
+        for w, (q, expected), y in zip(word, steps, outputs):
+            inp = StepInput(w=w)
+            successors = h.successors(mode, z, inp)
+            assert successors == (HybridState(q, expected),)
+            assert h.output[q](expected, inp) == y
+            mode, z = successors[0]

@@ -163,7 +163,7 @@ class TestParsing:
         body = maha_body(inner, loop="open")
         doc = parse_model(serialize_body(body))
         assert doc.kind == "maha"
-        assert doc.model.meta["system"].meta["translated_from"] == "mpa"
+        assert doc.model.system.meta["translated_from"] == "mpa"
 
     def test_fa_round_trip(self, gaubert):
         from maxplushybrid.mpa import to_finite_abstraction
