@@ -91,9 +91,11 @@ def _load_document(path: str) -> ModelDocument:
 
 def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
     """Bare symbol string when every symbol is one character, else
-    comma-separated."""
+    comma-separated, with no empty part."""
     if "," in text:
-        word = tuple(part for part in text.split(",") if part)
+        word = tuple(text.split(","))
+        if "" in word:
+            raise UsageError(f"--word {text!r} has an empty symbol at position {word.index('') + 1}")
     elif all(len(symbol) == 1 for symbol in alphabet):
         word = tuple(text)
     else:

@@ -5,42 +5,42 @@ automaton by per-mode invariants and flows, guarded edges with resets and
 a set of allowed inputs, and shows that a switching max-plus linear
 system translates into one.  The automata here are those translations: a
 HybridAutomaton is the switching system it translates, and every other
-attribute is derived from that system, with a successor function that
-hybrid_step calls.  The paper's general definition, stepped by a scan of
-the invariant and the guards, lives on in the tests as the reference a
-translation is held to.
+attribute is derived from that system.  The paper's general definition,
+stepped by a scan of the invariant and the guards, lives on in the tests
+as the reference a translation is held to.
 
 The hybrid state is the system's x itself for an open loop and the
 augmented state z = (mode, x, u, v) for a closed loop; x_of reads x back.
-The successor function from mode q takes a whole step through the
-system's own resolution (smpl.resolve_step: one input resolution and width
-check, one switching resolution, a rule's unknown modes rejected), with q
-as the previous mode, then writes each candidate's next state as the rule
-computed it or from one evaluation of its mode.  Resolving the mode
-against the pre-step state and flowing with the target mode is what makes
-a translation match the system step for step.  Each edge (q, q') between
-distinct modes carries the symbols that can select q', when the rule
-declares them; the abstraction reads those.  Every mode is initial at the
-system's initial state, but a run's first step is one resolution from
-that state with no previous mode (mode None), as the system's first step
-is.
+Resolving the mode against the pre-step state and flowing with the target
+mode is what makes a translation match the system step for step, and a
+translation steps through the system's own code for it.  Every mode is
+initial at the system's initial state, but a run's first step is one
+resolution from that state with no previous mode (mode None), as the
+system's first step is.
 
-MahaBehaviour is the automaton's stepper (smpl.Stepper, next to
-hybrid_step here); it steps from its last record as it is, and a run is
-its fold, with the smallest successor mode taken each step.
+MahaBehaviour is the automaton's stepper (smpl.Stepper).  A run is its
+fold: each step goes through smpl.advance, the step core that
+smpl.step uses too, which resolves once, advances with the smallest
+candidate mode only and outputs on the inputs the resolution built; the
+stepper then writes x (open loop) or z (closed loop) into the record.
+hybrid_step gives the paper's full successor set instead, through the
+automaton's successor function: from mode q it resolves the step through
+smpl.resolve_step with q as the previous mode and writes every
+candidate's next state, as the rule computed it or from one evaluation of
+its mode.  Each edge (q, q') between distinct modes carries the symbols
+that can select q', when the rule declares them; the abstraction reads
+those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace, resolve_step
+from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace, advance, resolve_step
 from .tropical import EPS, Weight
-
-OutputFn = Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
 
 
 class AssumptionViolation(ValueError):
@@ -68,9 +68,9 @@ class HybridAutomaton:
     discrete_inputs; edges, mapping each edge (q, q') to the symbols that
     can select q' (None when the rule does not declare them); meta, the
     closed loop's state_layout.  Built once, here: init, every mode at the
-    system's initial state; output, per mode the map (state, input) -> y;
-    successors, taking (mode, state, inp) to the successor states sorted
-    by mode, from mode None on a run's first step."""
+    system's initial state; successors, taking (mode, state, inp) to the
+    successor states sorted by mode, from mode None on a run's first
+    step."""
 
     system: SmplSystem
 
@@ -82,7 +82,7 @@ class HybridAutomaton:
             )
         dynamics = s.modes
         if s.closed_loop:
-            n, n_u = s.dims.n, s.dims.n_u
+            n = s.dims.n
             start = s.performance_signal(SmplBehaviour(s).init())
 
             def successors(source: int | None, z: tuple[Weight, ...], inp: StepInput) -> tuple[HybridState, ...]:
@@ -93,12 +93,6 @@ class HybridAutomaton:
                     for c in candidates
                 ])
 
-            def output_fn(q: int) -> OutputFn:
-                # the step checked the widths of the inputs it was given,
-                # and wrote the controller's u into the state
-                output = dynamics[q].form.eval_output
-                return lambda z, inp: output(z[1 : 1 + n], z[1 + n : 1 + n + n_u] + inp.r + inp.p)
-
         else:
             start = tuple(s.x0)
 
@@ -106,14 +100,8 @@ class HybridAutomaton:
                 u, v, win, candidates = resolve_step(s, source, x, x, inp)
                 return tuple([HybridState(c.mode, c.state_for(dynamics[c.mode], x, win)) for c in candidates])
 
-            def output_fn(q: int) -> OutputFn:
-                output = dynamics[q].form.eval_output
-                return lambda x, inp: output(x, inp.u + inp.r + inp.p)
-
-        modes = self.modes
         object.__setattr__(self, "successors", successors)
-        object.__setattr__(self, "output", {q: output_fn(q) for q in modes})
-        object.__setattr__(self, "init", tuple(HybridState(q, start) for q in modes))
+        object.__setattr__(self, "init", tuple(HybridState(q, start) for q in self.modes))
 
     @property
     def modes(self) -> tuple[int, ...]:
@@ -162,8 +150,10 @@ class MahaBehaviour(Stepper):
     """Runs of a hybrid automaton: each step takes the smallest successor
     mode.  Before the first step there is no current mode (None), as a
     switching system's first mode is resolved by its rule rather than
-    given; the record before the first step holds the initial state, from
-    which hybrid_step takes one step with no previous mode."""
+    given; the record before the first step holds the initial state.  A
+    step is the system's smpl.advance from the record's mode and x (read
+    out of z in a closed loop), so it evaluates only the mode it takes;
+    its record holds x, or z = (mode, x, u, v) in a closed loop."""
 
     automaton: HybridAutomaton
 
@@ -171,12 +161,15 @@ class MahaBehaviour(Stepper):
         return StepRecord(0, None, self.automaton.init[0].x, (), ())
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
-        successors = hybrid_step(self.automaton, state, inp)
-        if not successors:
+        s = self.automaton.system
+        closed, z = s.controller is not None, state.x
+        stepped = advance(s, state.mode, z[1 : 1 + s.dims.n] if closed else z, z, inp)
+        if stepped is None:
             return None
-        mode, x = successors[0]
-        y = self.automaton.output[mode](x, inp)
-        return StepRecord(state.k + 1, mode, x, y, tuple([succ.mode for succ in successors]))
+        mode, x, y, successors, u, v = stepped
+        if closed:
+            x = (float(mode),) + x + u + v
+        return StepRecord(state.k + 1, mode, x, y, successors)
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

@@ -7,7 +7,8 @@ leave at a finite final weight; it is EPS exactly when no such path exists,
 so acceptance is a byproduct of evaluation.
 
 MpaBehaviour is the automaton's stepper (smpl.Stepper): its state is the
-row vector alpha^T mu(w1) ... mu(wk), advanced by step_row.
+row vector alpha^T mu(w1) ... mu(wk), advanced by the symbol's matrix,
+which a step finds with its mode in one lookup.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ class MaxPlusAutomaton:
         with beta, whose weights are finite or EPS."""
         return TropicalMatrix.row_vector(self.beta).compiled
 
+    @functools.cached_property
+    def _symbol_steps(self) -> dict[str, tuple[int, TropicalMatrix]]:
+        """Each symbol's mode (its position in the alphabet from 1) and
+        weight matrix, for one lookup per step."""
+        return {symbol: (mode, self.mu[symbol]) for mode, symbol in enumerate(self.alphabet, start=1)}
+
 
 def step_row(a: MaxPlusAutomaton, row: Sequence[Weight], symbol: str) -> tuple[Weight, ...]:
     """Advance a row vector by one symbol: row times mu(symbol)."""
@@ -103,12 +110,15 @@ class MpaBehaviour(Stepper):
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         a = self.automaton
-        if inp.w is None:
-            raise ValueError("max-plus automata consume discrete symbols only")
-        row = step_row(a, state.x, inp.w)
+        found = a._symbol_steps.get(inp.w)
+        if found is None:
+            if inp.w is None:
+                raise ValueError("max-plus automata consume discrete symbols only")
+            raise ValueError(f"unknown symbol {inp.w!r}")
+        mode, mu = found
+        row = mu.left_apply(state.x)
         if row.count(EPS) == len(row):
             return None
-        mode = a.alphabet.index(inp.w) + 1
         return StepRecord(state.k + 1, mode, row, (row_value(a, row),), (mode,))
 
     def complete(self, state: StepRecord) -> bool:

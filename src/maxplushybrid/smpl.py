@@ -12,9 +12,14 @@ hybrid translation alike: it resolves the controlled inputs (the
 controller's, shape-checked, or the step input's own), checks the widths
 of u, r and p once before the rule sees them, calls the rule's
 successor_set once and checks that every candidate is a mode the system
-has.  step and the translation's successor function call it; its input
-half is resolve_inputs.  A run's first step resolves with no previous
-mode, in the system and in its translation alike.  A rule that has to compute a
+has; its input half is resolve_inputs.  On it sits the one step core,
+advance: it advances with the first candidate only and evaluates the
+output on the continuous input the resolution built.  step and
+hybrid.MahaBehaviour.step are its callers, so a system and its
+translation run through the same code and differ only in the record they
+write; the translation's full successor set (hybrid.hybrid_step) calls
+resolve_step itself.  A run's first step resolves with no previous mode,
+in the system and in its translation alike.  A rule that has to compute a
 mode's next state to decide on it (symbol liveness does) hands that state
 back with the candidate, so a step evaluates the chosen mode's dynamics
 once.  The state and inputs are passed on as the tuples they already are,
@@ -362,21 +367,39 @@ def resolve_step(
     return u, v, win, candidates
 
 
-def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
-    """One event step from the last step's record (SmplBehaviour(s).init()
-    before the first): resolve it, advance with the first candidate's mode,
-    output.  None when the rule admits no mode (the run halts).  The
-    performance signal is built only for a controller to read."""
-    z = None if s.controller is None else s.performance_signal(state)
-    u, v, win, candidates = resolve_step(s, state.mode, state.x, z, inp)
+def advance(
+    s: SmplSystem,
+    prev_mode: int | None,
+    x_prev: tuple[Weight, ...],
+    z: tuple[Weight, ...] | None,
+    inp: StepInput,
+) -> tuple | None:
+    """The step core of a system and of its translation: resolve once,
+    advance with the first candidate's carried state or one evaluation of
+    its mode, and output on the continuous input u ++ r ++ p that the
+    resolution built.  Returns (mode, x, y, successor modes, u, v), a
+    StepRecord's fields after k, or None when the rule admits no mode (the
+    run halts)."""
+    u, v, win, candidates = resolve_step(s, prev_mode, x_prev, z, inp)
     if not candidates:
         return None
     first = candidates[0]
     dynamics = s.modes[first.mode]
-    x = first.state_for(dynamics, state.x, win)
-    y = dynamics.form.eval_output(x, win)
+    x = first.state_for(dynamics, x_prev, win)
     successors = (first.mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
-    return StepRecord(state.k + 1, first.mode, x, y, successors, u, v)
+    return first.mode, x, dynamics.form.eval_output(x, win), successors, u, v
+
+
+def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
+    """One event step from the last step's record (SmplBehaviour(s).init()
+    before the first), through advance.  None when the rule admits no mode
+    (the run halts).  The performance signal is built only for a
+    controller to read."""
+    z = None if s.controller is None else s.performance_signal(state)
+    stepped = advance(s, state.mode, state.x, z, inp)
+    if stepped is None:
+        return None
+    return StepRecord(state.k + 1, *stepped)
 
 
 @dataclass(frozen=True)

@@ -426,6 +426,46 @@ def scan_of_translation(s: smpl.SmplSystem) -> ScanAutomaton:
     )
 
 
+def translation_output(h: hybrid.HybridAutomaton) -> dict:
+    """Per mode the output map (hybrid state, step input) -> y of a
+    translated automaton, read off the state and the step input: a closed
+    loop's y reads x and the u the step wrote into z, an open loop's the
+    step input's own u, each followed by r ++ p.  As opposed to the output
+    smpl.advance evaluates on the inputs its resolution built."""
+    s = h.system
+    n, n_u = s.dims.n, s.dims.n_u
+
+    def output(mode):
+        form = s.modes[mode].form
+        if s.closed_loop:
+            return lambda z, inp: form.eval_output(z[1 : 1 + n], z[1 + n : 1 + n + n_u] + inp.r + inp.p)
+        return lambda x, inp: form.eval_output(x, inp.u + inp.r + inp.p)
+
+    return {q: output(q) for q in h.modes}
+
+
+@dataclasses.dataclass(frozen=True)
+class SuccessorSetRun(smpl.Stepper):
+    """Runs of a translated automaton that take the first of
+    hybrid.hybrid_step's successors, every one of them built and
+    evaluated, and compute y through that mode's translation_output map;
+    as opposed to hybrid.MahaBehaviour, which advances the first candidate
+    alone through smpl.advance."""
+
+    automaton: hybrid.HybridAutomaton
+
+    def init(self) -> smpl.StepRecord:
+        return smpl.StepRecord(0, None, self.automaton.init[0].x, (), ())
+
+    def step(self, state, inp):
+        successors = hybrid.hybrid_step(self.automaton, state, inp)
+        if not successors:
+            return None
+        mode, x = successors[0]
+        y = translation_output(self.automaton)[mode](x, inp)
+        return smpl.StepRecord(state.k + 1, mode, x, y, tuple(succ.mode for succ in successors))
+
+
 def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
     """Replay every sequence from the start on both systems and compare
     whole traces, as opposed to the shared-prefix walk."""

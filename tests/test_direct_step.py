@@ -9,7 +9,9 @@ with single- and multi-branch rows and r and p inputs, under symbol
 liveness, externally driven switching, a rule that reads the previous
 mode, and a closed loop.  A step is also held to the switching system's
 own step from the same previous mode, and the switching-system stepper
-to oracles.simulate.
+to oracles.simulate.  A run, which advances the first candidate alone
+through smpl.advance, is held to oracles.SuccessorSetRun, which takes the
+first of hybrid_step's successors.
 """
 
 import dataclasses
@@ -157,6 +159,45 @@ class TestDirectStepAgainstTheScan:
         # that reads it sees the same steps: the automaton is the system
         assert hybrid_trace.outputs() == smpl_trace.outputs()
         assert hybrid_trace.halted_at == smpl_trace.halted_at
+
+
+class TestRunAgainstTheSuccessorSet:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fold_equals_the_first_successor_run(self, data):
+        kind, system, automaton = data.draw(systems())
+        inputs = data.draw(step_inputs(system, data.draw(st.integers(0, 8))))
+        assert MahaBehaviour(automaton).fold(inputs) == oracles.SuccessorSetRun(automaton).fold(inputs)
+
+    @pytest.mark.parametrize(
+        "build, translate, inp",
+        [
+            (fixtures.production_line_smpl, from_smpl_open, StepInput(w="l1")),
+            (fixtures.feedback_demo_smpl, from_smpl_closed, StepInput(w="m1")),
+        ],
+    )
+    def test_a_run_step_evaluates_only_the_mode_it_takes(self, monkeypatch, build, translate, inp):
+        line = build()
+        rule = dataclasses.replace(line.switching, successors=lambda probe: (1, 2))
+        system = dataclasses.replace(line, switching=rule)
+        automaton = translate(system)
+        evaluated = []
+        eval_state = MatrixForm.eval_state
+
+        def counted(form, x, u=()):
+            evaluated.append(form)
+            return eval_state(form, x, u)
+
+        monkeypatch.setattr(MatrixForm, "eval_state", counted)
+        behaviour = MahaBehaviour(automaton)
+        rec = behaviour.step(behaviour.init(), inp)
+        assert rec.mode == 1 and rec.successor_modes == (1, 2)
+        assert [id(form) for form in evaluated] == [id(system.modes[1].form)]
+        evaluated.clear()
+        successors = hybrid_step(automaton, behaviour.init(), inp)
+        assert [succ.mode for succ in successors] == [1, 2]
+        assert successors[0].x == rec.x
+        assert [id(form) for form in evaluated] == [id(system.modes[q].form) for q in (1, 2)]
 
 
 def bad_width_variant():

@@ -1,7 +1,8 @@
 """Document rules that parse_model enforces: the switching kind each rule
 type accepts, dims widths that the document's matrices carry, finite
 weight numbers, and no traceback from any one hostile leaf in a bundled
-document or from any hostile --inputs file."""
+document or from any hostile --inputs file.  A --word with an empty
+comma-separated part exits 2 too, naming the part's position."""
 
 import contextlib
 import dataclasses
@@ -372,3 +373,20 @@ def test_hostile_inputs_files_never_raise(steps):
                 assert err == "" and "trace" in json.loads(out), name
             else:
                 assert out == "" and err.startswith("error: "), (name, err)
+
+
+class TestEmptyWordParts:
+    @pytest.mark.parametrize(
+        "argv, word, position",
+        [
+            (("eval", "gaubert_mpa"), "a,,b", 2),
+            (("eval", "gaubert_mpa"), ",", 1),
+            (("eval", "gaubert_mpa"), "a,b,", 3),
+            (("simulate", "production_line"), "l1,,l2", 2),
+            (("simulate", "production_line"), ",l1", 1),
+        ],
+    )
+    def test_an_empty_part_of_a_comma_separated_word_exits_2(self, argv, word, position):
+        code, out, err = run_main(*argv, "--word", word)
+        assert (code, out) == (2, "")
+        assert err == f"error: --word {word!r} has an empty symbol at position {position}\n"

@@ -37,7 +37,15 @@ from maxplushybrid.smpl import (
     word_inputs,
 )
 from maxplushybrid.tropical import EPS, TropicalMatrix
-from oracles import InadmissibleInput, ScanAutomaton, language_upto, nfa_accepts_by_search, scan_run, scan_step
+from oracles import (
+    InadmissibleInput,
+    ScanAutomaton,
+    language_upto,
+    nfa_accepts_by_search,
+    scan_run,
+    scan_step,
+    translation_output,
+)
 
 
 def random_word_inputs(rng, symbols, length):
@@ -585,5 +593,8 @@ class TestTranslationAttributes:
             inp = StepInput(w=w)
             successors = h.successors(mode, z, inp)
             assert successors == (HybridState(q, expected),)
-            assert h.output[q](expected, inp) == y
+            assert translation_output(h)[q](expected, inp) == y
             mode, z = successors[0]
+        # a run advances through the same steps
+        records = MahaBehaviour(h).fold(word_inputs(word)).records
+        assert [(rec.mode, rec.x, rec.y) for rec in records] == [(q, x, y) for (q, x), y in zip(steps, outputs)]

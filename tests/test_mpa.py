@@ -18,7 +18,7 @@ from maxplushybrid.mpa import (
     step_row,
     to_finite_abstraction,
 )
-from maxplushybrid.smpl import from_mpa, simulate, word_inputs
+from maxplushybrid.smpl import StepInput, from_mpa, simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
 from oracles import accepted_words_by_paths, row_value_by_zip, step_row_dense, word_value_by_paths
 from oracles import language_upto as fa_language
@@ -274,3 +274,10 @@ class TestFoldAlongTheTranslations:
     @given(st.integers(0, 10_000), st.integers(1, 3))
     def test_random_automata(self, seed, n):
         assert_fold_follows_the_translations(random_mpa(random.Random(seed), n_states=n))
+
+    def test_a_step_refuses_missing_and_unknown_symbols(self, gaubert):
+        stepper = MpaBehaviour(gaubert)
+        with pytest.raises(ValueError, match="^unknown symbol 'c'$"):
+            stepper.step(stepper.init(), StepInput(w="c"))
+        with pytest.raises(ValueError, match="^max-plus automata consume discrete symbols only$"):
+            stepper.step(stepper.init(), StepInput())
