@@ -199,37 +199,29 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
     inputs = _step_inputs_from_args(args, doc)
     if args.steps is not None:
         inputs = inputs[: args.steps]
-    if doc.kind == "mpa":
-        alphabet = doc.model.alphabet
-        trace = mpa.MpaBehaviour(doc.model).fold(inputs)
-        records = [
-            {
-                "k": rec.k,
-                "symbol": alphabet[rec.mode - 1],
-                "state": [encode_weight(v) for v in rec.x],
-                "output": encode_weight(rec.y[0]),
-            }
-            for rec in trace.records
-        ]
-        report.payload = {"trace": records, "halted_at": trace.halted_at}
-        return report, 0
-    if doc.kind == "smpl":
-        report.payload = _trace_payload(smpl.simulate(doc.model, inputs), successors=True)
-        return report, 0
-    report.payload = _trace_payload(hybrid.run(doc.model, inputs), successors=False)
+    trace = _behaviour_adapter(doc).fold(inputs)
+    records = [_trace_record(doc, rec) for rec in trace.records]
+    report.payload = {"trace": records, "halted_at": trace.halted_at}
     return report, 0
 
 
-def _trace_payload(trace: smpl.Trace, successors: bool) -> dict:
-    records = []
-    for rec in trace.records:
-        entry: dict[str, Any] = {"k": rec.k, "mode": rec.mode}
-        if successors:
-            entry["successor_modes"] = list(rec.successor_modes)
-        entry["x"] = [encode_weight(v) for v in rec.x]
-        entry["y"] = [encode_weight(v) for v in rec.y]
-        records.append(entry)
-    return {"trace": records, "halted_at": trace.halted_at}
+def _trace_record(doc: ModelDocument, rec: smpl.StepRecord) -> dict[str, Any]:
+    """A run's record as simulate reports it: an mpa's symbol, row and
+    value; a system's or translation's mode, x and y, with a system's
+    successor modes."""
+    if doc.kind == "mpa":
+        return {
+            "k": rec.k,
+            "symbol": doc.model.alphabet[rec.mode - 1],
+            "state": [encode_weight(v) for v in rec.x],
+            "output": encode_weight(rec.y[0]),
+        }
+    entry: dict[str, Any] = {"k": rec.k, "mode": rec.mode}
+    if doc.kind == "smpl":
+        entry["successor_modes"] = list(rec.successor_modes)
+    entry["x"] = [encode_weight(v) for v in rec.x]
+    entry["y"] = [encode_weight(v) for v in rec.y]
+    return entry
 
 
 def cmd_translate(args: argparse.Namespace) -> tuple[RunReport, int]:
@@ -419,18 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
             "translation, abstraction and equivalence checking."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--bound", type=count, default=6)
+    # Each command takes the flags it reads; translate and abstract write a document.
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "text"), default="text")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a word on an automaton")
+    p_eval = sub.add_parser("eval", parents=[formatted], help="evaluate a word on an automaton")
     p_eval.add_argument("model")
     p_eval.add_argument("--word", required=True)
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="run a model on an input sequence")
+    p_sim = sub.add_parser("simulate", parents=[formatted], help="run a model on an input sequence")
     p_sim.add_argument("model")
     p_sim.add_argument("--word")
     p_sim.add_argument(
@@ -440,19 +433,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("-K", "--steps", type=count, default=None)
     p_sim.set_defaults(fn=cmd_simulate)
 
-    p_tr = sub.add_parser("translate", parents=[common], help="translate between model classes")
+    p_tr = sub.add_parser("translate", help="translate between model classes")
     p_tr.add_argument("model")
     p_tr.add_argument("--to", required=True, choices=("smpl", "maha"))
     p_tr.set_defaults(fn=cmd_translate)
 
-    p_abs = sub.add_parser("abstract", parents=[common], help="finite-state discrete abstraction")
+    p_abs = sub.add_parser("abstract", help="finite-state discrete abstraction")
     p_abs.add_argument("model")
     p_abs.add_argument("--style", choices=("standard", "fused"), default="standard")
     p_abs.set_defaults(fn=cmd_abstract)
 
-    p_chk = sub.add_parser("check", parents=[common], help="check a relation between two models")
+    p_chk = sub.add_parser("check", parents=[formatted, seeded], help="check a relation between two models")
     p_chk.add_argument("model1")
     p_chk.add_argument("model2")
+    p_chk.add_argument("--bound", type=count, default=6)
     p_chk.add_argument(
         "--relation",
         required=True,
@@ -466,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chk.set_defaults(fn=cmd_check)
 
-    p_rep = sub.add_parser("reproduce", parents=[common], help="run the bundled verification suite")
+    p_rep = sub.add_parser("reproduce", parents=[formatted, seeded], help="run the bundled verification suite")
     p_rep.set_defaults(fn=cmd_reproduce)
     return parser
 

@@ -14,9 +14,10 @@ only the predecessors of the states that changed block, the largest part
 of a split block keeping its id (Hopcroft; Paige and Tarjan).
 
 Behavioural inclusion compares models of different classes through the
-stepper protocol of smpl.Stepper (init, step, output, complete); each
-class's stepper lives beside its step code (smpl.SmplBehaviour,
-hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Input
+stepper protocol of smpl.Stepper (init, step, complete, fold); two runs
+agree where their records' outputs y do.  Each class's stepper lives
+beside its step code (smpl.SmplBehaviour, hybrid.MahaBehaviour,
+mpa.MpaBehaviour) and is re-exported here.  Input
 sequences share prefixes, so the bounded check walks a trie of them, one
 level per input keyed by the input's field tuple, steps each distinct
 prefix once and keeps the two systems' states per prefix for the length
@@ -361,7 +362,7 @@ def behavioural_inclusion_upto(
                 s1 = sys1.step(s1, inp)
                 if s1 is not None and s2 is not None:
                     s2 = sys2.step(s2, inp)
-                    if s2 is not None and sys2.output(s2) != sys1.output(s1):
+                    if s2 is not None and s2.y != s1.y:
                         s2 = None
                 node = children[key] = (s1, s2, {})
             s1, s2, children = node

@@ -23,13 +23,13 @@ fold: each step goes through smpl.advance, the step core that
 smpl.step uses too, which resolves once, advances with the smallest
 candidate mode only and outputs on the inputs the resolution built; the
 stepper then writes x (open loop) or z (closed loop) into the record.
-hybrid_step gives the paper's full successor set instead, through the
-automaton's successor function: from mode q it resolves the step through
-smpl.resolve_step with q as the previous mode and writes every
-candidate's next state, as the rule computed it or from one evaluation of
-its mode.  Each edge (q, q') between distinct modes carries the symbols
-that can select q', when the rule declares them; the abstraction reads
-those.
+hybrid_step gives the paper's full successor set instead: from mode q it
+resolves the step through smpl.resolve_step with q as the previous mode
+and writes every candidate's next state, as the rule computed it or from
+one evaluation of its mode.  The automaton stores no successor function
+or initial states; both are read off the system when asked for.  Each
+edge (q, q') between distinct modes carries the symbols that can select
+q', when the rule declares them; the abstraction reads those.
 """
 
 from __future__ import annotations
@@ -64,13 +64,11 @@ class HybridState(NamedTuple):
 @dataclass(frozen=True)
 class HybridAutomaton:
     """The translation of a switching system, open- or closed-loop as the
-    system has a controller.  Derived from the system: modes, n and
-    discrete_inputs; edges, mapping each edge (q, q') to the symbols that
-    can select q' (None when the rule does not declare them); meta, the
-    closed loop's state_layout.  Built once, here: init, every mode at the
-    system's initial state; successors, taking (mode, state, inp) to the
-    successor states sorted by mode, from mode None on a run's first
-    step."""
+    system has a controller.  Everything else is read off the system:
+    modes, n and discrete_inputs; start, the hybrid state at the system's
+    initial state, and init, every mode at start; edges, mapping each edge
+    (q, q') to the symbols that can select q' (None when the rule does not
+    declare them); meta, the closed loop's state_layout."""
 
     system: SmplSystem
 
@@ -80,28 +78,6 @@ class HybridAutomaton:
             raise NonRepresentableController(
                 f"controller {s.controller.name!r} is not a max-min-plus map"
             )
-        dynamics = s.modes
-        if s.closed_loop:
-            n = s.dims.n
-            start = s.performance_signal(SmplBehaviour(s).init())
-
-            def successors(source: int | None, z: tuple[Weight, ...], inp: StepInput) -> tuple[HybridState, ...]:
-                x = z[1 : 1 + n]
-                u, v, win, candidates = resolve_step(s, source, x, z, inp)
-                return tuple([
-                    HybridState(c.mode, (float(c.mode),) + c.state_for(dynamics[c.mode], x, win) + u + v)
-                    for c in candidates
-                ])
-
-        else:
-            start = tuple(s.x0)
-
-            def successors(source: int | None, x: tuple[Weight, ...], inp: StepInput) -> tuple[HybridState, ...]:
-                u, v, win, candidates = resolve_step(s, source, x, x, inp)
-                return tuple([HybridState(c.mode, c.state_for(dynamics[c.mode], x, win)) for c in candidates])
-
-        object.__setattr__(self, "successors", successors)
-        object.__setattr__(self, "init", tuple(HybridState(q, start) for q in self.modes))
 
     @property
     def modes(self) -> tuple[int, ...]:
@@ -112,6 +88,17 @@ class HybridAutomaton:
         """The hybrid state's length: n, or 1 + n + n_u + n_v closed-loop."""
         d = self.system.dims
         return 1 + d.n + d.n_u + d.n_v if self.system.closed_loop else d.n
+
+    @property
+    def start(self) -> tuple[Weight, ...]:
+        """x0, or z = (mode, x0, u, v) before the first step on a closed loop."""
+        s = self.system
+        return s.performance_signal(SmplBehaviour(s).init()) if s.closed_loop else tuple(s.x0)
+
+    @property
+    def init(self) -> tuple[HybridState, ...]:
+        start = self.start
+        return tuple(HybridState(q, start) for q in self.modes)
 
     @property
     def discrete_inputs(self) -> tuple[str, ...]:
@@ -142,7 +129,16 @@ def hybrid_step(
     mode None on a run's first step.  The state is anything with a mode
     and an x, such as a run's last record.  Empty result means the
     execution is blocked: the switching rule admits no mode."""
-    return h.successors(state.mode, state.x, inp)
+    s, z = h.system, state.x
+    x = h.x_of(z)
+    u, v, win, candidates = resolve_step(s, state.mode, x, z, inp)
+    dynamics = s.modes
+    if s.closed_loop:
+        return tuple([
+            HybridState(c.mode, (float(c.mode),) + c.state_for(dynamics[c.mode], x, win) + u + v)
+            for c in candidates
+        ])
+    return tuple([HybridState(c.mode, c.state_for(dynamics[c.mode], x, win)) for c in candidates])
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ class MahaBehaviour(Stepper):
     automaton: HybridAutomaton
 
     def init(self) -> StepRecord:
-        return StepRecord(0, None, self.automaton.init[0].x, (), ())
+        return StepRecord(0, None, self.automaton.start, (), ())
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         s = self.automaton.system

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from . import hybrid, smpl
 from .finite import FiniteAutomaton, make_delta
@@ -39,6 +39,14 @@ class ModelFormatError(ValueError):
 
 
 KINDS = ("mpa", "smpl", "maha", "fa")
+
+# The keys each kind's document takes; meta is free-form.
+FIELDS = {
+    "mpa": ("kind", "states", "alphabet", "alpha", "mu", "beta", "meta"),
+    "fa": ("kind", "states", "alphabet", "delta", "initial", "final", "meta"),
+    "smpl": ("kind", "dims", "x0", "modes", "switching", "controller", "meta"),
+    "maha": ("kind", "loop", "system", "meta"),
+}
 
 
 def encode_weight(a: Weight) -> Any:
@@ -118,6 +126,18 @@ def _optional(body: dict, key: str, kind: str, shape: type, default: Any) -> Any
     return _require(body, key, kind, shape) if key in body else default
 
 
+def _only(body: dict, fields: Sequence[str], where: str) -> None:
+    """Refuse a key that no builder reads, naming its path and the keys the
+    container takes.  where is the container's path, empty for the
+    document itself."""
+    for key in body:
+        if key not in fields:
+            raise ModelFormatError(
+                f"{where + '.' if where else ''}{key} is not a field; "
+                f"{where or 'the ' + body['kind'] + ' document'} takes {', '.join(fields) or 'none'}"
+            )
+
+
 def _dim(dims_body: dict, key: str, default: int | None = None) -> int:
     value = _require(dims_body, key, "dims") if default is None else dims_body.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -141,6 +161,7 @@ def build_mpa(body: dict) -> MaxPlusAutomaton:
     states = _name_list(body, "states", "mpa")
     alphabet = _name_list(body, "alphabet", "mpa")
     mu_body = _require(body, "mu", "mpa", dict)
+    _only(mu_body, alphabet, "mu")
     mu = {
         symbol: decode_matrix(mu_body.get(symbol), f"mu[{symbol!r}]")
         for symbol in alphabet
@@ -225,6 +246,7 @@ def _decode_mode(mode_body: Any, index: int) -> tuple[list[TropicalMatrix], ...]
     what = f"modes[{index}]"
     if not isinstance(mode_body, dict):
         raise ModelFormatError(f"{what} must be a JSON object")
+    _only(mode_body, ("A", "B", "C", "D"), what)
 
     def mats(key: str, required: bool) -> list[TropicalMatrix]:
         rows = _require(mode_body, key, what, list) if required else _optional(mode_body, key, what, list, [])
@@ -278,6 +300,7 @@ def _decode_switching(
     body: dict, modes: dict[int, smpl.MatrixMode], dims: smpl.SmplDims
 ) -> smpl.SwitchingRule:
     spec = _require(body, "switching", "smpl", dict)
+    _only(spec, ("type", "kind", "symbols"), "switching")
     rule_type = _require(spec, "type", "switching")
     if not isinstance(rule_type, str) or rule_type not in SWITCHING_KINDS:
         raise ModelFormatError(f"unknown switching type {rule_type!r}")
@@ -308,6 +331,7 @@ def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook |
         raise ModelFormatError("'controller' must be a JSON object")
     ctrl_type = _require(spec, "type", "controller")
     if ctrl_type == "static_feedback":
+        _only(spec, ("type", "gain"), "controller")
         gain = decode_matrix(_require(spec, "gain", "controller"), "controller.gain")
         if gain.rows != dims.n_u or gain.cols != dims.n:
             raise ModelFormatError("controller gain must be n_u x n")
@@ -317,6 +341,7 @@ def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook |
 
 def build_smpl(body: dict) -> smpl.SmplSystem:
     dims_body = _require(body, "dims", "smpl", dict)
+    _only(dims_body, ("n", "n_u", "n_v", "n_y", "n_r", "n_p"), "dims")
     dims = smpl.SmplDims(
         n=_dim(dims_body, "n"),
         n_u=_dim(dims_body, "n_u", 0),
@@ -394,6 +419,7 @@ def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
 def build_maha(body: dict) -> hybrid.HybridAutomaton:
     _optional(body, "meta", "maha", dict, {})
     system_body = dict(_require(body, "system", "maha", dict))
+    _only(system_body, FIELDS["smpl"], "system")
     system_body.setdefault("kind", "smpl")
     system = build_smpl(system_body)
     loop = body.get("loop", "open")
@@ -430,6 +456,7 @@ def parse_model(text: str) -> ModelDocument:
     kind = body.get("kind")
     if kind not in KINDS:  # a tuple: an unhashable kind compares unequal instead of raising
         raise ModelFormatError(f"unknown model kind {kind!r}; expected one of {KINDS}")
+    _only(body, FIELDS[kind], "")
     model = _BUILDERS[kind](body)
     return ModelDocument(kind=kind, body=body, model=model)
 

@@ -27,13 +27,14 @@ and a rule's output is deduplicated and sorted only when it holds more
 than one candidate.
 
 Every model class runs through the one stepper protocol defined here
-(Stepper: init, step, output, complete), with one StepRecord per step and
-one Trace per run; a run of any class is Stepper.fold over its inputs,
-and a run halts where step returns None.  SmplBehaviour is this module's
-stepper, whose step is the module function step(s, state, inp): it takes
-the last step's record (init's before the first step) and returns the
-next one, or None when the rule admits no mode.  A controller reads the
-performance signal z = (mode, x, u, v) of that record.
+(Stepper: init, step, complete and fold), with one StepRecord per step,
+whose y is the step's output, and one Trace per run; a run of any class
+is Stepper.fold over its inputs, and a run halts where step returns None.
+SmplBehaviour is this module's stepper, whose step is the module function
+step(s, state, inp): it takes the last step's record (init's before the
+first step) and returns the next one, or None when the rule admits no
+mode.  A controller reads the performance signal z = (mode, x, u, v) of
+that record.
 hybrid.MahaBehaviour and mpa.MpaBehaviour are the other two steppers.
 """
 
@@ -258,9 +259,6 @@ class Stepper:
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         raise NotImplementedError
-
-    def output(self, state: StepRecord) -> tuple[Weight, ...]:
-        return state.y
 
     def complete(self, state: StepRecord) -> bool:
         return True

@@ -258,11 +258,5 @@ class TropicalMatrix:
 
     @functools.cached_property
     def _columns(self) -> CompiledRows:
-        """Per column, its (row, weight) pairs whose weight is not EPS, as
-        eval_rows rows: the transpose's compiled rows."""
-        m, entries = self.cols, self.entries
-        return (
-            tuple((True, tuple((i, a) for i, a in enumerate(entries[j::m]) if a != EPS)) for j in range(m)),
-            self.rows,
-            0,
-        )
+        """The transpose's compiled rows: per column, its non-EPS entries."""
+        return self.transpose().compiled

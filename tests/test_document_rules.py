@@ -263,6 +263,83 @@ class TestExternallyDrivenSymbols:
         assert [rec["mode"] for rec in json.loads(out)["trace"]] == [2, 1]
 
 
+def as_fa():
+    code, out, _ = run_main("abstract", "gaubert_mpa")
+    assert code == 0
+    return json.loads(out)
+
+
+def as_maha(name):
+    code, out, _ = run_main("translate", name, "--to", "maha")
+    assert code == 0
+    return json.loads(out)
+
+
+SMPL_FIELDS = "kind, dims, x0, modes, switching, controller, meta"
+
+
+class TestUnknownFields:
+    """A key that no builder reads exits 2, naming its path and the keys
+    its container takes; meta stays free-form.  Switching and controller
+    faults carry the system's "smpl: " prefix, as their other faults do."""
+
+    @pytest.mark.parametrize(
+        "build,path,says",
+        [
+            (lambda: bundled("gaubert_mpa"), ("extra",),
+             "extra is not a field; the mpa document takes kind, states, alphabet, alpha, mu, beta, meta"),
+            (as_fa, ("extra",),
+             "extra is not a field; the fa document takes kind, states, alphabet, delta, initial, final, meta"),
+            (lambda: bundled("production_line"), ("extra",),
+             f"extra is not a field; the smpl document takes {SMPL_FIELDS}"),
+            (lambda: as_maha("production_line"), ("extra",),
+             "extra is not a field; the maha document takes kind, loop, system, meta"),
+            (lambda: as_maha("feedback_demo"), ("system", "contoller"),
+             f"system.contoller is not a field; system takes {SMPL_FIELDS}"),
+            (lambda: bundled("production_line"), ("dims", "n_q"),
+             "dims.n_q is not a field; dims takes n, n_u, n_v, n_y, n_r, n_p"),
+            (lambda: bundled("production_line"), ("modes", 0, "E"),
+             "modes[0].E is not a field; modes[0] takes A, B, C, D"),
+            (lambda: bundled("production_line"), ("switching", "extra"),
+             "smpl: switching.extra is not a field; switching takes type, kind, symbols"),
+            (lambda: bundled("feedback_demo"), ("controller", "extra"),
+             "smpl: controller.extra is not a field; controller takes type, gain"),
+            (lambda: bundled("gaubert_mpa"), ("mu", "c"),
+             "mu.c is not a field; mu takes a, b"),
+        ],
+    )
+    def test_an_unknown_key_exits_two_naming_its_path(self, tmp_path, build, path, says):
+        body = build()
+        node = body
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "garbage"
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(body))
+        code, out, err = run_main("translate", str(model), "--to", "maha")
+        assert (code, out) == (2, "")
+        assert err == f"error: {says}\n"
+
+    def test_a_misspelled_controller_is_not_an_open_loop(self, tmp_path):
+        body = bundled("feedback_demo")
+        body["contoller"] = body.pop("controller")
+        model, inputs = tmp_path / "m.json", tmp_path / "u.json"
+        model.write_text(json.dumps(body))
+        inputs.write_text(json.dumps([{"w": "m1", "u": [5]}]))
+        code, out, err = run_main("simulate", str(model), "--inputs", str(inputs))
+        assert (code, out) == (2, "")
+        assert err == f"error: contoller is not a field; the smpl document takes {SMPL_FIELDS}\n"
+
+    def test_meta_is_free_form_and_a_system_may_carry_its_kind(self, tmp_path):
+        body = as_maha("production_line")
+        body["meta"]["anything"] = {"at": ["all"]}
+        body["system"]["kind"] = "smpl"
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(body))
+        code, out, err = run_main("simulate", str(model), "--word", "l1")
+        assert code == 0, err
+
+
 class TestBehaviourAlphabets:
     @pytest.mark.parametrize("models", [("production_line", "gaubert_mpa"), ("gaubert_mpa", "production_line")])
     def test_different_symbol_sets_exit_two_in_either_order(self, models):
@@ -325,12 +402,12 @@ def test_one_hostile_leaf_never_raises(document):
         path = str(Path(tmp) / "m.json")
         Path(path).write_text(json.dumps(body))
         for argv in (
-            ("simulate", path, "--word", symbol),
+            ("simulate", path, "--word", symbol, "--format", "json"),
             ("translate", path, "--to", "maha"),
             ("abstract", path),
-            ("check", path, path, "--relation", "behaviour", "--bound", "2"),
+            ("check", path, path, "--relation", "behaviour", "--bound", "2", "--format", "json"),
         ):
-            code, out, err = run_main(*argv, "--format", "json")
+            code, out, err = run_main(*argv)
             assert code in (0, 1, 2), (argv, code)
             if code == 1:
                 assert json.loads(out)["verdict"] is False, argv

@@ -591,7 +591,7 @@ class TestTranslationAttributes:
         mode, z = None, start
         for w, (q, expected), y in zip(word, steps, outputs):
             inp = StepInput(w=w)
-            successors = h.successors(mode, z, inp)
+            successors = hybrid_step(h, HybridState(mode, z), inp)
             assert successors == (HybridState(q, expected),)
             assert translation_output(h)[q](expected, inp) == y
             mode, z = successors[0]

@@ -643,11 +643,11 @@ def test_malformed_outside_input_exits_two_without_traceback(tmp_path, argv, tex
 
 class TestSmplDocumentsAcrossCommands:
     def test_abstract_takes_an_smpl_document_through_its_translation(self, tmp_path):
-        direct = run_cli("abstract", "production_line", "--format", "json")
+        direct = run_cli("abstract", "production_line")
         assert direct.returncode == 0, direct.stderr
         maha = tmp_path / "h.json"
         maha.write_text(run_cli("translate", "production_line", "--to", "maha").stdout)
-        via_maha = run_cli("abstract", str(maha), "--format", "json")
+        via_maha = run_cli("abstract", str(maha))
         assert via_maha.returncode == 0, via_maha.stderr
         got, want = parse_model(direct.stdout).model, parse_model(via_maha.stdout).model
         assert (got.states, got.alphabet, got.delta, got.initial, got.final) == (
