@@ -1,15 +1,16 @@
-"""Bundled example systems and helpers to load their JSON documents.
+"""Bundled example systems and their JSON documents.
 
 The three stock systems are a three-state max-plus automaton over {a, b},
 a two-mode production line whose third station takes the earlier of two
 feeding routes, and a small two-mode closed-loop system under static
-max-plus state feedback.
+max-plus state feedback.  Each is written once, as its builder; its
+document is the builder's model serialised with the name and description
+from FIXTURES, so the package carries no data file.
 """
 
 from __future__ import annotations
 
 import random
-from importlib import resources
 
 from .expressions import (
     Const,
@@ -23,6 +24,7 @@ from .expressions import (
     to_matrix_form,
 )
 from .mpa import MaxPlusAutomaton
+from .serialization import mpa_body, serialize_body, smpl_body
 from .smpl import (
     MatrixMode,
     SmplDims,
@@ -31,11 +33,6 @@ from .smpl import (
     symbol_liveness_rule,
 )
 from .tropical import EPS, TropicalMatrix
-
-GAUBERT_MPA = "gaubert_mpa"
-PRODUCTION_LINE = "production_line"
-FEEDBACK_DEMO = "feedback_demo"
-FIXTURE_NAMES = (GAUBERT_MPA, PRODUCTION_LINE, FEEDBACK_DEMO)
 
 
 def gaubert_mpa() -> MaxPlusAutomaton:
@@ -141,13 +138,7 @@ def feedback_demo_smpl() -> SmplSystem:
         x0=(0.0, 0.0),
         dims=dims,
         controller=static_feedback(FEEDBACK_GAIN, n=2),
-        meta={
-            "name": "feedback_demo",
-            "controller_spec": {
-                "type": "static_feedback",
-                "gain": [[0, -1]],
-            },
-        },
+        meta={"name": "feedback_demo"},
     )
 
 
@@ -172,12 +163,30 @@ def random_mpa(rng: random.Random, n_states: int = 3, symbols: tuple[str, ...] =
     )
 
 
+# name -> (builder, description) of each bundled document.
+FIXTURES = {
+    "gaubert_mpa": (
+        gaubert_mpa,
+        "Three-state max-plus automaton over {a, b}; state 1 is the only entry and exit.",
+    ),
+    "production_line": (
+        production_line_smpl,
+        "Two-mode production line with processing times (1, 2, 3); "
+        "the exogenous symbol picks the recycling route.",
+    ),
+    "feedback_demo": (
+        feedback_demo_smpl,
+        "Two-mode system with one controlled input under static max-plus state feedback.",
+    ),
+}
+FIXTURE_NAMES = tuple(FIXTURES)
+
+
 def fixture_text(name: str) -> str:
-    """Raw JSON of a bundled fixture document."""
-    if name not in FIXTURE_NAMES:
+    """The canonical JSON document of a bundled fixture."""
+    if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
-    return (
-        resources.files("maxplushybrid")
-        .joinpath("fixtures", f"{name}.json")
-        .read_text(encoding="utf-8")
-    )
+    build, description = FIXTURES[name]
+    model = build()
+    write = mpa_body if isinstance(model, MaxPlusAutomaton) else smpl_body
+    return serialize_body(write(model, {"name": name, "description": description}))

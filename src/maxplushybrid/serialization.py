@@ -8,6 +8,11 @@ integers, trailing newline) so that parse followed by serialise reproduces
 a canonical file byte for byte.  A parsed document keeps its body as read;
 serialize_body is the one place that canonicalises.
 
+A switching system's rule and controller are written from the document
+forms they carry (SwitchingRule.spec, ControllerHook.spec); one built from
+bare closures has none and is refused.  The bundled fixture documents are
+these writers' output on the fixtures' builders.
+
 Hybrid automaton documents store the switching system they are translated
 from plus the loop discriminator; parsing rebuilds the translation.  Hand
 built automata with opaque predicates have no document form.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -157,6 +163,18 @@ def _name_list(body: dict, key: str, kind: str) -> tuple[str, ...]:
     return _names(_require(body, key, kind, list), f"{kind} {key}")
 
 
+@contextmanager
+def _constructing(kind: str):
+    """Prefix a model constructor's ValueError with the document kind.  A
+    ModelFormatError already names its path and passes through as it is."""
+    try:
+        yield
+    except ModelFormatError:
+        raise
+    except ValueError as exc:
+        raise ModelFormatError(f"{kind}: {exc}") from exc
+
+
 def build_mpa(body: dict) -> MaxPlusAutomaton:
     states = _name_list(body, "states", "mpa")
     alphabet = _name_list(body, "alphabet", "mpa")
@@ -168,7 +186,7 @@ def build_mpa(body: dict) -> MaxPlusAutomaton:
         if symbol in mu_body
     }
     meta = dict(_optional(body, "meta", "mpa", dict, {}))
-    try:
+    with _constructing("mpa"):
         return MaxPlusAutomaton(
             states=states,
             alphabet=alphabet,
@@ -177,8 +195,6 @@ def build_mpa(body: dict) -> MaxPlusAutomaton:
             beta=decode_vector(_require(body, "beta", "mpa"), "beta"),
             meta=meta,
         )
-    except ValueError as exc:
-        raise ModelFormatError(f"mpa: {exc}") from exc
 
 
 def mpa_body(a: MaxPlusAutomaton, meta: dict | None = None) -> dict:
@@ -211,7 +227,7 @@ def build_fa(body: dict) -> FiniteAutomaton:
         for dst in _names(targets, f"fa delta[{src!r}][{symbol!r}]")
     ]
     meta = dict(_optional(body, "meta", "fa", dict, {}))
-    try:
+    with _constructing("fa"):
         return FiniteAutomaton(
             states=states,
             alphabet=alphabet,
@@ -220,8 +236,6 @@ def build_fa(body: dict) -> FiniteAutomaton:
             final=frozenset(_name_list(body, "final", "fa")),
             meta=meta,
         )
-    except ValueError as exc:
-        raise ModelFormatError(f"fa: {exc}") from exc
 
 
 def fa_body(fa: FiniteAutomaton, meta: dict | None = None) -> dict:
@@ -356,9 +370,7 @@ def build_smpl(body: dict) -> smpl.SmplSystem:
         raise ModelFormatError(f"dims 'n_v' must be 0, got {dims.n_v}: nothing in a document carries v")
     modes = _build_modes(_require(body, "modes", "smpl", list), dims)
     meta = dict(_optional(body, "meta", "smpl", dict, {}))
-    if "controller" in body:
-        meta["controller_spec"] = body["controller"]
-    try:
+    with _constructing("smpl"):
         return smpl.SmplSystem(
             n_modes=len(modes),
             modes=modes,
@@ -368,8 +380,6 @@ def build_smpl(body: dict) -> smpl.SmplSystem:
             controller=_decode_controller(body, dims),
             meta=meta,
         )
-    except ValueError as exc:
-        raise ModelFormatError(f"smpl: {exc}") from exc
 
 
 def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
@@ -405,12 +415,12 @@ def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
         "switching": {"kind": s.switching.kind.value, **s.switching.spec},
     }
     if s.controller is not None:
-        spec = s.meta.get("controller_spec")
-        if spec is None:
-            raise ModelFormatError(
-                "controller hooks serialise only through explicit controller specs"
-            )
-        body["controller"] = spec
+        if s.controller.spec is None:
+            raise ModelFormatError("controller hook has no declarative form to serialise")
+        body["controller"] = {
+            key: encode_matrix(value) if isinstance(value, TropicalMatrix) else value
+            for key, value in s.controller.spec.items()
+        }
     if meta:
         body["meta"] = meta
     return body
@@ -420,7 +430,8 @@ def build_maha(body: dict) -> hybrid.HybridAutomaton:
     _optional(body, "meta", "maha", dict, {})
     system_body = dict(_require(body, "system", "maha", dict))
     _only(system_body, FIELDS["smpl"], "system")
-    system_body.setdefault("kind", "smpl")
+    if system_body.setdefault("kind", "smpl") != "smpl":
+        raise ModelFormatError(f"system.kind must be 'smpl', got {system_body['kind']!r}")
     system = build_smpl(system_body)
     loop = body.get("loop", "open")
     if loop == "open":

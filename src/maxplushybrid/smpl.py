@@ -193,12 +193,15 @@ class SmplDims:
 @dataclass(frozen=True)
 class ControllerHook:
     """Maps the performance signal z = (mode, x, u, v) and the exogenous
-    inputs to this step's (u, v)."""
+    inputs to this step's (u, v).  spec is the controller's document form,
+    which static_feedback sets and serialisation writes; a hook built from
+    bare closures has none and no document form."""
 
     f_u: Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
     f_v: Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
     max_min_plus: bool = True
     name: str = "controller"
+    spec: dict | None = None
 
 
 def static_feedback(gain: TropicalMatrix, n: int, name: str = "static feedback") -> ControllerHook:
@@ -210,7 +213,13 @@ def static_feedback(gain: TropicalMatrix, n: int, name: str = "static feedback")
     def f_v(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
         return ()
 
-    return ControllerHook(f_u=f_u, f_v=f_v, max_min_plus=True, name=name)
+    return ControllerHook(
+        f_u=f_u,
+        f_v=f_v,
+        max_min_plus=True,
+        name=name,
+        spec={"type": "static_feedback", "gain": gain},
+    )
 
 
 class StepRecord(NamedTuple):

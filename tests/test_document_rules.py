@@ -280,8 +280,9 @@ SMPL_FIELDS = "kind, dims, x0, modes, switching, controller, meta"
 
 class TestUnknownFields:
     """A key that no builder reads exits 2, naming its path and the keys
-    its container takes; meta stays free-form.  Switching and controller
-    faults carry the system's "smpl: " prefix, as their other faults do."""
+    its container takes; meta stays free-form.  A fault that names its
+    path prints once, with no kind prefix, wherever in the document it
+    lies; only a model constructor's own faults get the kind prefix."""
 
     @pytest.mark.parametrize(
         "build,path,says",
@@ -301,11 +302,15 @@ class TestUnknownFields:
             (lambda: bundled("production_line"), ("modes", 0, "E"),
              "modes[0].E is not a field; modes[0] takes A, B, C, D"),
             (lambda: bundled("production_line"), ("switching", "extra"),
-             "smpl: switching.extra is not a field; switching takes type, kind, symbols"),
+             "switching.extra is not a field; switching takes type, kind, symbols"),
             (lambda: bundled("feedback_demo"), ("controller", "extra"),
-             "smpl: controller.extra is not a field; controller takes type, gain"),
+             "controller.extra is not a field; controller takes type, gain"),
             (lambda: bundled("gaubert_mpa"), ("mu", "c"),
              "mu.c is not a field; mu takes a, b"),
+            (lambda: bundled("gaubert_mpa"), ("alpha", 0),
+             "alpha: unknown weight sentinel 'garbage'"),
+            (as_fa, ("initial",),
+             "fa 'initial' must be a JSON list"),
         ],
     )
     def test_an_unknown_key_exits_two_naming_its_path(self, tmp_path, build, path, says):
@@ -329,6 +334,16 @@ class TestUnknownFields:
         code, out, err = run_main("simulate", str(model), "--inputs", str(inputs))
         assert (code, out) == (2, "")
         assert err == f"error: contoller is not a field; the smpl document takes {SMPL_FIELDS}\n"
+
+    @pytest.mark.parametrize("kind", ["fa", "maha", "", None, 1, ["smpl"]])
+    def test_a_maha_system_of_another_kind_exits_two(self, tmp_path, kind):
+        body = as_maha("production_line")
+        body["system"]["kind"] = kind
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(body))
+        code, out, err = run_main("simulate", str(model), "--word", "l1")
+        assert (code, out) == (2, "")
+        assert err == f"error: system.kind must be 'smpl', got {kind!r}\n"
 
     def test_meta_is_free_form_and_a_system_may_carry_its_kind(self, tmp_path):
         body = as_maha("production_line")

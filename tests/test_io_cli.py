@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -24,8 +26,8 @@ from maxplushybrid.serialization import (
     serialize_body,
     smpl_body,
 )
-from maxplushybrid.smpl import StepInput, simulate, word_inputs
-from maxplushybrid.tropical import EPS, TOP
+from maxplushybrid.smpl import ControllerHook, SmplBehaviour, StepInput, simulate, static_feedback, word_inputs
+from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
 
 
 def run_cli(*args, stdin_text=None):
@@ -109,6 +111,18 @@ class TestBehaviourInputs:
 
 
 class TestParsing:
+    # sha256 of each bundled document, which no committed file states
+    FIXTURE_SHA256 = {
+        "gaubert_mpa": "3e8dc8f83a3ad13dd4a89e90b2a4fc7d09c28d31cc2d6dcd23589f19806e7143",
+        "production_line": "178ec2eb92d11f5c51163c205ebbaeee3382eb7b697a0803d31dd99f575889cf",
+        "feedback_demo": "0ebe7ee877875efbc92b59932dd48131b011343369f45aca06ee15e09eb26bfe",
+    }
+
+    def test_fixture_documents_are_pinned_byte_for_byte(self):
+        assert set(self.FIXTURE_SHA256) == set(fixtures.FIXTURE_NAMES)
+        for name, digest in self.FIXTURE_SHA256.items():
+            assert hashlib.sha256(fixtures.fixture_text(name).encode("utf-8")).hexdigest() == digest, name
+
     def test_fixture_documents_round_trip_byte_for_byte(self):
         for name in fixtures.FIXTURE_NAMES:
             text = fixtures.fixture_text(name)
@@ -131,7 +145,7 @@ class TestParsing:
         assert doc.model.dims == system.dims
         assert doc.model.switching.kind == system.switching.kind
         assert doc.model.switching.spec == system.switching.spec
-        assert doc.model.meta.get("controller_spec") == system.meta.get("controller_spec")
+        assert getattr(doc.model.controller, "spec", None) == getattr(system.controller, "spec", None)
         assert doc.model.closed_loop == system.closed_loop
 
     def test_syntax_error_carries_position(self):
@@ -173,6 +187,32 @@ class TestParsing:
         doc = parse_model(text)
         assert serialize_body(doc.body) == text
         assert doc.model.initial == frozenset({"1"})
+
+
+class TestControllerSpec:
+    """A closed loop's controller is written from the hook's own spec, not
+    from the system's meta."""
+
+    def test_a_replaced_controller_writes_its_own_gain(self, feedback):
+        gain = TropicalMatrix.from_rows([[5, 7]])
+        system = dataclasses.replace(feedback, controller=static_feedback(gain, n=2))
+        assert smpl_body(system)["controller"] == {"type": "static_feedback", "gain": [[5, 7]]}
+
+    def test_a_closed_loop_without_meta_round_trips(self, feedback):
+        system = dataclasses.replace(feedback, meta={})
+        text = serialize_body(smpl_body(system))
+        back = parse_model(text).model
+        # the document states every compared field of the system
+        assert serialize_body(smpl_body(back)) == text
+        assert back.closed_loop and back.controller.spec == system.controller.spec
+        for word in equivalence.exhaustive_words(("m1", "m2"), 4):
+            inputs = word_inputs(word)
+            assert SmplBehaviour(back).fold(inputs) == SmplBehaviour(system).fold(inputs), word
+
+    def test_a_hook_of_bare_closures_is_refused(self, feedback):
+        bare = ControllerHook(f_u=feedback.controller.f_u, f_v=feedback.controller.f_v)
+        with pytest.raises(ModelFormatError, match="controller hook has no declarative form"):
+            smpl_body(dataclasses.replace(feedback, controller=bare))
 
 
 class TestCliCommands:
