@@ -20,11 +20,13 @@ from . import equivalence, fixtures, hybrid, mpa, reproduce, smpl
 from .serialization import (
     ModelDocument,
     ModelFormatError,
+    UnreadableJson,
     decode_vector,
     encode_weight,
     maha_body,
     fa_body,
     parse_model,
+    read_json,
     serialize_body,
     smpl_body,
 )
@@ -78,15 +80,17 @@ def _text_lines(value: Any, indent: str = "") -> list[str]:
 
 
 def _load_document(path: str) -> ModelDocument:
-    if path == "-":
-        return parse_model(sys.stdin.read())
     if path in fixtures.FIXTURE_NAMES:
         return parse_model(fixtures.fixture_text(path))
     try:
+        if path == "-":
+            return parse_model(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return parse_model(handle.read())
     except OSError as exc:
         raise UsageError(f"cannot read model {path!r}: {exc}") from exc
+    except UnreadableJson as exc:
+        raise UsageError(f"model {'on stdin' if path == '-' else repr(path)}: {exc}") from exc
 
 
 def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
@@ -141,11 +145,11 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
         raise UsageError("simulate needs --word or --inputs")
     try:
         with open(args.inputs, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = read_json(handle.read())
     except OSError as exc:
         raise UsageError(f"cannot read inputs {args.inputs!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"inputs file is not valid JSON: {exc}") from exc
+    except UnreadableJson as exc:
+        raise UsageError(f"inputs {args.inputs!r}: {exc}") from exc
     if not isinstance(raw, list):
         raise UsageError("inputs file must hold a JSON list of steps")
     symbols = _symbols_of(doc)
@@ -254,16 +258,8 @@ def cmd_abstract(args: argparse.Namespace) -> tuple[RunReport, int]:
         fa = mpa.to_finite_abstraction(doc.model)
     elif doc.kind in ("smpl", "maha"):
         automaton = hybrid.HybridAutomaton(doc.model) if doc.kind == "smpl" else doc.model
-        if args.style == "fused":
-            try:
-                fa = hybrid.mpa_chain_abstraction(automaton)
-            except hybrid.WrongProvenance as exc:
-                raise UsageError(str(exc)) from exc
-        else:
-            try:
-                fa = hybrid.finite_abstraction(automaton)
-            except hybrid.AssumptionViolation as exc:
-                raise UsageError(str(exc)) from exc
+        abstraction = hybrid.mpa_chain_abstraction if args.style == "fused" else hybrid.finite_abstraction
+        fa = abstraction(automaton)
     else:
         raise UsageError(f"abstract expects an mpa, smpl or maha document, got {doc.kind!r}")
     body = fa_body(fa, meta={"name": f"{doc.name or doc.kind}-abstraction"})

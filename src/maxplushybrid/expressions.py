@@ -432,12 +432,13 @@ def _finite_edges(
     src_label,
     dst_label,
 ) -> set[tuple[str, str]]:
+    """Every finite abstraction's support rule: an edge (i, j) per finite
+    (j, i) entry of row_support, which also keeps +inf for the kernel."""
     edges: set[tuple[str, str]] = set()
     for m in mats:
-        for j in range(m.rows):
-            for i in range(m.cols):
-                if is_finite(m[j, i]):
-                    edges.add((src_label(i), dst_label(j)))
+        if m.cols:  # an input-free mode's B and D are n x 0
+            src, dst = list(map(src_label, range(m.cols))), list(map(dst_label, range(m.rows)))
+            edges.update((src[i], dst[j]) for j, pairs in enumerate(m.row_support) for i, w in pairs if w != TOP)
     return edges
 
 

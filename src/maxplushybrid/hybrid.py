@@ -29,7 +29,11 @@ and writes every candidate's next state, as the rule computed it or from
 one evaluation of its mode.  The automaton stores no successor function
 or initial states; both are read off the system when asked for.  Each
 edge (q, q') between distinct modes carries the symbols that can select
-q', when the rule declares them; the abstraction reads those.
+q', when the rule declares them; the one-step abstraction reads those.
+Both finite abstractions read every label move, final label and input
+label off each mode's transition graphs (expressions._finite_edges is
+the one rule of which weights count), and their x-initial labels are the
+finite entries of start: no run steps or starts through +inf.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import NamedTuple, Sequence
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
 from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace, advance, resolve_step
-from .tropical import EPS, Weight
+from .tropical import Weight, is_finite
 
 
 class AssumptionViolation(ValueError):
@@ -203,13 +207,9 @@ def _state_name(q: int, label: str) -> str:
 
 
 def _initial_labels(h: HybridAutomaton, x_labels: list[str]) -> set[str]:
-    """Abstract states of the finite entries of each initial state."""
-    return {
-        _state_name(init_state.mode, x_labels[j])
-        for init_state in h.init
-        for j, value in enumerate(init_state.x)
-        if value != EPS
-    }
+    """Abstract states of the finite entries of h.start, in every mode."""
+    finite = [lab for lab, value in zip(x_labels, h.start) if is_finite(value)]
+    return {_state_name(q, lab) for q in h.modes for lab in finite}
 
 
 def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
@@ -241,17 +241,13 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     triples: list[tuple[str, str, str]] = []
     initial = _initial_labels(h, x_labels)
     final: set[str] = set()
+    inputs = set(u_labels)
     for q in h.modes:
         gf = transition_graph_f(forms[q])
-        gh = transition_graph_h(forms[q])
         for src, dst in sorted(gf):
             triples.append((_state_name(q, src), STEP_SYMBOL, _state_name(q, dst)))
-        for lab in x_labels + u_labels:
-            if any(src == lab for src, _ in gh):
-                final.add(_state_name(q, lab))
-        for lab in u_labels:
-            if any(src == lab for src, _ in gf):
-                initial.add(_state_name(q, lab))
+        final.update(_state_name(q, src) for src, _ in transition_graph_h(forms[q]))
+        initial.update(_state_name(q, src) for src, _ in gf if src in inputs)
     for (source, target), symbols in h.edges.items():
         for w in h.discrete_inputs if symbols is None else sorted(symbols):
             for lab in x_labels:
@@ -268,8 +264,8 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
 
 def _unlike_an_mpa_translation(h: HybridAutomaton) -> str | None:
     """Where h departs from the structure of a max-plus automaton's
-    translation, which the fused abstraction reads (each mode's A[0] and
-    C[0], one symbol per mode), or None when it does not."""
+    translation, which the fused abstraction reads (one A and one C per
+    mode, no inputs, one symbol per mode), or None when it does not."""
     s = h.system
     if s.closed_loop:
         return "this is a closed loop, whose state is the augmented (mode, x, u, v)"
@@ -293,9 +289,10 @@ def mpa_chain_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     refused with WrongProvenance, whatever its document's meta says.
 
     Mode switches and one-step state transitions happen together here: on
-    the symbol of mode q', the label moves along q' dynamics from any
-    current mode.  The result is comparable, symbol for symbol, with the
-    weight-free projection of the original automaton.
+    the symbol of mode q', the label moves along an edge of q''s graph
+    from any current mode, and a label is final where it is a source of
+    its mode's output graph.  The result is comparable, symbol for symbol,
+    with the weight-free projection of the original automaton.
     """
     fault = _unlike_an_mpa_translation(h)
     if fault is not None:
@@ -303,33 +300,21 @@ def mpa_chain_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
             "fused abstraction applies to the translation of a max-plus "
             f"automaton, but {fault}"
         )
-    symbols = h.discrete_inputs
+    symbols, modes = h.discrete_inputs, h.modes
     x_labels = [x_label(i) for i in range(h.n)]
-    states = tuple(_state_name(q, lab) for q in h.modes for lab in x_labels)
-    triples: list[tuple[str, str, str]] = []
-    for target in h.modes:
-        symbol = symbols[target - 1]
-        a = h.system.modes[target].form.A[0]
-        for j in range(a.rows):
-            for i in range(a.cols):
-                if a[j, i] == EPS:
-                    continue
-                for source in h.modes:
-                    triples.append(
-                        (_state_name(source, x_labels[i]), symbol, _state_name(target, x_labels[j]))
-                    )
-    initial = _initial_labels(h, x_labels)
-    final: set[str] = set()
-    for q in h.modes:
-        c = h.system.modes[q].form.C[0]
-        for j in range(c.cols):
-            if c[0, j] != EPS:
-                final.add(_state_name(q, x_labels[j]))
+    names = {q: {lab: _state_name(q, lab) for lab in x_labels} for q in modes}
+    forms = {q: h.system.modes[q].form for q in modes}
+    triples = [
+        (names[source][src], symbols[target - 1], names[target][dst])
+        for target in modes
+        for src, dst in sorted(transition_graph_f(forms[target]))
+        for source in modes
+    ]
     return FiniteAutomaton(
-        states=states,
+        states=tuple(name for q in modes for name in names[q].values()),
         alphabet=tuple(symbols),
         delta=make_delta(triples),
-        initial=frozenset(initial),
-        final=frozenset(final),
+        initial=frozenset(_initial_labels(h, x_labels)),
+        final=frozenset(names[q][src] for q in modes for src, _ in transition_graph_h(forms[q])),
         meta={"source": "hybrid automaton", "style": "fused"},
     )

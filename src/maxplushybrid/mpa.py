@@ -133,13 +133,13 @@ def accepts(a: MaxPlusAutomaton, word: Word) -> bool:
 
 
 def to_finite_abstraction(a: MaxPlusAutomaton) -> FiniteAutomaton:
-    """Forget the weights: keep a transition wherever the weight is not EPS."""
+    """Forget the weights: keep a transition wherever the weight is finite,
+    which is each matrix's row_support, as +inf weights are refused."""
     triples = [
         (a.states[i], symbol, a.states[j])
         for symbol, m in a.mu.items()
-        for i in range(a.n)
-        for j in range(a.n)
-        if m[i, j] != EPS
+        for i, pairs in enumerate(m.row_support)
+        for j, _ in pairs
     ]
     return FiniteAutomaton(
         states=a.states,

@@ -6,7 +6,9 @@ NaN, Infinity and numbers beyond a float's range are refused.  Serialisation
 is canonical (sorted keys, two-space indent, integral floats written as
 integers, trailing newline) so that parse followed by serialise reproduces
 a canonical file byte for byte.  A parsed document keeps its body as read;
-serialize_body is the one place that canonicalises.
+serialize_body is the one place that canonicalises.  Documents and
+--inputs files are read by read_json, which refuses a repeated key and
+nesting deeper than MAX_DEPTH.
 
 A switching system's rule and controller are written from the document
 forms they carry (SwitchingRule.spec, ControllerHook.spec); one built from
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Sequence
 
 from . import hybrid, smpl
@@ -457,11 +461,62 @@ _BUILDERS = {
 }
 
 
-def parse_model(text: str) -> ModelDocument:
+# Far deeper than any document nests (a maha document nests 7 deep) and
+# far short of the recursion that writing a value back runs into.
+MAX_DEPTH = 100
+
+
+class UnreadableJson(ModelFormatError):
+    """Text that read_json refuses before any builder sees it."""
+
+
+def _distinct_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """json's object hook: a repeated key is refused, not resolved to its last value."""
+    body = dict(pairs)
+    if len(body) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise UnreadableJson(f"repeated key {repeated!r}: an object takes each key once")
+    return body
+
+
+_NOT_NESTING = bytes(b for b in range(256) if b not in b'[]{}"')
+
+
+def _nests_too_deep(text: str) -> bool:
+    """Whether arrays and objects nest deeper than MAX_DEPTH in valid JSON
+    text, read with bytes.translate rather than by a walk over every value:
+    escaped backslashes and quotes go, so that each quote left opens or
+    closes a string; then every byte but brackets, braces and quotes.  With
+    no more openings than MAX_DEPTH left, it cannot; otherwise each string
+    goes, with any brackets it holds, and the depth is counted."""
+    data = text.encode("utf-8", "surrogatepass")
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    skeleton = data.translate(None, _NOT_NESTING)
+    if skeleton.count(b"[") + skeleton.count(b"{") <= MAX_DEPTH:
+        return False
+    skeleton = re.sub(rb'"[^"]*"', b"", skeleton.replace(b'""', b""))
+    return max(accumulate(1 if b in b"[{" else -1 for b in skeleton), default=0) > MAX_DEPTH
+
+
+def read_json(text: str) -> Any:
+    """The JSON value of a model document or an --inputs file, which must
+    name each key of an object once and nest at most MAX_DEPTH deep."""
     try:
-        body = json.loads(text)
+        value = json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+        raise UnreadableJson(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError:
+        pass  # nested deeper than json.loads itself reads
+    else:
+        if not _nests_too_deep(text):
+            return value
+    raise UnreadableJson(f"arrays and objects nest deeper than {MAX_DEPTH} levels")
+
+
+def parse_model(text: str) -> ModelDocument:
+    body = read_json(text)
     if not isinstance(body, dict):
         raise ModelFormatError("model document must be a JSON object")
     kind = body.get("kind")

@@ -756,3 +756,141 @@ def random_inputs_per_step(rng: random.Random, system: smpl.SmplSystem, length: 
             )
         )
     return tuple(seqs)
+
+
+# The finite abstractions as they were stated before they read the
+# transition graphs: every matrix entry scanned by index.  The hybrid
+# abstractions kept each non-EPS entry, so on a system with +inf weights
+# these keep the +inf entries' edges and labels too.
+
+
+def finite_edges_by_entry(mats, src_label, dst_label) -> set[tuple[str, str]]:
+    """expressions._finite_edges: an edge (i, j) per finite (j, i) entry."""
+    edges: set[tuple[str, str]] = set()
+    for m in mats:
+        for j in range(m.rows):
+            for i in range(m.cols):
+                if m[j, i] != EPS and m[j, i] != TOP:
+                    edges.add((src_label(i), dst_label(j)))
+    return edges
+
+
+def _initial_labels_by_scan(h: hybrid.HybridAutomaton, x_labels) -> set[str]:
+    return {
+        f"q{init_state.mode}.{x_labels[j]}"
+        for init_state in h.init
+        for j, value in enumerate(init_state.x)
+        if value != EPS
+    }
+
+
+def one_step_abstraction_by_scan(h: hybrid.HybridAutomaton) -> FiniteAutomaton:
+    """hybrid.finite_abstraction with entry-by-entry graphs, and its final
+    and u-initial labels found by testing every label against every edge."""
+    forms = {q: h.system.modes[q].form for q in h.modes}
+    n_inputs = forms[1].n_input
+    x_labels = [f"x{i + 1}" for i in range(h.n)]
+    u_labels = [f"u{p + 1}" for p in range(n_inputs)]
+    states = tuple(f"q{q}.{lab}" for q in h.modes for lab in x_labels + u_labels)
+    triples = []
+    initial = _initial_labels_by_scan(h, x_labels)
+    final = set()
+    for q in h.modes:
+        f = forms[q]
+        gf = finite_edges_by_entry(f.A, x_labels.__getitem__, x_labels.__getitem__)
+        gf |= finite_edges_by_entry(f.B, u_labels.__getitem__, x_labels.__getitem__)
+        gh = finite_edges_by_entry(f.C, x_labels.__getitem__, lambda j: f"y{j + 1}")
+        gh |= finite_edges_by_entry(f.D, u_labels.__getitem__, lambda j: f"y{j + 1}")
+        for src, dst in gf:
+            triples.append((f"q{q}.{src}", hybrid.STEP_SYMBOL, f"q{q}.{dst}"))
+        for lab in x_labels + u_labels:
+            if any(src == lab for src, _ in gh):
+                final.add(f"q{q}.{lab}")
+        for lab in u_labels:
+            if any(src == lab for src, _ in gf):
+                initial.add(f"q{q}.{lab}")
+    for (source, target), symbols in h.edges.items():
+        for w in h.discrete_inputs if symbols is None else sorted(symbols):
+            for lab in x_labels:
+                triples.append((f"q{source}.{lab}", w, f"q{target}.{lab}"))
+    return FiniteAutomaton(
+        states=states,
+        alphabet=tuple(h.discrete_inputs) + (hybrid.STEP_SYMBOL,),
+        delta=make_delta(triples),
+        initial=frozenset(initial),
+        final=frozenset(final),
+    )
+
+
+def fused_abstraction_by_scan(h: hybrid.HybridAutomaton) -> FiniteAutomaton:
+    """hybrid.mpa_chain_abstraction by scans of each mode's A[0] and C[0]."""
+    symbols = h.discrete_inputs
+    x_labels = [f"x{i + 1}" for i in range(h.n)]
+    states = tuple(f"q{q}.{lab}" for q in h.modes for lab in x_labels)
+    triples = []
+    for target in h.modes:
+        a = h.system.modes[target].form.A[0]
+        for j in range(a.rows):
+            for i in range(a.cols):
+                if a[j, i] != EPS:
+                    for source in h.modes:
+                        triples.append((f"q{source}.{x_labels[i]}", symbols[target - 1], f"q{target}.{x_labels[j]}"))
+    final = set()
+    for q in h.modes:
+        c = h.system.modes[q].form.C[0]
+        for j in range(c.cols):
+            if c[0, j] != EPS:
+                final.add(f"q{q}.{x_labels[j]}")
+    return FiniteAutomaton(
+        states=states,
+        alphabet=tuple(symbols),
+        delta=make_delta(triples),
+        initial=frozenset(_initial_labels_by_scan(h, x_labels)),
+        final=frozenset(final),
+    )
+
+
+def weight_free_by_scan(a: MaxPlusAutomaton) -> FiniteAutomaton:
+    """mpa.to_finite_abstraction by a scan of all n^2 entries per symbol."""
+    triples = [
+        (a.states[i], symbol, a.states[j])
+        for symbol, m in a.mu.items()
+        for i in range(a.n)
+        for j in range(a.n)
+        if m[i, j] != EPS
+    ]
+    return FiniteAutomaton(
+        states=a.states,
+        alphabet=a.alphabet,
+        delta=make_delta(triples),
+        initial=frozenset(s for s, w in zip(a.states, a.alpha) if w != EPS),
+        final=frozenset(s for s, w in zip(a.states, a.beta) if w != EPS),
+    )
+
+
+def top_as_eps(s: smpl.SmplSystem) -> smpl.SmplSystem:
+    """The system with every +inf weight of its modes and x0 made EPS, the
+    weight that carries no edge.  The switching rule is kept as it is."""
+
+    def clean(m: TropicalMatrix) -> TropicalMatrix:
+        return TropicalMatrix(m.rows, m.cols, tuple(EPS if w == TOP else w for w in m.entries))
+
+    modes = {
+        q: smpl.MatrixMode(
+            dataclasses.replace(
+                mode.form,
+                **{key: tuple(map(clean, getattr(mode.form, key))) for key in "ABCD"},
+            )
+        )
+        for q, mode in s.modes.items()
+    }
+    return dataclasses.replace(s, modes=modes, x0=tuple(EPS if w == TOP else w for w in s.x0))
+
+
+def nesting_by_recursion(value) -> int:
+    """How deep arrays and objects nest in a JSON value."""
+    if isinstance(value, list):
+        return 1 + max(map(nesting_by_recursion, value), default=0)
+    if isinstance(value, dict):
+        return 1 + max(map(nesting_by_recursion, value.values()), default=0)
+    return 0
