@@ -184,14 +184,11 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
 
 
 def _symbols_of(doc: ModelDocument) -> tuple[str, ...] | None:
-    if doc.kind == "mpa":
+    if doc.kind in ("mpa", "fa"):
         return doc.model.alphabet
-    if doc.kind == "smpl":
-        return doc.model.switching.symbols
-    if doc.kind == "maha":
-        return doc.model.discrete_inputs or None
-    if doc.kind == "fa":
-        return doc.model.alphabet
+    if doc.kind in ("smpl", "maha"):
+        system = doc.model if doc.kind == "smpl" else doc.model.system
+        return system.switching.alphabet or None
     return None
 
 

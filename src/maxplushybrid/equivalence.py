@@ -19,9 +19,8 @@ agree where their records' outputs y do.  Each class's stepper lives
 beside its step code (smpl.SmplBehaviour, hybrid.MahaBehaviour,
 mpa.MpaBehaviour) and is re-exported here.  Input
 sequences share prefixes, so the bounded check walks a trie of them, one
-level per input keyed by the input's field tuple, steps each distinct
-prefix once and keeps the two systems' states per prefix for the length
-of one call.
+level per input keyed by the input, steps each distinct prefix once and
+keeps the two systems' states per prefix for the length of one call.
 """
 
 from __future__ import annotations
@@ -93,9 +92,6 @@ def language_equal_exact(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> tuple[bo
 @dataclass(frozen=True)
 class SimulationWitness:
     pairs: frozenset[tuple[str, str]]
-
-    def related(self, s1: str, s2: str) -> bool:
-        return (s1, s2) in self.pairs
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -345,10 +341,6 @@ def behavioural_inclusion_upto(
     or once an output disagreed), and a sequence only steps past the
     longest prefix already in it.
     """
-    # Children are keyed by the input's field tuple, equal exactly when the
-    # inputs are, whose hash and equality run in C rather than through the
-    # dataclass's generated methods.
-    fields = operator.attrgetter("u", "v", "w", "r", "p")
     root = (sys1.init(), sys2.init(), {})
     for seq in input_sequences:
         seq = tuple(seq)
@@ -356,15 +348,14 @@ def behavioural_inclusion_upto(
         for inp in seq:
             if s1 is None:
                 break
-            key = fields(inp)
-            node = children.get(key)
+            node = children.get(inp)
             if node is None:
                 s1 = sys1.step(s1, inp)
                 if s1 is not None and s2 is not None:
                     s2 = sys2.step(s2, inp)
                     if s2 is not None and s2.y != s1.y:
                         s2 = None
-                node = children[key] = (s1, s2, {})
+                node = children[inp] = (s1, s2, {})
             s1, s2, children = node
         if s1 is not None and sys1.complete(s1) and (s2 is None or not sys2.complete(s2)):
             return False, seq

@@ -137,7 +137,7 @@ def feedback_demo_smpl() -> SmplSystem:
         switching=rule,
         x0=(0.0, 0.0),
         dims=dims,
-        controller=static_feedback(FEEDBACK_GAIN, n=2),
+        controller=static_feedback(FEEDBACK_GAIN),
         meta={"name": "feedback_demo"},
     )
 

@@ -69,10 +69,11 @@ class HybridState(NamedTuple):
 class HybridAutomaton:
     """The translation of a switching system, open- or closed-loop as the
     system has a controller.  Everything else is read off the system:
-    modes, n and discrete_inputs; start, the hybrid state at the system's
-    initial state, and init, every mode at start; edges, mapping each edge
-    (q, q') to the symbols that can select q' (None when the rule does not
-    declare them); meta, the closed loop's state_layout."""
+    modes; discrete_inputs, the switching rule's alphabet; start, the
+    hybrid state at the system's initial state, n, its length, and init,
+    every mode at start; edges, mapping each edge (q, q') to the symbols
+    that can select q' (None when the rule does not declare them); meta,
+    the closed loop's state_layout."""
 
     system: SmplSystem
 
@@ -89,9 +90,8 @@ class HybridAutomaton:
 
     @property
     def n(self) -> int:
-        """The hybrid state's length: n, or 1 + n + n_u + n_v closed-loop."""
-        d = self.system.dims
-        return 1 + d.n + d.n_u + d.n_v if self.system.closed_loop else d.n
+        """The hybrid state's length."""
+        return len(self.start)
 
     @property
     def start(self) -> tuple[Weight, ...]:
@@ -106,7 +106,7 @@ class HybridAutomaton:
 
     @property
     def discrete_inputs(self) -> tuple[str, ...]:
-        return self.system.switching.symbols or ()
+        return self.system.switching.alphabet
 
     @property
     def edges(self) -> dict[tuple[int, int], frozenset[str] | None]:
@@ -254,7 +254,7 @@ def finite_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
                 triples.append((_state_name(source, lab), w, _state_name(target, lab)))
     return FiniteAutomaton(
         states=states,
-        alphabet=tuple(h.discrete_inputs) + (STEP_SYMBOL,),
+        alphabet=h.discrete_inputs + (STEP_SYMBOL,),
         delta=make_delta(triples),
         initial=frozenset(initial),
         final=frozenset(final),
@@ -276,7 +276,7 @@ def _unlike_an_mpa_translation(h: HybridAutomaton) -> str | None:
     if s.dims.n_y != 1:
         return f"it has {s.dims.n_y} outputs, not 1"
     spec = s.switching.spec or {}
-    if spec.get("type") != "symbol_liveness" or len(set(h.discrete_inputs)) != len(h.modes):
+    if spec.get("type") != "symbol_liveness" or len(h.discrete_inputs) != len(h.modes):
         return "its switching is not symbol_liveness with one distinct symbol per mode"
     return None
 
@@ -300,7 +300,7 @@ def mpa_chain_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
             "fused abstraction applies to the translation of a max-plus "
             f"automaton, but {fault}"
         )
-    symbols, modes = h.discrete_inputs, h.modes
+    symbols, modes = h.system.switching.symbols, h.modes
     x_labels = [x_label(i) for i in range(h.n)]
     names = {q: {lab: _state_name(q, lab) for lab in x_labels} for q in modes}
     forms = {q: h.system.modes[q].form for q in modes}
@@ -312,7 +312,7 @@ def mpa_chain_abstraction(h: HybridAutomaton) -> FiniteAutomaton:
     ]
     return FiniteAutomaton(
         states=tuple(name for q in modes for name in names[q].values()),
-        alphabet=tuple(symbols),
+        alphabet=h.discrete_inputs,
         delta=make_delta(triples),
         initial=frozenset(_initial_labels(h, x_labels)),
         final=frozenset(names[q][src] for q in modes for src, _ in transition_graph_h(forms[q])),

@@ -108,7 +108,7 @@ def _random_inputs(rng: random.Random, system: smpl.SmplSystem, length: int):
     """Per step, the u entries and then the symbol.  Without u, a step
     picks one of the per-symbol inputs: ``choice`` draws an index, so it
     draws the same as picking the symbol."""
-    symbols = system.switching.symbols or (None,)
+    symbols = system.switching.alphabet or (None,)
     n_u = system.dims.n_u
     if not n_u:
         by_symbol = tuple([smpl.StepInput(w=w) for w in symbols])

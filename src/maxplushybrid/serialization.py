@@ -8,7 +8,8 @@ integers, trailing newline) so that parse followed by serialise reproduces
 a canonical file byte for byte.  A parsed document keeps its body as read;
 serialize_body is the one place that canonicalises.  Documents and
 --inputs files are read by read_json, which refuses a repeated key and
-nesting deeper than MAX_DEPTH.
+nesting deeper than MAX_DEPTH; serialize_body refuses to write such
+nesting, so every document it writes reads back.
 
 A switching system's rule and controller are written from the document
 forms they carry (SwitchingRule.spec, ControllerHook.spec); one built from
@@ -353,7 +354,7 @@ def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook |
         gain = decode_matrix(_require(spec, "gain", "controller"), "controller.gain")
         if gain.rows != dims.n_u or gain.cols != dims.n:
             raise ModelFormatError("controller gain must be n_u x n")
-        return smpl.static_feedback(gain, dims.n)
+        return smpl.static_feedback(gain)
     raise ModelFormatError(f"unknown controller type {ctrl_type!r}")
 
 
@@ -527,16 +528,20 @@ def parse_model(text: str) -> ModelDocument:
     return ModelDocument(kind=kind, body=body, model=model)
 
 
-def _canonical_value(value: Any) -> Any:
+def _canonical_value(value: Any, depth: int = 1) -> Any:
     """Keys as sorted strings and integral floats as ints, in every dict
     and list.  List items that are scalars, such as matrix entries, are
-    handled in place rather than by a call each."""
+    handled in place rather than by a call each.  depth is the nesting
+    level of value, the body's being 1: a dict or list deeper than
+    MAX_DEPTH is refused, as read_json would refuse the text."""
+    if depth > MAX_DEPTH and isinstance(value, (dict, list)):
+        raise ModelFormatError(f"the document would nest deeper than {MAX_DEPTH} levels")
     if isinstance(value, dict):
-        return {str(k): _canonical_value(value[k]) for k in sorted(value, key=str)}
+        return {str(k): _canonical_value(value[k], depth + 1) for k in sorted(value, key=str)}
     if isinstance(value, list):
         return [
             (int(v) if v.is_integer() else v) if isinstance(v, float)
-            else _canonical_value(v) if isinstance(v, (dict, list))
+            else _canonical_value(v, depth + 1) if isinstance(v, (dict, list))
             else v
             for v in value
         ]

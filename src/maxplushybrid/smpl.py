@@ -70,12 +70,12 @@ _CLAIMED_INDEPENDENT: dict[SwitchingKind, frozenset[str]] = {
 }
 
 
-@dataclass(frozen=True)
-class StepInput:
+class StepInput(NamedTuple):
     """Inputs for one event step.
 
     u and v are the controlled continuous/discrete inputs, w the exogenous
-    discrete symbol and (r, p) the exogenous continuous signals.
+    discrete symbol and (r, p) the exogenous continuous signals.  Two
+    inputs are equal, and hash alike, exactly when their fields are.
     """
 
     u: tuple[Weight, ...] = ()
@@ -118,7 +118,9 @@ class Candidate(NamedTuple):
 @dataclass(frozen=True)
 class SwitchingRule:
     """successors yields the candidate modes of a probe, as bare mode
-    indices or as Candidates carrying their next states."""
+    indices or as Candidates carrying their next states.  symbols holds
+    one symbol per mode, repeats allowed; alphabet is the input alphabet
+    they make."""
 
     kind: SwitchingKind
     successors: Callable[[SwitchProbe], Iterable[int | Candidate]]
@@ -140,6 +142,11 @@ class SwitchingRule:
                 cand = Candidate(cand)
             found.setdefault(cand.mode, cand)
         return tuple([found[mode] for mode in sorted(found)])
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        """The distinct symbols in mode order: the symbols a step can read."""
+        return tuple(dict.fromkeys(self.symbols or ()))
 
     def enabling_symbols(self, mode: int) -> frozenset[str] | None:
         """Symbols that can select the mode, when declaratively known."""
@@ -204,8 +211,10 @@ class ControllerHook:
     spec: dict | None = None
 
 
-def static_feedback(gain: TropicalMatrix, n: int, name: str = "static feedback") -> ControllerHook:
-    """u(k) = gain ox x(k-1); v is empty.  A max-plus linear controller."""
+def static_feedback(gain: TropicalMatrix) -> ControllerHook:
+    """u(k) = gain ox x(k-1); v is empty.  A max-plus linear controller,
+    whose x is the gain.cols entries after the mode in z."""
+    n = gain.cols
 
     def f_u(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
         return gain.apply(z[1 : 1 + n])
@@ -217,7 +226,7 @@ def static_feedback(gain: TropicalMatrix, n: int, name: str = "static feedback")
         f_u=f_u,
         f_v=f_v,
         max_min_plus=True,
-        name=name,
+        name="static feedback",
         spec={"type": "static_feedback", "gain": gain},
     )
 
@@ -248,9 +257,6 @@ class Trace:
     @property
     def completed(self) -> bool:
         return self.halted_at is None
-
-    def outputs(self) -> tuple[tuple[Weight, ...], ...]:
-        return tuple(rec.y for rec in self.records)
 
 
 class Stepper:
@@ -544,7 +550,7 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
 
     rng = random.Random(seed)
     dims = s.dims
-    symbols = rule.symbols or ()
+    symbols = rule.alphabet
 
     def rand_vec(name: str, size: int) -> tuple[Weight, ...]:
         finite = name in ("u", "r", "p")

@@ -6,12 +6,13 @@ The completed semiring resolves the otherwise undefined combination of the
 two infinities by letting max-plus operations take preference: EPS absorbs
 under ``otimes`` even against TOP.  Sums that may mix the two infinities
 go through ``otimes``; do not replace it with raw ``+``.  The exception
-is the one row kernel, ``eval_rows``, which serves ``TropicalMatrix.apply``
-and ``left_apply``, the compiled mode maps of ``expressions.MatrixForm``
-and the value of a max-plus automaton's row vector.  It adds by hand over
-non-EPS weights only, and keeps a sum only when it is strictly above the
-running maximum: a finite weight plus EPS is EPS, and TOP plus EPS is NaN,
-which no comparison takes, so EPS absorbs there without a check.
+is the one row kernel, ``eval_rows``, which serves every product:
+``TropicalMatrix.otimes`` (and so ``power``), ``apply`` and ``left_apply``,
+the compiled mode maps of ``expressions.MatrixForm`` and the value of a
+max-plus automaton's row vector.  It adds by hand over non-EPS weights
+only, and keeps a sum only when it is strictly above the running maximum:
+a finite weight plus EPS is EPS, and TOP plus EPS is NaN, which no
+comparison takes, so EPS absorbs there without a check.
 """
 
 from __future__ import annotations
@@ -184,24 +185,18 @@ class TropicalMatrix:
         return TropicalMatrix(self.cols, self.rows, ent)
 
     def otimes(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        """Max-plus matrix product: entry (i,j) = max_k (a_ik + b_kj)."""
+        """Max-plus matrix product: entry (i,j) = max_k (a_ik + b_kj), each
+        row of self through eval_rows over other's columns."""
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} "
                 f"by {other.rows}x{other.cols}"
             )
-        n, m, p = self.rows, self.cols, other.cols
+        columns = other._columns
         ent: list[Weight] = []
-        for i in range(n):
-            arow = self.entries[i * m : (i + 1) * m]
-            for j in range(p):
-                acc = EPS
-                for k in range(m):
-                    term = otimes(arow[k], other.entries[k * p + j])
-                    if term > acc:
-                        acc = term
-                ent.append(acc)
-        return TropicalMatrix(n, p, tuple(ent))
+        for i in range(self.rows):
+            ent += eval_rows(columns, self.row(i))
+        return TropicalMatrix(self.rows, other.cols, tuple(ent))
 
     def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Entrywise max."""

@@ -466,6 +466,11 @@ class SuccessorSetRun(smpl.Stepper):
         return smpl.StepRecord(state.k + 1, mode, x, y, tuple(succ.mode for succ in successors))
 
 
+def outputs(trace: smpl.Trace) -> tuple[tuple[Weight, ...], ...]:
+    """Each record's output y, in step order."""
+    return tuple(rec.y for rec in trace.records)
+
+
 def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
     """Replay every sequence from the start on both systems and compare
     whole traces, as opposed to the shared-prefix walk."""
@@ -474,7 +479,7 @@ def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
         if t1 is None:
             continue
         t2 = sys2.trace(seq)
-        if t2 is None or t1.outputs() != t2.outputs():
+        if t2 is None or outputs(t1) != outputs(t2):
             return False, tuple(seq)
     return True, None
 
@@ -669,11 +674,29 @@ def bisimulation_by_rounds(fa1: FiniteAutomaton, fa2: FiniteAutomaton) -> set[tu
     return {(s1, s2) for left, right in sides.values() for s1 in left for s2 in right}
 
 
+def otimes_dense(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
+    """Max-plus matrix product by the dense loop over every inner index,
+    every term through the scalar otimes, as opposed to TropicalMatrix.otimes
+    running eval_rows over b's columns."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch for product: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    ent = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = EPS
+            for k in range(a.cols):
+                term = otimes(a[i, k], b[k, j])
+                if term > acc:
+                    acc = term
+            ent.append(acc)
+    return TropicalMatrix(a.rows, b.cols, tuple(ent))
+
+
 def step_row_dense(row: TropicalMatrix, m: TropicalMatrix) -> TropicalMatrix:
     """Row vector times matrix through the dense matrix product, every
     entry through otimes, as opposed to the walk over the row's finite
     entries."""
-    return row.otimes(m)
+    return otimes_dense(row, m)
 
 
 def boolean_support(m: TropicalMatrix) -> TropicalMatrix:
@@ -746,7 +769,7 @@ def canonical_value_by_recursion(value):
 def random_inputs_per_step(rng: random.Random, system: smpl.SmplSystem, length: int):
     """The reproduce suite's random step inputs, one fresh StepInput per
     step, as opposed to one shared input per symbol when there is no u."""
-    symbols = system.switching.symbols or (None,)
+    symbols = system.switching.alphabet or (None,)
     seqs = []
     for _ in range(length):
         seqs.append(

@@ -338,5 +338,5 @@ def test_reproduce_draws_the_same_step_inputs(seed, system):
     for length in (20, 1, 0, 20):
         got = reproduce._random_inputs(got_rng, system, length)
         want = random_inputs_per_step(want_rng, system, length)
-        assert [vars(inp) for inp in got] == [vars(inp) for inp in want]
+        assert [inp._asdict() for inp in got] == [inp._asdict() for inp in want]
         assert got_rng.getstate() == want_rng.getstate()

@@ -2,7 +2,9 @@
 type accepts, dims widths that the document's matrices carry, finite
 weight numbers, and no traceback from any one hostile leaf in a bundled
 document or from any hostile --inputs file.  A --word with an empty
-comma-separated part exits 2 too, naming the part's position."""
+comma-separated part exits 2 too, naming the part's position.
+symbol_liveness symbols may repeat: the input alphabet is the distinct
+symbols, which every command reads."""
 
 import contextlib
 import dataclasses
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplushybrid import cli, fixtures
+from maxplushybrid import cli, equivalence, fixtures
 from maxplushybrid.serialization import ModelFormatError, maha_body, parse_model, serialize_body, smpl_body
 from maxplushybrid.smpl import SwitchingKind, classify_switching
 
@@ -261,6 +263,54 @@ class TestExternallyDrivenSymbols:
         code, out, err = run_main("simulate", str(path), "--word", "l1,l2", "--format", "json")
         assert code == 0, err
         assert [rec["mode"] for rec in json.loads(out)["trace"]] == [2, 1]
+
+
+class TestRepeatedLivenessSymbols:
+    """Two modes on one symbol: a step on it admits every live mode that
+    carries it, and the input alphabet is the distinct symbols."""
+
+    @staticmethod
+    def write(tmp_path, body, symbols):
+        body["switching"]["symbols"] = symbols
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        return str(path)
+
+    def test_the_one_step_abstraction_reads_the_alphabet(self, tmp_path):
+        path = self.write(tmp_path, bundled("production_line"), ["l1", "l1"])
+        code, out, err = run_main("abstract", path)
+        assert code == 0, err
+        fa = json.loads(out)
+        assert fa["alphabet"] == ["l1", "1"]
+        assert fa["delta"]["q1.x1"]["l1"] == ["q2.x1"] and fa["delta"]["q2.x1"]["l1"] == ["q1.x1"]
+        code, out, err = run_main("abstract", path, "--style", "fused")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: fused abstraction applies to the translation of a max-plus automaton, "
+            "but mode 1 has L = 2, M = 1 and input width 0, not 1, 1 and 0\n"
+        )
+
+    def test_the_fused_abstraction_still_wants_one_symbol_per_mode(self, tmp_path):
+        path = self.write(tmp_path, mpa_as_smpl(), ["a", "a"])
+        assert run_main("abstract", path)[0] == 0
+        code, out, err = run_main("abstract", path, "--style", "fused")
+        assert (code, out) == (2, "")
+        assert err.endswith("but its switching is not symbol_liveness with one distinct symbol per mode\n"), err
+
+    def test_behaviour_checks_each_word_once(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, bundled("production_line"), ["l1", "l1"])
+        handed = []
+        inclusion = equivalence.behavioural_inclusion_upto
+
+        def recording(sys1, sys2, sequences):
+            handed.extend(sequences)
+            return inclusion(sys1, sys2, handed)
+
+        monkeypatch.setattr(equivalence, "behavioural_inclusion_upto", recording)
+        code, out, err = run_main("check", path, path, "--relation", "behaviour", "--bound", "6", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["regime"] == "exhaustive"
+        assert [len(seq) for seq in handed] == [1, 2, 3, 4, 5, 6]
 
 
 def as_fa():

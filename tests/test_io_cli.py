@@ -195,7 +195,7 @@ class TestControllerSpec:
 
     def test_a_replaced_controller_writes_its_own_gain(self, feedback):
         gain = TropicalMatrix.from_rows([[5, 7]])
-        system = dataclasses.replace(feedback, controller=static_feedback(gain, n=2))
+        system = dataclasses.replace(feedback, controller=static_feedback(gain))
         assert smpl_body(system)["controller"] == {"type": "static_feedback", "gain": [[5, 7]]}
 
     def test_a_closed_loop_without_meta_round_trips(self, feedback):

@@ -20,7 +20,7 @@ from maxplushybrid.mpa import (
 )
 from maxplushybrid.smpl import StepInput, from_mpa, simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
-from oracles import accepted_words_by_paths, row_value_by_zip, step_row_dense, word_value_by_paths
+from oracles import accepted_words_by_paths, outputs, row_value_by_zip, step_row_dense, word_value_by_paths
 from oracles import language_upto as fa_language
 
 weights = st.one_of(st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float))
@@ -262,7 +262,7 @@ def assert_fold_follows_the_translations(a: MaxPlusAutomaton, max_len: int = 5) 
         folded, simulated, ran = stepper.fold(inputs), simulate(system, inputs), run(h, inputs)
         assert folded.halted_at == simulated.halted_at == ran.halted_at, w
         assert folded.records == simulated.records == ran.records, w
-        assert folded.outputs() == tuple((values[w[:j]],) for j in range(1, len(folded.records) + 1)), w
+        assert outputs(folded) == tuple((values[w[:j]],) for j in range(1, len(folded.records) + 1)), w
 
 
 class TestFoldAlongTheTranslations:

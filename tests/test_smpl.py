@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxplushybrid.expressions import MatrixForm
+from maxplushybrid.hybrid import from_smpl_closed, run
 from maxplushybrid.mpa import MaxPlusAutomaton, accepts, eval_output
 from maxplushybrid.smpl import (
     Candidate,
@@ -21,6 +22,7 @@ from maxplushybrid.smpl import (
     classify_switching,
     from_mpa,
     simulate,
+    static_feedback,
     step,
     symbol_liveness_rule,
     word_inputs,
@@ -304,3 +306,37 @@ class TestProperties:
                     if before != EPS and after != EPS:
                         assert after > before
                 previous = rec.x
+
+
+class TestAlphabet:
+    def test_the_distinct_symbols_in_mode_order(self):
+        mode = identity_system().modes[1]
+        rule = symbol_liveness_rule({1: mode, 2: mode, 3: mode}, ("b", "a", "b"), 0)
+        assert rule.symbols == ("b", "a", "b")
+        assert rule.alphabet == ("b", "a")
+        assert SwitchingRule(SwitchingKind.STATE_DEPENDENT_AUTONOMOUS, lambda probe: (1,)).alphabet == ()
+
+
+class TestStaticFeedback:
+    def test_a_one_by_three_gain_reads_all_three_states(self):
+        gain = TropicalMatrix.from_rows([[1.0, EPS, -2.0]])
+        mode = MatrixMode.from_parts(
+            a=[[0.0, EPS, EPS], [EPS, 1.0, EPS], [EPS, EPS, 2.0]],
+            c=[[0.0, 0.0, 0.0]],
+            b=[[0.0], [EPS], [3.0]],
+            d=[[EPS]],
+        )
+        rule = symbol_liveness_rule({1: mode}, ("a",), 1)
+        controller = static_feedback(gain)
+        assert controller.spec == {"type": "static_feedback", "gain": gain}
+        system = SmplSystem(1, {1: mode}, rule, (4.0, 7.0, 5.0), SmplDims(n=3, n_u=1), controller)
+        trace = simulate(system, word_inputs("aaa"))
+        assert len(trace.records) == 3
+        x = system.x0
+        for rec in trace.records:
+            u = max(1.0 + x[0], -2.0 + x[2])
+            x = (max(x[0], u), x[1] + 1.0, max(x[2] + 2.0, u + 3.0))
+            assert (rec.u, rec.x) == ((u,), x)
+        h = from_smpl_closed(system)
+        assert h.n == 1 + 3 + 1
+        assert [h.x_of(rec.x) for rec in run(h, word_inputs("aaa")).records] == [rec.x for rec in trace.records]

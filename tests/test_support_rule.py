@@ -13,6 +13,8 @@ labels.
 Model documents and --inputs files are read by serialization.read_json,
 which refuses a key repeated within one object and nesting deeper than
 MAX_DEPTH: through cli.main each exits 2 with a message and no output.
+serialize_body keeps the same limit, so that what translate writes reads
+back.
 """
 
 import contextlib
@@ -30,7 +32,15 @@ from maxplushybrid import cli, fixtures
 from maxplushybrid.expressions import MatrixForm, transition_graph_f, transition_graph_h, u_label, x_label, y_label
 from maxplushybrid.hybrid import HybridAutomaton, finite_abstraction, from_smpl_open, mpa_chain_abstraction
 from maxplushybrid.mpa import to_finite_abstraction
-from maxplushybrid.serialization import MAX_DEPTH, UnreadableJson, _nests_too_deep, read_json
+from maxplushybrid.serialization import (
+    MAX_DEPTH,
+    ModelFormatError,
+    UnreadableJson,
+    _canonical_value,
+    _nests_too_deep,
+    read_json,
+    serialize_body,
+)
 from maxplushybrid.smpl import MatrixMode, SmplDims, SmplSystem, externally_driven_rule, from_mpa, symbol_liveness_rule
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
 
@@ -290,6 +300,29 @@ class TestTheJsonReader:
         with pytest.raises(UnreadableJson, match="nest deeper"):
             read_json(nested(MAX_DEPTH + 1))
 
+    def test_the_writer_keeps_the_depth_limit(self):
+        body = {"deep": json.loads(nested(MAX_DEPTH - 1))}
+        assert read_json(serialize_body(body)) == body
+        with pytest.raises(ModelFormatError, match=f"^the document would nest deeper than {MAX_DEPTH} levels$"):
+            serialize_body({"deep": json.loads(nested(MAX_DEPTH))})
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH - 3, MAX_DEPTH - 2])
+    def test_translate_writes_only_what_reads_back(self, tmp_path, depth):
+        # the maha body, its system and the system's meta hold the list
+        document = tmp_path / "doc.json"
+        document.write_text(deep_meta("production_line", depth))
+        assert run_main("simulate", str(document), "--word", "l1")[0] == 0
+        code, out, err = run_main("translate", str(document), "--to", "maha")
+        if 3 + depth <= MAX_DEPTH:
+            assert code == 0, err
+            translated = tmp_path / "maha.json"
+            translated.write_text(out)
+            code, _, err = run_main("simulate", str(translated), "--word", "l1")
+            assert code == 0, err
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: the document would nest deeper than {MAX_DEPTH} levels\n"
+
     def test_brackets_inside_strings_do_not_nest(self):
         text = json.dumps(["[" * (2 * MAX_DEPTH), {"k\\\"[": '\\"' + "{" * MAX_DEPTH}])
         assert read_json(text) == json.loads(text)
@@ -309,3 +342,21 @@ class TestTheJsonReader:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("maxplushybrid.serialization.MAX_DEPTH", limit)
             assert _nests_too_deep(text) == (oracles.nesting_by_recursion(value) > limit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=40,
+        ),
+        st.integers(0, 8),
+    )
+    def test_writer_depth_against_recursion(self, value, limit):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("maxplushybrid.serialization.MAX_DEPTH", limit)
+            if oracles.nesting_by_recursion(value) > limit:
+                with pytest.raises(ModelFormatError, match="nest deeper"):
+                    _canonical_value(value)
+            else:
+                assert _canonical_value(value) == oracles.canonical_value_by_recursion(value)

@@ -20,6 +20,7 @@ from oracles import (
     apply_dense,
     boolean_support,
     left_apply_by_rows,
+    otimes_dense,
     path_of_length_exists,
     step_row_dense,
 )
@@ -174,6 +175,26 @@ class TestMatrixOps:
         assert [repr(v) for v in m.apply(x)] == [repr(v) for v in apply_by_support(m, x)]
         y = tuple(data.draw(st.lists(signed_weights, min_size=rows, max_size=rows)))
         assert [repr(v) for v in m.left_apply(y)] == [repr(v) for v in left_apply_by_rows(m, y)]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_product_and_power_match_the_dense_loop_to_the_sign_of_zero(self, data):
+        def signed(x):
+            return [(v, math.copysign(1.0, v)) for v in x.entries]
+
+        def draw_matrix(rows, cols):
+            entries = data.draw(st.lists(signed_weights, min_size=rows * cols, max_size=rows * cols))
+            return TropicalMatrix(rows, cols, tuple(entries))
+
+        n, m, p = (data.draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+        a, b = draw_matrix(n, m), draw_matrix(m, p)
+        assert signed(a.otimes(b)) == signed(otimes_dense(a, b))
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        square = draw_matrix(n, n)
+        dense = square
+        for _ in range(k - 1):
+            dense = otimes_dense(dense, square)
+        assert signed(square.power(k)) == signed(dense)
 
     def test_apply_keeps_the_shape_check(self):
         for m in (MU_A, TropicalMatrix.epsilon(0, 2), TropicalMatrix.epsilon(2, 0)):
