@@ -1,9 +1,12 @@
 """Command-line surface: eval, simulate, translate, abstract, check, reproduce.
 
-Exit codes: 0 for success or a true verdict, 1 for a false verdict (the
-report carries a witness), 2 for usage or model errors.  Reports print as
-JSON or text; their content is deterministic for a fixed seed, so two runs
-with the same arguments compare byte for byte.
+Each command returns the text it prints and its exit code, and main only
+writes the text.  translate and abstract print a document; the others
+print a report through _report, as JSON or text.  Exit codes: 0 for
+success or a true verdict, 1 for a false verdict (the report carries a
+witness), 2 for usage or model errors.  A report's content is
+deterministic for a fixed seed, so two runs with the same arguments
+compare byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from . import equivalence, fixtures, hybrid, mpa, reproduce, smpl
@@ -37,25 +39,27 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunReport:
-    command: list[str]
-    payload: dict[str, Any] = field(default_factory=dict)
-    verdict: bool | None = None
-    document_output: str | None = None  # replaces the report on stdout
-
-    def to_json(self) -> str:
-        doc = {"command": self.command, **self.payload}
-        if self.verdict is not None:
-            doc["verdict"] = self.verdict
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    def to_text(self) -> str:
-        lines = [f"$ {' '.join(self.command)}"]
-        lines.extend(_text_lines(self.payload))
-        if self.verdict is not None:
-            lines.append(f"verdict: {'true' if self.verdict else 'false'}")
-        return "\n".join(lines) + "\n"
+def _report(args: argparse.Namespace, payload: dict[str, Any], verdict: bool | None = None) -> tuple[str, int]:
+    """A report command's text and exit code: its command line, payload
+    and verdict (when it has one) as JSON or as text, where reproduce's
+    checks are a table; exit code 1 for a false verdict, else 0."""
+    code = 1 if verdict is False else 0
+    if args.format == "json":
+        doc = {"command": args.command_line, **payload}
+        if verdict is not None:
+            doc["verdict"] = verdict
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n", code
+    lines = [f"$ {' '.join(args.command_line)}"]
+    if args.command == "reproduce":
+        width = max(len(check["name"]) for check in payload["checks"])
+        for check in payload["checks"]:
+            lines.append(f"{check['name']:<{width}}  {'PASS' if check['passed'] else 'FAIL'}  {check['details']}")
+        lines.append(f"{payload['passed']}/{payload['total']} checks passed (seed {payload['seed']})")
+    else:
+        lines.extend(_text_lines(payload))
+        if verdict is not None:
+            lines.append(f"verdict: {'true' if verdict else 'false'}")
+    return "\n".join(lines) + "\n", code
 
 
 def _text_lines(value: Any, indent: str = "") -> list[str]:
@@ -110,37 +114,23 @@ def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
     return word
 
 
-def cmd_eval(args: argparse.Namespace) -> tuple[RunReport, int]:
+def cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
     doc = _load_document(args.model)
-    report = RunReport(command=_echo(args))
+    if doc.kind not in ("mpa", "fa"):
+        raise UsageError(f"eval expects an mpa or fa document, got {doc.kind!r}")
+    word = parse_word(args.word, doc.model.alphabet)
     if doc.kind == "mpa":
-        automaton: mpa.MaxPlusAutomaton = doc.model
-        word = parse_word(args.word, automaton.alphabet)
-        value = mpa.eval_output(automaton, word)
-        report.payload = {
-            "word": list(word),
-            "output": encode_weight(value),
-            "accepted": value != EPS,
-        }
-        return report, 0
-    if doc.kind == "fa":
-        fa = doc.model
-        word = parse_word(args.word, fa.alphabet)
-        accepted = fa.accepts(word)
-        report.payload = {"word": list(word), "accepted": accepted}
-        report.verdict = accepted
-        return report, 0 if accepted else 1
-    raise UsageError(f"eval expects an mpa or fa document, got {doc.kind!r}")
+        value = mpa.eval_output(doc.model, word)
+        return _report(args, {"word": list(word), "output": encode_weight(value), "accepted": value != EPS})
+    accepted = doc.model.accepts(word)
+    return _report(args, {"word": list(word), "accepted": accepted}, accepted)
 
 
 def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tuple[smpl.StepInput, ...]:
     if args.word is not None and args.inputs is not None:
         raise UsageError("pass either --word or --inputs, not both")
     if args.word is not None:
-        symbols = _symbols_of(doc)
-        if symbols is None:
-            raise UsageError("this model takes structured inputs; use --inputs")
-        return smpl.word_inputs(parse_word(args.word, symbols))
+        return smpl.word_inputs(parse_word(args.word, _symbols_of(doc)))
     if args.inputs is None:
         raise UsageError("simulate needs --word or --inputs")
     try:
@@ -162,12 +152,11 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
             raise UsageError(f"inputs[{k}].{unknown[0]} in {args.inputs!r} is not a step field; a step takes w, u, v, r, p")
         w = entry.get("w")
         if w is None:
-            if symbols is not None:
-                reads = "an mpa step reads a symbol" if doc.kind == "mpa" else f"a step reads one of {list(symbols)}"
-                raise UsageError(f"inputs[{k}].w in {args.inputs!r} is missing; {reads}")
-        elif not isinstance(w, str):
+            reads = "an mpa step reads a symbol" if doc.kind == "mpa" else f"a step reads one of {list(symbols)}"
+            raise UsageError(f"inputs[{k}].w in {args.inputs!r} is missing; {reads}")
+        if not isinstance(w, str):
             raise UsageError(f"inputs[{k}].w must be a symbol string")
-        elif symbols is not None and w not in symbols:
+        if w not in symbols:
             raise UsageError(
                 f"inputs[{k}].w {w!r} in {args.inputs!r} is not in the alphabet {list(symbols)}"
             )
@@ -183,27 +172,41 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
     return tuple(steps)
 
 
-def _symbols_of(doc: ModelDocument) -> tuple[str, ...] | None:
-    if doc.kind in ("mpa", "fa"):
-        return doc.model.alphabet
-    if doc.kind in ("smpl", "maha"):
-        system = doc.model if doc.kind == "smpl" else doc.model.system
-        return system.switching.alphabet or None
-    return None
+def _system(doc: ModelDocument) -> smpl.SmplSystem | None:
+    """The switching system of an smpl document, or the one a maha
+    document translates; None for the other kinds."""
+    if doc.kind == "smpl":
+        return doc.model
+    return doc.model.system if doc.kind == "maha" else None
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[RunReport, int]:
+def _symbols_of(doc: ModelDocument) -> tuple[str, ...]:
+    """The symbols a document's words and steps read.  A document's system
+    has at least one mode, so its alphabet is never empty."""
+    system = _system(doc)
+    return doc.model.alphabet if system is None else system.switching.alphabet
+
+
+# The stepper of each kind that runs, over the document's model.
+_STEPPERS = {"mpa": mpa.MpaBehaviour, "smpl": smpl.SmplBehaviour, "maha": hybrid.MahaBehaviour}
+
+
+def _stepper(doc: ModelDocument, refusal: str) -> smpl.Stepper:
+    """The document's stepper; refusal opens the message for a kind without one."""
+    if doc.kind not in _STEPPERS:
+        raise UsageError(f"{refusal}, got {doc.kind!r}")
+    return _STEPPERS[doc.kind](doc.model)
+
+
+def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     doc = _load_document(args.model)
-    if doc.kind not in ("mpa", "smpl", "maha"):
-        raise UsageError(f"simulate expects an mpa, smpl or maha document, got {doc.kind!r}")
-    report = RunReport(command=_echo(args))
+    stepper = _stepper(doc, "simulate expects an mpa, smpl or maha document")
     inputs = _step_inputs_from_args(args, doc)
     if args.steps is not None:
         inputs = inputs[: args.steps]
-    trace = _behaviour_adapter(doc).fold(inputs)
+    trace = stepper.fold(inputs)
     records = [_trace_record(doc, rec) for rec in trace.records]
-    report.payload = {"trace": records, "halted_at": trace.halted_at}
-    return report, 0
+    return _report(args, {"trace": records, "halted_at": trace.halted_at})
 
 
 def _trace_record(doc: ModelDocument, rec: smpl.StepRecord) -> dict[str, Any]:
@@ -225,7 +228,7 @@ def _trace_record(doc: ModelDocument, rec: smpl.StepRecord) -> dict[str, Any]:
     return entry
 
 
-def cmd_translate(args: argparse.Namespace) -> tuple[RunReport, int]:
+def cmd_translate(args: argparse.Namespace) -> tuple[str, int]:
     doc = _load_document(args.model)
     target = args.to
     if doc.kind == "mpa" and target == "smpl":
@@ -244,46 +247,30 @@ def cmd_translate(args: argparse.Namespace) -> tuple[RunReport, int]:
         body = maha_body(doc.body, loop=loop, meta={"name": f"{doc.name or 'smpl'}-as-maha"})
     else:
         raise UsageError(f"no translation from {doc.kind!r} to {target!r}")
-    return RunReport(command=_echo(args), document_output=serialize_body(body)), 0
+    return serialize_body(body), 0
 
 
-def cmd_abstract(args: argparse.Namespace) -> tuple[RunReport, int]:
+def cmd_abstract(args: argparse.Namespace) -> tuple[str, int]:
     doc = _load_document(args.model)
+    system = _system(doc)
     if doc.kind == "mpa":
         if args.style == "fused":
             raise UsageError("the fused style applies to smpl and maha documents")
         fa = mpa.to_finite_abstraction(doc.model)
-    elif doc.kind in ("smpl", "maha"):
-        automaton = hybrid.HybridAutomaton(doc.model) if doc.kind == "smpl" else doc.model
+    elif system is not None:
         abstraction = hybrid.mpa_chain_abstraction if args.style == "fused" else hybrid.finite_abstraction
-        fa = abstraction(automaton)
+        fa = abstraction(hybrid.HybridAutomaton(system))
     else:
         raise UsageError(f"abstract expects an mpa, smpl or maha document, got {doc.kind!r}")
-    body = fa_body(fa, meta={"name": f"{doc.name or doc.kind}-abstraction"})
-    return RunReport(command=_echo(args), document_output=serialize_body(body)), 0
-
-
-def _behaviour_adapter(doc: ModelDocument) -> smpl.Stepper:
-    if doc.kind == "mpa":
-        return equivalence.MpaBehaviour(doc.model)
-    if doc.kind == "smpl":
-        return equivalence.SmplBehaviour(doc.model)
-    if doc.kind == "maha":
-        return equivalence.MahaBehaviour(doc.model)
-    raise UsageError(f"behaviour checks need mpa, smpl or maha documents, got {doc.kind!r}")
+    return serialize_body(fa_body(fa, meta={"name": f"{doc.name or doc.kind}-abstraction"})), 0
 
 
 def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed: int):
-    symbols1, symbols2 = _symbols_of(doc1), _symbols_of(doc2)
-    if symbols1 is not None and symbols2 is not None and set(symbols1) != set(symbols2):
-        raise UsageError(f"alphabet mismatch: {list(symbols1)} against {list(symbols2)}")
-    symbols = symbols1 or symbols2
-    if symbols is None:
-        raise UsageError("neither model declares a discrete input alphabet")
+    symbols = _symbols_of(doc1)
+    equivalence.require_same_alphabet(symbols, _symbols_of(doc2))
     widths = {"u": 0, "r": 0, "p": 0}
-    for doc in (doc1, doc2):
-        if doc.kind in ("smpl", "maha"):
-            system = doc.model if doc.kind == "smpl" else doc.model.system
+    for system in map(_system, (doc1, doc2)):
+        if system is not None:
             d = system.dims
             # a controller computes u itself, so only open loops take it as input
             for key, width in (("u", 0 if system.closed_loop else d.n_u), ("r", d.n_r), ("p", d.n_p)):
@@ -315,12 +302,11 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
     return regime, seqs
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[RunReport, int]:
+def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     if args.exact and args.relation != "language":
         raise UsageError("--exact applies to --relation language only")
     doc1 = _load_document(args.model1)
     doc2 = _load_document(args.model2)
-    report = RunReport(command=_echo(args))
     relation = args.relation
     if relation in ("language", "simulation", "bisimulation"):
         if doc1.kind != "fa" or doc2.kind != "fa":
@@ -329,61 +315,50 @@ def cmd_check(args: argparse.Namespace) -> tuple[RunReport, int]:
         if relation == "language":
             if args.exact:
                 equal, witness = equivalence.language_equal_exact(fa1, fa2)
-                report.payload = {"mode": "exact"}
+                payload: dict[str, Any] = {"mode": "exact"}
             else:
                 equal, witness = equivalence.language_equal_upto(fa1, fa2, args.bound)
-                report.payload = {"bound": args.bound}
-            report.verdict = equal
+                payload = {"bound": args.bound}
             if witness is not None:
-                report.payload["witness"] = list(witness)
-            return report, 0 if equal else 1
+                payload["witness"] = list(witness)
+            return _report(args, payload, equal)
         witness_rel = (
             equivalence.greatest_simulation(fa1, fa2)
             if relation == "simulation"
             else equivalence.bisimulation(fa1, fa2)
         )
-        report.verdict = witness_rel is not None
-        if witness_rel is not None:
-            report.payload = {"witness_pairs": sorted(map(list, witness_rel.pairs))}
-        return report, 0 if witness_rel is not None else 1
+        if witness_rel is None:
+            return _report(args, {}, False)
+        return _report(args, {"witness_pairs": sorted(map(list, witness_rel.pairs))}, True)
     if relation == "behaviour":
         if args.bound < 1:
             raise UsageError("--bound must be at least 1 for behaviour checks")
         regime, seqs = _behaviour_inputs(doc1, doc2, args.bound, args.seed)
+        refusal = "behaviour checks need mpa, smpl or maha documents"
         ok, counterexample = equivalence.behavioural_inclusion_upto(
-            _behaviour_adapter(doc1), _behaviour_adapter(doc2), seqs
+            _stepper(doc1, refusal), _stepper(doc2, refusal), seqs
         )
-        report.verdict = ok
-        report.payload = {"bound": args.bound, "regime": regime}
+        payload = {"bound": args.bound, "regime": regime}
         if counterexample is not None:
             # r and p only when drawn, so witnesses of u-only models keep their form
-            report.payload["witness"] = [
+            payload["witness"] = [
                 {"w": inp.w, "u": [encode_weight(v) for v in inp.u]}
                 | {key: [encode_weight(v) for v in getattr(inp, key)] for key in "rp" if getattr(inp, key)}
                 for inp in counterexample
             ]
-        return report, 0 if ok else 1
+        return _report(args, payload, ok)
     raise UsageError(f"unknown relation {relation!r}")
 
 
-def cmd_reproduce(args: argparse.Namespace) -> tuple[RunReport, int]:
+def cmd_reproduce(args: argparse.Namespace) -> tuple[str, int]:
     results = reproduce.run_suite(seed=args.seed)
-    report = RunReport(command=_echo(args))
-    report.payload = {
+    payload = {
         "seed": args.seed,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "details": r.details} for r in results
-        ],
+        "checks": [{"name": r.name, "passed": r.passed, "details": r.details} for r in results],
         "passed": sum(1 for r in results if r.passed),
         "total": len(results),
     }
-    all_ok = all(r.passed for r in results)
-    report.verdict = all_ok
-    return report, 0 if all_ok else 1
-
-
-def _echo(args: argparse.Namespace) -> list[str]:
-    return list(getattr(args, "_argv", []))
+    return _report(args, payload, all(r.passed for r in results))
 
 
 def count(text: str) -> int:
@@ -462,36 +437,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the namespace starts out holding the command line that reports echo
+        args = parser.parse_args(argv, argparse.Namespace(command_line=["mph", *argv]))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args._argv = ["mph"] + argv
     try:
-        report, code = args.fn(args)
+        text, code = args.fn(args)
     except (UsageError, ModelFormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if report.document_output is not None:
-        sys.stdout.write(report.document_output)
-        return code
-    output = report.to_json() if args.format == "json" else report.to_text()
-    if args.command == "reproduce" and args.format == "text":
-        output = _reproduce_table(report)
-    sys.stdout.write(output)
+    sys.stdout.write(text)
     return code
-
-
-def _reproduce_table(report: RunReport) -> str:
-    lines = [f"$ {' '.join(report.command)}"]
-    width = max(len(c["name"]) for c in report.payload["checks"])
-    for check in report.payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        lines.append(f"{check['name']:<{width}}  {status}  {check['details']}")
-    lines.append(
-        f"{report.payload['passed']}/{report.payload['total']} checks passed "
-        f"(seed {report.payload['seed']})"
-    )
-    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":

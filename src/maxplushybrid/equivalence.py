@@ -41,13 +41,18 @@ from .smpl import SmplBehaviour, StepInput, Stepper
 EXACT_STATE_CAP = 12
 
 
+def require_same_alphabet(first: Sequence[str], second: Sequence[str]) -> None:
+    """Refuse two models over different symbol sets, naming both alphabets."""
+    if set(first) != set(second):
+        raise ValueError(f"alphabet mismatch: {list(first)} against {list(second)}")
+
+
 def _first_difference(fa1: FiniteAutomaton, fa2: FiniteAutomaton, max_len: int | None) -> Word | None:
     """The least word by (length, word), of at most max_len symbols (None:
     any number), that exactly one side accepts.  Breadth-first over pairs of
     state sets, one level per length, symbols sorted: each pair keeps the
     first word that reached it, which is its least word."""
-    if set(fa1.alphabet) != set(fa2.alphabet):
-        raise ValueError("alphabet mismatch")
+    require_same_alphabet(fa1.alphabet, fa2.alphabet)
     symbols = sorted(fa1.alphabet)
     words = {(fa1.initial, fa2.initial): ()}
     level, depth = list(words), 0
@@ -296,8 +301,7 @@ def greatest_simulation(
     Returned only when every initial state of fa1 is related to some
     initial state of fa2, which is what makes it a simulation witness.
     """
-    if set(fa1.alphabet) != set(fa2.alphabet):
-        raise ValueError("alphabet mismatch")
+    require_same_alphabet(fa1.alphabet, fa2.alphabet)
     pairs = _simulation_pairs(fa1, fa2)
     if not _initials_covered(fa1, fa2, pairs):
         return None
@@ -312,8 +316,7 @@ def bisimulation(
     Computed as one relation, it stays transition-closed under both
     automata, which intersecting two one-way simulations would not.
     """
-    if set(fa1.alphabet) != set(fa2.alphabet):
-        raise ValueError("alphabet mismatch")
+    require_same_alphabet(fa1.alphabet, fa2.alphabet)
     pairs = _bisimulation_pairs(fa1, fa2)
     if not _initials_covered(fa1, fa2, pairs):
         return None

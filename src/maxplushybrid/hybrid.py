@@ -9,8 +9,10 @@ attribute is derived from that system.  The paper's general definition,
 stepped by a scan of the invariant and the guards, lives on in the tests
 as the reference a translation is held to.
 
-The hybrid state is the system's x itself for an open loop and the
-augmented state z = (mode, x, u, v) for a closed loop; x_of reads x back.
+The hybrid state is the system's x itself for an open loop and, for a
+closed loop, the augmented state z = (mode, x, u, v) that
+smpl.performance_signal builds; x_of reads x back through smpl.signal_x,
+the one reader of x in z, which the controller reads through too.
 Resolving the mode against the pre-step state and flowing with the target
 mode is what makes a translation match the system step for step, and a
 translation steps through the system's own code for it.  Every mode is
@@ -22,7 +24,8 @@ MahaBehaviour is the automaton's stepper (smpl.Stepper).  A run is its
 fold: each step goes through smpl.advance, the step core that
 smpl.step uses too, which resolves once, advances with the smallest
 candidate mode only and outputs on the inputs the resolution built; the
-stepper then writes x (open loop) or z (closed loop) into the record.
+stepper then writes x (open loop) or z (closed loop, through
+smpl.performance_signal) into the record.
 hybrid_step gives the paper's full successor set instead: from mode q it
 resolves the step through smpl.resolve_step with q as the previous mode
 and writes every candidate's next state, as the rule computed it or from
@@ -43,7 +46,8 @@ from typing import NamedTuple, Sequence
 
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace, advance, resolve_step
+from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
+from .smpl import advance, performance_signal, resolve_step, signal_x
 from .tropical import Weight, is_finite
 
 
@@ -96,8 +100,8 @@ class HybridAutomaton:
     @property
     def start(self) -> tuple[Weight, ...]:
         """x0, or z = (mode, x0, u, v) before the first step on a closed loop."""
-        s = self.system
-        return s.performance_signal(SmplBehaviour(s).init()) if s.closed_loop else tuple(s.x0)
+        first = SmplBehaviour(self.system).init()
+        return performance_signal(first.mode, first.x, first.u, first.v) if self.system.closed_loop else first.x
 
     @property
     def init(self) -> tuple[HybridState, ...]:
@@ -123,7 +127,7 @@ class HybridAutomaton:
 
     def x_of(self, z: tuple[Weight, ...]) -> tuple[Weight, ...]:
         """The system's x inside the hybrid state z."""
-        return z[1 : 1 + self.system.dims.n] if self.system.closed_loop else z
+        return signal_x(z, self.system.dims.n) if self.system.closed_loop else z
 
 
 def hybrid_step(
@@ -139,7 +143,7 @@ def hybrid_step(
     dynamics = s.modes
     if s.closed_loop:
         return tuple([
-            HybridState(c.mode, (float(c.mode),) + c.state_for(dynamics[c.mode], x, win) + u + v)
+            HybridState(c.mode, performance_signal(c.mode, c.state_for(dynamics[c.mode], x, win), u, v))
             for c in candidates
         ])
     return tuple([HybridState(c.mode, c.state_for(dynamics[c.mode], x, win)) for c in candidates])
@@ -163,12 +167,12 @@ class MahaBehaviour(Stepper):
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         s = self.automaton.system
         closed, z = s.controller is not None, state.x
-        stepped = advance(s, state.mode, z[1 : 1 + s.dims.n] if closed else z, z, inp)
+        stepped = advance(s, state.mode, signal_x(z, s.dims.n) if closed else z, z, inp)
         if stepped is None:
             return None
         mode, x, y, successors, u, v = stepped
         if closed:
-            x = (float(mode),) + x + u + v
+            x = performance_signal(mode, x, u, v)
         return StepRecord(state.k + 1, mode, x, y, successors)
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.

@@ -27,7 +27,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from itertools import accumulate
 from typing import Any, Sequence
 
@@ -149,10 +149,12 @@ def _only(body: dict, fields: Sequence[str], where: str) -> None:
             )
 
 
-def _dim(dims_body: dict, key: str, default: int | None = None) -> int:
-    value = _require(dims_body, key, "dims") if default is None else dims_body.get(key, default)
+def _dim(dims_body: dict, dim: Field) -> int:
+    """The dims entry of one of SmplDims' fields, which defaults as the
+    field does."""
+    value = _require(dims_body, dim.name, "dims") if dim.default is MISSING else dims_body.get(dim.name, dim.default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ModelFormatError(f"dims {key!r} must be a non-negative integer, got {value!r}")
+        raise ModelFormatError(f"dims {dim.name!r} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -360,15 +362,8 @@ def _decode_controller(body: dict, dims: smpl.SmplDims) -> smpl.ControllerHook |
 
 def build_smpl(body: dict) -> smpl.SmplSystem:
     dims_body = _require(body, "dims", "smpl", dict)
-    _only(dims_body, ("n", "n_u", "n_v", "n_y", "n_r", "n_p"), "dims")
-    dims = smpl.SmplDims(
-        n=_dim(dims_body, "n"),
-        n_u=_dim(dims_body, "n_u", 0),
-        n_v=_dim(dims_body, "n_v", 0),
-        n_y=_dim(dims_body, "n_y", 1),
-        n_r=_dim(dims_body, "n_r", 0),
-        n_p=_dim(dims_body, "n_p", 0),
-    )
+    _only(dims_body, [dim.name for dim in fields(smpl.SmplDims)], "dims")
+    dims = smpl.SmplDims(**{dim.name: _dim(dims_body, dim) for dim in fields(smpl.SmplDims)})
     if dims.n_v:
         # No mode, switching rule or controller of a document reads or
         # yields v, so every block of that width would be EPS padding.
@@ -404,17 +399,9 @@ def smpl_body(s: smpl.SmplSystem, meta: dict | None = None) -> dict:
             mode_body["B"] = [encode_matrix(m) for m in form.B]
             mode_body["D"] = [encode_matrix(m) for m in form.D]
         modes.append(mode_body)
-    dims = s.dims
     body: dict[str, Any] = {
         "kind": "smpl",
-        "dims": {
-            "n": dims.n,
-            "n_u": dims.n_u,
-            "n_v": dims.n_v,
-            "n_y": dims.n_y,
-            "n_r": dims.n_r,
-            "n_p": dims.n_p,
-        },
+        "dims": asdict(s.dims),
         "x0": [encode_weight(w) for w in s.x0],
         "modes": modes,
         "switching": {"kind": s.switching.kind.value, **s.switching.spec},
@@ -530,18 +517,19 @@ def parse_model(text: str) -> ModelDocument:
 
 def _canonical_value(value: Any, depth: int = 1) -> Any:
     """Keys as sorted strings and integral floats as ints, in every dict
-    and list.  List items that are scalars, such as matrix entries, are
-    handled in place rather than by a call each.  depth is the nesting
-    level of value, the body's being 1: a dict or list deeper than
-    MAX_DEPTH is refused, as read_json would refuse the text."""
-    if depth > MAX_DEPTH and isinstance(value, (dict, list)):
+    and list, and every tuple as the list JSON writes it as.  List items
+    that are scalars, such as matrix entries, are handled in place rather
+    than by a call each.  depth is the nesting level of value, the body's
+    being 1: a dict, list or tuple deeper than MAX_DEPTH is refused, as
+    read_json would refuse the text."""
+    if depth > MAX_DEPTH and isinstance(value, (dict, list, tuple)):
         raise ModelFormatError(f"the document would nest deeper than {MAX_DEPTH} levels")
     if isinstance(value, dict):
         return {str(k): _canonical_value(value[k], depth + 1) for k in sorted(value, key=str)}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [
             (int(v) if v.is_integer() else v) if isinstance(v, float)
-            else _canonical_value(v, depth + 1) if isinstance(v, (dict, list))
+            else _canonical_value(v, depth + 1) if isinstance(v, (dict, list, tuple))
             else v
             for v in value
         ]

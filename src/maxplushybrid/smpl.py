@@ -34,7 +34,9 @@ SmplBehaviour is this module's stepper, whose step is the module function
 step(s, state, inp): it takes the last step's record (init's before the
 first step) and returns the next one, or None when the rule admits no
 mode.  A controller reads the performance signal z = (mode, x, u, v) of
-that record.
+that record.  z has one codec: performance_signal builds it and signal_x
+reads x back out of it, for the controller, for smpl.step and for the
+closed loop's hybrid translation, whose state z is.
 hybrid.MahaBehaviour and mpa.MpaBehaviour are the other two steppers.
 """
 
@@ -211,13 +213,26 @@ class ControllerHook:
     spec: dict | None = None
 
 
+def performance_signal(
+    mode: int | None, x: tuple[Weight, ...], u: tuple[Weight, ...], v: tuple[Weight, ...]
+) -> tuple[Weight, ...]:
+    """z = (mode, x, u, v), the mode as a weight (EPS before the first
+    step): what a controller reads and a closed loop's hybrid state."""
+    return (EPS if mode is None else float(mode),) + x + u + v
+
+
+def signal_x(z: tuple[Weight, ...], n: int) -> tuple[Weight, ...]:
+    """The n entries of x inside z = performance_signal(mode, x, u, v)."""
+    return z[1 : 1 + n]
+
+
 def static_feedback(gain: TropicalMatrix) -> ControllerHook:
     """u(k) = gain ox x(k-1); v is empty.  A max-plus linear controller,
-    whose x is the gain.cols entries after the mode in z."""
+    whose x is the gain.cols entries that signal_x reads from z."""
     n = gain.cols
 
     def f_u(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
-        return gain.apply(z[1 : 1 + n])
+        return gain.apply(signal_x(z, n))
 
     def f_v(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
         return ()
@@ -321,12 +336,6 @@ class SmplSystem:
     def closed_loop(self) -> bool:
         return self.controller is not None
 
-    def performance_signal(self, state: StepRecord) -> tuple[Weight, ...]:
-        """z = (mode, x, u, v) of a step's record, the mode as a weight
-        (EPS before the first step)."""
-        mode = EPS if state.mode is None else float(state.mode)
-        return (mode,) + state.x + state.u + state.v
-
 
 def resolve_inputs(
     s: SmplSystem, z: tuple[Weight, ...] | None, inp: StepInput
@@ -408,7 +417,7 @@ def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
     before the first), through advance.  None when the rule admits no mode
     (the run halts).  The performance signal is built only for a
     controller to read."""
-    z = None if s.controller is None else s.performance_signal(state)
+    z = None if s.controller is None else performance_signal(state.mode, state.x, state.u, state.v)
     stepped = advance(s, state.mode, state.x, z, inp)
     if stepped is None:
         return None

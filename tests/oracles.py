@@ -756,10 +756,11 @@ def dominates(p, q) -> bool:
 
 def canonical_value_by_recursion(value):
     """Document canonicalisation with one call per value, list items
-    included, as opposed to handling scalar items in place."""
+    included, as opposed to handling scalar items in place.  A tuple
+    becomes the list JSON writes it as."""
     if isinstance(value, dict):
         return {str(k): canonical_value_by_recursion(value[k]) for k in sorted(value, key=str)}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [canonical_value_by_recursion(v) for v in value]
     if isinstance(value, float) and value.is_integer():
         return int(value)

@@ -90,7 +90,9 @@ class TestCanonicalValue:
         got = _canonical_value(body)
         assert repr(got) == repr(oracles.canonical_value_by_recursion(body))
         assert repr(got["m"][0][:2]) == repr([0, int(1e300)])
-        assert got["m"][1] == (1.0, [2.0]) and got["m"][2] == 3 and got["1"] is False
+        # a tuple is canonicalised as the list JSON writes it as
+        assert repr(got["m"][1]) == repr([1, [2]]) and got["m"][2] == 3 and got["1"] is False
+        assert serialize_body({"a": (1.0, [2.0])}) == serialize_body({"a": [1, [2]]})
 
     def test_documents_are_byte_identical(self):
         for name in fixtures.FIXTURE_NAMES:

@@ -306,6 +306,14 @@ class TestTheJsonReader:
         with pytest.raises(ModelFormatError, match=f"^the document would nest deeper than {MAX_DEPTH} levels$"):
             serialize_body({"deep": json.loads(nested(MAX_DEPTH))})
 
+    def test_the_writer_counts_tuples_as_nesting(self):
+        # a tuple is written as a list, so it nests as one
+        deep = ()
+        for _ in range(149):
+            deep = (deep,)
+        with pytest.raises(ModelFormatError, match=f"^the document would nest deeper than {MAX_DEPTH} levels$"):
+            serialize_body({"deep": deep})
+
     @pytest.mark.parametrize("depth", [MAX_DEPTH - 3, MAX_DEPTH - 2])
     def test_translate_writes_only_what_reads_back(self, tmp_path, depth):
         # the maha body, its system and the system's meta hold the list
