@@ -240,11 +240,9 @@ def cmd_translate(args: argparse.Namespace) -> tuple[str, int]:
     elif doc.kind == "mpa" and target == "maha":
         system = smpl.from_mpa(doc.model)
         inner = smpl_body(system, meta={"translated_from": "mpa"})
-        body = maha_body(inner, loop="open", meta={"name": f"{doc.name or 'mpa'}-as-maha"})
+        body = maha_body(inner, meta={"name": f"{doc.name or 'mpa'}-as-maha"})
     elif doc.kind == "smpl" and target == "maha":
-        # the open- or closed-loop translation, as the system's controller decides
-        loop = "closed" if doc.model.closed_loop else "open"
-        body = maha_body(doc.body, loop=loop, meta={"name": f"{doc.name or 'smpl'}-as-maha"})
+        body = maha_body(doc.body, meta={"name": f"{doc.name or 'smpl'}-as-maha"})
     else:
         raise UsageError(f"no translation from {doc.kind!r} to {target!r}")
     return serialize_body(body), 0
@@ -279,7 +277,8 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
         regime = "exhaustive"
         by_symbol = {w: smpl.StepInput(w=w) for w in symbols}
         words = equivalence.exhaustive_words(symbols, bound)
-        seqs = [tuple(map(by_symbol.__getitem__, word)) for word in words]
+        # lazily, so a document kind that cmd_check refuses costs no sequence
+        seqs = (tuple(map(by_symbol.__getitem__, word)) for word in words)
     else:
         regime = "sampled"
         rng = random.Random(seed)

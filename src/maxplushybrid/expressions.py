@@ -5,10 +5,10 @@ The full grammar is
     f := Var(i) | InputVar(i) | Const(c) | Max(f, f) | Min(f, f)
        | Plus(f, f) | Scale(b, f)
 
-A tree is evaluated by compiling it once, with ``compile_expr``, into one
-closure per node that takes (x, u) and applies the semiring operation of
-its node inline; ``eval_expr`` compiles and calls, so a caller that
-evaluates one tree at many points compiles it once.
+A tree is evaluated by ``eval_points`` at a batch of points in one walk:
+each node is one pass over the points with its semiring operation
+inline, so a caller that evaluates one tree at many points walks it once.
+``eval_expr`` is the batch of one point.
 
 The max-min-plus fragment drops Scale and Const (except as one finite
 operand of a Plus) and admits a conjunctive normal form (Gunawardena,
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .tropical import (
     EPS,
@@ -127,107 +127,42 @@ def _scale(factor: float, v: Weight) -> Weight:
     return v if factor > 0 else (EPS if v == TOP else TOP)
 
 
-Compiled = Callable[..., Weight]
-
-
-def compile_expr(e: MmpsExpression) -> Compiled:
-    """One closure per node, called as f(x, u=()), with the semiring
-    operations of ``eval_expr`` written out inline: EPS absorbs under Plus
-    even against TOP, and max and min keep the first of two equal values.
-    A node is checked when the closure runs, not when it is built, so an
-    out-of-range variable (IndexError) or a non-node (TypeError) raises
-    as the recursive evaluation would, leftmost first."""
-    if isinstance(e, Var):
-        return _compile_var(e.index, "state variable x", False)
-    if isinstance(e, InputVar):
-        return _compile_var(e.index, "input variable u", True)
+def eval_points(
+    e: MmpsExpression,
+    xs: Sequence[Sequence[Weight]],
+    us: Sequence[Sequence[Weight]] | None = None,
+) -> list[Weight]:
+    """The tree's value at every point (xs[i], us[i]), u empty when us is
+    None, in one walk of the tree: each node is one pass over the points.
+    EPS absorbs under Plus even against TOP, and max and min keep the first
+    of two equal values.  A variable out of range at some point
+    (IndexError) or a non-node (TypeError) raises when the walk reaches
+    it, leftmost first."""
+    if us is None:
+        us = [()] * len(xs)
+    if isinstance(e, (Var, InputVar)):
+        label, vectors = ("state variable x", xs) if isinstance(e, Var) else ("input variable u", us)
+        i = e.index
+        if any(not 0 <= i < len(v) for v in vectors):
+            raise IndexError(f"{label}{i} out of range")
+        return [v[i] for v in vectors]
     if isinstance(e, Const):
-        value = e.value
-        return lambda x, u=(): value
-    if isinstance(e, Plus):
-        if isinstance(e.right, Const):
-            return _compile_shift(compile_expr(e.left), e.right.value)
-        if isinstance(e.left, Const):
-            return _compile_shift(compile_expr(e.right), e.left.value)
-        left, right = compile_expr(e.left), compile_expr(e.right)
-
-        def plus(x, u=()):
-            a = left(x, u)
-            b = right(x, u)
-            if a == EPS or b == EPS:
-                return EPS
-            return a + b
-
-        return plus
-    if isinstance(e, Max):
-        left, right = compile_expr(e.left), compile_expr(e.right)
-
-        def maximum(x, u=()):
-            a = left(x, u)
-            b = right(x, u)
-            return a if a >= b else b
-
-        return maximum
-    if isinstance(e, Min):
-        left, right = compile_expr(e.left), compile_expr(e.right)
-
-        def minimum(x, u=()):
-            a = left(x, u)
-            b = right(x, u)
-            return a if a <= b else b
-
-        return minimum
+        return [e.value] * len(xs)
     if isinstance(e, Scale):
-        factor, child = e.factor, compile_expr(e.child)
-        return lambda x, u=(): _scale(factor, child(x, u))
-
-    def not_a_node(x, u=()):
-        raise TypeError(f"not an expression node: {e!r}")
-
-    return not_a_node
-
-
-def _compile_var(index: int, label: str, reads_input: bool) -> Compiled:
-    message = f"{label}{index} out of range"
-    if index < 0:
-
-        def out_of_range(x, u=()):
-            raise IndexError(message)
-
-        return out_of_range
-    if reads_input:
-
-        def input_var(x, u=()):
-            try:
-                return u[index]
-            except IndexError:
-                raise IndexError(message) from None
-
-        return input_var
-
-    def var(x, u=()):
-        try:
-            return x[index]
-        except IndexError:
-            raise IndexError(message) from None
-
-    return var
-
-
-def _compile_shift(child: Compiled, c: Weight) -> Compiled:
-    """Plus with a constant operand; addition commutes, so the constant's
-    side does not matter."""
-
-    def shift(x, u=()):
-        a = child(x, u)
-        return EPS if a == EPS or c == EPS else a + c
-
-    return shift
+        return [_scale(e.factor, v) for v in eval_points(e.child, xs, us)]
+    if isinstance(e, (Max, Min, Plus)):
+        pairs = zip(eval_points(e.left, xs, us), eval_points(e.right, xs, us))
+        if isinstance(e, Max):
+            return [a if a >= b else b for a, b in pairs]
+        if isinstance(e, Min):
+            return [a if a <= b else b for a, b in pairs]
+        return [EPS if a == EPS or b == EPS else a + b for a, b in pairs]
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_expr(e: MmpsExpression, x: Sequence[Weight], u: Sequence[Weight] = ()) -> Weight:
     """Evaluate over the completed semiring; EPS wins over TOP under Plus."""
-    return compile_expr(e)(x, u)
+    return eval_points(e, (x,), (u,))[0]
 
 
 @dataclass(frozen=True)

@@ -433,8 +433,11 @@ def build_maha(body: dict) -> hybrid.HybridAutomaton:
     raise ModelFormatError(f"unknown loop discriminator {loop!r}")
 
 
-def maha_body(system_body: dict, loop: str = "open", meta: dict | None = None) -> dict:
+def maha_body(system_body: dict, meta: dict | None = None) -> dict:
+    """The translation of an smpl body: closed-loop exactly when the body
+    has a controller (a null controller is an open loop)."""
     inner = {k: v for k, v in system_body.items() if k != "kind"}
+    loop = "open" if system_body.get("controller") is None else "closed"
     body: dict[str, Any] = {"kind": "maha", "loop": loop, "system": inner}
     if meta:
         body["meta"] = meta

@@ -705,8 +705,9 @@ def boolean_support(m: TropicalMatrix) -> TropicalMatrix:
 
 
 def eval_expr_recursive(e, x, u=()) -> Weight:
-    """Walk the expression tree on every call, each operation through the
-    semiring helpers, as opposed to the closures of ``compile_expr``."""
+    """Walk the expression tree once per point, each operation through the
+    semiring helpers, as opposed to ``eval_points``, which walks it once
+    for a batch of points with the operations inline."""
     if isinstance(e, Var):
         if not 0 <= e.index < len(x):
             raise IndexError(f"state variable x{e.index} out of range")

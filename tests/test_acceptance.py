@@ -5,6 +5,7 @@ or recomputed through an independent oracle inside the test; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -340,3 +341,26 @@ def test_reproduce_draws_the_same_step_inputs(seed, system):
         want = random_inputs_per_step(want_rng, system, length)
         assert [inp._asdict() for inp in got] == [inp._asdict() for inp in want]
         assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_production_checks_fail_on_a_faulty_line(monkeypatch):
+    # Raise entry (0, 0) of mode 1's A in every level: level 2 repeats row
+    # 0 as padding, and the min with that copy would hide a change made to
+    # level 1 alone.
+    line = fixtures.production_line_smpl
+
+    def faulty(tau=(1.0, 2.0, 3.0)):
+        system = line(tau)
+        form = system.modes[1].form
+        raised = tuple(TropicalMatrix(a.rows, a.cols, (otimes(a.entries[0], 1.0), *a.entries[1:])) for a in form.A)
+        modes = {**system.modes, 1: smpl.MatrixMode(dataclasses.replace(form, A=raised))}
+        rule = smpl.symbol_liveness_rule(modes, system.switching.alphabet, system.dims.input_width)
+        return dataclasses.replace(system, modes=modes, switching=rule)
+
+    monkeypatch.setattr(fixtures, "production_line_smpl", faulty)
+    step = reproduce.check_production_step()
+    assert not step.passed
+    assert step.details.startswith("x(1)=(2, 2, 4) ")
+    conjunctive = reproduce.check_production_conjunctive(45)
+    assert not conjunctive.passed
+    assert conjunctive.details == "287 mismatches on 1000 random states across both modes"

@@ -17,8 +17,8 @@ from maxplushybrid.expressions import (
     Plus,
     Scale,
     Var,
-    compile_expr,
     eval_expr,
+    eval_points,
     to_conjunctive,
     to_matrix_form,
     transition_graph_f,
@@ -96,51 +96,83 @@ def outcome(f, *args):
     return type(v), repr(v)
 
 
-class TestCompiledExpressions:
+def at_point(e, x, u=()):
+    """eval_points at the one point (x, u)."""
+    [value] = eval_points(e, [x], [u])
+    return value
+
+
+class TestBatchedEvaluation:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_values_match_the_recursive_evaluation(self, data):
         n_x, n_u = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
         e = data.draw(any_trees(n_x, n_u))
-        f = compile_expr(e)
-        # one compiled function, several points
         for _ in range(3):
             x = tuple(data.draw(st.lists(weights, min_size=n_x, max_size=n_x)))
             u = tuple(data.draw(st.lists(weights, min_size=n_u, max_size=n_u)))
             want = outcome(oracles.eval_expr_recursive, e, x, u)
-            assert outcome(f, x, u) == want
+            assert outcome(at_point, e, x, u) == want
             assert outcome(eval_expr, e, x, u) == want
             if not n_u:
-                assert outcome(f, x) == want
+                assert outcome(lambda e, x: eval_points(e, [x])[0], e, x) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_many_points_in_one_call_match_point_by_point(self, data):
+        n_x, n_u = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        e = data.draw(any_trees(n_x, n_u))
+        points = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(weights, min_size=n_x, max_size=n_x).map(tuple),
+                    st.lists(weights, min_size=n_u, max_size=n_u).map(tuple),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        xs, us = [x for x, _ in points], [u for _, u in points]
+        got = eval_points(e, xs, us)
+        assert [repr(v) for v in got] == [repr(oracles.eval_expr_recursive(e, x, u)) for x, u in points]
+        if not n_u:
+            assert [repr(v) for v in eval_points(e, xs)] == [repr(v) for v in got]
+
+    def test_zero_points_give_no_values(self):
+        assert eval_points(Max(Var(0), Plus(InputVar(1), Const(2.0))), [], []) == []
+        assert eval_points(Scale(2.0, Min(Var(0), Const(1.0))), []) == []
 
     @settings(max_examples=300, deadline=None)
     @given(any_trees(index_range=(-2, 4), non_nodes=True), st.data())
     def test_errors_match_the_recursive_evaluation(self, e, data):
         x = tuple(data.draw(st.lists(weights, max_size=3)))
         u = tuple(data.draw(st.lists(weights, max_size=3)))
-        assert outcome(compile_expr(e), x, u) == outcome(oracles.eval_expr_recursive, e, x, u)
+        assert outcome(at_point, e, x, u) == outcome(oracles.eval_expr_recursive, e, x, u)
 
     def test_examples(self):
-        assert compile_expr(Plus(Var(0), Var(1)))((TOP, EPS)) == EPS
-        assert compile_expr(Plus(Var(0), Var(1)))((EPS, TOP)) == EPS
-        assert compile_expr(Plus(Const(TOP), Var(0)))((EPS,)) == EPS
-        assert compile_expr(Plus(Var(0), Const(EPS)))((TOP,)) == EPS
-        assert repr(compile_expr(Max(Var(0), Var(1)))((-0.0, 0.0))) == "-0.0"
-        assert repr(compile_expr(Min(Var(0), Var(1)))((0.0, -0.0))) == "0.0"
-        assert compile_expr(Scale(0.0, Var(0)))((EPS,)) == 0.0
-        assert compile_expr(Scale(-2.0, Var(0)))((TOP,)) == EPS
-        assert compile_expr(Plus(InputVar(1), Const(2.0)))((), (0.0, 5.0)) == 7.0
+        assert at_point(Plus(Var(0), Var(1)), (TOP, EPS)) == EPS
+        assert at_point(Plus(Var(0), Var(1)), (EPS, TOP)) == EPS
+        assert at_point(Plus(Const(TOP), Var(0)), (EPS,)) == EPS
+        assert at_point(Plus(Var(0), Const(EPS)), (TOP,)) == EPS
+        assert repr(at_point(Max(Var(0), Var(1)), (-0.0, 0.0))) == "-0.0"
+        assert repr(at_point(Min(Var(0), Var(1)), (0.0, -0.0))) == "0.0"
+        assert at_point(Scale(0.0, Var(0)), (EPS,)) == 0.0
+        assert at_point(Scale(-2.0, Var(0)), (TOP,)) == EPS
+        assert at_point(Plus(InputVar(1), Const(2.0)), (), (0.0, 5.0)) == 7.0
 
     def test_errors_raise_when_called_leftmost_first(self):
-        f = compile_expr(Max(Var(5), Min(Var(-1), "not a node")))
+        e = Max(Var(5), Min(Var(-1), "not a node"))
         with pytest.raises(IndexError, match="x5"):
-            f((0.0,))
+            at_point(e, (0.0,))
         with pytest.raises(IndexError, match="x-1"):
-            f(tuple([0.0] * 6))
+            at_point(e, tuple([0.0] * 6))
+        # x5 is in range at the first point only; the walk meets it first
+        with pytest.raises(IndexError, match="x5"):
+            eval_points(e, [tuple([0.0] * 6), (0.0,)])
         with pytest.raises(IndexError, match="u-1"):
-            compile_expr(InputVar(-1))((), (0.0,))
+            at_point(InputVar(-1), (), (0.0,))
         with pytest.raises(TypeError, match="not an expression node"):
-            compile_expr(Plus(Var(0), "not a node"))((0.0,))
+            at_point(Plus(Var(0), "not a node"), (0.0,))
 
 
 class TestFragment:

@@ -108,8 +108,25 @@ class TestBehaviourInputs:
         symbols = doc.body["alphabet"] if doc.kind == "mpa" else doc.body["switching"]["symbols"]
         regime, seqs = _behaviour_inputs(doc, doc, bound, 0)
         assert regime == "exhaustive"
+        seqs = list(seqs)
         assert seqs == [word_inputs(w) for w in equivalence.exhaustive_words(symbols, bound)]
         assert len({id(inp) for seq in seqs for inp in seq}) == len(symbols)
+
+    def test_a_refused_kind_builds_no_sequence(self, tmp_path, monkeypatch):
+        def unbuilt(alphabet, max_len):
+            # a generator, so it fails on its first next, not when called
+            raise AssertionError("a sequence was built for a refused document")
+            yield
+
+        at = tmp_path / "at.json"
+        at.write_text(run_cli("abstract", "gaubert_mpa").stdout)
+        monkeypatch.setattr(equivalence, "exhaustive_words", unbuilt)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["check", str(at), "gaubert_mpa", "--relation", "behaviour", "--bound", "40"])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == "error: behaviour checks need mpa, smpl or maha documents, got 'fa'\n"
 
 
 class TestParsing:
@@ -176,7 +193,7 @@ class TestParsing:
             __import__("maxplushybrid.smpl", fromlist=["from_mpa"]).from_mpa(gaubert),
             meta={"translated_from": "mpa"},
         )
-        body = maha_body(inner, loop="open")
+        body = maha_body(inner)
         doc = parse_model(serialize_body(body))
         assert doc.kind == "maha"
         assert doc.model.system.meta["translated_from"] == "mpa"
@@ -684,6 +701,34 @@ def test_malformed_outside_input_exits_two_without_traceback(tmp_path, argv, tex
 
 
 class TestSmplDocumentsAcrossCommands:
+    @pytest.mark.parametrize(
+        "name,controller,loop,word",
+        [
+            ("production_line", "kept", "open", "l1,l2,l2,l1"),
+            ("production_line", None, "open", "l1,l2,l2,l1"),
+            ("feedback_demo", "kept", "closed", "m1,m2,m2,m1"),
+        ],
+    )
+    def test_translation_loop_follows_the_controller(self, tmp_path, name, controller, loop, word):
+        # "controller": null is an open loop, as the smpl reader takes it
+        body = json.loads(fixtures.fixture_text(name))
+        if controller is None:
+            body["controller"] = None
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(body))
+        translated = run_cli("translate", str(model), "--to", "maha")
+        assert translated.returncode == 0, translated.stderr
+        assert json.loads(translated.stdout)["loop"] == loop
+        maha = tmp_path / "h.json"
+        maha.write_text(translated.stdout)
+        runs = [run_cli("simulate", str(path), "--word", word, "--format", "json") for path in (model, maha)]
+        assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+        system, hybrid = (json.loads(r.stdout)["trace"] for r in runs)
+        n = len(system[0]["x"])
+        assert [(h["mode"], h["x"][1 : 1 + n] if loop == "closed" else h["x"]) for h in hybrid] == [
+            (s["mode"], s["x"]) for s in system
+        ]
+
     def test_abstract_takes_an_smpl_document_through_its_translation(self, tmp_path):
         direct = run_cli("abstract", "production_line")
         assert direct.returncode == 0, direct.stderr
