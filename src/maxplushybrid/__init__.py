@@ -8,7 +8,6 @@ from .tropical import (
     TropicalMatrix,
     Weight,
     oplus,
-    oplus_dual,
     otimes,
 )
 from .expressions import (

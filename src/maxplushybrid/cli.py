@@ -3,10 +3,11 @@
 Each command returns the text it prints and its exit code, and main only
 writes the text.  translate and abstract print a document; the others
 print a report through _report, as JSON or text.  Exit codes: 0 for
-success or a true verdict, 1 for a false verdict (the report carries a
-witness), 2 for usage or model errors.  A report's content is
-deterministic for a fixed seed, so two runs with the same arguments
-compare byte for byte.
+success or a true verdict, 1 for a false verdict, 2 for usage or model
+errors.  A check report carries its regime (exact, exhaustive or
+sampled), the bound of a bounded regime, and a witness when there is
+one.  A report's content is deterministic for a fixed seed, so two runs
+with the same arguments compare byte for byte.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ class UsageError(ValueError):
     pass
 
 
+DEFAULT_BOUND = 6  # of a bounded check run without --bound
+
+
 def _report(args: argparse.Namespace, payload: dict[str, Any], verdict: bool | None = None) -> tuple[str, int]:
     """A report command's text and exit code: its command line, payload
     and verdict (when it has one) as JSON or as text, where reproduce's
@@ -58,29 +62,48 @@ def _report(args: argparse.Namespace, payload: dict[str, Any], verdict: bool | N
     else:
         lines.extend(_text_lines(payload))
         if verdict is not None:
-            lines.append(f"verdict: {'true' if verdict else 'false'}")
+            lines.append(f"verdict: {_inline(verdict)}")
     return "\n".join(lines) + "\n", code
 
 
-def _text_lines(value: Any, indent: str = "") -> list[str]:
+def _text_lines(value: dict | list, indent: str = "") -> list[str]:
+    """A dict's entries by key, or a list's items after "- ", each on one
+    line where _inline spells it, else followed by its own lines one
+    level deeper (a list item's first one on the item's line)."""
     lines: list[str] = []
     if isinstance(value, dict):
         for key in sorted(value):
-            sub = value[key]
-            if isinstance(sub, (dict, list)):
+            text = _inline(value[key])
+            if text is None:
                 lines.append(f"{indent}{key}:")
-                lines.extend(_text_lines(sub, indent + "  "))
+                lines.extend(_text_lines(value[key], indent + "  "))
             else:
-                lines.append(f"{indent}{key}: {sub}")
-    elif isinstance(value, list):
-        for sub in value:
-            if isinstance(sub, (dict, list)):
-                lines.extend(_text_lines(sub, indent + "  "))
-            else:
-                lines.append(f"{indent}- {sub}")
-    else:
-        lines.append(f"{indent}{value}")
+                lines.append(f"{indent}{key}: {text}")
+        return lines
+    for sub in value:
+        text = _inline(sub)
+        if text is None:
+            first, *rest = _text_lines(sub, indent + "  ")
+            lines += [f"{indent}- {first[len(indent) + 2 :]}", *rest]
+        else:
+            lines.append(f"{indent}- {text}")
     return lines
+
+
+def _inline(value: Any) -> str | None:
+    """One line of text for a scalar (as JSON spells it, but a string
+    bare), an empty container or a list of scalars; else None."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        return None if value else "{}"
+    if isinstance(value, list):
+        if any(isinstance(sub, (dict, list)) for sub in value):
+            return None
+        return f"[{', '.join(map(_inline, value))}]"
+    return str(value)
 
 
 def _load_document(path: str) -> ModelDocument:
@@ -302,51 +325,46 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
-    if args.exact and args.relation != "language":
-        raise UsageError("--exact applies to --relation language only")
-    doc1 = _load_document(args.model1)
-    doc2 = _load_document(args.model2)
     relation = args.relation
-    if relation in ("language", "simulation", "bisimulation"):
-        if doc1.kind != "fa" or doc2.kind != "fa":
-            raise UsageError(f"{relation} checks compare fa documents; abstract first")
-        fa1, fa2 = doc1.model, doc2.model
-        if relation == "language":
-            if args.exact:
-                equal, witness = equivalence.language_equal_exact(fa1, fa2)
-                payload: dict[str, Any] = {"mode": "exact"}
-            else:
-                equal, witness = equivalence.language_equal_upto(fa1, fa2, args.bound)
-                payload = {"bound": args.bound}
-            if witness is not None:
-                payload["witness"] = list(witness)
-            return _report(args, payload, equal)
-        witness_rel = (
-            equivalence.greatest_simulation(fa1, fa2)
-            if relation == "simulation"
-            else equivalence.bisimulation(fa1, fa2)
-        )
-        if witness_rel is None:
-            return _report(args, {}, False)
-        return _report(args, {"witness_pairs": sorted(map(list, witness_rel.pairs))}, True)
+    if args.exact and relation != "language":
+        raise UsageError("--exact applies to --relation language only")
+    if args.bound is not None and (args.exact or relation in ("simulation", "bisimulation")):
+        raise UsageError("--bound applies to --relation behaviour, and to --relation language without --exact")
+    bound = DEFAULT_BOUND if args.bound is None else args.bound
+    doc1, doc2 = _load_document(args.model1), _load_document(args.model2)
     if relation == "behaviour":
-        if args.bound < 1:
+        if bound < 1:
             raise UsageError("--bound must be at least 1 for behaviour checks")
-        regime, seqs = _behaviour_inputs(doc1, doc2, args.bound, args.seed)
+        regime, seqs = _behaviour_inputs(doc1, doc2, bound, args.seed)
         refusal = "behaviour checks need mpa, smpl or maha documents"
-        ok, counterexample = equivalence.behavioural_inclusion_upto(
-            _stepper(doc1, refusal), _stepper(doc2, refusal), seqs
-        )
-        payload = {"bound": args.bound, "regime": regime}
-        if counterexample is not None:
-            # r and p only when drawn, so witnesses of u-only models keep their form
-            payload["witness"] = [
-                {"w": inp.w, "u": [encode_weight(v) for v in inp.u]}
-                | {key: [encode_weight(v) for v in getattr(inp, key)] for key in "rp" if getattr(inp, key)}
-                for inp in counterexample
-            ]
-        return _report(args, payload, ok)
-    raise UsageError(f"unknown relation {relation!r}")
+        holds, steps = equivalence.behavioural_inclusion_upto(_stepper(doc1, refusal), _stepper(doc2, refusal), seqs)
+        # r and p only when drawn, so witnesses of u-only models keep their form
+        witness = None if steps is None else [
+            {"w": inp.w, "u": [encode_weight(v) for v in inp.u]}
+            | {key: [encode_weight(v) for v in getattr(inp, key)] for key in "rp" if getattr(inp, key)}
+            for inp in steps
+        ]
+    elif doc1.kind != "fa" or doc2.kind != "fa":
+        raise UsageError(f"{relation} checks compare fa documents; abstract first")
+    elif relation == "language":
+        regime = "exact" if args.exact else "exhaustive"
+        if args.exact:
+            holds, word = equivalence.language_equal_exact(doc1.model, doc2.model)
+        else:
+            holds, word = equivalence.language_equal_upto(doc1.model, doc2.model, bound)
+        witness = None if word is None else list(word)
+    else:
+        regime = "exact"
+        fixpoint = equivalence.greatest_simulation if relation == "simulation" else equivalence.bisimulation
+        relation_pairs = fixpoint(doc1.model, doc2.model)
+        holds = relation_pairs is not None
+        witness = sorted(map(list, relation_pairs.pairs)) if holds else None
+    payload: dict[str, Any] = {"regime": regime}
+    if regime != "exact":
+        payload["bound"] = bound
+    if witness is not None:
+        payload["witness"] = witness
+    return _report(args, payload, holds)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> tuple[str, int]:
@@ -413,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", parents=[formatted, seeded], help="check a relation between two models")
     p_chk.add_argument("model1")
     p_chk.add_argument("model2")
-    p_chk.add_argument("--bound", type=count, default=6)
+    p_chk.add_argument(
+        "--bound", type=count, help=f"longest word or step sequence of a bounded check (default {DEFAULT_BOUND})"
+    )
     p_chk.add_argument(
         "--relation",
         required=True,

@@ -74,10 +74,10 @@ class HybridAutomaton:
     """The translation of a switching system, open- or closed-loop as the
     system has a controller.  Everything else is read off the system:
     modes; discrete_inputs, the switching rule's alphabet; start, the
-    hybrid state at the system's initial state, n, its length, and init,
-    every mode at start; edges, mapping each edge (q, q') to the symbols
-    that can select q' (None when the rule does not declare them); meta,
-    the closed loop's state_layout."""
+    hybrid state at the system's initial state, and n, its length;
+    edges, mapping each edge (q, q') to the symbols that can select q'
+    (None when the rule does not declare them); meta, the closed loop's
+    state_layout."""
 
     system: SmplSystem
 
@@ -102,11 +102,6 @@ class HybridAutomaton:
         """x0, or z = (mode, x0, u, v) before the first step on a closed loop."""
         first = SmplBehaviour(self.system).init()
         return performance_signal(first.mode, first.x, first.u, first.v) if self.system.closed_loop else first.x
-
-    @property
-    def init(self) -> tuple[HybridState, ...]:
-        start = self.start
-        return tuple(HybridState(q, start) for q in self.modes)
 
     @property
     def discrete_inputs(self) -> tuple[str, ...]:

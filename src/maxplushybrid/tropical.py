@@ -52,11 +52,6 @@ def otimes(a: Weight, b: Weight) -> Weight:
     return a + b
 
 
-def oplus_dual(a: Weight, b: Weight) -> Weight:
-    """Min-plus addition: min(a, b).  TOP is the identity, EPS absorbs."""
-    return a if a <= b else b
-
-
 Vector = tuple[Weight, ...]
 
 
@@ -156,14 +151,6 @@ class TropicalMatrix:
         return TropicalMatrix(rows, cols, (EPS,) * (rows * cols))
 
     @staticmethod
-    def identity(n: int) -> "TropicalMatrix":
-        """UNIT on the diagonal, EPS elsewhere."""
-        ent = [EPS] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = UNIT
-        return TropicalMatrix(n, n, tuple(ent))
-
-    @staticmethod
     def row_vector(values: Sequence[float]) -> "TropicalMatrix":
         return TropicalMatrix(1, len(values), tuple(float(v) for v in values))
 
@@ -197,16 +184,6 @@ class TropicalMatrix:
         for i in range(self.rows):
             ent += eval_rows(columns, self.row(i))
         return TropicalMatrix(self.rows, other.cols, tuple(ent))
-
-    def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        """Entrywise max."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"shape mismatch for sum: {self.rows}x{self.cols} "
-                f"vs {other.rows}x{other.cols}"
-            )
-        ent = tuple(oplus(a, b) for a, b in zip(self.entries, other.entries))
-        return TropicalMatrix(self.rows, self.cols, ent)
 
     def power(self, k: int) -> "TropicalMatrix":
         """k-fold max-plus product of a square matrix, k >= 1."""

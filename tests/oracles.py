@@ -16,7 +16,22 @@ from maxplushybrid import hybrid, smpl
 from maxplushybrid.expressions import Const, InputVar, Max, Min, Plus, Scale, Var, _scale
 from maxplushybrid.finite import FiniteAutomaton, Word, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton
-from maxplushybrid.tropical import EPS, TOP, UNIT, TropicalMatrix, Weight, oplus, oplus_dual, otimes
+from maxplushybrid.tropical import EPS, TOP, UNIT, TropicalMatrix, Weight, oplus, otimes
+
+
+def oplus_dual(a: Weight, b: Weight) -> Weight:
+    """Min-plus addition: min(a, b).  TOP is the identity, EPS absorbs."""
+    return a if a <= b else b
+
+
+def identity_matrix(n: int) -> TropicalMatrix:
+    """UNIT on the diagonal, EPS elsewhere."""
+    return TropicalMatrix(n, n, tuple(UNIT if i == j else EPS for i in range(n) for j in range(n)))
+
+
+def initial_states(h: hybrid.HybridAutomaton) -> tuple[hybrid.HybridState, ...]:
+    """Every mode of the translation at its start state."""
+    return tuple(hybrid.HybridState(q, h.start) for q in h.modes)
 
 
 def word_value_by_paths(a: MaxPlusAutomaton, word) -> Weight:
@@ -455,7 +470,7 @@ class SuccessorSetRun(smpl.Stepper):
     automaton: hybrid.HybridAutomaton
 
     def init(self) -> smpl.StepRecord:
-        return smpl.StepRecord(0, None, self.automaton.init[0].x, (), ())
+        return smpl.StepRecord(0, None, self.automaton.start, (), ())
 
     def step(self, state, inp):
         successors = hybrid.hybrid_step(self.automaton, state, inp)
@@ -803,7 +818,7 @@ def finite_edges_by_entry(mats, src_label, dst_label) -> set[tuple[str, str]]:
 def _initial_labels_by_scan(h: hybrid.HybridAutomaton, x_labels) -> set[str]:
     return {
         f"q{init_state.mode}.{x_labels[j]}"
-        for init_state in h.init
+        for init_state in initial_states(h)
         for j, value in enumerate(init_state.x)
         if value != EPS
     }

@@ -54,42 +54,42 @@ def write_documents():
 # (argv, exit code): sha256 of stdout.
 PINNED = {
     (("eval", "gaubert_mpa", "--word", "ab"), 0):
-        "28f323844eab1bc51a05a8f8fc848df6e3d0a3b056dd73067dbb5fb27b73b8d1",
+        "e8b3e6b8de4b2a0660a2d640d7892e267efe15f3f3a9e7fd248045b572c09f4f",
     (("eval", "gaubert_mpa", "--word", "ab", "--format", "json"), 0):
         "00c2ccf8d69b2b829609d70437cd2b64553aa614b1232188ec304794e6c104f8",
     (("eval", "gaubert-fa.json", "--word", "ab"), 0):
-        "6e0112fafb0c33696672833df56cf64f51d6bffac6ea3dd2dc6466999437a0c1",
+        "b77c0d1910f9c680fb18e06b6855ca35ca56626b647040ca1f257f1634af99a9",
     (("eval", "gaubert-fa.json", "--word", "b", "--format", "json"), 1):
         "6b92862b589d5219f7415552274ec454566e8c05c695363bf9224d3337e70e9b",
     (("simulate", "gaubert_mpa", "--word", "abba"), 0):
-        "25307769faebd9392a2025462f7878b9556fb8c43e43d94988d149e473f257a8",
+        "6764d3788959819653ad68dbd7c82206a0035cb858084e9785ed669cd898498a",
     (("simulate", "gaubert_mpa", "--word", "abba", "--format", "json"), 0):
         "8acb5f7c56d549202d64491ec91de37e918643f1ecf4b7546fab7d48a4a59320",
     (("simulate", "production_line", "--word", "l1,l2,l2,l1"), 0):
-        "9688ecabf9703ce95f7977737989b24a6af7b7aa203857ef336ed313bcb2a3c7",
+        "9e019096b6b339508d0ad44813d288b710c2d07d3e71635e3a64a6960641497e",
     (("simulate", "production_line", "--word", "l1,l2,l2,l1", "--format", "json"), 0):
         "e24f88438778ff53d8b298d1be4349d6068d02291b7ac110be772837ec48af95",
     (("simulate", "feedback-maha.json", "--word", "m1,m2,m2,m1"), 0):
-        "08f4665e8d5bb030cae6e8093cc9f7434941827eb801cf80c2fc900fad1505ff",
+        "f883b442c5348f6b5ded91804d841ba02350ca00452481c297a28b3869855395",
     (("simulate", "feedback-maha.json", "--word", "m1,m2,m2,m1", "--format", "json"), 0):
         "d08256180210cea87c80f53ba0e3af2fc3197ae5e8d7a52393da0d2f22237129",
     (("check", "gaubert-fa.json", "gaubert-fused.json", "--relation", "language"), 0):
-        "164462088e1af820813c9e4aeb60d751fcf3c4c509f8ed81ef196c5861dceb45",
+        "59776651a60f0f52619210f83a99057ddb880ab35b2e82c2c13b885afde72f7b",
     (("check", "gaubert-fa.json", "one-fa.json", "--relation", "language", "--format", "json"), 1):
-        "c34d10e0aed9044d10a1f1992db3e831bf7901bc4d1caebe8046bdbf690868a7",
+        "b21357ebf29125a79979ed73400ce05eeb8814cc230015b0d9ad00970ebd634e",
     (("check", "gaubert-fa.json", "gaubert-fused.json", "--relation", "language", "--exact",
       "--format", "json"), 0):
-        "76ec0c982a17231c61eb654a506fba8ab751bafb3a5ba8367fee96f59d554bbd",
+        "cbf3e331b050875a82f075f493928ecc41844e00a739a0416ac277258a95e33b",
     (("check", "gaubert-fa.json", "one-fa.json", "--relation", "language", "--exact"), 1):
-        "6e32f61a7cf4300894dbc21eb576addff80ed5705768b665085dd0b14d4e84a1",
+        "fe3b52debb9df72b3d15be40562df9ba76b5960d81bb235f6db36f16c76808e5",
     (("check", "gaubert-fa.json", "gaubert-fa.json", "--relation", "simulation"), 0):
-        "2918ec6c730501ef414f24a82c4e5888ea4763c61bdd56a6c85ebd17024d4a1a",
+        "b8a80d367f6df158d8c8a2f15b8a07dae1b368f2612750b6303e950520ea677d",
     (("check", "gaubert-fa.json", "one-fa.json", "--relation", "simulation", "--format", "json"), 1):
-        "56626114f458693c85cfb00340f6264660a177d2f42bb3d16d82b17a82d771b4",
+        "3aa07f4e718f7f175db04a0af1663f5b026f562b995cb031356cce3239777471",
     (("check", "gaubert-fa.json", "gaubert-fa.json", "--relation", "bisimulation", "--format", "json"), 0):
-        "7dc73c8433d8708d0c4ea90a9b49a68f21b65f1cdedf44d5d57c5618fd322440",
+        "3ae73692630d6d07ae4a35adb695ced199218458f2ec4160a96211c57564e91e",
     (("check", "gaubert-fa.json", "one-fa.json", "--relation", "bisimulation"), 1):
-        "1c8a41cff9a05659237b9074f68941547e9f8bf3b849a406c7ae9f825a468337",
+        "e1036bb6e9fc278cc8c050ec8c3ad4eae3ebd398479d5493a34766a05ede8339",
     (("check", "production_line", "line-maha.json", "--relation", "behaviour"), 0):
         "ec559e61d40974d4655053f84a9b71fea9de3dc1143df5ffbb31cc1c72c3efa0",
     (("check", "feedback_demo", "feedback-maha.json", "--relation", "behaviour", "--format", "json"), 0):
@@ -97,7 +97,7 @@ PINNED = {
     (("check", "gaubert_mpa", "one.json", "--relation", "behaviour", "--format", "json"), 1):
         "c6e209d93ceb7971596c50f01191c25b5261d7f0129988c2bf75ebc4a83fb4b9",
     (("check", "one.json", "gaubert-maha.json", "--relation", "behaviour", "--bound", "3"), 1):
-        "c480fd0f8cca4960f96f23228065da79ede50dc0692b9ac9b53ff1c1b7ba3c46",
+        "59396547023ca0944581c21640f9da89a7a93f6a3414b52a119bed93f74f6fe3",
     (("translate", "gaubert_mpa", "--to", "smpl"), 0):
         "f0bfcffc1e54e5c96472b87a3999b93974c142a26459165f9096bd0695e1c691",
     (("translate", "feedback_demo", "--to", "maha"), 0):
@@ -152,3 +152,67 @@ def test_a_document_without_modes_exits_two(tmp_path, kind, switching):
                  ("check", str(path), str(path), "--relation", "behaviour")):
         code, out, err = run_main(*argv)
         assert (code, out, err) == (2, "", "error: smpl: need at least one mode\n"), argv
+
+
+# relation flags: (true pair, false pair); every check reads documents
+# that write_documents writes or bundled fixtures
+CONTRACT = {
+    ("language",): (("gaubert-fa.json", "gaubert-fused.json"), ("gaubert-fa.json", "one-fa.json")),
+    ("language", "--exact"): (("gaubert-fa.json", "gaubert-fused.json"), ("gaubert-fa.json", "one-fa.json")),
+    ("simulation",): (("gaubert-fa.json", "gaubert-fa.json"), ("gaubert-fa.json", "one-fa.json")),
+    ("bisimulation",): (("gaubert-fa.json", "gaubert-fa.json"), ("gaubert-fa.json", "one-fa.json")),
+    ("behaviour",): (("production_line", "line-maha.json"), ("gaubert_mpa", "one.json")),
+}
+
+
+def report_keys(out, fmt):
+    """A report's top-level entries, each value as JSON spells it (text
+    reports: the rest of its line, or None for a value on later lines)."""
+    if fmt == "json":
+        return json.loads(out)
+    keys = {}
+    for line in out.splitlines()[1:]:
+        if not line.startswith(" "):
+            key, _, value = line.partition(":")
+            keys[key] = value.strip() or None
+    return keys
+
+
+@pytest.mark.parametrize("holds", [True, False])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("flags", list(CONTRACT), ids=" ".join)
+def test_every_check_reports_regime_bound_and_witness(documents, flags, fmt, holds):
+    models = CONTRACT[flags][not holds]
+    code, out, err = run_main("check", *models, "--relation", *flags, "--format", fmt)
+    assert (code, err) == (0 if holds else 1, "")
+    report = report_keys(out, fmt)
+    assert report["verdict"] in ((True, "true") if holds else (False, "false"))
+    exact = flags[0] in ("simulation", "bisimulation") or "--exact" in flags
+    assert report["regime"] in (("exact",) if exact else ("exhaustive", "sampled"))
+    # a bounded check run without --bound checks up to 6
+    assert report.get("bound") in ((None,) if exact else (6, "6"))
+    # evidence: the pairs of a relation that holds, a word or steps that differ
+    assert ("witness" in report) == (holds == (flags[0] in ("simulation", "bisimulation")))
+    # and nothing else: no per-relation key
+    assert set(report) <= {"command", "regime", "bound", "witness", "verdict"}
+
+
+def test_text_lines_keep_nesting_and_empty_containers():
+    value = {"a": [[1, [2, []]], [], {}], "b": {}, "c": [], "d": None, "e": [True, False, None],
+             "f": [{"x": [[]], "y": "s"}]}
+    assert cli._text_lines(value) == [
+        "a:",
+        "  - - 1",
+        "    - - 2",
+        "      - []",
+        "  - []",
+        "  - {}",
+        "b: {}",
+        "c: []",
+        "d: null",
+        "e: [true, false, null]",
+        "f:",
+        "  - x:",
+        "      - []",
+        "    y: s",
+    ]

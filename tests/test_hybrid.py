@@ -40,6 +40,7 @@ from maxplushybrid.tropical import EPS, TropicalMatrix
 from oracles import (
     InadmissibleInput,
     ScanAutomaton,
+    initial_states,
     language_upto,
     nfa_accepts_by_search,
     scan_run,
@@ -228,7 +229,7 @@ class TestOutEdgeTable:
 class TestOpenTranslation:
     def test_every_mode_is_initial_at_x0(self, gaubert, gaubert_maha):
         system = from_mpa(gaubert)
-        assert set(gaubert_maha.init) == {
+        assert set(initial_states(gaubert_maha)) == {
             HybridState(1, system.x0),
             HybridState(2, system.x0),
         }
@@ -585,7 +586,7 @@ class TestTranslationAttributes:
         build, word, modes, n, symbols, start, edges, layout, steps, outputs = TRANSLATIONS[name]
         h = build()
         assert (h.modes, h.n, h.discrete_inputs) == (modes, n, symbols)
-        assert h.init == tuple(HybridState(q, start) for q in modes)
+        assert h.start == start
         assert h.edges == edges
         assert h.meta.get("state_layout") == layout
         mode, z = None, start

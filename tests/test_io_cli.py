@@ -787,6 +787,17 @@ class TestSmplDocumentsAcrossCommands:
         assert result.stderr == "error: --exact applies to --relation language only\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("flags", [("simulation",), ("bisimulation",), ("language", "--exact")])
+    def test_bound_applies_to_bounded_checks_only(self, tmp_path, flags):
+        at = tmp_path / "at.json"
+        at.write_text(run_cli("abstract", "gaubert_mpa").stdout)
+        result = run_cli("check", str(at), str(at), "--relation", *flags, "--bound", "3")
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: --bound applies to --relation behaviour, and to --relation language without --exact\n"
+        )
+        assert result.stdout == ""
+
     def test_behaviour_check_between_documents_of_other_widths(self, tmp_path):
         # inputs are drawn at the wider document's r width, which the
         # bundled line does not take

@@ -20,7 +20,8 @@ from maxplushybrid.mpa import (
 )
 from maxplushybrid.smpl import StepInput, from_mpa, simulate, word_inputs
 from maxplushybrid.tropical import EPS, TOP, TropicalMatrix
-from oracles import accepted_words_by_paths, outputs, row_value_by_zip, step_row_dense, word_value_by_paths
+from oracles import accepted_words_by_paths, identity_matrix, outputs, row_value_by_zip, step_row_dense
+from oracles import word_value_by_paths
 from oracles import language_upto as fa_language
 
 weights = st.one_of(st.just(EPS), st.just(TOP), st.integers(min_value=-20, max_value=20).map(float))
@@ -231,7 +232,7 @@ class TestStepRow:
         zeros_and_eps = st.one_of(st.sampled_from((EPS, 0.0, -0.0)), st.integers(-5, 5).map(float))
         alpha = (0.0,) + tuple(data.draw(st.lists(zeros_and_eps, min_size=n - 1, max_size=n - 1)))
         beta = tuple(data.draw(st.lists(zeros_and_eps, min_size=n, max_size=n)))
-        a = MaxPlusAutomaton(tuple(map(str, range(n))), ("a",), alpha, {"a": TropicalMatrix.identity(n)}, beta)
+        a = MaxPlusAutomaton(tuple(map(str, range(n))), ("a",), alpha, {"a": identity_matrix(n)}, beta)
         row = tuple(data.draw(st.lists(st.one_of(zeros_and_eps, st.just(TOP)), min_size=n, max_size=n)))
         assert repr(row_value(a, row)) == repr(row_value_by_zip(a, row))
 

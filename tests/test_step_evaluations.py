@@ -179,7 +179,7 @@ class TestEvaluationCounts:
     def test_one_eval_state_and_one_resolution_per_hybrid_step(self, counts, gaubert):
         for system, translate, word in systems_and_words(gaubert):
             automaton = translate(system)
-            states = [automaton.init[0]] + [
+            states = [HybridState(1, automaton.start)] + [
                 HybridState(rec.mode, rec.x)
                 for rec in run(automaton, word_inputs(word)).records
             ]
