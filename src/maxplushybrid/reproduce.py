@@ -1,10 +1,12 @@
 """End-to-end verification suite over the bundled fixtures.
 
-Each check recomputes an expected value through a route independent of the
-code path it validates: word values against explicit path enumeration,
+Most checks recompute an expected value through a route independent of the
+code path they validate: word values against explicit path enumeration,
 matrix-form steps against raw expression evaluation, abstractions against
-exhaustive bounded-language search.  The report content is a deterministic
-function of the seed so runs can be compared byte for byte.
+exhaustive bounded-language search.  Two are same-route comparisons:
+smpl-maha-open-traces and smpl-maha-closed-traces compare smpl.simulate
+with hybrid.run, and both step through smpl.advance.  The report content
+is a deterministic function of the seed so runs can be compared byte for byte.
 """
 
 from __future__ import annotations

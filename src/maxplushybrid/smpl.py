@@ -560,6 +560,7 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
     rng = random.Random(seed)
     dims = s.dims
     symbols = rule.alphabet
+    prev_modes = [None, *range(1, s.n_modes + 1)]
 
     def rand_vec(name: str, size: int) -> tuple[Weight, ...]:
         finite = name in ("u", "r", "p")
@@ -570,7 +571,7 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
 
     def rand_probe() -> SwitchProbe:
         return SwitchProbe(
-            prev_mode=rng.choice([None] + list(range(1, s.n_modes + 1))),
+            prev_mode=rng.choice(prev_modes),
             x=rand_vec("x", dims.n),
             u=rand_vec("u", dims.n_u),
             v=rand_vec("v", dims.n_v),
@@ -580,31 +581,13 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
         )
 
     def variants(probe: SwitchProbe, name: str) -> list[SwitchProbe]:
-        out = []
-        for _ in range(3):
-            repl: dict = {}
-            if name == "prev_mode":
-                repl["prev_mode"] = rng.choice(
-                    [None] + list(range(1, s.n_modes + 1))
-                )
-            elif name == "w":
-                if not symbols:
-                    return []
-                repl["w"] = rng.choice(symbols)
-            else:
-                size = len(getattr(probe, name))
-                if size == 0:
-                    return []
-                repl[name] = rand_vec(name, size)
-            out.append(
-                SwitchProbe(
-                    **{
-                        f: repl.get(f, getattr(probe, f))
-                        for f in ("prev_mode", "x", "u", "v", "w", "r", "p")
-                    }
-                )
-            )
-        return out
+        """Three copies of probe with the field redrawn; none if it has nothing to draw from."""
+        if name == "prev_mode":
+            return [probe._replace(prev_mode=rng.choice(prev_modes)) for _ in range(3)]
+        if name == "w":
+            return [probe._replace(w=rng.choice(symbols)) for _ in range(3)] if symbols else []
+        size = len(getattr(probe, name))
+        return [probe._replace(**{name: rand_vec(name, size)}) for _ in range(3)] if size else []
 
     claimed = _CLAIMED_INDEPENDENT[rule.kind]
     for _ in range(probes):

@@ -11,25 +11,30 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import sys
 before = set(sys.modules)
-import maxplushybrid, maxplushybrid.cli, maxplushybrid.reproduce
-print("\\n".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+import {modules}
+print("\\n".join(sorted({{name.partition(".")[0] for name in set(sys.modules) - before}})))
 """
 
 
-def test_imports_load_only_the_standard_library():
-    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+def third_party(modules, *path):
+    """The top-level modules outside the standard library that importing
+    modules (an import statement's list) loads, in a fresh interpreter
+    with src and path on PYTHONPATH."""
+    path = os.pathsep.join([str(SRC), *map(str, path)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", PROBE.format(modules=modules)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
         check=True,
     )
-    loaded = set(proc.stdout.split())
-    assert "maxplushybrid" in loaded
-    foreign = sorted(name for name in loaded if name != "maxplushybrid" and name not in sys.stdlib_module_names)
-    assert not foreign, f"non-stdlib modules imported: {foreign}"
+    return sorted(name for name in proc.stdout.split() if name not in sys.stdlib_module_names)
+
+
+def test_imports_load_only_the_standard_library():
+    loaded = third_party("maxplushybrid, maxplushybrid.cli, maxplushybrid.reproduce")
+    assert loaded == ["maxplushybrid"], f"non-stdlib modules imported: {loaded}"
 
 
 def test_the_package_needs_no_data_file(tmp_path):
