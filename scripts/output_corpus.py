@@ -99,6 +99,20 @@ def mpa_runs(model: str, stem: str, body: dict, bound: int) -> Iterator[Run]:
         yield from behaviour_checks(f"{stem}-maha.json", f"{stem}-{kind}.json")
 
 
+def deep_behaviour_checks(gaubert: dict) -> Iterator[Run]:
+    """Behaviour checks at bound 12, where models with integer weights step
+    each normalised pair of states once; a copy of gaubert_mpa whose finite
+    weights are 0.1 steps every prefix."""
+    deep = ("--relation", "behaviour", "--bound", "12")
+    for pair in (("production_line", "line-maha.json"), ("gaubert_mpa", "gaubert-maha.json"),
+                 ("gaubert-maha.json", "gaubert-raised.json")):
+        yield from mph("check", *pair, *deep)
+    mu = {s: [[w if w == "-inf" else 0.1 for w in row] for row in rows] for s, rows in gaubert["mu"].items()}
+    yield from write("tenths.json", json.dumps({**gaubert, "mu": mu}))
+    yield from mph("translate", "tenths.json", "--to", "maha", save="tenths-maha.json")
+    yield from mph("check", "tenths.json", "tenths-maha.json", *deep)
+
+
 def runs() -> Iterator[Run]:
     """The corpus in order: a run reads only files that earlier runs saved."""
     bundled = {name: fixtures.fixture_text(name) for name in fixtures.FIXTURE_NAMES}
@@ -118,6 +132,7 @@ def runs() -> Iterator[Run]:
     yield from mph("abstract", "line-maha.json", save="at.json")
     yield from fa_checks("line-fa.json", "at.json", 6)
     yield from mph("check", "at.json", "at.json", "--relation", "bisimulation")
+    yield from deep_behaviour_checks(json.loads(bundled["gaubert_mpa"]))
     line = json.loads(bundled["production_line"])
     yield from write("repeated.json", json.dumps({**line, "switching": {**line["switching"], "symbols": ["l1", "l1"]}}))
     yield from mph("abstract", "repeated.json")
@@ -125,6 +140,7 @@ def runs() -> Iterator[Run]:
     yield from write("u-steps.json", json.dumps([{"w": "m1", "u": [3]}, {"w": "m2", "u": [-1]}, {"w": "m2", "u": [0]}]))
     yield from model_runs("feedback_demo", "feedback", ["m1,m2,m1,m2"], "u-steps.json")
     yield from write("open.json", json.dumps({**json.loads(bundled["feedback_demo"]), "controller": None}))
+    yield from mph("simulate", "open.json", "--word", "m1,m2")
     yield from model_runs("open.json", "open", [], "u-steps.json")
     yield from behaviour_checks("open.json", "open-maha.json", "--seed", "7")
     rng = random.Random(7)

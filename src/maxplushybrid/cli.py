@@ -153,6 +153,13 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
     if args.word is not None and args.inputs is not None:
         raise UsageError("pass either --word or --inputs, not both")
     if args.word is not None:
+        system = _system(doc)
+        read = [] if system is None else [f"{key} (width {n})" for key, n in _input_widths(system).items() if n]
+        if read:
+            raise UsageError(
+                f"--word gives each step a symbol only, but this model also reads {' and '.join(read)} "
+                "on every step; pass the steps with --inputs"
+            )
         return smpl.word_inputs(parse_word(args.word, _symbols_of(doc)))
     if args.inputs is None:
         raise UsageError("simulate needs --word or --inputs")
@@ -201,6 +208,14 @@ def _system(doc: ModelDocument) -> smpl.SmplSystem | None:
     if doc.kind == "smpl":
         return doc.model
     return doc.model.system if doc.kind == "maha" else None
+
+
+def _input_widths(system: smpl.SmplSystem) -> dict[str, int]:
+    """The widths of the continuous inputs a step of the system reads from
+    its step input: u, which a controller computes itself, so only an open
+    loop's, then r and p."""
+    d = system.dims
+    return {"u": 0 if system.closed_loop else d.n_u, "r": d.n_r, "p": d.n_p}
 
 
 def _symbols_of(doc: ModelDocument) -> tuple[str, ...]:
@@ -292,9 +307,7 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
     widths = {"u": 0, "r": 0, "p": 0}
     for system in map(_system, (doc1, doc2)):
         if system is not None:
-            d = system.dims
-            # a controller computes u itself, so only open loops take it as input
-            for key, width in (("u", 0 if system.closed_loop else d.n_u), ("r", d.n_r), ("p", d.n_p)):
+            for key, width in _input_widths(system).items():
                 widths[key] = max(widths[key], width)
     if not any(widths.values()):
         regime = "exhaustive"

@@ -18,9 +18,20 @@ stepper protocol of smpl.Stepper (init, step, complete, fold); two runs
 agree where their records' outputs y do.  Each class's stepper lives
 beside its step code (smpl.SmplBehaviour, hybrid.MahaBehaviour,
 mpa.MpaBehaviour) and is re-exported here.  Input
-sequences share prefixes, so the bounded check walks a trie of them, one
-level per input keyed by the input, steps each distinct prefix once and
-keeps the two systems' states per prefix for the length of one call.
+sequences share prefixes, so the bounded check walks a graph of them, one
+child per input, and keeps the two systems' states per prefix for the
+length of one call.  Input-free max-plus runs are homogeneous: adding c to
+a state adds c to every later state and output, and halting and completion
+read only which entries are finite.  So a prefix whose pair of states
+equals an earlier one's up to one shared constant shares that prefix's
+children (the normalisation of max-plus determinisation, Mohri 1997), and
+each normalised pair is stepped once.  Pairs are keyed through the
+steppers' shift_key, which qualifies every max-plus automaton and every
+switching system, or its translation, without controller or inputs whose
+rule is a document symbol_liveness or externally_driven one, in each case
+only with integer weights, so that floats keep the shift exact.  Other
+models walk the plain trie of prefixes.  Verdicts and witnesses are those
+of stepping every prefix.
 """
 
 from __future__ import annotations
@@ -29,13 +40,14 @@ import collections
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .finite import FiniteAutomaton, Word
 # The three steppers are re-exported: the benchmark names them through this module.
 from .hybrid import MahaBehaviour
 from .mpa import MpaBehaviour
-from .smpl import SmplBehaviour, StepInput, Stepper
+from .smpl import SmplBehaviour, StepInput, Stepper, StepRecord
+from .tropical import EPS, TOP, is_finite
 
 
 EXACT_STATE_CAP = 12
@@ -338,31 +350,64 @@ def behavioural_inclusion_upto(
     of input_sequences determines which counterexample is reported, so feed
     it length-ordered when the shortest one matters.
 
-    Each distinct input prefix is stepped once: the walk keeps a trie of
-    the prefixes seen, each node holding sys1's state (None once dead,
-    which makes every extension vacuous) and sys2's state (None once dead
-    or once an output disagreed), and a sequence only steps past the
-    longest prefix already in it.
+    The walk keeps a graph of the prefixes seen, one node per prefix
+    holding sys1's state (None once dead, which makes every extension
+    vacuous) and sys2's state (None once dead or once an output
+    disagreed), with one child per input; a sequence steps only past the
+    longest prefix already in it.  When the walk first steps past a node,
+    it keys the node's pair of states by both steppers' shift_key, with c
+    the largest finite entry of sys1's x (see _pair_key).  A node whose
+    key an earlier node holds shares that node's children: the two pairs
+    differ by one constant, so every extension has the same verdict, and
+    each normalised pair is stepped once, whatever its depth or prefix.
+    Without keys (a stepper that returns None) the graph is the trie of
+    the prefixes.  Verdict and witness are those of stepping every prefix:
+    the sequences are still judged one by one, in order.
     """
-    root = (sys1.init(), sys2.init(), {})
+    start = sys1.init()
+    root = [start, sys2.init(), None]
+    # A stepper keys its start exactly when its model qualifies, and the
+    # states of one that does not need not even hold weights.
+    shared: dict[Hashable, dict] | None = None if sys1.shift_key(start, 0.0) is None else {}
     for seq in input_sequences:
         seq = tuple(seq)
-        s1, s2, children = root
+        node = root
         for inp in seq:
+            s1, s2, children = node
             if s1 is None:
                 break
-            node = children.get(inp)
-            if node is None:
+            if children is None:
+                key = None if shared is None else _pair_key(sys1, sys2, s1, s2)
+                children = node[2] = {} if key is None else shared.setdefault(key, {})
+            child = children.get(inp)
+            if child is None:
                 s1 = sys1.step(s1, inp)
                 if s1 is not None and s2 is not None:
                     s2 = sys2.step(s2, inp)
                     if s2 is not None and s2.y != s1.y:
                         s2 = None
-                node = children[inp] = (s1, s2, {})
-            s1, s2, children = node
+                child = children[inp] = [s1, s2, None]
+            node = child
+        s1, s2, _ = node
         if s1 is not None and sys1.complete(s1) and (s2 is None or not sys2.complete(s2)):
             return False, seq
     return True, None
+
+
+def _pair_key(sys1: Stepper, sys2: Stepper, s1: StepRecord, s2: StepRecord | None) -> Hashable | None:
+    """The pair jointly normalised: both states less the largest finite
+    entry of s1's x (0 when it has none).  A dead s2 keys as None, since
+    sys2 then plays no further part; None when a stepper gives no key."""
+    c = max(s1.x, default=0.0)
+    if c == EPS or c == TOP:
+        c = max(filter(is_finite, s1.x), default=0.0)
+    key1 = sys1.shift_key(s1, c)
+    if key1 is None:
+        return None
+    if s2 is None:
+        return key1, None
+    key2 = sys2.shift_key(s2, c)
+    return None if key2 is None else (key1, key2)
 
 
 def exhaustive_words(alphabet: Sequence[str], max_len: int) -> Iterable[Word]:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from .finite import FiniteAutomaton, Word, make_delta
-from .smpl import StepInput, Stepper, StepRecord
-from .tropical import EPS, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
+from .smpl import StepInput, Stepper, StepRecord, record_key
+from .tropical import EPS, EXACT_STATE, EXACT_WEIGHT, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
+from .tropical import integral_below
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,18 @@ class MaxPlusAutomaton:
         """beta as one eval_rows row: a row vector's value is its product
         with beta, whose weights are finite or EPS."""
         return TropicalMatrix.row_vector(self.beta).compiled
+
+    @functools.cached_property
+    def shift_exact(self) -> bool:
+        """Whether the automaton's runs are shift-invariant in floats (see
+        smpl.Stepper): integer transition and final weights below
+        EXACT_WEIGHT and integral initial weights.  Every automaton's runs
+        are shift-invariant; this decides, once, that floats keep them so."""
+        return (
+            all(m.exact for m in self.mu.values())
+            and integral_below(self.beta, EXACT_WEIGHT)
+            and integral_below(self.alpha, EXACT_STATE)
+        )
 
     @functools.cached_property
     def _symbol_steps(self) -> dict[str, tuple[int, TropicalMatrix]]:
@@ -123,6 +136,9 @@ class MpaBehaviour(Stepper):
 
     def complete(self, state: StepRecord) -> bool:
         return state.y[0] != EPS
+
+    def shift_key(self, state: StepRecord, c: Weight) -> Hashable | None:
+        return record_key(state, c) if self.automaton.shift_exact else None
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

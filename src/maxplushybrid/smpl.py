@@ -4,8 +4,11 @@ Per event step the switching rule resolves the active mode from the
 previous mode, the previous continuous state and the step's inputs; the
 resolved mode's dynamics then advance the state and produce the output.
 Rules may return several candidate modes; stepping picks the smallest
-index but the full candidate set is kept in the trace so equivalence
-checks can see the nondeterminism.  An empty candidate set halts the run.
+index and keeps the full candidate set in the record's successor_modes,
+which simulate reports but no check reads: behaviour checks follow the
+smallest candidate mode, which is also the run their memo of normalised
+states keys on.  Checking every run is ROADMAP.md's item 12.  An empty
+candidate set halts the run.
 
 One function, resolve_step, resolves a step for the system and for its
 hybrid translation alike: it resolves the controlled inputs (the
@@ -27,9 +30,11 @@ and a rule's output is deduplicated and sorted only when it holds more
 than one candidate.
 
 Every model class runs through the one stepper protocol defined here
-(Stepper: init, step, complete and fold), with one StepRecord per step,
-whose y is the step's output, and one Trace per run; a run of any class
-is Stepper.fold over its inputs, and a run halts where step returns None.
+(Stepper: init, step, complete and fold, and the optional shift_key
+that bounded behaviour checks key states by), with one StepRecord per
+step, whose y is the step's output, and one Trace per run; a run of any
+class is Stepper.fold over its inputs, and a run halts where step
+returns None.
 SmplBehaviour is this module's stepper, whose step is the module function
 step(s, state, inp): it takes the last step's record (init's before the
 first step) and returns the next one, or None when the rule admits no
@@ -43,12 +48,13 @@ hybrid.MahaBehaviour and mpa.MpaBehaviour are the other two steppers.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .expressions import MatrixForm
-from .tropical import EPS, TropicalMatrix, Weight, has_finite_entry
+from .tropical import EPS, EXACT_STATE, EXACT_STEPS, TropicalMatrix, Weight, has_finite_entry, integral_below
 
 if TYPE_CHECKING:
     from .mpa import MaxPlusAutomaton
@@ -149,6 +155,14 @@ class SwitchingRule:
     def alphabet(self) -> tuple[str, ...]:
         """The distinct symbols in mode order: the symbols a step can read."""
         return tuple(dict.fromkeys(self.symbols or ()))
+
+    @property
+    def shift_invariant(self) -> bool:
+        """Whether the candidates read only w and which entries of x are
+        finite, so that adding one constant to x leaves them as they are:
+        true of the rules symbol_liveness_rule and externally_driven_rule
+        build, whose successors carry that mark, and of no other."""
+        return getattr(self.successors, "shift_invariant", False)
 
     def enabling_symbols(self, mode: int) -> frozenset[str] | None:
         """Symbols that can select the mode, when declaratively known."""
@@ -282,6 +296,14 @@ class Stepper:
     can be in the model's behaviour (the run halts); complete says whether
     the inputs themselves are.  The two differ for a max-plus automaton,
     whose unaccepted words can have accepted extensions.
+
+    shift_key(state, c) is optional: the state's mode and its x less the
+    finite c, or None (the default).  A stepper returns a key only where
+    its runs are shift-invariant in floats: adding c to every finite entry
+    of x adds c to every later state and output, exactly, and moves no
+    halt or completion.  Two states whose keys agree then behave alike up
+    to that shift, which lets a bounded behaviour check step one of them
+    for both.
     """
 
     def init(self) -> StepRecord:
@@ -292,6 +314,9 @@ class Stepper:
 
     def complete(self, state: StepRecord) -> bool:
         return True
+
+    def shift_key(self, state: StepRecord, c: Weight) -> Hashable | None:
+        return None
 
     def fold(self, inputs: Iterable[StepInput]) -> Trace:
         """The run over the inputs from init, cut at the step that halts."""
@@ -335,6 +360,22 @@ class SmplSystem:
     @property
     def closed_loop(self) -> bool:
         return self.controller is not None
+
+    @functools.cached_property
+    def shift_exact(self) -> bool:
+        """Whether the system's runs are shift-invariant in floats (see
+        Stepper): no controller and no u, v, r or p, a shift-invariant
+        rule, integer weights below EXACT_WEIGHT and integral x0 entries
+        below EXACT_STATE.  Decided once per system."""
+        d = self.dims
+        return (
+            self.controller is None
+            and d.input_width == 0
+            and d.n_v == 0
+            and self.switching.shift_invariant
+            and integral_below(self.x0, EXACT_STATE)
+            and all(m.exact for f in (mode.form for mode in self.modes.values()) for m in f.A + f.B + f.C + f.D)
+        )
 
 
 def resolve_inputs(
@@ -438,9 +479,20 @@ class SmplBehaviour(Stepper):
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         return step(self.system, state, inp)
 
+    def shift_key(self, state: StepRecord, c: Weight) -> Hashable | None:
+        return record_key(state, c) if self.system.shift_exact else None
+
     # Each stepper class holds its own trace: perfbench/tracing.py wraps
     # cls.__dict__["trace"] per class.
     trace = Stepper.trace
+
+
+def record_key(state: StepRecord, c: Weight) -> tuple | None:
+    """A shift-exact stepper's shift_key: (mode, x - c), or None at
+    EXACT_STEPS steps or more, where exactness is no longer assured
+    (tropical).  c is finite, so EPS and TOP stay as they are.  The mode
+    is in the key because a system's output reads that mode's C."""
+    return (state.mode, tuple([a - c for a in state.x])) if state.k < EXACT_STEPS else None
 
 
 def simulate(s: SmplSystem, inputs: Sequence[StepInput]) -> Trace:
@@ -479,6 +531,8 @@ def symbol_liveness_rule(
                 out += (Candidate(mode, x, dynamics),)
         return out
 
+    successors.shift_invariant = True  # which entries are finite does not move under a shift
+
     return SwitchingRule(
         kind=kind,
         successors=successors,
@@ -498,6 +552,8 @@ def externally_driven_rule(symbols: Sequence[str]) -> SwitchingRule:
 
     def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
         return table.get(probe.w, ())
+
+    successors.shift_invariant = True  # reads w alone
 
     return SwitchingRule(
         kind=SwitchingKind.EXTERNALLY_DRIVEN,

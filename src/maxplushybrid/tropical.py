@@ -13,6 +13,16 @@ max-plus automaton's row vector.  It adds by hand over non-EPS weights
 only, and keeps a sum only when it is strictly above the running maximum:
 a finite weight plus EPS is EPS, and TOP plus EPS is NaN, which no
 comparison takes, so EPS absorbs there without a check.
+
+Doubles hold every integer below 2**53 exactly, so max-plus and min-plus
+sums of integers are exact while they stay below it.  Each entry a step
+computes is a max or min of entries plus one weight each, so a step
+raises the largest finite magnitude by at most the largest weight's.
+From integral start entries below ``EXACT_STATE`` (2**50) in magnitude,
+under integer weights below ``EXACT_WEIGHT`` (2**20), both decided by
+``integral_below``, a state fewer than ``EXACT_STEPS`` (2**30) steps deep
+has integer entries below 2**51 in magnitude, and every sum of the next
+6 * 2**30 steps is exact: far more than any run takes.
 """
 
 from __future__ import annotations
@@ -53,6 +63,17 @@ def otimes(a: Weight, b: Weight) -> Weight:
 
 
 Vector = tuple[Weight, ...]
+
+
+EXACT_WEIGHT: Weight = 2.0**20
+EXACT_STATE: Weight = 2.0**50
+EXACT_STEPS = 2**30
+
+
+def integral_below(values: Sequence[Weight], limit: Weight) -> bool:
+    """Whether every finite value is an integer of magnitude below limit;
+    EPS and TOP pass.  Each distinct value is checked once."""
+    return all(v == EPS or v == TOP or (-limit < v < limit and float(v).is_integer()) for v in set(values))
 
 
 def has_finite_entry(x: Sequence[Weight]) -> bool:
@@ -201,6 +222,12 @@ class TropicalMatrix:
 
     def has_top_entry(self) -> bool:
         return any(a == TOP for a in self.entries)
+
+    @functools.cached_property
+    def exact(self) -> bool:
+        """Whether every finite weight is an integer below EXACT_WEIGHT in
+        magnitude, so products with exact states stay exact."""
+        return integral_below(self.entries, EXACT_WEIGHT)
 
     @functools.cached_property
     def row_support(self) -> tuple[Pairs, ...]:

@@ -499,6 +499,33 @@ def behavioural_inclusion_by_replay(sys1, sys2, input_sequences):
     return True, None
 
 
+def behavioural_inclusion_by_trie(sys1, sys2, input_sequences):
+    """The shared-prefix walk without keys: a trie of the prefixes seen,
+    each node holding sys1's state (None once dead) and sys2's state (None
+    once dead or once an output disagreed), so each distinct prefix is
+    stepped once; as opposed to the walk that shares the children of
+    nodes whose normalised pairs agree."""
+    root = (sys1.init(), sys2.init(), {})
+    for seq in input_sequences:
+        seq = tuple(seq)
+        s1, s2, children = root
+        for inp in seq:
+            if s1 is None:
+                break
+            node = children.get(inp)
+            if node is None:
+                s1 = sys1.step(s1, inp)
+                if s1 is not None and s2 is not None:
+                    s2 = sys2.step(s2, inp)
+                    if s2 is not None and s2.y != s1.y:
+                        s2 = None
+                node = children[inp] = (s1, s2, {})
+            s1, s2, children = node
+        if s1 is not None and sys1.complete(s1) and (s2 is None or not sys2.complete(s2)):
+            return False, seq
+    return True, None
+
+
 def random_nfa(rng: random.Random, n_states: int = 3, symbols=("a", "b"), density: float = 0.35) -> FiniteAutomaton:
     """States s0, s1, ...; each (state, symbol, state) triple is a
     transition with probability density."""

@@ -531,7 +531,36 @@ class TestInputWidths:
         model.write_text(serialize_body(body))
         result = run_cli("simulate", str(model), "--word", "l1")
         assert result.returncode == 2
-        assert result.stderr.startswith("error:") and "expected 1" in result.stderr
+        assert result.stderr == (
+            "error: --word gives each step a symbol only, but this model also reads r (width 1) "
+            "on every step; pass the steps with --inputs\n"
+        )
+
+    @pytest.mark.parametrize(
+        "body, word, read",
+        [
+            (fixture_variant("feedback_demo", drop_controller=True), "m1,m2", "u (width 1)"),
+            (fixture_variant("production_line", n_r=1, n_p=2), "l1", "r (width 1) and p (width 2)"),
+        ],
+        ids=["open-loop-u", "r-and-p"],
+    )
+    def test_word_is_refused_where_a_step_reads_more_than_its_symbol(self, tmp_path, body, word, read):
+        model = tmp_path / "m.json"
+        model.write_text(serialize_body(body))
+        maha = tmp_path / "maha.json"
+        maha.write_text(run_cli("translate", str(model), "--to", "maha").stdout)
+        for path in (model, maha):
+            result = run_cli("simulate", str(path), "--word", word)
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == (
+                f"error: --word gives each step a symbol only, but this model also reads {read} "
+                "on every step; pass the steps with --inputs\n"
+            )
+
+    def test_word_runs_a_closed_loop_whose_controller_gives_u(self):
+        result = run_cli("simulate", "feedback_demo", "--word", "m1,m2", "--format", "json")
+        assert result.returncode == 0, result.stderr
+        assert [rec["y"] for rec in json.loads(result.stdout)["trace"]] == [[2], [3]]
 
     def test_extra_exogenous_inputs_are_an_error_not_ignored(self, tmp_path):
         # externally driven switching reads no window, so only the step checks it
