@@ -102,7 +102,8 @@ def mpa_runs(model: str, stem: str, body: dict, bound: int) -> Iterator[Run]:
 def deep_behaviour_checks(gaubert: dict) -> Iterator[Run]:
     """Behaviour checks at bound 12, where models with integer weights step
     each normalised pair of states once; a copy of gaubert_mpa whose finite
-    weights are 0.1 steps every prefix."""
+    weights are 0.1 steps every prefix, and so does one with an unreachable
+    fourth state of weights 0.5, against gaubert_mpa in either order."""
     deep = ("--relation", "behaviour", "--bound", "12")
     for pair in (("production_line", "line-maha.json"), ("gaubert_mpa", "gaubert-maha.json"),
                  ("gaubert-maha.json", "gaubert-raised.json")):
@@ -111,6 +112,16 @@ def deep_behaviour_checks(gaubert: dict) -> Iterator[Run]:
     yield from write("tenths.json", json.dumps({**gaubert, "mu": mu}))
     yield from mph("translate", "tenths.json", "--to", "maha", save="tenths-maha.json")
     yield from mph("check", "tenths.json", "tenths-maha.json", *deep)
+    halves = {
+        **gaubert,
+        "states": [*gaubert["states"], "4"],
+        "alpha": [*gaubert["alpha"], "-inf"],
+        "beta": [*gaubert["beta"], 0.5],
+        "mu": {s: [*([*row, "-inf"] for row in rows), [0.5] * (len(rows) + 1)] for s, rows in gaubert["mu"].items()},
+    }
+    yield from write("halves.json", json.dumps(halves))
+    yield from mph("check", "gaubert_mpa", "halves.json", *deep)
+    yield from mph("check", "halves.json", "gaubert_mpa", *deep)
 
 
 def runs() -> Iterator[Run]:

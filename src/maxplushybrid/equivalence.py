@@ -25,11 +25,12 @@ a state adds c to every later state and output, and halting and completion
 read only which entries are finite.  So a prefix whose pair of states
 equals an earlier one's up to one shared constant shares that prefix's
 children (the normalisation of max-plus determinisation, Mohri 1997), and
-each normalised pair is stepped once.  Pairs are keyed through the
-steppers' shift_key, which qualifies every max-plus automaton and every
-switching system, or its translation, without controller or inputs whose
-rule is a document symbol_liveness or externally_driven one, in each case
-only with integer weights, so that floats keep the shift exact.  Other
+each normalised pair is stepped once.  A stepper only says whether its
+runs are shift-exact (smpl.Stepper.shift_exact): every max-plus automaton
+and every switching system, or its translation, without controller or
+inputs whose rule is a document symbol_liveness or externally_driven one,
+in each case only with integer weights, so that floats keep the shift
+exact.  The key itself, normalised_pair, is this module's alone.  Other
 models walk the plain trie of prefixes.  Verdicts and witnesses are those
 of stepping every prefix.
 """
@@ -47,7 +48,7 @@ from .finite import FiniteAutomaton, Word
 from .hybrid import MahaBehaviour
 from .mpa import MpaBehaviour
 from .smpl import SmplBehaviour, StepInput, Stepper, StepRecord
-from .tropical import EPS, TOP, is_finite
+from .tropical import EPS, EXACT_STEPS, TOP, is_finite
 
 
 EXACT_STATE_CAP = 12
@@ -354,21 +355,20 @@ def behavioural_inclusion_upto(
     holding sys1's state (None once dead, which makes every extension
     vacuous) and sys2's state (None once dead or once an output
     disagreed), with one child per input; a sequence steps only past the
-    longest prefix already in it.  When the walk first steps past a node,
-    it keys the node's pair of states by both steppers' shift_key, with c
-    the largest finite entry of sys1's x (see _pair_key).  A node whose
-    key an earlier node holds shares that node's children: the two pairs
-    differ by one constant, so every extension has the same verdict, and
-    each normalised pair is stepped once, whatever its depth or prefix.
-    Without keys (a stepper that returns None) the graph is the trie of
-    the prefixes.  Verdict and witness are those of stepping every prefix:
-    the sequences are still judged one by one, in order.
+    longest prefix already in it.  When the walk first steps past a node
+    whose states are keyed (sys1 shift-exact, and sys2 too unless its
+    state is dead), it keys the node's pair by normalised_pair.  A node
+    whose key an earlier node holds shares that node's children: the two
+    pairs differ by one constant, so every extension has the same
+    verdict, and each normalised pair is stepped once, whatever its depth
+    or prefix.  Without keys the graph is the trie of the prefixes; the
+    states of a stepper that is not shift-exact need not even hold
+    weights.  Verdict and witness are those of stepping every prefix: the
+    sequences are still judged one by one, in order.
     """
-    start = sys1.init()
-    root = [start, sys2.init(), None]
-    # A stepper keys its start exactly when its model qualifies, and the
-    # states of one that does not need not even hold weights.
-    shared: dict[Hashable, dict] | None = None if sys1.shift_key(start, 0.0) is None else {}
+    root = [sys1.init(), sys2.init(), None]
+    exact1, exact2 = sys1.shift_exact, sys2.shift_exact
+    shared: dict[Hashable, dict] = {}
     for seq in input_sequences:
         seq = tuple(seq)
         node = root
@@ -377,7 +377,7 @@ def behavioural_inclusion_upto(
             if s1 is None:
                 break
             if children is None:
-                key = None if shared is None else _pair_key(sys1, sys2, s1, s2)
+                key = normalised_pair(s1, s2) if exact1 and (exact2 or s2 is None) else None
                 children = node[2] = {} if key is None else shared.setdefault(key, {})
             child = children.get(inp)
             if child is None:
@@ -394,20 +394,20 @@ def behavioural_inclusion_upto(
     return True, None
 
 
-def _pair_key(sys1: Stepper, sys2: Stepper, s1: StepRecord, s2: StepRecord | None) -> Hashable | None:
-    """The pair jointly normalised: both states less the largest finite
-    entry of s1's x (0 when it has none).  A dead s2 keys as None, since
-    sys2 then plays no further part; None when a stepper gives no key."""
+def normalised_pair(s1: StepRecord, s2: StepRecord | None) -> Hashable | None:
+    """The key of a pair of shift-exact states: both less c, the largest
+    finite entry of s1's x (0 when it has none), as (mode, x - c) of s1
+    and of s2, with None for a dead s2, since sys2 then plays no further
+    part.  It holds every record field a step may read: the mode, as the
+    next step's previous mode, and x up to the shift.  c is finite, so
+    EPS and TOP stay as they are.  None at EXACT_STEPS steps or more,
+    where exactness is no longer assured (tropical)."""
+    if s1.k >= EXACT_STEPS:
+        return None
     c = max(s1.x, default=0.0)
     if c == EPS or c == TOP:
         c = max(filter(is_finite, s1.x), default=0.0)
-    key1 = sys1.shift_key(s1, c)
-    if key1 is None:
-        return None
-    if s2 is None:
-        return key1, None
-    key2 = sys2.shift_key(s2, c)
-    return None if key2 is None else (key1, key2)
+    return s1.mode, tuple([a - c for a in s1.x]), None if s2 is None else (s2.mode, tuple([a - c for a in s2.x]))
 
 
 def exhaustive_words(alphabet: Sequence[str], max_len: int) -> Iterable[Word]:

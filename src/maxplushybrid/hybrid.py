@@ -42,12 +42,12 @@ finite entries of start: no run steps or starts through +inf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
 from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
-from .smpl import advance, performance_signal, record_key, resolve_step, signal_x
+from .smpl import advance, performance_signal, resolve_step, signal_x
 from .tropical import Weight, is_finite
 
 
@@ -170,9 +170,10 @@ class MahaBehaviour(Stepper):
             x = performance_signal(mode, x, u, v)
         return StepRecord(state.k + 1, mode, x, y, successors)
 
-    def shift_key(self, state: StepRecord, c: Weight) -> Hashable | None:
+    @property
+    def shift_exact(self) -> bool:
         # A shift-exact system is an open loop, whose records hold x itself.
-        return record_key(state, c) if self.automaton.system.shift_exact else None
+        return self.automaton.system.shift_exact
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .finite import FiniteAutomaton, Word, make_delta
-from .smpl import StepInput, Stepper, StepRecord, record_key
+from .smpl import StepInput, Stepper, StepRecord
 from .tropical import EPS, EXACT_STATE, EXACT_WEIGHT, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
 from .tropical import integral_below
 
@@ -137,8 +137,9 @@ class MpaBehaviour(Stepper):
     def complete(self, state: StepRecord) -> bool:
         return state.y[0] != EPS
 
-    def shift_key(self, state: StepRecord, c: Weight) -> Hashable | None:
-        return record_key(state, c) if self.automaton.shift_exact else None
+    @property
+    def shift_exact(self) -> bool:
+        return self.automaton.shift_exact
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

@@ -30,11 +30,11 @@ and a rule's output is deduplicated and sorted only when it holds more
 than one candidate.
 
 Every model class runs through the one stepper protocol defined here
-(Stepper: init, step, complete and fold, and the optional shift_key
-that bounded behaviour checks key states by), with one StepRecord per
-step, whose y is the step's output, and one Trace per run; a run of any
-class is Stepper.fold over its inputs, and a run halts where step
-returns None.
+(Stepper: init, step, complete and fold, and the shift_exact flag by
+which bounded behaviour checks decide whether to key states), with one
+StepRecord per step, whose y is the step's output, and one Trace per
+run; a run of any class is Stepper.fold over its inputs, and a run
+halts where step returns None.
 SmplBehaviour is this module's stepper, whose step is the module function
 step(s, state, inp): it takes the last step's record (init's before the
 first step) and returns the next one, or None when the rule admits no
@@ -51,10 +51,10 @@ import enum
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .expressions import MatrixForm
-from .tropical import EPS, EXACT_STATE, EXACT_STEPS, TropicalMatrix, Weight, has_finite_entry, integral_below
+from .tropical import EPS, EXACT_STATE, TropicalMatrix, Weight, has_finite_entry, integral_below
 
 if TYPE_CHECKING:
     from .mpa import MaxPlusAutomaton
@@ -297,14 +297,15 @@ class Stepper:
     the inputs themselves are.  The two differ for a max-plus automaton,
     whose unaccepted words can have accepted extensions.
 
-    shift_key(state, c) is optional: the state's mode and its x less the
-    finite c, or None (the default).  A stepper returns a key only where
-    its runs are shift-invariant in floats: adding c to every finite entry
-    of x adds c to every later state and output, exactly, and moves no
-    halt or completion.  Two states whose keys agree then behave alike up
-    to that shift, which lets a bounded behaviour check step one of them
-    for both.
+    shift_exact says whether the runs are shift-invariant in floats
+    (False by default): adding a finite c to every finite entry of a
+    record's x adds c to every later state and output, exactly, and moves
+    no halt or completion.  Two states with one mode whose x agree up to
+    such a c then behave alike up to that shift, which lets a bounded
+    behaviour check step one of them for both (equivalence.normalised_pair).
     """
+
+    shift_exact = False
 
     def init(self) -> StepRecord:
         raise NotImplementedError
@@ -314,9 +315,6 @@ class Stepper:
 
     def complete(self, state: StepRecord) -> bool:
         return True
-
-    def shift_key(self, state: StepRecord, c: Weight) -> Hashable | None:
-        return None
 
     def fold(self, inputs: Iterable[StepInput]) -> Trace:
         """The run over the inputs from init, cut at the step that halts."""
@@ -479,20 +477,13 @@ class SmplBehaviour(Stepper):
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         return step(self.system, state, inp)
 
-    def shift_key(self, state: StepRecord, c: Weight) -> Hashable | None:
-        return record_key(state, c) if self.system.shift_exact else None
+    @property
+    def shift_exact(self) -> bool:
+        return self.system.shift_exact
 
     # Each stepper class holds its own trace: perfbench/tracing.py wraps
     # cls.__dict__["trace"] per class.
     trace = Stepper.trace
-
-
-def record_key(state: StepRecord, c: Weight) -> tuple | None:
-    """A shift-exact stepper's shift_key: (mode, x - c), or None at
-    EXACT_STEPS steps or more, where exactness is no longer assured
-    (tropical).  c is finite, so EPS and TOP stay as they are.  The mode
-    is in the key because a system's output reads that mode's C."""
-    return (state.mode, tuple([a - c for a in state.x])) if state.k < EXACT_STEPS else None
 
 
 def simulate(s: SmplSystem, inputs: Sequence[StepInput]) -> Trace:

@@ -3,7 +3,8 @@ states agree up to one constant (equivalence.behavioural_inclusion_upto).
 Verdict and witness must equal those of the plain trie walk
 (oracles.behavioural_inclusion_by_trie), which steps every distinct
 prefix, and the walk must key no model whose runs are not shift-invariant
-in floats."""
+in floats.  The steppers only say whether their runs are (shift_exact);
+the key is equivalence.normalised_pair's."""
 
 import dataclasses
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from maxplushybrid import fixtures
 from maxplushybrid.equivalence import MahaBehaviour, MpaBehaviour, SmplBehaviour, behavioural_inclusion_upto
-from maxplushybrid.equivalence import exhaustive_words
+from maxplushybrid.equivalence import exhaustive_words, normalised_pair
 from maxplushybrid.hybrid import from_smpl_closed, from_smpl_open
 from maxplushybrid.mpa import MaxPlusAutomaton
 from maxplushybrid.smpl import (
@@ -52,8 +53,9 @@ class Counting(Stepper):
     def complete(self, state):
         return self.inner.complete(state)
 
-    def shift_key(self, state, c):
-        return self.inner.shift_key(state, c)
+    @property
+    def shift_exact(self):
+        return self.inner.shift_exact
 
 
 def agrees(sys1, sys2, seqs):
@@ -76,6 +78,28 @@ def with_weight(a, symbol, i, j, w):
     entries = list(a.mu[symbol].entries)
     entries[i * a.n + j] = w
     return dataclasses.replace(a, mu={**a.mu, symbol: TropicalMatrix(a.n, a.n, tuple(entries))})
+
+
+def with_state(a, into, out, final):
+    """a with one more state, last and never initial: into holds the
+    weights into it from a's states and out its weights to every state
+    (itself last), on every symbol; final is its final weight."""
+    n = a.n
+    mu = {
+        s: TropicalMatrix.from_rows([[*m.entries[i * n : (i + 1) * n], into[i]] for i in range(n)] + [list(out)])
+        for s, m in a.mu.items()
+    }
+    return dataclasses.replace(a, states=(*a.states, str(n + 1)), alpha=(*a.alpha, EPS), mu=mu, beta=(*a.beta, final))
+
+
+def steps_at_bound_12(sys1, sys2, symbols):
+    """The walk's verdict and model steps over every word of at most 12
+    symbols, after checking the verdict against the trie walk's."""
+    seqs = [word_inputs(w) for w in exhaustive_words(symbols, 12)]
+    walk = Counting(sys1), Counting(sys2)
+    got = behavioural_inclusion_upto(*walk, seqs)
+    assert got == behavioural_inclusion_by_trie(Counting(sys1), Counting(sys2), seqs)
+    return got, walk[0].steps + walk[1].steps
 
 
 def mutants(a, rng):
@@ -112,7 +136,21 @@ class TestAgainstTheTrieWalk:
         trie = Counting(SmplBehaviour(production)), Counting(MahaBehaviour(from_smpl_open(production)))
         assert behavioural_inclusion_upto(*walk, seqs) == behavioural_inclusion_by_trie(*trie, seqs) == (True, None)
         assert sum(side.steps for side in trie) == 16_380
-        assert sum(side.steps for side in walk) <= 32
+        assert sum(side.steps for side in walk) == 32
+
+    def test_gaubert_at_bound_12_against_its_translation(self, gaubert):
+        translation = MahaBehaviour(from_smpl_open(from_mpa(gaubert)))
+        assert steps_at_bound_12(MpaBehaviour(gaubert), translation, gaubert.alphabet) == ((True, None), 14)
+
+    def test_a_dead_sys2_state_is_keyed_when_sys2_is_not_shift_exact(self, gaubert):
+        # sink enters a state that never leaves nor accepts, which gaubert
+        # and half lack, so half's state dies where sink's lives on; half
+        # adds an unreachable state with weights 0.5.  Only the nodes whose
+        # half state is dead share children: the trie walk takes 10 044 steps.
+        sink = with_state(gaubert, (0, EPS, EPS), (EPS, EPS, EPS, 0), EPS)
+        half = with_state(gaubert, (EPS, EPS, EPS), (0.5,) * 4, 0.5)
+        assert sink.shift_exact and not half.shift_exact
+        assert steps_at_bound_12(MpaBehaviour(sink), MpaBehaviour(half), gaubert.alphabet) == ((True, None), 3712)
 
     def test_externally_driven_line_and_a_mutant(self, production):
         driven = dataclasses.replace(production, switching=externally_driven_rule(("l1", "l2")))
@@ -227,14 +265,17 @@ class TestGating:
             MpaBehaviour(dataclasses.replace(gaubert, alpha=(EXACT_STATE, EPS, EPS))),
         ]
         for stepper in keyed:
-            assert stepper.shift_key(stepper.init(), 0.0) is not None
+            assert stepper.shift_exact is True
         for stepper in unkeyed:
-            assert stepper.shift_key(stepper.init(), 0.0) is None
+            assert stepper.shift_exact is False
 
 
-def test_keys_keep_the_infinities_and_stop_where_exactness_is_not_assured(production):
-    stepper = SmplBehaviour(production)
+def test_keys_keep_the_infinities_and_stop_where_exactness_is_not_assured():
     record = StepRecord(3, 1, (EPS, TOP, 5.0, -3.0), (5.0,), (1,))
-    assert stepper.shift_key(record, 5.0) == (1, (EPS, TOP, 0.0, -8.0))
-    assert stepper.shift_key(record._replace(k=EXACT_STEPS - 1), 5.0) == (1, (EPS, TOP, 0.0, -8.0))
-    assert stepper.shift_key(record._replace(k=EXACT_STEPS), 5.0) is None
+    other = StepRecord(3, 2, (7.0, EPS), (5.0,), (2,))
+    assert normalised_pair(record, None) == (1, (EPS, TOP, 0.0, -8.0), None)
+    assert normalised_pair(record, other) == (1, (EPS, TOP, 0.0, -8.0), (2, (2.0, EPS)))
+    deep = record._replace(k=EXACT_STEPS - 1)
+    assert normalised_pair(deep, other._replace(k=EXACT_STEPS - 1)) == normalised_pair(record, other)
+    assert normalised_pair(record._replace(k=EXACT_STEPS), None) is None
+    assert normalised_pair(StepRecord(0, None, (), (), ()), None) == (None, (), None)
