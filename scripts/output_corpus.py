@@ -124,6 +124,19 @@ def deep_behaviour_checks(gaubert: dict) -> Iterator[Run]:
     yield from mph("check", "halves.json", "gaubert_mpa", *deep)
 
 
+def step_refusals() -> Iterator[Run]:
+    """Steps whose inputs a model refuses only when it steps them: a u of
+    width 2 and a v entry on the open feedback loop, an r entry on the
+    production line, each on the model and on its maha translation."""
+    for name, steps in (("u2-steps.json", [{"w": "m1", "u": [3, 1]}]), ("v-steps.json", [{"w": "m1", "u": [3], "v": [0]}])):
+        yield from write(name, json.dumps(steps))
+        for path in ("open.json", "open-maha.json"):
+            yield from mph("simulate", path, "--inputs", name)
+    yield from write("r-steps.json", json.dumps([{"w": "l1"}, {"w": "l2", "r": [1]}]))
+    for path in ("production_line", "line-maha.json"):
+        yield from mph("simulate", path, "--inputs", "r-steps.json")
+
+
 def runs() -> Iterator[Run]:
     """The corpus in order: a run reads only files that earlier runs saved."""
     bundled = {name: fixtures.fixture_text(name) for name in fixtures.FIXTURE_NAMES}
@@ -154,6 +167,7 @@ def runs() -> Iterator[Run]:
     yield from mph("simulate", "open.json", "--word", "m1,m2")
     yield from model_runs("open.json", "open", [], "u-steps.json")
     yield from behaviour_checks("open.json", "open-maha.json", "--seed", "7")
+    yield from step_refusals()
     rng = random.Random(7)
     for i, n_states in enumerate((1, 2, 3, 4, 5, 6, 8, 12) * 2):
         body = mpa_body(fixtures.random_mpa(rng, n_states=n_states), {"name": f"r{i}"})

@@ -143,7 +143,7 @@ def eval_points(
     if isinstance(e, (Var, InputVar)):
         label, vectors = ("state variable x", xs) if isinstance(e, Var) else ("input variable u", us)
         i = e.index
-        if any(not 0 <= i < len(v) for v in vectors):
+        if vectors and not 0 <= i < min(map(len, vectors)):
             raise IndexError(f"{label}{i} out of range")
         return [v[i] for v in vectors]
     if isinstance(e, Const):

@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
 from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
-from .smpl import advance, performance_signal, resolve_step, signal_x
+from .smpl import advance, new_record, performance_signal, resolve_step, signal_x
 from .tropical import Weight, is_finite
 
 
@@ -168,7 +168,7 @@ class MahaBehaviour(Stepper):
         mode, x, y, successors, u, v = stepped
         if closed:
             x = performance_signal(mode, x, u, v)
-        return StepRecord(state.k + 1, mode, x, y, successors)
+        return new_record(state.k + 1, mode, x, y, successors, (), ())
 
     @property
     def shift_exact(self) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .finite import FiniteAutomaton, Word, make_delta
-from .smpl import StepInput, Stepper, StepRecord
+from .smpl import StepInput, Stepper, StepRecord, new_record
 from .tropical import EPS, EXACT_STATE, EXACT_WEIGHT, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
 from .tropical import integral_below
 
@@ -132,7 +132,8 @@ class MpaBehaviour(Stepper):
         row = mu.left_apply(state.x)
         if row.count(EPS) == len(row):
             return None
-        return StepRecord(state.k + 1, mode, row, (row_value(a, row),), (mode,))
+        # y is (row_value(a, row),): _final_row has one row
+        return new_record(state.k + 1, mode, row, eval_rows(a._final_row, row), (mode,), (), ())
 
     def complete(self, state: StepRecord) -> bool:
         return state.y[0] != EPS

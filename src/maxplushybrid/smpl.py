@@ -15,19 +15,23 @@ hybrid translation alike: it resolves the controlled inputs (the
 controller's, shape-checked, or the step input's own), checks the widths
 of u, r and p once before the rule sees them, calls the rule's
 successor_set once and checks that every candidate is a mode the system
-has; its input half is resolve_inputs.  On it sits the one step core,
-advance: it advances with the first candidate only and evaluates the
-output on the continuous input the resolution built.  step and
-hybrid.MahaBehaviour.step are its callers, so a system and its
-translation run through the same code and differ only in the record they
-write; the translation's full successor set (hybrid.hybrid_step) calls
-resolve_step itself.  A run's first step resolves with no previous mode,
-in the system and in its translation alike.  A rule that has to compute a
-mode's next state to decide on it (symbol liveness does) hands that state
-back with the candidate, so a step evaluates the chosen mode's dynamics
-once.  The state and inputs are passed on as the tuples they already are,
-and a rule's output is deduplicated and sorted only when it holds more
-than one candidate.
+has; its input half is resolve_inputs, which returns at once for a step
+with no u, v, r or p on a system that reads none.  On it sits the one
+step core, advance: it advances with the first candidate only and
+evaluates that mode's output map on the continuous input the resolution
+built.  step and hybrid.MahaBehaviour.step are its callers, so a system
+and its translation run through the same code and differ only in the
+record they write; the translation's full successor set
+(hybrid.hybrid_step) calls resolve_step itself.  A run's first step
+resolves with no previous mode, in the system and in its translation
+alike.  A rule that has to compute a mode's next state to decide on it
+(symbol liveness does) hands that state back with the candidate, so a
+step evaluates the chosen mode's dynamics once.  The state and inputs are
+passed on as the tuples they already are, a rule's output is
+deduplicated and sorted only when it holds more than one candidate, or
+one that is not a Candidate, and the probe, candidates and record of a
+step are built by new_probe, new_candidate and new_record, straight
+through tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step, complete and fold, and the shift_exact flag by
@@ -54,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .expressions import MatrixForm
-from .tropical import EPS, EXACT_STATE, TropicalMatrix, Weight, has_finite_entry, integral_below
+from .tropical import EPS, EXACT_STATE, TropicalMatrix, Weight, eval_rows, has_finite_entry, integral_below
 
 if TYPE_CHECKING:
     from .mpa import MaxPlusAutomaton
@@ -105,6 +109,20 @@ class SwitchProbe(NamedTuple):
     p: tuple[Weight, ...]
 
 
+# Each step builds a SwitchProbe, a Candidate and a StepRecord.  Their
+# constructors below hand every field to tuple.__new__ directly, which
+# skips the generated __new__ behind a NamedTuple call (about 40% of a
+# record's cost); so they take all fields, in the class's order, and check
+# none of them.  Their parameters carry no annotations: the classes give
+# the fields' types, and annotations here would add to the module's compile
+# time.
+_tuple_new = tuple.__new__
+
+
+def new_probe(prev_mode, x, u, v, w, r, p) -> SwitchProbe:
+    return _tuple_new(SwitchProbe, (prev_mode, x, u, v, w, r, p))
+
+
 class Candidate(NamedTuple):
     """A successor mode with the next state the rule computed for it, and
     the mode dynamics that computed it; both None when the rule decided
@@ -123,6 +141,10 @@ class Candidate(NamedTuple):
         return self.x if self.dynamics is dynamics else dynamics.form.eval_state(x, win)
 
 
+def new_candidate(mode, x, dynamics) -> Candidate:
+    return _tuple_new(Candidate, (mode, x, dynamics))
+
+
 @dataclass(frozen=True)
 class SwitchingRule:
     """successors yields the candidate modes of a probe, as bare mode
@@ -137,13 +159,13 @@ class SwitchingRule:
 
     def successor_set(self, probe: SwitchProbe) -> tuple[Candidate, ...]:
         """The candidates sorted by mode, one per mode (the first yielded).
-        A rule that returns at most one candidate in a tuple gets it back
-        as it is."""
-        cands = tuple(self.successors(probe))
-        if len(cands) <= 1:
-            if not cands or isinstance(cands[0], Candidate):
-                return cands
-            return (Candidate(cands[0]),)
+        An empty tuple, or a tuple of one Candidate as the library rules
+        return, comes back as it is."""
+        cands = self.successors(probe)
+        if type(cands) is not tuple:
+            cands = tuple(cands)
+        if not cands or len(cands) == 1 and type(cands[0]) is Candidate:
+            return cands
         found: dict[int, Candidate] = {}
         for cand in cands:
             if not isinstance(cand, Candidate):
@@ -275,6 +297,10 @@ class StepRecord(NamedTuple):
     v: tuple[Weight, ...] = ()
 
 
+def new_record(k, mode, x, y, successor_modes, u, v) -> StepRecord:
+    return _tuple_new(StepRecord, (k, mode, x, y, successor_modes, u, v))
+
+
 @dataclass(frozen=True)
 class Trace:
     """The records of one run; halted_at is the step that found no
@@ -360,16 +386,20 @@ class SmplSystem:
         return self.controller is not None
 
     @functools.cached_property
+    def input_free(self) -> bool:
+        """Whether a step reads nothing but w: no controller and no u, v,
+        r or p."""
+        d = self.dims
+        return self.controller is None and d.input_width == 0 and d.n_v == 0
+
+    @functools.cached_property
     def shift_exact(self) -> bool:
         """Whether the system's runs are shift-invariant in floats (see
-        Stepper): no controller and no u, v, r or p, a shift-invariant
-        rule, integer weights below EXACT_WEIGHT and integral x0 entries
-        below EXACT_STATE.  Decided once per system."""
-        d = self.dims
+        Stepper): input-free, a shift-invariant rule, integer weights below
+        EXACT_WEIGHT and integral x0 entries below EXACT_STATE.  Decided
+        once per system."""
         return (
-            self.controller is None
-            and d.input_width == 0
-            and d.n_v == 0
+            self.input_free
             and self.switching.shift_invariant
             and integral_below(self.x0, EXACT_STATE)
             and all(m.exact for f in (mode.form for mode in self.modes.values()) for m in f.A + f.B + f.C + f.D)
@@ -384,7 +414,10 @@ def resolve_inputs(
     when there is one, with their shape checked, and are the step input's
     own otherwise; then the widths of u, r and p are checked, part by part
     and in sum.  Only a controller reads the performance signal z, so z
-    may be None without one."""
+    may be None without one.  An input-free system given no u, v, r or p
+    has nothing to resolve."""
+    if s.input_free and not (inp.u or inp.v or inp.r or inp.p):
+        return (), (), ()
     dims = s.dims
     if s.controller is None:
         u, v = inp.u, inp.v
@@ -418,7 +451,7 @@ def resolve_step(
     step) and state: the step's (u, v, u ++ r ++ p) from resolve_inputs and
     the rule's candidates, once, each a mode the system has."""
     u, v, win = resolve_inputs(s, z, inp)
-    candidates = s.switching.successor_set(SwitchProbe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
+    candidates = s.switching.successor_set(new_probe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
     if candidates:
         # Candidates come sorted by mode and the modes are 1..n_modes, so
         # the first and the last being known covers every one in between.
@@ -437,18 +470,21 @@ def advance(
 ) -> tuple | None:
     """The step core of a system and of its translation: resolve once,
     advance with the first candidate's carried state or one evaluation of
-    its mode, and output on the continuous input u ++ r ++ p that the
-    resolution built.  Returns (mode, x, y, successor modes, u, v), a
-    StepRecord's fields after k, or None when the rule admits no mode (the
-    run halts)."""
+    its mode (as Candidate.state_for), and output through the mode's
+    output map on the continuous input u ++ r ++ p that the resolution
+    built.  Returns (mode, x, y, successor modes, u, v), a StepRecord's
+    fields after k, or None when the rule admits no mode (the run
+    halts)."""
     u, v, win, candidates = resolve_step(s, prev_mode, x_prev, z, inp)
     if not candidates:
         return None
-    first = candidates[0]
-    dynamics = s.modes[first.mode]
-    x = first.state_for(dynamics, x_prev, win)
-    successors = (first.mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
-    return first.mode, x, dynamics.form.eval_output(x, win), successors, u, v
+    mode, x, carried_by = candidates[0]
+    dynamics = s.modes[mode]
+    form = dynamics.form
+    if carried_by is not dynamics:
+        x = form.eval_state(x_prev, win)
+    successors = (mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
+    return mode, x, eval_rows(form._output_map, x, win), successors, u, v
 
 
 def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
@@ -460,7 +496,8 @@ def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
     stepped = advance(s, state.mode, state.x, z, inp)
     if stepped is None:
         return None
-    return StepRecord(state.k + 1, *stepped)
+    mode, x, y, successors, u, v = stepped
+    return new_record(state.k + 1, mode, x, y, successors, u, v)
 
 
 @dataclass(frozen=True)
@@ -515,11 +552,12 @@ def symbol_liveness_rule(
 
     def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
         out: tuple[Candidate, ...] = ()
-        win = probe.u + probe.r + probe.p
-        for mode, dynamics in stepped.get(probe.w, ()):
-            x = dynamics.form.eval_state(probe.x, win)
+        _, x_prev, u, _, w, r, p = probe
+        win = u + r + p
+        for mode, dynamics in stepped.get(w, ()):
+            x = dynamics.form.eval_state(x_prev, win)
             if has_finite_entry(x):
-                out += (Candidate(mode, x, dynamics),)
+                out += (new_candidate(mode, x, dynamics),)
         return out
 
     successors.shift_invariant = True  # which entries are finite does not move under a shift

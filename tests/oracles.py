@@ -15,7 +15,7 @@ import random
 from maxplushybrid import hybrid, smpl
 from maxplushybrid.expressions import Const, InputVar, Max, Min, Plus, Scale, Var, _scale
 from maxplushybrid.finite import FiniteAutomaton, Word, make_delta
-from maxplushybrid.mpa import MaxPlusAutomaton
+from maxplushybrid.mpa import MaxPlusAutomaton, row_value
 from maxplushybrid.tropical import EPS, TOP, UNIT, TropicalMatrix, Weight, oplus, otimes
 
 
@@ -296,6 +296,97 @@ def simulate(s: smpl.SmplSystem, inputs) -> smpl.Trace:
         records.append(rec)
         prev_mode, x, u_prev, v_prev = rec.mode, rec.x, rec.u, rec.v
     return smpl.Trace(tuple(records))
+
+
+# The event step as it was before it built its records through
+# smpl.new_probe, new_candidate and new_record: every NamedTuple through
+# its constructor, the rule's candidates through successor_set_by_dict,
+# the inputs resolved in full even when there are none, the chosen state
+# through Candidate.state_for and the output through MatrixForm.eval_output.
+
+
+def resolve_inputs_in_full(s: smpl.SmplSystem, z, inp: smpl.StepInput):
+    """smpl.resolve_inputs without its early return for input-free steps."""
+    dims = s.dims
+    if s.controller is None:
+        u, v = inp.u, inp.v
+        shaped = len(v) == dims.n_v
+    else:
+        u, v = tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
+        shaped = len(u) == dims.n_u and len(v) == dims.n_v
+    if not shaped:
+        raise ValueError(
+            f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
+        )
+    r, p = inp.r, inp.p
+    if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
+        got = (len(u), len(r), len(p))
+        want = (dims.n_u, dims.n_r, dims.n_p)
+        raise ValueError(
+            f"step input has (u, r, p) widths {got}, expected {want}; "
+            f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
+        )
+    return u, v, u + r + p
+
+
+def resolve_step_by_constructors(s: smpl.SmplSystem, prev_mode, x_prev, z, inp: smpl.StepInput):
+    """smpl.resolve_step: (u, v, u ++ r ++ p, candidates)."""
+    u, v, win = resolve_inputs_in_full(s, z, inp)
+    probe = smpl.SwitchProbe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p)
+    candidates = successor_set_by_dict(s.switching, probe)
+    if candidates:
+        modes, first, last = s.modes, candidates[0].mode, candidates[-1].mode
+        if first not in modes or last not in modes:
+            raise ValueError(f"switching rule returned unknown mode {last if first in modes else first}")
+    return u, v, win, candidates
+
+
+def advance_by_constructors(s: smpl.SmplSystem, prev_mode, x_prev, z, inp: smpl.StepInput):
+    """smpl.advance: (mode, x, y, successor modes, u, v), or None."""
+    u, v, win, candidates = resolve_step_by_constructors(s, prev_mode, x_prev, z, inp)
+    if not candidates:
+        return None
+    first = candidates[0]
+    dynamics = s.modes[first.mode]
+    x = first.state_for(dynamics, x_prev, win)
+    successors = (first.mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
+    return first.mode, x, dynamics.form.eval_output(x, win), successors, u, v
+
+
+def step_by_constructors(s: smpl.SmplSystem, state: smpl.StepRecord, inp: smpl.StepInput):
+    """smpl.step."""
+    z = None if s.controller is None else smpl.performance_signal(state.mode, state.x, state.u, state.v)
+    stepped = advance_by_constructors(s, state.mode, state.x, z, inp)
+    if stepped is None:
+        return None
+    return smpl.StepRecord(state.k + 1, *stepped)
+
+
+def maha_step_by_constructors(h: hybrid.HybridAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
+    """hybrid.MahaBehaviour(h).step."""
+    s = h.system
+    closed, z = s.controller is not None, state.x
+    stepped = advance_by_constructors(s, state.mode, smpl.signal_x(z, s.dims.n) if closed else z, z, inp)
+    if stepped is None:
+        return None
+    mode, x, y, successors, u, v = stepped
+    if closed:
+        x = smpl.performance_signal(mode, x, u, v)
+    return smpl.StepRecord(state.k + 1, mode, x, y, successors)
+
+
+def mpa_step_by_constructors(a: MaxPlusAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
+    """mpa.MpaBehaviour(a).step."""
+    found = a._symbol_steps.get(inp.w)
+    if found is None:
+        if inp.w is None:
+            raise ValueError("max-plus automata consume discrete symbols only")
+        raise ValueError(f"unknown symbol {inp.w!r}")
+    mode, mu = found
+    row = mu.left_apply(state.x)
+    if row.count(EPS) == len(row):
+        return None
+    return smpl.StepRecord(state.k + 1, mode, row, (row_value(a, row),), (mode,))
 
 
 class InadmissibleInput(ValueError):
@@ -769,6 +860,26 @@ def eval_expr_recursive(e, x, u=()) -> Weight:
     if isinstance(e, Scale):
         return _scale(e.factor, eval_expr_recursive(e.child, x, u))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def first_batch_error(e, xs, us):
+    """The error eval_points raises at the batch (xs[i], us[i]), or None:
+    the first node in a left-to-right walk that is not a node, or whose
+    variable some point lacks; as opposed to the one comparison per node
+    against the shortest point."""
+    if isinstance(e, (Var, InputVar)):
+        label, vectors = ("state variable x", xs) if isinstance(e, Var) else ("input variable u", us)
+        for v in vectors:
+            if not 0 <= e.index < len(v):
+                return IndexError(f"{label}{e.index} out of range")
+        return None
+    if isinstance(e, Const):
+        return None
+    if isinstance(e, Scale):
+        return first_batch_error(e.child, xs, us)
+    if isinstance(e, (Max, Min, Plus)):
+        return first_batch_error(e.left, xs, us) or first_batch_error(e.right, xs, us)
+    return TypeError(f"not an expression node: {e!r}")
 
 
 def conjunctive_value(form, x, u=()) -> Weight:

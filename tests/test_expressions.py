@@ -149,6 +149,20 @@ class TestBatchedEvaluation:
         u = tuple(data.draw(st.lists(weights, max_size=3)))
         assert outcome(at_point, e, x, u) == outcome(oracles.eval_expr_recursive, e, x, u)
 
+    @settings(max_examples=300, deadline=None)
+    @given(any_trees(index_range=(-2, 4), non_nodes=True), st.data())
+    def test_a_batch_raises_at_the_first_node_some_point_fails(self, e, data):
+        vectors = st.lists(weights, max_size=4).map(tuple)
+        xs = data.draw(st.lists(vectors, max_size=4))
+        us = [data.draw(vectors) for _ in xs]
+        error = oracles.first_batch_error(e, xs, us)
+        if error is None:
+            got = eval_points(e, xs, us)
+            assert [repr(v) for v in got] == [repr(oracles.eval_expr_recursive(e, x, u)) for x, u in zip(xs, us)]
+        else:
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                eval_points(e, xs, us)
+
     def test_examples(self):
         assert at_point(Plus(Var(0), Var(1)), (TOP, EPS)) == EPS
         assert at_point(Plus(Var(0), Var(1)), (EPS, TOP)) == EPS
