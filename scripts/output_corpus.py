@@ -61,6 +61,13 @@ def behaviour_checks(model1: str, model2: str, *flags: str) -> Iterator[Run]:
         yield from mph("check", model1, model2, "--relation", "behaviour", "--bound", bound, *flags)
 
 
+def translation_first_checks(model: str, stem: str) -> Iterator[Run]:
+    """Each translation of an automaton checked against the automaton, the
+    order in which a translation's runs are sys1's."""
+    for kind in ("smpl", "maha"):
+        yield from behaviour_checks(f"{stem}-{kind}.json", model)
+
+
 def model_runs(model: str, stem: str, words: Iterable[str], steps: str, to=("maha",)) -> Iterator[Run]:
     """A model and its translations, run on each word and on the steps
     file, and checked against the maha one; stem names their files."""
@@ -125,9 +132,10 @@ def deep_behaviour_checks(gaubert: dict) -> Iterator[Run]:
 
 
 def step_refusals() -> Iterator[Run]:
-    """Steps whose inputs a model refuses only when it steps them: a u of
-    width 2 and a v entry on the open feedback loop, an r entry on the
-    production line, each on the model and on its maha translation."""
+    """Steps of another width than the model reads, refused with the step
+    and the file named: a u of width 2 and a v entry on the open feedback
+    loop, an r entry on the production line, each on the model and on its
+    maha translation."""
     for name, steps in (("u2-steps.json", [{"w": "m1", "u": [3, 1]}]), ("v-steps.json", [{"w": "m1", "u": [3], "v": [0]}])):
         yield from write(name, json.dumps(steps))
         for path in ("open.json", "open-maha.json"):
@@ -150,6 +158,7 @@ def runs() -> Iterator[Run]:
         yield from mph(*shlex.split(command))
     yield from write("ab-steps.json", json.dumps([{"w": w} for w in "abb"]))
     yield from mpa_runs("gaubert_mpa", "gaubert", json.loads(bundled["gaubert_mpa"]), 6)
+    yield from translation_first_checks("gaubert_mpa", "gaubert")
     yield from write("line-steps.json", json.dumps([{"w": w} for w in ("l1", "l2", "l2", "l1")]))
     yield from model_runs("production_line", "line", ["l1,l1,l2,l1,l2,l2"], "line-steps.json")
     yield from mph("abstract", "production_line", save="line-fa.json")
@@ -173,6 +182,8 @@ def runs() -> Iterator[Run]:
         body = mpa_body(fixtures.random_mpa(rng, n_states=n_states), {"name": f"r{i}"})
         yield from write(f"r{i}.json", serialize_body(body))
         yield from mpa_runs(f"r{i}.json", f"r{i}", body, 5)
+        if i == 3:
+            yield from translation_first_checks("r3.json", "r3")
     for seed in ("42", "7"):
         yield from mph("reproduce", "--seed", seed)
 

@@ -47,7 +47,6 @@ from .smpl import (
     StepRecord,
     SwitchingKind,
     SwitchingRule,
-    classify_switching,
     from_mpa,
     simulate,
     Trace,

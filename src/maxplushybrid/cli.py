@@ -152,8 +152,8 @@ def cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
 def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tuple[smpl.StepInput, ...]:
     if args.word is not None and args.inputs is not None:
         raise UsageError("pass either --word or --inputs, not both")
+    system = _system(doc)
     if args.word is not None:
-        system = _system(doc)
         read = [] if system is None else [f"{key} (width {n})" for key, n in _input_widths(system).items() if n]
         if read:
             raise UsageError(
@@ -173,6 +173,8 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
     if not isinstance(raw, list):
         raise UsageError("inputs file must hold a JSON list of steps")
     symbols = _symbols_of(doc)
+    # the step fields whose widths a system reads; a closed loop's controller computes u and v
+    sized = "" if system is None else "rp" if system.closed_loop else "uvrp"
     steps = []
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -198,6 +200,10 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
             for key in "uvrp":
                 if signals[key]:
                     raise UsageError(f"inputs[{k}].{key} must be empty: an mpa step reads its symbol w only")
+        for key in sized:
+            width = getattr(system.dims, f"n_{key}")
+            if len(signals[key]) != width:
+                raise UsageError(f"inputs[{k}].{key} in {args.inputs!r} has width {len(signals[key])}, expected {width}")
         steps.append(smpl.StepInput(w=w, **signals))
     return tuple(steps)
 

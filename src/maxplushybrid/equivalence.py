@@ -14,18 +14,20 @@ only the predecessors of the states that changed block, the largest part
 of a split block keeping its id (Hopcroft; Paige and Tarjan).
 
 Behavioural inclusion compares models of different classes through the
-stepper protocol of smpl.Stepper (init, step, complete, fold); two runs
-agree where their records' outputs y do.  Each class's stepper lives
-beside its step code (smpl.SmplBehaviour, hybrid.MahaBehaviour,
-mpa.MpaBehaviour) and is re-exported here.  Input
+stepper protocol of smpl.Stepper (init, step, fold): a model's behaviour
+is its runs that do not halt, and two runs agree where their records'
+outputs y do.  A max-plus automaton and its translations halt where the
+row dies and output its value at every step, so each includes the other.
+Each class's stepper lives beside its step code (smpl.SmplBehaviour,
+hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Input
 sequences share prefixes, so the bounded check walks a graph of them, one
 child per input, and keeps the two systems' states per prefix for the
 length of one call.  Input-free max-plus runs are homogeneous: adding c to
-a state adds c to every later state and output, and halting and completion
-read only which entries are finite.  So a prefix whose pair of states
-equals an earlier one's up to one shared constant shares that prefix's
-children (the normalisation of max-plus determinisation, Mohri 1997), and
-each normalised pair is stepped once.  A stepper only says whether its
+a state adds c to every later state and output, and halting reads only
+which entries are finite.  So a prefix whose pair of states equals an
+earlier one's up to one shared constant shares that prefix's children
+(the normalisation of max-plus determinisation, Mohri 1997), and each
+normalised pair is stepped once.  A stepper only says whether its
 runs are shift-exact (smpl.Stepper.shift_exact): every max-plus automaton
 and every switching system, or its translation, without controller or
 inputs whose rule is a document symbol_liveness or externally_driven one,
@@ -347,7 +349,8 @@ def behavioural_inclusion_upto(
 ) -> tuple[bool, tuple[StepInput, ...] | None]:
     """Every trace of sys1 must be reproduced exactly by sys2.
 
-    Sequences outside sys1's behaviour impose nothing.  The iteration order
+    A sequence is in a model's behaviour when its run does not halt;
+    sequences outside sys1's behaviour impose nothing.  The iteration order
     of input_sequences determines which counterexample is reported, so feed
     it length-ordered when the shortest one matters.
 
@@ -389,7 +392,7 @@ def behavioural_inclusion_upto(
                 child = children[inp] = [s1, s2, None]
             node = child
         s1, s2, _ = node
-        if s1 is not None and sys1.complete(s1) and (s2 is None or not sys2.complete(s2)):
+        if s1 is not None and s2 is None:
             return False, seq
     return True, None
 

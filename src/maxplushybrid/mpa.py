@@ -8,7 +8,8 @@ so acceptance is a byproduct of evaluation.
 
 MpaBehaviour is the automaton's stepper (smpl.Stepper): its state is the
 row vector alpha^T mu(w1) ... mu(wk), advanced by the symbol's matrix,
-which a step finds with its mode in one lookup.
+which a step finds with its mode in one lookup.  Its run lives while the
+row keeps a finite entry, so its behaviour is that of its translations.
 """
 
 from __future__ import annotations
@@ -112,8 +113,11 @@ class MpaBehaviour(Stepper):
     """Runs of a max-plus automaton.  A record's x is the row vector after
     the symbols read, y is its value, and its mode is the symbol's position
     in the alphabet from 1, the mode smpl.from_mpa gives that symbol.  The
-    run halts where the row is all EPS; it is complete where the value is
-    finite, i.e. the word is accepted."""
+    run halts where the row is all EPS.  Until then it is in the
+    automaton's behaviour and outputs each prefix's value, EPS where the
+    prefix is not accepted, step for step as the translations do; so two
+    automata with one word function differ in behaviour where one's row
+    dies and the other's does not."""
 
     automaton: MaxPlusAutomaton
 
@@ -134,9 +138,6 @@ class MpaBehaviour(Stepper):
             return None
         # y is (row_value(a, row),): _final_row has one row
         return new_record(state.k + 1, mode, row, eval_rows(a._final_row, row), (mode,), (), ())
-
-    def complete(self, state: StepRecord) -> bool:
-        return state.y[0] != EPS
 
     @property
     def shift_exact(self) -> bool:

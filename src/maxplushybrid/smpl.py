@@ -34,11 +34,12 @@ step are built by new_probe, new_candidate and new_record, straight
 through tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
-(Stepper: init, step, complete and fold, and the shift_exact flag by
-which bounded behaviour checks decide whether to key states), with one
-StepRecord per step, whose y is the step's output, and one Trace per
-run; a run of any class is Stepper.fold over its inputs, and a run
-halts where step returns None.
+(Stepper: init, step and fold, and the shift_exact flag by which bounded
+behaviour checks decide whether to key states), with one StepRecord per
+step, whose y is the step's output, and one Trace per run; a run of any
+class is Stepper.fold over its inputs, a run halts where step returns
+None, and the inputs of a run that does not halt are in the model's
+behaviour.
 SmplBehaviour is this module's stepper, whose step is the module function
 step(s, state, inp): it takes the last step's record (init's before the
 first step) and returns the next one, or None when the rule admits no
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -70,16 +70,6 @@ class SwitchingKind(enum.Enum):
     EXTERNALLY_DRIVEN = "externally_driven"
     CONSTRAINED = "constrained"
     CONSTRAINED_CONTROLLED = "constrained_controlled"
-
-
-# Fields a rule of the given kind must ignore; probed by classify_switching.
-_CLAIMED_INDEPENDENT: dict[SwitchingKind, frozenset[str]] = {
-    SwitchingKind.STATE_DEPENDENT_AUTONOMOUS: frozenset({"u", "v", "w", "r", "p"}),
-    SwitchingKind.STATE_DEPENDENT_CONTROLLED: frozenset({"w", "r", "p"}),
-    SwitchingKind.EXTERNALLY_DRIVEN: frozenset({"prev_mode", "x", "u", "v", "r", "p"}),
-    SwitchingKind.CONSTRAINED: frozenset({"u", "v", "r", "p"}),
-    SwitchingKind.CONSTRAINED_CONTROLLED: frozenset({"u", "r", "p"}),
-}
 
 
 class StepInput(NamedTuple):
@@ -319,16 +309,15 @@ class Stepper:
 
     A state is the StepRecord of the last step and stands for the inputs
     consumed so far.  step returns None once no extension of those inputs
-    can be in the model's behaviour (the run halts); complete says whether
-    the inputs themselves are.  The two differ for a max-plus automaton,
-    whose unaccepted words can have accepted extensions.
+    can be in the model's behaviour (the run halts); a model's behaviour
+    is exactly the runs that do not halt, with their outputs.
 
     shift_exact says whether the runs are shift-invariant in floats
     (False by default): adding a finite c to every finite entry of a
     record's x adds c to every later state and output, exactly, and moves
-    no halt or completion.  Two states with one mode whose x agree up to
-    such a c then behave alike up to that shift, which lets a bounded
-    behaviour check step one of them for both (equivalence.normalised_pair).
+    no halt.  Two states with one mode whose x agree up to such a c then
+    behave alike up to that shift, which lets a bounded behaviour check
+    step one of them for both (equivalence.normalised_pair).
     """
 
     shift_exact = False
@@ -338,9 +327,6 @@ class Stepper:
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         raise NotImplementedError
-
-    def complete(self, state: StepRecord) -> bool:
-        return True
 
     def fold(self, inputs: Iterable[StepInput]) -> Trace:
         """The run over the inputs from init, cut at the step that halts."""
@@ -355,12 +341,9 @@ class Stepper:
 
     def trace(self, inputs: Iterable[StepInput]) -> Trace | None:
         """The run over the inputs, or None when they are outside the
-        model's behaviour: the run halts or ends incomplete."""
+        model's behaviour: the run halts."""
         run = self.fold(inputs)
-        if not run.completed:
-            return None
-        last = run.records[-1] if run.records else self.init()
-        return run if self.complete(last) else None
+        return run if run.completed else None
 
 
 @dataclass(frozen=True)
@@ -621,70 +604,6 @@ def from_mpa(a: "MaxPlusAutomaton") -> SmplSystem:
         dims=dims,
         meta={"translated_from": "mpa", "mpa_states": a.states},
     )
-
-
-class SwitchingClassificationError(ValueError):
-    """Declared switching kind conflicts with observed argument sensitivity."""
-
-
-def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> SwitchingKind:
-    """Validate the declared kind by probing for forbidden sensitivities.
-
-    Each kind claims independence from some arguments; the rule is sampled
-    at random base points and each claimed-independent argument is varied
-    in isolation.  A change in the successor modes is a contradiction.
-    The continuous inputs u, r and p are drawn finite, as the CLI takes
-    them (it refuses "-inf" and "+inf" there); x and v are EPS one time in
-    four.
-    """
-    rule = s.switching
-
-    def successor_modes(probe: SwitchProbe) -> tuple[int, ...]:
-        return tuple(cand.mode for cand in rule.successor_set(probe))
-
-    rng = random.Random(seed)
-    dims = s.dims
-    symbols = rule.alphabet
-    prev_modes = [None, *range(1, s.n_modes + 1)]
-
-    def rand_vec(name: str, size: int) -> tuple[Weight, ...]:
-        finite = name in ("u", "r", "p")
-        return tuple(
-            EPS if not finite and rng.random() < 0.25 else float(rng.randint(-5, 9))
-            for _ in range(size)
-        )
-
-    def rand_probe() -> SwitchProbe:
-        return SwitchProbe(
-            prev_mode=rng.choice(prev_modes),
-            x=rand_vec("x", dims.n),
-            u=rand_vec("u", dims.n_u),
-            v=rand_vec("v", dims.n_v),
-            w=rng.choice(symbols) if symbols else None,
-            r=rand_vec("r", dims.n_r),
-            p=rand_vec("p", dims.n_p),
-        )
-
-    def variants(probe: SwitchProbe, name: str) -> list[SwitchProbe]:
-        """Three copies of probe with the field redrawn; none if it has nothing to draw from."""
-        if name == "prev_mode":
-            return [probe._replace(prev_mode=rng.choice(prev_modes)) for _ in range(3)]
-        if name == "w":
-            return [probe._replace(w=rng.choice(symbols)) for _ in range(3)] if symbols else []
-        size = len(getattr(probe, name))
-        return [probe._replace(**{name: rand_vec(name, size)}) for _ in range(3)] if size else []
-
-    claimed = _CLAIMED_INDEPENDENT[rule.kind]
-    for _ in range(probes):
-        base = rand_probe()
-        baseline = successor_modes(base)
-        for name in sorted(claimed):
-            for variant in variants(base, name):
-                if successor_modes(variant) != baseline:
-                    raise SwitchingClassificationError(
-                        f"rule declared {rule.kind.value} but is sensitive to {name!r}"
-                    )
-    return rule.kind
 
 
 def word_inputs(word: Sequence[str]) -> tuple[StepInput, ...]:

@@ -16,6 +16,7 @@ from maxplushybrid import hybrid, smpl
 from maxplushybrid.expressions import Const, InputVar, Max, Min, Plus, Scale, Var, _scale
 from maxplushybrid.finite import FiniteAutomaton, Word, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton, row_value
+from maxplushybrid.smpl import SmplSystem, SwitchingKind, SwitchProbe
 from maxplushybrid.tropical import EPS, TOP, UNIT, TropicalMatrix, Weight, oplus, otimes
 
 
@@ -612,7 +613,7 @@ def behavioural_inclusion_by_trie(sys1, sys2, input_sequences):
                         s2 = None
                 node = children[inp] = (s1, s2, {})
             s1, s2, children = node
-        if s1 is not None and sys1.complete(s1) and (s2 is None or not sys2.complete(s2)):
+        if s1 is not None and s2 is None:
             return False, seq
     return True, None
 
@@ -1072,3 +1073,77 @@ def nesting_by_recursion(value) -> int:
     if isinstance(value, dict):
         return 1 + max(map(nesting_by_recursion, value.values()), default=0)
     return 0
+
+
+# Fields a rule of the given kind must ignore; probed by classify_switching.
+_CLAIMED_INDEPENDENT: dict[SwitchingKind, frozenset[str]] = {
+    SwitchingKind.STATE_DEPENDENT_AUTONOMOUS: frozenset({"u", "v", "w", "r", "p"}),
+    SwitchingKind.STATE_DEPENDENT_CONTROLLED: frozenset({"w", "r", "p"}),
+    SwitchingKind.EXTERNALLY_DRIVEN: frozenset({"prev_mode", "x", "u", "v", "r", "p"}),
+    SwitchingKind.CONSTRAINED: frozenset({"u", "v", "r", "p"}),
+    SwitchingKind.CONSTRAINED_CONTROLLED: frozenset({"u", "r", "p"}),
+}
+
+
+class SwitchingClassificationError(ValueError):
+    """Declared switching kind conflicts with observed argument sensitivity."""
+
+
+def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> SwitchingKind:
+    """Validate the declared kind by probing for forbidden sensitivities.
+
+    Each kind claims independence from some arguments; the rule is sampled
+    at random base points and each claimed-independent argument is varied
+    in isolation.  A change in the successor modes is a contradiction.
+    The continuous inputs u, r and p are drawn finite, as the CLI takes
+    them (it refuses "-inf" and "+inf" there); x and v are EPS one time in
+    four.
+    """
+    rule = s.switching
+
+    def successor_modes(probe: SwitchProbe) -> tuple[int, ...]:
+        return tuple(cand.mode for cand in rule.successor_set(probe))
+
+    rng = random.Random(seed)
+    dims = s.dims
+    symbols = rule.alphabet
+    prev_modes = [None, *range(1, s.n_modes + 1)]
+
+    def rand_vec(name: str, size: int) -> tuple[Weight, ...]:
+        finite = name in ("u", "r", "p")
+        return tuple(
+            EPS if not finite and rng.random() < 0.25 else float(rng.randint(-5, 9))
+            for _ in range(size)
+        )
+
+    def rand_probe() -> SwitchProbe:
+        return SwitchProbe(
+            prev_mode=rng.choice(prev_modes),
+            x=rand_vec("x", dims.n),
+            u=rand_vec("u", dims.n_u),
+            v=rand_vec("v", dims.n_v),
+            w=rng.choice(symbols) if symbols else None,
+            r=rand_vec("r", dims.n_r),
+            p=rand_vec("p", dims.n_p),
+        )
+
+    def variants(probe: SwitchProbe, name: str) -> list[SwitchProbe]:
+        """Three copies of probe with the field redrawn; none if it has nothing to draw from."""
+        if name == "prev_mode":
+            return [probe._replace(prev_mode=rng.choice(prev_modes)) for _ in range(3)]
+        if name == "w":
+            return [probe._replace(w=rng.choice(symbols)) for _ in range(3)] if symbols else []
+        size = len(getattr(probe, name))
+        return [probe._replace(**{name: rand_vec(name, size)}) for _ in range(3)] if size else []
+
+    claimed = _CLAIMED_INDEPENDENT[rule.kind]
+    for _ in range(probes):
+        base = rand_probe()
+        baseline = successor_modes(base)
+        for name in sorted(claimed):
+            for variant in variants(base, name):
+                if successor_modes(variant) != baseline:
+                    raise SwitchingClassificationError(
+                        f"rule declared {rule.kind.value} but is sensitive to {name!r}"
+                    )
+    return rule.kind

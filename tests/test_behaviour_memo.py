@@ -7,6 +7,7 @@ in floats.  The steppers only say whether their runs are (shift_exact);
 the key is equivalence.normalised_pair's."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -49,9 +50,6 @@ class Counting(Stepper):
     def step(self, state, inp):
         self.steps += 1
         return self.inner.step(state, inp)
-
-    def complete(self, state):
-        return self.inner.complete(state)
 
     @property
     def shift_exact(self):
@@ -144,13 +142,21 @@ class TestAgainstTheTrieWalk:
 
     def test_a_dead_sys2_state_is_keyed_when_sys2_is_not_shift_exact(self, gaubert):
         # sink enters a state that never leaves nor accepts, which gaubert
-        # and half lack, so half's state dies where sink's lives on; half
-        # adds an unreachable state with weights 0.5.  Only the nodes whose
-        # half state is dead share children: the trie walk takes 10 044 steps.
+        # and half lack, so half's row dies where sink's lives on; half
+        # adds an unreachable state with weights 0.5.  Words of length 12
+        # alone, so the walk runs on past the prefix where half's state
+        # dies; only the nodes whose half state is dead share children, and
+        # the trie walk takes 15 steps.
         sink = with_state(gaubert, (0, EPS, EPS), (EPS, EPS, EPS, 0), EPS)
         half = with_state(gaubert, (EPS, EPS, EPS), (0.5,) * 4, 0.5)
         assert sink.shift_exact and not half.shift_exact
-        assert steps_at_bound_12(MpaBehaviour(sink), MpaBehaviour(half), gaubert.alphabet) == ((True, None), 3712)
+        seqs = [word_inputs(w) for w in itertools.product(gaubert.alphabet, repeat=12)]
+        walk = Counting(MpaBehaviour(sink)), Counting(MpaBehaviour(half))
+        trie = Counting(MpaBehaviour(sink)), Counting(MpaBehaviour(half))
+        got = behavioural_inclusion_upto(*walk, seqs)
+        assert got == behavioural_inclusion_by_trie(*trie, seqs) == (False, word_inputs("a" * 12))
+        assert sum(side.steps for side in trie) == 15
+        assert sum(side.steps for side in walk) == 7
 
     def test_externally_driven_line_and_a_mutant(self, production):
         driven = dataclasses.replace(production, switching=externally_driven_rule(("l1", "l2")))

@@ -95,7 +95,7 @@ PINNED = {
     (("check", "feedback_demo", "feedback-maha.json", "--relation", "behaviour", "--format", "json"), 0):
         "d58306bace5eb4404cb702344ce5cbfc587eb06f2d21d28ea8c1fdc618fd6035",
     (("check", "gaubert_mpa", "one.json", "--relation", "behaviour", "--format", "json"), 1):
-        "c6e209d93ceb7971596c50f01191c25b5261d7f0129988c2bf75ebc4a83fb4b9",
+        "e9096c06675968e79196eacafb10caf7c17ff86e3e54f7a3bd63911e4abc036d",
     (("check", "one.json", "gaubert-maha.json", "--relation", "behaviour", "--bound", "3"), 1):
         "59396547023ca0944581c21640f9da89a7a93f6a3414b52a119bed93f74f6fe3",
     (("translate", "gaubert_mpa", "--to", "smpl"), 0):

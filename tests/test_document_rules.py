@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from maxplushybrid import cli, equivalence, fixtures
 from maxplushybrid.serialization import ModelFormatError, maha_body, parse_model, serialize_body, smpl_body
-from maxplushybrid.smpl import SwitchingKind, classify_switching
+from maxplushybrid.smpl import SwitchingKind
+from oracles import classify_switching
 
 
 def run_main(*argv):
@@ -191,6 +192,36 @@ class TestWeightNumbers:
         code, out, err = self.run_on(tmp_path, open_loop_feedback(), "simulate", "--inputs", str(inputs), "--format", "json")
         assert code == 0, err
         assert [rec["k"] for rec in json.loads(out)["trace"]] == [1, 2]
+
+
+class TestStepWidths:
+    """An --inputs step whose u, v, r or p has another width than the
+    system reads exits 2, naming the step, the field and the file; a closed
+    loop's controller computes u and v, so those of its steps are dropped."""
+
+    @pytest.mark.parametrize("maha", [False, True], ids=["smpl", "maha"])
+    @pytest.mark.parametrize(
+        "name, steps, says",
+        [
+            ("production_line", [{"w": "l1"}, {"w": "l2", "r": [1]}], "inputs[1].r in {!r} has width 1, expected 0"),
+            ("open", [{"w": "m1", "u": [3]}, {"w": "m1", "u": [3, 1]}], "inputs[1].u in {!r} has width 2, expected 1"),
+            ("open", [{"w": "m1", "u": [3], "v": [0]}], "inputs[0].v in {!r} has width 1, expected 0"),
+            ("open", [{"w": "m1", "u": [3], "p": [0]}], "inputs[0].p in {!r} has width 1, expected 0"),
+        ],
+        ids=["r", "u", "v", "p"],
+    )
+    def test_a_step_of_another_width_exits_two(self, tmp_path, name, steps, says, maha):
+        body = open_loop_feedback() if name == "open" else bundled(name)
+        model, inputs = tmp_path / "m.json", tmp_path / "inputs.json"
+        model.write_text(json.dumps(maha_body(body) if maha else body))
+        inputs.write_text(json.dumps(steps))
+        assert run_main("simulate", str(model), "--inputs", str(inputs)) == (2, "", f"error: {says.format(str(inputs))}\n")
+
+    def test_a_closed_loop_drops_its_steps_u_and_v(self, tmp_path):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps([{"w": "m1", "u": [1, 2, 3], "v": [9]}]))
+        code, out, err = run_main("simulate", "feedback_demo", "--inputs", str(inputs))
+        assert (code, err) == (0, "")
 
 
 

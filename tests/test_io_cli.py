@@ -580,7 +580,8 @@ class TestInputWidths:
         steps.write_text(json.dumps([{"w": "l1", "r": [5], "p": [1, 2]}]))
         result = run_cli("simulate", str(model), "--inputs", str(steps))
         assert result.returncode == 2
-        assert result.stderr.startswith("error:") and "expected (0, 0, 0)" in result.stderr
+        # the CLI refuses the step before any model steps it, naming the step and the file
+        assert result.stderr == f"error: inputs[0].r in {str(steps)!r} has width 1, expected 0\n"
 
     def test_misplaced_exogenous_inputs_are_an_error_when_the_rule_stepped_the_mode(
         self, tmp_path
@@ -601,7 +602,7 @@ class TestInputWidths:
         steps.write_text(json.dumps([{"w": "l1", "p": [5]}]))
         result = run_cli("simulate", str(model), "--inputs", str(steps))
         assert result.returncode == 2
-        assert result.stderr.startswith("error:") and "expected (0, 1, 0)" in result.stderr
+        assert result.stderr == f"error: inputs[0].r in {str(steps)!r} has width 0, expected 1\n"
 
     def test_behaviour_check_draws_r_at_its_own_width(self, tmp_path):
         body = fixture_variant("feedback_demo", drop_controller=True, n_u=0, n_r=1)

@@ -16,10 +16,8 @@ from maxplushybrid.smpl import (
     SmplSystem,
     StepInput,
     SwitchProbe,
-    SwitchingClassificationError,
     SwitchingKind,
     SwitchingRule,
-    classify_switching,
     from_mpa,
     simulate,
     static_feedback,
@@ -28,7 +26,7 @@ from maxplushybrid.smpl import (
     word_inputs,
 )
 from maxplushybrid.tropical import EPS, TropicalMatrix
-from oracles import successor_set_by_dict, vec_leq
+from oracles import SwitchingClassificationError, classify_switching, successor_set_by_dict, vec_leq
 
 
 def word(text: str) -> tuple[str, ...]:
