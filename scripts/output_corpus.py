@@ -131,11 +131,14 @@ def deep_behaviour_checks(gaubert: dict) -> Iterator[Run]:
     yield from mph("check", "halves.json", "gaubert_mpa", *deep)
 
 
-def step_refusals() -> Iterator[Run]:
+def step_refusals(line: dict) -> Iterator[Run]:
     """Steps of another width than the model reads, refused with the step
     and the file named: a u of width 2 and a v entry on the open feedback
     loop, an r entry on the production line, each on the model and on its
-    maha translation."""
+    maha translation.  Then behaviour checks, in both orders, between the
+    line and a copy that reads r of width 1, refused before any step, and
+    between the closed feedback loop and its open copy, whose u is drawn
+    at the open loop's width."""
     for name, steps in (("u2-steps.json", [{"w": "m1", "u": [3, 1]}]), ("v-steps.json", [{"w": "m1", "u": [3], "v": [0]}])):
         yield from write(name, json.dumps(steps))
         for path in ("open.json", "open-maha.json"):
@@ -143,6 +146,15 @@ def step_refusals() -> Iterator[Run]:
     yield from write("r-steps.json", json.dumps([{"w": "l1"}, {"w": "l2", "r": [1]}]))
     for path in ("production_line", "line-maha.json"):
         yield from mph("simulate", path, "--inputs", "r-steps.json")
+    # an r column of EPS in every B and D row: the copy's steps are the line's
+    modes = [
+        {**mode, "B": [[["-inf"]] * len(a) for a in mode["A"]], "D": [[["-inf"]] * len(c) for c in mode["C"]]}
+        for mode in line["modes"]
+    ]
+    yield from write("r-line.json", json.dumps({**line, "dims": {**line["dims"], "n_r": 1}, "modes": modes}))
+    for pair in (("r-line.json", "production_line"), ("feedback_demo", "open.json")):
+        for model1, model2 in (pair, pair[::-1]):
+            yield from mph("check", model1, model2, "--relation", "behaviour", "--bound", "3")
 
 
 def runs() -> Iterator[Run]:
@@ -176,7 +188,7 @@ def runs() -> Iterator[Run]:
     yield from mph("simulate", "open.json", "--word", "m1,m2")
     yield from model_runs("open.json", "open", [], "u-steps.json")
     yield from behaviour_checks("open.json", "open-maha.json", "--seed", "7")
-    yield from step_refusals()
+    yield from step_refusals(line)
     rng = random.Random(7)
     for i, n_states in enumerate((1, 2, 3, 4, 5, 6, 8, 12) * 2):
         body = mpa_body(fixtures.random_mpa(rng, n_states=n_states), {"name": f"r{i}"})

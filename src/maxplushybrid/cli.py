@@ -152,9 +152,9 @@ def cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
 def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tuple[smpl.StepInput, ...]:
     if args.word is not None and args.inputs is not None:
         raise UsageError("pass either --word or --inputs, not both")
-    system = _system(doc)
+    widths = _input_widths(doc)
     if args.word is not None:
-        read = [] if system is None else [f"{key} (width {n})" for key, n in _input_widths(system).items() if n]
+        read = [f"{key} (width {n})" for key, n in widths.items() if n]
         if read:
             raise UsageError(
                 f"--word gives each step a symbol only, but this model also reads {' and '.join(read)} "
@@ -173,8 +173,6 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
     if not isinstance(raw, list):
         raise UsageError("inputs file must hold a JSON list of steps")
     symbols = _symbols_of(doc)
-    # the step fields whose widths a system reads; a closed loop's controller computes u and v
-    sized = "" if system is None else "rp" if system.closed_loop else "uvrp"
     steps = []
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -200,8 +198,7 @@ def _step_inputs_from_args(args: argparse.Namespace, doc: ModelDocument) -> tupl
             for key in "uvrp":
                 if signals[key]:
                     raise UsageError(f"inputs[{k}].{key} must be empty: an mpa step reads its symbol w only")
-        for key in sized:
-            width = getattr(system.dims, f"n_{key}")
+        for key, width in widths.items():
             if len(signals[key]) != width:
                 raise UsageError(f"inputs[{k}].{key} in {args.inputs!r} has width {len(signals[key])}, expected {width}")
         steps.append(smpl.StepInput(w=w, **signals))
@@ -216,12 +213,15 @@ def _system(doc: ModelDocument) -> smpl.SmplSystem | None:
     return doc.model.system if doc.kind == "maha" else None
 
 
-def _input_widths(system: smpl.SmplSystem) -> dict[str, int]:
-    """The widths of the continuous inputs a step of the system reads from
-    its step input: u, which a controller computes itself, so only an open
-    loop's, then r and p."""
+def _input_widths(doc: ModelDocument) -> dict[str, int]:
+    """The step fields besides w that a document's steps read, with their
+    widths: u and v on an open loop (a closed loop's controller computes
+    its own), then r and p; none for an automaton."""
+    system = _system(doc)
+    if system is None:
+        return {}
     d = system.dims
-    return {"u": 0 if system.closed_loop else d.n_u, "r": d.n_r, "p": d.n_p}
+    return ({} if system.closed_loop else {"u": d.n_u, "v": d.n_v}) | {"r": d.n_r, "p": d.n_p}
 
 
 def _symbols_of(doc: ModelDocument) -> tuple[str, ...]:
@@ -307,14 +307,21 @@ def cmd_abstract(args: argparse.Namespace) -> tuple[str, int]:
     return serialize_body(fa_body(fa, meta={"name": f"{doc.name or doc.kind}-abstraction"})), 0
 
 
-def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed: int):
+def _behaviour_inputs(args: argparse.Namespace, doc1: ModelDocument, doc2: ModelDocument, bound: int):
+    """The regime and the step sequences of a behaviour check.  Both models
+    take the same steps, so a field both documents read must have one
+    width there; a field only one reads is drawn at its width."""
     symbols = _symbols_of(doc1)
     equivalence.require_same_alphabet(symbols, _symbols_of(doc2))
-    widths = {"u": 0, "r": 0, "p": 0}
-    for system in map(_system, (doc1, doc2)):
-        if system is not None:
-            for key, width in _input_widths(system).items():
-                widths[key] = max(widths[key], width)
+    table1, table2 = _input_widths(doc1), _input_widths(doc2)
+    widths = {}
+    for key in "urp":
+        if key in table1 and key in table2 and table1[key] != table2[key]:
+            raise UsageError(
+                f"{args.model1!r} reads {key} of width {table1[key]} and {args.model2!r} {key} of width "
+                f"{table2[key]} on every step; a behaviour check gives both models the same steps"
+            )
+        widths[key] = table1.get(key, table2.get(key, 0))
     if not any(widths.values()):
         regime = "exhaustive"
         by_symbol = {w: smpl.StepInput(w=w) for w in symbols}
@@ -323,7 +330,7 @@ def _behaviour_inputs(doc1: ModelDocument, doc2: ModelDocument, bound: int, seed
         seqs = (tuple(map(by_symbol.__getitem__, word)) for word in words)
     else:
         regime = "sampled"
-        rng = random.Random(seed)
+        rng = random.Random(args.seed)
         seqs = []
         for _ in range(200):
             length = rng.randint(1, bound)
@@ -354,7 +361,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     if relation == "behaviour":
         if bound < 1:
             raise UsageError("--bound must be at least 1 for behaviour checks")
-        regime, seqs = _behaviour_inputs(doc1, doc2, bound, args.seed)
+        regime, seqs = _behaviour_inputs(args, doc1, doc2, bound)
         refusal = "behaviour checks need mpa, smpl or maha documents"
         holds, steps = equivalence.behavioural_inclusion_upto(_stepper(doc1, refusal), _stepper(doc2, refusal), seqs)
         # r and p only when drawn, so witnesses of u-only models keep their form

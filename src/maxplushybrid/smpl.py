@@ -12,26 +12,25 @@ candidate set halts the run.
 
 One function, resolve_step, resolves a step for the system and for its
 hybrid translation alike: it resolves the controlled inputs (the
-controller's, shape-checked, or the step input's own), checks the widths
-of u, r and p once before the rule sees them, calls the rule's
-successor_set once and checks that every candidate is a mode the system
-has; its input half is resolve_inputs, which returns at once for a step
-with no u, v, r or p on a system that reads none.  On it sits the one
-step core, advance: it advances with the first candidate only and
-evaluates that mode's output map on the continuous input the resolution
-built.  step and hybrid.MahaBehaviour.step are its callers, so a system
-and its translation run through the same code and differ only in the
-record they write; the translation's full successor set
-(hybrid.hybrid_step) calls resolve_step itself.  A run's first step
-resolves with no previous mode, in the system and in its translation
-alike.  A rule that has to compute a mode's next state to decide on it
-(symbol liveness does) hands that state back with the candidate, so a
-step evaluates the chosen mode's dynamics once.  The state and inputs are
-passed on as the tuples they already are, a rule's output is
-deduplicated and sorted only when it holds more than one candidate, or
-one that is not a Candidate, and the probe, candidates and record of a
-step are built by new_probe, new_candidate and new_record, straight
-through tuple.__new__.
+controller's, shape-checked, or the step input's own) and checks the
+widths of u, r and p once before the rule sees them, both skipped for a
+step with no u, v, r or p on a system that reads none; then it calls the
+rule's successor_set once and checks that every candidate is a mode the
+system has.  On it sits the one step core, advance: it advances with the
+first candidate only and evaluates that mode's output map on the
+continuous input the resolution built.  step and
+hybrid.MahaBehaviour.step are its callers, so a system and its
+translation run through the same code and differ only in the record they
+write; the translation's full successor set (hybrid.hybrid_step) calls
+resolve_step itself.  A run's first step resolves with no previous mode,
+in the system and in its translation alike.  A rule that has to compute a
+mode's next state to decide on it (symbol liveness does) hands that state
+back with the candidate, so a step evaluates the chosen mode's dynamics
+once.  The state and inputs are passed on as the tuples they already are,
+a rule's output is deduplicated and sorted only when it holds more than
+one candidate, or one that is not a Candidate, and the probe, candidates
+and record of a step are built by new_probe, new_candidate and
+new_record, straight through tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step and fold, and the shift_exact flag by which bounded
@@ -389,40 +388,6 @@ class SmplSystem:
         )
 
 
-def resolve_inputs(
-    s: SmplSystem, z: tuple[Weight, ...] | None, inp: StepInput
-) -> tuple[tuple[Weight, ...], tuple[Weight, ...], tuple[Weight, ...]]:
-    """A step's controlled inputs (u, v) and the continuous input
-    u ++ r ++ p fed to the mode maps.  u and v come from the controller
-    when there is one, with their shape checked, and are the step input's
-    own otherwise; then the widths of u, r and p are checked, part by part
-    and in sum.  Only a controller reads the performance signal z, so z
-    may be None without one.  An input-free system given no u, v, r or p
-    has nothing to resolve."""
-    if s.input_free and not (inp.u or inp.v or inp.r or inp.p):
-        return (), (), ()
-    dims = s.dims
-    if s.controller is None:
-        u, v = inp.u, inp.v
-        shaped = len(v) == dims.n_v
-    else:
-        u, v = tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
-        shaped = len(u) == dims.n_u and len(v) == dims.n_v
-    if not shaped:
-        raise ValueError(
-            f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
-        )
-    r, p = inp.r, inp.p
-    if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
-        got = (len(u), len(r), len(p))
-        want = (dims.n_u, dims.n_r, dims.n_p)
-        raise ValueError(
-            f"step input has (u, r, p) widths {got}, expected {want}; "
-            f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
-        )
-    return u, v, u + r + p
-
-
 def resolve_step(
     s: SmplSystem,
     prev_mode: int | None,
@@ -431,10 +396,38 @@ def resolve_step(
     inp: StepInput,
 ) -> tuple[tuple[Weight, ...], tuple[Weight, ...], tuple[Weight, ...], tuple[Candidate, ...]]:
     """One step's resolution from the previous mode (None before the first
-    step) and state: the step's (u, v, u ++ r ++ p) from resolve_inputs and
-    the rule's candidates, once, each a mode the system has."""
-    u, v, win = resolve_inputs(s, z, inp)
-    candidates = s.switching.successor_set(new_probe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
+    step) and state: the controlled inputs (u, v), the continuous input
+    u ++ r ++ p fed to the mode maps, and the rule's candidates, once,
+    each a mode the system has.  u and v come from the controller when
+    there is one, with their shape checked, and are the step input's own
+    otherwise; then the widths of u, r and p are checked, part by part and
+    in sum.  Only a controller reads the performance signal z, so z may be
+    None without one.  An input-free system given no u, v, r or p has no
+    inputs to resolve."""
+    r, p = inp.r, inp.p
+    if s.input_free and not (inp.u or inp.v or r or p):
+        u = v = win = ()
+    else:
+        dims = s.dims
+        if s.controller is None:
+            u, v = inp.u, inp.v
+            shaped = len(v) == dims.n_v
+        else:
+            u, v = tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
+            shaped = len(u) == dims.n_u and len(v) == dims.n_v
+        if not shaped:
+            raise ValueError(
+                f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
+            )
+        if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
+            got = (len(u), len(r), len(p))
+            want = (dims.n_u, dims.n_r, dims.n_p)
+            raise ValueError(
+                f"step input has (u, r, p) widths {got}, expected {want}; "
+                f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
+            )
+        win = u + r + p
+    candidates = s.switching.successor_set(new_probe(prev_mode, x_prev, u, v, inp.w, r, p))
     if candidates:
         # Candidates come sorted by mode and the modes are 1..n_modes, so
         # the first and the last being known covers every one in between.

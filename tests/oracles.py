@@ -271,7 +271,7 @@ def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_pre
     performance signal z = (mode, x, u, v) itself, the mode EPS before the
     first step."""
     z = (EPS if prev_mode is None else float(prev_mode),) + tuple(x_prev) + tuple(u_prev) + tuple(v_prev)
-    u, v, win = smpl.resolve_inputs(s, z, inp)
+    u, v, win = resolve_inputs_in_full(s, z, inp)
     probe = smpl.SwitchProbe(
         prev_mode=prev_mode, x=tuple(x_prev), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
     )
@@ -307,7 +307,8 @@ def simulate(s: smpl.SmplSystem, inputs) -> smpl.Trace:
 
 
 def resolve_inputs_in_full(s: smpl.SmplSystem, z, inp: smpl.StepInput):
-    """smpl.resolve_inputs without its early return for input-free steps."""
+    """The inputs smpl.resolve_step resolves, (u, v, u ++ r ++ p), with
+    its width checks and without its early return for input-free steps."""
     dims = s.dims
     if s.controller is None:
         u, v = inp.u, inp.v
@@ -473,9 +474,9 @@ def scan_of_translation(s: smpl.SmplSystem) -> ScanAutomaton:
     signal z = (mode, x, u, v) for the closed loop.  The guard of (q, q'),
     and the invariant of q for q' = q, holds when oracles.smpl_step_twice
     from previous mode q admits q'; the flow of q' evaluates q' on the
-    inputs smpl.resolve_inputs gives.  The one initial state has mode None
-    at the system's initial state, with an edge to every mode, so a run's
-    first step resolves with no previous mode."""
+    inputs resolve_inputs_in_full gives.  The one initial state has mode
+    None at the system's initial state, with an edge to every mode, so a
+    run's first step resolves with no previous mode."""
     dims = s.dims
     n, n_u = dims.n, dims.n_u
     modes = tuple(range(1, s.n_modes + 1))
@@ -513,7 +514,7 @@ def scan_of_translation(s: smpl.SmplSystem) -> ScanAutomaton:
 
     def flow(target):
         def advance(z, inp):
-            u, v, win = smpl.resolve_inputs(s, z, inp)
+            u, v, win = resolve_inputs_in_full(s, z, inp)
             return write(target, s.modes[target].form.eval_state(read(z)[0], win), u, v)
 
         return advance

@@ -364,3 +364,30 @@ def test_production_checks_fail_on_a_faulty_line(monkeypatch):
     conjunctive = reproduce.check_production_conjunctive(45)
     assert not conjunctive.passed
     assert conjunctive.details == "287 mismatches on 1000 random states across both modes"
+
+
+@pytest.mark.parametrize(
+    "source,details",
+    [
+        # a's weight 4 from the second state to the third: the
+        # translation's run halts on aa, where the automaton's row keeps 5
+        (1, "aa: in the automaton's behaviour, not in the translation's"),
+        # a's weight 3 from the first state to the third: both runs live
+        # on ab, with outputs 12 and 5
+        (0, "ab: in the automaton's behaviour, not in the translation's; "
+            "ab: in the translation's behaviour, not in the automaton's"),
+    ],
+)
+def test_translation_check_fails_on_a_faulty_translation(monkeypatch, source, details):
+    translate = smpl.from_mpa
+
+    def faulty(a):
+        m = a.mu["a"]
+        entries = list(m.entries)
+        entries[source * m.cols + 2] = EPS
+        return translate(dataclasses.replace(a, mu={**a.mu, "a": TropicalMatrix(m.rows, m.cols, tuple(entries))}))
+
+    monkeypatch.setattr(smpl, "from_mpa", faulty)
+    check = reproduce.check_behavioural_translation()
+    assert not check.passed
+    assert check.details == details

@@ -9,8 +9,6 @@ why, and no argv raises.
 """
 
 import argparse
-import contextlib
-import io
 import json
 
 import pytest
@@ -18,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxplushybrid import cli
+from test_support_rule import run_main
 
 SHARED = {"--format": "json", "--seed": "1", "--bound": "2"}
 TAKES = {
@@ -37,14 +36,6 @@ BASE = {
     "reproduce": ("reproduce",),
 }
 PAIRS = [(command, flag) for command in sorted(TAKES) for flag in sorted(SHARED)]
-
-
-def run_main(*argv):
-    """cli.main in process: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def shared_options(command):

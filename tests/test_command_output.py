@@ -7,14 +7,13 @@ working directory under fixed names, since reports echo their command
 line.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 
 import pytest
 
 from maxplushybrid import cli, fixtures
+from test_support_rule import run_main
 
 # A one-state automaton over {a, b} whose language and outputs differ from
 # gaubert_mpa's.
@@ -22,14 +21,6 @@ ONE_STATE_MPA = {
     "kind": "mpa", "states": ["1"], "alphabet": ["a", "b"],
     "alpha": [0], "mu": {"a": [[1]], "b": [["-inf"]]}, "beta": [0],
 }
-
-
-def run_main(*argv):
-    """cli.main in process: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def write_documents():

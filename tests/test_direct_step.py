@@ -3,15 +3,16 @@
 hybrid_step takes a translated automaton's step through the successor
 function the translation builds; oracles.scan_of_translation builds the
 paper's automaton for the same system, whose invariant, guards and flows
-come from oracles.smpl_step_twice and smpl.resolve_inputs, and steps it
-by a scan.  The two must agree on generated systems of one to four modes,
-with single- and multi-branch rows and r and p inputs, under symbol
-liveness, externally driven switching, a rule that reads the previous
-mode, and a closed loop.  A step is also held to the switching system's
-own step from the same previous mode, and the switching-system stepper
-to oracles.simulate.  A run, which advances the first candidate alone
-through smpl.advance, is held to oracles.SuccessorSetRun, which takes the
-first of hybrid_step's successors.
+come from oracles.smpl_step_twice and oracles.resolve_inputs_in_full, so
+from no part of smpl.resolve_step, and steps it by a scan.  The two must
+agree on generated systems of one to four modes, with single- and
+multi-branch rows and r and p inputs, under symbol liveness, externally
+driven switching, a rule that reads the previous mode, and a closed loop.
+A step is also held to the switching system's own step from the same
+previous mode, and the switching-system stepper to oracles.simulate.  A
+run, which advances the first candidate alone through smpl.advance, is
+held to oracles.SuccessorSetRun, which takes the first of hybrid_step's
+successors.
 """
 
 import dataclasses

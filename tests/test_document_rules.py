@@ -6,9 +6,7 @@ comma-separated part exits 2 too, naming the part's position.
 symbol_liveness symbols may repeat: the input alphabet is the distinct
 symbols, which every command reads."""
 
-import contextlib
 import dataclasses
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -17,18 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplushybrid import cli, equivalence, fixtures
+from maxplushybrid import equivalence, fixtures
 from maxplushybrid.serialization import ModelFormatError, maha_body, parse_model, serialize_body, smpl_body
 from maxplushybrid.smpl import SwitchingKind
 from oracles import classify_switching
-
-
-def run_main(*argv):
-    """cli.main in process: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+from test_support_rule import run_main
 
 
 def bundled(name):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -106,7 +107,8 @@ class TestBehaviourInputs:
     def test_exhaustive_words_share_one_input_per_symbol(self, name, bound):
         doc = parse_model(fixtures.fixture_text(name))
         symbols = doc.body["alphabet"] if doc.kind == "mpa" else doc.body["switching"]["symbols"]
-        regime, seqs = _behaviour_inputs(doc, doc, bound, 0)
+        args = argparse.Namespace(model1=name, model2=name, seed=0)
+        regime, seqs = _behaviour_inputs(args, doc, doc, bound)
         assert regime == "exhaustive"
         seqs = list(seqs)
         assert seqs == [word_inputs(w) for w in equivalence.exhaustive_words(symbols, bound)]
@@ -753,11 +755,13 @@ class TestSmplDocumentsAcrossCommands:
         maha.write_text(translated.stdout)
         runs = [run_cli("simulate", str(path), "--word", word, "--format", "json") for path in (model, maha)]
         assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
-        system, hybrid = (json.loads(r.stdout)["trace"] for r in runs)
-        n = len(system[0]["x"])
-        assert [(h["mode"], h["x"][1 : 1 + n] if loop == "closed" else h["x"]) for h in hybrid] == [
-            (s["mode"], s["x"]) for s in system
-        ]
+        system, hybrid = map(json.loads, (r.stdout for r in runs))
+        assert system["halted_at"] == hybrid["halted_at"]
+        # record for record, through the x inside z = (mode, x, u, v) on the closed loop
+        n = len(system["trace"][0]["x"])
+        assert [
+            (h["k"], h["mode"], h["x"][1 : 1 + n] if loop == "closed" else h["x"], h["y"]) for h in hybrid["trace"]
+        ] == [(s["k"], s["mode"], s["x"], s["y"]) for s in system["trace"]]
 
     def test_abstract_takes_an_smpl_document_through_its_translation(self, tmp_path):
         direct = run_cli("abstract", "production_line")
@@ -829,14 +833,32 @@ class TestSmplDocumentsAcrossCommands:
         assert result.stdout == ""
 
     def test_behaviour_check_between_documents_of_other_widths(self, tmp_path):
-        # inputs are drawn at the wider document's r width, which the
-        # bundled line does not take
+        # both documents read r, at widths 1 and 0: refused before any
+        # step, naming both, in either order
         model = tmp_path / "m.json"
         model.write_text(serialize_body(fixture_variant("production_line", n_r=1)))
-        result = run_cli("check", str(model), "production_line", "--relation", "behaviour")
-        assert result.returncode == 2
-        assert result.stderr.startswith(
-            "error: step input has (u, r, p) widths (0, 1, 0), expected (0, 0, 0); "
-            "u++r++p width 1 (0+1+0), expected 0"
-        )
-        assert "Traceback" not in result.stderr
+        for first, second, widths in ((str(model), "production_line", (1, 0)), ("production_line", str(model), (0, 1))):
+            result = run_cli("check", first, second, "--relation", "behaviour")
+            assert result.returncode == 2
+            assert result.stderr == (
+                f"error: {first!r} reads r of width {widths[0]} and {second!r} r of width {widths[1]} "
+                "on every step; a behaviour check gives both models the same steps\n"
+            )
+            assert result.stdout == ""
+
+    def test_behaviour_check_draws_a_field_only_one_document_reads(self, tmp_path):
+        # the closed loop's controller computes its u, so u is drawn at the
+        # open copy's width, in either order
+        model = tmp_path / "open.json"
+        model.write_text(serialize_body(fixture_variant("feedback_demo", drop_controller=True)))
+        for models in (("feedback_demo", str(model)), (str(model), "feedback_demo")):
+            result = run_cli("check", *models, "--relation", "behaviour", "--bound", "3", "--format", "json")
+            assert result.returncode == 1, result.stderr
+            report = json.loads(result.stdout)
+            del report["command"]
+            assert report == {
+                "bound": 3,
+                "regime": "sampled",
+                "verdict": False,
+                "witness": [{"u": [5], "w": "m1"}],
+            }

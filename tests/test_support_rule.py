@@ -52,7 +52,8 @@ weights_with_top = st.one_of(st.just(EPS), st.just(TOP), finite, finite)
 
 
 def run_main(*argv, stdin_text=None):
-    """cli.main in process: (exit code, stdout, stderr)."""
+    """cli.main in process, reading stdin_text as its stdin when given:
+    (exit code, stdout, stderr).  The other CLI test files import it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(contextlib.redirect_stdout(out))
