@@ -68,6 +68,15 @@ def translation_first_checks(model: str, stem: str) -> Iterator[Run]:
         yield from behaviour_checks(f"{stem}-{kind}.json", model)
 
 
+def translation_pair_checks(stem: str) -> Iterator[Run]:
+    """An automaton's smpl and maha translations checked against each
+    other, in both orders, at bounds 6 and 12."""
+    smpl, maha = f"{stem}-smpl.json", f"{stem}-maha.json"
+    for pair in ((smpl, maha), (maha, smpl)):
+        for bound in ("6", "12"):
+            yield from mph("check", *pair, "--relation", "behaviour", "--bound", bound)
+
+
 def model_runs(model: str, stem: str, words: Iterable[str], steps: str, to=("maha",)) -> Iterator[Run]:
     """A model and its translations, run on each word and on the steps
     file, and checked against the maha one; stem names their files."""
@@ -171,6 +180,7 @@ def runs() -> Iterator[Run]:
     yield from write("ab-steps.json", json.dumps([{"w": w} for w in "abb"]))
     yield from mpa_runs("gaubert_mpa", "gaubert", json.loads(bundled["gaubert_mpa"]), 6)
     yield from translation_first_checks("gaubert_mpa", "gaubert")
+    yield from translation_pair_checks("gaubert")
     yield from write("line-steps.json", json.dumps([{"w": w} for w in ("l1", "l2", "l2", "l1")]))
     yield from model_runs("production_line", "line", ["l1,l1,l2,l1,l2,l2"], "line-steps.json")
     yield from mph("abstract", "production_line", save="line-fa.json")
@@ -196,6 +206,7 @@ def runs() -> Iterator[Run]:
         yield from mpa_runs(f"r{i}.json", f"r{i}", body, 5)
         if i == 3:
             yield from translation_first_checks("r3.json", "r3")
+            yield from translation_pair_checks("r3")
     for seed in ("42", "7"):
         yield from mph("reproduce", "--seed", seed)
 

@@ -19,22 +19,28 @@ is its runs that do not halt, and two runs agree where their records'
 outputs y do.  A max-plus automaton and its translations halt where the
 row dies and output its value at every step, so each includes the other.
 Each class's stepper lives beside its step code (smpl.SmplBehaviour,
-hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Input
-sequences share prefixes, so the bounded check walks a graph of them, one
-child per input, and keeps the two systems' states per prefix for the
+hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Two
+steppers with one program (smpl.Stepper.program: the start vector and each
+symbol's compiled state and output maps) run every sequence of bare
+symbols alike, step for step, so the bounded check passes those over
+without a step: that is how a model and its translations are judged, the
+identity case of max-plus conjugacy (Beal, Lombardy and Sakarovitch 2006).
+Every other sequence goes to the stepping walk, stepped_inclusion_upto.
+Input sequences share prefixes, so that walk goes over a graph of them,
+one child per input, and keeps the two systems' states per prefix for the
 length of one call.  Input-free max-plus runs are homogeneous: adding c to
 a state adds c to every later state and output, and halting reads only
 which entries are finite.  So a prefix whose pair of states equals an
-earlier one's up to one shared constant shares that prefix's children
-(the normalisation of max-plus determinisation, Mohri 1997), and each
-normalised pair is stepped once.  A stepper only says whether its
-runs are shift-exact (smpl.Stepper.shift_exact): every max-plus automaton
-and every switching system, or its translation, without controller or
-inputs whose rule is a document symbol_liveness or externally_driven one,
-in each case only with integer weights, so that floats keep the shift
-exact.  The key itself, normalised_pair, is this module's alone.  Other
-models walk the plain trie of prefixes.  Verdicts and witnesses are those
-of stepping every prefix.
+earlier one's up to one shared constant shares that prefix's children (the
+normalisation of max-plus determinisation, Mohri 1997), and each
+normalised pair is stepped once.  A stepper only says whether its runs are
+shift-exact (smpl.Stepper.shift_exact): every max-plus automaton and every
+switching system, or its translation, without controller or inputs whose
+rule is a document symbol_liveness or externally_driven one, in each case
+only with integer weights, so that floats keep the shift exact.  The key
+itself, normalised_pair, is this module's alone.  Other models walk the
+plain trie of prefixes.  Verdicts and witnesses are those of stepping
+every prefix.
 """
 
 from __future__ import annotations
@@ -353,6 +359,29 @@ def behavioural_inclusion_upto(
     sequences outside sys1's behaviour impose nothing.  The iteration order
     of input_sequences determines which counterexample is reported, so feed
     it length-ordered when the shortest one matters.
+
+    When the two steppers have one program (smpl.Stepper.program), they
+    evaluate the same compiled maps on the same vectors at every step of
+    a sequence of its symbols alone (StepInput(w=s)), and halt at the same
+    step, so every such sequence is in both behaviours or in neither, with
+    equal outputs.  Those sequences are passed over without a step, as
+    they come; every other sequence goes, in order, to
+    stepped_inclusion_upto, so verdict, witness and errors are its own.
+    """
+    program = sys1.program
+    if program is None or program != sys2.program:
+        return stepped_inclusion_upto(sys1, sys2, input_sequences)
+    plain = {StepInput(w=symbol) for symbol in program[1]}
+    return stepped_inclusion_upto(sys1, sys2, itertools.filterfalse(plain.issuperset, map(tuple, input_sequences)))
+
+
+def stepped_inclusion_upto(
+    sys1: Stepper,
+    sys2: Stepper,
+    input_sequences: Iterable[Sequence[StepInput]],
+) -> tuple[bool, tuple[StepInput, ...] | None]:
+    """behavioural_inclusion_upto by stepping both models over every
+    sequence, whatever their programs.
 
     The walk keeps a graph of the prefixes seen, one node per prefix
     holding sys1's state (None once dead, which makes every extension

@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
+from .smpl import Program, SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
 from .smpl import advance, new_record, performance_signal, resolve_step, signal_x
 from .tropical import Weight, is_finite
 
@@ -174,6 +174,11 @@ class MahaBehaviour(Stepper):
     def shift_exact(self) -> bool:
         # A shift-exact system is an open loop, whose records hold x itself.
         return self.automaton.system.shift_exact
+
+    @property
+    def program(self) -> Program | None:
+        # The system's: None on a closed loop, which is not input-free.
+        return self.automaton.system.program
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .finite import FiniteAutomaton, Word, make_delta
-from .smpl import StepInput, Stepper, StepRecord, new_record
+from .smpl import Program, StepInput, Stepper, StepRecord, new_record, program_of
 from .tropical import EPS, EXACT_STATE, EXACT_WEIGHT, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
 from .tropical import integral_below
 
@@ -74,6 +74,15 @@ class MaxPlusAutomaton:
             and integral_below(self.beta, EXACT_WEIGHT)
             and integral_below(self.alpha, EXACT_STATE)
         )
+
+    @functools.cached_property
+    def program(self) -> Program | None:
+        """The automaton's program (see smpl.Stepper): alpha and, per
+        symbol, its matrix's columns and the final row, the maps a step
+        runs; the row halts where it is all EPS, which is where it has no
+        finite entry, as no weight is +inf.  Decided once per automaton."""
+        final = self._final_row
+        return program_of(tuple(self.alpha), {symbol: (self.mu[symbol]._columns, final) for symbol in self.alphabet})
 
     @functools.cached_property
     def _symbol_steps(self) -> dict[str, tuple[int, TropicalMatrix]]:
@@ -142,6 +151,10 @@ class MpaBehaviour(Stepper):
     @property
     def shift_exact(self) -> bool:
         return self.automaton.shift_exact
+
+    @property
+    def program(self) -> Program | None:
+        return self.automaton.program
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

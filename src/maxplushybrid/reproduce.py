@@ -4,9 +4,11 @@ Most checks recompute an expected value through a route independent of the
 code path they validate: word values against explicit path enumeration,
 matrix-form steps against raw expression evaluation, abstractions against
 exhaustive bounded-language search.  mpa-smpl-behaviour states the
-paper's bridge result through the library's own relation,
-equivalence.behavioural_inclusion_upto, in both orders: the automaton's
-row recursion against its translation's switching steps.  Two are
+paper's bridge result through the library's own relation, in both
+orders, by stepping: equivalence.stepped_inclusion_upto runs the
+automaton's row recursion against its translation's switching steps,
+where behavioural_inclusion_upto would pass the two over as one program
+without a step.  Two are
 same-route comparisons: smpl-maha-open-traces and smpl-maha-closed-traces
 compare smpl.simulate with hybrid.run, and both step through
 smpl.advance.  The report content is a deterministic function of the seed
@@ -78,15 +80,16 @@ def check_power_collapse() -> CheckResult:
 
 def check_behavioural_translation() -> CheckResult:
     """The automaton and its switching translation include each other's
-    behaviour, through equivalence.behavioural_inclusion_upto in both
-    orders over every word of length at most 6: a run halts in one exactly
-    where it halts in the other, and outputs the same values up to there."""
+    behaviour, stepping both through equivalence.stepped_inclusion_upto
+    in both orders over every word of length at most 6: a run halts in one
+    exactly where it halts in the other, and outputs the same values up to
+    there."""
     a = fixtures.gaubert_mpa()
     automaton, system = mpa.MpaBehaviour(a), smpl.SmplBehaviour(smpl.from_mpa(a))
     words = [smpl.word_inputs(word) for word in equivalence.exhaustive_words(a.alphabet, 6)]
     failures = []
     for (first, one), (second, other) in itertools.permutations(((automaton, "automaton"), (system, "translation"))):
-        holds, witness = equivalence.behavioural_inclusion_upto(first, second, words)
+        holds, witness = equivalence.stepped_inclusion_upto(first, second, words)
         if not holds:
             failures.append(f"{''.join(inp.w for inp in witness)}: in the {one}'s behaviour, not in the {other}'s")
     return CheckResult(

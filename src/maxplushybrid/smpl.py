@@ -33,12 +33,13 @@ and record of a step are built by new_probe, new_candidate and
 new_record, straight through tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
-(Stepper: init, step and fold, and the shift_exact flag by which bounded
-behaviour checks decide whether to key states), with one StepRecord per
-step, whose y is the step's output, and one Trace per run; a run of any
-class is Stepper.fold over its inputs, a run halts where step returns
-None, and the inputs of a run that does not halt are in the model's
-behaviour.
+(Stepper: init, step and fold, the shift_exact flag by which bounded
+behaviour checks decide whether to key states, and the program by which
+they pass over the sequences two models run alike), with one StepRecord
+per step, whose y is the step's output, and one Trace per run; a run of
+any class is Stepper.fold over its inputs, a run halts where step
+returns None, and the inputs of a run that does not halt are in the
+model's behaviour.
 SmplBehaviour is this module's stepper, whose step is the module function
 step(s, state, inp): it takes the last step's record (init's before the
 first step) and returns the next one, or None when the rule admits no
@@ -57,7 +58,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .expressions import MatrixForm
-from .tropical import EPS, EXACT_STATE, TropicalMatrix, Weight, eval_rows, has_finite_entry, integral_below
+from .tropical import EPS, EXACT_STATE, TOP, CompiledRows, TropicalMatrix, Weight, eval_rows, has_finite_entry
+from .tropical import integral_below
 
 if TYPE_CHECKING:
     from .mpa import MaxPlusAutomaton
@@ -303,6 +305,37 @@ class Trace:
         return self.halted_at is None
 
 
+# A stepper's program: its start vector and, per symbol, the compiled state
+# and output maps of a step on that symbol alone (Stepper.program).
+ProgramMaps = dict[str, tuple[CompiledRows, CompiledRows]]
+Program = tuple[tuple[Weight, ...], ProgramMaps]
+
+
+def program_of(x0: tuple[Weight, ...], maps: ProgramMaps) -> Program | None:
+    """(x0, maps) when equal programs are sure to run alike, else None.
+    Each map must read an x of x0's width and no input, so that no step
+    is refused; a state map, from square matrices, writes the width it
+    reads.  Each entry of x0 and weight of the maps must be a float, of
+    magnitude below EXACT_STATE unless it is EPS or TOP.  Equal floats
+    then compute alike, up to the sign of zero, where an int and an equal
+    float need not (2**53 + 1 is not 2.0**53 + 1).  And a state k steps
+    deep stays below (k + 1) * EXACT_STATE in magnitude, far from
+    overflowing to TOP, where an automaton, which halts on an all-EPS
+    row, and a switching system, which halts on a state with no finite
+    entry, would part."""
+    n = len(x0)
+    weights = list(x0)
+    for step_maps in maps.values():
+        for rows, n_x, n_u in step_maps:
+            if n_x != n or n_u:
+                return None
+            for single, row in rows:
+                for pairs in (row,) if single else row:
+                    weights += [a for _, a in pairs]
+    plain = all(type(a) is float and (-EXACT_STATE < a < EXACT_STATE or a == EPS or a == TOP) for a in weights)
+    return (x0, maps) if plain else None
+
+
 class Stepper:
     """A model's runs, one step at a time, for every model class.
 
@@ -317,9 +350,22 @@ class Stepper:
     no halt.  Two states with one mode whose x agree up to such a c then
     behave alike up to that shift, which lets a bounded behaviour check
     step one of them for both (equivalence.normalised_pair).
+
+    program is None (the default) or what the runs compute, built by
+    program_of: (x0, maps), the start vector and, per symbol s, the
+    compiled (state map, output map) that a step on StepInput(w=s)
+    evaluates with tropical.eval_rows, the run halting where the new
+    state has no finite entry.  A max-plus automaton gives one, and so
+    does an input-free switching system, or its open-loop translation,
+    whose rule is a library symbol_liveness rule over the system's own
+    modes with one mode per symbol.  Steppers with equal programs run
+    every sequence of such inputs alike, step for step, which lets a
+    behaviour check judge those sequences without a step
+    (equivalence.behavioural_inclusion_upto).
     """
 
     shift_exact = False
+    program: Program | None = None
 
     def init(self) -> StepRecord:
         raise NotImplementedError
@@ -386,6 +432,26 @@ class SmplSystem:
             and integral_below(self.x0, EXACT_STATE)
             and all(m.exact for f in (mode.form for mode in self.modes.values()) for m in f.A + f.B + f.C + f.D)
         )
+
+    @functools.cached_property
+    def program(self) -> Program | None:
+        """The system's program (see Stepper) when it is input-free and its
+        rule is a symbol_liveness_rule whose every symbol selects one mode,
+        the very dynamics the system holds for it: a step on a symbol then
+        runs that mode's maps and halts where no entry stays finite.  None
+        otherwise, and for any other rule.  Decided once per system."""
+        by_symbol = getattr(self.switching.successors, "modes_by_symbol", None)
+        if by_symbol is None or not self.input_free:
+            return None
+        maps: ProgramMaps = {}
+        for symbol, selected in by_symbol.items():
+            if len(selected) != 1:
+                return None
+            (mode, dynamics), = selected
+            if self.modes.get(mode) is not dynamics:
+                return None
+            maps[symbol] = dynamics.form._state_map, dynamics.form._output_map
+        return program_of(tuple(self.x0), maps)
 
 
 def resolve_step(
@@ -494,6 +560,10 @@ class SmplBehaviour(Stepper):
     def shift_exact(self) -> bool:
         return self.system.shift_exact
 
+    @property
+    def program(self) -> Program | None:
+        return self.system.program
+
     # Each stepper class holds its own trace: perfbench/tracing.py wraps
     # cls.__dict__["trace"] per class.
     trace = Stepper.trace
@@ -537,6 +607,7 @@ def symbol_liveness_rule(
         return out
 
     successors.shift_invariant = True  # which entries are finite does not move under a shift
+    successors.modes_by_symbol = stepped  # the modes each symbol selects, for SmplSystem.program
 
     return SwitchingRule(
         kind=kind,

@@ -39,7 +39,9 @@ from oracles import behavioural_inclusion_by_trie
 
 
 class Counting(Stepper):
-    """inner's runs, counting the steps taken."""
+    """inner's runs, counting the steps taken.  It does not forward
+    inner's program (Stepper.program is None), so every behaviour check on
+    it steps, which is what these tests count; CountingProgram does."""
 
     def __init__(self, inner):
         self.inner, self.steps = inner, 0
@@ -54,6 +56,15 @@ class Counting(Stepper):
     @property
     def shift_exact(self):
         return self.inner.shift_exact
+
+
+class CountingProgram(Counting):
+    """Counting, with inner's program, so that a behaviour check may pass
+    sequences over without a step."""
+
+    @property
+    def program(self):
+        return self.inner.program
 
 
 def agrees(sys1, sys2, seqs):
@@ -135,6 +146,23 @@ class TestAgainstTheTrieWalk:
         assert behavioural_inclusion_upto(*walk, seqs) == behavioural_inclusion_by_trie(*trie, seqs) == (True, None)
         assert sum(side.steps for side in trie) == 16_380
         assert sum(side.steps for side in walk) == 32
+
+    def test_production_line_at_bound_12_with_its_program_takes_no_step(self, production):
+        seqs = [word_inputs(w) for w in exhaustive_words(("l1", "l2"), 12)]
+        pair = CountingProgram(SmplBehaviour(production)), CountingProgram(MahaBehaviour(from_smpl_open(production)))
+        assert behavioural_inclusion_upto(*pair, seqs) == (True, None)
+        assert sum(side.steps for side in pair) == 0
+
+    def test_only_the_sequence_that_is_not_plain_symbols_steps(self, production):
+        # l3 is no symbol of the line: its rule selects no mode, so the run halts
+        odd = word_inputs(("l1", "l2", "l3"))
+        seqs = [word_inputs(w) for w in exhaustive_words(("l1", "l2"), 6)]
+        seqs.insert(40, odd)
+        alone = Counting(SmplBehaviour(production)), Counting(MahaBehaviour(from_smpl_open(production)))
+        assert behavioural_inclusion_upto(*alone, [odd]) == (True, None)
+        pair = CountingProgram(SmplBehaviour(production)), CountingProgram(MahaBehaviour(from_smpl_open(production)))
+        assert behavioural_inclusion_upto(*pair, seqs) == (True, None)
+        assert [side.steps for side in pair] == [side.steps for side in alone] == [3, 2]
 
     def test_gaubert_at_bound_12_against_its_translation(self, gaubert):
         translation = MahaBehaviour(from_smpl_open(from_mpa(gaubert)))
