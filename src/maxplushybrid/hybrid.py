@@ -21,10 +21,12 @@ resolution from that state with no previous mode (mode None), as the
 system's first step is.
 
 MahaBehaviour is the automaton's stepper (smpl.Stepper).  A run is its
-fold: each step goes through smpl.advance, the step core that
-smpl.step uses too, which resolves once, advances with the smallest
-candidate mode only and outputs on the inputs the resolution built; the
-stepper then writes x (open loop) or z (closed loop, through
+fold, and each step is the one smpl.step takes.  A bare symbol on a
+system with symbol_steps goes through smpl.symbol_step: the symbol's
+mode's two maps and one record.  Every other step goes through
+smpl.advance, which resolves once, advances with the smallest candidate
+mode only and outputs on the inputs the resolution built; the stepper
+then writes x (open loop) or z (closed loop, through
 smpl.performance_signal) into the record.
 hybrid_step gives the paper's full successor set instead: from mode q it
 resolves the step through smpl.resolve_step with q as the previous mode
@@ -47,7 +49,7 @@ from typing import NamedTuple, Sequence
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
 from .smpl import Program, SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
-from .smpl import advance, new_record, performance_signal, resolve_step, signal_x
+from .smpl import advance, new_record, performance_signal, resolve_step, signal_x, symbol_step
 from .tropical import Weight, is_finite
 
 
@@ -150,9 +152,11 @@ class MahaBehaviour(Stepper):
     mode.  Before the first step there is no current mode (None), as a
     switching system's first mode is resolved by its rule rather than
     given; the record before the first step holds the initial state.  A
-    step is the system's smpl.advance from the record's mode and x (read
-    out of z in a closed loop), so it evaluates only the mode it takes;
-    its record holds x, or z = (mode, x, u, v) in a closed loop."""
+    step is the system's own: smpl.symbol_step for a bare symbol on a
+    system with symbol_steps, smpl.advance from the record's mode and x
+    (read out of z in a closed loop) otherwise, so it evaluates only the
+    mode it takes; its record holds x, or z = (mode, x, u, v) in a closed
+    loop."""
 
     automaton: HybridAutomaton
 
@@ -161,6 +165,11 @@ class MahaBehaviour(Stepper):
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         s = self.automaton.system
+        table = s.symbol_steps
+        if table is not None and not (inp.u or inp.v or inp.r or inp.p):
+            # an open loop: the record's x is the system's
+            found = table.get(inp.w)
+            return None if found is None else symbol_step(found, state.k, state.x)
         closed, z = s.controller is not None, state.x
         stepped = advance(s, state.mode, signal_x(z, s.dims.n) if closed else z, z, inp)
         if stepped is None:

@@ -80,15 +80,18 @@ class MaxPlusAutomaton:
         """The automaton's program (see smpl.Stepper): alpha and, per
         symbol, its matrix's columns and the final row, the maps a step
         runs; the row halts where it is all EPS, which is where it has no
-        finite entry, as no weight is +inf.  Decided once per automaton."""
-        final = self._final_row
-        return program_of(tuple(self.alpha), {symbol: (self.mu[symbol]._columns, final) for symbol in self.alphabet})
+        finite entry, as no weight is +inf.  Read off _symbol_steps, the
+        table a step looks its maps up in.  Decided once per automaton."""
+        maps = {symbol: (columns, final) for symbol, (_, columns, final) in self._symbol_steps.items()}
+        return program_of(tuple(self.alpha), maps)
 
     @functools.cached_property
-    def _symbol_steps(self) -> dict[str, tuple[int, TropicalMatrix]]:
-        """Each symbol's mode (its position in the alphabet from 1) and
-        weight matrix, for one lookup per step."""
-        return {symbol: (mode, self.mu[symbol]) for mode, symbol in enumerate(self.alphabet, start=1)}
+    def _symbol_steps(self) -> dict[str, tuple[int, CompiledRows, CompiledRows]]:
+        """Each symbol's mode (its position in the alphabet from 1), its
+        matrix's columns and the final row: the maps a step on the symbol
+        runs, found in one lookup."""
+        final = self._final_row
+        return {symbol: (mode, self.mu[symbol]._columns, final) for mode, symbol in enumerate(self.alphabet, start=1)}
 
 
 def step_row(a: MaxPlusAutomaton, row: Sequence[Weight], symbol: str) -> tuple[Weight, ...]:
@@ -141,12 +144,12 @@ class MpaBehaviour(Stepper):
             if inp.w is None:
                 raise ValueError("max-plus automata consume discrete symbols only")
             raise ValueError(f"unknown symbol {inp.w!r}")
-        mode, mu = found
-        row = mu.left_apply(state.x)
+        mode, columns, final = found
+        row = eval_rows(columns, state.x)
         if row.count(EPS) == len(row):
             return None
-        # y is (row_value(a, row),): _final_row has one row
-        return new_record(state.k + 1, mode, row, eval_rows(a._final_row, row), (mode,), (), ())
+        # y is (row_value(a, row),): the final row is one row
+        return new_record(state.k + 1, mode, row, eval_rows(final, row), (mode,), (), ())
 
     @property
     def shift_exact(self) -> bool:

@@ -10,9 +10,11 @@ automaton's row recursion against its translation's switching steps,
 where behavioural_inclusion_upto would pass the two over as one program
 without a step.  Two are
 same-route comparisons: smpl-maha-open-traces and smpl-maha-closed-traces
-compare smpl.simulate with hybrid.run, and both step through
-smpl.advance.  The report content is a deterministic function of the seed
-so runs can be compared byte for byte.
+compare smpl.simulate with hybrid.run.  The open loop's two fixtures step
+bare symbols through their symbol_steps tables, so that check compares
+two smpl.symbol_step runs; the closed loop's steps both go through
+smpl.advance.  The report content is a deterministic function of the
+seed so runs can be compared byte for byte.
 """
 
 from __future__ import annotations

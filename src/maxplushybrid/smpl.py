@@ -18,8 +18,14 @@ step with no u, v, r or p on a system that reads none; then it calls the
 rule's successor_set once and checks that every candidate is a mode the
 system has.  On it sits the one step core, advance: it advances with the
 first candidate only and evaluates that mode's output map on the
-continuous input the resolution built.  step and
-hybrid.MahaBehaviour.step are its callers, so a system and its
+continuous input the resolution built.  A step on a bare symbol (no u,
+v, r or p) of a system with symbol_steps skips it: an input-free system
+whose rule is a library symbol_liveness rule with one mode per symbol,
+the very dynamics the system holds, maps each symbol to its mode and
+that mode's compiled state and output maps, and symbol_step runs the two
+maps and writes the record, which is what advance computes there.  A
+symbol with no entry halts the run.  step and hybrid.MahaBehaviour.step
+take the table first and advance otherwise, so a system and its
 translation run through the same code and differ only in the record they
 write; the translation's full successor set (hybrid.hybrid_step) calls
 resolve_step itself.  A run's first step resolves with no previous mode,
@@ -309,6 +315,9 @@ class Trace:
 # and output maps of a step on that symbol alone (Stepper.program).
 ProgramMaps = dict[str, tuple[CompiledRows, CompiledRows]]
 Program = tuple[tuple[Weight, ...], ProgramMaps]
+# Per symbol, the one mode it selects and that mode's compiled state and
+# output maps (SmplSystem.symbol_steps).
+SymbolSteps = dict[str, tuple[int, CompiledRows, CompiledRows]]
 
 
 def program_of(x0: tuple[Weight, ...], maps: ProgramMaps) -> Program | None:
@@ -358,10 +367,11 @@ class Stepper:
     state has no finite entry.  A max-plus automaton gives one, and so
     does an input-free switching system, or its open-loop translation,
     whose rule is a library symbol_liveness rule over the system's own
-    modes with one mode per symbol.  Steppers with equal programs run
-    every sequence of such inputs alike, step for step, which lets a
-    behaviour check judge those sequences without a step
-    (equivalence.behavioural_inclusion_upto).
+    modes with one mode per symbol: its maps are read off the
+    SmplSystem.symbol_steps table that such steps run.  Steppers with
+    equal programs run every sequence of such inputs alike, step for
+    step, which lets a behaviour check judge those sequences without a
+    step (equivalence.behavioural_inclusion_upto).
     """
 
     shift_exact = False
@@ -434,23 +444,36 @@ class SmplSystem:
         )
 
     @functools.cached_property
-    def program(self) -> Program | None:
-        """The system's program (see Stepper) when it is input-free and its
-        rule is a symbol_liveness_rule whose every symbol selects one mode,
-        the very dynamics the system holds for it: a step on a symbol then
-        runs that mode's maps and halts where no entry stays finite.  None
-        otherwise, and for any other rule.  Decided once per system."""
+    def symbol_steps(self) -> SymbolSteps | None:
+        """Per symbol, its mode and that mode's compiled state and output
+        maps, when the system is input-free and its rule is a
+        symbol_liveness_rule whose every symbol selects one mode, the very
+        dynamics the system holds for it.  A step on a bare symbol is then
+        symbol_step over the symbol's entry, and a symbol with no entry
+        halts the run, as the rule admits no mode for it.  None otherwise,
+        and for any other rule.  Decided once per system."""
         by_symbol = getattr(self.switching.successors, "modes_by_symbol", None)
         if by_symbol is None or not self.input_free:
             return None
-        maps: ProgramMaps = {}
+        table: SymbolSteps = {}
         for symbol, selected in by_symbol.items():
             if len(selected) != 1:
                 return None
             (mode, dynamics), = selected
             if self.modes.get(mode) is not dynamics:
                 return None
-            maps[symbol] = dynamics.form._state_map, dynamics.form._output_map
+            table[symbol] = mode, dynamics.form._state_map, dynamics.form._output_map
+        return table
+
+    @functools.cached_property
+    def program(self) -> Program | None:
+        """The system's program (see Stepper), read off symbol_steps: the
+        maps a step on each symbol runs.  None where symbol_steps is.
+        Decided once per system."""
+        table = self.symbol_steps
+        if table is None:
+            return None
+        maps = {symbol: (state_map, output_map) for symbol, (_, state_map, output_map) in table.items()}
         return program_of(tuple(self.x0), maps)
 
 
@@ -529,11 +552,32 @@ def advance(
     return mode, x, eval_rows(form._output_map, x, win), successors, u, v
 
 
+def symbol_step(
+    found: tuple[int, CompiledRows, CompiledRows], k: int, x_prev: tuple[Weight, ...]
+) -> StepRecord | None:
+    """Step k + 1 on a symbol through its symbol_steps entry (mode, state
+    map, output map): the mode's next state from x_prev, None where it has
+    no finite entry (the run halts, as symbol liveness admits no mode),
+    else the record of that state and its output.  It is what advance
+    computes for such a step, with no rule, candidate or input to
+    resolve."""
+    mode, state_map, output_map = found
+    x = eval_rows(state_map, x_prev)
+    if not has_finite_entry(x):
+        return None
+    return new_record(k + 1, mode, x, eval_rows(output_map, x), (mode,), (), ())
+
+
 def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
     """One event step from the last step's record (SmplBehaviour(s).init()
-    before the first), through advance.  None when the rule admits no mode
-    (the run halts).  The performance signal is built only for a
+    before the first): symbol_step for a bare symbol on a system with
+    symbol_steps, advance for every other step.  None when the rule admits
+    no mode (the run halts).  The performance signal is built only for a
     controller to read."""
+    table = s.symbol_steps
+    if table is not None and not (inp.u or inp.v or inp.r or inp.p):
+        found = table.get(inp.w)
+        return None if found is None else symbol_step(found, state.k, state.x)
     z = None if s.controller is None else performance_signal(state.mode, state.x, state.u, state.v)
     stepped = advance(s, state.mode, state.x, z, inp)
     if stepped is None:
@@ -607,7 +651,7 @@ def symbol_liveness_rule(
         return out
 
     successors.shift_invariant = True  # which entries are finite does not move under a shift
-    successors.modes_by_symbol = stepped  # the modes each symbol selects, for SmplSystem.program
+    successors.modes_by_symbol = stepped  # the modes each symbol selects, for SmplSystem.symbol_steps
 
     return SwitchingRule(
         kind=kind,

@@ -377,15 +377,42 @@ def maha_step_by_constructors(h: hybrid.HybridAutomaton, state: smpl.StepRecord,
     return smpl.StepRecord(state.k + 1, mode, x, y, successors)
 
 
+# The switching system's and the translation's steps before bare symbols
+# stepped through smpl.symbol_step: every step goes through smpl.advance.
+
+
+def step_by_advance(s: smpl.SmplSystem, state: smpl.StepRecord, inp: smpl.StepInput):
+    """smpl.step through smpl.advance, then a record."""
+    z = None if s.controller is None else smpl.performance_signal(state.mode, state.x, state.u, state.v)
+    stepped = smpl.advance(s, state.mode, state.x, z, inp)
+    if stepped is None:
+        return None
+    mode, x, y, successors, u, v = stepped
+    return smpl.new_record(state.k + 1, mode, x, y, successors, u, v)
+
+
+def maha_step_by_advance(h: hybrid.HybridAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
+    """hybrid.MahaBehaviour(h).step through smpl.advance, then a record."""
+    s = h.system
+    closed, z = s.controller is not None, state.x
+    stepped = smpl.advance(s, state.mode, smpl.signal_x(z, s.dims.n) if closed else z, z, inp)
+    if stepped is None:
+        return None
+    mode, x, y, successors, u, v = stepped
+    if closed:
+        x = smpl.performance_signal(mode, x, u, v)
+    return smpl.new_record(state.k + 1, mode, x, y, successors, (), ())
+
+
 def mpa_step_by_constructors(a: MaxPlusAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
-    """mpa.MpaBehaviour(a).step."""
-    found = a._symbol_steps.get(inp.w)
-    if found is None:
+    """mpa.MpaBehaviour(a).step, with the symbol's mode and matrix found in
+    a.alphabet and a.mu rather than in the automaton's own step table."""
+    if inp.w not in a.alphabet:
         if inp.w is None:
             raise ValueError("max-plus automata consume discrete symbols only")
         raise ValueError(f"unknown symbol {inp.w!r}")
-    mode, mu = found
-    row = mu.left_apply(state.x)
+    mode = a.alphabet.index(inp.w) + 1
+    row = a.mu[inp.w].left_apply(state.x)
     if row.count(EPS) == len(row):
         return None
     return smpl.StepRecord(state.k + 1, mode, row, (row_value(a, row),), (mode,))

@@ -14,11 +14,11 @@ import random
 import pytest
 
 import oracles
-from maxplushybrid import fixtures
+from maxplushybrid import expressions, fixtures, smpl
 from maxplushybrid.expressions import MatrixForm
 from maxplushybrid.hybrid import HybridState, from_smpl_closed, from_smpl_open, hybrid_step, run
 from maxplushybrid.smpl import StepInput, SwitchingRule, from_mpa, simulate, word_inputs
-from maxplushybrid.tropical import EPS
+from maxplushybrid.tropical import EPS, eval_rows
 
 
 def random_words(rng, symbols, count, length):
@@ -141,11 +141,39 @@ def counts(monkeypatch):
 
         return wrapper
 
+    def evaluated(compiled, *args):
+        counter["eval_rows", id(compiled)] += 1
+        return eval_rows(compiled, *args)
+
     monkeypatch.setattr(MatrixForm, "eval_state", counted("eval_state", MatrixForm.eval_state))
     monkeypatch.setattr(
         SwitchingRule, "successor_set", counted("successor_set", SwitchingRule.successor_set)
     )
+    # a state map runs through MatrixForm.eval_state or straight from smpl
+    for module in (expressions, smpl):
+        monkeypatch.setattr(module, "eval_rows", evaluated)
     return counter
+
+
+def state_map_evaluations(counts, system):
+    """The eval_rows calls counted on the state maps of the system's modes."""
+    return sum(counts["eval_rows", id(mode.form._state_map)] for mode in system.modes.values())
+
+
+def resolutions_per_step(system):
+    """0 where bare symbols step through the system's symbol_steps, else 1."""
+    return 0 if system.symbol_steps is not None else 1
+
+
+def assert_one_resolution_per_sticky_step(counts, fold):
+    """A rule that also offers the previous mode has no symbol_steps: each
+    step of fold(system, inputs) resolves it once."""
+    system = sticky_production_line()
+    word = ("l1", "l1", "l2", "l2", "l1")
+    assert system.symbol_steps is None
+    counts.clear()
+    assert fold(system, word_inputs(word)).completed
+    assert counts["successor_set"] == len(word)
 
 
 def systems_and_words(gaubert):
@@ -157,13 +185,18 @@ def systems_and_words(gaubert):
 
 
 class TestEvaluationCounts:
+    # A step on a bare symbol of a system with symbol_steps runs the
+    # mode's state map straight through eval_rows and resolves nothing;
+    # every other step resolves once.  Either way the chosen mode's state
+    # map is evaluated once per step.
     def test_one_eval_state_per_smpl_step(self, counts, gaubert):
         for system, _, word in systems_and_words(gaubert):
             counts.clear()
             trace = simulate(system, word_inputs(word))
             assert trace.completed
-            assert counts["eval_state"] == len(word)
-            assert counts["successor_set"] == len(word)
+            assert state_map_evaluations(counts, system) == len(word)
+            assert counts["successor_set"] == resolutions_per_step(system) * len(word)
+        assert_one_resolution_per_sticky_step(counts, simulate)
 
     def test_one_eval_state_and_one_resolution_per_run_step(self, counts, gaubert):
         # the first step too: one resolution from the initial state, not
@@ -173,8 +206,9 @@ class TestEvaluationCounts:
             counts.clear()
             trace = run(automaton, word_inputs(word))
             assert trace.completed
-            assert counts["eval_state"] == len(word)
-            assert counts["successor_set"] == len(word)
+            assert state_map_evaluations(counts, system) == len(word)
+            assert counts["successor_set"] == resolutions_per_step(system) * len(word)
+        assert_one_resolution_per_sticky_step(counts, lambda system, inputs: run(from_smpl_open(system), inputs))
 
     def test_one_eval_state_and_one_resolution_per_hybrid_step(self, counts, gaubert):
         for system, translate, word in systems_and_words(gaubert):
