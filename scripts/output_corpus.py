@@ -166,6 +166,19 @@ def step_refusals(line: dict) -> Iterator[Run]:
             yield from mph("check", model1, model2, "--relation", "behaviour", "--bound", "3")
 
 
+def overflow_runs() -> Iterator[Run]:
+    """A one-state automaton of weight 1e308, whose second sum overflows to
+    +inf, and its smpl translation: each simulated on aaa, and checked
+    against the other in both orders."""
+    big = {"kind": "mpa", "states": ["1"], "alphabet": ["a"], "alpha": [0], "mu": {"a": [[1e308]]}, "beta": [0]}
+    yield from write("big.json", json.dumps(big))
+    yield from mph("translate", "big.json", "--to", "smpl", save="bigs.json")
+    for path in ("big.json", "bigs.json"):
+        yield from mph("simulate", path, "--word", "aaa")
+    for pair in (("big.json", "bigs.json"), ("bigs.json", "big.json")):
+        yield from mph("check", *pair, "--relation", "behaviour")
+
+
 def runs() -> Iterator[Run]:
     """The corpus in order: a run reads only files that earlier runs saved."""
     bundled = {name: fixtures.fixture_text(name) for name in fixtures.FIXTURE_NAMES}
@@ -207,6 +220,7 @@ def runs() -> Iterator[Run]:
         if i == 3:
             yield from translation_first_checks("r3.json", "r3")
             yield from translation_pair_checks("r3")
+    yield from overflow_runs()
     for seed in ("42", "7"):
         yield from mph("reproduce", "--seed", seed)
 

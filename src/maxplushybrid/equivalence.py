@@ -19,12 +19,15 @@ is its runs that do not halt, and two runs agree where their records'
 outputs y do.  A max-plus automaton and its translations halt where the
 row dies and output its value at every step, so each includes the other.
 Each class's stepper lives beside its step code (smpl.SmplBehaviour,
-hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Two
-steppers with one program (smpl.Stepper.program: the start vector and each
-symbol's compiled state and output maps) run every sequence of bare
-symbols alike, step for step, so the bounded check passes those over
-without a step: that is how a model and its translations are judged, the
-identity case of max-plus conjugacy (Beal, Lombardy and Sakarovitch 2006).
+hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here.  Every
+class steps a bare symbol through smpl.symbol_step where it has a program
+(smpl.Stepper.program: the start vector and the table of each symbol's
+mode and compiled state and output maps that symbol_step runs), so two
+steppers with one program run one function on equal data over every
+sequence of bare symbols, step for step, and the bounded check passes
+those over without a step: that is how a model and its translations are
+judged, the identity case of max-plus conjugacy (Beal, Lombardy and
+Sakarovitch 2006).
 Every other sequence goes to the stepping walk, stepped_inclusion_upto.
 Input sequences share prefixes, so that walk goes over a graph of them,
 one child per input, and keeps the two systems' states per prefix for the
@@ -360,12 +363,12 @@ def behavioural_inclusion_upto(
     of input_sequences determines which counterexample is reported, so feed
     it length-ordered when the shortest one matters.
 
-    When the two steppers have one program (smpl.Stepper.program), they
-    evaluate the same compiled maps on the same vectors at every step of
-    a sequence of its symbols alone (StepInput(w=s)), and halt at the same
-    step, so every such sequence is in both behaviours or in neither, with
-    equal outputs.  Those sequences are passed over without a step, as
-    they come; every other sequence goes, in order, to
+    When the two steppers have one program (smpl.Stepper.program), both
+    run smpl.symbol_step on equal table entries and equal vectors at every
+    step of a sequence of its symbols alone (StepInput(w=s)), and halt at
+    the same step, so every such sequence is in both behaviours or in
+    neither, with equal outputs.  Those sequences are passed over without
+    a step, as they come; every other sequence goes, in order, to
     stepped_inclusion_upto, so verdict, witness and errors are its own.
     """
     program = sys1.program

@@ -7,9 +7,11 @@ leave at a finite final weight; it is EPS exactly when no such path exists,
 so acceptance is a byproduct of evaluation.
 
 MpaBehaviour is the automaton's stepper (smpl.Stepper): its state is the
-row vector alpha^T mu(w1) ... mu(wk), advanced by the symbol's matrix,
-which a step finds with its mode in one lookup.  Its run lives while the
-row keeps a finite entry, so its behaviour is that of its translations.
+row vector alpha^T mu(w1) ... mu(wk), advanced by the symbol's matrix.
+A step finds the symbol's entry in the automaton's symbol_steps, the
+table shape a switching system's bare symbols step through, and runs
+smpl.symbol_step on it: the run lives while the row keeps a finite
+entry, the halt rule of its translations, so its behaviour is theirs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .finite import FiniteAutomaton, Word, make_delta
-from .smpl import Program, StepInput, Stepper, StepRecord, new_record, program_of
+from .smpl import Program, StepInput, Stepper, StepRecord, SymbolSteps, program_of, symbol_step
 from .tropical import EPS, EXACT_STATE, EXACT_WEIGHT, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
 from .tropical import integral_below
 
@@ -77,19 +79,15 @@ class MaxPlusAutomaton:
 
     @functools.cached_property
     def program(self) -> Program | None:
-        """The automaton's program (see smpl.Stepper): alpha and, per
-        symbol, its matrix's columns and the final row, the maps a step
-        runs; the row halts where it is all EPS, which is where it has no
-        finite entry, as no weight is +inf.  Read off _symbol_steps, the
-        table a step looks its maps up in.  Decided once per automaton."""
-        maps = {symbol: (columns, final) for symbol, (_, columns, final) in self._symbol_steps.items()}
-        return program_of(tuple(self.alpha), maps)
+        """The automaton's program (see smpl.Stepper): alpha and
+        symbol_steps, the table a step runs.  Decided once per automaton."""
+        return program_of(tuple(self.alpha), self.symbol_steps)
 
     @functools.cached_property
-    def _symbol_steps(self) -> dict[str, tuple[int, CompiledRows, CompiledRows]]:
+    def symbol_steps(self) -> SymbolSteps:
         """Each symbol's mode (its position in the alphabet from 1), its
-        matrix's columns and the final row: the maps a step on the symbol
-        runs, found in one lookup."""
+        matrix's columns and the final row: the entry smpl.symbol_step runs
+        for a step on the symbol, found in one lookup."""
         final = self._final_row
         return {symbol: (mode, self.mu[symbol]._columns, final) for mode, symbol in enumerate(self.alphabet, start=1)}
 
@@ -124,8 +122,9 @@ def eval_output(a: MaxPlusAutomaton, word: Word) -> Weight:
 class MpaBehaviour(Stepper):
     """Runs of a max-plus automaton.  A record's x is the row vector after
     the symbols read, y is its value, and its mode is the symbol's position
-    in the alphabet from 1, the mode smpl.from_mpa gives that symbol.  The
-    run halts where the row is all EPS.  Until then it is in the
+    in the alphabet from 1, the mode smpl.from_mpa gives that symbol.  A
+    step is smpl.symbol_step, so the run halts where the row has no finite
+    entry, as its translations' runs do.  Until then it is in the
     automaton's behaviour and outputs each prefix's value, EPS where the
     prefix is not accepted, step for step as the translations do; so two
     automata with one word function differ in behaviour where one's row
@@ -138,18 +137,12 @@ class MpaBehaviour(Stepper):
         return StepRecord(0, None, tuple(a.alpha), (row_value(a, a.alpha),), ())
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
-        a = self.automaton
-        found = a._symbol_steps.get(inp.w)
+        found = self.automaton.symbol_steps.get(inp.w)
         if found is None:
             if inp.w is None:
                 raise ValueError("max-plus automata consume discrete symbols only")
             raise ValueError(f"unknown symbol {inp.w!r}")
-        mode, columns, final = found
-        row = eval_rows(columns, state.x)
-        if row.count(EPS) == len(row):
-            return None
-        # y is (row_value(a, row),): the final row is one row
-        return new_record(state.k + 1, mode, row, eval_rows(final, row), (mode,), (), ())
+        return symbol_step(found, state.k, state.x)
 
     @property
     def shift_exact(self) -> bool:

@@ -27,12 +27,13 @@ maps and writes the record, which is what advance computes there.  A
 symbol with no entry halts the run.  step and hybrid.MahaBehaviour.step
 take the table first and advance otherwise, so a system and its
 translation run through the same code and differ only in the record they
-write; the translation's full successor set (hybrid.hybrid_step) calls
-resolve_step itself.  A run's first step resolves with no previous mode,
-in the system and in its translation alike.  A rule that has to compute a
-mode's next state to decide on it (symbol liveness does) hands that state
-back with the candidate, so a step evaluates the chosen mode's dynamics
-once.  The state and inputs are passed on as the tuples they already are,
+write, and mpa.MpaBehaviour.step runs every symbol through its
+automaton's own table in symbol_step too; the translation's full
+successor set (hybrid.hybrid_step) calls resolve_step itself.  A run's
+first step resolves with no previous mode, in the system and in its
+translation alike.  A rule that has to compute a mode's next state to
+decide on it (symbol liveness does) hands that state back with the
+candidate, so a step evaluates the chosen mode's dynamics once.  The state and inputs are passed on as the tuples they already are,
 a rule's output is deduplicated and sorted only when it holds more than
 one candidate, or one that is not a Candidate, and the probe, candidates
 and record of a step are built by new_probe, new_candidate and
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .expressions import MatrixForm
-from .tropical import EPS, EXACT_STATE, TOP, CompiledRows, TropicalMatrix, Weight, eval_rows, has_finite_entry
+from .tropical import EPS, EXACT_STATE, CompiledRows, TropicalMatrix, Weight, eval_rows, has_finite_entry
 from .tropical import integral_below
 
 if TYPE_CHECKING:
@@ -311,38 +312,31 @@ class Trace:
         return self.halted_at is None
 
 
-# A stepper's program: its start vector and, per symbol, the compiled state
-# and output maps of a step on that symbol alone (Stepper.program).
-ProgramMaps = dict[str, tuple[CompiledRows, CompiledRows]]
-Program = tuple[tuple[Weight, ...], ProgramMaps]
 # Per symbol, the one mode it selects and that mode's compiled state and
-# output maps (SmplSystem.symbol_steps).
+# output maps: the table a step on the symbol alone runs through
+# symbol_step (SmplSystem.symbol_steps, MaxPlusAutomaton.symbol_steps).
 SymbolSteps = dict[str, tuple[int, CompiledRows, CompiledRows]]
+# A stepper's program: its start vector and its SymbolSteps (Stepper.program).
+Program = tuple[tuple[Weight, ...], SymbolSteps]
 
 
-def program_of(x0: tuple[Weight, ...], maps: ProgramMaps) -> Program | None:
-    """(x0, maps) when equal programs are sure to run alike, else None.
+def program_of(x0: tuple[Weight, ...], table: SymbolSteps) -> Program | None:
+    """(x0, table) when equal programs are sure to run alike, else None.
     Each map must read an x of x0's width and no input, so that no step
     is refused; a state map, from square matrices, writes the width it
-    reads.  Each entry of x0 and weight of the maps must be a float, of
-    magnitude below EXACT_STATE unless it is EPS or TOP.  Equal floats
-    then compute alike, up to the sign of zero, where an int and an equal
-    float need not (2**53 + 1 is not 2.0**53 + 1).  And a state k steps
-    deep stays below (k + 1) * EXACT_STATE in magnitude, far from
-    overflowing to TOP, where an automaton, which halts on an all-EPS
-    row, and a switching system, which halts on a state with no finite
-    entry, would part."""
+    reads.  Each entry of x0 and weight of the maps must be a float:
+    equal floats compute alike, up to the sign of zero, where an int and
+    an equal float need not (2**53 + 1 is not 2.0**53 + 1)."""
     n = len(x0)
     weights = list(x0)
-    for step_maps in maps.values():
-        for rows, n_x, n_u in step_maps:
+    for _, state_map, output_map in table.values():
+        for rows, n_x, n_u in (state_map, output_map):
             if n_x != n or n_u:
                 return None
             for single, row in rows:
                 for pairs in (row,) if single else row:
                     weights += [a for _, a in pairs]
-    plain = all(type(a) is float and (-EXACT_STATE < a < EXACT_STATE or a == EPS or a == TOP) for a in weights)
-    return (x0, maps) if plain else None
+    return (x0, table) if all(type(a) is float for a in weights) else None
 
 
 class Stepper:
@@ -361,17 +355,17 @@ class Stepper:
     step one of them for both (equivalence.normalised_pair).
 
     program is None (the default) or what the runs compute, built by
-    program_of: (x0, maps), the start vector and, per symbol s, the
-    compiled (state map, output map) that a step on StepInput(w=s)
-    evaluates with tropical.eval_rows, the run halting where the new
-    state has no finite entry.  A max-plus automaton gives one, and so
-    does an input-free switching system, or its open-loop translation,
+    program_of: (x0, table), the start vector and the SymbolSteps table
+    whose entry for a symbol s a step on StepInput(w=s) runs through
+    symbol_step, the one bare-symbol step and halt rule of every class.
+    A max-plus automaton gives one (MaxPlusAutomaton.symbol_steps), and
+    so does an input-free switching system, or its open-loop translation,
     whose rule is a library symbol_liveness rule over the system's own
-    modes with one mode per symbol: its maps are read off the
-    SmplSystem.symbol_steps table that such steps run.  Steppers with
-    equal programs run every sequence of such inputs alike, step for
-    step, which lets a behaviour check judge those sequences without a
-    step (equivalence.behavioural_inclusion_upto).
+    modes with one mode per symbol (SmplSystem.symbol_steps).  Steppers
+    with equal programs run one function on equal data for every
+    sequence of such inputs, step for step, which lets a behaviour check
+    judge those sequences without a step
+    (equivalence.behavioural_inclusion_upto).
     """
 
     shift_exact = False
@@ -467,14 +461,11 @@ class SmplSystem:
 
     @functools.cached_property
     def program(self) -> Program | None:
-        """The system's program (see Stepper), read off symbol_steps: the
-        maps a step on each symbol runs.  None where symbol_steps is.
+        """The system's program (see Stepper): x0 and symbol_steps, the
+        table a step on each symbol runs.  None where symbol_steps is.
         Decided once per system."""
         table = self.symbol_steps
-        if table is None:
-            return None
-        maps = {symbol: (state_map, output_map) for symbol, (_, state_map, output_map) in table.items()}
-        return program_of(tuple(self.x0), maps)
+        return None if table is None else program_of(tuple(self.x0), table)
 
 
 def resolve_step(
@@ -560,7 +551,7 @@ def symbol_step(
     no finite entry (the run halts, as symbol liveness admits no mode),
     else the record of that state and its output.  It is what advance
     computes for such a step, with no rule, candidate or input to
-    resolve."""
+    resolve, and every bare-symbol step of a max-plus automaton."""
     mode, state_map, output_map = found
     x = eval_rows(state_map, x_prev)
     if not has_finite_entry(x):

@@ -406,14 +406,17 @@ def maha_step_by_advance(h: hybrid.HybridAutomaton, state: smpl.StepRecord, inp:
 
 def mpa_step_by_constructors(a: MaxPlusAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
     """mpa.MpaBehaviour(a).step, with the symbol's mode and matrix found in
-    a.alphabet and a.mu rather than in the automaton's own step table."""
+    a.alphabet and a.mu rather than in the automaton's own step table, and
+    the run halting where the row has no finite entry, as documented: a
+    row of weights that are not +inf still gets +inf entries once a sum
+    overflows."""
     if inp.w not in a.alphabet:
         if inp.w is None:
             raise ValueError("max-plus automata consume discrete symbols only")
         raise ValueError(f"unknown symbol {inp.w!r}")
     mode = a.alphabet.index(inp.w) + 1
     row = a.mu[inp.w].left_apply(state.x)
-    if row.count(EPS) == len(row):
+    if not any(w != EPS and w != TOP for w in row):
         return None
     return smpl.StepRecord(state.k + 1, mode, row, (row_value(a, row),), (mode,))
 

@@ -22,7 +22,7 @@ from maxplushybrid.mpa import MpaBehaviour
 from maxplushybrid.smpl import SmplBehaviour, StepInput, externally_driven_rule, from_mpa, word_inputs
 from maxplushybrid.tropical import EPS, TOP
 from test_lean_step import assert_same_run, step_inputs
-from test_same_program import SYMBOLS, python_liveness, repeated_symbol_system, swapped_output_mode
+from test_same_program import SYMBOLS, one_state_mpa, python_liveness, repeated_symbol_system, swapped_output_mode
 
 finite = st.integers(-3, 9).map(float)
 entries = st.one_of(st.just(EPS), st.just(TOP), finite, finite)  # EPS and +inf one time in four each
@@ -81,6 +81,15 @@ class TestTheTableStepAgainstAdvance:
         halts = {MpaBehaviour(gaubert).fold(inputs).halted_at, SmplBehaviour(s).fold(inputs).halted_at}
         assert halts == {MahaBehaviour(from_smpl_open(s)).fold(inputs).halted_at} == {1}
 
+    def test_an_overflowing_automaton_and_its_translations_halt_alike(self):
+        # 1e308 twice overflows to +inf: the second state has no finite entry
+        a = one_state_mpa(1e308)
+        s = from_mpa(a)
+        inputs = word_inputs("aaa")
+        run = MpaBehaviour(a).fold(inputs)
+        assert run.halted_at == 2 and len(run.records) == 1
+        assert SmplBehaviour(s).fold(inputs) == MahaBehaviour(from_smpl_open(s)).fold(inputs) == run
+
     def test_the_table_holds_each_modes_maps_and_the_program_is_read_off_it(self, gaubert, production):
         for s in (from_mpa(gaubert), production):
             table = s.symbol_steps
@@ -88,7 +97,7 @@ class TestTheTableStepAgainstAdvance:
             for mode, symbol in enumerate(s.switching.symbols, start=1):
                 form = s.modes[mode].form
                 assert table[symbol] == (mode, form._state_map, form._output_map)
-            assert s.program == (s.x0, {symbol: (state, output) for symbol, (_, state, output) in table.items()})
+            assert s.program == (s.x0, s.symbol_steps)
 
 
 def systems_without_a_table():
