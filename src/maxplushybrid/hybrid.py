@@ -20,14 +20,16 @@ initial at the system's initial state, but a run's first step is one
 resolution from that state with no previous mode (mode None), as the
 system's first step is.
 
-MahaBehaviour is the automaton's stepper (smpl.Stepper).  A run is its
-fold, and each step is the one smpl.step takes.  A bare symbol on a
-system with symbol_steps goes through smpl.symbol_step: the symbol's
-mode's two maps and one record.  Every other step goes through
+MahaBehaviour is the automaton's stepper: smpl.SmplBehaviour over the
+automaton's system, whose shift_exact flag and program it inherits.  A
+run is its fold, and each step is the one smpl.step takes.  A bare
+symbol on a system with symbol_steps goes through smpl.symbol_step: the
+symbol's mode's two maps and one record.  Every other step goes through
 smpl.advance, which resolves once, advances with the smallest candidate
-mode only and outputs on the inputs the resolution built; the stepper
-then writes x (open loop) or z (closed loop, through
-smpl.performance_signal) into the record.
+mode only and outputs on the inputs the resolution built.  Only the
+record differs from the system's: it holds no u or v of its own, and x
+(open loop) or z (closed loop, through smpl.performance_signal), from
+start before the first step.
 hybrid_step gives the paper's full successor set instead: from mode q it
 resolves the step through smpl.resolve_step with q as the previous mode
 and writes every candidate's next state, as the rule computed it or from
@@ -43,12 +45,12 @@ finite entries of start: no run steps or starts through +inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
-from .smpl import Program, SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
+from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
 from .smpl import advance, new_record, performance_signal, resolve_step, signal_x, symbol_step
 from .tropical import Weight, is_finite
 
@@ -147,24 +149,30 @@ def hybrid_step(
 
 
 @dataclass(frozen=True)
-class MahaBehaviour(Stepper):
-    """Runs of a hybrid automaton: each step takes the smallest successor
-    mode.  Before the first step there is no current mode (None), as a
-    switching system's first mode is resolved by its rule rather than
-    given; the record before the first step holds the initial state.  A
-    step is the system's own: smpl.symbol_step for a bare symbol on a
-    system with symbol_steps, smpl.advance from the record's mode and x
-    (read out of z in a closed loop) otherwise, so it evaluates only the
-    mode it takes; its record holds x, or z = (mode, x, u, v) in a closed
-    loop."""
+class MahaBehaviour(SmplBehaviour):
+    """Runs of a hybrid automaton: the runs of its system, whose
+    shift_exact flag and program it inherits (a shift-exact system is an
+    open loop, whose records hold x itself; a closed loop has no program).
+    Each step takes the smallest successor mode.  Before the first step
+    there is no current mode (None), as a switching system's first mode
+    is resolved by its rule rather than given; the record before the
+    first step holds start.  A step is the system's own: smpl.symbol_step
+    for a bare symbol on a system with symbol_steps, smpl.advance from
+    the record's mode and x (read out of z in a closed loop) otherwise, so
+    it evaluates only the mode it takes; its record holds no u or v of
+    its own, and x, or z = (mode, x, u, v) in a closed loop."""
 
     automaton: HybridAutomaton
+    system: SmplSystem = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "system", self.automaton.system)
 
     def init(self) -> StepRecord:
         return StepRecord(0, None, self.automaton.start, (), ())
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
-        s = self.automaton.system
+        s = self.system
         table = s.symbol_steps
         if table is not None and not (inp.u or inp.v or inp.r or inp.p):
             # an open loop: the record's x is the system's
@@ -178,16 +186,6 @@ class MahaBehaviour(Stepper):
         if closed:
             x = performance_signal(mode, x, u, v)
         return new_record(state.k + 1, mode, x, y, successors, (), ())
-
-    @property
-    def shift_exact(self) -> bool:
-        # A shift-exact system is an open loop, whose records hold x itself.
-        return self.automaton.system.shift_exact
-
-    @property
-    def program(self) -> Program | None:
-        # The system's: None on a closed loop, which is not input-free.
-        return self.automaton.system.program
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

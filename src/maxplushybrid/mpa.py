@@ -6,12 +6,11 @@ accumulated weight over paths that enter at a finite initial weight and
 leave at a finite final weight; it is EPS exactly when no such path exists,
 so acceptance is a byproduct of evaluation.
 
-MpaBehaviour is the automaton's stepper (smpl.Stepper): its state is the
-row vector alpha^T mu(w1) ... mu(wk), advanced by the symbol's matrix.
-A step finds the symbol's entry in the automaton's symbol_steps, the
-table shape a switching system's bare symbols step through, and runs
-smpl.symbol_step on it: the run lives while the row keeps a finite
-entry, the halt rule of its translations, so its behaviour is theirs.
+An automaton steps as its switching system, MaxPlusAutomaton.system,
+built once (smpl.from_mpa returns it): the row vector alpha^T mu(w1) ...
+mu(wk) is the system's x, and MpaBehaviour is the system's stepper with
+the automaton's two refusals.  So an automaton and its translations run
+one table, and its behaviour is theirs.
 """
 
 from __future__ import annotations
@@ -20,10 +19,11 @@ import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .expressions import MatrixForm
 from .finite import FiniteAutomaton, Word, make_delta
-from .smpl import Program, StepInput, Stepper, StepRecord, SymbolSteps, program_of, symbol_step
-from .tropical import EPS, EXACT_STATE, EXACT_WEIGHT, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
-from .tropical import integral_below
+from .smpl import MatrixMode, SmplBehaviour, SmplDims, SmplSystem, StepInput, Stepper, StepRecord
+from .smpl import symbol_liveness_rule, symbol_step
+from .tropical import EPS, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
 
 
 @dataclass(frozen=True)
@@ -66,30 +66,34 @@ class MaxPlusAutomaton:
         return TropicalMatrix.row_vector(self.beta).compiled
 
     @functools.cached_property
-    def shift_exact(self) -> bool:
-        """Whether the automaton's runs are shift-invariant in floats (see
-        smpl.Stepper): integer transition and final weights below
-        EXACT_WEIGHT and integral initial weights.  Every automaton's runs
-        are shift-invariant; this decides, once, that floats keep them so."""
-        return (
-            all(m.exact for m in self.mu.values())
-            and integral_below(self.beta, EXACT_WEIGHT)
-            and integral_below(self.alpha, EXACT_STATE)
+    def system(self) -> SmplSystem:
+        """The automaton's switching system (smpl.from_mpa), built once:
+        one mode per symbol, in alphabet order from 1, over the symbol's
+        transposed weight matrix, the final weights as its output row and
+        the initial weights as x0.  A mode is a candidate only while its
+        successor state keeps a finite entry, so runs halt exactly where
+        every weighted path has died out."""
+        n = self.n
+        modes = {
+            mode: MatrixMode(
+                MatrixForm(
+                    A=(self.mu[symbol].transpose(),),
+                    B=(TropicalMatrix.epsilon(n, 0),),
+                    C=(TropicalMatrix.row_vector(self.beta),),
+                    D=(TropicalMatrix.epsilon(1, 0),),
+                )
+            )
+            for mode, symbol in enumerate(self.alphabet, start=1)
+        }
+        dims = SmplDims(n=n)
+        return SmplSystem(
+            n_modes=len(self.alphabet),
+            modes=modes,
+            switching=symbol_liveness_rule(modes, self.alphabet, dims.input_width),
+            x0=tuple(self.alpha),
+            dims=dims,
+            meta={"translated_from": "mpa", "mpa_states": self.states},
         )
-
-    @functools.cached_property
-    def program(self) -> Program | None:
-        """The automaton's program (see smpl.Stepper): alpha and
-        symbol_steps, the table a step runs.  Decided once per automaton."""
-        return program_of(tuple(self.alpha), self.symbol_steps)
-
-    @functools.cached_property
-    def symbol_steps(self) -> SymbolSteps:
-        """Each symbol's mode (its position in the alphabet from 1), its
-        matrix's columns and the final row: the entry smpl.symbol_step runs
-        for a step on the symbol, found in one lookup."""
-        final = self._final_row
-        return {symbol: (mode, self.mu[symbol]._columns, final) for mode, symbol in enumerate(self.alphabet, start=1)}
 
 
 def step_row(a: MaxPlusAutomaton, row: Sequence[Weight], symbol: str) -> tuple[Weight, ...]:
@@ -119,38 +123,30 @@ def eval_output(a: MaxPlusAutomaton, word: Word) -> Weight:
 
 
 @dataclass(frozen=True)
-class MpaBehaviour(Stepper):
-    """Runs of a max-plus automaton.  A record's x is the row vector after
-    the symbols read, y is its value, and its mode is the symbol's position
-    in the alphabet from 1, the mode smpl.from_mpa gives that symbol.  A
-    step is smpl.symbol_step, so the run halts where the row has no finite
-    entry, as its translations' runs do.  Until then it is in the
-    automaton's behaviour and outputs each prefix's value, EPS where the
-    prefix is not accepted, step for step as the translations do; so two
-    automata with one word function differ in behaviour where one's row
-    dies and the other's does not."""
+class MpaBehaviour(SmplBehaviour):
+    """Runs of a max-plus automaton: its system's runs, whose program,
+    shift_exact flag and first record (x is alpha, y is ()) it inherits.
+    A record's x is the row vector after the symbols read, y its value,
+    EPS where the prefix is not accepted.  Only the step differs: it reads
+    nothing but w and refuses a step with no symbol or an unknown one,
+    where the system's run would halt; any other step is the system's
+    smpl.symbol_step, which halts where the row has no finite entry.  So
+    two automata with one word function differ in behaviour where one's
+    row dies and the other's does not."""
 
     automaton: MaxPlusAutomaton
+    system: SmplSystem = field(init=False, repr=False, compare=False)
 
-    def init(self) -> StepRecord:
-        a = self.automaton
-        return StepRecord(0, None, tuple(a.alpha), (row_value(a, a.alpha),), ())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "system", self.automaton.system)
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
-        found = self.automaton.symbol_steps.get(inp.w)
+        found = self.system.symbol_steps.get(inp.w)
         if found is None:
             if inp.w is None:
                 raise ValueError("max-plus automata consume discrete symbols only")
             raise ValueError(f"unknown symbol {inp.w!r}")
         return symbol_step(found, state.k, state.x)
-
-    @property
-    def shift_exact(self) -> bool:
-        return self.automaton.shift_exact
-
-    @property
-    def program(self) -> Program | None:
-        return self.automaton.program
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

@@ -6,10 +6,10 @@ matrix-form steps against raw expression evaluation, abstractions against
 exhaustive bounded-language search.  mpa-smpl-behaviour states the
 paper's bridge result through the library's own relation, in both
 orders, by stepping: equivalence.stepped_inclusion_upto steps both
-through smpl.symbol_step, each from its own table (the automaton's
-columns and final row, the translation's mode maps) and through its own
-stepper's dispatch, where behavioural_inclusion_upto would pass the two
-over as one program without a step.  Two are
+through smpl.symbol_step over the one table of the automaton's system,
+which its translation is, each through its own stepper's dispatch, where
+behavioural_inclusion_upto would pass the two over as one program
+without a step.  So it compares two dispatches, not two tables.  Two are
 same-route comparisons: smpl-maha-open-traces and smpl-maha-closed-traces
 compare smpl.simulate with hybrid.run.  The open loop's two fixtures step
 bare symbols through their symbol_steps tables, so that check compares
@@ -86,9 +86,9 @@ def check_behavioural_translation() -> CheckResult:
     behaviour, stepping both through equivalence.stepped_inclusion_upto
     in both orders over every word of length at most 6: a run halts in one
     exactly where it halts in the other, and outputs the same values up to
-    there.  Both sides step through smpl.symbol_step, so the check compares
-    the automaton's symbol_steps table with the translation's and each
-    stepper's dispatch to it."""
+    there.  Both sides run one table, the automaton's system's, through
+    smpl.symbol_step, so the check compares only the two steppers'
+    dispatch to it (ROADMAP.md's item 13 asks for checks that can fail)."""
     a = fixtures.gaubert_mpa()
     automaton, system = mpa.MpaBehaviour(a), smpl.SmplBehaviour(smpl.from_mpa(a))
     words = [smpl.word_inputs(word) for word in equivalence.exhaustive_words(a.alphabet, 6)]

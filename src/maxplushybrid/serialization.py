@@ -2,10 +2,11 @@
 
 Weights are finite JSON numbers with the string sentinels "-inf" and
 "+inf" for the two infinities, which raw JSON numbers cannot express;
-NaN, Infinity and numbers beyond a float's range are refused.  Serialisation
-is canonical (sorted keys, two-space indent, integral floats written as
-integers, trailing newline) so that parse followed by serialise reproduces
-a canonical file byte for byte.  A parsed document keeps its body as read;
+NaN, Infinity and numbers beyond a float's range are refused.
+Serialisation is canonical (sorted keys, two-space indent, integral
+floats below 2**53 in magnitude written as integers, trailing newline) so
+that parse followed by serialise reproduces a canonical file byte for
+byte.  A parsed document keeps its body as read;
 serialize_body is the one place that canonicalises.  Documents and
 --inputs files are read by read_json, which refuses a repeated key and
 nesting deeper than MAX_DEPTH; serialize_body refuses to write such
@@ -60,14 +61,22 @@ FIELDS = {
 }
 
 
+EXACT_INTEGER = 2.0**53  # a float holds every integer below it in magnitude
+
+
+def encode_number(v: float) -> int | float:
+    """v as documents and reports write it: the int it equals where v is
+    integral and below EXACT_INTEGER in magnitude, else v itself, so that
+    1e308 goes out as 1e+308 and not as 309 digits."""
+    return int(v) if -EXACT_INTEGER < v < EXACT_INTEGER and v.is_integer() else v
+
+
 def encode_weight(a: Weight) -> Any:
     if a == EPS:
         return "-inf"
     if a == TOP:
         return "+inf"
-    if float(a).is_integer():
-        return int(a)
-    return float(a)
+    return encode_number(float(a))
 
 
 def decode_weight(value: Any) -> Weight:
@@ -519,26 +528,25 @@ def parse_model(text: str) -> ModelDocument:
 
 
 def _canonical_value(value: Any, depth: int = 1) -> Any:
-    """Keys as sorted strings and integral floats as ints, in every dict
-    and list, and every tuple as the list JSON writes it as.  List items
-    that are scalars, such as matrix entries, are handled in place rather
-    than by a call each.  depth is the nesting level of value, the body's
-    being 1: a dict, list or tuple deeper than MAX_DEPTH is refused, as
-    read_json would refuse the text."""
+    """Keys as sorted strings and floats as encode_number writes them, in
+    every dict and list, and every tuple as the list JSON writes it as.
+    List items that are scalars, such as matrix entries, are handled in
+    place rather than by a call each, against the same EXACT_INTEGER.
+    depth is the nesting level of value, the body's being 1: a dict, list
+    or tuple deeper than MAX_DEPTH is refused, as read_json would refuse
+    the text."""
     if depth > MAX_DEPTH and isinstance(value, (dict, list, tuple)):
         raise ModelFormatError(f"the document would nest deeper than {MAX_DEPTH} levels")
     if isinstance(value, dict):
         return {str(k): _canonical_value(value[k], depth + 1) for k in sorted(value, key=str)}
     if isinstance(value, (list, tuple)):
         return [
-            (int(v) if v.is_integer() else v) if isinstance(v, float)
+            (int(v) if -EXACT_INTEGER < v < EXACT_INTEGER and v.is_integer() else v) if isinstance(v, float)
             else _canonical_value(v, depth + 1) if isinstance(v, (dict, list, tuple))
             else v
             for v in value
         ]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+    return encode_number(value) if isinstance(value, float) else value
 
 
 def serialize_body(body: dict) -> str:

@@ -24,20 +24,18 @@ whose rule is a library symbol_liveness rule with one mode per symbol,
 the very dynamics the system holds, maps each symbol to its mode and
 that mode's compiled state and output maps, and symbol_step runs the two
 maps and writes the record, which is what advance computes there.  A
-symbol with no entry halts the run.  step and hybrid.MahaBehaviour.step
-take the table first and advance otherwise, so a system and its
-translation run through the same code and differ only in the record they
-write, and mpa.MpaBehaviour.step runs every symbol through its
-automaton's own table in symbol_step too; the translation's full
-successor set (hybrid.hybrid_step) calls resolve_step itself.  A run's
-first step resolves with no previous mode, in the system and in its
-translation alike.  A rule that has to compute a mode's next state to
-decide on it (symbol liveness does) hands that state back with the
-candidate, so a step evaluates the chosen mode's dynamics once.  The state and inputs are passed on as the tuples they already are,
-a rule's output is deduplicated and sorted only when it holds more than
-one candidate, or one that is not a Candidate, and the probe, candidates
-and record of a step are built by new_probe, new_candidate and
-new_record, straight through tuple.__new__.
+symbol with no entry halts the run.  step takes the table first and
+advance otherwise; the translation's full successor set
+(hybrid.hybrid_step) calls resolve_step itself.  A run's first step
+resolves with no previous mode, in the system and in its translation
+alike.  A rule that has to compute a mode's next state to decide on it
+(symbol liveness does) hands that state back with the candidate, so a
+step evaluates the chosen mode's dynamics once.  The state and inputs
+are passed on as the tuples they already are, a rule's output is
+deduplicated and sorted only when it holds more than one candidate, or
+one that is not a Candidate, and the probe, candidates and record of a
+step are built by new_probe, new_candidate and new_record, straight
+through tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step and fold, the shift_exact flag by which bounded
@@ -54,7 +52,15 @@ mode.  A controller reads the performance signal z = (mode, x, u, v) of
 that record.  z has one codec: performance_signal builds it and signal_x
 reads x back out of it, for the controller, for smpl.step and for the
 closed loop's hybrid translation, whose state z is.
-hybrid.MahaBehaviour and mpa.MpaBehaviour are the other two steppers.
+Every model class steps as its switching system: mpa.MpaBehaviour and
+hybrid.MahaBehaviour are SmplBehaviour subclasses over their automaton's
+system, whose shift_exact flag and program they inherit, and they
+override only what differs.  The max-plus automaton's step refuses a
+step with no symbol or an unknown one, where the system halts; the
+hybrid automaton's step writes no u or v of its own into the record,
+and z = (mode, x, u, v) as its x in a closed loop.  from_mpa returns an
+automaton's cached system, so an automaton and its translation share
+one system and one table.
 """
 
 from __future__ import annotations
@@ -314,7 +320,7 @@ class Trace:
 
 # Per symbol, the one mode it selects and that mode's compiled state and
 # output maps: the table a step on the symbol alone runs through
-# symbol_step (SmplSystem.symbol_steps, MaxPlusAutomaton.symbol_steps).
+# symbol_step (SmplSystem.symbol_steps).
 SymbolSteps = dict[str, tuple[int, CompiledRows, CompiledRows]]
 # A stepper's program: its start vector and its SymbolSteps (Stepper.program).
 Program = tuple[tuple[Weight, ...], SymbolSteps]
@@ -358,13 +364,13 @@ class Stepper:
     program_of: (x0, table), the start vector and the SymbolSteps table
     whose entry for a symbol s a step on StepInput(w=s) runs through
     symbol_step, the one bare-symbol step and halt rule of every class.
-    A max-plus automaton gives one (MaxPlusAutomaton.symbol_steps), and
-    so does an input-free switching system, or its open-loop translation,
-    whose rule is a library symbol_liveness rule over the system's own
-    modes with one mode per symbol (SmplSystem.symbol_steps).  Steppers
-    with equal programs run one function on equal data for every
-    sequence of such inputs, step for step, which lets a behaviour check
-    judge those sequences without a step
+    An input-free switching system gives one where its rule is a library
+    symbol_liveness rule over the system's own modes with one mode per
+    symbol (SmplSystem.symbol_steps), and so does every stepper over it:
+    a max-plus automaton's, whose system that is, and an open-loop
+    translation's.  Steppers with equal programs run one function on
+    equal data for every sequence of such inputs, step for step, which
+    lets a behaviour check judge those sequences without a step
     (equivalence.behavioural_inclusion_upto).
     """
 
@@ -579,8 +585,10 @@ def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
 
 @dataclass(frozen=True)
 class SmplBehaviour(Stepper):
-    """Runs of a switching system.  The record before the first step holds
-    x0 and all-EPS u and v, which the first performance signal reads."""
+    """Runs of a switching system, and the base of every model class's
+    stepper (mpa.MpaBehaviour, hybrid.MahaBehaviour), each of which runs
+    its automaton's system.  The record before the first step holds x0
+    and all-EPS u and v, which the first performance signal reads."""
 
     system: SmplSystem
 
@@ -675,34 +683,10 @@ def externally_driven_rule(symbols: Sequence[str]) -> SwitchingRule:
 
 
 def from_mpa(a: "MaxPlusAutomaton") -> SmplSystem:
-    """Translate a max-plus automaton into a switching system.
-
-    One mode per symbol; the mode matrix is the transposed weight matrix of
-    its symbol, the output row collects the final weights and the initial
-    state collects the initial weights.  A mode is a candidate only while
-    its candidate successor state keeps a finite entry, so runs halt
-    exactly where every weighted path has died out.
-    """
-    n = a.n
-    modes: dict[int, MatrixMode] = {}
-    for mode, symbol in enumerate(a.alphabet, start=1):
-        form = MatrixForm(
-            A=(a.mu[symbol].transpose(),),
-            B=(TropicalMatrix.epsilon(n, 0),),
-            C=(TropicalMatrix.row_vector(a.beta),),
-            D=(TropicalMatrix.epsilon(1, 0),),
-        )
-        modes[mode] = MatrixMode(form)
-    dims = SmplDims(n=n, n_u=0, n_v=0, n_y=1, n_r=0, n_p=0)
-    rule = symbol_liveness_rule(modes, a.alphabet, dims.input_width)
-    return SmplSystem(
-        n_modes=len(a.alphabet),
-        modes=modes,
-        switching=rule,
-        x0=tuple(a.alpha),
-        dims=dims,
-        meta={"translated_from": "mpa", "mpa_states": a.states},
-    )
+    """Translate a max-plus automaton into a switching system: its cached
+    MaxPlusAutomaton.system, one mode per symbol over the transposed
+    weight matrix, which the automaton's own stepper runs too."""
+    return a.system
 
 
 def word_inputs(word: Sequence[str]) -> tuple[StepInput, ...]:

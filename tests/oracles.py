@@ -17,7 +17,8 @@ from maxplushybrid.expressions import Const, InputVar, Max, Min, Plus, Scale, Va
 from maxplushybrid.finite import FiniteAutomaton, Word, make_delta
 from maxplushybrid.mpa import MaxPlusAutomaton, row_value
 from maxplushybrid.smpl import SmplSystem, SwitchingKind, SwitchProbe
-from maxplushybrid.tropical import EPS, TOP, UNIT, TropicalMatrix, Weight, oplus, otimes
+from maxplushybrid.tropical import EPS, EXACT_STATE, EXACT_WEIGHT, TOP, UNIT, TropicalMatrix, Weight, oplus, otimes
+from maxplushybrid.tropical import integral_below
 
 
 def oplus_dual(a: Weight, b: Weight) -> Weight:
@@ -402,6 +403,27 @@ def maha_step_by_advance(h: hybrid.HybridAutomaton, state: smpl.StepRecord, inp:
     if closed:
         x = smpl.performance_signal(mode, x, u, v)
     return smpl.new_record(state.k + 1, mode, x, y, successors, (), ())
+
+
+def mpa_shift_exact_by_weights(a: MaxPlusAutomaton) -> bool:
+    """Whether the automaton's runs are shift-exact, decided on its own
+    weights as opposed to its system's matrices: integer transition and
+    final weights below EXACT_WEIGHT and integral initial weights below
+    EXACT_STATE."""
+    return (
+        all(m.exact for m in a.mu.values())
+        and integral_below(a.beta, EXACT_WEIGHT)
+        and integral_below(a.alpha, EXACT_STATE)
+    )
+
+
+def mpa_symbol_steps_by_columns(a: MaxPlusAutomaton) -> smpl.SymbolSteps:
+    """The automaton's step table built from its own weights, as opposed to
+    its system's compiled modes: per symbol its position in the alphabet
+    from 1, its matrix's columns (a row vector times the matrix) and beta
+    as one row."""
+    final = TropicalMatrix.row_vector(a.beta).compiled
+    return {symbol: (mode, a.mu[symbol]._columns, final) for mode, symbol in enumerate(a.alphabet, start=1)}
 
 
 def mpa_step_by_constructors(a: MaxPlusAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
@@ -943,12 +965,13 @@ def dominates(p, q) -> bool:
 def canonical_value_by_recursion(value):
     """Document canonicalisation with one call per value, list items
     included, as opposed to handling scalar items in place.  A tuple
-    becomes the list JSON writes it as."""
+    becomes the list JSON writes it as, and an integral float below 2**53
+    in magnitude the int it equals."""
     if isinstance(value, dict):
         return {str(k): canonical_value_by_recursion(value[k]) for k in sorted(value, key=str)}
     if isinstance(value, (list, tuple)):
         return [canonical_value_by_recursion(v) for v in value]
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, float) and abs(value) < 2**53 and value.is_integer():
         return int(value)
     return value
 

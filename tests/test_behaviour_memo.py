@@ -177,7 +177,7 @@ class TestAgainstTheTrieWalk:
         # the trie walk takes 15 steps.
         sink = with_state(gaubert, (0, EPS, EPS), (EPS, EPS, EPS, 0), EPS)
         half = with_state(gaubert, (EPS, EPS, EPS), (0.5,) * 4, 0.5)
-        assert sink.shift_exact and not half.shift_exact
+        assert sink.system.shift_exact and not half.system.shift_exact
         seqs = [word_inputs(w) for w in itertools.product(gaubert.alphabet, repeat=12)]
         walk = Counting(MpaBehaviour(sink)), Counting(MpaBehaviour(half))
         trie = Counting(MpaBehaviour(sink)), Counting(MpaBehaviour(half))
@@ -248,7 +248,7 @@ class TestGating:
             beta=(0.0,),
         )
         mutant = with_weight(base, "a", 0, 0, 2.0**-50)
-        assert base.shift_exact and not mutant.shift_exact
+        assert base.system.shift_exact and not mutant.system.shift_exact
         seqs = [word_inputs(w) for w in exhaustive_words(base.alphabet, 4)]
         models, mutated = kinds(base), kinds(mutant)
         for kind1, kind2 in PAIRS:

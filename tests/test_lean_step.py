@@ -302,7 +302,7 @@ class TestFieldCounts:
                 assert_fields(rec, StepRecord)
                 assert rec.k == k and type(rec.mode) is int and rec.successor_modes[0] == rec.mode
                 assert is_vector(rec.x, x_width) and is_vector(rec.y, 1)
-                if isinstance(stepper, SmplBehaviour):
+                if type(stepper) is SmplBehaviour:
                     assert is_vector(rec.u, s.dims.n_u) and is_vector(rec.v, s.dims.n_v)
                 else:
                     assert (rec.u, rec.v) == ((), ())

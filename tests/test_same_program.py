@@ -107,10 +107,10 @@ class TestEqualProgramsAgainstTheWalk:
         finite = [(s, i, j) for s in SYMBOLS for i in range(a.n) for j in range(a.n) if a.mu[s][i, j] != EPS]
         assume(finite)
         s, i, j = data.draw(st.sampled_from(finite))
-        assert a.program is not None
+        assert a.system.program is not None
         for mutant in (with_weight(a, s, i, j, a.mu[s][i, j] + 1.0), with_weight(a, s, i, j, EPS)):
             for model in translations(mutant):
-                assert model.program != a.program
+                assert model.program != a.system.program
 
 
 def swapped_output_mode(system):
@@ -200,9 +200,9 @@ class TestWhereThePassMustNotDecide:
         ):
             assert model.program is None
         for automaton in (one_state_mpa(3, 0.0), one_state_mpa(3.0, 0)):
-            assert automaton.program is None
+            assert automaton.system.program is None
         # float weights of any magnitude give a program: every class halts where no entry is finite
-        for model in (one_state_mpa(1e308), from_mpa(one_state_mpa(1e308))):
+        for model in (one_state_mpa(1e308).system, from_mpa(one_state_mpa(1e308))):
             assert model.program is not None
         assert MahaBehaviour(from_smpl_closed(feedback)).program is None
 
