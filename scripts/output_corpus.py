@@ -179,6 +179,21 @@ def overflow_runs() -> Iterator[Run]:
         yield from mph("check", *pair, "--relation", "behaviour")
 
 
+def empty_alphabet_runs() -> Iterator[Run]:
+    """A one-state automaton with no symbols: it has no switching system,
+    whose modes are one per symbol, so simulate, translate and a behaviour
+    check refuse it, while eval, abstract and a language check run."""
+    empty = {"kind": "mpa", "states": ["p"], "alphabet": [], "alpha": [0], "mu": {}, "beta": [0]}
+    yield from write("empty.json", json.dumps(empty))
+    yield from mph("simulate", "empty.json", "--word", "")
+    for kind in ("smpl", "maha"):
+        yield from mph("translate", "empty.json", "--to", kind)
+    for relation in ("behaviour", "language"):
+        yield from mph("check", "empty.json", "empty.json", "--relation", relation)
+    yield from mph("eval", "empty.json", "--word", "")
+    yield from mph("abstract", "empty.json")
+
+
 def runs() -> Iterator[Run]:
     """The corpus in order: a run reads only files that earlier runs saved."""
     bundled = {name: fixtures.fixture_text(name) for name in fixtures.FIXTURE_NAMES}
@@ -221,6 +236,7 @@ def runs() -> Iterator[Run]:
             yield from translation_first_checks("r3.json", "r3")
             yield from translation_pair_checks("r3")
     yield from overflow_runs()
+    yield from empty_alphabet_runs()
     for seed in ("42", "7"):
         yield from mph("reproduce", "--seed", seed)
 

@@ -23,7 +23,7 @@ from .expressions import MatrixForm
 from .finite import FiniteAutomaton, Word, make_delta
 from .smpl import MatrixMode, SmplBehaviour, SmplDims, SmplSystem, StepInput, Stepper, StepRecord
 from .smpl import symbol_liveness_rule, symbol_step
-from .tropical import EPS, CompiledRows, TropicalMatrix, Weight, eval_rows, is_finite
+from .tropical import EPS, CompiledRows, TropicalMatrix, Weight, check_weight, eval_rows, is_finite
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class MaxPlusAutomaton:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", tuple(map(check_weight, self.alpha)))
+        object.__setattr__(self, "beta", tuple(map(check_weight, self.beta)))
         n = len(self.states)
         if len(set(self.states)) != n:
             raise ValueError("duplicate state names")
@@ -73,6 +75,11 @@ class MaxPlusAutomaton:
         the initial weights as x0.  A mode is a candidate only while its
         successor state keeps a finite entry, so runs halt exactly where
         every weighted path has died out."""
+        if not self.alphabet:
+            raise ValueError(
+                "the automaton's alphabet is empty: its switching system has one mode per symbol, "
+                "and switching systems need at least one mode"
+            )
         n = self.n
         modes = {
             mode: MatrixMode(
@@ -90,7 +97,7 @@ class MaxPlusAutomaton:
             n_modes=len(self.alphabet),
             modes=modes,
             switching=symbol_liveness_rule(modes, self.alphabet, dims.input_width),
-            x0=tuple(self.alpha),
+            x0=self.alpha,
             dims=dims,
             meta={"translated_from": "mpa", "mpa_states": self.states},
         )
@@ -111,7 +118,7 @@ def row_value(a: MaxPlusAutomaton, row: Sequence[Weight]) -> Weight:
 
 def eval_state(a: MaxPlusAutomaton, word: Word) -> tuple[Weight, ...]:
     """Row vector after the word: alpha^T times the mu matrices in order."""
-    row = tuple(a.alpha)
+    row = a.alpha
     for symbol in word:
         row = step_row(a, row, symbol)
     return row

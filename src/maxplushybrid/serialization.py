@@ -13,8 +13,9 @@ nesting deeper than MAX_DEPTH; serialize_body refuses to write such
 nesting, so every document it writes reads back.
 
 A switching system's rule and controller are written from the document
-forms they carry (SwitchingRule.spec, ControllerHook.spec); one built from
-bare closures has none and is refused.  The bundled fixture documents are
+forms they carry (SwitchingRule.spec, which only the library's rule
+constructors give; ControllerHook.spec); one built from bare closures has
+none and is refused.  The bundled fixture documents are
 these writers' output on the fixtures' builders.
 
 Hybrid automaton documents store the switching system they are translated

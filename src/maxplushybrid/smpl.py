@@ -13,17 +13,17 @@ candidate set halts the run.
 One function, resolve_step, resolves a step for the system and for its
 hybrid translation alike: it resolves the controlled inputs (the
 controller's, shape-checked, or the step input's own) and checks the
-widths of u, r and p once before the rule sees them, both skipped for a
-step with no u, v, r or p on a system that reads none; then it calls the
+widths of u, r and p once before the rule sees them; then it calls the
 rule's successor_set once and checks that every candidate is a mode the
 system has.  On it sits the one step core, advance: it advances with the
 first candidate only and evaluates that mode's output map on the
 continuous input the resolution built.  A step on a bare symbol (no u,
 v, r or p) of a system with symbol_steps skips it: an input-free system
 whose rule is a library symbol_liveness rule with one mode per symbol,
-the very dynamics the system holds, maps each symbol to its mode and
-that mode's compiled state and output maps, and symbol_step runs the two
-maps and writes the record, which is what advance computes there.  A
+the very dynamics the system holds, each reading an x of x0's width and
+no input, maps each symbol to its mode and that mode's compiled state
+and output maps, and symbol_step runs the two maps and writes the
+record, which is what advance computes there.  A
 symbol with no entry halts the run.  step takes the table first and
 advance otherwise; the translation's full successor set
 (hybrid.hybrid_step) calls resolve_step itself.  A run's first step
@@ -72,7 +72,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .expressions import MatrixForm
 from .tropical import EPS, EXACT_STATE, CompiledRows, TropicalMatrix, Weight, eval_rows, has_finite_entry
-from .tropical import integral_below
+from .tropical import check_weight, integral_below
 
 if TYPE_CHECKING:
     from .mpa import MaxPlusAutomaton
@@ -154,12 +154,14 @@ class SwitchingRule:
     """successors yields the candidate modes of a probe, as bare mode
     indices or as Candidates carrying their next states.  symbols holds
     one symbol per mode, repeats allowed; alphabet is the input alphabet
-    they make."""
+    they make.  Only the library's rule constructors, symbol_liveness_rule
+    and externally_driven_rule, give a rule a document form (spec): it is
+    carried by the successors they build, so a rule over any other
+    successors has none."""
 
     kind: SwitchingKind
     successors: Callable[[SwitchProbe], Iterable[int | Candidate]]
     symbols: tuple[str, ...] | None = None
-    spec: dict | None = None
 
     def successor_set(self, probe: SwitchProbe) -> tuple[Candidate, ...]:
         """The candidates sorted by mode, one per mode (the first yielded).
@@ -183,12 +185,18 @@ class SwitchingRule:
         return tuple(dict.fromkeys(self.symbols or ()))
 
     @property
+    def spec(self) -> dict | None:
+        """The rule's document form, which serialisation writes: the one
+        its successors carry, None for successors no library rule built."""
+        return getattr(self.successors, "spec", None)
+
+    @property
     def shift_invariant(self) -> bool:
         """Whether the candidates read only w and which entries of x are
         finite, so that adding one constant to x leaves them as they are:
-        true of the rules symbol_liveness_rule and externally_driven_rule
-        build, whose successors carry that mark, and of no other."""
-        return getattr(self.successors, "shift_invariant", False)
+        true of the library's rules, those with a document form, and of
+        no other."""
+        return self.spec is not None
 
     def enabling_symbols(self, mode: int) -> frozenset[str] | None:
         """Symbols that can select the mode, when declaratively known."""
@@ -326,25 +334,6 @@ SymbolSteps = dict[str, tuple[int, CompiledRows, CompiledRows]]
 Program = tuple[tuple[Weight, ...], SymbolSteps]
 
 
-def program_of(x0: tuple[Weight, ...], table: SymbolSteps) -> Program | None:
-    """(x0, table) when equal programs are sure to run alike, else None.
-    Each map must read an x of x0's width and no input, so that no step
-    is refused; a state map, from square matrices, writes the width it
-    reads.  Each entry of x0 and weight of the maps must be a float:
-    equal floats compute alike, up to the sign of zero, where an int and
-    an equal float need not (2**53 + 1 is not 2.0**53 + 1)."""
-    n = len(x0)
-    weights = list(x0)
-    for _, state_map, output_map in table.values():
-        for rows, n_x, n_u in (state_map, output_map):
-            if n_x != n or n_u:
-                return None
-            for single, row in rows:
-                for pairs in (row,) if single else row:
-                    weights += [a for _, a in pairs]
-    return (x0, table) if all(type(a) is float for a in weights) else None
-
-
 class Stepper:
     """A model's runs, one step at a time, for every model class.
 
@@ -360,18 +349,16 @@ class Stepper:
     behave alike up to that shift, which lets a bounded behaviour check
     step one of them for both (equivalence.normalised_pair).
 
-    program is None (the default) or what the runs compute, built by
-    program_of: (x0, table), the start vector and the SymbolSteps table
-    whose entry for a symbol s a step on StepInput(w=s) runs through
-    symbol_step, the one bare-symbol step and halt rule of every class.
-    An input-free switching system gives one where its rule is a library
-    symbol_liveness rule over the system's own modes with one mode per
-    symbol (SmplSystem.symbol_steps), and so does every stepper over it:
-    a max-plus automaton's, whose system that is, and an open-loop
-    translation's.  Steppers with equal programs run one function on
-    equal data for every sequence of such inputs, step for step, which
-    lets a behaviour check judge those sequences without a step
-    (equivalence.behavioural_inclusion_upto).
+    program is None (the default) or what the runs compute: (x0, table),
+    the start vector and the SymbolSteps table whose entry for a symbol s
+    a step on StepInput(w=s) runs through symbol_step, the one bare-symbol
+    step and halt rule of every class.  A switching system gives one
+    wherever it has that table (SmplSystem.symbol_steps), and so does
+    every stepper over it: a max-plus automaton's, whose system that is,
+    and an open-loop translation's.  Steppers with equal programs run one
+    function on equal data for every sequence of such inputs, step for
+    step, which lets a behaviour check judge those sequences without a
+    step (equivalence.behavioural_inclusion_upto).
     """
 
     shift_exact = False
@@ -412,6 +399,7 @@ class SmplSystem:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x0", tuple(map(check_weight, self.x0)))
         if self.n_modes < 1:
             raise ValueError("need at least one mode")
         if set(self.modes) != set(range(1, self.n_modes + 1)):
@@ -448,21 +436,25 @@ class SmplSystem:
         """Per symbol, its mode and that mode's compiled state and output
         maps, when the system is input-free and its rule is a
         symbol_liveness_rule whose every symbol selects one mode, the very
-        dynamics the system holds for it.  A step on a bare symbol is then
-        symbol_step over the symbol's entry, and a symbol with no entry
-        halts the run, as the rule admits no mode for it.  None otherwise,
-        and for any other rule.  Decided once per system."""
+        dynamics the system holds for it, reading an x of x0's width and no
+        input.  A step on a bare symbol is then symbol_step over the
+        symbol's entry, and a symbol with no entry halts the run, as the
+        rule admits no mode for it.  None otherwise, and for any other
+        rule, so a mode of another width steps through advance, which
+        refuses it.  Decided once per system."""
         by_symbol = getattr(self.switching.successors, "modes_by_symbol", None)
         if by_symbol is None or not self.input_free:
             return None
+        n = len(self.x0)
         table: SymbolSteps = {}
         for symbol, selected in by_symbol.items():
             if len(selected) != 1:
                 return None
             (mode, dynamics), = selected
-            if self.modes.get(mode) is not dynamics:
+            form = dynamics.form
+            if self.modes.get(mode) is not dynamics or (form.n_state, form.n_input) != (n, 0):
                 return None
-            table[symbol] = mode, dynamics.form._state_map, dynamics.form._output_map
+            table[symbol] = mode, form._state_map, form._output_map
         return table
 
     @functools.cached_property
@@ -471,7 +463,7 @@ class SmplSystem:
         table a step on each symbol runs.  None where symbol_steps is.
         Decided once per system."""
         table = self.symbol_steps
-        return None if table is None else program_of(tuple(self.x0), table)
+        return None if table is None else (self.x0, table)
 
 
 def resolve_step(
@@ -488,31 +480,27 @@ def resolve_step(
     there is one, with their shape checked, and are the step input's own
     otherwise; then the widths of u, r and p are checked, part by part and
     in sum.  Only a controller reads the performance signal z, so z may be
-    None without one.  An input-free system given no u, v, r or p has no
-    inputs to resolve."""
+    None without one."""
     r, p = inp.r, inp.p
-    if s.input_free and not (inp.u or inp.v or r or p):
-        u = v = win = ()
+    dims = s.dims
+    if s.controller is None:
+        u, v = inp.u, inp.v
+        shaped = len(v) == dims.n_v
     else:
-        dims = s.dims
-        if s.controller is None:
-            u, v = inp.u, inp.v
-            shaped = len(v) == dims.n_v
-        else:
-            u, v = tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
-            shaped = len(u) == dims.n_u and len(v) == dims.n_v
-        if not shaped:
-            raise ValueError(
-                f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
-            )
-        if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
-            got = (len(u), len(r), len(p))
-            want = (dims.n_u, dims.n_r, dims.n_p)
-            raise ValueError(
-                f"step input has (u, r, p) widths {got}, expected {want}; "
-                f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
-            )
-        win = u + r + p
+        u, v = tuple(s.controller.f_u(z, inp)), tuple(s.controller.f_v(z, inp))
+        shaped = len(u) == dims.n_u and len(v) == dims.n_v
+    if not shaped:
+        raise ValueError(
+            f"resolved inputs have shape ({len(u)}, {len(v)}), expected ({dims.n_u}, {dims.n_v})"
+        )
+    if len(u) != dims.n_u or len(r) != dims.n_r or len(p) != dims.n_p:
+        got = (len(u), len(r), len(p))
+        want = (dims.n_u, dims.n_r, dims.n_p)
+        raise ValueError(
+            f"step input has (u, r, p) widths {got}, expected {want}; "
+            f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
+        )
+    win = u + r + p
     candidates = s.switching.successor_set(new_probe(prev_mode, x_prev, u, v, inp.w, r, p))
     if candidates:
         # Candidates come sorted by mode and the modes are 1..n_modes, so
@@ -594,7 +582,7 @@ class SmplBehaviour(Stepper):
 
     def init(self) -> StepRecord:
         s = self.system
-        return StepRecord(0, None, tuple(s.x0), (), (), (EPS,) * s.dims.n_u, (EPS,) * s.dims.n_v)
+        return StepRecord(0, None, s.x0, (), (), (EPS,) * s.dims.n_u, (EPS,) * s.dims.n_v)
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         return step(self.system, state, inp)
@@ -649,15 +637,9 @@ def symbol_liveness_rule(
                 out += (new_candidate(mode, x, dynamics),)
         return out
 
-    successors.shift_invariant = True  # which entries are finite does not move under a shift
+    successors.spec = {"type": "symbol_liveness", "symbols": list(symbols)}
     successors.modes_by_symbol = stepped  # the modes each symbol selects, for SmplSystem.symbol_steps
-
-    return SwitchingRule(
-        kind=kind,
-        successors=successors,
-        symbols=symbols,
-        spec={"type": "symbol_liveness", "symbols": list(symbols)},
-    )
+    return SwitchingRule(kind=kind, successors=successors, symbols=symbols)
 
 
 def externally_driven_rule(symbols: Sequence[str]) -> SwitchingRule:
@@ -672,14 +654,8 @@ def externally_driven_rule(symbols: Sequence[str]) -> SwitchingRule:
     def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
         return table.get(probe.w, ())
 
-    successors.shift_invariant = True  # reads w alone
-
-    return SwitchingRule(
-        kind=SwitchingKind.EXTERNALLY_DRIVEN,
-        successors=successors,
-        symbols=symbols,
-        spec={"type": "externally_driven", "symbols": list(symbols)},
-    )
+    successors.spec = {"type": "externally_driven", "symbols": list(symbols)}
+    return SwitchingRule(kind=SwitchingKind.EXTERNALLY_DRIVEN, successors=successors, symbols=symbols)
 
 
 def from_mpa(a: "MaxPlusAutomaton") -> SmplSystem:

@@ -2,6 +2,11 @@
 
 Weights are plain floats: finite reals plus the two reserved infinities,
 ``EPS = -inf`` (the max-plus zero) and ``TOP = +inf`` (the min-plus zero).
+A model stores its weights as floats when it is built (check_weight, which
+also refuses NaN): a TropicalMatrix its entries, a max-plus automaton its
+alpha and beta, a switching system its x0.  So equal weights compute
+alike, where an int and an equal float need not (2**53 + 1 is not
+2.0**53 + 1).
 The completed semiring resolves the otherwise undefined combination of the
 two infinities by letting max-plus operations take preference: EPS absorbs
 under ``otimes`` even against TOP.  Sums that may mix the two infinities
@@ -73,7 +78,7 @@ EXACT_STEPS = 2**30
 def integral_below(values: Sequence[Weight], limit: Weight) -> bool:
     """Whether every finite value is an integer of magnitude below limit;
     EPS and TOP pass.  Each distinct value is checked once."""
-    return all(v == EPS or v == TOP or (-limit < v < limit and float(v).is_integer()) for v in set(values))
+    return all(v == EPS or v == TOP or (-limit < v < limit and v.is_integer()) for v in set(values))
 
 
 def has_finite_entry(x: Sequence[Weight]) -> bool:
@@ -154,8 +159,7 @@ class TropicalMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        for a in self.entries:
-            check_weight(a)
+        object.__setattr__(self, "entries", tuple(map(check_weight, self.entries)))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[float]]) -> "TropicalMatrix":
@@ -164,7 +168,7 @@ class TropicalMatrix:
         for r in rows:
             if len(r) != m:
                 raise ValueError("ragged rows")
-        return TropicalMatrix(n, m, tuple(float(a) for row in rows for a in row))
+        return TropicalMatrix(n, m, tuple(a for row in rows for a in row))
 
     @staticmethod
     def epsilon(rows: int, cols: int) -> "TropicalMatrix":
@@ -173,7 +177,7 @@ class TropicalMatrix:
 
     @staticmethod
     def row_vector(values: Sequence[float]) -> "TropicalMatrix":
-        return TropicalMatrix(1, len(values), tuple(float(v) for v in values))
+        return TropicalMatrix(1, len(values), tuple(values))
 
     def __getitem__(self, ij: tuple[int, int]) -> Weight:
         i, j = ij

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from maxplushybrid import fixtures
 from maxplushybrid.equivalence import MahaBehaviour, MpaBehaviour, SmplBehaviour, behavioural_inclusion_upto
 from maxplushybrid.equivalence import exhaustive_words, normalised_pair
-from maxplushybrid.hybrid import from_smpl_closed, from_smpl_open
+from maxplushybrid.hybrid import WrongProvenance, from_smpl_closed, from_smpl_open, mpa_chain_abstraction
 from maxplushybrid.mpa import MaxPlusAutomaton
+from maxplushybrid.serialization import ModelFormatError, smpl_body
 from maxplushybrid.smpl import (
     MatrixMode,
     SmplDims,
@@ -219,7 +220,7 @@ class TestGating:
         "rule_of",
         [
             lambda modes: SwitchingRule(SwitchingKind.STATE_DEPENDENT_AUTONOMOUS, reads_x, symbols=("a", "a")),
-            # a document rule's spec, with other successors: the spec alone does not qualify it
+            # a library rule given other successors, which carry no spec, so it has none
             lambda modes: dataclasses.replace(symbol_liveness_rule(modes, ("a", "a"), 0), successors=reads_x),
         ],
         ids=["bare", "liveness-spec"],
@@ -235,6 +236,22 @@ class TestGating:
             (SmplBehaviour(mutant), MahaBehaviour(from_smpl_open(system))),
         ):
             assert agrees(sys1, sys2, seqs) == (False, witness)
+
+    def test_a_library_rule_given_other_successors_has_no_document_form(self):
+        # were the spec kept by the rule, smpl_body would write this rule as
+        # symbol_liveness, a document whose model steps otherwise
+        library = threshold_system(lambda modes: symbol_liveness_rule(modes, ("a", "b"), 0), 0)
+        other = dataclasses.replace(library, switching=dataclasses.replace(library.switching, successors=reads_x))
+        assert library.switching.spec == {"type": "symbol_liveness", "symbols": ["a", "b"]}
+        assert library.switching.enabling_symbols(2) == {"b"}
+        smpl_body(library)
+        mpa_chain_abstraction(from_smpl_open(library))
+        rule = other.switching
+        assert rule.spec is None and not rule.shift_invariant and rule.enabling_symbols(2) is None
+        with pytest.raises(ModelFormatError, match="^switching rule has no declarative form to serialise$"):
+            smpl_body(other)
+        with pytest.raises(WrongProvenance, match="its switching is not symbol_liveness"):
+            mpa_chain_abstraction(from_smpl_open(other))
 
     def test_weights_that_are_not_integers(self):
         # 8 + 2**-50 rounds to 8 while 0 + 2**-50 does not, so the pairs

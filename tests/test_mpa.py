@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import types
 
@@ -164,6 +165,12 @@ class TestValidation:
                 mu={"a": TropicalMatrix.epsilon(1, 1)},
                 beta=(0.0,),
             )
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_nan_start_or_final_weight_rejected(self, field):
+        weights = {"alpha": (0.0, 0.0), "beta": (0.0, 0.0), field: (0.0, math.nan)}
+        with pytest.raises(ValueError, match="^NaN is not a valid weight$"):
+            MaxPlusAutomaton(states=("s", "t"), alphabet=("a",), mu={"a": TropicalMatrix.epsilon(2, 2)}, **weights)
 
     def test_shape_mismatch_rejected(self, gaubert):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from maxplushybrid import fixtures
 from maxplushybrid.mpa import MaxPlusAutomaton, MpaBehaviour
-from maxplushybrid.smpl import SmplBehaviour, from_mpa, program_of
+from maxplushybrid.smpl import SmplBehaviour, from_mpa
 from maxplushybrid.tropical import EPS, TropicalMatrix
 
 SYMBOLS = ("a", "b")
@@ -26,7 +26,7 @@ finite_weights = st.one_of(
     st.integers(-9, 9).map(float),  # integer floats: shift-exact
     st.floats(-10, 10, allow_nan=False),  # mostly not integral
     st.just(1e308),  # overflows to +inf once summed
-    st.just(2**49 + 1),  # an int: an equal float need not sum alike
+    st.just(2**49 + 1),  # an int, which the automaton stores as its float
     st.just(0),
 )
 weights = st.one_of(st.just(EPS), finite_weights)
@@ -51,7 +51,7 @@ def assert_steps_as_its_system(a):
     assert s.shift_exact is oracles.mpa_shift_exact_by_weights(a)
     program = MpaBehaviour(a).program
     assert program == SmplBehaviour(from_mpa(a)).program
-    assert program == program_of(tuple(a.alpha), oracles.mpa_symbol_steps_by_columns(a))
+    assert program == (a.alpha, oracles.mpa_symbol_steps_by_columns(a))
 
 
 class TestTheAutomatonsSystem:

@@ -101,6 +101,16 @@ class TestEqualProgramsAgainstTheWalk:
         # 2.0**52 + 1 is exact; its third sum, past 2**53, rounds, alike in every model
         holds_every_way(translations(one_state_mpa(2.0**52 + 1)), ("a",), 20)
 
+    def test_int_weights_are_stored_as_their_floats(self):
+        # kept as an int, 2**49 + 1 would sum exactly, where its float's 17th
+        # sum, past 2**53, rounds: the 18th step's output would differ
+        big = 2**49 + 1
+        ints, floats = one_state_mpa(big, 0), one_state_mpa(float(big))
+        by_hand = one_state_system(big, 0), one_state_system(float(big), 0.0)
+        weights = ints.alpha + ints.beta + ints.mu["a"].entries + by_hand[0].x0 + by_hand[0].modes[1].form.A[0].entries
+        assert all(type(w) is float for w in weights) and ints == floats
+        holds_every_way([*translations(ints), *translations(floats), *map(SmplBehaviour, by_hand)], ("a",), 18)
+
     @settings(max_examples=40, deadline=None)
     @given(automata(), st.data())
     def test_no_planted_mutant_has_its_originals_program(self, a, data):
@@ -145,6 +155,12 @@ def one_state_mpa(weight, start=0.0):
     return MaxPlusAutomaton(("1",), ("a",), (start,), {"a": TropicalMatrix(1, 1, (weight,))}, (0.0,))
 
 
+def one_state_system(weight, start):
+    """one_state_mpa(weight, start)'s system, built by hand."""
+    modes = {1: MatrixMode.from_parts(a=[[weight]], c=[[0]])}
+    return SmplSystem(1, modes, symbol_liveness_rule(modes, ("a",), 0), (start,), SmplDims(n=1))
+
+
 def undecided_cases():
     """(label, sys1, sys2, sequences, the walk's verdict)."""
     gaubert, line, feedback = fixtures.gaubert_mpa(), fixtures.production_line_smpl(), fixtures.feedback_demo_smpl()
@@ -157,9 +173,6 @@ def undecided_cases():
         (StepInput(w="m2", u=(0.0,)), StepInput(w="m2", u=(6.0,)), StepInput(w="m1", u=(1.0,))),
     ]
     driven = dataclasses.replace(system, switching=externally_driven_rule(SYMBOLS))
-    # 2**49 + 1 sums exactly as an int; as a float its 17th sum, past 2**53,
-    # rounds, and the 18th step's output shows it
-    big, huge = 2**49 + 1, [word_inputs("a" * k) for k in range(1, 19)]
     return [
         ("swapped mode", SmplBehaviour(system), SmplBehaviour(swapped_output_mode(system)), words,
          (False, word_inputs("ab"))),
@@ -172,8 +185,6 @@ def undecided_cases():
         ("python rule", MpaBehaviour(gaubert), SmplBehaviour(python_liveness(system)), words, (True, None)),
         ("python rule, line", MahaBehaviour(from_smpl_open(python_liveness(line))), SmplBehaviour(line),
          [word_inputs(w) for w in exhaustive_words(("l1", "l2"), 4)], (True, None)),
-        ("int weights", MpaBehaviour(one_state_mpa(big, 0)), MpaBehaviour(one_state_mpa(float(big))), huge,
-         (False, huge[17])),
     ]
 
 
@@ -196,11 +207,12 @@ class TestWhereThePassMustNotDecide:
             feedback,
             dataclasses.replace(feedback, controller=None),
             python_liveness(production),
-            from_mpa(one_state_mpa(2**49 + 1, 0)),
         ):
             assert model.program is None
-        for automaton in (one_state_mpa(3, 0.0), one_state_mpa(3.0, 0)):
-            assert automaton.system.program is None
+        # an int weight is stored as its float, so a model over ints has its float copy's program
+        pairs = ((one_state_mpa(3, 0.0), 3.0), (one_state_mpa(3.0, 0), 3.0), (one_state_mpa(2**49 + 1, 0), 2.0**49 + 1))
+        for ints, weight in pairs:
+            assert ints.system.program == one_state_mpa(weight).system.program is not None
         # float weights of any magnitude give a program: every class halts where no entry is finite
         for model in (one_state_mpa(1e308).system, from_mpa(one_state_mpa(1e308))):
             assert model.program is not None

@@ -69,6 +69,12 @@ class TestStep:
             state = rec
 
 
+def test_a_nan_start_entry_is_refused():
+    mode = MatrixMode.from_parts(a=[[0.0]], c=[[0.0]])
+    with pytest.raises(ValueError, match="^NaN is not a valid weight$"):
+        SmplSystem(1, {1: mode}, symbol_liveness_rule({1: mode}, ("a",), 0), (float("nan"),), SmplDims(n=1))
+
+
 class TestSwitchProbe:
     def test_keyword_construction_and_field_names(self):
         probe = SwitchProbe(prev_mode=None, x=(1.0,), u=(), v=(), w="a", r=(), p=(2.0,))
