@@ -23,17 +23,18 @@ system's first step is.
 MahaBehaviour is the automaton's stepper: smpl.SmplBehaviour over the
 automaton's system, whose shift_exact flag and program it inherits.  A
 run is its fold, and each step is the one smpl.step takes.  A bare
-symbol on a system with symbol_steps goes through smpl.symbol_step: the
+symbol on a system with a program goes straight to smpl.symbol_step: the
 symbol's mode's two maps and one record.  Every other step goes through
-smpl.advance, which resolves once, advances with the smallest candidate
-mode only and outputs on the inputs the resolution built.  Only the
-record differs from the system's: it holds no u or v of its own, and x
-(open loop) or z (closed loop, through smpl.performance_signal), from
-start before the first step.
-hybrid_step gives the paper's full successor set instead: from mode q it
-resolves the step through smpl.resolve_step with q as the previous mode
-and writes every candidate's next state, as the rule computed it or from
-one evaluation of its mode.  The automaton stores no successor function
+smpl.advance, which resolves the inputs once and then takes the symbol's
+symbol_steps entry, open loop or closed, or else the rule's smallest
+mode only.  Only the record differs from the system's: it holds no u or
+v of its own, and x (open loop) or z (closed loop, through
+smpl.performance_signal), from start before the first step.
+hybrid_step gives the paper's full successor set instead, from mode q as
+the previous mode: on a system with symbol_steps that is the symbol's
+one mode, stepped once through smpl.advance; on any other system it is
+every mode smpl.successor_modes admits, each evaluated once after the
+rule.  The automaton stores no successor function
 or initial states; both are read off the system when asked for.  Each
 edge (q, q') between distinct modes carries the symbols that can select
 q', when the rule declares them; the one-step abstraction reads those.
@@ -51,7 +52,7 @@ from typing import NamedTuple, Sequence
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
 from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
-from .smpl import advance, new_record, performance_signal, resolve_step, signal_x, symbol_step
+from .smpl import advance, new_record, performance_signal, resolve_inputs, signal_x, successor_modes, symbol_step
 from .tropical import Weight, is_finite
 
 
@@ -138,29 +139,34 @@ def hybrid_step(
     execution is blocked: the switching rule admits no mode."""
     s, z = h.system, state.x
     x = h.x_of(z)
-    u, v, win, candidates = resolve_step(s, state.mode, x, z, inp)
-    dynamics = s.modes
+    if s.symbol_steps is not None:
+        stepped = advance(s, state.mode, x, z, inp)
+        if stepped is None:
+            return ()
+        mode, x_next, _, _, u, v = stepped
+        states = [(mode, x_next)]
+    else:
+        u, v, win = resolve_inputs(s, z, inp)
+        states = [(q, s.modes[q].form.eval_state(x, win)) for q in successor_modes(s, state.mode, x, u, v, inp)]
     if s.closed_loop:
-        return tuple([
-            HybridState(c.mode, performance_signal(c.mode, c.state_for(dynamics[c.mode], x, win), u, v))
-            for c in candidates
-        ])
-    return tuple([HybridState(c.mode, c.state_for(dynamics[c.mode], x, win)) for c in candidates])
+        return tuple([HybridState(q, performance_signal(q, xq, u, v)) for q, xq in states])
+    return tuple([HybridState(q, xq) for q, xq in states])
 
 
 @dataclass(frozen=True)
 class MahaBehaviour(SmplBehaviour):
     """Runs of a hybrid automaton: the runs of its system, whose
-    shift_exact flag and program it inherits (a shift-exact system is an
-    open loop, whose records hold x itself; a closed loop has no program).
-    Each step takes the smallest successor mode.  Before the first step
-    there is no current mode (None), as a switching system's first mode
-    is resolved by its rule rather than given; the record before the
-    first step holds start.  A step is the system's own: smpl.symbol_step
-    for a bare symbol on a system with symbol_steps, smpl.advance from
-    the record's mode and x (read out of z in a closed loop) otherwise, so
-    it evaluates only the mode it takes; its record holds no u or v of
-    its own, and x, or z = (mode, x, u, v) in a closed loop."""
+    shift_exact flag and program it inherits (a system with either is an
+    input-free open loop, whose records hold x itself; a closed loop has
+    neither).  Each step takes the smallest successor mode.  Before the
+    first step there is no current mode (None), as a switching system's
+    first mode is resolved by its rule rather than given; the record
+    before the first step holds start.  A step is the system's own:
+    smpl.symbol_step for a bare symbol on a system with a program,
+    smpl.advance from the record's mode and x (read out of z in a closed
+    loop) otherwise, so it evaluates only the mode it takes; its record
+    holds no u or v of its own, and x, or z = (mode, x, u, v) in a closed
+    loop."""
 
     automaton: HybridAutomaton
     system: SmplSystem = field(init=False, repr=False, compare=False)
@@ -173,10 +179,10 @@ class MahaBehaviour(SmplBehaviour):
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         s = self.system
-        table = s.symbol_steps
-        if table is not None and not (inp.u or inp.v or inp.r or inp.p):
-            # an open loop: the record's x is the system's
-            found = table.get(inp.w)
+        program = s.program
+        if program is not None and not (inp.u or inp.v or inp.r or inp.p):
+            # an input-free open loop: the record's x is the system's
+            found = program[1].get(inp.w)
             return None if found is None else symbol_step(found, state.k, state.x)
         closed, z = s.controller is not None, state.x
         stepped = advance(s, state.mode, signal_x(z, s.dims.n) if closed else z, z, inp)

@@ -11,10 +11,10 @@ which its translation is, each through its own stepper's dispatch, where
 behavioural_inclusion_upto would pass the two over as one program
 without a step.  So it compares two dispatches, not two tables.  Two are
 same-route comparisons: smpl-maha-open-traces and smpl-maha-closed-traces
-compare smpl.simulate with hybrid.run.  The open loop's two fixtures step
-bare symbols through their symbol_steps tables, so that check compares
-two smpl.symbol_step runs; the closed loop's steps both go through
-smpl.advance.  The report content is a deterministic function of the
+compare smpl.simulate with hybrid.run.  All three fixtures step through
+their symbol_steps tables, the closed loop's on the controller's u
+through smpl.advance, so each check compares two smpl.symbol_step runs
+over one table.  The report content is a deterministic function of the
 seed so runs can be compared byte for byte.
 """
 

@@ -10,32 +10,30 @@ smallest candidate mode, which is also the run their memo of normalised
 states keys on.  Checking every run is ROADMAP.md's item 12.  An empty
 candidate set halts the run.
 
-One function, resolve_step, resolves a step for the system and for its
-hybrid translation alike: it resolves the controlled inputs (the
+A step resolves in two halves, for the system and for its hybrid
+translation alike.  resolve_inputs resolves the controlled inputs (the
 controller's, shape-checked, or the step input's own) and checks the
-widths of u, r and p once before the rule sees them; then it calls the
-rule's successor_set once and checks that every candidate is a mode the
-system has.  On it sits the one step core, advance: it advances with the
-first candidate only and evaluates that mode's output map on the
-continuous input the resolution built.  A step on a bare symbol (no u,
-v, r or p) of a system with symbol_steps skips it: an input-free system
-whose rule is a library symbol_liveness rule with one mode per symbol,
-the very dynamics the system holds, each reading an x of x0's width and
-no input, maps each symbol to its mode and that mode's compiled state
-and output maps, and symbol_step runs the two maps and writes the
-record, which is what advance computes there.  A
-symbol with no entry halts the run.  step takes the table first and
-advance otherwise; the translation's full successor set
-(hybrid.hybrid_step) calls resolve_step itself.  A run's first step
-resolves with no previous mode, in the system and in its translation
-alike.  A rule that has to compute a mode's next state to decide on it
-(symbol liveness does) hands that state back with the candidate, so a
-step evaluates the chosen mode's dynamics once.  The state and inputs
-are passed on as the tuples they already are, a rule's output is
-deduplicated and sorted only when it holds more than one candidate, or
-one that is not a Candidate, and the probe, candidates and record of a
-step are built by new_probe, new_candidate and new_record, straight
-through tuple.__new__.
+widths of u, r and p once before anything reads them.  successor_modes
+calls the rule's successor_set once and checks that every candidate is
+a mode the system has.  A system whose rule is a library symbol_liveness
+rule with one mode per symbol, the very dynamics the system holds, each
+reading an x of x0's width and inputs of the system's u ++ r ++ p width,
+needs no rule to step: its symbol_steps table maps each symbol to its
+mode and that mode's compiled state and output maps, open loop or
+closed, and symbol_step runs the two maps on the resolved inputs, halts
+where no entry of the state is finite (as the rule admits no mode then)
+and writes the record.  A symbol with no entry halts the run.  On the
+two halves sits the one step core, advance: it resolves the inputs, then
+takes the table entry if there is one, or else evaluates the rule's
+smallest mode once, and outputs on the continuous input the resolution
+built.  step skips the input resolution for a bare symbol (no u, v, r or
+p) of a system with a program, an input-free system with a table; the
+translation's full successor set (hybrid.hybrid_step) runs the two
+halves itself.  A run's first step resolves with no previous mode, in
+the system and in its translation alike.  A rule yields bare mode
+indices, deduplicated and sorted only when there are more than one, and
+the probe and record of a step are built by new_probe and new_record,
+straight through tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step and fold, the shift_exact flag by which bounded
@@ -113,8 +111,8 @@ class SwitchProbe(NamedTuple):
     p: tuple[Weight, ...]
 
 
-# Each step builds a SwitchProbe, a Candidate and a StepRecord.  Their
-# constructors below hand every field to tuple.__new__ directly, which
+# A step builds a StepRecord, and a step through the rule a SwitchProbe.
+# Their constructors below hand every field to tuple.__new__ directly, which
 # skips the generated __new__ behind a NamedTuple call (about 40% of a
 # record's cost); so they take all fields, in the class's order, and check
 # none of them.  Their parameters carry no annotations: the classes give
@@ -127,57 +125,32 @@ def new_probe(prev_mode, x, u, v, w, r, p) -> SwitchProbe:
     return _tuple_new(SwitchProbe, (prev_mode, x, u, v, w, r, p))
 
 
-class Candidate(NamedTuple):
-    """A successor mode with the next state the rule computed for it, and
-    the mode dynamics that computed it; both None when the rule decided
-    without stepping the mode."""
-
-    mode: int
-    x: tuple[Weight, ...] | None = None
-    dynamics: MatrixMode | None = None
-
-    def state_for(
-        self, dynamics: MatrixMode, x: tuple[Weight, ...], win: tuple[Weight, ...]
-    ) -> tuple[Weight, ...]:
-        """The mode's next state from x: the carried one if these very
-        dynamics computed it, else one evaluation of them (a rule built
-        over other mode objects gets its states recomputed)."""
-        return self.x if self.dynamics is dynamics else dynamics.form.eval_state(x, win)
-
-
-def new_candidate(mode, x, dynamics) -> Candidate:
-    return _tuple_new(Candidate, (mode, x, dynamics))
-
-
 @dataclass(frozen=True)
 class SwitchingRule:
-    """successors yields the candidate modes of a probe, as bare mode
-    indices or as Candidates carrying their next states.  symbols holds
-    one symbol per mode, repeats allowed; alphabet is the input alphabet
-    they make.  Only the library's rule constructors, symbol_liveness_rule
-    and externally_driven_rule, give a rule a document form (spec): it is
-    carried by the successors they build, so a rule over any other
-    successors has none."""
+    """successors yields the candidate modes of a probe, as mode indices.
+    symbols holds one symbol per mode, repeats allowed; alphabet is the
+    input alphabet they make.  Only the library's rule constructors,
+    symbol_liveness_rule and externally_driven_rule, give a rule a
+    document form (spec): it is carried by the successors they build, so
+    a rule over any other successors has none, and a rule with one must
+    keep the symbols it names."""
 
     kind: SwitchingKind
-    successors: Callable[[SwitchProbe], Iterable[int | Candidate]]
+    successors: Callable[[SwitchProbe], Iterable[int]]
     symbols: tuple[str, ...] | None = None
 
-    def successor_set(self, probe: SwitchProbe) -> tuple[Candidate, ...]:
-        """The candidates sorted by mode, one per mode (the first yielded).
-        An empty tuple, or a tuple of one Candidate as the library rules
-        return, comes back as it is."""
-        cands = self.successors(probe)
-        if type(cands) is not tuple:
-            cands = tuple(cands)
-        if not cands or len(cands) == 1 and type(cands[0]) is Candidate:
-            return cands
-        found: dict[int, Candidate] = {}
-        for cand in cands:
-            if not isinstance(cand, Candidate):
-                cand = Candidate(cand)
-            found.setdefault(cand.mode, cand)
-        return tuple([found[mode] for mode in sorted(found)])
+    def __post_init__(self) -> None:
+        named = None if self.spec is None else tuple(self.spec["symbols"])
+        if named is not None and named != self.symbols:
+            raise ValueError(f"the rule's successors select by the symbols {named}, not {self.symbols}")
+
+    def successor_set(self, probe: SwitchProbe) -> tuple[int, ...]:
+        """The candidate modes, sorted and each once.  A tuple of at most
+        one mode, as the library rules return, comes back as it is."""
+        modes = self.successors(probe)
+        if type(modes) is not tuple:
+            modes = tuple(modes)
+        return modes if len(modes) < 2 else tuple(sorted(set(modes)))
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -434,25 +407,26 @@ class SmplSystem:
     @functools.cached_property
     def symbol_steps(self) -> SymbolSteps | None:
         """Per symbol, its mode and that mode's compiled state and output
-        maps, when the system is input-free and its rule is a
-        symbol_liveness_rule whose every symbol selects one mode, the very
-        dynamics the system holds for it, reading an x of x0's width and no
-        input.  A step on a bare symbol is then symbol_step over the
-        symbol's entry, and a symbol with no entry halts the run, as the
-        rule admits no mode for it.  None otherwise, and for any other
-        rule, so a mode of another width steps through advance, which
-        refuses it.  Decided once per system."""
+        maps, when the rule is a symbol_liveness_rule whose every symbol
+        selects one mode, the very dynamics the system holds for it,
+        reading an x of x0's width and inputs of the system's u ++ r ++ p
+        width, with or without a controller.  Every step is then
+        symbol_step over the symbol's entry on the resolved inputs, and a
+        symbol with no entry halts the run, as the rule admits no mode for
+        it.  None otherwise, and for any other rule, so a mode of another
+        width steps through the rule, whose evaluation refuses it.
+        Decided once per system."""
         by_symbol = getattr(self.switching.successors, "modes_by_symbol", None)
-        if by_symbol is None or not self.input_free:
+        if by_symbol is None:
             return None
-        n = len(self.x0)
+        widths = len(self.x0), self.dims.input_width
         table: SymbolSteps = {}
         for symbol, selected in by_symbol.items():
             if len(selected) != 1:
                 return None
             (mode, dynamics), = selected
             form = dynamics.form
-            if self.modes.get(mode) is not dynamics or (form.n_state, form.n_input) != (n, 0):
+            if self.modes.get(mode) is not dynamics or (form.n_state, form.n_input) != widths:
                 return None
             table[symbol] = mode, form._state_map, form._output_map
         return table
@@ -460,27 +434,22 @@ class SmplSystem:
     @functools.cached_property
     def program(self) -> Program | None:
         """The system's program (see Stepper): x0 and symbol_steps, the
-        table a step on each symbol runs.  None where symbol_steps is.
+        table a step on each symbol runs, where the system is input-free;
+        a closed loop or a system that reads u, v, r or p has none.
         Decided once per system."""
         table = self.symbol_steps
-        return None if table is None else (self.x0, table)
+        return None if table is None or not self.input_free else (self.x0, table)
 
 
-def resolve_step(
-    s: SmplSystem,
-    prev_mode: int | None,
-    x_prev: tuple[Weight, ...],
-    z: tuple[Weight, ...] | None,
-    inp: StepInput,
-) -> tuple[tuple[Weight, ...], tuple[Weight, ...], tuple[Weight, ...], tuple[Candidate, ...]]:
-    """One step's resolution from the previous mode (None before the first
-    step) and state: the controlled inputs (u, v), the continuous input
-    u ++ r ++ p fed to the mode maps, and the rule's candidates, once,
-    each a mode the system has.  u and v come from the controller when
-    there is one, with their shape checked, and are the step input's own
-    otherwise; then the widths of u, r and p are checked, part by part and
-    in sum.  Only a controller reads the performance signal z, so z may be
-    None without one."""
+def resolve_inputs(
+    s: SmplSystem, z: tuple[Weight, ...] | None, inp: StepInput
+) -> tuple[tuple[Weight, ...], tuple[Weight, ...], tuple[Weight, ...]]:
+    """One step's controlled inputs (u, v) and the continuous input
+    u ++ r ++ p fed to the mode maps.  u and v come from the controller
+    when there is one, with their shape checked, and are the step input's
+    own otherwise; then the widths of u, r and p are checked, part by part
+    and in sum.  Only a controller reads the performance signal z, so z
+    may be None without one."""
     r, p = inp.r, inp.p
     dims = s.dims
     if s.controller is None:
@@ -500,15 +469,28 @@ def resolve_step(
             f"step input has (u, r, p) widths {got}, expected {want}; "
             f"u++r++p width {sum(got)} ({got[0]}+{got[1]}+{got[2]}), expected {dims.input_width}"
         )
-    win = u + r + p
-    candidates = s.switching.successor_set(new_probe(prev_mode, x_prev, u, v, inp.w, r, p))
-    if candidates:
-        # Candidates come sorted by mode and the modes are 1..n_modes, so
-        # the first and the last being known covers every one in between.
-        modes, first, last = s.modes, candidates[0].mode, candidates[-1].mode
-        if first not in modes or last not in modes:
-            raise ValueError(f"switching rule returned unknown mode {last if first in modes else first}")
-    return u, v, win, candidates
+    return u, v, u + r + p
+
+
+def successor_modes(
+    s: SmplSystem,
+    prev_mode: int | None,
+    x_prev: tuple[Weight, ...],
+    u: tuple[Weight, ...],
+    v: tuple[Weight, ...],
+    inp: StepInput,
+) -> tuple[int, ...]:
+    """The rule's candidate modes from the previous mode (None before the
+    first step), state and resolved inputs, once, each a mode the system
+    has."""
+    modes = s.switching.successor_set(new_probe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
+    if modes:
+        # Modes come sorted and the system's are 1..n_modes, so the first
+        # and the last being known covers every one in between.
+        first, last = modes[0], modes[-1]
+        if first not in s.modes or last not in s.modes:
+            raise ValueError(f"switching rule returned unknown mode {last if first in s.modes else first}")
+    return modes
 
 
 def advance(
@@ -518,50 +500,56 @@ def advance(
     z: tuple[Weight, ...] | None,
     inp: StepInput,
 ) -> tuple | None:
-    """The step core of a system and of its translation: resolve once,
-    advance with the first candidate's carried state or one evaluation of
-    its mode (as Candidate.state_for), and output through the mode's
-    output map on the continuous input u ++ r ++ p that the resolution
-    built.  Returns (mode, x, y, successor modes, u, v), a StepRecord's
-    fields after k, or None when the rule admits no mode (the run
-    halts)."""
-    u, v, win, candidates = resolve_step(s, prev_mode, x_prev, z, inp)
-    if not candidates:
+    """The step core of a system and of its translation: resolve the
+    inputs, then take the symbol's symbol_steps entry where the system
+    has a table, or else the rule's smallest mode through one evaluation
+    of its state map, and output through the mode's output map on the
+    continuous input u ++ r ++ p.  Returns (mode, x, y, successor modes,
+    u, v), a StepRecord's fields after k, or None when no mode is admitted
+    (the run halts)."""
+    u, v, win = resolve_inputs(s, z, inp)
+    table = s.symbol_steps
+    if table is not None:
+        found = table.get(inp.w)
+        record = None if found is None else symbol_step(found, 0, x_prev, win)
+        return None if record is None else (record.mode, record.x, record.y, record.successor_modes, u, v)
+    modes = successor_modes(s, prev_mode, x_prev, u, v, inp)
+    if not modes:
         return None
-    mode, x, carried_by = candidates[0]
-    dynamics = s.modes[mode]
-    form = dynamics.form
-    if carried_by is not dynamics:
-        x = form.eval_state(x_prev, win)
-    successors = (mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
-    return mode, x, eval_rows(form._output_map, x, win), successors, u, v
+    form = s.modes[modes[0]].form
+    x = form.eval_state(x_prev, win)
+    return modes[0], x, eval_rows(form._output_map, x, win), modes, u, v
 
 
 def symbol_step(
-    found: tuple[int, CompiledRows, CompiledRows], k: int, x_prev: tuple[Weight, ...]
+    found: tuple[int, CompiledRows, CompiledRows],
+    k: int,
+    x_prev: tuple[Weight, ...],
+    win: tuple[Weight, ...] = (),
 ) -> StepRecord | None:
     """Step k + 1 on a symbol through its symbol_steps entry (mode, state
-    map, output map): the mode's next state from x_prev, None where it has
-    no finite entry (the run halts, as symbol liveness admits no mode),
-    else the record of that state and its output.  It is what advance
-    computes for such a step, with no rule, candidate or input to
-    resolve, and every bare-symbol step of a max-plus automaton."""
+    map, output map) on the continuous input win = u ++ r ++ p, empty on
+    an input-free system: the mode's next state from x_prev, None where
+    it has no finite entry (the run halts, as symbol liveness admits no
+    mode), else the record of that state and its output, with no u or v.
+    It is every step of a system with a table and every step of a
+    max-plus automaton."""
     mode, state_map, output_map = found
-    x = eval_rows(state_map, x_prev)
+    x = eval_rows(state_map, x_prev, win)
     if not has_finite_entry(x):
         return None
-    return new_record(k + 1, mode, x, eval_rows(output_map, x), (mode,), (), ())
+    return new_record(k + 1, mode, x, eval_rows(output_map, x, win), (mode,), (), ())
 
 
 def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
     """One event step from the last step's record (SmplBehaviour(s).init()
-    before the first): symbol_step for a bare symbol on a system with
-    symbol_steps, advance for every other step.  None when the rule admits
-    no mode (the run halts).  The performance signal is built only for a
+    before the first): symbol_step for a bare symbol on a system with a
+    program, advance for every other step.  None when no mode is admitted
+    (the run halts).  The performance signal is built only for a
     controller to read."""
-    table = s.symbol_steps
-    if table is not None and not (inp.u or inp.v or inp.r or inp.p):
-        found = table.get(inp.w)
+    program = s.program
+    if program is not None and not (inp.u or inp.v or inp.r or inp.p):
+        found = program[1].get(inp.w)
         return None if found is None else symbol_step(found, state.k, state.x)
     z = None if s.controller is None else performance_signal(state.mode, state.x, state.u, state.v)
     stepped = advance(s, state.mode, state.x, z, inp)
@@ -612,9 +600,9 @@ def symbol_liveness_rule(
     kind: SwitchingKind = SwitchingKind.CONSTRAINED,
 ) -> SwitchingRule:
     """Candidate modes are those whose symbol matches the discrete input and
-    whose one-step successor state keeps at least one finite entry; each
-    candidate carries that state.  Every mode must read inputs of
-    input_width, the u ++ r ++ p width a step checks before the rule runs."""
+    whose one-step successor state keeps at least one finite entry.  Every
+    mode must read inputs of input_width, the u ++ r ++ p width a step
+    checks before the rule runs."""
     symbols = tuple(symbols)
     if len(symbols) != len(modes):
         raise ValueError("need exactly one symbol per mode")
@@ -627,15 +615,12 @@ def symbol_liveness_rule(
             )
         stepped[symbol] = stepped.get(symbol, ()) + ((mode, dynamics),)
 
-    def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
-        out: tuple[Candidate, ...] = ()
+    def successors(probe: SwitchProbe) -> tuple[int, ...]:
         _, x_prev, u, _, w, r, p = probe
         win = u + r + p
-        for mode, dynamics in stepped.get(w, ()):
-            x = dynamics.form.eval_state(x_prev, win)
-            if has_finite_entry(x):
-                out += (new_candidate(mode, x, dynamics),)
-        return out
+        return tuple([
+            mode for mode, dynamics in stepped.get(w, ()) if has_finite_entry(dynamics.form.eval_state(x_prev, win))
+        ])
 
     successors.spec = {"type": "symbol_liveness", "symbols": list(symbols)}
     successors.modes_by_symbol = stepped  # the modes each symbol selects, for SmplSystem.symbol_steps
@@ -646,12 +631,12 @@ def externally_driven_rule(symbols: Sequence[str]) -> SwitchingRule:
     """The discrete exogenous symbol names the successor mode directly, so
     each mode's symbol must be its own."""
     symbols = tuple(symbols)
-    table = {symbol: (Candidate(mode),) for mode, symbol in enumerate(symbols, start=1)}
+    table = {symbol: (mode,) for mode, symbol in enumerate(symbols, start=1)}
     if len(table) != len(symbols):
         repeated = next(symbol for symbol in symbols if symbols.count(symbol) > 1)
         raise ValueError(f"externally driven switching names two modes by the symbol {repeated!r}")
 
-    def successors(probe: SwitchProbe) -> tuple[Candidate, ...]:
+    def successors(probe: SwitchProbe) -> tuple[int, ...]:
         return table.get(probe.w, ())
 
     successors.spec = {"type": "externally_driven", "symbols": list(symbols)}

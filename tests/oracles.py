@@ -253,22 +253,17 @@ def min_of_products(mats, input_mats, x, u) -> tuple[Weight, ...]:
     return tuple(out)
 
 
-def successor_set_by_dict(rule: smpl.SwitchingRule, probe: smpl.SwitchProbe) -> tuple[smpl.Candidate, ...]:
-    """The rule's candidates, one per mode (the first yielded), sorted by
-    mode, through a dict and a sort whatever their number, as opposed to
-    the pass that skips both for at most one candidate."""
-    found: dict[int, smpl.Candidate] = {}
-    for cand in rule.successors(probe):
-        if not isinstance(cand, smpl.Candidate):
-            cand = smpl.Candidate(cand)
-        found.setdefault(cand.mode, cand)
-    return tuple(found[mode] for mode in sorted(found))
+def successor_set_by_dict(rule: smpl.SwitchingRule, probe: smpl.SwitchProbe) -> tuple[int, ...]:
+    """The rule's candidate modes, each once, sorted, through a dict and a
+    sort whatever their number, as opposed to the pass that skips both for
+    at most one candidate."""
+    return tuple(sorted(dict.fromkeys(rule.successors(probe))))
 
 
 def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_prev):
-    """One SMPL step that takes only the modes from the switching rule and
-    evaluates the chosen mode again, as opposed to reusing the state the
-    rule computed; None when the rule admits no mode.  It builds the
+    """One SMPL step that takes the modes from the switching rule and
+    evaluates the chosen mode through MatrixForm, as opposed to a
+    symbol_steps table; None when the rule admits no mode.  It builds the
     performance signal z = (mode, x, u, v) itself, the mode EPS before the
     first step."""
     z = (EPS if prev_mode is None else float(prev_mode),) + tuple(x_prev) + tuple(u_prev) + tuple(v_prev)
@@ -276,7 +271,7 @@ def smpl_step_twice(s: smpl.SmplSystem, prev_mode, x_prev, inp, k, u_prev, v_pre
     probe = smpl.SwitchProbe(
         prev_mode=prev_mode, x=tuple(x_prev), u=u, v=v, w=inp.w, r=inp.r, p=inp.p
     )
-    successors = tuple(cand.mode for cand in s.switching.successor_set(probe))
+    successors = s.switching.successor_set(probe)
     if not successors:
         return None
     mode = successors[0]
@@ -301,15 +296,16 @@ def simulate(s: smpl.SmplSystem, inputs) -> smpl.Trace:
 
 
 # The event step as it was before it built its records through
-# smpl.new_probe, new_candidate and new_record: every NamedTuple through
-# its constructor, the rule's candidates through successor_set_by_dict,
-# the inputs resolved in full even when there are none, the chosen state
-# through Candidate.state_for and the output through MatrixForm.eval_output.
+# smpl.new_probe and new_record and before it stepped through symbol_steps
+# tables: every NamedTuple through its constructor, the rule's candidate
+# modes through successor_set_by_dict, the inputs resolved in full even
+# when there are none, the chosen mode's state through MatrixForm.eval_state
+# and the output through MatrixForm.eval_output.
 
 
 def resolve_inputs_in_full(s: smpl.SmplSystem, z, inp: smpl.StepInput):
-    """The inputs smpl.resolve_step resolves, (u, v, u ++ r ++ p), with
-    its width checks and without its early return for input-free steps."""
+    """The inputs smpl.resolve_inputs resolves, (u, v, u ++ r ++ p), with
+    its width checks, even when there are none to resolve."""
     dims = s.dims
     if s.controller is None:
         u, v = inp.u, inp.v
@@ -333,27 +329,27 @@ def resolve_inputs_in_full(s: smpl.SmplSystem, z, inp: smpl.StepInput):
 
 
 def resolve_step_by_constructors(s: smpl.SmplSystem, prev_mode, x_prev, z, inp: smpl.StepInput):
-    """smpl.resolve_step: (u, v, u ++ r ++ p, candidates)."""
+    """smpl.resolve_inputs, then smpl.successor_modes: (u, v, u ++ r ++ p,
+    candidate modes), whatever the system's table."""
     u, v, win = resolve_inputs_in_full(s, z, inp)
     probe = smpl.SwitchProbe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p)
-    candidates = successor_set_by_dict(s.switching, probe)
-    if candidates:
-        modes, first, last = s.modes, candidates[0].mode, candidates[-1].mode
-        if first not in modes or last not in modes:
-            raise ValueError(f"switching rule returned unknown mode {last if first in modes else first}")
-    return u, v, win, candidates
+    modes = successor_set_by_dict(s.switching, probe)
+    if modes:
+        first, last = modes[0], modes[-1]
+        if first not in s.modes or last not in s.modes:
+            raise ValueError(f"switching rule returned unknown mode {last if first in s.modes else first}")
+    return u, v, win, modes
 
 
 def advance_by_constructors(s: smpl.SmplSystem, prev_mode, x_prev, z, inp: smpl.StepInput):
-    """smpl.advance: (mode, x, y, successor modes, u, v), or None."""
-    u, v, win, candidates = resolve_step_by_constructors(s, prev_mode, x_prev, z, inp)
-    if not candidates:
+    """smpl.advance through the rule, never a symbol_steps table: (mode,
+    x, y, successor modes, u, v), or None."""
+    u, v, win, modes = resolve_step_by_constructors(s, prev_mode, x_prev, z, inp)
+    if not modes:
         return None
-    first = candidates[0]
-    dynamics = s.modes[first.mode]
-    x = first.state_for(dynamics, x_prev, win)
-    successors = (first.mode,) if len(candidates) == 1 else tuple([cand.mode for cand in candidates])
-    return first.mode, x, dynamics.form.eval_output(x, win), successors, u, v
+    form = s.modes[modes[0]].form
+    x = form.eval_state(x_prev, win)
+    return modes[0], x, form.eval_output(x, win), modes, u, v
 
 
 def step_by_constructors(s: smpl.SmplSystem, state: smpl.StepRecord, inp: smpl.StepInput):
@@ -521,8 +517,8 @@ def scan_run(h: ScanAutomaton, inputs) -> smpl.Trace:
 
 def scan_of_translation(s: smpl.SmplSystem) -> ScanAutomaton:
     """The paper's translation of a switching system, built from the
-    definition and never from smpl.resolve_step or the library's successor
-    function.  The hybrid state is x for the open loop and the performance
+    definition and never from smpl.resolve_inputs, smpl.successor_modes or
+    the library's successor function.  The hybrid state is x for the open loop and the performance
     signal z = (mode, x, u, v) for the closed loop.  The guard of (q, q'),
     and the invariant of q for q' = q, holds when oracles.smpl_step_twice
     from previous mode q admits q'; the flow of q' evaluates q' on the
@@ -1156,7 +1152,7 @@ def classify_switching(s: SmplSystem, probes: int = 12, seed: int = 0) -> Switch
     rule = s.switching
 
     def successor_modes(probe: SwitchProbe) -> tuple[int, ...]:
-        return tuple(cand.mode for cand in rule.successor_set(probe))
+        return rule.successor_set(probe)
 
     rng = random.Random(seed)
     dims = s.dims

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxplushybrid import fixtures
 from maxplushybrid.expressions import MatrixForm
 from maxplushybrid.hybrid import from_smpl_closed, run
 from maxplushybrid.mpa import MaxPlusAutomaton, accepts, eval_output
 from maxplushybrid.smpl import (
-    Candidate,
     MatrixMode,
     SmplBehaviour,
     SmplDims,
@@ -18,6 +19,7 @@ from maxplushybrid.smpl import (
     SwitchProbe,
     SwitchingKind,
     SwitchingRule,
+    externally_driven_rule,
     from_mpa,
     simulate,
     static_feedback,
@@ -95,23 +97,15 @@ class TestSwitchProbe:
         other = MatrixMode(Counted(form.A, form.B, form.C, form.D))
         rule = symbol_liveness_rule({1: mode, 2: other, 3: mode}, ("go", "stop", "go"), 0)
         probe = SwitchProbe(None, (1.0, 2.0), (), (), "go", (), ())
-        assert [cand.mode for cand in rule.successor_set(probe)] == [1, 3]
+        assert rule.successor_set(probe) == (1, 3)
         assert len(calls) == 2 and all(c is mode.form for c in calls)
         assert rule.successor_set(probe._replace(w="halt")) == ()
         assert len(calls) == 2
 
 
-# What a rule yields: a bare mode index, or a Candidate whose tag tells
-# apart the candidates of one mode.
-_yielded = st.one_of(
-    st.integers(1, 5),
-    st.builds(lambda mode, tag: Candidate(mode, (float(tag),)), st.integers(1, 5), st.integers(0, 9)),
-)
-
-
 class TestSuccessorSet:
     @settings(max_examples=200)
-    @given(st.lists(_yielded, max_size=6), st.booleans())
+    @given(st.lists(st.integers(1, 5), max_size=6), st.booleans())
     def test_same_candidates_as_the_dict_and_sort(self, yielded, as_generator):
         rule = SwitchingRule(
             kind=SwitchingKind.STATE_DEPENDENT_AUTONOMOUS,
@@ -120,21 +114,16 @@ class TestSuccessorSet:
         probe = SwitchProbe(None, (), (), (), None, (), ())
         got = rule.successor_set(probe)
         assert got == successor_set_by_dict(rule, probe)
-        assert type(got) is tuple and all(type(cand) is Candidate for cand in got)
-        # each mode keeps its first yielded candidate
-        first = {}
-        for cand in yielded:
-            cand = cand if isinstance(cand, Candidate) else Candidate(cand)
-            first.setdefault(cand.mode, cand)
-        assert got == tuple(first[mode] for mode in sorted(first))
+        assert type(got) is tuple and all(type(mode) is int for mode in got)
+        assert got == tuple(sorted(set(yielded)))
 
     def test_duplicates_and_an_empty_result(self):
         probe = SwitchProbe(None, (), (), (), None, (), ())
         for yielded, want in (
             ([], ()),
-            ([3], (Candidate(3),)),
-            ([Candidate(2, (1.0,)), 2, Candidate(2, (2.0,))], (Candidate(2, (1.0,)),)),
-            ([3, 1, Candidate(1, (5.0,)), 3], (Candidate(1), Candidate(3))),
+            ([3], (3,)),
+            ([2, 2, 2], (2,)),
+            ([3, 1, 1, 3], (1, 3)),
         ):
             rule = SwitchingRule(kind=SwitchingKind.STATE_DEPENDENT_AUTONOMOUS, successors=lambda p, y=yielded: y)
             assert rule.successor_set(probe) == want == successor_set_by_dict(rule, probe)
@@ -319,6 +308,26 @@ class TestAlphabet:
         assert rule.symbols == ("b", "a", "b")
         assert rule.alphabet == ("b", "a")
         assert SwitchingRule(SwitchingKind.STATE_DEPENDENT_AUTONOMOUS, lambda probe: (1,)).alphabet == ()
+
+    @pytest.mark.parametrize(
+        "rule",
+        [fixtures.production_line_smpl().switching, externally_driven_rule(("l1", "l2"))],
+        ids=["symbol liveness", "externally driven"],
+    )
+    def test_a_library_rule_keeps_the_symbols_its_successors_select_by(self, rule):
+        # the alphabet and the document form must not part from the steps
+        for symbols in (("x", "y"), ("l2", "l1"), ("l1",), None):
+            with pytest.raises(ValueError) as refused:
+                dataclasses.replace(rule, symbols=symbols)
+            assert str(refused.value) == f"the rule's successors select by the symbols ('l1', 'l2'), not {symbols}"
+            with pytest.raises(ValueError):
+                SwitchingRule(rule.kind, rule.successors, symbols)
+        assert dataclasses.replace(rule, symbols=("l1", "l2")) == rule
+
+    def test_a_python_rule_keeps_its_free_symbols(self):
+        rule = dataclasses.replace(fixtures.production_line_smpl().switching, successors=lambda probe: (1,))
+        renamed = dataclasses.replace(rule, symbols=("x", "y"))
+        assert (renamed.spec, renamed.symbols, renamed.alphabet) == (None, ("x", "y"), ("x", "y"))
 
 
 class TestStaticFeedback:

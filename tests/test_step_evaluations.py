@@ -1,10 +1,11 @@
 """One event step, one evaluation of the chosen mode's dynamics.
 
-The switching rule hands back the next states it computed and a translated
-hybrid automaton resolves switching once per step; the traces must equal,
-record for record, the references in oracles that resolve and evaluate
-afresh at every call: oracles.simulate for the system and the scan of
-oracles.scan_of_translation for its translation.
+A system with a symbol_steps table steps each symbol through its mode's
+compiled maps, any other through its rule's smallest mode, and a
+translated hybrid automaton resolves switching once per step; the traces
+must equal, record for record, the references in oracles that resolve
+and evaluate afresh at every call: oracles.simulate for the system and
+the scan of oracles.scan_of_translation for its translation.
 """
 
 import collections
@@ -161,7 +162,7 @@ def state_map_evaluations(counts, system):
 
 
 def resolutions_per_step(system):
-    """0 where bare symbols step through the system's symbol_steps, else 1."""
+    """0 where steps run through the system's symbol_steps, else 1."""
     return 0 if system.symbol_steps is not None else 1
 
 
@@ -185,10 +186,10 @@ def systems_and_words(gaubert):
 
 
 class TestEvaluationCounts:
-    # A step on a bare symbol of a system with symbol_steps runs the
-    # mode's state map straight through eval_rows and resolves nothing;
-    # every other step resolves once.  Either way the chosen mode's state
-    # map is evaluated once per step.
+    # A step of a system with symbol_steps runs the mode's state map
+    # straight through eval_rows and calls no rule; every other step
+    # resolves once.  Either way the chosen mode's state map is evaluated
+    # once per step.
     def test_one_eval_state_per_smpl_step(self, counts, gaubert):
         for system, _, word in systems_and_words(gaubert):
             counts.clear()
@@ -220,5 +221,5 @@ class TestEvaluationCounts:
             for state, symbol in zip(states, word):
                 counts.clear()
                 assert hybrid_step(automaton, state, StepInput(w=symbol))
-                assert counts["eval_state"] == 1
-                assert counts["successor_set"] == 1
+                assert state_map_evaluations(counts, system) == 1
+                assert counts["successor_set"] == resolutions_per_step(system)

@@ -1,12 +1,16 @@
-"""Bare symbols stepped through a system's symbol_steps table.
+"""Steps through a system's symbol_steps table.
 
-An input-free system whose rule is a library symbol_liveness rule with
-one mode per symbol, the very MatrixMode the system holds, steps a bare
-symbol through smpl.symbol_step: the symbol's mode's state map, a halt
-where no entry is finite, its output map and one record.  The system's
-step and its open-loop translation's are held, record for record, halt
-for halt and error for error, to the steps through smpl.advance kept in
-oracles; every other system has no table and steps as it did.
+A system whose rule is a library symbol_liveness rule with one mode per
+symbol, the very MatrixMode the system holds, reading inputs of the
+system's width, steps every symbol through smpl.symbol_step: the
+symbol's mode's state map on the resolved inputs, a halt where no entry
+is finite, its output map and one record.  An input-free one steps a
+bare symbol that way without resolving anything, and is held, record for
+record, halt for halt and error for error, to the steps through
+smpl.advance kept in oracles.  A closed loop, or an open loop that reads
+u, v, r or p, has the table but no program, and is held to the steps in
+oracles that run the rule and never the table.  Every other system has
+no table, and its hybrid_step is still the paper's scan.
 """
 
 import dataclasses
@@ -17,11 +21,23 @@ from hypothesis import strategies as st
 
 import oracles
 from maxplushybrid import fixtures
-from maxplushybrid.hybrid import MahaBehaviour, from_smpl_closed, from_smpl_open
+from maxplushybrid.expressions import MatrixForm
+from maxplushybrid.hybrid import HybridState, MahaBehaviour, from_smpl_closed, from_smpl_open, hybrid_step
 from maxplushybrid.mpa import MpaBehaviour
-from maxplushybrid.smpl import SmplBehaviour, StepInput, externally_driven_rule, from_mpa, word_inputs
+from maxplushybrid.smpl import (
+    MatrixMode,
+    SmplBehaviour,
+    SmplDims,
+    SmplSystem,
+    StepInput,
+    externally_driven_rule,
+    from_mpa,
+    static_feedback,
+    symbol_liveness_rule,
+    word_inputs,
+)
 from maxplushybrid.tropical import EPS, TOP
-from test_lean_step import assert_same_run, step_inputs
+from test_lean_step import assert_same_run, matrices, step_inputs
 from test_same_program import SYMBOLS, one_state_mpa, python_liveness, repeated_symbol_system, swapped_output_mode
 
 finite = st.integers(-3, 9).map(float)
@@ -100,15 +116,75 @@ class TestTheTableStepAgainstAdvance:
             assert s.program == (s.x0, s.symbol_steps)
 
 
+@st.composite
+def systems_with_inputs(draw):
+    """A system of 1-3 states and 1-3 modes, one distinct symbol per mode
+    under symbol liveness, whose rows take the min of one or two branches
+    over x and u ++ r ++ p, with u of width 0 to 2 and r and p of width 0
+    or 1: an open loop that may also read v, or a closed loop under static
+    feedback, whose u is 1 or 2 wide."""
+    n, n_modes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    closed = draw(st.booleans())
+    # static feedback resolves at least one u and no v
+    n_u, n_v = (draw(st.integers(1, 2)), 0) if closed else (draw(st.integers(0, 2)), draw(st.integers(0, 1)))
+    dims = SmplDims(n=n, n_u=n_u, n_v=n_v, n_r=draw(st.integers(0, 1)), n_p=draw(st.integers(0, 1)))
+    width = dims.input_width
+    modes = {}
+    for q in range(1, n_modes + 1):
+        branches, out_branches = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        modes[q] = MatrixMode(
+            MatrixForm(
+                matrices(draw, n, n, branches),
+                matrices(draw, n, width, branches),
+                matrices(draw, 1, n, out_branches),
+                matrices(draw, 1, width, out_branches),
+            )
+        )
+    rule = symbol_liveness_rule(modes, draw(st.permutations(SYMBOLS + ("c",)))[:n_modes], width)
+    controller = static_feedback(matrices(draw, n_u, n, 1)[0]) if closed else None
+    x0 = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+    return SmplSystem(n_modes, modes, rule, x0, dims, controller)
+
+
+class TestTheTableStepOnResolvedInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closed_and_open_loops_against_the_rule(self, data):
+        s = data.draw(systems_with_inputs())
+        assert s.symbol_steps is not None
+        assert (s.program is None) == (not s.input_free)
+        inputs = data.draw(step_inputs(s.dims, s.switching.alphabet)) + (StepInput(),)  # then no symbol
+        assert_same_run(SmplBehaviour(s), lambda state, inp: oracles.step_by_constructors(s, state, inp), inputs)
+        h = from_smpl_closed(s) if s.closed_loop else from_smpl_open(s)
+        assert_same_run(MahaBehaviour(h), lambda state, inp: oracles.maha_step_by_constructors(h, state, inp), inputs)
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed loop", "open loop"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_feedback_demo_has_a_table_and_no_program(self, closed, data):
+        s = fixtures.feedback_demo_smpl()
+        if not closed:
+            s = dataclasses.replace(s, controller=None)
+        h = from_smpl_closed(s) if closed else from_smpl_open(s)
+        assert s.symbol_steps is not None and s.program is None and not s.shift_exact
+        assert MahaBehaviour(h).program is None and not MahaBehaviour(h).shift_exact
+        inputs = data.draw(step_inputs(s.dims, s.switching.alphabet))
+        assert_same_run(SmplBehaviour(s), lambda state, inp: oracles.step_by_constructors(s, state, inp), inputs)
+        assert_same_run(MahaBehaviour(h), lambda state, inp: oracles.maha_step_by_constructors(h, state, inp), inputs)
+
+    def test_a_bare_symbol_on_an_open_loop_that_reads_u_gets_the_width_error(self, feedback):
+        s = dataclasses.replace(feedback, controller=None)
+        with pytest.raises(ValueError, match=r"widths \(0, 0, 0\), expected \(1, 0, 0\)"):
+            SmplBehaviour(s).step(SmplBehaviour(s).init(), StepInput(w="m1"))
+
+
 def systems_without_a_table():
-    """(label, system) for systems whose bare symbols step through advance."""
-    gaubert, feedback = from_mpa(fixtures.gaubert_mpa()), fixtures.feedback_demo_smpl()
+    """(label, system) for systems whose steps run through the rule."""
+    gaubert = from_mpa(fixtures.gaubert_mpa())
     return [
         ("repeated symbol", repeated_symbol_system(5)),
         ("python rule", python_liveness(fixtures.production_line_smpl())),
         ("externally driven", dataclasses.replace(gaubert, switching=externally_driven_rule(SYMBOLS))),
-        ("closed loop", feedback),
-        ("open loop", dataclasses.replace(feedback, controller=None)),
         ("swapped output mode", swapped_output_mode(gaubert)),
     ]
 
@@ -124,5 +200,17 @@ class TestSystemsWithoutATable:
         assert s.symbol_steps is None and s.program is None
         inputs = data.draw(step_inputs(s.dims, s.switching.alphabet)) + (StepInput(),)  # then no symbol
         assert_same_run(SmplBehaviour(s), lambda state, inp: oracles.step_by_advance(s, state, inp), inputs)
-        h = from_smpl_closed(s) if s.closed_loop else from_smpl_open(s)
+        h = from_smpl_open(s)
         assert_same_run(MahaBehaviour(h), lambda state, inp: oracles.maha_step_by_advance(h, state, inp), inputs)
+
+    @pytest.mark.parametrize("s", [case[1] for case in NO_TABLE], ids=[case[0] for case in NO_TABLE])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_the_full_successor_set_is_the_scans(self, s, data):
+        h = from_smpl_open(s)
+        scan = oracles.scan_of_translation(s)
+        for _ in range(data.draw(st.integers(1, 4))):
+            x = tuple(data.draw(st.lists(entries, min_size=s.dims.n, max_size=s.dims.n)))
+            state = HybridState(data.draw(st.integers(1, s.n_modes)), x)
+            inp = StepInput(w=data.draw(st.sampled_from(s.switching.alphabet + ("z",))))
+            assert hybrid_step(h, state, inp) == oracles.scan_step(scan, state, inp)
