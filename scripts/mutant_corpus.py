@@ -9,9 +9,9 @@ included), the text is replaced there, and the test files run with
 with the first failing test, or SURVIVED.  The exit code is 1 when a mutant
 survives, when pytest could not run, or when an old text no longer occurs
 exactly once (the list must move with the code), and 0 otherwise.
+A mutant whose tests run past TIMEOUT_S counts as killed.
 
-    python scripts/mutant_corpus.py            # every mutant
-    python scripts/mutant_corpus.py NAME ...   # the named ones
+    python scripts/mutant_corpus.py
 
 A mutant that changes no behaviour (an equivalent mutant) stays off the list.
 """
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", "out")
-TIMEOUT_S = 1200  # a mutant that makes its tests hang counts as killed
+TIMEOUT_S = 300  # the slowest listed mutant's tests took 86 s on a 2-vCPU host
 
 
 class Mutant(NamedTuple):
@@ -181,20 +181,15 @@ def run(mutant: Mutant) -> tuple[str, str]:
     return "ERROR", f"pytest exited {done.returncode}: {done.stdout.strip().splitlines()[-1:] or done.stderr.strip()}"
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {mutant.name for mutant in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
-    faults = [(mutant.name, stale(mutant)) for mutant in chosen]
+def main() -> int:
+    faults = [(mutant.name, stale(mutant)) for mutant in MUTANTS]
     faults = [(name, why) for name, why in faults if why is not None]
     for name, why in faults:
         print(f"STALE     {name}: {why}")
     if faults:
         return 1
     status = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         verdict, detail = run(mutant)
         print(f"{verdict:<9} {mutant.name} ({time.perf_counter() - start:.0f} s){': ' + detail if detail else ''}", flush=True)
@@ -203,4 +198,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

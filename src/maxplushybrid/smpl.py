@@ -173,11 +173,7 @@ class SwitchingRule:
 
     def enabling_symbols(self, mode: int) -> frozenset[str] | None:
         """Symbols that can select the mode, when declaratively known."""
-        if self.spec is None or self.symbols is None:
-            return None
-        if self.spec.get("type") in ("symbol_liveness", "externally_driven"):
-            return frozenset({self.symbols[mode - 1]})
-        return None
+        return None if self.spec is None else frozenset({self.symbols[mode - 1]})
 
 
 @dataclass(frozen=True)
@@ -300,8 +296,8 @@ class Trace:
 
 
 # Per symbol, the one mode it selects and that mode's compiled state and
-# output maps: the table a step on the symbol alone runs through
-# symbol_step (SmplSystem.symbol_steps).
+# output maps: the table every step of a system that has one runs through
+# symbol_step, on the step's resolved inputs (SmplSystem.symbol_steps).
 SymbolSteps = dict[str, tuple[int, CompiledRows, CompiledRows]]
 # A stepper's program: its start vector and its SymbolSteps (Stepper.program).
 Program = tuple[tuple[Weight, ...], SymbolSteps]
@@ -326,9 +322,10 @@ class Stepper:
     the start vector and the SymbolSteps table whose entry for a symbol s
     a step on StepInput(w=s) runs through symbol_step, the one bare-symbol
     step and halt rule of every class.  A switching system gives one
-    wherever it has that table (SmplSystem.symbol_steps), and so does
-    every stepper over it: a max-plus automaton's, whose system that is,
-    and an open-loop translation's.  Steppers with equal programs run one
+    where it is input-free and has that table (SmplSystem.symbol_steps),
+    and so does every stepper over it: a max-plus automaton's, whose
+    system that is, and an open-loop translation's.  A closed loop, or a
+    system that reads u, v, r or p, has a table but no program.  Steppers with equal programs run one
     function on equal data for every sequence of such inputs, step for
     step, which lets a behaviour check judge those sequences without a
     step (equivalence.behavioural_inclusion_upto).
