@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 SMPL, TROPICAL = "src/maxplushybrid/smpl.py", "src/maxplushybrid/tropical.py"
+HYBRID, MPA = "src/maxplushybrid/hybrid.py", "src/maxplushybrid/mpa.py"
 EQUIVALENCE, CLI = "src/maxplushybrid/equivalence.py", "src/maxplushybrid/cli.py"
 
 MUTANTS = (
@@ -54,30 +55,58 @@ MUTANTS = (
         "bare path keyed on symbol_steps",
         SMPL,
         "    program = s.program\n    if program is not None and not (inp.u or inp.v or inp.r or inp.p):\n"
-        "        found = program[1].get(inp.w)",
+        "        entry = program[1].get(inp.w)",
         "    table = s.symbol_steps\n    if table is not None and not (inp.u or inp.v or inp.r or inp.p):\n"
-        "        found = table.get(inp.w)",
+        "        entry = table.get(inp.w)",
         ("tests/test_symbol_steps.py",),
     ),
     Mutant(
         "table step on the step input's u, not the controller's",
         SMPL,
-        "symbol_step(found, 0, x_prev, win)",
-        "symbol_step(found, 0, x_prev, inp.u + inp.r + inp.p)",
-        ("tests/test_symbol_steps.py",),
+        "symbol_step(entry, k, x_prev, win, u, v)",
+        "symbol_step(entry, k, x_prev, inp.u + inp.r + inp.p, u, v)",
+        ("tests/test_step_evaluations.py", "tests/test_symbol_steps.py"),
     ),
     Mutant(
         "table step without its halt",
         SMPL,
-        "    if not has_finite_entry(x):\n        return None\n    return new_record(k + 1,",
-        "    return new_record(k + 1,",
+        "        if not has_finite_entry(x):\n            return None\n        return new_record(k + 1,",
+        "        return new_record(k + 1,",
         ("tests/test_symbol_steps.py",),
     ),
     Mutant(
         "successor_modes left empty on a table step",
         SMPL,
-        "record.y, record.successor_modes, u, v)",
-        "record.y, (), u, v)",
+        "(mode,), u, v)",
+        "(), u, v)",
+        ("tests/test_symbol_steps.py",),
+    ),
+    Mutant(
+        "a multi-candidate step that records only the mode it takes",
+        SMPL,
+        "tuple([c[0] for c in live]), u, v)",
+        "(mode,), u, v)",
+        ("tests/test_symbol_steps.py",),
+    ),
+    Mutant(
+        "a step that takes the last live mode, not the smallest",
+        SMPL,
+        "mode, x, output_map = live[0]",
+        "mode, x, output_map = live[-1]",
+        ("tests/test_symbol_steps.py",),
+    ),
+    Mutant(
+        "symbol_steps keeping only a repeated symbol's first mode",
+        SMPL,
+        "table[symbol] = tuple(entry)",
+        "table[symbol] = tuple(entry[:1])",
+        ("tests/test_symbol_steps.py",),
+    ),
+    Mutant(
+        "hybrid_step's table path without the liveness test",
+        HYBRID,
+        "live_candidates(table.get(inp.w, ()), x, win)",
+        "[(q, s.modes[q].form.eval_state(x, win), None) for q, _, _ in table.get(inp.w, ())]",
         ("tests/test_symbol_steps.py",),
     ),
     Mutant(
@@ -86,6 +115,28 @@ MUTANTS = (
         "if named is not None and named != self.symbols:",
         "if False:",
         ("tests/test_smpl.py",),
+    ),
+    # -- one check where a model is built, one system per automaton -----------
+    Mutant(
+        "shift_invariant true for every rule",
+        SMPL,
+        "        return self.spec is not None\n",
+        "        return True\n",
+        ("tests/test_behaviour_memo.py",),
+    ),
+    Mutant(
+        "TropicalMatrix entries kept as given",
+        TROPICAL,
+        'object.__setattr__(self, "entries", tuple(map(check_weight, self.entries)))',
+        'object.__setattr__(self, "entries", tuple(self.entries))',
+        ("tests/test_same_program.py", "tests/test_mpa_system.py"),
+    ),
+    Mutant(
+        "the automaton's modes built from the untransposed mu",
+        MPA,
+        "A=(self.mu[symbol].transpose(),),",
+        "A=(self.mu[symbol],),",
+        ("tests/test_mpa_system.py", "tests/test_lean_step.py"),
     ),
     # -- faults planted by hand when the list began ---------------------------
     Mutant(

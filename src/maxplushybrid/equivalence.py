@@ -23,12 +23,12 @@ hybrid.MahaBehaviour, mpa.MpaBehaviour) and is re-exported here; every
 class steps as its switching system, which an automaton shares with its
 translation.  Every class steps a bare symbol through smpl.symbol_step
 where it has a program (smpl.Stepper.program: the start vector and the
-table of each symbol's mode and compiled state and output maps that
-symbol_step runs), so two steppers with one program run one function on
-equal data over every sequence of bare symbols, step for step, and the
-bounded check passes those over without a step: that is how a model and
-its translations are judged, the identity case of max-plus conjugacy
-(Beal, Lombardy and Sakarovitch 2006).
+table of each symbol's candidate modes and their compiled state and
+output maps that symbol_step runs), so two steppers with one program
+run one function on equal data over every sequence of bare symbols,
+step for step, and the bounded check passes those over without a step:
+that is how a model and its translations are judged, the identity case
+of max-plus conjugacy (Beal, Lombardy and Sakarovitch 2006).
 Every other sequence goes to the stepping walk, stepped_inclusion_upto.
 Input sequences share prefixes, so that walk goes over a graph of them,
 one child per input, and keeps the two systems' states per prefix for the
@@ -42,9 +42,9 @@ shift-exact (smpl.Stepper.shift_exact, its system's): every max-plus
 automaton and every switching system, or its translation, without
 controller or inputs whose rule is a document symbol_liveness or
 externally_driven one, in each case only with integer weights, so that
-floats keep the shift exact.  The key itself, normalised_pair, is this module's alone.  Other models walk the
-plain trie of prefixes.  Verdicts and witnesses are those of stepping
-every prefix.
+floats keep the shift exact.  The key itself, normalised_pair, is this
+module's alone.  Other models walk the plain trie of prefixes.
+Verdicts and witnesses are those of stepping every prefix.
 """
 
 from __future__ import annotations

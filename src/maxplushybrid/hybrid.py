@@ -23,19 +23,22 @@ system's first step is.
 MahaBehaviour is the automaton's stepper: smpl.SmplBehaviour over the
 automaton's system, whose shift_exact flag and program it inherits.  A
 run is its fold, and each step is the one smpl.step takes.  A bare
-symbol on a system with a program goes straight to smpl.symbol_step: the
-symbol's mode's two maps and one record.  Every other step goes through
-smpl.advance, which resolves the inputs once and then takes the symbol's
-symbol_steps entry, open loop or closed, or else the rule's smallest
-mode only.  Only the record differs from the system's: it holds no u or
-v of its own, and x (open loop) or z (closed loop, through
-smpl.performance_signal), from start before the first step.
-hybrid_step gives the paper's full successor set instead, from mode q as
-the previous mode: on a system with symbol_steps that is the symbol's
-one mode, stepped once through smpl.advance; on any other system it is
-every mode smpl.successor_modes admits, each evaluated once after the
-rule.  The automaton stores no successor function
-or initial states; both are read off the system when asked for.  Each
+symbol on a system with a program goes straight to smpl.symbol_step: one
+evaluation of each of the symbol's candidate modes' state maps, the
+smallest live mode's output map and one record.  Every other step goes
+through smpl.advance, which resolves the inputs once and then runs
+symbol_step on the symbol's symbol_steps entry, open loop or closed, or
+else evaluates the rule's smallest mode only.  Only the record differs
+from the system's: it holds no u or v of its own, and x (open loop) or
+z (closed loop, through smpl.performance_signal), from start before the
+first step.  hybrid_step gives the paper's full successor set instead,
+from mode q as the previous mode, on the resolved inputs: on a system
+with symbol_steps that is every live candidate of the symbol's entry
+(smpl.live_candidates), each state map evaluated once and no output map;
+on any other system it is every mode smpl.successor_modes admits, each
+evaluated once after the rule.  The automaton stores no successor
+function or initial states; both are read off the system when asked
+for.  Each
 edge (q, q') between distinct modes carries the symbols that can select
 q', when the rule declares them; the one-step abstraction reads those.
 Both finite abstractions read every label move, final label and input
@@ -52,7 +55,8 @@ from typing import NamedTuple, Sequence
 from .expressions import transition_graph_f, transition_graph_h, u_label, x_label
 from .finite import FiniteAutomaton, make_delta
 from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
-from .smpl import advance, new_record, performance_signal, resolve_inputs, signal_x, successor_modes, symbol_step
+from .smpl import advance, live_candidates, new_record, performance_signal, resolve_inputs, signal_x
+from .smpl import successor_modes, symbol_step
 from .tropical import Weight, is_finite
 
 
@@ -136,17 +140,16 @@ def hybrid_step(
     """Successor hybrid states for one event step, sorted by mode, from
     mode None on a run's first step.  The state is anything with a mode
     and an x, such as a run's last record.  Empty result means the
-    execution is blocked: the switching rule admits no mode."""
+    execution is blocked: the switching rule admits no mode.  On a system
+    with symbol_steps the states are the live candidates of the symbol's
+    entry, read as symbol_step reads them, with no output map."""
     s, z = h.system, state.x
     x = h.x_of(z)
-    if s.symbol_steps is not None:
-        stepped = advance(s, state.mode, x, z, inp)
-        if stepped is None:
-            return ()
-        mode, x_next, _, _, u, v = stepped
-        states = [(mode, x_next)]
+    u, v, win = resolve_inputs(s, z, inp)
+    table = s.symbol_steps
+    if table is not None:
+        states = [(q, xq) for q, xq, _ in live_candidates(table.get(inp.w, ()), x, win)]
     else:
-        u, v, win = resolve_inputs(s, z, inp)
         states = [(q, s.modes[q].form.eval_state(x, win)) for q in successor_modes(s, state.mode, x, u, v, inp)]
     if s.closed_loop:
         return tuple([HybridState(q, performance_signal(q, xq, u, v)) for q, xq in states])
@@ -164,9 +167,8 @@ class MahaBehaviour(SmplBehaviour):
     before the first step holds start.  A step is the system's own:
     smpl.symbol_step for a bare symbol on a system with a program,
     smpl.advance from the record's mode and x (read out of z in a closed
-    loop) otherwise, so it evaluates only the mode it takes; its record
-    holds no u or v of its own, and x, or z = (mode, x, u, v) in a closed
-    loop."""
+    loop) otherwise, whose record it rewrites: it holds no u or v of its
+    own, and x, or z = (mode, x, u, v) in a closed loop."""
 
     automaton: HybridAutomaton
     system: SmplSystem = field(init=False, repr=False, compare=False)
@@ -182,16 +184,14 @@ class MahaBehaviour(SmplBehaviour):
         program = s.program
         if program is not None and not (inp.u or inp.v or inp.r or inp.p):
             # an input-free open loop: the record's x is the system's
-            found = program[1].get(inp.w)
-            return None if found is None else symbol_step(found, state.k, state.x)
+            entry = program[1].get(inp.w)
+            return None if entry is None else symbol_step(entry, state.k, state.x)
         closed, z = s.controller is not None, state.x
-        stepped = advance(s, state.mode, signal_x(z, s.dims.n) if closed else z, z, inp)
-        if stepped is None:
+        record = advance(s, state.k, state.mode, signal_x(z, s.dims.n) if closed else z, z, inp)
+        if record is None:
             return None
-        mode, x, y, successors, u, v = stepped
-        if closed:
-            x = performance_signal(mode, x, u, v)
-        return new_record(state.k + 1, mode, x, y, successors, (), ())
+        k, mode, x, y, successors, u, v = record
+        return new_record(k, mode, performance_signal(mode, x, u, v) if closed else x, y, successors, (), ())
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

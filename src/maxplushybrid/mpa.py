@@ -148,12 +148,12 @@ class MpaBehaviour(SmplBehaviour):
         object.__setattr__(self, "system", self.automaton.system)
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
-        found = self.system.symbol_steps.get(inp.w)
-        if found is None:
+        entry = self.system.symbol_steps.get(inp.w)
+        if entry is None:
             if inp.w is None:
                 raise ValueError("max-plus automata consume discrete symbols only")
             raise ValueError(f"unknown symbol {inp.w!r}")
-        return symbol_step(found, state.k, state.x)
+        return symbol_step(entry, state.k, state.x)
 
     # perfbench/tracing.py wraps cls.__dict__["trace"] per class.
     trace = Stepper.trace

@@ -16,24 +16,29 @@ controller's, shape-checked, or the step input's own) and checks the
 widths of u, r and p once before anything reads them.  successor_modes
 calls the rule's successor_set once and checks that every candidate is
 a mode the system has.  A system whose rule is a library symbol_liveness
-rule with one mode per symbol, the very dynamics the system holds, each
-reading an x of x0's width and inputs of the system's u ++ r ++ p width,
-needs no rule to step: its symbol_steps table maps each symbol to its
-mode and that mode's compiled state and output maps, open loop or
-closed, and symbol_step runs the two maps on the resolved inputs, halts
-where no entry of the state is finite (as the rule admits no mode then)
-and writes the record.  A symbol with no entry halts the run.  On the
-two halves sits the one step core, advance: it resolves the inputs, then
-takes the table entry if there is one, or else evaluates the rule's
-smallest mode once, and outputs on the continuous input the resolution
-built.  step skips the input resolution for a bare symbol (no u, v, r or
-p) of a system with a program, an input-free system with a table; the
-translation's full successor set (hybrid.hybrid_step) runs the two
-halves itself.  A run's first step resolves with no previous mode, in
-the system and in its translation alike.  A rule yields bare mode
-indices, deduplicated and sorted only when there are more than one, and
-the probe and record of a step are built by new_probe and new_record,
-straight through tuple.__new__.
+rule over the very dynamics the system holds, each mode reading an x of
+x0's width and inputs of the system's u ++ r ++ p width, needs no rule
+to step: its symbol_steps table lists, for each symbol, every mode the
+rule selects, in mode order, with its compiled state and output maps,
+open loop or closed.  symbol_step evaluates each candidate's state map
+once on the resolved inputs, halts where no candidate's state keeps a
+finite entry (as the rule admits no mode then), and otherwise records
+the smallest live mode with its output and every live mode as the
+successor modes.  A symbol with no entry halts the run.  Only
+externally_driven and Python-written rules, and rules over other
+dynamics or widths, step through successor_modes.  On the two halves
+sits the one step core, advance: it resolves the inputs, then runs
+symbol_step on the table entry if there is one, or else evaluates the
+rule's smallest mode once, and returns the step's record.  step skips
+the input resolution for a bare symbol (no u, v, r or p) of a system
+with a program, an input-free system with a table; the translation's
+full successor set (hybrid.hybrid_step) reads the live candidates'
+states off the same table entry, or runs the two halves itself.  A
+run's first step resolves with no previous mode, in the system and in
+its translation alike.  A rule yields bare mode indices, deduplicated
+and sorted only when there are more than one, and the probe and record
+of a step are built by new_probe and new_record, straight through
+tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step and fold, the shift_exact flag by which bounded
@@ -295,10 +300,12 @@ class Trace:
         return self.halted_at is None
 
 
-# Per symbol, the one mode it selects and that mode's compiled state and
-# output maps: the table every step of a system that has one runs through
-# symbol_step, on the step's resolved inputs (SmplSystem.symbol_steps).
-SymbolSteps = dict[str, tuple[int, CompiledRows, CompiledRows]]
+# Per symbol, its entry: every mode it selects, in mode order, each as a
+# candidate (mode, compiled state map, compiled output map).  It is the
+# table every step of a system that has one runs through symbol_step, on
+# the step's resolved inputs (SmplSystem.symbol_steps).
+Candidate = tuple[int, CompiledRows, CompiledRows]
+SymbolSteps = dict[str, tuple[Candidate, ...]]
 # A stepper's program: its start vector and its SymbolSteps (Stepper.program).
 Program = tuple[tuple[Weight, ...], SymbolSteps]
 
@@ -325,10 +332,11 @@ class Stepper:
     where it is input-free and has that table (SmplSystem.symbol_steps),
     and so does every stepper over it: a max-plus automaton's, whose
     system that is, and an open-loop translation's.  A closed loop, or a
-    system that reads u, v, r or p, has a table but no program.  Steppers with equal programs run one
-    function on equal data for every sequence of such inputs, step for
-    step, which lets a behaviour check judge those sequences without a
-    step (equivalence.behavioural_inclusion_upto).
+    system that reads u, v, r or p, has a table but no program.
+    Steppers with equal programs run one function on equal data for every
+    sequence of such inputs, step for step, which lets a behaviour check
+    judge those sequences without a step
+    (equivalence.behavioural_inclusion_upto).
     """
 
     shift_exact = False
@@ -403,15 +411,15 @@ class SmplSystem:
 
     @functools.cached_property
     def symbol_steps(self) -> SymbolSteps | None:
-        """Per symbol, its mode and that mode's compiled state and output
-        maps, when the rule is a symbol_liveness_rule whose every symbol
-        selects one mode, the very dynamics the system holds for it,
-        reading an x of x0's width and inputs of the system's u ++ r ++ p
-        width, with or without a controller.  Every step is then
-        symbol_step over the symbol's entry on the resolved inputs, and a
-        symbol with no entry halts the run, as the rule admits no mode for
-        it.  None otherwise, and for any other rule, so a mode of another
-        width steps through the rule, whose evaluation refuses it.
+        """Per symbol, every mode its rule selects, in mode order, with
+        each mode's compiled state and output maps, when the rule is a
+        symbol_liveness_rule over the very dynamics the system holds,
+        each reading an x of x0's width and inputs of the system's
+        u ++ r ++ p width, with or without a controller.  Every step is
+        then symbol_step over the symbol's entry on the resolved inputs,
+        and a symbol with no entry halts the run, as the rule admits no
+        mode for it.  None otherwise, and for any other rule, so a mode of
+        another width steps through the rule, whose evaluation refuses it.
         Decided once per system."""
         by_symbol = getattr(self.switching.successors, "modes_by_symbol", None)
         if by_symbol is None:
@@ -419,13 +427,13 @@ class SmplSystem:
         widths = len(self.x0), self.dims.input_width
         table: SymbolSteps = {}
         for symbol, selected in by_symbol.items():
-            if len(selected) != 1:
-                return None
-            (mode, dynamics), = selected
-            form = dynamics.form
-            if self.modes.get(mode) is not dynamics or (form.n_state, form.n_input) != widths:
-                return None
-            table[symbol] = mode, form._state_map, form._output_map
+            entry = []
+            for mode, dynamics in selected:
+                form = dynamics.form
+                if self.modes.get(mode) is not dynamics or (form.n_state, form.n_input) != widths:
+                    return None
+                entry.append((mode, form._state_map, form._output_map))
+            table[symbol] = tuple(entry)
         return table
 
     @functools.cached_property
@@ -492,50 +500,69 @@ def successor_modes(
 
 def advance(
     s: SmplSystem,
+    k: int,
     prev_mode: int | None,
     x_prev: tuple[Weight, ...],
     z: tuple[Weight, ...] | None,
     inp: StepInput,
-) -> tuple | None:
-    """The step core of a system and of its translation: resolve the
-    inputs, then take the symbol's symbol_steps entry where the system
-    has a table, or else the rule's smallest mode through one evaluation
-    of its state map, and output through the mode's output map on the
-    continuous input u ++ r ++ p.  Returns (mode, x, y, successor modes,
-    u, v), a StepRecord's fields after k, or None when no mode is admitted
-    (the run halts)."""
+) -> StepRecord | None:
+    """Step k + 1 of a system and of its translation: resolve the inputs,
+    then run symbol_step on the symbol's symbol_steps entry where the
+    system has a table, or else take the rule's smallest mode through one
+    evaluation of its state map and output through its output map on the
+    continuous input u ++ r ++ p.  Returns the step's record, with the
+    resolved u and v, or None when no mode is admitted (the run halts)."""
     u, v, win = resolve_inputs(s, z, inp)
     table = s.symbol_steps
     if table is not None:
-        found = table.get(inp.w)
-        record = None if found is None else symbol_step(found, 0, x_prev, win)
-        return None if record is None else (record.mode, record.x, record.y, record.successor_modes, u, v)
+        entry = table.get(inp.w)
+        return None if entry is None else symbol_step(entry, k, x_prev, win, u, v)
     modes = successor_modes(s, prev_mode, x_prev, u, v, inp)
     if not modes:
         return None
     form = s.modes[modes[0]].form
     x = form.eval_state(x_prev, win)
-    return modes[0], x, eval_rows(form._output_map, x, win), modes, u, v
+    return new_record(k + 1, modes[0], x, eval_rows(form._output_map, x, win), modes, u, v)
+
+
+def live_candidates(
+    entry: tuple[Candidate, ...], x_prev: tuple[Weight, ...], win: tuple[Weight, ...]
+) -> list[tuple[int, tuple[Weight, ...], CompiledRows]]:
+    """(mode, next state, output map) of each candidate of a symbol_steps
+    entry whose next state from x_prev keeps a finite entry, in mode
+    order: the modes symbol liveness admits, each state map evaluated
+    once."""
+    stepped = [(mode, eval_rows(state_map, x_prev, win), output_map) for mode, state_map, output_map in entry]
+    return [candidate for candidate in stepped if has_finite_entry(candidate[1])]
 
 
 def symbol_step(
-    found: tuple[int, CompiledRows, CompiledRows],
+    entry: tuple[Candidate, ...],
     k: int,
     x_prev: tuple[Weight, ...],
     win: tuple[Weight, ...] = (),
+    u: tuple[Weight, ...] = (),
+    v: tuple[Weight, ...] = (),
 ) -> StepRecord | None:
-    """Step k + 1 on a symbol through its symbol_steps entry (mode, state
-    map, output map) on the continuous input win = u ++ r ++ p, empty on
-    an input-free system: the mode's next state from x_prev, None where
-    it has no finite entry (the run halts, as symbol liveness admits no
-    mode), else the record of that state and its output, with no u or v.
-    It is every step of a system with a table and every step of a
-    max-plus automaton."""
-    mode, state_map, output_map = found
-    x = eval_rows(state_map, x_prev, win)
-    if not has_finite_entry(x):
+    """Step k + 1 on a symbol through its symbol_steps entry on the
+    continuous input win = u ++ r ++ p, empty on an input-free system:
+    each candidate's next state from x_prev, once; None where none has a
+    finite entry (the run halts, as symbol liveness admits no mode); else
+    the record of the smallest live mode's state and output, with every
+    live mode as its successor modes, and the resolved u and v.  It is
+    every step of a system with a table and every step of a max-plus
+    automaton."""
+    if len(entry) == 1:  # one candidate, as on every symbol of an automaton: no list
+        (mode, state_map, output_map), = entry
+        x = eval_rows(state_map, x_prev, win)
+        if not has_finite_entry(x):
+            return None
+        return new_record(k + 1, mode, x, eval_rows(output_map, x, win), (mode,), u, v)
+    live = live_candidates(entry, x_prev, win)
+    if not live:
         return None
-    return new_record(k + 1, mode, x, eval_rows(output_map, x, win), (mode,), (), ())
+    mode, x, output_map = live[0]
+    return new_record(k + 1, mode, x, eval_rows(output_map, x, win), tuple([c[0] for c in live]), u, v)
 
 
 def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
@@ -546,14 +573,10 @@ def step(s: SmplSystem, state: StepRecord, inp: StepInput) -> StepRecord | None:
     controller to read."""
     program = s.program
     if program is not None and not (inp.u or inp.v or inp.r or inp.p):
-        found = program[1].get(inp.w)
-        return None if found is None else symbol_step(found, state.k, state.x)
+        entry = program[1].get(inp.w)
+        return None if entry is None else symbol_step(entry, state.k, state.x)
     z = None if s.controller is None else performance_signal(state.mode, state.x, state.u, state.v)
-    stepped = advance(s, state.mode, state.x, z, inp)
-    if stepped is None:
-        return None
-    mode, x, y, successors, u, v = stepped
-    return new_record(state.k + 1, mode, x, y, successors, u, v)
+    return advance(s, state.k, state.mode, state.x, z, inp)
 
 
 @dataclass(frozen=True)

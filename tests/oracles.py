@@ -341,37 +341,36 @@ def resolve_step_by_constructors(s: smpl.SmplSystem, prev_mode, x_prev, z, inp: 
     return u, v, win, modes
 
 
-def advance_by_constructors(s: smpl.SmplSystem, prev_mode, x_prev, z, inp: smpl.StepInput):
-    """smpl.advance through the rule, never a symbol_steps table: (mode,
-    x, y, successor modes, u, v), or None."""
+def advance_by_constructors(s: smpl.SmplSystem, k, prev_mode, x_prev, z, inp: smpl.StepInput):
+    """smpl.advance through the rule, never a symbol_steps table: the
+    record of step k + 1, or None."""
     u, v, win, modes = resolve_step_by_constructors(s, prev_mode, x_prev, z, inp)
     if not modes:
         return None
     form = s.modes[modes[0]].form
     x = form.eval_state(x_prev, win)
-    return modes[0], x, form.eval_output(x, win), modes, u, v
+    return smpl.StepRecord(k + 1, modes[0], x, form.eval_output(x, win), modes, u, v)
+
+
+def maha_record(s: smpl.SmplSystem, record):
+    """A system step's record as the translation's: x, or z = (mode, x,
+    u, v) in a closed loop, and no u or v of its own."""
+    if record is None:
+        return None
+    x = smpl.performance_signal(record.mode, record.x, record.u, record.v) if s.closed_loop else record.x
+    return smpl.StepRecord(record.k, record.mode, x, record.y, record.successor_modes)
 
 
 def step_by_constructors(s: smpl.SmplSystem, state: smpl.StepRecord, inp: smpl.StepInput):
     """smpl.step."""
     z = None if s.controller is None else smpl.performance_signal(state.mode, state.x, state.u, state.v)
-    stepped = advance_by_constructors(s, state.mode, state.x, z, inp)
-    if stepped is None:
-        return None
-    return smpl.StepRecord(state.k + 1, *stepped)
+    return advance_by_constructors(s, state.k, state.mode, state.x, z, inp)
 
 
 def maha_step_by_constructors(h: hybrid.HybridAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
     """hybrid.MahaBehaviour(h).step."""
-    s = h.system
-    closed, z = s.controller is not None, state.x
-    stepped = advance_by_constructors(s, state.mode, smpl.signal_x(z, s.dims.n) if closed else z, z, inp)
-    if stepped is None:
-        return None
-    mode, x, y, successors, u, v = stepped
-    if closed:
-        x = smpl.performance_signal(mode, x, u, v)
-    return smpl.StepRecord(state.k + 1, mode, x, y, successors)
+    s, z = h.system, state.x
+    return maha_record(s, advance_by_constructors(s, state.k, state.mode, h.x_of(z), z, inp))
 
 
 # The switching system's and the translation's steps before bare symbols
@@ -379,26 +378,15 @@ def maha_step_by_constructors(h: hybrid.HybridAutomaton, state: smpl.StepRecord,
 
 
 def step_by_advance(s: smpl.SmplSystem, state: smpl.StepRecord, inp: smpl.StepInput):
-    """smpl.step through smpl.advance, then a record."""
+    """smpl.step through smpl.advance."""
     z = None if s.controller is None else smpl.performance_signal(state.mode, state.x, state.u, state.v)
-    stepped = smpl.advance(s, state.mode, state.x, z, inp)
-    if stepped is None:
-        return None
-    mode, x, y, successors, u, v = stepped
-    return smpl.new_record(state.k + 1, mode, x, y, successors, u, v)
+    return smpl.advance(s, state.k, state.mode, state.x, z, inp)
 
 
 def maha_step_by_advance(h: hybrid.HybridAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):
-    """hybrid.MahaBehaviour(h).step through smpl.advance, then a record."""
-    s = h.system
-    closed, z = s.controller is not None, state.x
-    stepped = smpl.advance(s, state.mode, smpl.signal_x(z, s.dims.n) if closed else z, z, inp)
-    if stepped is None:
-        return None
-    mode, x, y, successors, u, v = stepped
-    if closed:
-        x = smpl.performance_signal(mode, x, u, v)
-    return smpl.new_record(state.k + 1, mode, x, y, successors, (), ())
+    """hybrid.MahaBehaviour(h).step through smpl.advance."""
+    s, z = h.system, state.x
+    return maha_record(s, smpl.advance(s, state.k, state.mode, h.x_of(z), z, inp))
 
 
 def mpa_shift_exact_by_weights(a: MaxPlusAutomaton) -> bool:
@@ -415,11 +403,11 @@ def mpa_shift_exact_by_weights(a: MaxPlusAutomaton) -> bool:
 
 def mpa_symbol_steps_by_columns(a: MaxPlusAutomaton) -> smpl.SymbolSteps:
     """The automaton's step table built from its own weights, as opposed to
-    its system's compiled modes: per symbol its position in the alphabet
-    from 1, its matrix's columns (a row vector times the matrix) and beta
-    as one row."""
+    its system's compiled modes: per symbol one candidate, its position in
+    the alphabet from 1, its matrix's columns (a row vector times the
+    matrix) and beta as one row."""
     final = TropicalMatrix.row_vector(a.beta).compiled
-    return {symbol: (mode, a.mu[symbol]._columns, final) for mode, symbol in enumerate(a.alphabet, start=1)}
+    return {symbol: ((mode, a.mu[symbol]._columns, final),) for mode, symbol in enumerate(a.alphabet, start=1)}
 
 
 def mpa_step_by_constructors(a: MaxPlusAutomaton, state: smpl.StepRecord, inp: smpl.StepInput):

@@ -202,13 +202,16 @@ class TestWhereThePassMustNotDecide:
         system = from_mpa(gaubert)
         for model in (
             swapped_output_mode(system),
-            repeated_symbol_system(5),
             dataclasses.replace(system, switching=externally_driven_rule(SYMBOLS)),
             feedback,
             dataclasses.replace(feedback, controller=None),
             python_liveness(production),
         ):
             assert model.program is None
+        # a repeated symbol's entry lists both its modes, so the late mode's weight tells the programs apart
+        late5, late7 = repeated_symbol_system(5), repeated_symbol_system(7)
+        assert late5.program == (late5.x0, late5.symbol_steps) and len(late5.symbol_steps["a"]) == 2
+        assert late7.program is not None and late5.program != late7.program
         # an int weight is stored as its float, so a model over ints has its float copy's program
         pairs = ((one_state_mpa(3, 0.0), 3.0), (one_state_mpa(3.0, 0), 3.0), (one_state_mpa(2**49 + 1, 0), 2.0**49 + 1))
         for ints, weight in pairs:

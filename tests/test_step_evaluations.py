@@ -1,8 +1,11 @@
 """One event step, one evaluation of the chosen mode's dynamics.
 
-A system with a symbol_steps table steps each symbol through its mode's
-compiled maps, any other through its rule's smallest mode, and a
-translated hybrid automaton resolves switching once per step; the traces
+A system with a symbol_steps table steps each symbol through its entry:
+every candidate mode's state map once and the taken mode's output map
+once, and its translation's hybrid_step evaluates those state maps and
+no output map.  Any other system steps through its rule's smallest mode,
+and a translated hybrid automaton resolves switching once per step; the
+traces
 must equal, record for record, the references in oracles that resolve
 and evaluate afresh at every call: oracles.simulate for the system and
 the scan of oracles.scan_of_translation for its translation.
@@ -18,7 +21,7 @@ import oracles
 from maxplushybrid import expressions, fixtures, smpl
 from maxplushybrid.expressions import MatrixForm
 from maxplushybrid.hybrid import HybridState, from_smpl_closed, from_smpl_open, hybrid_step, run
-from maxplushybrid.smpl import StepInput, SwitchingRule, from_mpa, simulate, word_inputs
+from maxplushybrid.smpl import StepInput, SwitchingRule, from_mpa, simulate, symbol_liveness_rule, word_inputs
 from maxplushybrid.tropical import EPS, eval_rows
 
 
@@ -48,6 +51,13 @@ def sticky_production_line():
         yield from liveness.successors(probe)
 
     return dataclasses.replace(line, switching=dataclasses.replace(liveness, successors=sticky))
+
+
+def repeated_production_line():
+    """The bundled line under symbol liveness over l1, l1: both modes are
+    candidates on every l1 step."""
+    line = fixtures.production_line_smpl()
+    return dataclasses.replace(line, switching=symbol_liveness_rule(line.modes, ("l1", "l1"), 0))
 
 
 def assert_same_traces(system, automaton, inputs):
@@ -161,6 +171,11 @@ def state_map_evaluations(counts, system):
     return sum(counts["eval_rows", id(mode.form._state_map)] for mode in system.modes.values())
 
 
+def output_map_evaluations(counts, system):
+    """The eval_rows calls counted on the output maps of the system's modes."""
+    return sum(counts["eval_rows", id(mode.form._output_map)] for mode in system.modes.values())
+
+
 def resolutions_per_step(system):
     """0 where steps run through the system's symbol_steps, else 1."""
     return 0 if system.symbol_steps is not None else 1
@@ -195,7 +210,7 @@ class TestEvaluationCounts:
             counts.clear()
             trace = simulate(system, word_inputs(word))
             assert trace.completed
-            assert state_map_evaluations(counts, system) == len(word)
+            assert state_map_evaluations(counts, system) == output_map_evaluations(counts, system) == len(word)
             assert counts["successor_set"] == resolutions_per_step(system) * len(word)
         assert_one_resolution_per_sticky_step(counts, simulate)
 
@@ -207,9 +222,22 @@ class TestEvaluationCounts:
             counts.clear()
             trace = run(automaton, word_inputs(word))
             assert trace.completed
-            assert state_map_evaluations(counts, system) == len(word)
+            assert state_map_evaluations(counts, system) == output_map_evaluations(counts, system) == len(word)
             assert counts["successor_set"] == resolutions_per_step(system) * len(word)
         assert_one_resolution_per_sticky_step(counts, lambda system, inputs: run(from_smpl_open(system), inputs))
+
+    def test_every_candidate_once_and_one_output_per_step_on_a_repeated_symbol(self, counts):
+        # both modes carry l1, and no step resolves the rule: a step
+        # evaluates both state maps once and the taken mode's output map
+        system = repeated_production_line()
+        word = ("l1",) * 5
+        for fold in (simulate, lambda system, inputs: run(from_smpl_open(system), inputs)):
+            counts.clear()
+            trace = fold(system, word_inputs(word))
+            assert trace.completed and [rec.successor_modes for rec in trace.records] == [(1, 2)] * len(word)
+            assert state_map_evaluations(counts, system) == 2 * len(word)
+            assert output_map_evaluations(counts, system) == len(word)
+            assert counts["successor_set"] == 0
 
     def test_one_eval_state_and_one_resolution_per_hybrid_step(self, counts, gaubert):
         for system, translate, word in systems_and_words(gaubert):
@@ -222,4 +250,17 @@ class TestEvaluationCounts:
                 counts.clear()
                 assert hybrid_step(automaton, state, StepInput(w=symbol))
                 assert state_map_evaluations(counts, system) == 1
+                assert output_map_evaluations(counts, system) == 0
                 assert counts["successor_set"] == resolutions_per_step(system)
+
+    def test_every_candidate_once_and_no_output_per_hybrid_step_on_a_repeated_symbol(self, counts):
+        system = repeated_production_line()
+        automaton = from_smpl_open(system)
+        states = [HybridState(1, automaton.start)] + [
+            HybridState(rec.mode, rec.x) for rec in run(automaton, word_inputs(("l1",) * 3)).records
+        ]
+        for state in states:
+            counts.clear()
+            assert [q for q, _ in hybrid_step(automaton, state, StepInput(w="l1"))] == [1, 2]
+            assert state_map_evaluations(counts, system) == 2
+            assert output_map_evaluations(counts, system) == counts["successor_set"] == 0

@@ -1,16 +1,19 @@
 """Steps through a system's symbol_steps table.
 
-A system whose rule is a library symbol_liveness rule with one mode per
-symbol, the very MatrixMode the system holds, reading inputs of the
-system's width, steps every symbol through smpl.symbol_step: the
-symbol's mode's state map on the resolved inputs, a halt where no entry
-is finite, its output map and one record.  An input-free one steps a
-bare symbol that way without resolving anything, and is held, record for
-record, halt for halt and error for error, to the steps through
-smpl.advance kept in oracles.  A closed loop, or an open loop that reads
-u, v, r or p, has the table but no program, and is held to the steps in
-oracles that run the rule and never the table.  Every other system has
-no table, and its hybrid_step is still the paper's scan.
+A system whose rule is a library symbol_liveness rule over the very
+MatrixModes the system holds, reading inputs of the system's width, has
+a table that lists, per symbol, every mode the symbol selects, repeated
+symbols included.  It steps every symbol through smpl.symbol_step: each
+candidate mode's state map once on the resolved inputs, a halt where no
+candidate's state has a finite entry, the smallest live mode's output
+map, every live mode as the successor modes, and one record.  An
+input-free one steps a bare symbol that way without resolving anything,
+and is held, record for record, halt for halt and error for error, to
+the steps through smpl.advance kept in oracles.  Table systems with
+repeated symbols, closed loops and open loops that read u, v, r or p
+are held to the steps in oracles that run the rule and never the table.
+The full successor set of a translation (hybrid_step) is the paper's
+scan, on systems with a table and on those without one.
 """
 
 import dataclasses
@@ -44,16 +47,24 @@ finite = st.integers(-3, 9).map(float)
 entries = st.one_of(st.just(EPS), st.just(TOP), finite, finite)  # EPS and +inf one time in four each
 
 
+def with_symbols(s, symbols):
+    """The system under a symbol_liveness rule over its own modes that
+    reads the given symbols."""
+    return dataclasses.replace(s, switching=symbol_liveness_rule(s.modes, symbols, s.dims.input_width))
+
+
 @st.composite
 def table_systems(draw):
     """The smpl translation of a random automaton, or a production line
-    with drawn tau, whose rows take the min of two branches; half the
-    time from a drawn start whose entries may be EPS or +inf."""
+    with drawn tau, whose rows take the min of two branches, under
+    symbols l1 and l2 drawn with repeats; half the time from a drawn
+    start whose entries may be EPS or +inf."""
     if draw(st.booleans()):
         a = fixtures.random_mpa(draw(st.randoms(use_true_random=False)), n_states=draw(st.integers(1, 5)))
         s = from_mpa(a)
     else:
         s = fixtures.production_line_smpl(tuple(draw(st.lists(finite, min_size=3, max_size=3))))
+        s = with_symbols(s, draw(st.lists(st.sampled_from(("l1", "l2")), min_size=2, max_size=2)))
     if draw(st.booleans()):
         s = dataclasses.replace(s, x0=tuple(draw(st.lists(entries, min_size=s.dims.n, max_size=s.dims.n))))
     return s
@@ -107,22 +118,25 @@ class TestTheTableStepAgainstAdvance:
         assert SmplBehaviour(s).fold(inputs) == MahaBehaviour(from_smpl_open(s)).fold(inputs) == run
 
     def test_the_table_holds_each_modes_maps_and_the_program_is_read_off_it(self, gaubert, production):
-        for s in (from_mpa(gaubert), production):
+        for s in (from_mpa(gaubert), production, with_symbols(production, ("l1", "l1")), repeated_symbol_system(5)):
             table = s.symbol_steps
             assert list(table) == list(s.switching.alphabet)
-            for mode, symbol in enumerate(s.switching.symbols, start=1):
-                form = s.modes[mode].form
-                assert table[symbol] == (mode, form._state_map, form._output_map)
+            for symbol, entry in table.items():
+                assert entry == tuple(
+                    (mode, s.modes[mode].form._state_map, s.modes[mode].form._output_map)
+                    for mode, named in enumerate(s.switching.symbols, start=1)
+                    if named == symbol
+                )
             assert s.program == (s.x0, s.symbol_steps)
 
 
 @st.composite
 def systems_with_inputs(draw):
-    """A system of 1-3 states and 1-3 modes, one distinct symbol per mode
-    under symbol liveness, whose rows take the min of one or two branches
-    over x and u ++ r ++ p, with u of width 0 to 2 and r and p of width 0
-    or 1: an open loop that may also read v, or a closed loop under static
-    feedback, whose u is 1 or 2 wide."""
+    """A system of 1-3 states and 1-3 modes, under symbol liveness over
+    symbols drawn with repeats, whose rows take the min of one or two
+    branches over x and u ++ r ++ p, with u of width 0 to 2 and r and p
+    of width 0 or 1: an open loop that may also read v, or a closed loop
+    under static feedback, whose u is 1 or 2 wide."""
     n, n_modes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     closed = draw(st.booleans())
     # static feedback resolves at least one u and no v
@@ -140,7 +154,8 @@ def systems_with_inputs(draw):
                 matrices(draw, 1, width, out_branches),
             )
         )
-    rule = symbol_liveness_rule(modes, draw(st.permutations(SYMBOLS + ("c",)))[:n_modes], width)
+    symbols = draw(st.lists(st.sampled_from(SYMBOLS + ("c",)), min_size=n_modes, max_size=n_modes))
+    rule = symbol_liveness_rule(modes, symbols, width)
     controller = static_feedback(matrices(draw, n_u, n, 1)[0]) if closed else None
     x0 = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
     return SmplSystem(n_modes, modes, rule, x0, dims, controller)
@@ -182,14 +197,24 @@ def systems_without_a_table():
     """(label, system) for systems whose steps run through the rule."""
     gaubert = from_mpa(fixtures.gaubert_mpa())
     return [
-        ("repeated symbol", repeated_symbol_system(5)),
         ("python rule", python_liveness(fixtures.production_line_smpl())),
         ("externally driven", dataclasses.replace(gaubert, switching=externally_driven_rule(SYMBOLS))),
         ("swapped output mode", swapped_output_mode(gaubert)),
     ]
 
 
-NO_TABLE = systems_without_a_table()
+def systems_with_a_table():
+    """(label, system) for systems whose steps run through the table."""
+    line = fixtures.production_line_smpl()
+    return [
+        ("repeated symbol", repeated_symbol_system(5)),
+        ("repeated line", with_symbols(line, ("l1", "l1"))),
+        ("production line", line),
+        ("automaton", from_mpa(fixtures.gaubert_mpa())),
+    ]
+
+
+NO_TABLE, TABLE = systems_without_a_table(), systems_with_a_table()
 
 
 class TestSystemsWithoutATable:
@@ -203,14 +228,15 @@ class TestSystemsWithoutATable:
         h = from_smpl_open(s)
         assert_same_run(MahaBehaviour(h), lambda state, inp: oracles.maha_step_by_advance(h, state, inp), inputs)
 
-    @pytest.mark.parametrize("s", [case[1] for case in NO_TABLE], ids=[case[0] for case in NO_TABLE])
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_the_full_successor_set_is_the_scans(self, s, data):
-        h = from_smpl_open(s)
-        scan = oracles.scan_of_translation(s)
-        for _ in range(data.draw(st.integers(1, 4))):
-            x = tuple(data.draw(st.lists(entries, min_size=s.dims.n, max_size=s.dims.n)))
-            state = HybridState(data.draw(st.integers(1, s.n_modes)), x)
-            inp = StepInput(w=data.draw(st.sampled_from(s.switching.alphabet + ("z",))))
-            assert hybrid_step(h, state, inp) == oracles.scan_step(scan, state, inp)
+
+@pytest.mark.parametrize("s", [case[1] for case in NO_TABLE + TABLE], ids=[case[0] for case in NO_TABLE + TABLE])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_full_successor_set_is_the_scans(s, data):
+    h = from_smpl_open(s)
+    scan = oracles.scan_of_translation(s)
+    for _ in range(data.draw(st.integers(1, 4))):
+        x = tuple(data.draw(st.lists(entries, min_size=s.dims.n, max_size=s.dims.n)))
+        state = HybridState(data.draw(st.integers(1, s.n_modes)), x)
+        inp = StepInput(w=data.draw(st.sampled_from(s.switching.alphabet + ("z",))))
+        assert hybrid_step(h, state, inp) == oracles.scan_step(scan, state, inp)
