@@ -41,6 +41,13 @@ class Mutant(NamedTuple):
 SMPL, TROPICAL = "src/maxplushybrid/smpl.py", "src/maxplushybrid/tropical.py"
 HYBRID, MPA = "src/maxplushybrid/hybrid.py", "src/maxplushybrid/mpa.py"
 EQUIVALENCE, CLI = "src/maxplushybrid/equivalence.py", "src/maxplushybrid/cli.py"
+SERIALIZATION = "src/maxplushybrid/serialization.py"
+
+# Off the list, as equivalent mutants:
+# - MahaBehaviour.step without its program branch.  An input-free open
+#   loop's step then goes through smpl.advance, which runs the same table
+#   entry on the same (empty) inputs and writes the same record; only the
+#   cost changes.
 
 MUTANTS = (
     # -- the table step of every symbol_liveness system ----------------------
@@ -194,6 +201,60 @@ MUTANTS = (
         "        if a != EPS and a != TOP:\n            return True",
         "        if a != EPS:\n            return True",
         ("tests/test_symbol_steps.py", "tests/test_tropical.py"),
+    ),
+    # -- the rule path, the translation's record and the weight codec --------
+    Mutant(
+        "successor_set keeps duplicates",
+        SMPL,
+        "return tuple(sorted(set(self.successors(probe))))",
+        "return tuple(sorted(self.successors(probe)))",
+        ("tests/test_smpl.py",),
+    ),
+    Mutant(
+        "successor_set keeps the rule's order",
+        SMPL,
+        "return tuple(sorted(set(self.successors(probe))))",
+        "return tuple(dict.fromkeys(self.successors(probe)))",
+        ("tests/test_smpl.py",),
+    ),
+    Mutant(
+        "the closed-loop record holds x, not z",
+        HYBRID,
+        "performance_signal(mode, x, u, v) if closed else x",
+        "x",
+        ("tests/test_hybrid.py",),
+    ),
+    Mutant(
+        "MahaBehaviour's open loop writing the system's u and v",
+        HYBRID,
+        "y, successors, (), ())",
+        "y, successors, (), ()) if closed else record",
+        ("tests/test_symbol_steps.py", "tests/test_lean_step.py"),
+    ),
+    Mutant(
+        "MpaBehaviour halting on an unknown symbol",
+        MPA,
+        'raise ValueError(f"unknown symbol {inp.w!r}")',
+        "return None",
+        ("tests/test_mpa.py", "tests/test_same_program.py"),
+    ),
+    Mutant(
+        "the weight codec's bound raised to 2**63",
+        SERIALIZATION,
+        "EXACT_INTEGER = 2.0**53",
+        "EXACT_INTEGER = 2.0**63",
+        ("tests/test_io_cli.py",),
+    ),
+    Mutant(
+        "spec read from a copy the rule kept",
+        SMPL,
+        '        return getattr(self.successors, "spec", None)\n',
+        '        return getattr(self.successors, "spec", None)\n\n'
+        "    spec: dict | None = None  # a field, which dataclasses.replace carries\n\n"
+        "    def __post_init__(self) -> None:\n"
+        "        if self.spec is None:\n"
+        '            object.__setattr__(self, "spec", getattr(self.successors, "spec", None))\n',
+        ("tests/test_behaviour_memo.py",),
     ),
 )
 

@@ -166,6 +166,26 @@ def step_refusals(line: dict) -> Iterator[Run]:
             yield from mph("check", model1, model2, "--relation", "behaviour", "--bound", "3")
 
 
+def externally_driven_runs(line: dict) -> Iterator[Run]:
+    """production_line and gaubert_mpa's smpl translation with
+    externally_driven switching over the same symbols, whose steps go
+    through the rule rather than a table: each run on words and on its
+    steps file, abstracted in both styles (fused is refused), and checked
+    against its symbol_liveness original in both orders."""
+    gaubert = json.loads(pathlib.Path("gaubert-smpl.json").read_text(encoding="utf-8"))
+    for original, body, stem, words, steps in (
+        ("production_line", line, "driven-line", ["l1,l1,l2,l1,l2,l2"], "line-steps.json"),
+        ("gaubert-smpl.json", gaubert, "driven-gaubert", ["aab", "b,b,a"], "ab-steps.json"),
+    ):
+        driven = {**body, "switching": {"type": "externally_driven", "symbols": body["switching"]["symbols"]}}
+        yield from write(f"{stem}.json", json.dumps(driven))
+        yield from model_runs(f"{stem}.json", stem, words, steps)
+        for style in ("standard", "fused"):
+            yield from mph("abstract", f"{stem}.json", "--style", style)
+        for pair in ((f"{stem}.json", original), (original, f"{stem}.json")):
+            yield from behaviour_checks(*pair)
+
+
 def overflow_runs() -> Iterator[Run]:
     """A one-state automaton of weight 1e308, whose second sum overflows to
     +inf, and its smpl translation: each simulated on aaa, and checked
@@ -215,8 +235,9 @@ def runs() -> Iterator[Run]:
     yield from mph("abstract", "line-maha.json", save="at.json")
     yield from fa_checks("line-fa.json", "at.json", 6)
     yield from mph("check", "at.json", "at.json", "--relation", "bisimulation")
-    yield from deep_behaviour_checks(json.loads(bundled["gaubert_mpa"]))
     line = json.loads(bundled["production_line"])
+    yield from externally_driven_runs(line)
+    yield from deep_behaviour_checks(json.loads(bundled["gaubert_mpa"]))
     yield from write("repeated.json", json.dumps({**line, "switching": {**line["switching"], "symbols": ["l1", "l1"]}}))
     yield from mph("abstract", "repeated.json")
     yield from behaviour_checks("repeated.json", "repeated.json")

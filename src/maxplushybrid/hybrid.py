@@ -22,25 +22,25 @@ system's first step is.
 
 MahaBehaviour is the automaton's stepper: smpl.SmplBehaviour over the
 automaton's system, whose shift_exact flag and program it inherits.  A
-run is its fold, and each step is the one smpl.step takes.  A bare
-symbol on a system with a program goes straight to smpl.symbol_step: one
-evaluation of each of the symbol's candidate modes' state maps, the
-smallest live mode's output map and one record.  Every other step goes
-through smpl.advance, which resolves the inputs once and then runs
-symbol_step on the symbol's symbol_steps entry, open loop or closed, or
-else evaluates the rule's smallest mode only.  Only the record differs
-from the system's: it holds no u or v of its own, and x (open loop) or
-z (closed loop, through smpl.performance_signal), from start before the
-first step.  hybrid_step gives the paper's full successor set instead,
-from mode q as the previous mode, on the resolved inputs: on a system
-with symbol_steps that is every live candidate of the symbol's entry
+run is its fold, and each step is the one smpl.step takes.  On a system
+with a program, an input-free open loop, the step is smpl.step itself,
+whose records there hold no u or v.  Every other step goes through
+smpl.advance, which resolves the inputs once and then runs symbol_step
+on the symbol's symbol_steps entry, open loop or closed, or else
+evaluates the rule's smallest mode only.  Of that record the
+translation keeps no u or v of its own, and x (open loop) or z (closed
+loop, through smpl.performance_signal), from start before the first
+step.  Any controller hook steps, and so any closed loop translates.
+hybrid_step gives the paper's full successor set instead, from mode q as
+the previous mode, on the resolved inputs: on a system with symbol_steps
+that is every live candidate of the symbol's entry
 (smpl.live_candidates), each state map evaluated once and no output map;
 on any other system it is every mode smpl.successor_modes admits, each
 evaluated once after the rule.  The automaton stores no successor
 function or initial states; both are read off the system when asked
-for.  Each
-edge (q, q') between distinct modes carries the symbols that can select
-q', when the rule declares them; the one-step abstraction reads those.
+for.  Each edge (q, q') between distinct modes carries the symbols that
+can select q', when the rule declares them; the one-step abstraction
+reads those.
 Both finite abstractions read every label move, final label and input
 label off each mode's transition graphs (expressions._finite_edges is
 the one rule of which weights count), and their x-initial labels are the
@@ -56,7 +56,7 @@ from .expressions import transition_graph_f, transition_graph_h, u_label, x_labe
 from .finite import FiniteAutomaton, make_delta
 from .smpl import SmplBehaviour, SmplSystem, StepInput, Stepper, StepRecord, Trace
 from .smpl import advance, live_candidates, new_record, performance_signal, resolve_inputs, signal_x
-from .smpl import successor_modes, symbol_step
+from .smpl import step, successor_modes
 from .tropical import Weight, is_finite
 
 
@@ -67,10 +67,6 @@ class AssumptionViolation(ValueError):
 class WrongProvenance(ValueError):
     """The fused abstraction only applies to automata with the structure of
     a max-plus automaton's translation."""
-
-
-class NonRepresentableController(ValueError):
-    """Closed-loop translation needs max-min-plus controller hooks."""
 
 
 class HybridState(NamedTuple):
@@ -89,13 +85,6 @@ class HybridAutomaton:
     state_layout."""
 
     system: SmplSystem
-
-    def __post_init__(self) -> None:
-        s = self.system
-        if s.controller is not None and not s.controller.max_min_plus:
-            raise NonRepresentableController(
-                f"controller {s.controller.name!r} is not a max-min-plus map"
-            )
 
     @property
     def modes(self) -> tuple[int, ...]:
@@ -165,10 +154,10 @@ class MahaBehaviour(SmplBehaviour):
     first step there is no current mode (None), as a switching system's
     first mode is resolved by its rule rather than given; the record
     before the first step holds start.  A step is the system's own:
-    smpl.symbol_step for a bare symbol on a system with a program,
-    smpl.advance from the record's mode and x (read out of z in a closed
-    loop) otherwise, whose record it rewrites: it holds no u or v of its
-    own, and x, or z = (mode, x, u, v) in a closed loop."""
+    smpl.step on a system with a program, smpl.advance from the record's
+    mode and x (read out of z in a closed loop) otherwise, whose record it
+    rewrites: it holds no u or v of its own, and x, or z = (mode, x, u, v)
+    in a closed loop."""
 
     automaton: HybridAutomaton
     system: SmplSystem = field(init=False, repr=False, compare=False)
@@ -181,11 +170,8 @@ class MahaBehaviour(SmplBehaviour):
 
     def step(self, state: StepRecord, inp: StepInput) -> StepRecord | None:
         s = self.system
-        program = s.program
-        if program is not None and not (inp.u or inp.v or inp.r or inp.p):
-            # an input-free open loop: the record's x is the system's
-            entry = program[1].get(inp.w)
-            return None if entry is None else symbol_step(entry, state.k, state.x)
+        if s.program is not None:  # an input-free open loop: its records are the system's
+            return step(s, state, inp)
         closed, z = s.controller is not None, state.x
         record = advance(s, state.k, state.mode, signal_x(z, s.dims.n) if closed else z, z, inp)
         if record is None:

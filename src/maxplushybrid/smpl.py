@@ -35,10 +35,9 @@ with a program, an input-free system with a table; the translation's
 full successor set (hybrid.hybrid_step) reads the live candidates'
 states off the same table entry, or runs the two halves itself.  A
 run's first step resolves with no previous mode, in the system and in
-its translation alike.  A rule yields bare mode indices, deduplicated
-and sorted only when there are more than one, and the probe and record
-of a step are built by new_probe and new_record, straight through
-tuple.__new__.
+its translation alike.  A rule yields bare mode indices, which
+successor_set deduplicates and sorts, and the record of a step is built
+by new_record, straight through tuple.__new__.
 
 Every model class runs through the one stepper protocol defined here
 (Stepper: init, step and fold, the shift_exact flag by which bounded
@@ -116,20 +115,6 @@ class SwitchProbe(NamedTuple):
     p: tuple[Weight, ...]
 
 
-# A step builds a StepRecord, and a step through the rule a SwitchProbe.
-# Their constructors below hand every field to tuple.__new__ directly, which
-# skips the generated __new__ behind a NamedTuple call (about 40% of a
-# record's cost); so they take all fields, in the class's order, and check
-# none of them.  Their parameters carry no annotations: the classes give
-# the fields' types, and annotations here would add to the module's compile
-# time.
-_tuple_new = tuple.__new__
-
-
-def new_probe(prev_mode, x, u, v, w, r, p) -> SwitchProbe:
-    return _tuple_new(SwitchProbe, (prev_mode, x, u, v, w, r, p))
-
-
 @dataclass(frozen=True)
 class SwitchingRule:
     """successors yields the candidate modes of a probe, as mode indices.
@@ -150,12 +135,8 @@ class SwitchingRule:
             raise ValueError(f"the rule's successors select by the symbols {named}, not {self.symbols}")
 
     def successor_set(self, probe: SwitchProbe) -> tuple[int, ...]:
-        """The candidate modes, sorted and each once.  A tuple of at most
-        one mode, as the library rules return, comes back as it is."""
-        modes = self.successors(probe)
-        if type(modes) is not tuple:
-            modes = tuple(modes)
-        return modes if len(modes) < 2 else tuple(sorted(set(modes)))
+        """The candidate modes, sorted and each once."""
+        return tuple(sorted(set(self.successors(probe))))
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -224,14 +205,14 @@ class SmplDims:
 @dataclass(frozen=True)
 class ControllerHook:
     """Maps the performance signal z = (mode, x, u, v) and the exogenous
-    inputs to this step's (u, v).  spec is the controller's document form,
-    which static_feedback sets and serialisation writes; a hook built from
-    bare closures has none and no document form."""
+    inputs to this step's (u, v).  A step calls it whatever its maps
+    are, and so does the closed loop's hybrid translation.  spec is the
+    controller's document form, which static_feedback sets and
+    serialisation writes; a hook built from bare closures has none and no
+    document form."""
 
     f_u: Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
     f_v: Callable[[tuple[Weight, ...], StepInput], tuple[Weight, ...]]
-    max_min_plus: bool = True
-    name: str = "controller"
     spec: dict | None = None
 
 
@@ -259,13 +240,7 @@ def static_feedback(gain: TropicalMatrix) -> ControllerHook:
     def f_v(z: tuple[Weight, ...], inp: StepInput) -> tuple[Weight, ...]:
         return ()
 
-    return ControllerHook(
-        f_u=f_u,
-        f_v=f_v,
-        max_min_plus=True,
-        name="static feedback",
-        spec={"type": "static_feedback", "gain": gain},
-    )
+    return ControllerHook(f_u=f_u, f_v=f_v, spec={"type": "static_feedback", "gain": gain})
 
 
 class StepRecord(NamedTuple):
@@ -281,6 +256,15 @@ class StepRecord(NamedTuple):
     successor_modes: tuple[int, ...]
     u: tuple[Weight, ...] = ()
     v: tuple[Weight, ...] = ()
+
+
+# A step builds its StepRecord through new_record, which hands every field
+# to tuple.__new__ directly and so skips the generated __new__ behind a
+# NamedTuple call (about 40% of a record's cost); it takes all fields, in
+# the class's order, and checks none of them.  Its parameters carry no
+# annotations: the class gives the fields' types, and annotations here
+# would add to the module's compile time.
+_tuple_new = tuple.__new__
 
 
 def new_record(k, mode, x, y, successor_modes, u, v) -> StepRecord:
@@ -488,7 +472,7 @@ def successor_modes(
     """The rule's candidate modes from the previous mode (None before the
     first step), state and resolved inputs, once, each a mode the system
     has."""
-    modes = s.switching.successor_set(new_probe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
+    modes = s.switching.successor_set(SwitchProbe(prev_mode, x_prev, u, v, inp.w, inp.r, inp.p))
     if modes:
         # Modes come sorted and the system's are 1..n_modes, so the first
         # and the last being known covers every one in between.

@@ -255,8 +255,7 @@ def min_of_products(mats, input_mats, x, u) -> tuple[Weight, ...]:
 
 def successor_set_by_dict(rule: smpl.SwitchingRule, probe: smpl.SwitchProbe) -> tuple[int, ...]:
     """The rule's candidate modes, each once, sorted, through a dict and a
-    sort whatever their number, as opposed to the pass that skips both for
-    at most one candidate."""
+    sort, as opposed to SwitchingRule.successor_set's set and sort."""
     return tuple(sorted(dict.fromkeys(rule.successors(probe))))
 
 
@@ -296,8 +295,8 @@ def simulate(s: smpl.SmplSystem, inputs) -> smpl.Trace:
 
 
 # The event step as it was before it built its records through
-# smpl.new_probe and new_record and before it stepped through symbol_steps
-# tables: every NamedTuple through its constructor, the rule's candidate
+# smpl.new_record and before it stepped through symbol_steps tables:
+# every NamedTuple through its constructor, the rule's candidate
 # modes through successor_set_by_dict, the inputs resolved in full even
 # when there are none, the chosen mode's state through MatrixForm.eval_state
 # and the output through MatrixForm.eval_output.

@@ -10,7 +10,6 @@ from maxplushybrid.hybrid import (
     HybridAutomaton,
     HybridState,
     MahaBehaviour,
-    NonRepresentableController,
     WrongProvenance,
     finite_abstraction,
     from_smpl_closed,
@@ -328,29 +327,32 @@ class TestClosedTranslation:
                 assert rc.x[lo:hi] == ro.x
                 assert rc.y == ro.y
 
+    def test_every_controller_hook_translates(self, feedback):
+        # a hook that is not max-plus linear (min of the state's entries,
+        # doubled) translates, however the automaton is built, and its
+        # runs are the ones the system steps
+        def f_u(z, inp):
+            return (2 * min(z[1:3]),)
+
+        opaque = ControllerHook(f_u=f_u, f_v=lambda z, inp: ())
+        system = dataclasses.replace(feedback, controller=opaque)
+        for h in (from_smpl_closed(system), HybridAutomaton(system)):
+            rng = random.Random(13)
+            lo, hi = h.meta["state_layout"]["x"]
+            for _ in range(20):
+                inputs = random_word_inputs(rng, system.switching.symbols, 12)
+                st = simulate(system, inputs)
+                ht = run(h, inputs)
+                assert st.halted_at == ht.halted_at
+                assert len(st.records) == len(ht.records)
+                for rs, rh in zip(st.records, ht.records):
+                    assert rs.mode == rh.mode
+                    assert rs.x == rh.x[lo:hi]
+                    assert rs.y == rh.y
+
     def test_open_system_is_rejected(self, production):
         with pytest.raises(ValueError):
             from_smpl_closed(production)
-
-    def test_non_representable_controller_is_rejected(self, feedback):
-        opaque = ControllerHook(
-            f_u=lambda z, inp: inp.u,
-            f_v=lambda z, inp: inp.v,
-            max_min_plus=False,
-        )
-        system = SmplSystem(
-            n_modes=feedback.n_modes,
-            modes=feedback.modes,
-            switching=feedback.switching,
-            x0=feedback.x0,
-            dims=feedback.dims,
-            controller=opaque,
-        )
-        with pytest.raises(NonRepresentableController):
-            from_smpl_closed(system)
-        # the automaton checks its system however it is built
-        with pytest.raises(NonRepresentableController):
-            HybridAutomaton(system)
 
 
 class TestFiniteAbstraction:

@@ -1,13 +1,13 @@
 """The event step that builds its records through tuple.__new__.
 
-smpl.new_probe and new_record hand their fields to tuple.__new__ without
-the argument check of a NamedTuple's constructor.  The steps of all three
-steppers are held, record for record, halt for halt and error for error,
-to the copies in oracles that build every NamedTuple through its
-constructor and step through the rule, never a symbol_steps table.  And
-every probe and record a run of a bundled model builds must have its
-class's field count and read its fields by name, and every candidate set
-must be the record's successor modes.
+smpl.new_record hands its fields to tuple.__new__ without the argument
+check of a NamedTuple's constructor.  The steps of all three steppers
+are held, record for record, halt for halt and error for error, to the
+copies in oracles that build every record through its constructor and
+step through the rule, never a symbol_steps table.  And every probe and
+record a run of a bundled model builds must have its class's field count
+and read its fields by name, and every candidate set must be the
+record's successor modes.
 """
 
 import dataclasses
